@@ -186,16 +186,14 @@ AdaptedPlan adapt_plan(const graph::Graph& topology,
     }
     return false;
   };
+  std::vector<char> avail(is_hot.size());  // hot-free residual edges
+  for (std::size_t e = 0; e < avail.size(); ++e) avail[e] = !is_hot[e];
 
   if (trees::edge_disjoint(topology, trees)) {
     // Disjoint plans stay disjoint: replacements may only use edges no
     // current tree occupies. Each hot tree first releases its own edges
     // (its replacement may reuse the cool ones), then either a packed
     // replacement claims its edges or the original re-reserves them.
-    std::vector<char> avail(static_cast<std::size_t>(num_edges), 1);
-    for (int e = 0; e < num_edges; ++e) {
-      if (is_hot[static_cast<std::size_t>(e)]) avail[static_cast<std::size_t>(e)] = 0;
-    }
     for (const auto& t : trees) {
       for (const auto& e : t.edges()) {
         avail[static_cast<std::size_t>(topology.edge_id(e.u, e.v))] = 0;
@@ -229,10 +227,6 @@ AdaptedPlan adapt_plan(const graph::Graph& topology,
     // rebuild each hot tree as a BFS tree of the hot-free residual at its
     // original root. The relaxation above guarantees the residual is
     // connected, so every rebuild succeeds.
-    std::vector<char> avail(static_cast<std::size_t>(num_edges), 1);
-    for (int e = 0; e < num_edges; ++e) {
-      if (is_hot[static_cast<std::size_t>(e)]) avail[static_cast<std::size_t>(e)] = 0;
-    }
     const graph::Graph residual = subgraph(topology, avail);
     for (std::size_t t = 0; t < plan.trees.size(); ++t) {
       if (!tree_is_hot(plan.trees[t])) continue;
@@ -248,14 +242,12 @@ AdaptedPlan adapt_plan(const graph::Graph& topology,
   // through its one tolerated cool link, trading q moderately-slow trees
   // for q trees serialized behind a single link — and the controller must
   // never adapt into a predictably worse plan.
+  plan = finalize_plan(std::move(plan), topology, congestion);
   if (!plan.replanned.empty()) {
     const model::TreeBandwidths original_bw =
         model::compute_tree_bandwidths_capacitated(
             topology, trees, static_cast<double>(congestion.link_bandwidth),
             plan.capacity_scale);
-    plan.bandwidths = model::compute_tree_bandwidths_capacitated(
-        topology, plan.trees, static_cast<double>(congestion.link_bandwidth),
-        plan.capacity_scale);
     if (plan.bandwidths.aggregate <= original_bw.aggregate) {
       plan.trees = trees;
       plan.replanned.clear();
@@ -263,10 +255,28 @@ AdaptedPlan adapt_plan(const graph::Graph& topology,
     }
     PFAR_ENSURE(plan.bandwidths.aggregate >= original_bw.aggregate,
                 plan.bandwidths.aggregate, original_bw.aggregate);
-    return plan;
   }
+  return plan;
+}
 
-  return finalize_plan(plan, topology, congestion);
+ProbedPlan probe_and_adapt(const graph::Graph& topology,
+                           const std::vector<trees::SpanningTree>& trees,
+                           const simnet::SimConfig& config,
+                           const ControllerConfig& ctrl) {
+  PFAR_REQUIRE(ctrl.probe_elements > 0, ctrl.probe_elements);
+  PFAR_REQUIRE(!trees.empty(), trees.size());
+  simnet::SimConfig probe_cfg = config;
+  probe_cfg.shard_threads = 1;
+  probe_cfg.recorder = nullptr;
+  ProbedPlan out;
+  out.probe = collectives::run_innetwork_allreduce(topology, trees,
+                                                   ctrl.probe_elements,
+                                                   probe_cfg)
+                  .sim;
+  out.congestion = CongestionMap::from_sim_result(topology, out.probe,
+                                                  config.link_bandwidth);
+  out.plan = adapt_plan(topology, trees, out.congestion, ctrl);
+  return out;
 }
 
 AdaptiveResult run_adaptive_allreduce(
@@ -275,26 +285,8 @@ AdaptiveResult run_adaptive_allreduce(
     const simnet::SimConfig& config, const ControllerConfig& ctrl,
     bool compare_static) {
   PFAR_REQUIRE(m >= 0, m);
-  PFAR_REQUIRE(ctrl.probe_elements > 0, ctrl.probe_elements);
-  PFAR_REQUIRE(!trees.empty(), trees.size());
-
   AdaptiveResult out;
-
-  // Probe: a short static collective through the live traffic, serial and
-  // recorder-free so it neither races the caller's shards nor pollutes
-  // the caller's artifacts.
-  simnet::SimConfig probe_cfg = config;
-  probe_cfg.shard_threads = 1;
-  probe_cfg.recorder = nullptr;
-  const model::TreeBandwidths quiet = model::compute_tree_bandwidths(
-      topology, trees, static_cast<double>(config.link_bandwidth));
-  simnet::AllreduceSimulator probe_sim(
-      topology, collectives::to_embeddings(trees), probe_cfg);
-  out.probe = probe_sim.run(model::optimal_split(ctrl.probe_elements, quiet));
-
-  out.congestion = CongestionMap::from_sim_result(topology, out.probe,
-                                                  config.link_bandwidth);
-  out.plan = adapt_plan(topology, trees, out.congestion, ctrl);
+  static_cast<ProbedPlan&>(out) = probe_and_adapt(topology, trees, config, ctrl);
 
   if constexpr (obsv::kTraceCompiled) {
     if (config.recorder != nullptr) {
@@ -316,9 +308,15 @@ AdaptiveResult run_adaptive_allreduce(
     }
   }
 
-  out.adaptive = collectives::run_innetwork_allreduce_split(
-      topology, out.plan.trees,
-      model::optimal_split(m, out.plan.bandwidths), config);
+  // The split follows the capacitated bandwidths; `predicted` stays the
+  // quiet-network Algorithm 1 so callers read the adaptation against the
+  // static model.
+  out.adaptive = collectives::run_planned_allreduce(
+      topology, out.plan.trees, model::optimal_split(m, out.plan.bandwidths),
+      model::compute_tree_bandwidths(
+          topology, out.plan.trees,
+          static_cast<double>(config.link_bandwidth)),
+      config);
 
   if (compare_static) {
     simnet::SimConfig static_cfg = config;

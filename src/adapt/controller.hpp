@@ -103,12 +103,28 @@ AdaptedPlan adapt_plan(const graph::Graph& topology,
                        const CongestionMap& congestion,
                        const ControllerConfig& ctrl = {});
 
-/// End-to-end outcome of one adaptive Allreduce.
-struct AdaptiveResult {
-  AdaptedPlan plan;
+/// The controller's measuring half: the probe window and the plan adapted
+/// to it.
+struct ProbedPlan {
   /// The probe window's raw measurement.
   simnet::SimResult probe;
   CongestionMap congestion;
+  AdaptedPlan plan;
+};
+
+/// Runs a short static probe collective (ctrl.probe_elements, Theorem 5.1
+/// split) through the live background traffic of `config` — serial and
+/// recorder-free, so it neither races the caller's shards nor perturbs the
+/// caller's artifacts — reads its CongestionMap and adapts the plan to it.
+/// Emits nothing on any recorder; callers instrument the stage themselves.
+ProbedPlan probe_and_adapt(const graph::Graph& topology,
+                           const std::vector<trees::SpanningTree>& trees,
+                           const simnet::SimConfig& config,
+                           const ControllerConfig& ctrl = {});
+
+/// End-to-end outcome of one adaptive Allreduce: the probed plan, then
+/// the runs on it.
+struct AdaptiveResult : ProbedPlan {
   /// The adapted run: re-planned trees, congestion-aware split.
   collectives::InNetworkResult adaptive;
   /// The static baseline (original trees, Theorem 5.1 split), executed
@@ -117,11 +133,10 @@ struct AdaptiveResult {
   bool compared = false;
 };
 
-/// The full control loop (docs/congestion_adaptation.md): run a short
-/// probe collective through the live background traffic (serial, no
-/// recorder — the probe must not perturb the caller's artifacts), read
-/// the per-link measurements, adapt the plan, then run the m-element
-/// collective on the adapted plan under `config`. With
+/// The full control loop (docs/congestion_adaptation.md): probe_and_adapt,
+/// then the m-element collective on the adapted plan under `config`
+/// through the collectives run core, with the adapt.* instrumentation on
+/// config.recorder. With
 /// `compare_static` the original static plan runs too, under identical
 /// traffic, so callers (and the bench) can report the adaptation win.
 AdaptiveResult run_adaptive_allreduce(

@@ -3,6 +3,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "collectives/resilient.hpp"
 #include "util/contracts.hpp"
 
 namespace pfar::collectives {
@@ -20,40 +21,20 @@ BucketScheduleResult run_bucketed_allreduce(
       throw std::invalid_argument("run_bucketed_allreduce: negative bucket");
     }
   }
-  const auto sum_flits = [](const simnet::SimResult& sim) {
-    return std::accumulate(sim.link_flits.begin(), sim.link_flits.end(), 0LL);
-  };
+  // Zero-length buckets cost nothing (TreeSetCost runs nothing for m = 0).
+  TreeSetCost tree_set(topology, trees, config);
   BucketScheduleResult out;
-  switch (strategy) {
-    case BucketStrategy::kSerialized: {
-      for (long long m : bucket_sizes) {
-        // A zero-length bucket moves nothing: no run, no cycles, no flits.
-        if (m == 0) {
-          out.bucket_finish.push_back(out.total_cycles);
-          continue;
-        }
-        const auto res = run_innetwork_allreduce(topology, trees, m, config);
-        out.total_cycles += res.sim.cycles;
-        out.correct = out.correct && res.sim.values_correct;
-        out.total_flits += sum_flits(res.sim);
-        out.bucket_finish.push_back(out.total_cycles);
-      }
-      break;
-    }
-    case BucketStrategy::kFused: {
-      const long long total = std::accumulate(bucket_sizes.begin(),
-                                              bucket_sizes.end(), 0LL);
-      if (total == 0) {
-        out.bucket_finish.push_back(0);
-        break;
-      }
-      const auto res = run_innetwork_allreduce(topology, trees, total, config);
-      out.total_cycles = res.sim.cycles;
-      out.correct = res.sim.values_correct;
-      out.total_flits = sum_flits(res.sim);
-      out.bucket_finish.push_back(out.total_cycles);
-      break;
-    }
+  const auto run = [&](long long m) {
+    const RunCost cost = tree_set.cost(m);
+    out.total_cycles += cost.cycles;
+    out.total_flits += cost.flits;
+    out.correct = out.correct && cost.correct;
+    out.bucket_finish.push_back(out.total_cycles);
+  };
+  if (strategy == BucketStrategy::kFused) {
+    run(std::accumulate(bucket_sizes.begin(), bucket_sizes.end(), 0LL));
+  } else {
+    for (long long m : bucket_sizes) run(m);
   }
   PFAR_ENSURE(out.total_cycles >= 0 && out.total_flits >= 0,
               out.total_cycles, out.total_flits);

@@ -22,18 +22,22 @@ enum class BucketStrategy {
 
 struct BucketScheduleResult {
   long long total_cycles = 0;
+  /// Every element of every bucket delivered with exact values. A run
+  /// whose progress timeout canceled trees is incorrect: this schedule
+  /// has no recovery (run_resilient_allreduce does).
   bool correct = true;
   /// Per-bucket completion cycle (cumulative). For kFused there is a
   /// single entry: everything lands together.
   std::vector<long long> bucket_finish;
   /// Flits moved across all directed links over all runs (payload +
-  /// headers) — the fabric work the schedule cost. The service layer's
-  /// utilization accounting sums this over every run it issues.
+  /// headers) — the fabric work the schedule cost.
   long long total_flits = 0;
 };
 
 /// Executes a sequence of gradient-bucket Allreduces over one tree set and
-/// reports the end-to-end cycle count under the chosen strategy.
+/// reports the end-to-end cycle count under the chosen strategy. Costs come
+/// from one TreeSetCost, so equal bucket sizes simulate once and the runs
+/// are uninstrumented (config.recorder is ignored).
 ///
 /// Zero-length buckets are legal and free: they consume no fabric time or
 /// flits (their finish cycle is wherever the schedule already stands), and

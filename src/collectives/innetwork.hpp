@@ -29,26 +29,34 @@ struct InNetworkResult {
   double efficiency_vs_model = 0.0;
 };
 
+/// The one run core every in-network collective goes through: simulates
+/// the Allreduce over `trees` with the per-tree element counts `split`
+/// (one non-negative entry per tree; m is their sum) and reports the run
+/// against `predicted`, the caller's already-computed Algorithm 1 result
+/// (quiet or capacitated; it only feeds `predicted` and
+/// efficiency_vs_model). Planning stays with the caller, so no path pays
+/// for Algorithm 1 twice.
+InNetworkResult run_planned_allreduce(
+    const graph::Graph& topology,
+    const std::vector<trees::SpanningTree>& trees,
+    std::vector<long long> split, model::TreeBandwidths predicted,
+    const simnet::SimConfig& config);
+
 /// Plans and simulates a multi-tree in-network Allreduce of an m-element
 /// vector over the given spanning trees (Sections 4.3, 5.2 end-to-end):
-/// computes Algorithm 1 bandwidths, splits the vector per `policy`, runs
-/// the cycle-level simulator and reports both measurement and prediction.
+/// computes Algorithm 1 bandwidths once, splits the vector per `policy`,
+/// and runs the core.
 InNetworkResult run_innetwork_allreduce(
     const graph::Graph& topology,
     const std::vector<trees::SpanningTree>& trees, long long m,
     const simnet::SimConfig& config, SplitPolicy policy = SplitPolicy::kOptimal);
 
-/// As run_innetwork_allreduce, but with a caller-supplied per-tree split —
-/// the entry point the congestion controller uses after re-weighting the
-/// Theorem 5.1 distribution with live link measurements (src/adapt).
-/// `split` needs one non-negative entry per tree; `m` and the simulated
-/// run follow it verbatim, while `predicted` (and efficiency_vs_model)
-/// still report the quiet-network Algorithm 1 so callers can read the
-/// adaptation against the static model.
-InNetworkResult run_innetwork_allreduce_split(
-    const graph::Graph& topology,
-    const std::vector<trees::SpanningTree>& trees,
-    const std::vector<long long>& split, const simnet::SimConfig& config);
+/// Elements the run's failed (timed-out and canceled) trees never
+/// delivered: 0 on every run without a progress-timeout cancellation.
+long long undelivered_elements(const InNetworkResult& run);
+
+/// Flits the run moved across all directed links (payload + headers).
+long long total_flits(const simnet::SimResult& sim);
 
 /// Converts library spanning trees into simulator embeddings.
 std::vector<simnet::TreeEmbedding> to_embeddings(

@@ -62,15 +62,15 @@ simnet::FaultScript shift_script(const simnet::FaultScript& script,
   return out;
 }
 
-}  // namespace
-
+/// The attempt loop of run_resilient_allreduce, with attempt 0's Algorithm
+/// 1 result supplied by the caller (TreeSetCost computes it once per tree
+/// set, not once per vector size).
 // pfar-lint: allow(contract-coverage) every input is validated below via std::invalid_argument throws, which callers catch as part of the API
-RecoveryStats run_resilient_allreduce(const graph::Graph& topology,
-                                      const std::vector<trees::SpanningTree>&
-                                          spanning_trees,
-                                      long long m,
-                                      const simnet::SimConfig& config,
-                                      const ResilienceConfig& resilience) {
+RecoveryStats recover(
+    const graph::Graph& topology,
+    const std::vector<trees::SpanningTree>& spanning_trees,
+    const model::TreeBandwidths& bandwidths, long long m,
+    const simnet::SimConfig& config, const ResilienceConfig& resilience) {
   if (spanning_trees.empty()) {
     throw std::invalid_argument("run_resilient_allreduce: no trees");
   }
@@ -113,10 +113,12 @@ RecoveryStats run_resilient_allreduce(const graph::Graph& topology,
 
   const int max_attempts = 1 + resilience.max_retries;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    const model::TreeBandwidths bw = model::compute_tree_bandwidths(
-        *cur_topology, cur_trees,
-        static_cast<double>(config.link_bandwidth));
-    const std::vector<long long> split = model::optimal_split(remaining, bw);
+    model::TreeBandwidths bw =
+        attempt == 0 ? bandwidths
+                     : model::compute_tree_bandwidths(
+                           *cur_topology, cur_trees,
+                           static_cast<double>(config.link_bandwidth));
+    std::vector<long long> split = model::optimal_split(remaining, bw);
 
     simnet::SimConfig attempt_config = config;
     attempt_config.faults = shift_script(config.faults, stats.total_cycles,
@@ -126,9 +128,10 @@ RecoveryStats run_resilient_allreduce(const graph::Graph& topology,
     // timeline (cycle 0 of the attempt = total_cycles so far).
     if (rec != nullptr) rec->trace.set_time_offset(stats.total_cycles);
 
-    simnet::AllreduceSimulator sim(*cur_topology, to_embeddings(cur_trees),
-                                   attempt_config);
-    simnet::SimResult res = sim.run(split);
+    InNetworkResult run = run_planned_allreduce(
+        *cur_topology, cur_trees, std::move(split), std::move(bw),
+        attempt_config);
+    const simnet::SimResult& res = run.sim;
 
     ++stats.attempts;
     if (rec != nullptr) rec->metrics.add("recovery.attempts");
@@ -139,7 +142,7 @@ RecoveryStats run_resilient_allreduce(const graph::Graph& topology,
     log.cycles = res.cycles;
     log.trees = static_cast<int>(cur_trees.size());
     log.elements = remaining;
-    log.model_bandwidth = bw.aggregate;
+    log.model_bandwidth = run.predicted.aggregate;
     if (attempt > 0) {
       stats.chunks_replayed += remaining;
       if (rec != nullptr) {
@@ -149,12 +152,11 @@ RecoveryStats run_resilient_allreduce(const graph::Graph& topology,
 
     // Tally what the failed trees did not finish and when the first
     // failure of this attempt was detected.
-    long long lost = 0;
+    const long long lost = undelivered_elements(run);
     long long first_detect = -1;
     for (std::size_t t = 0; t < res.tree_failed.size(); ++t) {
-      if (!res.tree_failed[t]) continue;
-      lost += split[t] - res.tree_completed[t];
-      if (first_detect < 0 || res.tree_fail_cycle[t] < first_detect) {
+      if (res.tree_failed[t] &&
+          (first_detect < 0 || res.tree_fail_cycle[t] < first_detect)) {
         first_detect = res.tree_fail_cycle[t];
       }
     }
@@ -175,8 +177,8 @@ RecoveryStats run_resilient_allreduce(const graph::Graph& topology,
 
     if (lost == 0) {
       stats.recovered = true;
-      stats.degraded_aggregate_bandwidth = bw.aggregate;
-      stats.final_sim = std::move(res);
+      stats.degraded_aggregate_bandwidth = run.predicted.aggregate;
+      stats.final_sim = std::move(run.sim);
       if (rec != nullptr) {
         rec->metrics.hwm("recovery.total_cycles", stats.total_cycles);
         if (stats.detection_cycle >= 0) {
@@ -241,6 +243,68 @@ RecoveryStats run_resilient_allreduce(const graph::Graph& topology,
   stats.failed_links = accumulated_failed;
   fail_unrecoverable("retries exhausted with " +
                      std::to_string(remaining) + " elements undelivered");
+}
+
+}  // namespace
+
+// pfar-lint: allow(contract-coverage) recover() validates every input via std::invalid_argument
+RecoveryStats run_resilient_allreduce(
+    const graph::Graph& topology,
+    const std::vector<trees::SpanningTree>& spanning_trees, long long m,
+    const simnet::SimConfig& config, const ResilienceConfig& resilience) {
+  return recover(topology, spanning_trees,
+                 model::compute_tree_bandwidths(
+                     topology, spanning_trees,
+                     static_cast<double>(config.link_bandwidth)),
+                 m, config, resilience);
+}
+
+TreeSetCost::TreeSetCost(const graph::Graph& topology,
+                         std::vector<trees::SpanningTree> trees,
+                         const simnet::SimConfig& config,
+                         std::optional<ResilienceConfig> resilience,
+                         std::optional<model::TreeBandwidths> bandwidths)
+    : topology_(&topology),
+      trees_(std::move(trees)),
+      config_(config),
+      resilience_(resilience),
+      bandwidths_(std::move(bandwidths)) {
+  PFAR_REQUIRE(!trees_.empty());
+  PFAR_REQUIRE(!bandwidths_ || bandwidths_->per_tree.size() == trees_.size(),
+               trees_.size());
+  config_.recorder = nullptr;
+}
+
+RunCost TreeSetCost::cost(long long m) {
+  PFAR_REQUIRE(m >= 0, m);
+  const auto hit = memo_.find(m);
+  if (hit != memo_.end()) return hit->second;
+  RunCost cost;
+  if (m > 0) {
+    if (!bandwidths_) {
+      bandwidths_ = model::compute_tree_bandwidths(
+          *topology_, trees_, static_cast<double>(config_.link_bandwidth));
+    }
+    if (resilience_ && !config_.faults.empty()) {
+      const RecoveryStats recovery = recover(*topology_, trees_, *bandwidths_,
+                                             m, config_, *resilience_);
+      cost.cycles = recovery.total_cycles;
+      cost.flits = total_flits(recovery.final_sim);
+      cost.replayed = recovery.chunks_replayed;
+      cost.correct = recovery.recovered && recovery.values_correct;
+    } else {
+      const InNetworkResult run = run_planned_allreduce(
+          *topology_, trees_, model::optimal_split(m, *bandwidths_),
+          *bandwidths_, config_);
+      cost.cycles = run.sim.cycles;
+      cost.flits = total_flits(run.sim);
+      cost.correct = run.sim.values_correct && undelivered_elements(run) == 0;
+    }
+    PFAR_ENSURE(cost.cycles > 0 && cost.flits >= 0, m, cost.cycles,
+                cost.flits);
+  }
+  memo_.emplace(m, cost);
+  return cost;
 }
 
 }  // namespace pfar::collectives

@@ -1,8 +1,11 @@
 #pragma once
 
+#include <map>
+#include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "model/congestion_model.hpp"
 #include "simnet/allreduce_sim.hpp"
 #include "simnet/config.hpp"
 #include "trees/spanning_tree.hpp"
@@ -77,5 +80,48 @@ RecoveryStats run_resilient_allreduce(
     const std::vector<trees::SpanningTree>& trees, long long m,
     const simnet::SimConfig& config,
     const ResilienceConfig& resilience = {});
+
+/// What one m-element Allreduce on a tree set costs the fabric.
+struct RunCost {
+  long long cycles = 0;
+  /// Flits moved across all directed links (payload + headers); under
+  /// recovery, those of the final attempt.
+  long long flits = 0;
+  /// Elements the resilient driver replayed on degraded plans.
+  long long replayed = 0;
+  /// Every element delivered, every delivered value exact.
+  bool correct = true;
+};
+
+/// The memoized cost of Allreduces on one tree set — the shared answer to
+/// "what does an m-element Allreduce on these trees cost" that the
+/// bucketed schedules, the service's lanes and the training replay all
+/// ask. Simulator runs are pure functions of (topology, trees, split,
+/// config), so cost(m) runs once per distinct m: through the resilient
+/// attempt loop when `resilience` is given and the config carries a
+/// fault script, otherwise as one run of the core (run_planned_allreduce).
+/// Memoized runs are uninstrumented (config.recorder is dropped): a memo
+/// hit could not replay their events. `topology` must outlive the object.
+class TreeSetCost {
+ public:
+  /// `bandwidths` are the split weights (Theorem 5.1 over them); when
+  /// omitted, the quiet Algorithm 1 of `trees`, computed on the first run.
+  TreeSetCost(const graph::Graph& topology,
+              std::vector<trees::SpanningTree> trees,
+              const simnet::SimConfig& config,
+              std::optional<ResilienceConfig> resilience = std::nullopt,
+              std::optional<model::TreeBandwidths> bandwidths = std::nullopt);
+
+  /// Cost of an m-element Allreduce; m = 0 is free and runs nothing.
+  RunCost cost(long long m);
+
+ private:
+  const graph::Graph* topology_;
+  std::vector<trees::SpanningTree> trees_;
+  simnet::SimConfig config_;
+  std::optional<ResilienceConfig> resilience_;
+  std::optional<model::TreeBandwidths> bandwidths_;
+  std::map<long long, RunCost> memo_;
+};
 
 }  // namespace pfar::collectives

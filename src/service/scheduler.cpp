@@ -16,7 +16,6 @@ std::vector<Lane> build_lanes(const graph::Graph& topology,
     for (int t = 0; t < static_cast<int>(trees.size()); ++t) {
       all.tree_ids.push_back(t);
     }
-    all.trees = trees;
     lanes.push_back(std::move(all));
     return lanes;
   }
@@ -24,12 +23,7 @@ std::vector<Lane> build_lanes(const graph::Graph& topology,
       topology, collectives::to_embeddings(trees));
   lanes.reserve(groups.size());
   for (const auto& group : groups) {
-    Lane lane;
-    lane.tree_ids = group;
-    for (int t : group) {
-      lane.trees.push_back(trees[static_cast<std::size_t>(t)]);
-    }
-    lanes.push_back(std::move(lane));
+    lanes.push_back(Lane{group});
   }
   // Every tree lands in exactly one lane (the partition property the
   // exact-concurrency argument rests on).

@@ -18,8 +18,6 @@ namespace pfar::service {
 struct Lane {
   /// Indices into the plan's tree set (ascending).
   std::vector<int> tree_ids;
-  /// The subset itself, in tree_ids order.
-  std::vector<trees::SpanningTree> trees;
 };
 
 /// Partitions the tree set into scheduling lanes. kSerial yields one lane

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "collectives/bucket_schedule.hpp"
 #include "obsv/recorder.hpp"
 #include "util/contracts.hpp"
 
@@ -49,19 +48,29 @@ AllreduceService::AllreduceService(core::AllreducePlan plan,
   PFAR_REQUIRE(config_.replan_cycles >= 0, config_.replan_cycles);
   PFAR_REQUIRE(config_.replay_backoff_cycles >= 0,
                config_.replay_backoff_cycles);
+  // Lane runs have no recovery: a fault script would lose elements that
+  // the service then reported delivered.
+  PFAR_REQUIRE(config_.sim.faults.empty());
   lanes_ = build_lanes(plan_.topology(), plan_.trees(), config_.policy);
+  lane_costs_.reserve(lanes_.size());
+  for (const Lane& lane : lanes_) {
+    std::vector<trees::SpanningTree> lane_trees;
+    for (int t : lane.tree_ids) {
+      lane_trees.push_back(plan_.trees()[static_cast<std::size_t>(t)]);
+    }
+    lane_costs_.emplace_back(plan_.topology(), std::move(lane_trees),
+                             config_.sim);
+  }
   lane_state_.assign(lanes_.size(), LaneState{});
   // Group 0: the implicit all-nodes group.
   Group all;
   for (int v = 0; v < plan_.num_nodes(); ++v) all.members.push_back(v);
   groups_.emplace(0, std::move(all));
-  if constexpr (obsv::kTraceCompiled) {
-    if (config_.sim.recorder != nullptr) {
-      for (std::size_t l = 0; l < lanes_.size(); ++l) {
-        config_.sim.recorder->trace.name_track(
-            obsv::kTrackServiceBase + static_cast<std::uint32_t>(l),
-            "lane " + std::to_string(l));
-      }
+  if (obsv::Recorder* rec = recorder()) {
+    for (std::size_t l = 0; l < lanes_.size(); ++l) {
+      rec->trace.name_track(
+          obsv::kTrackServiceBase + static_cast<std::uint32_t>(l),
+          "lane " + std::to_string(l));
     }
   }
 }
@@ -164,16 +173,14 @@ void AllreduceService::complete_lanes(long long t) {
                  static_cast<int>(b.job_ids.size()));
     }
     total_flits_ += b.flits;
-    if constexpr (obsv::kTraceCompiled) {
-      if (obsv::Recorder* rec = config_.sim.recorder) {
-        rec->trace.complete(
-            b.start, b.finish - b.start,
-            rec->trace.intern("g" + std::to_string(b.group) + " x" +
-                              std::to_string(b.job_ids.size())),
-            obsv::kTrackServiceBase + static_cast<std::uint32_t>(l),
-            {"jobs", static_cast<long long>(b.job_ids.size())},
-            {"elements", b.total_elements});
-      }
+    if (obsv::Recorder* rec = recorder()) {
+      rec->trace.complete(
+          b.start, b.finish - b.start,
+          rec->trace.intern("g" + std::to_string(b.group) + " x" +
+                            std::to_string(b.job_ids.size())),
+          obsv::kTrackServiceBase + static_cast<std::uint32_t>(l),
+          {"jobs", static_cast<long long>(b.job_ids.size())},
+          {"elements", b.total_elements});
     }
     lane.busy = false;
   }
@@ -202,14 +209,12 @@ void AllreduceService::apply_member_events(long long t) {
     }
     g.needs_replan = true;
     ++replans_;
-    if constexpr (obsv::kTraceCompiled) {
-      if (obsv::Recorder* rec = config_.sim.recorder) {
-        rec->metrics.add("service.replans");
-        rec->trace.instant(ev.cycle,
-                           rec->trace.intern(ev.is_join ? "join" : "leave"),
-                           obsv::kTrackSim, {"group", ev.group},
-                           {"node", ev.node});
-      }
+    if (obsv::Recorder* rec = recorder()) {
+      rec->metrics.add("service.replans");
+      rec->trace.instant(ev.cycle,
+                         rec->trace.intern(ev.is_join ? "join" : "leave"),
+                         obsv::kTrackSim, {"group", ev.group},
+                         {"node", ev.node});
     }
   }
   member_pending_.erase(member_pending_.begin(),
@@ -252,16 +257,14 @@ void AllreduceService::interrupt_group(int group, long long t) {
     total_flits_ += b.total_elements == 0
                         ? 0
                         : b.flits * delivered_total / b.total_elements;
-    if constexpr (obsv::kTraceCompiled) {
-      if (obsv::Recorder* rec = config_.sim.recorder) {
-        rec->metrics.add("service.interrupted_batches");
-        rec->trace.complete(
-            b.start, t - b.start,
-            rec->trace.intern("g" + std::to_string(group) + " cut"),
-            obsv::kTrackServiceBase + static_cast<std::uint32_t>(l),
-            {"jobs", static_cast<long long>(b.job_ids.size())},
-            {"delivered", delivered_total});
-      }
+    if (obsv::Recorder* rec = recorder()) {
+      rec->metrics.add("service.interrupted_batches");
+      rec->trace.complete(
+          b.start, t - b.start,
+          rec->trace.intern("g" + std::to_string(group) + " cut"),
+          obsv::kTrackServiceBase + static_cast<std::uint32_t>(l),
+          {"jobs", static_cast<long long>(b.job_ids.size())},
+          {"delivered", delivered_total});
     }
     lane.busy = false;
     lane.free_at = t;
@@ -277,21 +280,17 @@ void AllreduceService::admit_arrivals(long long t) {
     JobRecord& record = records_[static_cast<std::size_t>(job.job_id)];
     if (static_cast<int>(queue_.size()) >= config_.max_queue_jobs) {
       record.rejected = true;
-      if constexpr (obsv::kTraceCompiled) {
-        if (obsv::Recorder* rec = config_.sim.recorder) {
-          rec->metrics.add("service.jobs.rejected");
-        }
+      if (obsv::Recorder* rec = recorder()) {
+        rec->metrics.add("service.jobs.rejected");
       }
       continue;
     }
     record.admit_cycle = job.queued_cycle;
     queue_.push_back(job);
-    if constexpr (obsv::kTraceCompiled) {
-      if (obsv::Recorder* rec = config_.sim.recorder) {
-        rec->metrics.add("service.jobs.admitted");
-        rec->metrics.hwm("service.queue_depth",
-                         static_cast<long long>(queue_.size()));
-      }
+    if (obsv::Recorder* rec = recorder()) {
+      rec->metrics.add("service.jobs.admitted");
+      rec->metrics.hwm("service.queue_depth",
+                       static_cast<long long>(queue_.size()));
     }
   }
   pending_.erase(pending_.begin(),
@@ -326,8 +325,7 @@ void AllreduceService::dispatch_free_lanes() {
         JobRecord& record = records_[static_cast<std::size_t>(job.job_id)];
         if (record.start_cycle < 0) record.start_cycle = clock_;
       }
-      const RunCost cost =
-          run_cost(static_cast<int>(l), b.total_elements);
+      const collectives::RunCost cost = lane_costs_[l].cost(b.total_elements);
       values_correct_ = values_correct_ && cost.correct;
       long long charges = 0;
       if (groups_.at(b.group).needs_replan) {
@@ -343,11 +341,9 @@ void AllreduceService::dispatch_free_lanes() {
       if (batch_indices.size() > 1) {
         coalesced_jobs_ += static_cast<int>(batch_indices.size());
       }
-      if constexpr (obsv::kTraceCompiled) {
-        if (obsv::Recorder* rec = config_.sim.recorder) {
-          rec->metrics.add("service.batches");
-          rec->metrics.add("service.batched_elements", b.total_elements);
-        }
+      if (obsv::Recorder* rec = recorder()) {
+        rec->metrics.add("service.batches");
+        rec->metrics.add("service.batched_elements", b.total_elements);
       }
       // Remove the batch from the queue, highest index first.
       std::vector<std::size_t> doomed = batch_indices;
@@ -368,27 +364,6 @@ void AllreduceService::dispatch_free_lanes() {
               queue_.size(), lane_state_.size());
 }
 
-AllreduceService::RunCost AllreduceService::run_cost(int lane,
-                                                     long long total_elements) {
-  const auto key = std::make_pair(lane, total_elements);
-  const auto hit = run_cache_.find(key);
-  if (hit != run_cache_.end()) return hit->second;
-  simnet::SimConfig run_config = config_.sim;
-  // Inner runs are un-instrumented: each starts its private timeline at
-  // cycle 0 and would interleave meaninglessly in the service trace.
-  run_config.recorder = nullptr;
-  const auto result = collectives::run_bucketed_allreduce(
-      plan_.topology(), lanes_[static_cast<std::size_t>(lane)].trees,
-      {total_elements}, run_config, collectives::BucketStrategy::kFused);
-  RunCost cost;
-  cost.cycles = result.total_cycles;
-  cost.flits = result.total_flits;
-  cost.correct = result.correct;
-  PFAR_ENSURE(cost.cycles > 0, lane, total_elements);
-  run_cache_.emplace(key, cost);
-  return cost;
-}
-
 void AllreduceService::finish_job(int job_id, long long cycle, int lane,
                                   int batch_jobs) {
   PFAR_REQUIRE(job_id >= 0 &&
@@ -402,13 +377,11 @@ void AllreduceService::finish_job(int job_id, long long cycle, int lane,
   record.batch_jobs = batch_jobs;
   if (record.start_cycle < 0) record.start_cycle = cycle;
   if (record.admit_cycle < 0) record.admit_cycle = record.spec.arrival_cycle;
-  if constexpr (obsv::kTraceCompiled) {
-    if (obsv::Recorder* rec = config_.sim.recorder) {
-      rec->metrics.add("service.jobs.completed");
-      rec->metrics.observe(
-          "service.sojourn_cycles",
-          static_cast<double>(record.finish_cycle - record.admit_cycle));
-    }
+  if (obsv::Recorder* rec = recorder()) {
+    rec->metrics.add("service.jobs.completed");
+    rec->metrics.observe(
+        "service.sojourn_cycles",
+        static_cast<double>(record.finish_cycle - record.admit_cycle));
   }
 }
 

@@ -4,7 +4,9 @@
 #include <utility>
 #include <vector>
 
+#include "collectives/resilient.hpp"
 #include "core/planner.hpp"
+#include "obsv/recorder.hpp"
 #include "service/batching.hpp"
 #include "service/job.hpp"
 #include "service/scheduler.hpp"
@@ -21,10 +23,11 @@ namespace pfar::service {
 /// same property that makes intra-run sharding bit-identical). A
 /// tenant-fair scheduler assigns queued jobs to freed lanes; under the
 /// batched policy, queued jobs of the same (group, op) coalesce into one
-/// fused sub-vector run (collectives::run_bucketed_allreduce). Each
-/// dispatched batch's duration and fabric work come from a cycle-accurate
-/// (or flow-tier) simulation of exactly that run on exactly that lane's
-/// trees, memoized by (lane, fused size).
+/// fused sub-vector run. Each dispatched batch's duration and fabric work
+/// come from a cycle-accurate (or flow-tier) simulation of exactly that
+/// run on exactly that lane's trees: one collectives::TreeSetCost per
+/// lane, memoized by fused size. Lane runs have no recovery, so the
+/// constructor rejects a non-empty fault script.
 ///
 /// Reduction groups have dynamic membership in the HPX-5 allreduce_tree
 /// style: join() registers a leaf for future reductions; leave()
@@ -107,11 +110,6 @@ class AllreduceService {
     bool busy = false;
     Batch batch;
   };
-  struct RunCost {
-    long long cycles = 0;
-    long long flits = 0;
-    bool correct = true;
-  };
 
   void process(long long t);
   void complete_lanes(long long t);
@@ -119,12 +117,16 @@ class AllreduceService {
   void admit_arrivals(long long t);
   void dispatch_free_lanes();
   void interrupt_group(int group, long long t);
-  RunCost run_cost(int lane, long long total_elements);
   void finish_job(int job_id, long long cycle, int lane, int batch_jobs);
+  /// The service-timeline recorder; null when PFAR_TRACE=off.
+  obsv::Recorder* recorder() const {
+    return obsv::kTraceCompiled ? config_.sim.recorder : nullptr;
+  }
 
   core::AllreducePlan plan_;
   ServiceConfig config_;
   std::vector<Lane> lanes_;
+  std::vector<collectives::TreeSetCost> lane_costs_;  // one per lane
   std::vector<LaneState> lane_state_;
   std::map<int, Group> groups_;
   int next_group_ = 1;
@@ -136,7 +138,6 @@ class AllreduceService {
   std::vector<MemberEvent> member_pending_;
   std::vector<QueuedJob> queue_;          // admitted, awaiting dispatch
   std::map<int, long long> served_elements_;  // fairness ledger per tenant
-  std::map<std::pair<int, long long>, RunCost> run_cache_;
 
   // Incrementally maintained slices of ServiceStats.
   int batches_ = 0;

@@ -1,15 +1,13 @@
 #include "workload/replay.hpp"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 
-#include "collectives/bucket_schedule.hpp"
 #include "collectives/innetwork.hpp"
-#include "model/congestion_model.hpp"
 #include "obsv/recorder.hpp"
 #include "service/service.hpp"
 #include "util/contracts.hpp"
@@ -17,20 +15,6 @@
 
 namespace pfar::workload {
 namespace {
-
-/// Cost of reducing one bucket size, memoized: the replay issues the same
-/// bucket sizes every iteration and simulator runs are pure functions of
-/// (topology, trees, m, config).
-struct CommCost {
-  long long cycles = 0;
-  long long flits = 0;
-  long long replayed = 0;  // resilient-driver replays (faulty runs only)
-  bool correct = true;
-};
-
-long long sum_flits(const simnet::SimResult& sim) {
-  return std::accumulate(sim.link_flits.begin(), sim.link_flits.end(), 0LL);
-}
 
 /// One collective in flight: [start, finish) on some lane.
 struct CommInterval {
@@ -123,9 +107,12 @@ ReplayResult replay_training(const core::AllreducePlan& plan,
   PFAR_REQUIRE(config.trace.iterations >= 1, config.trace.iterations);
   // Fault scripts and the adaptive controller ride the single-job pipeline
   // (run_resilient_allreduce / src/adapt); the service backend rejects
-  // them instead of silently mis-modeling recovery inside lane runs.
+  // them instead of silently mis-modeling recovery inside lane runs. The
+  // two do not compose: the probe cannot see a failure that has not
+  // happened yet, and recovery replans without the adapted plan.
   PFAR_REQUIRE(config.mode == CommMode::kSingle || config.sim.faults.empty());
   PFAR_REQUIRE(config.mode == CommMode::kSingle || !config.adaptive);
+  PFAR_REQUIRE(config.sim.faults.empty() || !config.adaptive);
 
   const graph::Graph& topology = plan.topology();
   const std::vector<trees::SpanningTree>& trees = plan.trees();
@@ -142,87 +129,41 @@ ReplayResult replay_training(const core::AllreducePlan& plan,
   };
   const long long compute_total = scale(config.trace.total_compute_cycles());
 
-  obsv::Recorder* recorder = nullptr;
-  if constexpr (obsv::kTraceCompiled) {
-    recorder = config.sim.recorder;
-    if (recorder != nullptr) {
-      recorder->trace.name_track(obsv::kTrackWorkload, "training replay");
-      recorder->metrics.hwm("workload.buckets_per_iteration",
-                            static_cast<long long>(out.buckets.size()));
-      recorder->metrics.hwm("workload.slow_permille", out.slow_permille);
-    }
+  // Null when PFAR_TRACE=off, so every `recorder != nullptr` branch folds.
+  obsv::Recorder* recorder =
+      obsv::kTraceCompiled ? config.sim.recorder : nullptr;
+  if (recorder != nullptr) {
+    recorder->trace.name_track(obsv::kTrackWorkload, "training replay");
+    recorder->metrics.hwm("workload.buckets_per_iteration",
+                          static_cast<long long>(out.buckets.size()));
+    recorder->metrics.hwm("workload.slow_permille", out.slow_permille);
   }
 
   // --- Communication backends ----------------------------------------------
 
-  // kSingle: memoized per-bucket-size cost on the full tree set; under
-  // faults the resilient driver replays lost chunks, under `adaptive` the
-  // plan is probed and adapted once per epoch.
-  std::map<long long, CommCost> cost_cache;
-  std::vector<trees::SpanningTree> adapted_trees;
-  model::TreeBandwidths adapted_bw;
-  simnet::SimConfig inner = config.sim;
-  inner.recorder = nullptr;  // inner runs own private timelines
+  // kSingle: one memoized cost per bucket size. Under `adaptive` the plan
+  // is probed and adapted once per epoch and every bucket runs on it;
+  // under faults the resilient driver replays lost chunks.
+  std::optional<collectives::TreeSetCost> single;
   if (config.mode == CommMode::kSingle && config.adaptive) {
-    // Probe the live background once (serial, uninstrumented — mirroring
-    // adapt::run_adaptive_allreduce) and keep the adapted plan for every
-    // bucket of the epoch.
-    simnet::SimConfig probe_config = inner;
-    probe_config.shard_threads = 1;
-    const auto probe = collectives::run_innetwork_allreduce(
-        topology, trees, config.adapt_ctrl.probe_elements, probe_config);
-    const auto congestion = adapt::CongestionMap::from_sim_result(
-        topology, probe.sim, config.sim.link_bandwidth);
-    auto adapted = adapt::adapt_plan(topology, trees, congestion,
-                                     config.adapt_ctrl);
-    out.probe_cycles = probe.sim.cycles;
-    out.total_flits += sum_flits(probe.sim);
-    adapted_trees = std::move(adapted.trees);
-    adapted_bw = std::move(adapted.bandwidths);
-    if constexpr (obsv::kTraceCompiled) {
-      if (recorder != nullptr) {
-        recorder->metrics.add("workload.probe_cycles", out.probe_cycles);
-        recorder->trace.instant(
-            0, recorder->trace.intern("workload adapt"), obsv::kTrackWorkload,
-            {"hot_links", static_cast<long long>(adapted.hot_links.size())},
-            {"replanned", static_cast<long long>(adapted.replanned.size())});
-      }
+    adapt::ProbedPlan adapted = adapt::probe_and_adapt(
+        topology, trees, config.sim, config.adapt_ctrl);
+    out.probe_cycles = adapted.probe.cycles;
+    out.total_flits += collectives::total_flits(adapted.probe);
+    if (recorder != nullptr) {
+      recorder->metrics.add("workload.probe_cycles", out.probe_cycles);
+      recorder->trace.instant(
+          0, recorder->trace.intern("workload adapt"), obsv::kTrackWorkload,
+          {"hot_links",
+           static_cast<long long>(adapted.plan.hot_links.size())},
+          {"replanned",
+           static_cast<long long>(adapted.plan.replanned.size())});
     }
+    single.emplace(topology, std::move(adapted.plan.trees), config.sim,
+                   std::nullopt, std::move(adapted.plan.bandwidths));
+  } else if (config.mode == CommMode::kSingle) {
+    single.emplace(topology, trees, config.sim, config.resilience);
   }
-  const auto single_cost = [&](long long elements) {
-    const auto hit = cost_cache.find(elements);
-    if (hit != cost_cache.end()) return hit->second;
-    CommCost cost;
-    if (elements == 0) {
-      cost_cache.emplace(elements, cost);
-      return cost;
-    }
-    if (!config.sim.faults.empty()) {
-      const auto recovery = collectives::run_resilient_allreduce(
-          topology, trees, elements, inner, config.resilience);
-      cost.cycles = recovery.total_cycles;
-      cost.flits = sum_flits(recovery.final_sim);
-      cost.replayed = recovery.chunks_replayed;
-      cost.correct = recovery.recovered && recovery.values_correct;
-    } else if (config.adaptive) {
-      const auto run = collectives::run_innetwork_allreduce_split(
-          topology, adapted_trees, model::optimal_split(elements, adapted_bw),
-          inner);
-      cost.cycles = run.sim.cycles;
-      cost.flits = sum_flits(run.sim);
-      cost.correct = run.sim.values_correct;
-    } else {
-      const auto run = collectives::run_bucketed_allreduce(
-          topology, trees, {elements}, inner,
-          collectives::BucketStrategy::kFused);
-      cost.cycles = run.total_cycles;
-      cost.flits = run.total_flits;
-      cost.correct = run.correct;
-    }
-    PFAR_ENSURE(cost.cycles > 0 && cost.flits >= 0, cost.cycles, cost.flits);
-    cost_cache.emplace(elements, cost);
-    return cost;
-  };
 
   // kService: one persistent service whose virtual clock IS the training
   // timeline; buckets become jobs with arrival = release cycle.
@@ -284,7 +225,7 @@ ReplayResult replay_training(const core::AllreducePlan& plan,
         const long long release = config.overlap
                                       ? iter.start + scale(bucket.ready_offset)
                                       : iter.compute_done;
-        const CommCost cost = single_cost(bucket.elements);
+        const collectives::RunCost cost = single->cost(bucket.elements);
         if (cost.cycles == 0) continue;  // zero-element bucket
         const long long start = std::max(release, lane_free);
         lane_free = start + cost.cycles;
@@ -301,34 +242,32 @@ ReplayResult replay_training(const core::AllreducePlan& plan,
     close_iteration(&iter, &out, intervals);
     clock = iter.finish;
 
-    if constexpr (obsv::kTraceCompiled) {
-      if (recorder != nullptr) {
-        recorder->metrics.add("workload.iterations");
-        recorder->metrics.add("workload.buckets",
-                              static_cast<long long>(out.buckets.size()));
-        recorder->metrics.add("workload.compute_cycles",
-                              iter.compute_done - iter.start);
-        recorder->metrics.add("workload.comm_wall_cycles",
-                              iter.comm_wall_cycles);
-        recorder->metrics.add("workload.exposed_comm_cycles",
-                              iter.exposed_comm_cycles);
+    if (recorder != nullptr) {
+      recorder->metrics.add("workload.iterations");
+      recorder->metrics.add("workload.buckets",
+                            static_cast<long long>(out.buckets.size()));
+      recorder->metrics.add("workload.compute_cycles",
+                            iter.compute_done - iter.start);
+      recorder->metrics.add("workload.comm_wall_cycles",
+                            iter.comm_wall_cycles);
+      recorder->metrics.add("workload.exposed_comm_cycles",
+                            iter.exposed_comm_cycles);
+      recorder->trace.complete(
+          iter.start, iter.compute_done - iter.start,
+          recorder->trace.intern("iter " + std::to_string(k) + " compute"),
+          obsv::kTrackWorkload, {"iteration", k},
+          {"slow_permille", out.slow_permille});
+      if (iter.comm_wall_cycles > 0) {
         recorder->trace.complete(
-            iter.start, iter.compute_done - iter.start,
-            recorder->trace.intern("iter " + std::to_string(k) + " compute"),
-            obsv::kTrackWorkload, {"iteration", k},
-            {"slow_permille", out.slow_permille});
-        if (iter.comm_wall_cycles > 0) {
-          recorder->trace.complete(
-              iter.start, iter.comm_done - iter.start,
-              recorder->trace.intern("iter " + std::to_string(k) + " comm"),
-              obsv::kTrackWorkload,
-              {"buckets", static_cast<long long>(out.buckets.size())},
-              {"exposed", iter.exposed_comm_cycles});
-        }
-        recorder->trace.instant(
-            iter.finish, recorder->trace.intern("barrier"),
-            obsv::kTrackWorkload, {"iteration", k});
+            iter.start, iter.comm_done - iter.start,
+            recorder->trace.intern("iter " + std::to_string(k) + " comm"),
+            obsv::kTrackWorkload,
+            {"buckets", static_cast<long long>(out.buckets.size())},
+            {"exposed", iter.exposed_comm_cycles});
       }
+      recorder->trace.instant(
+          iter.finish, recorder->trace.intern("barrier"),
+          obsv::kTrackWorkload, {"iteration", k});
     }
   }
 
@@ -344,10 +283,8 @@ ReplayResult replay_training(const core::AllreducePlan& plan,
           ? 1.0 - static_cast<double>(out.exposed_comm_cycles) /
                       static_cast<double>(out.comm_wall_cycles)
           : 1.0;
-  if constexpr (obsv::kTraceCompiled) {
-    if (recorder != nullptr) {
-      recorder->metrics.hwm("workload.time_to_epoch", out.time_to_epoch);
-    }
+  if (recorder != nullptr) {
+    recorder->metrics.hwm("workload.time_to_epoch", out.time_to_epoch);
   }
   PFAR_ENSURE(out.time_to_epoch >= compute_total * config.trace.iterations,
               out.time_to_epoch, compute_total);

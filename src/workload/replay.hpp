@@ -21,11 +21,11 @@ enum class CommMode {
   /// reduce concurrently, and background traffic flows through every lane
   /// run.
   kService,
-  /// Buckets run back-to-back on the full tree set via
-  /// collectives::run_bucketed_allreduce — the single-job pipeline every
-  /// bench before this layer measured. The mode that composes with the
-  /// fault-injection layer (run_resilient_allreduce when a FaultScript is
-  /// present) and the congestion controller (`adaptive`).
+  /// Buckets run back-to-back on one tree set through a single memoized
+  /// collectives::TreeSetCost — the single-job pipeline every bench before
+  /// this layer measured. The mode that composes with the fault-injection
+  /// layer (the resilient attempt loop when a FaultScript is present) or
+  /// the congestion controller (`adaptive`), one at a time.
   kSingle,
 };
 
@@ -68,9 +68,10 @@ struct ReplayConfig {
   /// to every lane run but rejects faults.
   simnet::SimConfig sim;
   SkewSpec skew;
-  /// kSingle only: probe the congested fabric once per epoch and run every
-  /// bucket on the adapted plan/split (src/adapt). The probe window is
-  /// charged to the communication timeline ahead of iteration 0.
+  /// kSingle only, without a fault script: probe the congested fabric once
+  /// per epoch (adapt::probe_and_adapt) and run every bucket on the adapted
+  /// plan/split. The probe window is charged to the communication timeline
+  /// ahead of iteration 0.
   bool adaptive = false;
   adapt::ControllerConfig adapt_ctrl;
   /// kSingle + faults: retry/backoff knobs of the resilient driver.

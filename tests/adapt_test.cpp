@@ -352,6 +352,30 @@ TEST(AdaptiveAllreduce, ClosesTheLoopEndToEnd) {
             res.static_run.sim.aggregate_bandwidth);
 }
 
+TEST(AdaptiveAllreduce, ProbeStageIsTheDriversFirstHalfAndSilent) {
+  const auto plan = core::AllreducePlanner(7).build();
+  simnet::SimConfig cfg;
+  cfg.background.pattern = simnet::TrafficPattern::kPermutation;
+  cfg.background.load = 0.5;
+  cfg.background.seed = 7;
+  obsv::Recorder recorder;
+  cfg.recorder = &recorder;
+  const auto stage = adapt::probe_and_adapt(plan.topology(), plan.trees(), cfg);
+  EXPECT_EQ(recorder.trace.size(), 0u);
+  EXPECT_EQ(recorder.metrics.size(), 0u);
+  cfg.recorder = nullptr;
+  const auto res =
+      adapt::run_adaptive_allreduce(plan.topology(), plan.trees(), 4000, cfg);
+  EXPECT_EQ(stage.probe.cycles, res.probe.cycles);
+  EXPECT_EQ(stage.probe.link_flits, res.probe.link_flits);
+  EXPECT_EQ(stage.plan.replanned, res.plan.replanned);
+  EXPECT_EQ(stage.plan.bandwidths.per_tree, res.plan.bandwidths.per_tree);
+  ASSERT_EQ(stage.plan.trees.size(), res.plan.trees.size());
+  for (std::size_t t = 0; t < res.plan.trees.size(); ++t) {
+    EXPECT_EQ(stage.plan.trees[t].parents(), res.plan.trees[t].parents());
+  }
+}
+
 #if PFAR_TRACE_LEVEL
 TEST(AdaptiveAllreduce, EmitsAdaptInstrumentation) {
   const auto plan = core::AllreducePlanner(7).build();

@@ -3,6 +3,7 @@
 #include <numeric>
 
 #include "collectives/bucket_schedule.hpp"
+#include "collectives/resilient.hpp"
 #include "core/planner.hpp"
 
 namespace pfar::collectives {
@@ -161,6 +162,58 @@ TEST(BucketScheduleTest, SerializedFlitsAreSumOfPerBucketRuns) {
   }
   EXPECT_GT(both.total_flits, 0);
   EXPECT_EQ(both.total_flits, expected);
+}
+
+TEST(BucketScheduleTest, CanceledTreesMakeTheScheduleIncorrect) {
+  // No recovery here: a link-down on a tree-0 uplink with a progress
+  // timeout cancels the trees through it, and the elements they never
+  // delivered must not count as a correct reduction (the delivered values
+  // alone are all exact).
+  const auto plan = core::AllreducePlanner(7).build();
+  const auto& parents = plan.trees()[0].parents();
+  int child = 0;
+  while (parents[static_cast<std::size_t>(child)] < 0) ++child;
+  simnet::SimConfig cfg;
+  cfg.progress_timeout = 800;
+  cfg.faults.events.push_back({40, child,
+                               parents[static_cast<std::size_t>(child)],
+                               simnet::FaultType::kLinkDown});
+  for (const auto strategy :
+       {BucketStrategy::kSerialized, BucketStrategy::kFused}) {
+    const auto r = run_bucketed_allreduce(plan.topology(), plan.trees(),
+                                          {2000, 2000}, cfg, strategy);
+    EXPECT_FALSE(r.correct);
+    EXPECT_GT(r.total_cycles, 0);
+  }
+}
+
+TEST(TreeSetCostTest, RecoversOnlyWhenGivenResilience) {
+  // Same fault as above: with a ResilienceConfig the cost comes from the
+  // resilient driver (every element delivered, the lost part replayed);
+  // without one it is a single run that loses elements.
+  const auto plan = core::AllreducePlanner(7).build();
+  const auto& parents = plan.trees()[0].parents();
+  int child = 0;
+  while (parents[static_cast<std::size_t>(child)] < 0) ++child;
+  simnet::SimConfig cfg;
+  cfg.progress_timeout = 800;
+  cfg.faults.events.push_back({40, child,
+                               parents[static_cast<std::size_t>(child)],
+                               simnet::FaultType::kLinkDown});
+  TreeSetCost recovering(plan.topology(), plan.trees(), cfg,
+                         ResilienceConfig{});
+  const RunCost recovered = recovering.cost(2000);
+  const auto direct = run_resilient_allreduce(plan.topology(), plan.trees(),
+                                              2000, cfg, ResilienceConfig{});
+  EXPECT_TRUE(recovered.correct);
+  EXPECT_EQ(recovered.cycles, direct.total_cycles);
+  EXPECT_EQ(recovered.replayed, direct.chunks_replayed);
+  EXPECT_GT(recovered.replayed, 0);
+
+  TreeSetCost lossy(plan.topology(), plan.trees(), cfg);
+  EXPECT_FALSE(lossy.cost(2000).correct);
+  EXPECT_EQ(lossy.cost(2000).replayed, 0);
+  EXPECT_EQ(lossy.cost(0).cycles, 0);  // nothing to move, nothing run
 }
 
 TEST(MultiJobTest, PartitionedTreesServeTwoJobsConcurrently) {

@@ -5,11 +5,13 @@
 #include "collectives/host_allreduce.hpp"
 #include "collectives/innetwork.hpp"
 #include "collectives/routed.hpp"
+#include "model/congestion_model.hpp"
 #include "polarfly/layout.hpp"
 #include "singer/disjoint.hpp"
 #include "singer/singer_graph.hpp"
 #include "trees/hamiltonian.hpp"
 #include "trees/low_depth.hpp"
+#include "util/contracts.hpp"
 
 namespace pfar::collectives {
 namespace {
@@ -49,6 +51,43 @@ TEST(InNetworkTest, EdgeDisjointSimulationHitsOptimal) {
   // Zero congestion: exactly one tree's reduce+bcast VC pair per link
   // direction pair.
   EXPECT_LE(res.sim.max_vcs_per_link, 2);
+}
+
+TEST(InNetworkTest, PlannedRunIsTheCoreOfTheOneShotEntry) {
+  const polarfly::PolarFly pf(5);
+  const auto ts = trees::build_low_depth_trees(pf, polarfly::build_layout(pf));
+  const simnet::SimConfig cfg;
+  const auto bw = model::compute_tree_bandwidths(pf.graph(), ts, 1.0);
+  const auto one_shot = run_innetwork_allreduce(pf.graph(), ts, 5000, cfg);
+  const auto core = run_planned_allreduce(
+      pf.graph(), ts, model::optimal_split(5000, bw), bw, cfg);
+  EXPECT_EQ(core.m, one_shot.m);
+  EXPECT_EQ(core.split, one_shot.split);
+  EXPECT_EQ(core.max_depth, one_shot.max_depth);
+  EXPECT_EQ(core.sim.cycles, one_shot.sim.cycles);
+  EXPECT_EQ(core.sim.link_flits, one_shot.sim.link_flits);
+  EXPECT_EQ(core.efficiency_vs_model, one_shot.efficiency_vs_model);
+  EXPECT_EQ(undelivered_elements(core), 0);
+  EXPECT_EQ(total_flits(core.sim),
+            std::accumulate(core.sim.link_flits.begin(),
+                            core.sim.link_flits.end(), 0LL));
+
+  // A caller-supplied split runs verbatim; `predicted` is whatever the
+  // caller planned with.
+  std::vector<long long> skewed(ts.size(), 0);
+  skewed.front() = 700;
+  const auto verbatim = run_planned_allreduce(pf.graph(), ts, skewed, bw, cfg);
+  EXPECT_TRUE(verbatim.sim.values_correct);
+  EXPECT_EQ(verbatim.m, 700);
+  EXPECT_EQ(verbatim.split, skewed);
+  EXPECT_EQ(verbatim.predicted.aggregate, bw.aggregate);
+
+  util::contracts::ScopedThrowHandler guard;
+  EXPECT_THROW(run_planned_allreduce(pf.graph(), ts, {5000}, bw, cfg),
+               util::contracts::ContractViolation);
+  skewed.front() = -1;
+  EXPECT_THROW(run_planned_allreduce(pf.graph(), ts, skewed, bw, cfg),
+               util::contracts::ContractViolation);
 }
 
 TEST(InNetworkTest, UniformSplitIsSlowerUnderAsymmetricBandwidth) {

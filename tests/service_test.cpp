@@ -13,8 +13,10 @@
 #include <vector>
 
 #include "collectives/bucket_schedule.hpp"
+#include "collectives/innetwork.hpp"
 #include "obsv/recorder.hpp"
 #include "service/service.hpp"
+#include "util/contracts.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -62,6 +64,35 @@ TEST(ServiceTest, SerialSingleJobMatchesOneShotCost) {
   EXPECT_EQ(r.lane, 0);
   EXPECT_EQ(r.batch_jobs, 1);
   EXPECT_TRUE(svc.stats().values_correct);
+}
+
+TEST(ServiceTest, RejectsFaultScripts) {
+  // Lane runs have no recovery. Under a link-down and a progress timeout a
+  // run cancels the trees through the link and never delivers part of the
+  // vector; a service accepting the script would mark such a job
+  // completed and correct.
+  const auto plan = core::AllreducePlanner(7).build();
+  const auto& parents = plan.trees()[0].parents();
+  int child = 0;
+  while (parents[static_cast<std::size_t>(child)] < 0) ++child;
+  service::ServiceConfig config;
+  config.policy = service::SchedulerPolicy::kSerial;
+  config.sim.progress_timeout = 800;
+  config.sim.faults.events.push_back(
+      {40, child, parents[static_cast<std::size_t>(child)],
+       simnet::FaultType::kLinkDown});
+  const auto direct = collectives::run_innetwork_allreduce(
+      plan.topology(), plan.trees(), 4000, config.sim);
+  long long lost = 0;
+  for (std::size_t t = 0; t < direct.sim.tree_failed.size(); ++t) {
+    if (direct.sim.tree_failed[t]) {
+      lost += direct.split[t] - direct.sim.tree_completed[t];
+    }
+  }
+  EXPECT_GT(lost, 0);
+  util::contracts::ScopedThrowHandler guard;
+  EXPECT_THROW(service::AllreduceService(plan, config),
+               util::contracts::ContractViolation);
 }
 
 TEST(ServiceTest, BackgroundTrafficFlowsThroughLaneRuns) {

@@ -8,8 +8,8 @@
 //    the epoch without touching the fabric-side fields;
 //  * composition: fault scripts ride the resilient driver (kSingle),
 //    background traffic flows through the service lanes, the adaptive
-//    controller charges its probe window, and the service backend rejects
-//    fault scripts by contract;
+//    controller charges its probe window, and the service backend (and the
+//    adaptive controller) reject fault scripts by contract;
 //  * observability: the replay emits the kTrackWorkload timeline and
 //    workload.* counters, and pfar_report renders the training-replay
 //    section.
@@ -336,6 +336,26 @@ TEST(WorkloadReplay, ServiceModeRejectsFaultScriptsByContract) {
                util::contracts::ContractViolation);
   cfg.sim.faults.events.clear();
   cfg.adaptive = true;
+  EXPECT_THROW(workload::replay_training(plan, cfg),
+               util::contracts::ContractViolation);
+}
+
+TEST(WorkloadReplay, AdaptiveRejectsFaultScriptsByContract) {
+  // The probe sees the network before the failure and recovery replans
+  // without the adapted plan, so the two would charge a probe whose plan
+  // no bucket runs on.
+  const auto plan = core::AllreducePlanner(7).build();
+  const graph::Edge link = used_link(plan);
+  workload::ReplayConfig cfg = base_config();
+  cfg.mode = workload::CommMode::kSingle;
+  cfg.sim.background.pattern = simnet::TrafficPattern::kPermutation;
+  cfg.sim.background.load = 0.5;
+  cfg.sim.background.seed = 7;
+  cfg.sim.progress_timeout = 1500;
+  cfg.sim.faults.events.push_back(
+      {200, link.u, link.v, simnet::FaultType::kLinkDown});
+  cfg.adaptive = true;
+  util::contracts::ScopedThrowHandler guard;
   EXPECT_THROW(workload::replay_training(plan, cfg),
                util::contracts::ContractViolation);
 }
