@@ -15,7 +15,7 @@
 
 namespace pfar::bench {
 
-/// Shared `--engine reference|horizon|flow` flag for the simulation
+/// Shared `--engine horizon|flow` flag for the simulation
 /// benches (EXPERIMENTS.md): every bench that runs AllreduceSimulator
 /// resolves its engine here instead of hard-coding one. Defaults to the
 /// fast-forward (horizon) engine. Throws std::invalid_argument on an

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "util/numeric.hpp"
 
@@ -165,12 +167,15 @@ TreeBandwidths compute_tree_bandwidths(
   return out;
 }
 
-TreeBandwidths compute_tree_bandwidths_reference(
-    const graph::Graph& g, const std::vector<trees::SpanningTree>& trees,
-    double link_bandwidth) {
-  if (link_bandwidth <= 0.0) {
-    throw std::invalid_argument("compute_tree_bandwidths: bandwidth <= 0");
-  }
+namespace {
+
+// Algorithm 1's waterfill over the initial per-edge budget L(e) (one
+// entry per edge id): repeatedly take the bottleneck edge argmin
+// L(e)/C(e), give every tree through it that share, and charge the share
+// to all of those trees' edges.
+TreeBandwidths waterfill(const graph::Graph& g,
+                         const std::vector<trees::SpanningTree>& trees,
+                         std::vector<double> remaining) {
   const int num_edges = g.num_edges();
   const int num_trees = static_cast<int>(trees.size());
 
@@ -189,7 +194,6 @@ TreeBandwidths compute_tree_bandwidths_reference(
     }
   }
 
-  std::vector<double> remaining(static_cast<std::size_t>(num_edges), link_bandwidth);  // L(e)
   std::vector<char> edge_removed(static_cast<std::size_t>(num_edges), 0);
   std::vector<char> tree_done(static_cast<std::size_t>(num_trees), 0);
 
@@ -235,15 +239,26 @@ TreeBandwidths compute_tree_bandwidths_reference(
   return out;
 }
 
+}  // namespace
+
+TreeBandwidths compute_tree_bandwidths_reference(
+    const graph::Graph& g, const std::vector<trees::SpanningTree>& trees,
+    double link_bandwidth) {
+  if (link_bandwidth <= 0.0) {
+    throw std::invalid_argument("compute_tree_bandwidths: bandwidth <= 0");
+  }
+  return waterfill(g, trees,
+                   std::vector<double>(static_cast<std::size_t>(g.num_edges()),
+                                       link_bandwidth));
+}
+
 TreeBandwidths compute_tree_bandwidths_capacitated(
     const graph::Graph& g, const std::vector<trees::SpanningTree>& trees,
     double link_bandwidth, const std::vector<double>& capacity_scale) {
   if (link_bandwidth <= 0.0) {
     throw std::invalid_argument("compute_tree_bandwidths: bandwidth <= 0");
   }
-  const int num_edges = g.num_edges();
-  const int num_trees = static_cast<int>(trees.size());
-  if (capacity_scale.size() != static_cast<std::size_t>(num_edges)) {
+  if (capacity_scale.size() != static_cast<std::size_t>(g.num_edges())) {
     throw std::invalid_argument(
         "compute_tree_bandwidths_capacitated: capacity_scale size != edges");
   }
@@ -253,72 +268,12 @@ TreeBandwidths compute_tree_bandwidths_capacitated(
           "compute_tree_bandwidths_capacitated: scale outside (0, 1]");
     }
   }
-
-  // Identical to compute_tree_bandwidths_reference except for the initial
-  // per-edge budget: L(e) = link_bandwidth * scale[e]. With all scales 1.0
-  // the multiplication is exact and the runs are bit-identical (pinned by
-  // tests/adapt_test.cpp).
-  std::vector<std::vector<int>> tree_edges(static_cast<std::size_t>(num_trees));
-  std::vector<int> congestion(static_cast<std::size_t>(num_edges), 0);
-  for (int t = 0; t < num_trees; ++t) {
-    for (const auto& e : trees[static_cast<std::size_t>(t)].edges()) {
-      const int id = g.edge_id(e.u, e.v);
-      if (id < 0) {
-        throw std::invalid_argument(
-            "compute_tree_bandwidths: tree edge not in graph");
-      }
-      tree_edges[static_cast<std::size_t>(t)].push_back(id);
-      ++congestion[static_cast<std::size_t>(id)];
-    }
-  }
-
-  std::vector<double> remaining(static_cast<std::size_t>(num_edges));
-  for (int e = 0; e < num_edges; ++e) {
-    remaining[static_cast<std::size_t>(e)] =
-        link_bandwidth * capacity_scale[static_cast<std::size_t>(e)];
-  }
-  std::vector<char> edge_removed(static_cast<std::size_t>(num_edges), 0);
-  std::vector<char> tree_done(static_cast<std::size_t>(num_trees), 0);
-
-  TreeBandwidths out;
-  out.per_tree.assign(static_cast<std::size_t>(num_trees), 0.0);
-
-  int active = num_trees;
-  while (active > 0) {
-    int e_min = -1;
-    double best = std::numeric_limits<double>::infinity();
-    for (int e = 0; e < num_edges; ++e) {
-      if (edge_removed[static_cast<std::size_t>(e)] || congestion[static_cast<std::size_t>(e)] == 0) continue;
-      const double ratio = remaining[static_cast<std::size_t>(e)] / congestion[static_cast<std::size_t>(e)];
-      if (ratio < best) {
-        best = ratio;
-        e_min = e;
-      }
-    }
-    if (e_min < 0) {
-      throw std::logic_error(
-          "compute_tree_bandwidths: active trees but no congested edge");
-    }
-    const double share = remaining[static_cast<std::size_t>(e_min)] / congestion[static_cast<std::size_t>(e_min)];
-    for (int t = 0; t < num_trees; ++t) {
-      if (tree_done[static_cast<std::size_t>(t)]) continue;
-      const bool contains =
-          std::find(tree_edges[static_cast<std::size_t>(t)].begin(), tree_edges[static_cast<std::size_t>(t)].end(), e_min) !=
-          tree_edges[static_cast<std::size_t>(t)].end();
-      if (!contains) continue;
-      out.per_tree[static_cast<std::size_t>(t)] = share;
-      for (int e : tree_edges[static_cast<std::size_t>(t)]) {
-        remaining[static_cast<std::size_t>(e)] = std::max(0.0, remaining[static_cast<std::size_t>(e)] - share);
-        --congestion[static_cast<std::size_t>(e)];
-      }
-      tree_done[static_cast<std::size_t>(t)] = 1;
-      --active;
-    }
-    edge_removed[static_cast<std::size_t>(e_min)] = 1;
-  }
-
-  for (double b : out.per_tree) out.aggregate += b;
-  return out;
+  // L(e) = link_bandwidth * scale[e]. With all scales 1.0 the
+  // multiplication is exact and the result is bit-identical to
+  // compute_tree_bandwidths_reference (pinned by tests/adapt_test.cpp).
+  std::vector<double> budget = capacity_scale;
+  for (double& b : budget) b *= link_bandwidth;
+  return waterfill(g, trees, std::move(budget));
 }
 
 std::vector<long long> optimal_split(long long m, const TreeBandwidths& bw) {

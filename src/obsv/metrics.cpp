@@ -1,10 +1,12 @@
 #include "obsv/metrics.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <ostream>
 #include <stdexcept>
 
 #include "obsv/trace.hpp"  // json_escape
+#include "util/contracts.hpp"
 
 namespace pfar::obsv {
 namespace {
@@ -127,6 +129,16 @@ void Metrics::write_jsonl(std::ostream& os) const {
     }
     os << "}\n";
   }
+}
+
+long long nearest_rank(std::vector<long long> samples, int pct) {
+  PFAR_REQUIRE(!samples.empty() && pct >= 0 && pct <= 100, samples.size(),
+               pct);
+  const std::size_t rank = std::max<std::size_t>(
+      (static_cast<std::size_t>(pct) * samples.size() + 99) / 100, 1);
+  const auto nth = samples.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+  std::nth_element(samples.begin(), nth, samples.end());
+  return *nth;
 }
 
 }  // namespace pfar::obsv

@@ -64,6 +64,12 @@ class Metrics {
   std::map<std::string, Entry, std::less<>> entries_;
 };
 
+/// Nearest-rank percentile: the ceil(pct/100 * n)-th smallest sample
+/// (1-based; pct 0 gives the minimum). Always one of the samples, so
+/// integer samples such as virtual cycles give exact, bit-stable
+/// quantiles. Requires a non-empty sample set and 0 <= pct <= 100.
+long long nearest_rank(std::vector<long long> samples, int pct);
+
 /// RAII wall-clock phase timer: records elapsed milliseconds into a
 /// histogram metric on destruction. Null-safe: a null registry makes the
 /// timer (and the instrumented scope) free.

@@ -4,7 +4,9 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
+#include "obsv/metrics.hpp"
 #include "obsv/recorder.hpp"
 #include "util/contracts.hpp"
 
@@ -407,15 +409,8 @@ ServiceStats AllreduceService::stats() const {
     sojourns.push_back(record.finish_cycle - record.admit_cycle);
   }
   if (!sojourns.empty()) {
-    std::sort(sojourns.begin(), sojourns.end());
-    // Nearest-rank percentiles (ceil(p/100 * n), 1-based).
-    const auto rank = [&](int p) {
-      const std::size_t r =
-          (static_cast<std::size_t>(p) * sojourns.size() + 99) / 100;
-      return sojourns[std::max<std::size_t>(r, 1) - 1];
-    };
-    s.p50_cycles = rank(50);
-    s.p99_cycles = rank(99);
+    s.p50_cycles = obsv::nearest_rank(sojourns, 50);
+    s.p99_cycles = obsv::nearest_rank(std::move(sojourns), 99);
   }
   if (s.makespan_cycles > 0) {
     s.jobs_per_kcycle = 1000.0 * static_cast<double>(s.completed) /

@@ -4,7 +4,7 @@
 #include <bit>
 #include <climits>
 #include <cstdint>
-#include <deque>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -12,89 +12,14 @@
 #include "obsv/recorder.hpp"
 #include "simnet/background.hpp"
 #include "simnet/flow_sim.hpp"
+#include "simnet/sim_internal.hpp"
 #include "util/contracts.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pfar::simnet {
-namespace {
+namespace detail {
 
-// Deterministic per-operand values so every result is checkable exactly:
-// node v's operand for element k of tree t.
-constexpr std::int64_t kNodeStride = 1000003;
-constexpr std::int64_t kTreeStride = 7919;
-constexpr std::int64_t kElemStride = 31;
-
-std::int64_t local_value(int node, int tree, long long k) {
-  return static_cast<std::int64_t>(node + 1) * kNodeStride +
-         static_cast<std::int64_t>(tree) * kTreeStride +
-         static_cast<std::int64_t>(k) * kElemStride;
-}
-
-std::int64_t sum_over_nodes(int num_nodes, int tree, long long k) {
-  const std::int64_t n = num_nodes;
-  return n * (n + 1) / 2 * kNodeStride +
-         n * (static_cast<std::int64_t>(tree) * kTreeStride +
-              static_cast<std::int64_t>(k) * kElemStride);
-}
-
-enum class Phase { kReduce, kBcast };
-
-// A packet: a contiguous chunk of one tree's element stream.
-using Packet = std::vector<std::int64_t>;
-
-// ---------------------------------------------------------------------------
-// Fault injection. One FaultState instance drives a single run; both
-// engines consume it through the same entry points in the same per-cycle
-// order, so a given script is honored bit-identically (the differential
-// fault tests pin this). See docs/resilience.md for the model.
-// ---------------------------------------------------------------------------
-
-// SplitMix64 finalizer: the deterministic hash behind flaky-link drops.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-// A FaultEvent resolved against the topology: undirected edge id + kind.
-struct PreparedFault {
-  long long cycle = 0;
-  int edge = 0;
-  bool down = true;
-};
-
-struct FaultState {
-  std::vector<PreparedFault> events;  // stable-sorted by cycle
-  std::size_t next = 0;
-  std::vector<char> edge_down;        // per undirected edge id
-  std::vector<char> dlink_flaky;      // per directed link (empty if none)
-  std::vector<long long> dlink_sent;  // flaky drop ordinal per directed link
-  std::uint64_t seed = 0;
-  int drop_permille = 0;
-  bool flaky = false;
-  bool active = false;  // any events or flaky links configured
-
-  bool edge_ok(int dlink) const {
-    return edge_down[static_cast<std::size_t>(dlink >> 1)] == 0;
-  }
-
-  /// Deterministic drop decision for a flaky directed link. Must be called
-  /// exactly once per packet granted on the link: the per-link ordinal is
-  /// part of the hash input, so both engines (which grant identical packet
-  /// sequences) reach identical decisions.
-  bool drop_now(int dlink) {
-    if (!flaky || !dlink_flaky[static_cast<std::size_t>(dlink)]) return false;
-    const std::uint64_t ordinal = static_cast<std::uint64_t>(
-        dlink_sent[static_cast<std::size_t>(dlink)]++);
-    const std::uint64_t h =
-        mix64(seed ^ mix64(static_cast<std::uint64_t>(dlink) *
-                               0x9e3779b97f4a7c15ULL +
-                           ordinal));
-    return static_cast<int>(h % 1000) < drop_permille;
-  }
-};
-
+// pfar-lint: allow(contract-coverage) the script is validated via std::invalid_argument throws below
 FaultState prepare_faults(const graph::Graph& topology,
                           const FaultScript& script) {
   const int n = topology.num_vertices();
@@ -146,61 +71,129 @@ FaultState prepare_faults(const graph::Graph& topology,
   return fs;
 }
 
-// One virtual channel: the unidirectional, per-tree, per-phase logical
-// datapath on a physical link, with its own receiver buffer and credits
-// (Section 5.1's "VCs have disjoint resources").
-struct VcState {
-  int tree = -1;
-  Phase phase = Phase::kReduce;
-  int src = -1;
-  int dst = -1;
-  int dlink = -1;
-  int fork_index = -1;  // bcast only: child slot at src feeding this VC
+void SimObserver::finalize(long long cycles, const SimResult& result) {
+  PFAR_REQUIRE(rec != nullptr, cycles);  // init() ran
+  for (int d = 0; d < num_dlinks; ++d) close_busy_span(d);
+  rec->trace.name_track(obsv::kTrackSim, "sim");
+  obsv::Metrics& m = rec->metrics;
+  m.hwm("sim.cycles", cycles);
+  m.add("sim.total_elements", result.total_elements);
+  m.hwm("sim.max_vc_occupancy", result.max_vc_occupancy);
+  m.add("sim.credit_stalls", credit_stalls);
+  m.add("sim.fault_events", fault_events);
+  if (dropped_packets > 0) {
+    m.add("sim.dropped_packets", dropped_packets);
+    m.add("sim.dropped_flits", dropped_flits);
+  }
+  if (canceled_packets > 0) {
+    m.add("sim.canceled_packets", canceled_packets);
+    m.add("sim.canceled_flits", canceled_flits);
+  }
+  if (result.background_flits > 0) {
+    m.add("sim.background_packets", result.background_packets);
+    m.add("sim.background_flits", result.background_flits);
+  }
+  for (int t = 0; t < num_trees; ++t) {
+    const std::size_t ti = static_cast<std::size_t>(t);
+    const std::uint32_t track =
+        obsv::kTrackTreeBase + static_cast<std::uint32_t>(t);
+    rec->trace.name_track(track, "tree " + std::to_string(t));
+    if (reduce_first[ti] >= 0 && reduce_done[ti] >= reduce_first[ti]) {
+      rec->trace.complete(reduce_first[ti],
+                          reduce_done[ti] - reduce_first[ti] + 1, n_reduce,
+                          track);
+    }
+    const long long first = result.tree_first_delivery[ti];
+    const long long last = result.tree_failed[ti] != 0
+                               ? result.tree_fail_cycle[ti]
+                               : result.tree_finish_cycle[ti];
+    if (mode != Collective::kReduce && first >= 0 && last >= first) {
+      rec->trace.complete(first, last - first + 1, n_bcast, track);
+    }
+    const std::string prefix = "tree." + std::to_string(t);
+    if (result.tree_finish_cycle[ti] >= 0) {
+      m.hwm(prefix + ".finish_cycle", result.tree_finish_cycle[ti]);
+    }
+    if (first >= 0) m.hwm(prefix + ".first_delivery", first);
+    m.add(prefix + ".completed", result.tree_completed[ti]);
+    if (result.tree_failed[ti] != 0) m.add(prefix + ".failed");
+  }
+  for (int d = 0; d < num_dlinks; ++d) {
+    const std::size_t di = static_cast<std::size_t>(d);
+    if (result.link_flits[di] == 0 && link_dropped[di] == 0 &&
+        result.link_bg_flits[di] == 0) {
+      continue;
+    }
+    const std::string name = dlink_name(d);
+    rec->trace.name_track(
+        obsv::kTrackLinkBase + static_cast<std::uint32_t>(d),
+        "link " + name);
+    const std::string prefix = "link." + name;
+    m.add(prefix + ".flits", result.link_flits[di]);
+    m.hwm(prefix + ".queue_hwm", queue_hwm[di]);
+    // Busy spans cover collective and background grants alike; the
+    // congestion controller reads utilization from these two counters
+    // (docs/congestion_adaptation.md).
+    m.add(prefix + ".busy_cycles", busy_total[di]);
+    if (result.link_bg_flits[di] > 0) {
+      m.add(prefix + ".bg_flits", result.link_bg_flits[di]);
+    }
+    if (link_dropped[di] > 0) {
+      m.add(prefix + ".dropped_flits", link_dropped[di]);
+    }
+  }
+}
 
-  std::deque<Packet> recv;  // receiver buffer, <= credits cap packets
-  int credits = 0;
-  std::deque<std::pair<long long, Packet>> data_inflight;
-  std::deque<long long> credit_inflight;
-  // A packet destined for this VC was lost, so its stream has a sequence
-  // gap: the VC stops presenting data (consuming past the gap would feed
-  // wrong operands into a reduction). Cleared only by tree cancellation.
-  bool poisoned = false;
-};
+}  // namespace detail
 
-// Per-(router, tree) state: reduction engine inputs/outputs and the
-// broadcast fork stage.
-struct NodeTreeState {
-  int parent = -1;
-  std::vector<int> children;
-  std::vector<int> child_reduce_vc;
-  int parent_reduce_vc = -1;
-  int parent_bcast_vc = -1;
-  std::vector<int> child_bcast_vc;
-  std::vector<std::deque<Packet>> fork_stage;
-  std::deque<Packet> root_queue;  // root only: reduce -> bcast turnaround
-  long long injected = 0;   // local elements consumed by the engine
-  long long delivered = 0;  // elements delivered locally
-};
+namespace {
 
-// The VC fabric and per-(node, tree) engine state both cycle-loop engines
-// run on, plus the tree roots.
+using detail::FaultState;
+using detail::kElemStride;
+using detail::local_value;
+using detail::PreparedFault;
+using detail::SimObserver;
+using detail::sum_over_nodes;
+
+// The VC fabric, in the flat form the cycle loop runs on. A VC is the
+// unidirectional, per-tree, per-phase logical datapath on a physical link
+// with its own receiver buffer and credits (Section 5.1's "VCs have
+// disjoint resources"). State index s = tree * n + node names one (node,
+// tree) reduction/broadcast engine. Build order fixes every id: trees
+// ascending, then nodes ascending, each non-root node adding its reduce VC
+// (node -> parent) before its broadcast VC (parent -> node); a node's
+// child slots follow child id order and each link lists its VCs by id.
+// Nothing here changes during a run.
 struct Fabric {
   int n = 0;
   int num_trees = 0;
   int num_dlinks = 0;
-  std::vector<int> roots;
   // Global tree index per local tree. Identity in a whole-run fabric; a
-  // sharded sub-run (see link_disjoint_groups) carries the parent run's
-  // indices so operand/expected values — functions of the tree index —
-  // match the serial run bit-exactly.
+  // sharded sub-run (see link_disjoint_tree_groups) carries the parent
+  // run's indices so operand/expected values — functions of the tree
+  // index — match the serial run bit-exactly.
   std::vector<int> tree_gid;
-  std::vector<VcState> vcs;
-  std::vector<std::vector<int>> link_vcs;
-  std::vector<NodeTreeState> state;
+  std::vector<std::int32_t> root_state;  // per tree: the root's state
 
-  NodeTreeState& st(int node, int tree) {
-    return state[static_cast<std::size_t>(tree) * static_cast<std::size_t>(n) + static_cast<std::size_t>(node)];
-  }
+  // Per VC.
+  std::vector<char> vc_is_reduce;
+  std::vector<std::int32_t> vc_src_state;  // sending engine
+  std::vector<std::int32_t> vc_dst_state;  // receiving engine
+  std::vector<std::int32_t> vc_dlink;
+  std::vector<std::int32_t> vc_stage;  // broadcast: sender's fork stage; -1
+
+  // Per state, CSR over child slots: state s owns slots
+  // [child_base[s], child_base[s + 1]), one broadcast fork stage each.
+  std::vector<std::int32_t> child_base;
+  std::vector<std::int32_t> child_vc;         // per slot: reduce VC, or -1
+  std::vector<std::int32_t> parent_bcast_vc;  // per state: inbound, or -1
+
+  // Per directed link, CSR over VC ids, plus the links carrying any VC.
+  std::vector<std::int32_t> link_base;
+  std::vector<std::int32_t> link_vc;
+  std::vector<std::int32_t> active_dlinks;
+
+  int num_vcs() const { return static_cast<int>(vc_dlink.size()); }
 };
 
 Fabric build_fabric(const graph::Graph& topology,
@@ -211,783 +204,99 @@ Fabric build_fabric(const graph::Graph& topology,
   f.n = topology.num_vertices();
   f.num_trees = static_cast<int>(trees.size());
   f.num_dlinks = 2 * topology.num_edges();
-  f.roots.resize(static_cast<std::size_t>(f.num_trees));
+  const int n = f.n;
+  const std::size_t num_states =
+      static_cast<std::size_t>(n) * static_cast<std::size_t>(f.num_trees);
+  const bool want_reduce = config.collective != Collective::kBroadcast;
+  const bool want_bcast = config.collective != Collective::kReduce;
+
   f.tree_gid.resize(static_cast<std::size_t>(f.num_trees));
-  for (int t = 0; t < f.num_trees; ++t) {
-    f.tree_gid[static_cast<std::size_t>(t)] =
-        tree_gids != nullptr ? (*tree_gids)[static_cast<std::size_t>(t)] : t;
-  }
-  f.link_vcs.resize(static_cast<std::size_t>(f.num_dlinks));
-  f.state.resize(static_cast<std::size_t>(f.n) * static_cast<std::size_t>(f.num_trees));
-
-  const Collective mode = config.collective;
-  const bool want_reduce = mode != Collective::kBroadcast;
-  const bool want_bcast = mode != Collective::kReduce;
-
-  const auto dlink_of = [&](int src, int dst) {
-    const int eid = topology.edge_id(src, dst);
-    return 2 * eid + (src > dst ? 1 : 0);
-  };
-  const auto new_vc = [&](int tree, Phase phase, int src, int dst) {
-    VcState vc;
-    vc.tree = tree;
-    vc.phase = phase;
-    vc.src = src;
-    vc.dst = dst;
-    vc.dlink = dlink_of(src, dst);
-    vc.credits = config.vc_credits;
-    f.vcs.push_back(std::move(vc));
-    const int id = static_cast<int>(f.vcs.size()) - 1;
-    f.link_vcs[static_cast<std::size_t>(f.vcs[static_cast<std::size_t>(id)].dlink)].push_back(id);
-    return id;
-  };
-
+  f.root_state.resize(static_cast<std::size_t>(f.num_trees));
+  f.child_base.assign(num_states + 1, 0);
   for (int t = 0; t < f.num_trees; ++t) {
     const auto& tree = trees[static_cast<std::size_t>(t)];
-    f.roots[static_cast<std::size_t>(t)] = tree.root;
-    for (int v = 0; v < f.n; ++v) {
-      f.st(v, t).parent = tree.parent[static_cast<std::size_t>(v)];
-      if (tree.parent[static_cast<std::size_t>(v)] >= 0) f.st(tree.parent[static_cast<std::size_t>(v)], t).children.push_back(v);
+    f.tree_gid[static_cast<std::size_t>(t)] =
+        tree_gids != nullptr ? (*tree_gids)[static_cast<std::size_t>(t)] : t;
+    f.root_state[static_cast<std::size_t>(t)] = t * n + tree.root;
+    for (int v = 0; v < n; ++v) {
+      const int p = tree.parent[static_cast<std::size_t>(v)];
+      if (p >= 0) ++f.child_base[static_cast<std::size_t>(t * n + p) + 1];
     }
-    for (int v = 0; v < f.n; ++v) {
-      NodeTreeState& s = f.st(v, t);
-      if (s.parent >= 0) {
-        if (want_reduce) {
-          s.parent_reduce_vc = new_vc(t, Phase::kReduce, v, s.parent);
-        }
-        if (want_bcast) {
-          s.parent_bcast_vc = new_vc(t, Phase::kBcast, s.parent, v);
-        }
+  }
+  for (std::size_t s = 0; s < num_states; ++s) {
+    f.child_base[s + 1] += f.child_base[s];
+  }
+  f.child_vc.assign(static_cast<std::size_t>(f.child_base[num_states]), -1);
+  f.parent_bcast_vc.assign(num_states, -1);
+
+  const auto new_vc = [&](bool reduce, std::int32_t src_state,
+                          std::int32_t dst_state, int src, int dst,
+                          std::int32_t stage) {
+    f.vc_is_reduce.push_back(reduce ? 1 : 0);
+    f.vc_src_state.push_back(src_state);
+    f.vc_dst_state.push_back(dst_state);
+    f.vc_dlink.push_back(2 * topology.edge_id(src, dst) + (src > dst ? 1 : 0));
+    f.vc_stage.push_back(stage);
+    return static_cast<std::int32_t>(f.vc_dlink.size()) - 1;
+  };
+  // Next free child slot per state; children claim slots in node order.
+  std::vector<std::int32_t> next_slot(f.child_base.begin(),
+                                      f.child_base.end() - 1);
+  for (int t = 0; t < f.num_trees; ++t) {
+    const auto& parent = trees[static_cast<std::size_t>(t)].parent;
+    for (int v = 0; v < n; ++v) {
+      const int p = parent[static_cast<std::size_t>(v)];
+      if (p < 0) continue;
+      const std::int32_t s = t * n + v;
+      const std::int32_t ps = t * n + p;
+      const std::int32_t slot = next_slot[static_cast<std::size_t>(ps)]++;
+      if (want_reduce) {
+        f.child_vc[static_cast<std::size_t>(slot)] =
+            new_vc(true, s, ps, v, p, -1);
       }
-      s.fork_stage.resize(s.children.size());
-      s.child_bcast_vc.assign(s.children.size(), -1);
-      s.child_reduce_vc.assign(s.children.size(), -1);
-    }
-    for (int v = 0; v < f.n; ++v) {
-      NodeTreeState& s = f.st(v, t);
-      for (std::size_t c = 0; c < s.children.size(); ++c) {
-        const int child = s.children[c];
-        s.child_reduce_vc[c] = f.st(child, t).parent_reduce_vc;
-        s.child_bcast_vc[c] = f.st(child, t).parent_bcast_vc;
-        if (s.child_bcast_vc[c] >= 0) {
-          f.vcs[static_cast<std::size_t>(s.child_bcast_vc[c])].fork_index =
-              static_cast<int>(c);
-        }
+      if (want_bcast) {
+        f.parent_bcast_vc[static_cast<std::size_t>(s)] =
+            new_vc(false, ps, s, p, v, slot);
       }
     }
   }
 
-  result.num_vcs = static_cast<int>(f.vcs.size());
-  for (const auto& lv : f.link_vcs) {
+  // Link CSR over VC ids, and the Lemma 7.8 accounting: distinct trees
+  // consuming each input port as a reduction input.
+  f.link_base.assign(static_cast<std::size_t>(f.num_dlinks) + 1, 0);
+  std::vector<int> reductions_per_port(static_cast<std::size_t>(f.num_dlinks),
+                                       0);
+  for (int id = 0; id < f.num_vcs(); ++id) {
+    const std::size_t d =
+        static_cast<std::size_t>(f.vc_dlink[static_cast<std::size_t>(id)]);
+    ++f.link_base[d + 1];
+    reductions_per_port[d] += f.vc_is_reduce[static_cast<std::size_t>(id)];
+  }
+  for (int d = 0; d < f.num_dlinks; ++d) {
+    const std::size_t di = static_cast<std::size_t>(d);
+    if (f.link_base[di + 1] > 0) f.active_dlinks.push_back(d);
     result.max_vcs_per_link =
-        std::max(result.max_vcs_per_link, static_cast<int>(lv.size()));
+        std::max(result.max_vcs_per_link, f.link_base[di + 1]);
+    result.max_reductions_per_input_port = std::max(
+        result.max_reductions_per_input_port, reductions_per_port[di]);
+    f.link_base[di + 1] += f.link_base[di];
   }
-  // Lemma 7.8 accounting: distinct trees consuming each input port as a
-  // reduction input.
-  if (want_reduce) {
-    std::vector<int> reductions_per_port(static_cast<std::size_t>(f.num_dlinks), 0);
-    for (const auto& vc : f.vcs) {
-      if (vc.phase == Phase::kReduce) ++reductions_per_port[static_cast<std::size_t>(vc.dlink)];
-    }
-    for (int c : reductions_per_port) {
-      result.max_reductions_per_input_port =
-          std::max(result.max_reductions_per_input_port, c);
-    }
+  f.link_vc.resize(f.vc_dlink.size());
+  std::vector<std::int32_t> next_vc(f.link_base.begin(), f.link_base.end() - 1);
+  for (int id = 0; id < f.num_vcs(); ++id) {
+    const std::size_t d =
+        static_cast<std::size_t>(f.vc_dlink[static_cast<std::size_t>(id)]);
+    f.link_vc[static_cast<std::size_t>(next_vc[d]++)] = id;
   }
-  result.link_flits.assign(static_cast<std::size_t>(f.num_dlinks), 0);
-  result.link_queue_hwm.assign(static_cast<std::size_t>(f.num_dlinks), 0);
-  result.link_bg_flits.assign(static_cast<std::size_t>(f.num_dlinks), 0);
-  result.tree_finish_cycle.assign(static_cast<std::size_t>(f.num_trees), 0);
-  result.tree_first_delivery.assign(static_cast<std::size_t>(f.num_trees), -1);
-  result.tree_failed.assign(static_cast<std::size_t>(f.num_trees), 0);
-  result.tree_fail_cycle.assign(static_cast<std::size_t>(f.num_trees), -1);
-  result.tree_completed.assign(static_cast<std::size_t>(f.num_trees), 0);
-  result.link_dropped_flits.assign(static_cast<std::size_t>(f.num_dlinks), 0);
-  result.values_correct = true;
+  result.num_vcs = f.num_vcs();
   return f;
 }
 
 // ---------------------------------------------------------------------------
-// Observability (PFAR_TRACE, see src/obsv and docs/observability.md). One
-// SimObserver drives a single run when SimConfig::recorder is attached;
-// both engines call the same hooks at the same per-cycle points, so the
-// virtual-time trace a run emits is a pure function of the (deterministic)
-// simulation. The observer only reads simulation state — attaching it can
-// never perturb results, which the determinism goldens pin under
-// PFAR_TRACE=on. With PFAR_TRACE=off every hook call site below is
-// compiled out (obs is a constant nullptr).
-//
-// Trace vocabulary: per-directed-link "busy" complete-events (maximal runs
-// of consecutive cycles with at least one grant), per-tree "reduce" /
-// "broadcast" phase spans, and instant events on the sim track for fault
-// down/up and tree cancellation. Metrics vocabulary: see the catalog in
-// docs/observability.md; drop/cancel accounting is accumulated at the hook
-// sites so the obsv tests can cross-check conservation against SimResult.
-// ---------------------------------------------------------------------------
-struct SimObserver {
-  obsv::Recorder* rec = nullptr;
-  const graph::Graph* topo = nullptr;
-  Collective mode = Collective::kAllreduce;
-  int n = 0;
-  int num_trees = 0;
-  int num_dlinks = 0;
-
-  std::vector<long long> busy_start;   // open busy span start, -1 if none
-  std::vector<long long> busy_last;    // last cycle with a grant, -1 if none
-  std::vector<long long> busy_total;   // accumulated busy cycles per dlink
-  std::vector<long long> queue_hwm;    // receiver-buffer high water per dlink
-  std::vector<long long> link_dropped; // dropped flits per dlink
-  std::vector<long long> reduce_first; // first reduce packet per tree
-  std::vector<long long> reduce_done;  // root consumed its last element
-  long long credit_stalls = 0;
-  long long dropped_packets = 0;
-  long long dropped_flits = 0;
-  long long canceled_packets = 0;
-  long long canceled_flits = 0;
-  long long fault_events = 0;
-
-  std::uint32_t n_busy = 0, n_reduce = 0, n_bcast = 0;
-  std::uint32_t n_fault_down = 0, n_fault_up = 0, n_canceled = 0;
-
-  void init(obsv::Recorder* recorder, const graph::Graph& topology,
-            const Fabric& f, Collective m) {
-    rec = recorder;
-    topo = &topology;
-    mode = m;
-    n = f.n;
-    num_trees = f.num_trees;
-    num_dlinks = f.num_dlinks;
-    busy_start.assign(static_cast<std::size_t>(num_dlinks), -1);
-    busy_last.assign(static_cast<std::size_t>(num_dlinks), -1);
-    busy_total.assign(static_cast<std::size_t>(num_dlinks), 0);
-    queue_hwm.assign(static_cast<std::size_t>(num_dlinks), 0);
-    link_dropped.assign(static_cast<std::size_t>(num_dlinks), 0);
-    reduce_first.assign(static_cast<std::size_t>(num_trees), -1);
-    reduce_done.assign(static_cast<std::size_t>(num_trees), -1);
-    n_busy = rec->trace.intern("busy");
-    n_reduce = rec->trace.intern("reduce");
-    n_bcast = rec->trace.intern("broadcast");
-    n_fault_down = rec->trace.intern("link_down");
-    n_fault_up = rec->trace.intern("link_up");
-    n_canceled = rec->trace.intern("tree_canceled");
-  }
-
-  // "u->v" of a directed link (dlink 2e runs low->high endpoint).
-  std::string dlink_name(int dlink) const {
-    const graph::Edge e = topo->edges()[static_cast<std::size_t>(dlink / 2)];
-    const int src = (dlink & 1) != 0 ? e.v : e.u;
-    const int dst = (dlink & 1) != 0 ? e.u : e.v;
-    return std::to_string(src) + "->" + std::to_string(dst);
-  }
-
-  void close_busy_span(int dlink) {
-    const std::size_t d = static_cast<std::size_t>(dlink);
-    if (busy_start[d] < 0) return;
-    busy_total[d] += busy_last[d] - busy_start[d] + 1;
-    rec->trace.complete(busy_start[d], busy_last[d] - busy_start[d] + 1,
-                        n_busy,
-                        obsv::kTrackLinkBase + static_cast<std::uint32_t>(dlink));
-    busy_start[d] = -1;
-  }
-
-  void on_grant(int dlink, long long now) {
-    const std::size_t d = static_cast<std::size_t>(dlink);
-    if (busy_last[d] == now) return;  // several grants in one cycle
-    if (busy_start[d] >= 0 && now != busy_last[d] + 1) close_busy_span(dlink);
-    if (busy_start[d] < 0) busy_start[d] = now;
-    busy_last[d] = now;
-  }
-
-  void on_queue_depth(int dlink, int depth) {
-    const std::size_t d = static_cast<std::size_t>(dlink);
-    if (depth > queue_hwm[d]) queue_hwm[d] = depth;
-  }
-
-  // The `ready` argument lets call sites evaluate readiness lazily inside
-  // the hook expansion (only when an observer is attached).
-  void on_credit_stall_if(bool ready) {
-    if (ready) ++credit_stalls;
-  }
-
-  void on_reduce_packet(int tree, bool root_done, long long now) {
-    const std::size_t t = static_cast<std::size_t>(tree);
-    if (reduce_first[t] < 0) reduce_first[t] = now;
-    if (root_done) reduce_done[t] = now;
-  }
-
-  void on_fault(long long now, int edge, bool down) {
-    ++fault_events;
-    const graph::Edge e = topo->edges()[static_cast<std::size_t>(edge)];
-    rec->trace.instant(now, down ? n_fault_down : n_fault_up,
-                       obsv::kTrackSim, {"u", e.u}, {"v", e.v});
-  }
-
-  void on_drop(int dlink, long long flits) {
-    ++dropped_packets;
-    dropped_flits += flits;
-    link_dropped[static_cast<std::size_t>(dlink)] += flits;
-  }
-
-  void on_cancel(int tree, long long now, long long completed) {
-    rec->trace.instant(now, n_canceled, obsv::kTrackSim, {"tree", tree},
-                       {"completed", completed});
-  }
-
-  void on_retract(long long flits) {
-    ++canceled_packets;
-    canceled_flits += flits;
-  }
-
-  // Emits the deferred spans, track names and the metrics snapshot. Called
-  // once per run; when one Recorder spans several runs (the resilient
-  // driver's attempts), counters accumulate and gauges keep their maxima.
-  void finalize(long long cycles, const SimResult& result) {
-    for (int d = 0; d < num_dlinks; ++d) close_busy_span(d);
-    rec->trace.name_track(obsv::kTrackSim, "sim");
-    obsv::Metrics& m = rec->metrics;
-    m.hwm("sim.cycles", cycles);
-    m.add("sim.total_elements", result.total_elements);
-    m.hwm("sim.max_vc_occupancy", result.max_vc_occupancy);
-    m.add("sim.credit_stalls", credit_stalls);
-    m.add("sim.fault_events", fault_events);
-    if (dropped_packets > 0) {
-      m.add("sim.dropped_packets", dropped_packets);
-      m.add("sim.dropped_flits", dropped_flits);
-    }
-    if (canceled_packets > 0) {
-      m.add("sim.canceled_packets", canceled_packets);
-      m.add("sim.canceled_flits", canceled_flits);
-    }
-    if (result.background_flits > 0) {
-      m.add("sim.background_packets", result.background_packets);
-      m.add("sim.background_flits", result.background_flits);
-    }
-    for (int t = 0; t < num_trees; ++t) {
-      const std::size_t ti = static_cast<std::size_t>(t);
-      const std::uint32_t track =
-          obsv::kTrackTreeBase + static_cast<std::uint32_t>(t);
-      rec->trace.name_track(track, "tree " + std::to_string(t));
-      if (reduce_first[ti] >= 0 && reduce_done[ti] >= reduce_first[ti]) {
-        rec->trace.complete(reduce_first[ti],
-                            reduce_done[ti] - reduce_first[ti] + 1, n_reduce,
-                            track);
-      }
-      const long long first = result.tree_first_delivery[ti];
-      const long long last = result.tree_failed[ti] != 0
-                                 ? result.tree_fail_cycle[ti]
-                                 : result.tree_finish_cycle[ti];
-      if (mode != Collective::kReduce && first >= 0 && last >= first) {
-        rec->trace.complete(first, last - first + 1, n_bcast, track);
-      }
-      const std::string prefix = "tree." + std::to_string(t);
-      if (result.tree_finish_cycle[ti] >= 0) {
-        m.hwm(prefix + ".finish_cycle", result.tree_finish_cycle[ti]);
-      }
-      if (first >= 0) m.hwm(prefix + ".first_delivery", first);
-      m.add(prefix + ".completed", result.tree_completed[ti]);
-      if (result.tree_failed[ti] != 0) m.add(prefix + ".failed");
-    }
-    for (int d = 0; d < num_dlinks; ++d) {
-      const std::size_t di = static_cast<std::size_t>(d);
-      if (result.link_flits[di] == 0 && link_dropped[di] == 0 &&
-          result.link_bg_flits[di] == 0) {
-        continue;
-      }
-      const std::string name = dlink_name(d);
-      rec->trace.name_track(
-          obsv::kTrackLinkBase + static_cast<std::uint32_t>(d),
-          "link " + name);
-      const std::string prefix = "link." + name;
-      m.add(prefix + ".flits", result.link_flits[di]);
-      m.hwm(prefix + ".queue_hwm", queue_hwm[di]);
-      // Busy spans cover collective and background grants alike; the
-      // congestion controller reads utilization from these two counters
-      // (docs/congestion_adaptation.md).
-      m.add(prefix + ".busy_cycles", busy_total[di]);
-      if (result.link_bg_flits[di] > 0) {
-        m.add(prefix + ".bg_flits", result.link_bg_flits[di]);
-      }
-      if (link_dropped[di] > 0) {
-        m.add(prefix + ".dropped_flits", link_dropped[di]);
-      }
-    }
-  }
-};
-
-// Hook call site: one null test when PFAR_TRACE=on, nothing at all when
-// off (the expansion still names `obs` so the parameter stays used).
-#if PFAR_TRACE_LEVEL
-#define PFAR_OBS(call)             \
-  do {                             \
-    if (obs != nullptr) obs->call; \
-  } while (0)
-#else
-#define PFAR_OBS(call) static_cast<void>(obs)
-#endif
-
-// ---------------------------------------------------------------------------
-// Reference engine: the original cycle-by-cycle loop. Every VC is scanned
-// for arrivals, every (node, tree) broadcast engine is visited and every
-// link arbitrated on every cycle. Kept verbatim as the oracle the
-// fast-forward engine is tested against (determinism_test).
-// ---------------------------------------------------------------------------
-long long run_reference_loop(Fabric& f, const SimConfig& config,
-                             const std::vector<long long>& elements_per_tree,
-                             SimResult& result,
-                             std::vector<long long>& tree_remaining,
-                             long long total_target, FaultState& fault,
-                             const std::vector<long long>& bg_rates_ppm,
-                             SimObserver* obs) {
-  const int n = f.n;
-  const int num_trees = f.num_trees;
-  const Collective mode = config.collective;
-  const bool want_bcast = mode != Collective::kReduce;
-  auto& vcs = f.vcs;
-  const bool faults_active = fault.active;
-  const long long timeout = config.progress_timeout;
-  std::vector<char> tree_canceled(static_cast<std::size_t>(num_trees), 0);
-  std::vector<long long> tree_progress(static_cast<std::size_t>(num_trees), 0);
-
-  const auto expected_value = [&](int tree, long long k) {
-    return mode == Collective::kBroadcast
-               ? local_value(f.roots[static_cast<std::size_t>(tree)], tree, k)
-               : sum_over_nodes(n, tree, k);
-  };
-
-  long long delivered_total = 0;
-  long long now = 0;
-  long long last_progress = 0;
-  std::vector<int> rr(static_cast<std::size_t>(f.num_dlinks), 0);
-  // Token-bucket link occupancy: `tokens` flit-slots accumulate at
-  // link_bandwidth per cycle (bounded burst); a packet consumes
-  // payload + header flits and may borrow, modeling multi-cycle packets.
-  std::vector<long long> tokens(static_cast<std::size_t>(f.num_dlinks), 0);
-  const int header = config.packet_header_flits;
-
-  // Background traffic (SimConfig::background): per VC-carrying directed
-  // link, a ppm accumulator gains bg_rates_ppm[dl] per serviced (up)
-  // cycle; each time it crosses a packet boundary the link drains one
-  // whole background packet's flits from its token bucket. Zero load =
-  // empty rate vector = none of this code runs (the quiet-network goldens
-  // pin bit-identity).
-  const bool bg_active = !bg_rates_ppm.empty();
-  const long long bg_pkt_flits = config.background.packet_flits;
-  const long long bg_pkt_ppm = bg_pkt_flits * 1'000'000;
-  std::vector<long long> bg_acc(
-      bg_active ? static_cast<std::size_t>(f.num_dlinks) : 0, 0);
-
-  const auto vc_ready = [&](const VcState& vc) -> bool {
-    const NodeTreeState& s = f.st(vc.src, vc.tree);
-    if (vc.phase == Phase::kReduce) {
-      if (s.injected >= elements_per_tree[static_cast<std::size_t>(vc.tree)]) return false;
-      for (int cvc : s.child_reduce_vc) {
-        const VcState& child = vcs[static_cast<std::size_t>(cvc)];
-        if (child.poisoned || child.recv.empty()) return false;
-      }
-      return true;
-    }
-    return !s.fork_stage[static_cast<std::size_t>(vc.fork_index)].empty();
-  };
-
-  // Returns a consumed packet's credit to the child VC's sender. Normally
-  // the credit travels back over the link (landing after link_latency);
-  // while the link is down it cannot, so it is restored immediately —
-  // conservation must hold through an outage, and a later drop_edge on
-  // this link must not double-restore it.
-  const auto return_credit = [&](VcState& child) {
-    if (faults_active && !fault.edge_ok(child.dlink)) {
-      ++child.credits;
-    } else {
-      child.credit_inflight.push_back(now + config.link_latency);
-    }
-  };
-
-  // Assembles the next reduction packet at node `src` for tree `tree`:
-  // local chunk combined with one packet from each child. Chunk sizes are
-  // aligned across children because every stream chunks the same way.
-  const auto make_reduce_packet = [&](int src, int tree) -> Packet {
-    NodeTreeState& s = f.st(src, tree);
-    const long long remaining = elements_per_tree[static_cast<std::size_t>(tree)] - s.injected;
-    long long size = std::min<long long>(config.packet_payload, remaining);
-    for (int cvc : s.child_reduce_vc) {
-      if (static_cast<long long>(vcs[static_cast<std::size_t>(cvc)].recv.front().size()) != size) {
-        throw std::logic_error("reduce packet misalignment");
-      }
-    }
-    Packet packet(static_cast<std::size_t>(size));
-    for (long long i = 0; i < size; ++i) {
-      packet[static_cast<std::size_t>(i)] = local_value(src, tree, s.injected + i);
-    }
-    s.injected += size;
-    for (int cvc : s.child_reduce_vc) {
-      const Packet& head = vcs[static_cast<std::size_t>(cvc)].recv.front();
-      for (long long i = 0; i < size; ++i) packet[static_cast<std::size_t>(i)] += head[static_cast<std::size_t>(i)];
-      vcs[static_cast<std::size_t>(cvc)].recv.pop_front();
-      return_credit(vcs[static_cast<std::size_t>(cvc)]);
-    }
-    PFAR_OBS(on_reduce_packet(
-        tree,
-        src == f.roots[static_cast<std::size_t>(tree)] &&
-            s.injected >= elements_per_tree[static_cast<std::size_t>(tree)],
-        now));
-    return packet;
-  };
-
-  const auto deliver = [&](int node, int tree, const Packet& packet) {
-    NodeTreeState& s = f.st(node, tree);
-    if (result.tree_first_delivery[static_cast<std::size_t>(tree)] < 0) {
-      result.tree_first_delivery[static_cast<std::size_t>(tree)] = now;
-    }
-    for (std::int64_t value : packet) {
-      if (value != expected_value(tree, s.delivered)) {
-        result.values_correct = false;
-      }
-      ++s.delivered;
-      ++delivered_total;
-      if (--tree_remaining[static_cast<std::size_t>(tree)] == 0) result.tree_finish_cycle[static_cast<std::size_t>(tree)] = now;
-    }
-    last_progress = now;
-    tree_progress[static_cast<std::size_t>(tree)] = now;
-  };
-
-  // Kills an edge: every packet in flight on either directed half is lost
-  // (counted in dropped_*, the sender's credit reclaimed immediately, the
-  // receiving VC poisoned) and every credit in flight is restored. Credit
-  // conservation is checked across the event.
-  const auto drop_edge = [&](int eid) {
-    for (int d : {2 * eid, 2 * eid + 1}) {
-      for (int id : f.link_vcs[static_cast<std::size_t>(d)]) {
-        VcState& vc = vcs[static_cast<std::size_t>(id)];
-        PFAR_ENSURE(vc.credits +
-                            static_cast<int>(vc.credit_inflight.size() +
-                                             vc.data_inflight.size() +
-                                             vc.recv.size()) ==
-                        config.vc_credits,
-                    vc.tree, vc.src, vc.dst, vc.credits);
-        for (const auto& [when, packet] : vc.data_inflight) {
-          static_cast<void>(when);
-          ++result.dropped_packets;
-          const long long flits =
-              static_cast<long long>(packet.size()) + header;
-          result.dropped_flits += flits;
-          result.link_dropped_flits[static_cast<std::size_t>(d)] += flits;
-          PFAR_OBS(on_drop(d, flits));
-          ++vc.credits;
-          vc.poisoned = true;
-        }
-        vc.data_inflight.clear();
-        vc.credits += static_cast<int>(vc.credit_inflight.size());
-        vc.credit_inflight.clear();
-        PFAR_ENSURE(vc.credits + static_cast<int>(vc.recv.size()) ==
-                        config.vc_credits,
-                    vc.tree, vc.src, vc.dst, vc.credits, vc.recv.size());
-      }
-    }
-  };
-
-  // Declares tree t failed: record the detection cycle and the complete
-  // element prefix, then retract every queued/in-flight packet of the tree
-  // (counted in canceled_*) and reset its VCs to empty-with-full-credits so
-  // the quiesce contracts still hold for the surviving run.
-  const auto cancel_tree = [&](int t) {
-    tree_canceled[static_cast<std::size_t>(t)] = 1;
-    result.tree_failed[static_cast<std::size_t>(t)] = 1;
-    result.tree_fail_cycle[static_cast<std::size_t>(t)] = now;
-    result.tree_finish_cycle[static_cast<std::size_t>(t)] = -1;
-    long long prefix = LLONG_MAX;
-    if (mode == Collective::kReduce) {
-      prefix = f.st(f.roots[static_cast<std::size_t>(t)], t).delivered;
-    } else {
-      for (int v = 0; v < n; ++v) {
-        prefix = std::min(prefix, f.st(v, t).delivered);
-      }
-    }
-    result.tree_completed[static_cast<std::size_t>(t)] = prefix;
-    PFAR_OBS(on_cancel(t, now, prefix));
-    const auto retract = [&](const Packet& p) {
-      ++result.canceled_packets;
-      result.canceled_flits += static_cast<long long>(p.size()) + header;
-      PFAR_OBS(on_retract(static_cast<long long>(p.size()) + header));
-    };
-    for (auto& vc : vcs) {
-      if (vc.tree != t) continue;
-      for (const auto& p : vc.recv) retract(p);
-      for (const auto& [when, p] : vc.data_inflight) {
-        static_cast<void>(when);
-        retract(p);
-      }
-      vc.recv.clear();
-      vc.data_inflight.clear();
-      vc.credit_inflight.clear();
-      vc.credits = config.vc_credits;
-      vc.poisoned = false;
-    }
-    for (int v = 0; v < n; ++v) {
-      NodeTreeState& s = f.st(v, t);
-      for (const auto& p : s.root_queue) retract(p);
-      s.root_queue.clear();
-      for (auto& stage : s.fork_stage) {
-        for (const auto& p : stage) retract(p);
-        stage.clear();
-      }
-    }
-    total_target -= tree_remaining[static_cast<std::size_t>(t)];
-    tree_remaining[static_cast<std::size_t>(t)] = 0;
-    last_progress = now;
-  };
-
-  while (delivered_total < total_target) {
-    if (now > config.max_cycles) {
-      throw std::runtime_error("AllreduceSimulator: cycle limit exceeded");
-    }
-    if (now - last_progress > config.stall_limit) {
-      throw std::runtime_error(
-          "AllreduceSimulator: deadlock detected at cycle " +
-          std::to_string(now));
-    }
-
-    // 0a. Scripted fault events scheduled for this cycle, before anything
-    // else moves (a packet landing this very cycle is still in flight at
-    // the down instant and is lost).
-    if (faults_active) {
-      while (fault.next < fault.events.size() &&
-             fault.events[fault.next].cycle <= now) {
-        const PreparedFault& ev = fault.events[fault.next++];
-        if (ev.down) {
-          if (!fault.edge_down[static_cast<std::size_t>(ev.edge)]) {
-            fault.edge_down[static_cast<std::size_t>(ev.edge)] = 1;
-            drop_edge(ev.edge);
-          }
-        } else {
-          fault.edge_down[static_cast<std::size_t>(ev.edge)] = 0;
-        }
-        PFAR_OBS(on_fault(now, ev.edge, ev.down));
-      }
-    }
-
-    // 0b. Per-tree loss detection: a tree with work remaining that has
-    // delivered nothing for more than `progress_timeout` cycles is failed
-    // and canceled so the surviving trees can quiesce.
-    if (timeout > 0) {
-      for (int t = 0; t < num_trees; ++t) {
-        if (!tree_canceled[static_cast<std::size_t>(t)] &&
-            tree_remaining[static_cast<std::size_t>(t)] > 0 &&
-            now - tree_progress[static_cast<std::size_t>(t)] > timeout) {
-          cancel_tree(t);
-        }
-      }
-    }
-
-    // 1. Arrivals: land in-flight packets and returned credits.
-    for (auto& vc : vcs) {
-      while (!vc.data_inflight.empty() &&
-             vc.data_inflight.front().first <= now) {
-        vc.recv.push_back(std::move(vc.data_inflight.front().second));
-        vc.data_inflight.pop_front();
-        result.max_vc_occupancy = std::max(
-            result.max_vc_occupancy, static_cast<int>(vc.recv.size()));
-        result.link_queue_hwm[static_cast<std::size_t>(vc.dlink)] =
-            std::max(result.link_queue_hwm[static_cast<std::size_t>(vc.dlink)],
-                     static_cast<long long>(vc.recv.size()));
-        PFAR_OBS(on_queue_depth(vc.dlink, static_cast<int>(vc.recv.size())));
-        last_progress = now;
-      }
-      while (!vc.credit_inflight.empty() &&
-             vc.credit_inflight.front() <= now) {
-        vc.credit_inflight.pop_front();
-        ++vc.credits;
-      }
-    }
-
-    // 2. Root engines. Allreduce/Reduce: final sums materialize at the
-    // root (into the turnaround queue or straight to local delivery).
-    // Broadcast: the root sources its own stream into the queue.
-    for (int t = 0; t < num_trees; ++t) {
-      if (tree_canceled[static_cast<std::size_t>(t)]) continue;
-      NodeTreeState& s = f.st(f.roots[static_cast<std::size_t>(t)], t);
-      for (int fire = 0; fire < config.link_bandwidth; ++fire) {
-        if (s.injected >= elements_per_tree[static_cast<std::size_t>(t)]) break;
-        if (mode != Collective::kReduce &&
-            static_cast<int>(s.root_queue.size()) >= config.vc_credits) {
-          break;
-        }
-        Packet packet;
-        if (mode == Collective::kBroadcast) {
-          const long long remaining = elements_per_tree[static_cast<std::size_t>(t)] - s.injected;
-          const long long size =
-              std::min<long long>(config.packet_payload, remaining);
-          packet.resize(static_cast<std::size_t>(size));
-          for (long long i = 0; i < size; ++i) {
-            packet[static_cast<std::size_t>(i)] = local_value(f.roots[static_cast<std::size_t>(t)], t, s.injected + i);
-          }
-          s.injected += size;
-        } else {
-          bool inputs_ready = true;
-          for (int cvc : s.child_reduce_vc) {
-            const VcState& child = vcs[static_cast<std::size_t>(cvc)];
-            if (child.poisoned || child.recv.empty()) {
-              inputs_ready = false;
-              break;
-            }
-          }
-          if (!inputs_ready) break;
-          packet = make_reduce_packet(f.roots[static_cast<std::size_t>(t)], t);
-        }
-        if (mode == Collective::kReduce) {
-          deliver(f.roots[static_cast<std::size_t>(t)], t, packet);
-        } else {
-          s.root_queue.push_back(std::move(packet));
-        }
-        last_progress = now;
-      }
-    }
-
-    // 3. Broadcast replication: parent VC (or root queue) -> all fork
-    // stages + local delivery. Fork-stage room is required for all
-    // children, which bounds buffering and stays deadlock-free.
-    if (want_bcast) {
-      for (int t = 0; t < num_trees; ++t) {
-        if (tree_canceled[static_cast<std::size_t>(t)]) continue;
-        for (int v = 0; v < n; ++v) {
-          NodeTreeState& s = f.st(v, t);
-          const bool is_root = (v == f.roots[static_cast<std::size_t>(t)]);
-          if (!is_root && s.parent_bcast_vc < 0) continue;
-          for (int moves = 0; moves < config.link_bandwidth; ++moves) {
-            bool room = true;
-            for (const auto& stage : s.fork_stage) {
-              if (static_cast<int>(stage.size()) >= config.fork_buffer) {
-                room = false;
-                break;
-              }
-            }
-            if (!room) break;
-            Packet packet;
-            if (is_root) {
-              if (s.root_queue.empty()) break;
-              packet = std::move(s.root_queue.front());
-              s.root_queue.pop_front();
-            } else {
-              VcState& pvc = vcs[static_cast<std::size_t>(s.parent_bcast_vc)];
-              if (pvc.poisoned || pvc.recv.empty()) break;
-              packet = std::move(pvc.recv.front());
-              pvc.recv.pop_front();
-              return_credit(pvc);
-            }
-            deliver(v, t, packet);
-            const std::size_t forks = s.fork_stage.size();
-            for (std::size_t c = 0; c + 1 < forks; ++c) {
-              s.fork_stage[c].push_back(packet);
-            }
-            if (forks > 0) {
-              s.fork_stage[forks - 1].push_back(std::move(packet));
-            }
-          }
-        }
-      }
-    }
-
-    // 4. Link arbitration: round-robin over each directed link's VCs,
-    // consuming token-bucket flit slots (payload + header per packet).
-    for (int dl = 0; dl < f.num_dlinks; ++dl) {
-      const auto& ids = f.link_vcs[static_cast<std::size_t>(dl)];
-      if (ids.empty()) continue;
-      tokens[static_cast<std::size_t>(dl)] = std::min<long long>(
-          tokens[static_cast<std::size_t>(dl)] + config.link_bandwidth,
-          static_cast<long long>(config.link_bandwidth) *
-              (config.packet_payload + header));
-      // Tokens accumulate on a down link (the bucket models the physical
-      // pipe, which recharges regardless), but nothing is granted on it.
-      // The background accumulator also freezes: a down link carries no
-      // background packets, and service resumes at the same phase.
-      if (faults_active && !fault.edge_ok(dl)) continue;
-      if (bg_active) {
-        long long& acc = bg_acc[static_cast<std::size_t>(dl)];
-        acc += bg_rates_ppm[static_cast<std::size_t>(dl)];
-        if (acc >= bg_pkt_ppm) {
-          const long long pkts = acc / bg_pkt_ppm;
-          acc -= pkts * bg_pkt_ppm;
-          tokens[static_cast<std::size_t>(dl)] -= pkts * bg_pkt_flits;
-          result.link_bg_flits[static_cast<std::size_t>(dl)] +=
-              pkts * bg_pkt_flits;
-          PFAR_OBS(on_grant(dl, now));
-        }
-      }
-      const int count = static_cast<int>(ids.size());
-      const int probes = count * config.link_bandwidth;
-      const int base = rr[static_cast<std::size_t>(dl)];
-      for (int probe = 0; probe < probes && tokens[static_cast<std::size_t>(dl)] > 0; ++probe) {
-        const int slot = (base + probe) % count;
-        VcState& vc = vcs[static_cast<std::size_t>(ids[static_cast<std::size_t>(slot)])];
-        if (tree_canceled[static_cast<std::size_t>(vc.tree)]) continue;
-        if (vc.credits <= 0) {
-          // Credit stall: data is ready but flow control blocks the grant.
-          // vc_ready is side-effect-free, so probing it here cannot change
-          // the simulation.
-          PFAR_OBS(on_credit_stall_if(vc_ready(vc)));
-          continue;
-        }
-        if (!vc_ready(vc)) continue;
-        // True round-robin: rotate past the granted VC so competing trees
-        // alternate even when packets occupy the link for several cycles.
-        rr[static_cast<std::size_t>(dl)] = (slot + 1) % count;
-        Packet packet;
-        if (vc.phase == Phase::kReduce) {
-          packet = make_reduce_packet(vc.src, vc.tree);
-        } else {
-          NodeTreeState& s = f.st(vc.src, vc.tree);
-          packet = std::move(s.fork_stage[static_cast<std::size_t>(vc.fork_index)].front());
-          s.fork_stage[static_cast<std::size_t>(vc.fork_index)].pop_front();
-        }
-        const long long flits =
-            static_cast<long long>(packet.size()) + header;
-        tokens[static_cast<std::size_t>(dl)] -= flits;
-        result.link_flits[static_cast<std::size_t>(dl)] += flits;
-        PFAR_OBS(on_grant(dl, now));
-        --vc.credits;
-        if (faults_active && fault.drop_now(dl)) {
-          // Flaky link ate the packet: flits crossed (accounted above) but
-          // nothing lands. The credit still returns normally; the gap
-          // poisons the receiver.
-          ++result.dropped_packets;
-          result.dropped_flits += flits;
-          result.link_dropped_flits[static_cast<std::size_t>(dl)] += flits;
-          PFAR_OBS(on_drop(dl, flits));
-          vc.poisoned = true;
-          vc.credit_inflight.push_back(now + config.link_latency);
-        } else {
-          vc.data_inflight.emplace_back(now + config.link_latency,
-                                        std::move(packet));
-        }
-        last_progress = now;
-      }
-    }
-
-    ++now;
-  }
-
-  // Quiesce: once every element is delivered, no packet may remain queued
-  // or on the wire, and each VC's credits (held + still returning) must
-  // conserve the configured budget.
-  for (const auto& vc : vcs) {
-    PFAR_ENSURE(vc.recv.empty() && vc.data_inflight.empty(), vc.tree, vc.src,
-                vc.dst, vc.recv.size(), vc.data_inflight.size());
-    PFAR_ENSURE(vc.credits + static_cast<int>(vc.credit_inflight.size()) ==
-                    config.vc_credits,
-                vc.tree, vc.src, vc.dst, vc.credits,
-                vc.credit_inflight.size());
-  }
-  for (const auto& s : f.state) {
-    PFAR_ENSURE(s.root_queue.empty(), s.parent, s.root_queue.size());
-    for (const auto& stage : s.fork_stage) {
-      PFAR_ENSURE(stage.empty(), s.parent, stage.size());
-    }
-  }
-  return now;
-}
-
-// ---------------------------------------------------------------------------
-// Fast-forward engine. Bit-identical to the reference loop, with four
-// structural changes:
+// The cycle loop (fast-forward engine). Bit-identical to the original
+// cycle-by-cycle loop — kept as the test oracle, "the reference loop"
+// below (tests/oracle/reference_allreduce.cpp) — with four structural
+// changes:
 //
 //  * arrivals and credit returns are scheduled on a time-indexed wheel (all
 //    landing times are `now + link_latency`, so the wheel has latency + 1
@@ -996,7 +305,7 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
 //  * broadcast replication visits only (node, tree) engines that an event
 //    re-armed (packet arrival, root-queue push, fork-slot drain) instead of
 //    all n * num_trees engines, and reduce readiness is an incrementally
-//    maintained ready-children counter instead of a per-probe child scan;
+//    maintained waiting-children counter instead of a per-probe child scan;
 //  * packet payloads live in a slab arena (fixed stride = packet_payload,
 //    free-list recycling) and every queue — receive buffer + in-flight
 //    pipeline (one combined ring per VC), credit returns, fork stages, root
@@ -1011,7 +320,7 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
 //    clamped to the stall and max_cycles deadlines so even the throwing
 //    paths report the same cycle numbers as the reference loop.
 // ---------------------------------------------------------------------------
-long long run_fast_loop(Fabric& f, const SimConfig& config,
+long long run_fast_loop(const Fabric& f, const SimConfig& config,
                         const std::vector<long long>& elements_per_tree,
                         SimResult& result,
                         std::vector<long long>& tree_remaining,
@@ -1020,18 +329,23 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
                         SimObserver* obs) {
   const int n = f.n;
   const int num_trees = f.num_trees;
-  const int num_vcs = static_cast<int>(f.vcs.size());
+  const int num_vcs = f.num_vcs();
   const Collective mode = config.collective;
   const bool want_bcast = mode != Collective::kReduce;
 
-  // Values are functions of the GLOBAL tree index, so a sharded sub-run
-  // (tree_gid != identity) moves the very same integers as the serial run.
-  const auto expected_value = [&](int tree, long long k) {
-    const int gid = f.tree_gid[static_cast<std::size_t>(tree)];
-    return mode == Collective::kBroadcast
-               ? local_value(f.roots[static_cast<std::size_t>(tree)], gid, k)
-               : sum_over_nodes(n, gid, k);
-  };
+  // The fabric, read-only for the whole run.
+  const std::span<const std::int32_t> root_state(f.root_state);
+  const std::span<const char> vc_is_reduce(f.vc_is_reduce);
+  const std::span<const std::int32_t> vc_src_state(f.vc_src_state);
+  const std::span<const std::int32_t> vc_dst_state(f.vc_dst_state);
+  const std::span<const std::int32_t> vc_dlink(f.vc_dlink);
+  const std::span<const std::int32_t> vc_stage(f.vc_stage);
+  const std::span<const std::int32_t> child_base(f.child_base);
+  const std::span<const std::int32_t> child_vc(f.child_vc);
+  const std::span<const std::int32_t> parent_bcast_vc(f.parent_bcast_vc);
+  const std::span<const std::int32_t> link_base(f.link_base);
+  const std::span<const std::int32_t> link_vc(f.link_vc);
+  const std::span<const std::int32_t> active_dlinks(f.active_dlinks);
 
   long long delivered_total = 0;
   long long now = 0;
@@ -1093,97 +407,38 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
   std::vector<std::uint32_t> chead(static_cast<std::size_t>(num_vcs), 0), ccount(static_cast<std::size_t>(num_vcs), 0);
   std::vector<std::int32_t> credits(static_cast<std::size_t>(num_vcs), config.vc_credits);
 
-  // --- Per-VC metadata flattened out of VcState for the hot paths.
-  std::vector<char> vc_is_reduce(static_cast<std::size_t>(num_vcs));
-  std::vector<std::int32_t> vc_src_state(static_cast<std::size_t>(num_vcs)), vc_dst_state(static_cast<std::size_t>(num_vcs));
-  std::vector<std::int32_t> vc_dlink(static_cast<std::size_t>(num_vcs));
-
-  // --- Fault bookkeeping, mirroring the reference loop's VcState::poisoned
-  // and per-tree cancel/progress tracking onto flat arrays.
+  // --- Fault bookkeeping: poisoned VCs (a lost packet left a sequence gap
+  // in the stream, so the VC stops presenting data) and per-tree
+  // cancel/progress tracking.
   const bool faults_active = fault.active;
   const long long timeout = config.progress_timeout;
   std::vector<char> vc_poisoned(static_cast<std::size_t>(num_vcs), 0);
   std::vector<char> tree_canceled(static_cast<std::size_t>(num_trees), 0);
   std::vector<long long> tree_progress(static_cast<std::size_t>(num_trees), 0);
-  // Elements delivered per (node, tree), to compute a canceled tree's
-  // complete prefix (the reference loop reads NodeTreeState::delivered,
-  // which this engine does not maintain).
-  std::vector<long long> eng_delivered(f.state.size(), 0);
 
-  // --- Per-(node, tree) engine state: ready-children counter plus flat
-  // fork-stage rings (global stage id = stage_base[state] + child slot).
-  const std::size_t num_states = f.state.size();
-  std::vector<std::int32_t> eng_ready(num_states, 0);
-  std::vector<std::int32_t> eng_nchild(num_states);
-  std::vector<long long> eng_target(num_states);
-  std::vector<std::int32_t> stage_base(num_states + 1, 0);
-  for (std::size_t i = 0; i < num_states; ++i) {
-    eng_nchild[i] = static_cast<std::int32_t>(f.state[i].children.size());
-    eng_target[i] = elements_per_tree[i / static_cast<std::size_t>(n)];
-    stage_base[i + 1] = stage_base[i] + eng_nchild[i];
-  }
-  const int num_stages = stage_base[num_states];
-
-  // --- Remaining hot engine state flattened out of NodeTreeState: elements
-  // injected so far, the reduce-input VC ids (CSR, stage_base doubling as
-  // the per-state child base), the parent-side broadcast VC and each root's
-  // state index. After setup the loop below never touches f.state, f.vcs or
-  // f.link_vcs again — every per-cycle access is a flat array indexed by
-  // state, VC or directed-link id.
+  // --- Per-(node, tree) engine state: elements injected and delivered
+  // (the latter for a canceled tree's complete prefix), the number of
+  // children whose next reduce input has not landed (0 = inputs ready),
+  // and one fork-stage ring per child slot.
+  const std::size_t num_states =
+      static_cast<std::size_t>(n) * static_cast<std::size_t>(num_trees);
+  const int num_stages = child_base[num_states];
   std::vector<long long> eng_injected(num_states, 0);
-  std::vector<std::int32_t> child_vcs(static_cast<std::size_t>(num_stages));
-  std::vector<std::int32_t> eng_parent_vc(num_states);
+  std::vector<long long> eng_delivered(num_states, 0);
+  const auto nchild = [&](std::size_t si) {
+    return child_base[si + 1] - child_base[si];
+  };
+  std::vector<std::int32_t> eng_waiting(num_states);
+  std::vector<long long> eng_target(num_states);
   for (std::size_t i = 0; i < num_states; ++i) {
-    eng_parent_vc[i] = f.state[i].parent_bcast_vc;
-    for (std::size_t c = 0; c < f.state[i].child_reduce_vc.size(); ++c) {
-      child_vcs[static_cast<std::size_t>(stage_base[i]) + c] =
-          f.state[i].child_reduce_vc[c];
-    }
-  }
-  std::vector<std::int32_t> root_state(static_cast<std::size_t>(num_trees));
-  for (int t = 0; t < num_trees; ++t) {
-    root_state[static_cast<std::size_t>(t)] =
-        t * n + f.roots[static_cast<std::size_t>(t)];
-  }
-
-  // --- Directed-link CSR plus the list of links carrying at least one VC:
-  // arbitration and the idle-jump token replay walk only populated links.
-  std::vector<std::int32_t> lv_base(static_cast<std::size_t>(f.num_dlinks) + 1,
-                                    0);
-  for (int dl = 0; dl < f.num_dlinks; ++dl) {
-    lv_base[static_cast<std::size_t>(dl) + 1] =
-        lv_base[static_cast<std::size_t>(dl)] +
-        static_cast<std::int32_t>(
-            f.link_vcs[static_cast<std::size_t>(dl)].size());
-  }
-  std::vector<std::int32_t> lv_ids(static_cast<std::size_t>(num_vcs));
-  std::vector<std::int32_t> active_dlinks;
-  for (int dl = 0; dl < f.num_dlinks; ++dl) {
-    const auto& ids = f.link_vcs[static_cast<std::size_t>(dl)];
-    if (ids.empty()) continue;
-    active_dlinks.push_back(dl);
-    std::int32_t out = lv_base[static_cast<std::size_t>(dl)];
-    for (int id : ids) lv_ids[static_cast<std::size_t>(out++)] = id;
+    eng_waiting[i] = nchild(i);
+    eng_target[i] = elements_per_tree[i / static_cast<std::size_t>(n)];
   }
   const std::uint32_t fcap =
       std::bit_ceil(static_cast<std::uint32_t>(config.fork_buffer));
   const std::uint32_t fmask = fcap - 1;
   std::vector<Ref> fork_ring(static_cast<std::size_t>(num_stages) * fcap);
   std::vector<std::uint32_t> fhead(static_cast<std::size_t>(num_stages), 0), fcount(static_cast<std::size_t>(num_stages), 0);
-  std::vector<std::int32_t> vc_stage(static_cast<std::size_t>(num_vcs), -1);
-  for (int id = 0; id < num_vcs; ++id) {
-    const VcState& vc = f.vcs[static_cast<std::size_t>(id)];
-    vc_is_reduce[static_cast<std::size_t>(id)] = vc.phase == Phase::kReduce ? 1 : 0;
-    vc_src_state[static_cast<std::size_t>(id)] = vc.tree * n + vc.src;
-    vc_dst_state[static_cast<std::size_t>(id)] = vc.tree * n + vc.dst;
-    vc_dlink[static_cast<std::size_t>(id)] = vc.dlink;
-    if (vc.phase == Phase::kBcast) {
-      vc_stage[static_cast<std::size_t>(id)] =
-          stage_base[static_cast<std::size_t>(
-              vc_src_state[static_cast<std::size_t>(id)])] +
-          vc.fork_index;
-    }
-  }
 
   // --- Root turnaround queues, one ring per tree.
   std::vector<Ref> root_ring(static_cast<std::size_t>(num_trees) * pcap);
@@ -1209,20 +464,26 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
     ++pending_events;
   };
 
-  // Incremental operand/expected-value generators: local_value and
-  // expected_value are linear in the element index, so each engine keeps
-  // the next value and bumps it by the constant stride per element —
-  // exactly the same integers as recomputing from scratch.
+  // Incremental operand/expected-value generators: operands and expected
+  // results (the root's operand for Broadcast, the sum over all nodes
+  // otherwise) are linear in the element index, so each engine keeps the
+  // next value and bumps it by the constant stride per element — exactly
+  // the same integers as recomputing from scratch. Values are functions of
+  // the GLOBAL tree index, so a sharded sub-run (tree_gid != identity)
+  // moves the very same integers as the serial run.
   const std::int64_t exp_slope =
       mode == Collective::kBroadcast
           ? kElemStride
           : static_cast<std::int64_t>(n) * kElemStride;
   std::vector<std::int64_t> inj_next(num_states), exp_next(num_states);
   for (std::size_t i = 0; i < num_states; ++i) {
-    const int tree = static_cast<int>(i) / n;
-    inj_next[i] = local_value(static_cast<int>(i) % n,
-                              f.tree_gid[static_cast<std::size_t>(tree)], 0);
-    exp_next[i] = expected_value(tree, 0);
+    const std::size_t t = i / static_cast<std::size_t>(n);
+    const int gid = f.tree_gid[t];
+    inj_next[i] = local_value(static_cast<int>(i) % n, gid, 0);
+    exp_next[i] = mode == Collective::kBroadcast
+                      ? local_value(root_state[t] - static_cast<int>(t) * n,
+                                    gid, 0)
+                      : sum_over_nodes(n, gid, 0);
   }
 
   // Active broadcast engines: (node, tree) pairs that an event may have
@@ -1258,17 +519,17 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
   // Readiness of VC `id` exactly as the grant path below tests it. Used
   // only by the credit-stall observability probe, so it must stay
   // side-effect-free.
-  [[maybe_unused]] const auto fast_vc_ready = [&](int id) -> bool {
+  [[maybe_unused]] const auto vc_ready = [&](int id) -> bool {
     const std::size_t i = static_cast<std::size_t>(id);
     if (vc_is_reduce[i]) {
       const std::size_t si = static_cast<std::size_t>(vc_src_state[i]);
       return eng_injected[si] < eng_target[si] &&
-             eng_ready[si] == eng_nchild[si];
+             eng_waiting[si] == 0;
     }
     return fcount[static_cast<std::size_t>(vc_stage[i])] > 0;
   };
 
-  // Marks VC `id` poisoned, withdrawing it from its consumer's ready count
+  // Marks VC `id` poisoned, withdrawing it from its consumer's ready inputs
   // (the reference loop's vc_ready/inputs_ready treat a poisoned VC as
   // never ready).
   const auto poison_vc = [&](int id) {
@@ -1276,24 +537,24 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
     vc_poisoned[static_cast<std::size_t>(id)] = 1;
     if (vc_is_reduce[static_cast<std::size_t>(id)] &&
         rready[static_cast<std::size_t>(id)] > 0) {
-      --eng_ready[static_cast<std::size_t>(
+      ++eng_waiting[static_cast<std::size_t>(
           vc_dst_state[static_cast<std::size_t>(id)])];
     }
   };
 
   // Pops the ready head packet of a reduce child VC and schedules its
-  // credit return; keeps the consumer's ready-children counter in sync.
+  // credit return; keeps the consumer's waiting-children counter in sync.
   const auto pop_child = [&](int cvc, std::int32_t consumer_state) -> Ref {
     const Ref head = ring_ref[static_cast<unsigned>(cvc) * pcap + (rhead[static_cast<std::size_t>(cvc)] & pmask)];
     rhead[static_cast<std::size_t>(cvc)] = (rhead[static_cast<std::size_t>(cvc)] + 1) & pmask;
     --rtotal[static_cast<std::size_t>(cvc)];
-    if (--rready[static_cast<std::size_t>(cvc)] == 0) --eng_ready[static_cast<std::size_t>(consumer_state)];
+    if (--rready[static_cast<std::size_t>(cvc)] == 0) ++eng_waiting[static_cast<std::size_t>(consumer_state)];
     return_credit(cvc);
     return head;
   };
 
-  const auto make_reduce_packet = [&](std::int32_t state_idx) -> Ref {
-    const std::size_t si = static_cast<std::size_t>(state_idx);
+  // The engine's next chunk of local operands, as a fresh packet.
+  const auto make_local_packet = [&](std::size_t si) -> Ref {
     const long long remaining = eng_target[si] - eng_injected[si];
     const long long size =
         std::min<long long>(config.packet_payload, remaining);
@@ -1306,16 +567,25 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
     }
     inj_next[si] = value;
     eng_injected[si] += size;
-    const std::int32_t cb = stage_base[si];
-    for (std::int32_t c = 0; c < eng_nchild[si]; ++c) {
-      const int cvc = child_vcs[static_cast<std::size_t>(cb + c)];
+    return Ref{slab, static_cast<std::int32_t>(size)};
+  };
+
+  // The local chunk combined with one packet from each child. Chunk sizes
+  // are aligned across children because every stream chunks the same way.
+  const auto make_reduce_packet = [&](std::int32_t state_idx) -> Ref {
+    const std::size_t si = static_cast<std::size_t>(state_idx);
+    const Ref packet = make_local_packet(si);
+    std::int64_t* out = &arena[static_cast<std::size_t>(packet.slab) * static_cast<std::size_t>(stride)];
+    const std::int32_t cb = child_base[si];
+    for (std::int32_t c = 0; c < nchild(si); ++c) {
+      const int cvc = child_vc[static_cast<std::size_t>(cb + c)];
       const Ref head = pop_child(cvc, state_idx);
-      if (head.size != size) {
+      if (head.size != packet.size) {
         throw std::logic_error("reduce packet misalignment");
       }
       const std::int64_t* in =
           &arena[static_cast<std::size_t>(head.slab) * static_cast<std::size_t>(stride)];
-      for (long long i = 0; i < size; ++i) out[i] += in[i];
+      for (std::int32_t i = 0; i < packet.size; ++i) out[i] += in[i];
       free_slabs.push_back(head.slab);
     }
     PFAR_OBS(on_reduce_packet(
@@ -1323,7 +593,7 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
         state_idx == root_state[static_cast<std::size_t>(state_idx / n)] &&
             eng_injected[si] >= eng_target[si],
         now));
-    return Ref{slab, static_cast<std::int32_t>(size)};
+    return packet;
   };
 
   const auto deliver = [&](int tree, std::int32_t state_idx, Ref packet) {
@@ -1346,14 +616,25 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
     progressed = true;
   };
 
+  // A packet lost on directed link d: its flits crossed (or were on) the
+  // wire but nothing lands.
+  const auto drop_packet = [&](int d, Ref r) {
+    const long long flits = r.size + header;
+    ++result.dropped_packets;
+    result.dropped_flits += flits;
+    result.link_dropped_flits[static_cast<std::size_t>(d)] += flits;
+    PFAR_OBS(on_drop(d, flits));
+    free_slabs.push_back(r.slab);
+  };
+
   // Fault handlers, mirroring the reference loop's drop_edge/cancel_tree
-  // onto the flat rings. Retraction counts are order-independent, so both
-  // engines account identical totals.
+  // onto the flat rings. Retraction counts are order-independent, so the
+  // engine and the oracle account identical totals.
   const auto drop_edge = [&](int eid) {
     for (int d : {2 * eid, 2 * eid + 1}) {
-      for (std::int32_t lk = lv_base[static_cast<std::size_t>(d)];
-           lk < lv_base[static_cast<std::size_t>(d) + 1]; ++lk) {
-        const int id = lv_ids[static_cast<std::size_t>(lk)];
+      for (std::int32_t lk = link_base[static_cast<std::size_t>(d)];
+           lk < link_base[static_cast<std::size_t>(d) + 1]; ++lk) {
+        const int id = link_vc[static_cast<std::size_t>(lk)];
         const std::size_t i = static_cast<std::size_t>(id);
         const std::size_t base = i * pcap;
         PFAR_ENSURE(credits[i] + static_cast<std::int32_t>(ccount[i]) +
@@ -1363,13 +644,7 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
         const std::uint32_t inflight = rtotal[i] - rready[i];
         if (inflight > 0) {
           for (std::uint32_t k = rready[i]; k < rtotal[i]; ++k) {
-            const Ref r = ring_ref[base + ((rhead[i] + k) & pmask)];
-            ++result.dropped_packets;
-            const long long flits = r.size + header;
-            result.dropped_flits += flits;
-            result.link_dropped_flits[static_cast<std::size_t>(d)] += flits;
-            PFAR_OBS(on_drop(d, flits));
-            free_slabs.push_back(r.slab);
+            drop_packet(d, ring_ref[base + ((rhead[i] + k) & pmask)]);
           }
           rtotal[i] = rready[i];
           credits[i] += static_cast<std::int32_t>(inflight);
@@ -1392,7 +667,7 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
     long long prefix = LLONG_MAX;
     if (mode == Collective::kReduce) {
       prefix = eng_delivered[static_cast<std::size_t>(
-          t * n + f.roots[static_cast<std::size_t>(t)])];
+          root_state[static_cast<std::size_t>(t)])];
     } else {
       for (int v = 0; v < n; ++v) {
         prefix =
@@ -1414,10 +689,10 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
       for (std::uint32_t k = 0; k < rtotal[i]; ++k) {
         retract(ring_ref[base + ((rhead[i] + k) & pmask)]);
       }
-      // Withdraw from the consumer's ready count before clearing, exactly
+      // Withdraw from the consumer's ready inputs before clearing, exactly
       // once, matching the poisoned/ready bookkeeping.
       if (vc_is_reduce[i] && rready[i] > 0 && !vc_poisoned[i]) {
-        --eng_ready[static_cast<std::size_t>(vc_dst_state[i])];
+        ++eng_waiting[static_cast<std::size_t>(vc_dst_state[i])];
       }
       rtotal[i] = 0;
       rready[i] = 0;
@@ -1425,18 +700,17 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
       credits[i] = config.vc_credits;
       vc_poisoned[i] = 0;
     }
-    for (int v = 0; v < n; ++v) {
-      const std::size_t si = static_cast<std::size_t>(t * n + v);
-      const std::int32_t sb = stage_base[si];
-      for (std::int32_t c = 0; c < eng_nchild[si]; ++c) {
-        const std::size_t sid = static_cast<std::size_t>(sb + c);
-        for (std::uint32_t k = 0; k < fcount[sid]; ++k) {
-          retract(fork_ring[sid * fcap + ((fhead[sid] + k) & fmask)]);
-        }
-        fcount[sid] = 0;
-      }
-    }
+    // The tree's fork stages: its states are contiguous, so are their slots.
     const std::size_t ti = static_cast<std::size_t>(t);
+    const std::size_t nn = static_cast<std::size_t>(n);
+    const auto stages_end = static_cast<std::size_t>(child_base[(ti + 1) * nn]);
+    for (auto sid = static_cast<std::size_t>(child_base[ti * nn]);
+         sid < stages_end; ++sid) {
+      for (std::uint32_t k = 0; k < fcount[sid]; ++k) {
+        retract(fork_ring[sid * fcap + ((fhead[sid] + k) & fmask)]);
+      }
+      fcount[sid] = 0;
+    }
     for (std::uint32_t k = 0; k < rq_count[ti]; ++k) {
       retract(root_ring[ti * pcap + ((rq_head[ti] + k) & pmask)]);
     }
@@ -1522,7 +796,7 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
             // above) but never make it ready (its consumer must not fire).
             if (vc_is_reduce[static_cast<std::size_t>(id)]) {
               if (before == 0 && !vc_poisoned[static_cast<std::size_t>(id)]) {
-              ++eng_ready[static_cast<std::size_t>(
+              --eng_waiting[static_cast<std::size_t>(
                   vc_dst_state[static_cast<std::size_t>(id)])];
             }
             } else if (!vc_poisoned[static_cast<std::size_t>(id)]) {
@@ -1556,24 +830,9 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
         }
         Ref packet;
         if (mode == Collective::kBroadcast) {
-          const long long remaining =
-              eng_target[static_cast<std::size_t>(si)] -
-              eng_injected[static_cast<std::size_t>(si)];
-          const long long size =
-              std::min<long long>(config.packet_payload, remaining);
-          const std::int32_t slab = alloc_slab();
-          std::int64_t* out =
-              &arena[static_cast<std::size_t>(slab) * static_cast<std::size_t>(stride)];
-          std::int64_t value = inj_next[static_cast<std::size_t>(si)];
-          for (long long i = 0; i < size; ++i) {
-            out[i] = value;
-            value += kElemStride;
-          }
-          inj_next[static_cast<std::size_t>(si)] = value;
-          eng_injected[static_cast<std::size_t>(si)] += size;
-          packet = Ref{slab, static_cast<std::int32_t>(size)};
+          packet = make_local_packet(static_cast<std::size_t>(si));
         } else {
-          if (eng_ready[static_cast<std::size_t>(si)] != eng_nchild[static_cast<std::size_t>(si)]) break;
+          if (eng_waiting[static_cast<std::size_t>(si)] != 0) break;
           packet = make_reduce_packet(si);
         }
         if (mode == Collective::kReduce) {
@@ -1601,11 +860,11 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
         const int t = idx / n;
         if (tree_canceled[static_cast<std::size_t>(t)]) continue;
         const bool is_root = (idx == root_state[static_cast<std::size_t>(t)]);
-        if (!is_root && eng_parent_vc[static_cast<std::size_t>(idx)] < 0) {
+        if (!is_root && parent_bcast_vc[static_cast<std::size_t>(idx)] < 0) {
           continue;
         }
-        const std::int32_t sb = stage_base[static_cast<std::size_t>(idx)];
-        const std::int32_t forks = eng_nchild[static_cast<std::size_t>(idx)];
+        const std::int32_t sb = child_base[static_cast<std::size_t>(idx)];
+        const std::int32_t forks = nchild(static_cast<std::size_t>(idx));
         bool blocked = false;
         int moves = 0;
         for (; moves < bw; ++moves) {
@@ -1630,7 +889,7 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
             rq_head[static_cast<std::size_t>(t)] = (rq_head[static_cast<std::size_t>(t)] + 1) & pmask;
             --rq_count[static_cast<std::size_t>(t)];
           } else {
-            const int pvc = eng_parent_vc[static_cast<std::size_t>(idx)];
+            const int pvc = parent_bcast_vc[static_cast<std::size_t>(idx)];
             if (vc_poisoned[static_cast<std::size_t>(pvc)] ||
                 rready[static_cast<std::size_t>(pvc)] == 0) {
               blocked = true;  // re-armed by the next arrival
@@ -1699,14 +958,14 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
             std::min(recharge_offset, (1 - tokens[static_cast<std::size_t>(dl)] + bw - 1) / bw);
         continue;
       }
-      const std::int32_t lb = lv_base[static_cast<std::size_t>(dl)];
+      const std::int32_t lb = link_base[static_cast<std::size_t>(dl)];
       const int count =
-          static_cast<int>(lv_base[static_cast<std::size_t>(dl) + 1] - lb);
+          static_cast<int>(link_base[static_cast<std::size_t>(dl) + 1] - lb);
       const int probes = count * bw;
       int slot = rr[static_cast<std::size_t>(dl)];
       for (int probe = 0; probe < probes && tokens[static_cast<std::size_t>(dl)] > 0;
            ++probe, slot = slot + 1 == count ? 0 : slot + 1) {
-        const int id = lv_ids[static_cast<std::size_t>(lb + slot)];
+        const int id = link_vc[static_cast<std::size_t>(lb + slot)];
         if (tree_canceled[static_cast<std::size_t>(
                 vc_src_state[static_cast<std::size_t>(id)] / n)]) {
           continue;
@@ -1715,14 +974,14 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
           // Credit stall, counted at the same probe point as the reference
           // loop. Stall totals are engine-relative: this engine never
           // probes the cycles it fast-forwards over.
-          PFAR_OBS(on_credit_stall_if(fast_vc_ready(id)));
+          PFAR_OBS(on_credit_stall_if(vc_ready(id)));
           continue;
         }
         Ref packet;
         if (vc_is_reduce[static_cast<std::size_t>(id)]) {
           const std::int32_t si = vc_src_state[static_cast<std::size_t>(id)];
           if (eng_injected[static_cast<std::size_t>(si)] >= eng_target[static_cast<std::size_t>(si)] ||
-              eng_ready[static_cast<std::size_t>(si)] != eng_nchild[static_cast<std::size_t>(si)]) {
+              eng_waiting[static_cast<std::size_t>(si)] != 0) {
             continue;
           }
           rr[static_cast<std::size_t>(dl)] = slot + 1 == count ? 0 : slot + 1;
@@ -1745,11 +1004,7 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
           // Flaky link ate the packet (same decision sequence as the
           // reference loop): account the loss, poison the receiver, and
           // schedule the normal credit return.
-          ++result.dropped_packets;
-          result.dropped_flits += flits;
-          result.link_dropped_flits[static_cast<std::size_t>(dl)] += flits;
-          PFAR_OBS(on_drop(dl, flits));
-          free_slabs.push_back(packet.slab);
+          drop_packet(dl, packet);
           poison_vc(id);
           credit_time[static_cast<unsigned>(id) * pcap +
                       ((chead[static_cast<std::size_t>(id)] + ccount[static_cast<std::size_t>(id)]) & pmask)] =
@@ -1839,23 +1094,17 @@ long long run_fast_loop(Fabric& f, const SimConfig& config,
   // Quiesce, mirrored from the reference loop onto the flat rings: empty
   // receive/in-flight rings, drained fork stages and root queues, and
   // credit conservation per VC (held + still returning == budget).
-  for (int id = 0; id < num_vcs; ++id) {
-    PFAR_ENSURE(rtotal[static_cast<std::size_t>(id)] == 0, id,
-                rtotal[static_cast<std::size_t>(id)]);
-    PFAR_ENSURE(credits[static_cast<std::size_t>(id)] +
-                        static_cast<std::int32_t>(
-                            ccount[static_cast<std::size_t>(id)]) ==
+  for (std::size_t id = 0; id < rtotal.size(); ++id) {
+    PFAR_ENSURE(rtotal[id] == 0, id, rtotal[id]);
+    PFAR_ENSURE(credits[id] + static_cast<std::int32_t>(ccount[id]) ==
                     config.vc_credits,
-                id, credits[static_cast<std::size_t>(id)],
-                ccount[static_cast<std::size_t>(id)]);
+                id, credits[id], ccount[id]);
   }
-  for (int sid = 0; sid < num_stages; ++sid) {
-    PFAR_ENSURE(fcount[static_cast<std::size_t>(sid)] == 0, sid,
-                fcount[static_cast<std::size_t>(sid)]);
+  for (std::size_t sid = 0; sid < fcount.size(); ++sid) {
+    PFAR_ENSURE(fcount[sid] == 0, sid, fcount[sid]);
   }
-  for (int t = 0; t < num_trees; ++t) {
-    PFAR_ENSURE(rq_count[static_cast<std::size_t>(t)] == 0, t,
-                rq_count[static_cast<std::size_t>(t)]);
+  for (std::size_t t = 0; t < rq_count.size(); ++t) {
+    PFAR_ENSURE(rq_count[t] == 0, t, rq_count[t]);
   }
   return now;
 }
@@ -1940,7 +1189,6 @@ long long run_sharded(const graph::Graph& topology,
                       const SimConfig& config,
                       const std::vector<long long>& elements_per_tree,
                       const std::vector<std::vector<int>>& groups,
-                      const std::vector<long long>& bg_rates_ppm,
                       SimResult& result) {
   const int num_groups = static_cast<int>(groups.size());
   std::vector<SimResult> sub(static_cast<std::size_t>(num_groups));
@@ -1963,22 +1211,17 @@ long long run_sharded(const graph::Graph& topology,
           sub_elements.push_back(
               elements_per_tree[static_cast<std::size_t>(t)]);
         }
-        SimResult& r = sub[static_cast<std::size_t>(g)];
-        Fabric fabric = build_fabric(topology, sub_trees, config, r, &gids);
-        const long long receivers =
-            config.collective == Collective::kReduce ? 1 : fabric.n;
-        long long target = 0;
-        std::vector<long long> remaining(gids.size());
-        for (std::size_t i = 0; i < gids.size(); ++i) {
-          r.total_elements += sub_elements[i];
-          remaining[i] = sub_elements[i] * receivers;
-          target += remaining[i];
+        // The group's own prologue; its loop runs unobserved (sharding
+        // implies no Recorder) and the merge below is its epilogue.
+        detail::RunContext run(topology, config, sub_elements);
+        const Fabric fabric =
+            build_fabric(topology, sub_trees, config, run.result, &gids);
+        if (run.total_target > 0) {
+          sub_cycles[static_cast<std::size_t>(g)] = run_fast_loop(
+              fabric, config, sub_elements, run.result, run.tree_remaining,
+              run.total_target, run.fault, run.bg_rates, nullptr);
         }
-        if (target == 0) return;
-        FaultState fault = prepare_faults(topology, config.faults);
-        sub_cycles[static_cast<std::size_t>(g)] = run_fast_loop(
-            fabric, config, sub_elements, r, remaining, target, fault,
-            bg_rates_ppm, nullptr);
+        sub[static_cast<std::size_t>(g)] = std::move(run.result);
       });
 
   // Deterministic merge, in group order (though every combiner below is
@@ -2021,47 +1264,48 @@ long long run_sharded(const graph::Graph& topology,
 
 }  // namespace
 
-// pfar-lint: allow(contract-coverage) every config field, fault script and tree is validated via std::invalid_argument throws below
-AllreduceSimulator::AllreduceSimulator(const graph::Graph& topology,
-                                       std::vector<TreeEmbedding> trees,
-                                       SimConfig config)
-    : topology_(topology), trees_(std::move(trees)), config_(config) {
-  if (config_.link_bandwidth < 1 || config_.link_latency < 0 ||
-      config_.vc_credits < 1 || config_.fork_buffer < 1 ||
-      config_.packet_payload < 1 || config_.packet_header_flits < 0) {
+namespace detail {
+
+// pfar-lint: allow(contract-coverage) this is the contract: every violation throws std::invalid_argument
+void validate_simulation(const graph::Graph& topology,
+                         const std::vector<TreeEmbedding>& trees,
+                         const SimConfig& config) {
+  if (config.link_bandwidth < 1 || config.link_latency < 0 ||
+      config.vc_credits < 1 || config.fork_buffer < 1 ||
+      config.packet_payload < 1 || config.packet_header_flits < 0) {
     throw std::invalid_argument("AllreduceSimulator: bad config");
   }
-  if (config_.progress_timeout < 0) {
+  if (config.progress_timeout < 0) {
     throw std::invalid_argument(
         "AllreduceSimulator: negative progress_timeout");
   }
-  if (config_.progress_timeout > 0 &&
-      config_.progress_timeout >= config_.stall_limit) {
+  if (config.progress_timeout > 0 &&
+      config.progress_timeout >= config.stall_limit) {
     throw std::invalid_argument(
         "AllreduceSimulator: progress_timeout must be below stall_limit so "
         "per-tree detection fires before the global deadlock check");
   }
-  if (config_.background.load < 0.0 || config_.background.load >= 1.0 ||
-      config_.background.packet_flits < 1) {
+  if (config.background.load < 0.0 || config.background.load >= 1.0 ||
+      config.background.packet_flits < 1) {
     throw std::invalid_argument(
         "AllreduceSimulator: background load must be in [0, 1) and "
         "packet_flits >= 1");
   }
-  if (config_.background.active() &&
-      config_.background.pattern == TrafficPattern::kHotspot &&
-      (config_.background.hotspot_node < 0 ||
-       config_.background.hotspot_node >= topology_.num_vertices() ||
-       config_.background.hotspot_fraction < 0.0 ||
-       config_.background.hotspot_fraction > 1.0)) {
+  if (config.background.active() &&
+      config.background.pattern == TrafficPattern::kHotspot &&
+      (config.background.hotspot_node < 0 ||
+       config.background.hotspot_node >= topology.num_vertices() ||
+       config.background.hotspot_fraction < 0.0 ||
+       config.background.hotspot_fraction > 1.0)) {
     throw std::invalid_argument(
         "AllreduceSimulator: hotspot_node must name a vertex and "
         "hotspot_fraction lie in [0, 1]");
   }
   // Validate the fault script eagerly (edge existence, cycle/permille
   // ranges) so a bad script fails at construction, not mid-run.
-  static_cast<void>(prepare_faults(topology_, config_.faults));
-  const int n = topology_.num_vertices();
-  for (const auto& tree : trees_) {
+  static_cast<void>(prepare_faults(topology, config.faults));
+  const int n = topology.num_vertices();
+  for (const auto& tree : trees) {
     if (static_cast<int>(tree.parent.size()) != n) {
       throw std::invalid_argument("AllreduceSimulator: tree size mismatch");
     }
@@ -2072,7 +1316,7 @@ AllreduceSimulator::AllreduceSimulator(const graph::Graph& topology,
         }
         continue;
       }
-      if (!topology_.has_edge(v, tree.parent[static_cast<std::size_t>(v)])) {
+      if (!topology.has_edge(v, tree.parent[static_cast<std::size_t>(v)])) {
         throw std::invalid_argument(
             "AllreduceSimulator: tree edge not a physical link");
       }
@@ -2080,7 +1324,122 @@ AllreduceSimulator::AllreduceSimulator(const graph::Graph& topology,
   }
 }
 
-// pfar-lint: allow(contract-coverage) the split vector is validated via std::invalid_argument throws (size and sign), matching the constructor
+void reset_result(SimResult& result, int num_trees, int num_dlinks) {
+  PFAR_REQUIRE(num_trees >= 0 && num_dlinks >= 0, num_trees, num_dlinks);
+  const std::size_t trees = static_cast<std::size_t>(num_trees);
+  const std::size_t dlinks = static_cast<std::size_t>(num_dlinks);
+  result.values_correct = true;
+  result.tree_finish_cycle.assign(trees, 0);
+  result.tree_first_delivery.assign(trees, -1);
+  result.tree_failed.assign(trees, 0);
+  result.tree_fail_cycle.assign(trees, -1);
+  result.tree_completed.assign(trees, 0);
+  result.link_flits.assign(dlinks, 0);
+  result.link_queue_hwm.assign(dlinks, 0);
+  result.link_bg_flits.assign(dlinks, 0);
+  result.link_dropped_flits.assign(dlinks, 0);
+}
+
+void settle_background(SimResult& result,
+                       const std::vector<long long>& rates_ppm,
+                       int packet_flits, long long closed_form_cycles) {
+  PFAR_REQUIRE(packet_flits >= 1, packet_flits);
+  if (closed_form_cycles >= 0) {
+    for (std::size_t d = 0; d < result.link_bg_flits.size(); ++d) {
+      result.link_bg_flits[d] =
+          background_packets_in(closed_form_cycles, rates_ppm[d],
+                                packet_flits) *
+          packet_flits;
+    }
+  }
+  for (const long long flits : result.link_bg_flits) {
+    result.background_flits += flits;
+  }
+  result.background_packets = result.background_flits / packet_flits;
+}
+
+// pfar-lint: allow(contract-coverage) the split is validated via std::invalid_argument throws, as in AllreduceSimulator::run
+RunContext::RunContext(const graph::Graph& topology_in,
+                       const SimConfig& config_in,
+                       const std::vector<long long>& elements)
+    : topology(topology_in), config(config_in), elements_per_tree(elements) {
+  const int num_trees = static_cast<int>(elements.size());
+  reset_result(result, num_trees, 2 * topology.num_edges());
+  // Deliveries owed per tree: at every node for Allreduce/Broadcast, at
+  // the root only for Reduce.
+  const long long receivers =
+      config.collective == Collective::kReduce ? 1 : topology.num_vertices();
+  tree_remaining.resize(elements.size());
+  for (std::size_t t = 0; t < elements.size(); ++t) {
+    if (elements[t] < 0) {
+      throw std::invalid_argument("run: negative element count");
+    }
+    result.total_elements += elements[t];
+    tree_remaining[t] = elements[t] * receivers;
+    total_target += tree_remaining[t];
+  }
+  if (total_target == 0) return;
+  fault = prepare_faults(topology, config.faults);
+  // Background traffic: steady-state per-directed-link drain rates
+  // (empty = quiet network, and none of the loop's background code runs).
+  if (config.background.active()) {
+    bg_rates = background_link_rates_ppm(topology, config.background,
+                                         config.link_bandwidth);
+  }
+  // Observability: attach only when compiled in and a Recorder is given.
+  if constexpr (obsv::kTraceCompiled) {
+    if (config.recorder != nullptr) {
+      observer.init(config.recorder, topology, num_trees, config.collective);
+      obs = &observer;
+    }
+  }
+}
+
+SimResult RunContext::finish(long long cycles) {
+  PFAR_REQUIRE(total_target > 0 && cycles > 0, total_target, cycles);
+  result.cycles = cycles;
+  result.aggregate_bandwidth = static_cast<double>(result.total_elements) /
+                               static_cast<double>(cycles);
+  // Healthy trees completed their whole assignment; failed trees recorded
+  // their complete prefix at cancel time.
+  for (std::size_t t = 0; t < elements_per_tree.size(); ++t) {
+    if (!result.tree_failed[t]) {
+      result.tree_completed[t] = elements_per_tree[t];
+    }
+  }
+  // Links still down at run end: the set recovery must replan around.
+  const auto& edges = topology.edges();
+  for (std::size_t e = 0; e < fault.edge_down.size(); ++e) {
+    if (fault.edge_down[e]) result.links_down.push_back(edges[e]);
+  }
+  if (!bg_rates.empty()) {
+    // Every link was up for the whole run when no down/up events exist
+    // (flaky links drop packets but keep serving), so each link's drain
+    // count telescopes to the closed form over [0, cycles). Writing it
+    // here (a) extends the accounting to links the loop never touches
+    // (no VCs — the loop skips them, yet their background load is real
+    // and the congestion controller wants it) and (b) normalizes sharded
+    // runs, whose groups stop counting at their own exit cycles. With
+    // down events the loop-maintained per-up-cycle counts stand, and
+    // only VC-carrying links are accounted (the run was serial).
+    settle_background(result, bg_rates, config.background.packet_flits,
+                      config.faults.events.empty() ? cycles : -1);
+  }
+  if (obs != nullptr) obs->finalize(cycles, result);
+  return std::move(result);
+}
+
+}  // namespace detail
+
+// pfar-lint: allow(contract-coverage) every config field, fault script and tree is validated via std::invalid_argument throws in detail::validate_simulation
+AllreduceSimulator::AllreduceSimulator(const graph::Graph& topology,
+                                       std::vector<TreeEmbedding> trees,
+                                       SimConfig config)
+    : topology_(topology), trees_(std::move(trees)), config_(config) {
+  detail::validate_simulation(topology_, trees_, config_);
+}
+
+// pfar-lint: allow(contract-coverage) the split vector is validated via std::invalid_argument throws (size here, sign in detail::RunContext), matching the constructor
 SimResult AllreduceSimulator::run(
     const std::vector<long long>& elements_per_tree) {
   const int num_trees = static_cast<int>(trees_.size());
@@ -2094,130 +1453,42 @@ SimResult AllreduceSimulator::run(
     return run_flow_allreduce(topology_, trees_, config_, elements_per_tree);
   }
 
-  SimResult result;
-  Fabric fabric = build_fabric(topology_, trees_, config_, result);
+  detail::RunContext run(topology_, config_, elements_per_tree);
+  const Fabric fabric = build_fabric(topology_, trees_, config_, run.result);
+  if (run.total_target == 0) return std::move(run.result);
 
-  // Deliveries expected per tree: at every node for Allreduce/Broadcast,
-  // at the root only for Reduce.
-  const Collective mode = config_.collective;
-  long long total_target = 0;
-  std::vector<long long> tree_remaining(static_cast<std::size_t>(num_trees));
-  for (int t = 0; t < num_trees; ++t) {
-    if (elements_per_tree[static_cast<std::size_t>(t)] < 0) {
-      throw std::invalid_argument("run: negative element count");
-    }
-    result.total_elements += elements_per_tree[static_cast<std::size_t>(t)];
-    const long long receivers =
-        (mode == Collective::kReduce) ? 1 : fabric.n;
-    tree_remaining[static_cast<std::size_t>(t)] = elements_per_tree[static_cast<std::size_t>(t)] * receivers;
-    total_target += tree_remaining[static_cast<std::size_t>(t)];
-  }
-  if (total_target == 0) return result;
-
-  FaultState fault = prepare_faults(topology_, config_.faults);
-
-  // Background traffic: steady-state per-directed-link drain rates,
-  // computed once per run (empty vector = quiet network, and none of the
-  // engines' background code executes).
-  std::vector<long long> bg_rates;
-  if (config_.background.active()) {
-    bg_rates = background_link_rates_ppm(topology_, config_.background,
-                                         config_.link_bandwidth);
-  }
-
-  // Observability: attach only when compiled in and a Recorder is supplied;
-  // both engines then see the same (possibly null) observer pointer.
-  SimObserver observer;
-  SimObserver* obs = nullptr;
-  if constexpr (obsv::kTraceCompiled) {
-    if (config_.recorder != nullptr) {
-      observer.init(config_.recorder, topology_, fabric, mode);
-      obs = &observer;
-    }
-  }
-
-  // Intra-run sharding: fast-forward engine, more than one link-disjoint
-  // tree group, and no observer (the trace is single-writer; a run with a
-  // Recorder attached executes serially, still bit-identically).
-  long long cycles = 0;
-  bool sharded = false;
-  // Background + faults runs execute serially: each shard would count
-  // background drains over its own exit window and the per-link up-time
-  // accounting could not be normalized afterwards (fault-free runs are
-  // normalized in closed form below, so they shard freely).
-  if (config_.engine == SimEngine::kFastForward &&
-      config_.shard_threads != 1 && num_trees > 1 && obs == nullptr &&
-      (bg_rates.empty() || config_.faults.empty())) {
+  // Intra-run sharding: more than one link-disjoint tree group and no
+  // observer (the trace is single-writer; a run with a Recorder attached
+  // executes serially, still bit-identically). Background + faults runs
+  // execute serially too: each shard would count background drains over
+  // its own exit window and the per-link up-time accounting could not be
+  // normalized afterwards (fault-free runs are normalized in closed form
+  // by finish(), so they shard freely).
+  if (config_.shard_threads != 1 && num_trees > 1 && run.obs == nullptr &&
+      (run.bg_rates.empty() || config_.faults.empty())) {
     const auto groups = link_disjoint_tree_groups(topology_, trees_);
     if (groups.size() > 1) {
-      cycles = run_sharded(topology_, trees_, config_, elements_per_tree,
-                           groups, bg_rates, result);
-      sharded = true;
+      const long long cycles =
+          run_sharded(topology_, trees_, config_, elements_per_tree, groups,
+                      run.result);
       // Each group consumed its own FaultState copy up to its own exit
-      // cycle. The serial engines apply every scripted event with
+      // cycle. The serial loop applies every scripted event with
       // cycle <= exit - 1 (event cycles are wake points the idle jump
       // never skips), so replaying those events here reproduces the
       // serial run's final down set exactly.
-      for (const auto& ev : fault.events) {
+      for (const auto& ev : run.fault.events) {
         if (ev.cycle < cycles) {
-          fault.edge_down[static_cast<std::size_t>(ev.edge)] =
+          run.fault.edge_down[static_cast<std::size_t>(ev.edge)] =
               ev.down ? 1 : 0;
         }
       }
+      return run.finish(cycles);
     }
   }
-  if (!sharded) {
-    cycles = config_.engine == SimEngine::kReference
-                 ? run_reference_loop(fabric, config_, elements_per_tree,
-                                      result, tree_remaining, total_target,
-                                      fault, bg_rates, obs)
-                 : run_fast_loop(fabric, config_, elements_per_tree, result,
-                                 tree_remaining, total_target, fault,
-                                 bg_rates, obs);
-  }
-
-  result.cycles = cycles;
-  result.aggregate_bandwidth = static_cast<double>(result.total_elements) /
-                               static_cast<double>(cycles);
-  // Healthy trees completed their whole assignment; failed trees recorded
-  // their complete prefix at cancel time.
-  for (int t = 0; t < num_trees; ++t) {
-    if (!result.tree_failed[static_cast<std::size_t>(t)]) {
-      result.tree_completed[static_cast<std::size_t>(t)] =
-          elements_per_tree[static_cast<std::size_t>(t)];
-    }
-  }
-  // Links still down at run end: the set recovery must replan around.
-  const auto& edges = topology_.edges();
-  for (std::size_t e = 0; e < fault.edge_down.size(); ++e) {
-    if (fault.edge_down[e]) result.links_down.push_back(edges[e]);
-  }
-  if (!bg_rates.empty()) {
-    // Every link was up for the whole run when no down/up events exist
-    // (flaky links drop packets but keep serving), so each link's drain
-    // count telescopes to the closed form over [0, cycles). Writing it
-    // here (a) extends the accounting to links the engines never touch
-    // (no VCs — the engines skip them, yet their background load is real
-    // and the congestion controller wants it) and (b) normalizes sharded
-    // runs, whose groups stop counting at their own exit cycles. With
-    // down events the engine-maintained per-up-cycle counts stand, and
-    // only VC-carrying links are accounted (the run was serial).
-    if (config_.faults.events.empty()) {
-      for (std::size_t d = 0; d < result.link_bg_flits.size(); ++d) {
-        result.link_bg_flits[d] =
-            background_packets_in(cycles, bg_rates[d],
-                                  config_.background.packet_flits) *
-            config_.background.packet_flits;
-      }
-    }
-    for (long long flits : result.link_bg_flits) {
-      result.background_flits += flits;
-    }
-    result.background_packets =
-        result.background_flits / config_.background.packet_flits;
-  }
-  if (obs != nullptr) obs->finalize(cycles, result);
-  return result;
+  return run.finish(run_fast_loop(fabric, config_, elements_per_tree,
+                                  run.result, run.tree_remaining,
+                                  run.total_target, run.fault, run.bg_rates,
+                                  run.obs));
 }
 
 }  // namespace pfar::simnet

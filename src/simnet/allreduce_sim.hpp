@@ -53,7 +53,7 @@ struct SimResult {
   std::vector<long long> link_flits;
   /// Peak receiver-buffer occupancy (packets) per directed link — the max
   /// over the link's VCs of their buffer high-water marks. Maintained by
-  /// both cycle engines unconditionally (zero on the flow tier), so the
+  /// the cycle engine unconditionally (zero on the flow tier), so the
   /// congestion controller can read queue pressure without tracing.
   std::vector<long long> link_queue_hwm;
 

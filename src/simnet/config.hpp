@@ -21,11 +21,10 @@ enum class Collective {
 };
 
 /// Which execution engine drives the simulation (docs/simulation_engine.md,
-/// "The three engine tiers"). The two cycle-accurate tiers produce
-/// bit-identical results (cycles, link_flits, occupancy maxima,
-/// correctness); the fast-forward engine is the default and the reference
-/// engine exists as the oracle the determinism test compares against. The
-/// flow tier trades cycle accuracy for two-orders-of-magnitude scale.
+/// "The engine tiers"). The fast-forward engine is the cycle-accurate
+/// default; the differential tests hold it bit-identical to a test-only
+/// reference loop (tests/oracle). The flow tier trades cycle accuracy for
+/// two-orders-of-magnitude scale.
 enum class SimEngine {
   /// Event-horizon engine: arrivals/credits land via a time-indexed wheel,
   /// broadcast engines run off active lists, hot state lives in flat
@@ -34,9 +33,6 @@ enum class SimEngine {
   /// SimConfig::shard_threads != 1 a single run additionally shards
   /// link-disjoint tree groups across a thread pool, bit-identically.
   kFastForward,
-  /// The original cycle-by-cycle loop: every VC, engine and link is scanned
-  /// on every cycle. Kept as the behavioural oracle.
-  kReference,
   /// Flow-level fluid tier: per-tree max-min fair rates over the shared
   /// directed links, integrated through warmup (pipeline fill), measure
   /// (steady fluid timeline with trees retiring and freeing bandwidth) and
@@ -50,10 +46,10 @@ enum class SimEngine {
   kFlow,
 };
 
-/// Canonical CLI/JSON names: "horizon" (kFastForward), "reference", "flow".
+/// Canonical CLI/JSON names: "horizon" (kFastForward) and "flow".
 const char* to_string(SimEngine engine);
-/// Parses to_string names plus the "fastforward" alias; throws
-/// std::invalid_argument on anything else.
+/// Parses the to_string names; throws std::invalid_argument on anything
+/// else.
 SimEngine engine_from_string(const std::string& name);
 
 /// Default for SimConfig::shard_threads: the PFAR_THREADS environment
@@ -121,7 +117,8 @@ struct FaultEvent {
 
 /// Deterministic fault-injection script for the Allreduce simulator.
 ///
-/// Semantics (identical in both engines, see docs/resilience.md):
+/// Semantics (identical in the engine and the test oracle, see
+/// docs/resilience.md):
 ///  * `kLinkDown` kills both directed halves of the link. Packets and
 ///    credits in flight on the link at that cycle are lost; lost packets
 ///    are counted in SimResult::dropped_* and the sender's credits are
@@ -172,8 +169,8 @@ struct SimConfig {
   int packet_header_flits = 0;
   /// Which collective to execute.
   Collective collective = Collective::kAllreduce;
-  /// Which engine to use. The two cycle tiers are bit-identical; the flow
-  /// tier is approximate (see SimEngine).
+  /// Which engine to use: the cycle-accurate fast-forward engine or the
+  /// approximate flow tier (see SimEngine).
   SimEngine engine = SimEngine::kFastForward;
   /// Intra-run parallel sharding for the fast-forward engine: the run is
   /// partitioned into link-disjoint tree groups (trees sharing any
@@ -184,8 +181,8 @@ struct SimConfig {
   /// serial. Results are bit-identical for every value — including
   /// the serial engine — because shards are closed under link sharing and
   /// therefore exchange no events (docs/simulation_engine.md). Ignored by
-  /// kReference and kFlow. Runs with a Recorder attached execute serially
-  /// (the trace is single-writer), still bit-identically.
+  /// kFlow. Runs with a Recorder attached execute serially (the trace is
+  /// single-writer), still bit-identically.
   int shard_threads = default_shard_threads();
   /// Safety valve: abort if the collective has not completed by this cycle.
   long long max_cycles = 500'000'000;
@@ -194,8 +191,8 @@ struct SimConfig {
   /// Scheduled faults (empty = healthy network, the default).
   FaultScript faults;
   /// Background packet traffic the collective contends with (quiet
-  /// network by default). Honored exactly by both cycle engines and by
-  /// sharded runs; the flow tier approximates it by reducing per-link
+  /// network by default). Honored exactly by the cycle engine, sharded
+  /// or not; the flow tier approximates it by reducing per-link
   /// capacity. When combined with a non-empty fault script the run
   /// executes serially (background drain accounting is windowed per
   /// shard otherwise).

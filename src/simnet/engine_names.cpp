@@ -19,7 +19,6 @@ int default_shard_threads() {
 const char* to_string(SimEngine engine) {
   switch (engine) {
     case SimEngine::kFastForward: return "horizon";
-    case SimEngine::kReference: return "reference";
     case SimEngine::kFlow: return "flow";
   }
   return "?";
@@ -27,13 +26,10 @@ const char* to_string(SimEngine engine) {
 
 // pfar-lint: allow(contract-coverage) parser: rejecting an unknown name via std::invalid_argument IS the contract (CLI flags arrive here raw)
 SimEngine engine_from_string(const std::string& name) {
-  if (name == "horizon" || name == "fastforward") {
-    return SimEngine::kFastForward;
-  }
-  if (name == "reference") return SimEngine::kReference;
+  if (name == "horizon") return SimEngine::kFastForward;
   if (name == "flow") return SimEngine::kFlow;
-  throw std::invalid_argument(
-      "unknown engine '" + name + "' (expected reference|horizon|flow)");
+  throw std::invalid_argument("unknown engine '" + name +
+                              "' (expected horizon|flow)");
 }
 
 }  // namespace pfar::simnet

@@ -10,6 +10,7 @@
 #include "model/congestion_model.hpp"
 #include "obsv/recorder.hpp"
 #include "simnet/background.hpp"
+#include "simnet/sim_internal.hpp"
 
 namespace pfar::simnet {
 namespace {
@@ -70,7 +71,7 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
     throw std::invalid_argument(
         "SimEngine::kFlow cannot honor fault scripts (faults are cycle-level "
         "phenomena); offending SimConfig fields: " + offending +
-        "; clear them or use the reference or horizon engine");
+        "; clear them or use the horizon engine");
   }
   const int n = topology.num_vertices();
   const int num_trees = static_cast<int>(trees.size());
@@ -80,23 +81,15 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
   const bool want_bcast = mode != Collective::kReduce;
 
   SimResult result;
-  result.values_correct = true;
-  result.tree_finish_cycle.assign(static_cast<std::size_t>(num_trees), 0);
-  result.tree_first_delivery.assign(static_cast<std::size_t>(num_trees), -1);
-  result.tree_failed.assign(static_cast<std::size_t>(num_trees), 0);
-  result.tree_fail_cycle.assign(static_cast<std::size_t>(num_trees), -1);
-  result.tree_completed.assign(static_cast<std::size_t>(num_trees), 0);
-  result.link_flits.assign(static_cast<std::size_t>(num_dlinks), 0);
-  result.link_queue_hwm.assign(static_cast<std::size_t>(num_dlinks), 0);
-  result.link_bg_flits.assign(static_cast<std::size_t>(num_dlinks), 0);
-  result.link_dropped_flits.assign(static_cast<std::size_t>(num_dlinks), 0);
+  detail::reset_result(result, num_trees, num_dlinks);
 
   const auto dlink_of = [&](int src, int dst) {
     return 2 * topology.edge_id(src, dst) + (src > dst ? 1 : 0);
   };
 
   // Structural pass: the VC each tree would place on each directed link.
-  // Exactly build_fabric's VC population, without the per-VC buffers —
+  // Exactly build_fabric's VC population (same order), without the rest
+  // of the fabric —
   // num_vcs and the per-link / per-port maxima come out identical to the
   // cycle engines (pinned by tests/flow_engine_test.cpp).
   const int vcs_per_tree =
@@ -345,19 +338,11 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
   result.aggregate_bandwidth = static_cast<double>(result.total_elements) /
                                static_cast<double>(result.cycles);
   if (!bg_rates_ppm.empty()) {
-    // Same closed form the cycle engines telescope to (background.hpp).
-    for (int d = 0; d < num_dlinks; ++d) {
-      const long long flits =
-          background_packets_in(result.cycles,
-                                bg_rates_ppm[static_cast<std::size_t>(d)],
-                                config.background.packet_flits) *
-          config.background.packet_flits;
-      result.link_bg_flits[static_cast<std::size_t>(d)] = flits;
-      result.background_flits += flits;
-    }
-    result.background_packets =
-        result.background_flits / config.background.packet_flits;
+    // Same closed form the cycle engine telescopes to (background.hpp).
+    detail::settle_background(result, bg_rates_ppm,
+                              config.background.packet_flits, result.cycles);
   }
+
 
   // Flow-tier observability: the run-level metrics the report renders,
   // including the Zhou & Sun rate bound as the optimality yardstick.

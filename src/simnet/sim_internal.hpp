@@ -1,0 +1,290 @@
+// Internal to simnet: the pieces of a cycle-accurate run that live outside
+// the cycle loop — operand/expected values, the fault state, the
+// observability hooks and the run prologue/epilogue. The product engine
+// (allreduce_sim.cpp) and the test-only reference oracle (tests/oracle)
+// both run on them, so the two differ only in their fabric and loop.
+// Not installed API: nothing outside simnet and tests/oracle includes it.
+#pragma once
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "graph/graph.hpp"
+#include "obsv/recorder.hpp"
+#include "simnet/allreduce_sim.hpp"
+#include "simnet/config.hpp"
+
+namespace pfar::simnet::detail {
+
+// Deterministic per-operand values so every result is checkable exactly:
+// node v's operand for element k of tree t.
+constexpr std::int64_t kNodeStride = 1000003;
+constexpr std::int64_t kTreeStride = 7919;
+constexpr std::int64_t kElemStride = 31;
+
+inline std::int64_t local_value(int node, int tree, long long k) {
+  return static_cast<std::int64_t>(node + 1) * kNodeStride +
+         static_cast<std::int64_t>(tree) * kTreeStride +
+         static_cast<std::int64_t>(k) * kElemStride;
+}
+
+inline std::int64_t sum_over_nodes(int num_nodes, int tree, long long k) {
+  const std::int64_t n = num_nodes;
+  return n * (n + 1) / 2 * kNodeStride +
+         n * (static_cast<std::int64_t>(tree) * kTreeStride +
+              static_cast<std::int64_t>(k) * kElemStride);
+}
+
+// ---------------------------------------------------------------------------
+// Fault injection. One FaultState instance drives a single run; the engine
+// and the oracle consume it through the same entry points in the same
+// per-cycle order, so a given script is honored bit-identically (the
+// differential fault tests pin this). See docs/resilience.md for the model.
+// ---------------------------------------------------------------------------
+
+// SplitMix64 finalizer: the deterministic hash behind flaky-link drops.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// A FaultEvent resolved against the topology: undirected edge id + kind.
+struct PreparedFault {
+  long long cycle = 0;
+  int edge = 0;
+  bool down = true;
+};
+
+struct FaultState {
+  std::vector<PreparedFault> events;  // stable-sorted by cycle
+  std::size_t next = 0;
+  std::vector<char> edge_down;        // per undirected edge id
+  std::vector<char> dlink_flaky;      // per directed link (empty if none)
+  std::vector<long long> dlink_sent;  // flaky drop ordinal per directed link
+  std::uint64_t seed = 0;
+  int drop_permille = 0;
+  bool flaky = false;
+  bool active = false;  // any events or flaky links configured
+
+  bool edge_ok(int dlink) const {
+    return edge_down[static_cast<std::size_t>(dlink >> 1)] == 0;
+  }
+
+  /// Deterministic drop decision for a flaky directed link. Must be called
+  /// exactly once per packet granted on the link: the per-link ordinal is
+  /// part of the hash input, so two loops that grant identical packet
+  /// sequences reach identical decisions.
+  bool drop_now(int dlink) {
+    if (!flaky || !dlink_flaky[static_cast<std::size_t>(dlink)]) return false;
+    const std::uint64_t ordinal = static_cast<std::uint64_t>(
+        dlink_sent[static_cast<std::size_t>(dlink)]++);
+    const std::uint64_t h =
+        mix64(seed ^ mix64(static_cast<std::uint64_t>(dlink) *
+                               std::uint64_t{0x9e3779b97f4a7c15ULL} +
+                           ordinal));
+    return static_cast<int>(h % 1000) < drop_permille;
+  }
+};
+
+FaultState prepare_faults(const graph::Graph& topology,
+                          const FaultScript& script);
+
+// ---------------------------------------------------------------------------
+// Observability (PFAR_TRACE, see src/obsv and docs/observability.md). One
+// SimObserver drives a single run when SimConfig::recorder is attached;
+// the engine and the oracle call the same hooks at the same per-cycle
+// points, so the virtual-time trace a run emits is a pure function of the
+// (deterministic) simulation. The observer only reads simulation state —
+// attaching it can never perturb results, which the determinism goldens
+// pin under PFAR_TRACE=on. With PFAR_TRACE=off every hook call site is
+// compiled out (obs is a constant nullptr).
+//
+// Trace vocabulary: per-directed-link "busy" complete-events (maximal runs
+// of consecutive cycles with at least one grant), per-tree "reduce" /
+// "broadcast" phase spans, and instant events on the sim track for fault
+// down/up and tree cancellation. Metrics vocabulary: see the catalog in
+// docs/observability.md; drop/cancel accounting is accumulated at the hook
+// sites so the obsv tests can cross-check conservation against SimResult.
+// ---------------------------------------------------------------------------
+struct SimObserver {
+  obsv::Recorder* rec = nullptr;
+  const graph::Graph* topo = nullptr;
+  Collective mode = Collective::kAllreduce;
+  int num_trees = 0;
+  int num_dlinks = 0;
+
+  std::vector<long long> busy_start;   // open busy span start, -1 if none
+  std::vector<long long> busy_last;    // last cycle with a grant, -1 if none
+  std::vector<long long> busy_total;   // accumulated busy cycles per dlink
+  std::vector<long long> queue_hwm;    // receiver-buffer high water per dlink
+  std::vector<long long> link_dropped; // dropped flits per dlink
+  std::vector<long long> reduce_first; // first reduce packet per tree
+  std::vector<long long> reduce_done;  // root consumed its last element
+  long long credit_stalls = 0;
+  long long dropped_packets = 0;
+  long long dropped_flits = 0;
+  long long canceled_packets = 0;
+  long long canceled_flits = 0;
+  long long fault_events = 0;
+
+  std::uint32_t n_busy = 0, n_reduce = 0, n_bcast = 0;
+  std::uint32_t n_fault_down = 0, n_fault_up = 0, n_canceled = 0;
+
+  void init(obsv::Recorder* recorder, const graph::Graph& topology,
+            int trees, Collective m) {
+    rec = recorder;
+    topo = &topology;
+    mode = m;
+    num_trees = trees;
+    num_dlinks = 2 * topology.num_edges();
+    busy_start.assign(static_cast<std::size_t>(num_dlinks), -1);
+    busy_last.assign(static_cast<std::size_t>(num_dlinks), -1);
+    busy_total.assign(static_cast<std::size_t>(num_dlinks), 0);
+    queue_hwm.assign(static_cast<std::size_t>(num_dlinks), 0);
+    link_dropped.assign(static_cast<std::size_t>(num_dlinks), 0);
+    reduce_first.assign(static_cast<std::size_t>(num_trees), -1);
+    reduce_done.assign(static_cast<std::size_t>(num_trees), -1);
+    n_busy = rec->trace.intern("busy");
+    n_reduce = rec->trace.intern("reduce");
+    n_bcast = rec->trace.intern("broadcast");
+    n_fault_down = rec->trace.intern("link_down");
+    n_fault_up = rec->trace.intern("link_up");
+    n_canceled = rec->trace.intern("tree_canceled");
+  }
+
+  // "u->v" of a directed link (dlink 2e runs low->high endpoint).
+  std::string dlink_name(int dlink) const {
+    const graph::Edge e = topo->edges()[static_cast<std::size_t>(dlink / 2)];
+    const int src = (dlink & 1) != 0 ? e.v : e.u;
+    const int dst = (dlink & 1) != 0 ? e.u : e.v;
+    return std::to_string(src) + "->" + std::to_string(dst);
+  }
+
+  void close_busy_span(int dlink) {
+    const std::size_t d = static_cast<std::size_t>(dlink);
+    if (busy_start[d] < 0) return;
+    busy_total[d] += busy_last[d] - busy_start[d] + 1;
+    rec->trace.complete(busy_start[d], busy_last[d] - busy_start[d] + 1,
+                        n_busy,
+                        obsv::kTrackLinkBase + static_cast<std::uint32_t>(dlink));
+    busy_start[d] = -1;
+  }
+
+  void on_grant(int dlink, long long now) {
+    const std::size_t d = static_cast<std::size_t>(dlink);
+    if (busy_last[d] == now) return;  // several grants in one cycle
+    if (busy_start[d] >= 0 && now != busy_last[d] + 1) close_busy_span(dlink);
+    if (busy_start[d] < 0) busy_start[d] = now;
+    busy_last[d] = now;
+  }
+
+  void on_queue_depth(int dlink, int depth) {
+    const std::size_t d = static_cast<std::size_t>(dlink);
+    if (depth > queue_hwm[d]) queue_hwm[d] = depth;
+  }
+
+  // The `ready` argument lets call sites evaluate readiness lazily inside
+  // the hook expansion (only when an observer is attached).
+  void on_credit_stall_if(bool ready) {
+    if (ready) ++credit_stalls;
+  }
+
+  void on_reduce_packet(int tree, bool root_done, long long now) {
+    const std::size_t t = static_cast<std::size_t>(tree);
+    if (reduce_first[t] < 0) reduce_first[t] = now;
+    if (root_done) reduce_done[t] = now;
+  }
+
+  void on_fault(long long now, int edge, bool down) {
+    ++fault_events;
+    const graph::Edge e = topo->edges()[static_cast<std::size_t>(edge)];
+    rec->trace.instant(now, down ? n_fault_down : n_fault_up,
+                       obsv::kTrackSim, {"u", e.u}, {"v", e.v});
+  }
+
+  void on_drop(int dlink, long long flits) {
+    ++dropped_packets;
+    dropped_flits += flits;
+    link_dropped[static_cast<std::size_t>(dlink)] += flits;
+  }
+
+  void on_cancel(int tree, long long now, long long completed) {
+    rec->trace.instant(now, n_canceled, obsv::kTrackSim, {"tree", tree},
+                       {"completed", completed});
+  }
+
+  void on_retract(long long flits) {
+    ++canceled_packets;
+    canceled_flits += flits;
+  }
+
+  // Emits the deferred spans, track names and the metrics snapshot. Called
+  // once per run; when one Recorder spans several runs (the resilient
+  // driver's attempts), counters accumulate and gauges keep their maxima.
+  void finalize(long long cycles, const SimResult& result);
+};
+
+// Hook call site: one null test when PFAR_TRACE=on, nothing at all when
+// off (the expansion still names `obs` so the parameter stays used).
+#if PFAR_TRACE_LEVEL
+#define PFAR_OBS(call)             \
+  do {                             \
+    if (obs != nullptr) obs->call; \
+  } while (0)
+#else
+#define PFAR_OBS(call) static_cast<void>(obs)
+#endif
+
+/// AllreduceSimulator's constructor-time contract: config ranges, the
+/// fault script and the tree embeddings. Throws std::invalid_argument.
+void validate_simulation(const graph::Graph& topology,
+                         const std::vector<TreeEmbedding>& trees,
+                         const SimConfig& config);
+
+/// A fresh result for `num_trees` trees on `num_dlinks` directed links:
+/// every per-tree and per-link vector sized and zeroed (first-delivery and
+/// fail cycles -1), values_correct true until a delivery disproves it.
+void reset_result(SimResult& result, int num_trees, int num_dlinks);
+
+/// Totals a run's background accounting: background_flits/_packets from
+/// link_bg_flits. With closed_form_cycles >= 0 every link's count is first
+/// overwritten by the closed form over [0, closed_form_cycles), exact when
+/// every link served the whole run (background.hpp); -1 keeps the counts
+/// the loop kept per up-cycle.
+void settle_background(SimResult& result,
+                       const std::vector<long long>& rates_ppm,
+                       int packet_flits, long long closed_form_cycles);
+
+/// One cycle-accurate run's bookkeeping outside the loop. The constructor
+/// is the prologue: it checks the split, sizes the result and counts the
+/// deliveries each tree owes (total_target == 0 means there is nothing to
+/// simulate and `result` is final); only then does it resolve the fault
+/// script, the background drain rates and the observer. finish() is the
+/// epilogue. The caller builds its fabric into `result` and runs its loop
+/// in between.
+struct RunContext {
+  RunContext(const graph::Graph& topology, const SimConfig& config,
+             const std::vector<long long>& elements_per_tree);
+  RunContext(const RunContext&) = delete;
+  RunContext& operator=(const RunContext&) = delete;
+
+  /// Stamps cycles and bandwidth, completes healthy trees, lists the links
+  /// still down, settles background accounting and finalizes the observer.
+  SimResult finish(long long cycles);
+
+  const graph::Graph& topology;
+  const SimConfig& config;
+  const std::vector<long long>& elements_per_tree;
+  SimResult result;
+  std::vector<long long> tree_remaining;
+  long long total_target = 0;
+  FaultState fault;
+  std::vector<long long> bg_rates;  // empty: quiet network
+  SimObserver observer;
+  SimObserver* obs = nullptr;  // &observer iff a Recorder is attached
+};
+
+}  // namespace pfar::simnet::detail

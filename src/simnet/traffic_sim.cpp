@@ -5,7 +5,9 @@
 #include <numeric>
 #include <queue>
 #include <stdexcept>
+#include <utility>
 
+#include "obsv/metrics.hpp"
 #include "util/contracts.hpp"
 
 namespace pfar::simnet {
@@ -311,8 +313,7 @@ TrafficResult TrafficSimulator::run(const TrafficConfig& config) const {
     result.avg_latency = sum / static_cast<double>(result.delivered);
     result.avg_hops =
         static_cast<double>(total_hops) / static_cast<double>(result.delivered);
-    std::sort(latencies.begin(), latencies.end());
-    result.p99_latency = latencies[latencies.size() * 99 / 100];
+    result.p99_latency = obsv::nearest_rank(std::move(latencies), 99);
     const long long span = now - (measured_start < 0 ? now : measured_start);
     if (span > 0) {
       result.throughput = static_cast<double>(result.delivered) /

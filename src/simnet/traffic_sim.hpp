@@ -54,7 +54,7 @@ struct TrafficResult {
   double throughput = 0.0;
   /// Average end-to-end packet latency (generation to ejection), cycles.
   double avg_latency = 0.0;
-  /// 99th-percentile latency.
+  /// Nearest-rank 99th-percentile latency (obsv::nearest_rank).
   long long p99_latency = 0;
   /// Average hop count of delivered packets.
   double avg_hops = 0.0;

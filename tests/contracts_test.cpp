@@ -14,6 +14,7 @@
 #include "collectives/resilient.hpp"
 #include "core/planner.hpp"
 #include "core/serialize.hpp"
+#include "oracle/reference_allreduce.hpp"
 #include "simnet/allreduce_sim.hpp"
 #include "simnet/config.hpp"
 
@@ -197,14 +198,17 @@ TEST(Contracts, LinkDeathPreservesCreditConservation) {
   cfg.faults.flaky_seed = 99;
   cfg.faults.flaky_drop_permille = 25;
 
-  for (const auto engine : {pfar::simnet::SimEngine::kReference,
-                            pfar::simnet::SimEngine::kFastForward}) {
-    cfg.engine = engine;
-    pfar::simnet::AllreduceSimulator sim(
-        plan.topology(), pfar::collectives::to_embeddings(plan.trees()), cfg);
+  const auto embeddings = pfar::collectives::to_embeddings(plan.trees());
+  for (const bool use_oracle : {true, false}) {
     pfar::simnet::SimResult res;
-    EXPECT_NO_THROW(res = sim.run(plan.split(2000)))
-        << "engine " << static_cast<int>(engine);
+    EXPECT_NO_THROW(
+        res = use_oracle
+                  ? pfar::oracle::run_reference_allreduce(
+                        plan.topology(), embeddings, cfg, plan.split(2000))
+                  : pfar::simnet::AllreduceSimulator(plan.topology(),
+                                                     embeddings, cfg)
+                        .run(plan.split(2000)))
+        << (use_oracle ? "oracle" : "simulator");
 
     // The modeled in-flight losses are accounted, not vanished: every
     // dropped flit is attributed to a specific directed link.

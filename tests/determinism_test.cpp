@@ -4,22 +4,24 @@
 //  * core::SweepRunner produces identical result vectors no matter how
 //    many worker threads execute the sweep (per-task seeding, order-stable
 //    collection);
-//  * the fast-forward simulator engine reproduces the reference engine's
-//    SimResult exactly — cycles, per-link flit counts, tree finish/first-
-//    delivery cycles, occupancy maxima, correctness — across all three
-//    collective modes and the stressful corners of the config space;
-//  * both engines still match golden values captured from the original
+//  * the simulator's fast-forward engine reproduces the test-only reference
+//    loop (tests/oracle) exactly — every SimResult field — across all
+//    three collective modes and the stressful corners of the config space;
+//  * both still match golden values captured from the original
 //    cycle-by-cycle implementation, pinning the whole lineage.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "collectives/innetwork.hpp"
 #include "core/planner.hpp"
 #include "core/sweep_runner.hpp"
+#include "oracle/expect_same_result.hpp"
+#include "oracle/reference_allreduce.hpp"
 #include "simnet/allreduce_sim.hpp"
 #include "util/rng.hpp"
 
@@ -71,57 +73,30 @@ TEST(SweepRunner, PropagatesFirstTaskException) {
       std::runtime_error);
 }
 
-// --- Fast-forward engine vs reference engine ------------------------------
+// --- Fast-forward engine vs the reference oracle --------------------------
 
-simnet::SimResult run_engine(int q, core::Solution sol,
-                             simnet::SimConfig cfg, long long m,
-                             simnet::SimEngine engine) {
-  cfg.engine = engine;
+// Which implementation runs a scenario: the product simulator or the
+// test-only reference loop.
+enum class Loop { kProduct, kOracle };
+
+simnet::SimResult run_loop(int q, core::Solution sol,
+                           const simnet::SimConfig& cfg, long long m,
+                           Loop loop = Loop::kProduct) {
   const auto plan = core::AllreducePlanner(q).solution(sol).build();
   auto embeddings = collectives::to_embeddings(plan.trees());
+  if (loop == Loop::kOracle) {
+    return oracle::run_reference_allreduce(plan.topology(), embeddings, cfg,
+                                           plan.split(m));
+  }
   simnet::AllreduceSimulator sim(plan.topology(), embeddings, cfg);
   return sim.run(plan.split(m));
 }
 
 void expect_identical(int q, core::Solution sol, const simnet::SimConfig& cfg,
                       long long m) {
-  const auto fast =
-      run_engine(q, sol, cfg, m, simnet::SimEngine::kFastForward);
-  const auto ref = run_engine(q, sol, cfg, m, simnet::SimEngine::kReference);
-  EXPECT_EQ(fast.cycles, ref.cycles);
-  EXPECT_EQ(fast.total_elements, ref.total_elements);
-  EXPECT_EQ(fast.values_correct, ref.values_correct);
-  EXPECT_EQ(fast.num_vcs, ref.num_vcs);
-  EXPECT_EQ(fast.max_vcs_per_link, ref.max_vcs_per_link);
-  EXPECT_EQ(fast.max_reductions_per_input_port,
-            ref.max_reductions_per_input_port);
-  EXPECT_EQ(fast.max_vc_occupancy, ref.max_vc_occupancy);
-  EXPECT_EQ(fast.link_flits, ref.link_flits);
-  EXPECT_EQ(fast.link_queue_hwm, ref.link_queue_hwm);
-  EXPECT_EQ(fast.link_bg_flits, ref.link_bg_flits);
-  EXPECT_EQ(fast.background_packets, ref.background_packets);
-  EXPECT_EQ(fast.background_flits, ref.background_flits);
-  EXPECT_EQ(fast.tree_finish_cycle, ref.tree_finish_cycle);
-  EXPECT_EQ(fast.tree_first_delivery, ref.tree_first_delivery);
-  EXPECT_DOUBLE_EQ(fast.aggregate_bandwidth, ref.aggregate_bandwidth);
-}
-
-// Full bit-identity between two runs (same engine or different): every
-// field that run() fills, including the background-traffic accounting.
-void expect_same_result(const simnet::SimResult& a,
-                        const simnet::SimResult& b) {
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.total_elements, b.total_elements);
-  EXPECT_EQ(a.values_correct, b.values_correct);
-  EXPECT_EQ(a.max_vc_occupancy, b.max_vc_occupancy);
-  EXPECT_EQ(a.link_flits, b.link_flits);
-  EXPECT_EQ(a.link_queue_hwm, b.link_queue_hwm);
-  EXPECT_EQ(a.link_bg_flits, b.link_bg_flits);
-  EXPECT_EQ(a.background_packets, b.background_packets);
-  EXPECT_EQ(a.background_flits, b.background_flits);
-  EXPECT_EQ(a.tree_finish_cycle, b.tree_finish_cycle);
-  EXPECT_EQ(a.tree_first_delivery, b.tree_first_delivery);
-  EXPECT_DOUBLE_EQ(a.aggregate_bandwidth, b.aggregate_bandwidth);
+  oracle::expect_same_result(
+      run_loop(q, sol, cfg, m), run_loop(q, sol, cfg, m, Loop::kOracle),
+      "q=" + std::to_string(q) + " " + core::to_string(sol));
 }
 
 TEST(FastForwardEngine, MatchesReferenceAcrossCollectiveModes) {
@@ -167,11 +142,10 @@ TEST(FastForwardEngine, MatchesReferenceInStressCorners) {
 
 // A BackgroundTraffic block with load == 0 must be a true no-op: the run is
 // bit-identical to one whose config never mentioned background traffic at
-// all, on both cycle engines and at every shard count. This is the
+// all, on the product and the oracle, at every shard count. This is the
 // differential that lets the quiet goldens above keep pinning the lineage.
 TEST(BackgroundTraffic, ZeroLoadIsBitIdenticalToQuiet) {
-  for (const auto engine :
-       {simnet::SimEngine::kFastForward, simnet::SimEngine::kReference}) {
+  for (const Loop loop : {Loop::kProduct, Loop::kOracle}) {
     for (const int shards : {1, 2, 4}) {
       simnet::SimConfig quiet;
       quiet.shard_threads = shards;
@@ -179,11 +153,10 @@ TEST(BackgroundTraffic, ZeroLoadIsBitIdenticalToQuiet) {
       zero.background.pattern = simnet::TrafficPattern::kPermutation;
       zero.background.load = 0.0;  // configured but inactive
       zero.background.seed = 99;
-      const auto a =
-          run_engine(5, core::Solution::kLowDepth, quiet, 800, engine);
-      const auto b =
-          run_engine(5, core::Solution::kLowDepth, zero, 800, engine);
-      expect_same_result(a, b);
+      const auto a = run_loop(5, core::Solution::kLowDepth, quiet, 800, loop);
+      const auto b = run_loop(5, core::Solution::kLowDepth, zero, 800, loop);
+      oracle::expect_same_result(a, b,
+                                 "shards=" + std::to_string(shards));
       EXPECT_EQ(b.background_flits, 0);
       EXPECT_EQ(b.background_packets, 0);
       for (long long f : b.link_bg_flits) EXPECT_EQ(f, 0);
@@ -192,7 +165,7 @@ TEST(BackgroundTraffic, ZeroLoadIsBitIdenticalToQuiet) {
 }
 
 // Under live background traffic the fast-forward engine must still replay
-// the reference engine exactly — the background drains are integer-rational
+// the reference oracle exactly — the background drains are integer-rational
 // (ppm accumulators) and the idle-jump wake points account for them.
 TEST(BackgroundTraffic, FastMatchesReferenceAcrossPatternsAndLoads) {
   for (const auto pattern :
@@ -241,15 +214,14 @@ TEST(BackgroundTraffic, ShardedMatchesSerial) {
   serial.background.pattern = simnet::TrafficPattern::kPermutation;
   serial.background.load = 0.3;
   serial.background.seed = 7;
-  const auto base = run_engine(7, core::Solution::kLowDepth, serial, 2000,
-                               simnet::SimEngine::kFastForward);
+  const auto base = run_loop(7, core::Solution::kLowDepth, serial, 2000);
   EXPECT_GT(base.background_flits, 0);
   for (const int shards : {2, 3, 8}) {
     simnet::SimConfig cfg = serial;
     cfg.shard_threads = shards;
-    const auto sharded = run_engine(7, core::Solution::kLowDepth, cfg, 2000,
-                                    simnet::SimEngine::kFastForward);
-    expect_same_result(base, sharded);
+    oracle::expect_same_result(
+        base, run_loop(7, core::Solution::kLowDepth, cfg, 2000),
+        "shards=" + std::to_string(shards));
   }
 }
 
@@ -308,9 +280,8 @@ TEST(FastForwardEngine, MatchesGoldenValuesFromSeedImplementation) {
     cfg.collective = g.mode;
     cfg.packet_payload = g.payload;
     cfg.packet_header_flits = g.header;
-    for (const auto engine :
-         {simnet::SimEngine::kFastForward, simnet::SimEngine::kReference}) {
-      const auto r = run_engine(g.q, g.sol, cfg, g.m, engine);
+    for (const Loop loop : {Loop::kProduct, Loop::kOracle}) {
+      const auto r = run_loop(g.q, g.sol, cfg, g.m, loop);
       EXPECT_EQ(r.cycles, g.cycles) << g.name;
       EXPECT_TRUE(r.values_correct) << g.name;
       EXPECT_EQ(r.max_vc_occupancy, g.occupancy) << g.name;

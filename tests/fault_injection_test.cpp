@@ -1,10 +1,10 @@
 // Differential fault-injection harness (the pin for docs/resilience.md):
 //
 //  * every fault script in the matrix — permanent link down, transient
-//    down/up, seeded flaky link, double failure — must be honored
-//    bit-identically by the fast-forward and reference engines across
-//    q in {5, 7, 11}: cycles, per-link flit counts, occupancy maxima,
-//    drop/cancel accounting, failure detection cycles;
+//    down/up, seeded flaky link, double failure, each also under
+//    background traffic — must be honored bit-identically by the simulator
+//    and the test-only reference oracle (tests/oracle) across q in
+//    {5, 7, 11}: every SimResult field;
 //  * collectives::run_resilient_allreduce must recover a mid-collective
 //    single-link failure (values_correct == true end to end) and its
 //    RecoveryStats are pinned against golden values per q;
@@ -21,6 +21,8 @@
 #include "collectives/resilient.hpp"
 #include "core/planner.hpp"
 #include "graph/graph.hpp"
+#include "oracle/expect_same_result.hpp"
+#include "oracle/reference_allreduce.hpp"
 #include "simnet/allreduce_sim.hpp"
 #include "simnet/config.hpp"
 
@@ -41,44 +43,24 @@ graph::Edge used_link(const core::AllreducePlan& plan, int tree_index = 0) {
   throw std::logic_error("tree has no edges");
 }
 
-simnet::SimResult run_engine(const core::AllreducePlan& plan,
-                             simnet::SimConfig cfg, long long m,
-                             simnet::SimEngine engine) {
-  cfg.engine = engine;
+simnet::SimResult run_sim(const core::AllreducePlan& plan,
+                          const simnet::SimConfig& cfg, long long m) {
   simnet::AllreduceSimulator sim(
       plan.topology(), collectives::to_embeddings(plan.trees()), cfg);
   return sim.run(plan.split(m));
 }
 
 // Every SimResult field, including the fault-observability ones, must be
-// bit-identical between the engines.
+// bit-identical between the simulator and the oracle.
 void expect_identical(const core::AllreducePlan& plan,
                       const simnet::SimConfig& cfg, long long m,
                       const char* label) {
-  const auto fast =
-      run_engine(plan, cfg, m, simnet::SimEngine::kFastForward);
-  const auto ref = run_engine(plan, cfg, m, simnet::SimEngine::kReference);
-  EXPECT_EQ(fast.cycles, ref.cycles) << label;
-  EXPECT_EQ(fast.total_elements, ref.total_elements) << label;
-  EXPECT_EQ(fast.values_correct, ref.values_correct) << label;
-  EXPECT_EQ(fast.max_vc_occupancy, ref.max_vc_occupancy) << label;
-  EXPECT_EQ(fast.link_flits, ref.link_flits) << label;
-  EXPECT_EQ(fast.tree_finish_cycle, ref.tree_finish_cycle) << label;
-  EXPECT_EQ(fast.tree_first_delivery, ref.tree_first_delivery) << label;
-  EXPECT_EQ(fast.tree_failed, ref.tree_failed) << label;
-  EXPECT_EQ(fast.tree_fail_cycle, ref.tree_fail_cycle) << label;
-  EXPECT_EQ(fast.tree_completed, ref.tree_completed) << label;
-  EXPECT_EQ(fast.dropped_packets, ref.dropped_packets) << label;
-  EXPECT_EQ(fast.dropped_flits, ref.dropped_flits) << label;
-  EXPECT_EQ(fast.link_dropped_flits, ref.link_dropped_flits) << label;
-  EXPECT_EQ(fast.canceled_packets, ref.canceled_packets) << label;
-  EXPECT_EQ(fast.canceled_flits, ref.canceled_flits) << label;
-  ASSERT_EQ(fast.links_down.size(), ref.links_down.size()) << label;
-  for (std::size_t i = 0; i < fast.links_down.size(); ++i) {
-    EXPECT_EQ(fast.links_down[i], ref.links_down[i]) << label;
-  }
-  EXPECT_DOUBLE_EQ(fast.aggregate_bandwidth, ref.aggregate_bandwidth)
-      << label;
+  oracle::expect_same_result(
+      run_sim(plan, cfg, m),
+      oracle::run_reference_allreduce(plan.topology(),
+                                      collectives::to_embeddings(plan.trees()),
+                                      cfg, plan.split(m)),
+      label);
 }
 
 class FaultDifferential : public ::testing::TestWithParam<int> {};
@@ -133,6 +115,39 @@ TEST_P(FaultDifferential, EnginesBitIdenticalAcrossScriptMatrix) {
   }
 }
 
+// Faults under background traffic: the loop's per-up-cycle background
+// accounting (a down link freezes its drain accumulator) and the idle
+// jump's background wake points must compose with link events and flaky
+// drops exactly as the oracle's per-cycle loop does.
+TEST_P(FaultDifferential, EnginesBitIdenticalUnderBackgroundTraffic) {
+  const int q = GetParam();
+  const auto plan = core::AllreducePlanner(q).build();
+  const graph::Edge a = used_link(plan, 0);
+  const long long m = 1000;
+
+  simnet::SimConfig base;
+  base.progress_timeout = 400;  // outlives the outage below
+  base.background.seed = 5;
+  {
+    simnet::SimConfig cfg = base;  // outage under permutation load
+    cfg.background.pattern = simnet::TrafficPattern::kPermutation;
+    cfg.background.load = 0.3;
+    cfg.faults.events.push_back(
+        {200, a.u, a.v, simnet::FaultType::kLinkDown});
+    cfg.faults.events.push_back({500, a.u, a.v, simnet::FaultType::kLinkUp});
+    expect_identical(plan, cfg, m, "permutation_down_up");
+  }
+  {
+    simnet::SimConfig cfg = base;  // flaky link under uniform load
+    cfg.background.pattern = simnet::TrafficPattern::kUniform;
+    cfg.background.load = 0.1;
+    cfg.faults.flaky_links.emplace_back(a.u, a.v);
+    cfg.faults.flaky_seed = 11;
+    cfg.faults.flaky_drop_permille = 30;
+    expect_identical(plan, cfg, m, "uniform_flaky");
+  }
+}
+
 TEST_P(FaultDifferential, FaultedRunAccountingIsConsistent) {
   const int q = GetParam();
   const auto plan = core::AllreducePlanner(q).build();
@@ -141,8 +156,7 @@ TEST_P(FaultDifferential, FaultedRunAccountingIsConsistent) {
   simnet::SimConfig cfg;
   cfg.progress_timeout = 1500;
   cfg.faults.events.push_back({200, a.u, a.v, simnet::FaultType::kLinkDown});
-  const auto res =
-      run_engine(plan, cfg, 2000, simnet::SimEngine::kFastForward);
+  const auto res = run_sim(plan, cfg, 2000);
 
   // The downed link is still down at run end; no values were corrupted
   // (losses freeze streams, they never misalign them).
@@ -267,7 +281,7 @@ TEST(ResilientAllreduce, HealthyRunIsZeroOverhead) {
   EXPECT_EQ(stats.chunks_replayed, 0);
   EXPECT_TRUE(stats.failed_links.empty());
   // Identical to the plain simulation: the fault layer is inert.
-  const auto res = run_engine(plan, cfg, 1000, simnet::SimEngine::kFastForward);
+  const auto res = run_sim(plan, cfg, 1000);
   EXPECT_EQ(stats.total_cycles, res.cycles);
 }
 

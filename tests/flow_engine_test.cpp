@@ -210,21 +210,23 @@ TEST(FlowEngine, RejectionNamesOffendingFaultFields) {
   EXPECT_NE(both_msg.find("faults.events"), std::string::npos) << both_msg;
   EXPECT_NE(both_msg.find("faults.flaky_links"), std::string::npos)
       << both_msg;
-  EXPECT_NE(both_msg.find("reference or horizon engine"), std::string::npos)
+  EXPECT_NE(both_msg.find("use the horizon engine"), std::string::npos)
       << both_msg;
 }
 
-// Engine names round-trip through the CLI parser; unknown names fail loud.
+// Engine names round-trip through the CLI parser; every other name,
+// "reference" and "fastforward" included, fails loud.
 TEST(FlowEngine, EngineNameParsing) {
   EXPECT_EQ(simnet::engine_from_string("flow"), simnet::SimEngine::kFlow);
   EXPECT_EQ(simnet::engine_from_string("horizon"),
             simnet::SimEngine::kFastForward);
-  EXPECT_EQ(simnet::engine_from_string("fastforward"),
-            simnet::SimEngine::kFastForward);
-  EXPECT_EQ(simnet::engine_from_string("reference"),
-            simnet::SimEngine::kReference);
+  EXPECT_THROW(simnet::engine_from_string("fastforward"),
+               std::invalid_argument);
+  EXPECT_THROW(simnet::engine_from_string("reference"),
+               std::invalid_argument);
   EXPECT_THROW(simnet::engine_from_string("warp"), std::invalid_argument);
   EXPECT_STREQ(simnet::to_string(simnet::SimEngine::kFlow), "flow");
+  EXPECT_STREQ(simnet::to_string(simnet::SimEngine::kFastForward), "horizon");
 }
 
 }  // namespace

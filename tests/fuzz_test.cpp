@@ -17,6 +17,7 @@
 #include "graph/graph.hpp"
 #include "graph/matching.hpp"
 #include "model/congestion_model.hpp"
+#include "oracle/reference_allreduce.hpp"
 #include "simnet/allreduce_sim.hpp"
 #include "util/contracts.hpp"
 #include "util/numeric.hpp"
@@ -276,14 +277,13 @@ TEST(FuzzFaults, UndetectedLossDeadlocksInsteadOfHanging) {
   cfg.faults.events.push_back(
       {200, v, tree0.parents()[static_cast<std::size_t>(v)],
        simnet::FaultType::kLinkDown});
-  for (const auto engine :
-       {simnet::SimEngine::kFastForward, simnet::SimEngine::kReference}) {
-    cfg.engine = engine;
-    simnet::AllreduceSimulator sim(
-        plan.topology(), collectives::to_embeddings(plan.trees()), cfg);
-    EXPECT_THROW(static_cast<void>(sim.run(plan.split(1000))),
-                 std::runtime_error);
-  }
+  const auto embeddings = collectives::to_embeddings(plan.trees());
+  simnet::AllreduceSimulator sim(plan.topology(), embeddings, cfg);
+  EXPECT_THROW(static_cast<void>(sim.run(plan.split(1000))),
+               std::runtime_error);
+  EXPECT_THROW(static_cast<void>(oracle::run_reference_allreduce(
+                   plan.topology(), embeddings, cfg, plan.split(1000))),
+               std::runtime_error);
 }
 
 TEST(FuzzApportion, AlwaysSumsAndRespectsMonotonicity) {

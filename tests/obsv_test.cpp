@@ -13,9 +13,13 @@
 #include <string>
 #include <vector>
 
+#include "collectives/innetwork.hpp"
 #include "core/planner.hpp"
+#include "obsv/metrics.hpp"
 #include "obsv/recorder.hpp"
 #include "obsv/report.hpp"
+#include "oracle/reference_allreduce.hpp"
+#include "simnet/allreduce_sim.hpp"
 #include "simnet/config.hpp"
 
 namespace {
@@ -108,6 +112,22 @@ TEST(Tracer, SerializationIsDeterministic) {
 }
 
 // --- Metrics --------------------------------------------------------------
+
+// obsv::nearest_rank is the one quantile the service stats and the
+// traffic simulator report: the ceil(p/100 * n)-th smallest sample.
+TEST(Metrics, NearestRankPicksTheCeilRankSample) {
+  for (const int pct : {0, 50, 99, 100}) {
+    EXPECT_EQ(obsv::nearest_rank({42}, pct), 42) << pct;
+  }
+  // n = 100, given unsorted: p99 is the 99th smallest, not the maximum.
+  std::vector<long long> hundred(100);
+  std::iota(hundred.rbegin(), hundred.rend(), 1);
+  EXPECT_EQ(obsv::nearest_rank(hundred, 99), 99);
+  EXPECT_EQ(obsv::nearest_rank(hundred, 100), 100);
+  // Even n: p50 is the lower middle sample itself, never an average.
+  EXPECT_EQ(obsv::nearest_rank({40, 10, 30, 20}, 50), 20);
+  EXPECT_EQ(obsv::nearest_rank({40, 10, 30, 20}, 51), 30);
+}
 
 TEST(Metrics, CountersGaugesAndHistograms) {
   obsv::Metrics m;
@@ -277,21 +297,27 @@ TEST_F(ObsvIntegration, MetricsAgreeWithSimResultAccounting) {
 }
 
 TEST_F(ObsvIntegration, EnginesAgreeOnTraceSpansAndFlitMetrics) {
-  // The two engines are bit-identical in results; their traces must agree
-  // on everything cycle-derived (busy spans, tree spans). Credit-stall
-  // counts are engine-relative by design (docs/observability.md), so only
-  // the trace and the flit/queue metrics are compared.
-  const auto run = [](simnet::SimEngine engine) {
+  // The simulator and the reference oracle (tests/oracle) are
+  // bit-identical in results; their traces must agree on everything
+  // cycle-derived (busy spans, tree spans). Credit-stall counts are
+  // loop-relative by design (docs/observability.md), so only the trace is
+  // compared.
+  const auto plan = core::AllreducePlanner(5).build();
+  const auto embeddings = collectives::to_embeddings(plan.trees());
+  const auto run = [&](bool use_oracle) {
     obsv::Recorder rec;
-    const auto plan = core::AllreducePlanner(5).build();
     simnet::SimConfig config;
-    config.engine = engine;
     config.recorder = &rec;
-    plan.simulate(256, config);
+    if (use_oracle) {
+      oracle::run_reference_allreduce(plan.topology(), embeddings, config,
+                                      plan.split(256));
+    } else {
+      simnet::AllreduceSimulator(plan.topology(), embeddings, config)
+          .run(plan.split(256));
+    }
     return trace_json_of(rec.trace);
   };
-  EXPECT_EQ(run(simnet::SimEngine::kFastForward),
-            run(simnet::SimEngine::kReference));
+  EXPECT_EQ(run(false), run(true));
 }
 
 TEST_F(ObsvIntegration, PlannerObserverRecordsPhaseTimers) {

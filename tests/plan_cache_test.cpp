@@ -63,7 +63,11 @@ std::string with_line_replaced(const std::string& text,
 class PlanCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "pfar_plan_cache_test";
+    // One directory per test: ctest runs the tests of this fixture as
+    // concurrent processes, which must not share (and wipe) one cache.
+    dir_ = fs::path(::testing::TempDir()) /
+           (std::string("pfar_plan_cache_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

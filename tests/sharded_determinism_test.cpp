@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "collectives/innetwork.hpp"
 #include "core/planner.hpp"
+#include "oracle/expect_same_result.hpp"
+#include "oracle/reference_allreduce.hpp"
 #include "simnet/allreduce_sim.hpp"
 #include "simnet/config.hpp"
 
@@ -21,7 +24,6 @@ using namespace pfar;
 
 simnet::SimResult run_sharded(int q, core::Solution sol, simnet::SimConfig cfg,
                               long long m, int shard_threads) {
-  cfg.engine = simnet::SimEngine::kFastForward;
   cfg.shard_threads = shard_threads;
   const auto plan = core::AllreducePlanner(q).solution(sol).build();
   auto embeddings = collectives::to_embeddings(plan.trees());
@@ -29,39 +31,12 @@ simnet::SimResult run_sharded(int q, core::Solution sol, simnet::SimConfig cfg,
   return sim.run(plan.split(m));
 }
 
-void expect_result_eq(const simnet::SimResult& a, const simnet::SimResult& b,
-                      int threads) {
-  EXPECT_EQ(a.cycles, b.cycles) << "threads=" << threads;
-  EXPECT_EQ(a.total_elements, b.total_elements) << "threads=" << threads;
-  EXPECT_EQ(a.values_correct, b.values_correct) << "threads=" << threads;
-  EXPECT_EQ(a.max_vc_occupancy, b.max_vc_occupancy) << "threads=" << threads;
-  EXPECT_EQ(a.num_vcs, b.num_vcs) << "threads=" << threads;
-  EXPECT_EQ(a.max_vcs_per_link, b.max_vcs_per_link) << "threads=" << threads;
-  EXPECT_EQ(a.max_reductions_per_input_port, b.max_reductions_per_input_port)
-      << "threads=" << threads;
-  EXPECT_EQ(a.link_flits, b.link_flits) << "threads=" << threads;
-  EXPECT_EQ(a.tree_finish_cycle, b.tree_finish_cycle) << "threads=" << threads;
-  EXPECT_EQ(a.tree_first_delivery, b.tree_first_delivery)
-      << "threads=" << threads;
-  EXPECT_EQ(a.tree_completed, b.tree_completed) << "threads=" << threads;
-  EXPECT_EQ(a.tree_failed, b.tree_failed) << "threads=" << threads;
-  EXPECT_EQ(a.tree_fail_cycle, b.tree_fail_cycle) << "threads=" << threads;
-  EXPECT_EQ(a.dropped_packets, b.dropped_packets) << "threads=" << threads;
-  EXPECT_EQ(a.dropped_flits, b.dropped_flits) << "threads=" << threads;
-  EXPECT_EQ(a.canceled_packets, b.canceled_packets) << "threads=" << threads;
-  EXPECT_EQ(a.canceled_flits, b.canceled_flits) << "threads=" << threads;
-  EXPECT_EQ(a.link_dropped_flits, b.link_dropped_flits)
-      << "threads=" << threads;
-  EXPECT_EQ(a.links_down, b.links_down) << "threads=" << threads;
-  EXPECT_DOUBLE_EQ(a.aggregate_bandwidth, b.aggregate_bandwidth)
-      << "threads=" << threads;
-}
-
 void expect_thread_invariant(int q, core::Solution sol,
                              const simnet::SimConfig& cfg, long long m) {
   const auto serial = run_sharded(q, sol, cfg, m, 1);
   for (int threads : {2, 4, 8}) {
-    expect_result_eq(run_sharded(q, sol, cfg, m, threads), serial, threads);
+    oracle::expect_same_result(run_sharded(q, sol, cfg, m, threads), serial,
+                               "threads=" + std::to_string(threads));
   }
 }
 
@@ -86,26 +61,24 @@ TEST(ShardedDeterminism, LowDepthHealthyBitIdentical) {
 }
 
 // Sharding must also reproduce the *unsharded* result, not just be
-// self-consistent, and match the reference engine's cycle count.
+// self-consistent, and match the reference oracle.
 TEST(ShardedDeterminism, MatchesUnshardedAndReference) {
   simnet::SimConfig cfg;
   const auto sharded = run_sharded(7, core::Solution::kEdgeDisjoint, cfg,
                                    2000, 4);
   const auto serial = run_sharded(7, core::Solution::kEdgeDisjoint, cfg,
                                   2000, 1);
-  expect_result_eq(sharded, serial, 4);
+  oracle::expect_same_result(sharded, serial, "threads=4");
 
-  simnet::SimConfig ref_cfg;
-  ref_cfg.engine = simnet::SimEngine::kReference;
   const auto plan = core::AllreducePlanner(7)
                         .solution(core::Solution::kEdgeDisjoint)
                         .build();
-  auto embeddings = collectives::to_embeddings(plan.trees());
-  simnet::AllreduceSimulator ref_sim(plan.topology(), embeddings, ref_cfg);
-  const auto ref = ref_sim.run(plan.split(2000));
-  EXPECT_EQ(sharded.cycles, ref.cycles);
-  EXPECT_EQ(sharded.link_flits, ref.link_flits);
-  EXPECT_EQ(sharded.tree_finish_cycle, ref.tree_finish_cycle);
+  oracle::expect_same_result(
+      sharded,
+      oracle::run_reference_allreduce(plan.topology(),
+                                      collectives::to_embeddings(plan.trees()),
+                                      cfg, plan.split(2000)),
+      "threads=4 vs oracle");
 }
 
 // Scripted link-down/link-up faults: every shard group receives the full
@@ -166,8 +139,9 @@ TEST(ShardedDeterminism, DefaultThreadWidthBitIdentical) {
   simnet::SimConfig cfg;
   const auto serial = run_sharded(5, core::Solution::kEdgeDisjoint, cfg,
                                   1000, 1);
-  expect_result_eq(run_sharded(5, core::Solution::kEdgeDisjoint, cfg, 1000, 0),
-                   serial, 0);
+  oracle::expect_same_result(
+      run_sharded(5, core::Solution::kEdgeDisjoint, cfg, 1000, 0), serial,
+      "threads=0");
 }
 
 }  // namespace

@@ -32,6 +32,7 @@
 #include "core/resilience.hpp"
 #include "core/serialize.hpp"
 #include "model/congestion_model.hpp"
+#include "oracle/reference_allreduce.hpp"
 #include "simnet/allreduce_sim.hpp"
 #include "simnet/config.hpp"
 #include "polarfly/erq.hpp"
@@ -431,38 +432,27 @@ void check_faults(std::vector<Check>& out, const AllreducePlan& plan) {
     return cfg;
   };
 
-  const auto run_engine = [&](pfar::simnet::SimEngine engine) {
-    pfar::simnet::SimConfig cfg = faulted_config();
-    cfg.engine = engine;
-    pfar::simnet::AllreduceSimulator sim(
-        g, pfar::collectives::to_embeddings(plan.trees()), cfg);
+  const auto embeddings = pfar::collectives::to_embeddings(plan.trees());
+  const auto run_faulted = [&] {
+    pfar::simnet::AllreduceSimulator sim(g, embeddings, faulted_config());
     return sim.run(plan.split(1500));
   };
 
   run_check(out, "faults.differential", [&] {
-    const auto fast = run_engine(pfar::simnet::SimEngine::kFastForward);
-    const auto ref = run_engine(pfar::simnet::SimEngine::kReference);
-    require(fast.cycles == ref.cycles,
-            "cycles diverge: fast " + str(fast.cycles) + " vs reference " +
-                str(ref.cycles));
-    require(fast.link_flits == ref.link_flits, "per-link flit counts diverge");
-    require(fast.tree_failed == ref.tree_failed, "failed-tree sets diverge");
-    require(fast.tree_fail_cycle == ref.tree_fail_cycle,
-            "failure detection cycles diverge");
-    require(fast.tree_completed == ref.tree_completed,
-            "completed prefixes diverge");
-    require(fast.dropped_flits == ref.dropped_flits &&
-                fast.link_dropped_flits == ref.link_dropped_flits,
-            "drop accounting diverges");
-    require(fast.canceled_flits == ref.canceled_flits &&
-                fast.canceled_packets == ref.canceled_packets,
-            "cancel accounting diverges");
-    return "fault-injected run bit-identical across engines, " +
+    // The simulator against the reference oracle (tests/oracle): every
+    // SimResult field of the fault-injected run must agree.
+    const auto ref = pfar::oracle::run_reference_allreduce(
+        g, embeddings, faulted_config(), plan.split(1500));
+    const auto diffs = pfar::oracle::result_differences(run_faulted(), ref);
+    if (!diffs.empty()) {
+      throw Violation("simulator diverges from the oracle: " + diffs.front());
+    }
+    return "fault-injected run bit-identical to the reference oracle, " +
            str(ref.cycles) + " cycles";
   });
 
   run_check(out, "faults.drop_accounting", [&] {
-    const auto res = run_engine(pfar::simnet::SimEngine::kFastForward);
+    const auto res = run_faulted();
     long long per_link = 0;
     for (const long long d : res.link_dropped_flits) {
       require(d >= 0, "negative per-link drop count");

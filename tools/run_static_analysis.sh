@@ -6,9 +6,10 @@
 # Usage: tools/run_static_analysis.sh [--full] [BUILD_DIR]   (default: build)
 #
 #   --full   also lint tests/ and bench/ translation units with clang-tidy
-#            and cppcheck (the default run covers src/ and tools/ only, to
-#            keep the loop fast; pfar_lint always covers the full tree via
-#            the compile database).
+#            and cppcheck (the default run covers src/, tools/ and the
+#            test oracle in tests/oracle/ only, to keep the loop fast;
+#            pfar_lint always covers the full tree via the compile
+#            database).
 #
 # External tools that are not installed are skipped with a notice instead
 # of failing, so the script is safe to run in minimal containers; CI
@@ -24,7 +25,7 @@ for arg in "$@"; do
   case "$arg" in
     --full) full=1 ;;
     --help|-h)
-      sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     -*)
@@ -66,8 +67,10 @@ cd "$repo_root"
 
 # Scope for the external tools. pfar_lint derives its own file set from the
 # compile database (every TU plus transitively included first-party
-# headers), so it is unaffected by --full.
-scope="src tools"
+# headers), so it is unaffected by --full. tests/oracle is in the default
+# scope: the reference loop and its struct fabric left src/ for it, and
+# pfar_audit links it.
+scope="src tools tests/oracle"
 if [ "$full" = 1 ]; then
   scope="src tools tests bench"
 fi
@@ -114,6 +117,7 @@ if command -v cppcheck >/dev/null 2>&1; then
       --quiet \
       -i tests/lint_fixtures \
       -I src \
+      -I tests \
       $scope; then
     echo "cppcheck: findings above" >&2
     status=1
