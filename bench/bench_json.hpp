@@ -8,8 +8,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <fstream>
+#include <sstream>
 #include <string>
 
+#include "obsv/recorder.hpp"
+#include "obsv/report.hpp"
 #include "simnet/config.hpp"
 #include "util/args.hpp"
 
@@ -66,6 +70,42 @@ inline void write_meta(FILE* json, int schema_version) {
                "  \"_meta\": {\"schema_version\": %d, \"git_sha\": \"%s\", "
                "\"timestamp\": \"%s\"},\n",
                schema_version, git_sha().c_str(), utc_timestamp().c_str());
+}
+
+/// True when any of the shared `--trace/--metrics/--report PATH`
+/// observability flags is given: the bench then re-runs one design point
+/// with an obsv::Recorder attached and hands it to write_artifacts.
+inline bool wants_artifacts(const util::Args& args) {
+  return args.has("trace") || args.has("metrics") || args.has("report");
+}
+
+/// Writes the artifacts the flags name from `recorder`: the Chrome trace
+/// JSON, the metrics JSONL, and the run report, rendered after a round
+/// trip through obsv::build_report exactly as tools/pfar_report reads the
+/// files (docs/observability.md). `what` names the recorded run in the
+/// one-line stderr summary. In a PFAR_TRACE=off build the artifacts come
+/// out empty by design.
+inline void write_artifacts(const util::Args& args,
+                            const obsv::Recorder& recorder,
+                            const std::string& what) {
+  recorder.write_files(args.get_string("trace", ""),
+                       args.get_string("metrics", ""));
+  std::fprintf(stderr, "observability: %s -> %zu trace events, %zu metrics\n",
+               what.c_str(), recorder.trace.size(), recorder.metrics.size());
+  if (!args.has("report")) return;
+  std::ostringstream trace_json, metrics_jsonl;
+  recorder.trace.write_chrome_json(trace_json);
+  recorder.metrics.write_jsonl(metrics_jsonl);
+  const auto report = obsv::build_report(trace_json.str(), metrics_jsonl.str());
+  const std::string report_path = args.get_string("report", "");
+  std::ofstream out(report_path);
+  if (out) {
+    obsv::render_report(report, out);
+    std::fprintf(stderr, "wrote %s\n", report_path.c_str());
+  } else {
+    std::fprintf(stderr, "warning: could not open %s for writing\n",
+                 report_path.c_str());
+  }
 }
 
 }  // namespace pfar::bench

@@ -20,9 +20,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -31,7 +29,6 @@
 #include "core/planner.hpp"
 #include "core/sweep_runner.hpp"
 #include "obsv/recorder.hpp"
-#include "obsv/report.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
 
@@ -123,8 +120,7 @@ int main(int argc, char** argv) {
                               .build();
         const auto res = adapt::run_adaptive_allreduce(
             plan.topology(), plan.trees(), p.m,
-            make_config(p, engine, shard_threads), adapt::ControllerConfig{},
-            /*compare_static=*/true);
+            make_config(p, engine, shard_threads), /*compare_static=*/true);
         PointResult out;
         out.static_bw = res.static_run.sim.aggregate_bandwidth;
         out.adaptive_bw = res.adaptive.sim.aggregate_bandwidth;
@@ -190,7 +186,7 @@ int main(int argc, char** argv) {
   // adaptation timeline (probe window span + replan instant + adapt.*
   // counters). No-op unless a flag is given; empty in PFAR_TRACE=off
   // builds by design.
-  if (args.has("trace") || args.has("metrics") || args.has("report")) {
+  if (bench::wants_artifacts(args)) {
     Point p = grid.back();
     p.pattern = patterns[1];  // permutation: hot links + replans
     p.load = 0.50;
@@ -201,31 +197,11 @@ int main(int argc, char** argv) {
     simnet::SimConfig config = make_config(p, engine, shard_threads);
     config.recorder = &recorder;
     adapt::run_adaptive_allreduce(plan.topology(), plan.trees(), p.m, config,
-                                  adapt::ControllerConfig{},
                                   /*compare_static=*/false);
-    recorder.write_files(args.get_string("trace", ""),
-                         args.get_string("metrics", ""));
-    std::fprintf(stderr,
-                 "observability: q=%d load=%.2f %s -> %zu trace events, %zu "
-                 "metrics\n",
-                 p.q, p.load, p.pattern.name, recorder.trace.size(),
-                 recorder.metrics.size());
-    if (args.has("report")) {
-      std::ostringstream trace_json, metrics_jsonl;
-      recorder.trace.write_chrome_json(trace_json);
-      recorder.metrics.write_jsonl(metrics_jsonl);
-      const auto report =
-          obsv::build_report(trace_json.str(), metrics_jsonl.str());
-      const std::string report_path = args.get_string("report", "");
-      std::ofstream out(report_path);
-      if (out) {
-        obsv::render_report(report, out);
-        std::fprintf(stderr, "wrote %s\n", report_path.c_str());
-      } else {
-        std::fprintf(stderr, "warning: could not open %s for writing\n",
-                     report_path.c_str());
-      }
-    }
+    char what[64];
+    std::snprintf(what, sizeof what, "q=%d load=%.2f %s", p.q, p.load,
+                  p.pattern.name);
+    bench::write_artifacts(args, recorder, what);
   }
   return 0;
 }

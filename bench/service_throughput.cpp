@@ -24,9 +24,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -34,7 +32,6 @@
 #include "core/planner.hpp"
 #include "core/sweep_runner.hpp"
 #include "obsv/recorder.hpp"
-#include "obsv/report.hpp"
 #include "service/service.hpp"
 #include "util/args.hpp"
 #include "util/rng.hpp"
@@ -256,35 +253,15 @@ int main(int argc, char** argv) {
   // Observability artifacts: re-run the batched policy at the highest load
   // with the service recorder attached (per-lane batch spans, queue-depth
   // gauge, job counters on the service virtual timeline).
-  if (args.has("trace") || args.has("metrics") || args.has("report")) {
+  if (bench::wants_artifacts(args)) {
     obsv::Recorder recorder(1u << 20);
     service::ServiceConfig config = base_config;
     config.policy = service::SchedulerPolicy::kPartitionedBatched;
     config.sim.recorder = &recorder;
     run_point(plan, config, workloads.back());
-    recorder.write_files(args.get_string("trace", ""),
-                         args.get_string("metrics", ""));
-    std::fprintf(stderr,
-                 "observability: batched at load %.1f -> %zu trace events, "
-                 "%zu metrics\n",
-                 loads.back(), recorder.trace.size(),
-                 recorder.metrics.size());
-    if (args.has("report")) {
-      std::ostringstream trace_json, metrics_jsonl;
-      recorder.trace.write_chrome_json(trace_json);
-      recorder.metrics.write_jsonl(metrics_jsonl);
-      const auto report =
-          obsv::build_report(trace_json.str(), metrics_jsonl.str());
-      const std::string report_path = args.get_string("report", "");
-      std::ofstream out(report_path);
-      if (out) {
-        obsv::render_report(report, out);
-        std::fprintf(stderr, "wrote %s\n", report_path.c_str());
-      } else {
-        std::fprintf(stderr, "warning: could not open %s for writing\n",
-                     report_path.c_str());
-      }
-    }
+    char what[48];
+    std::snprintf(what, sizeof what, "batched at load %.1f", loads.back());
+    bench::write_artifacts(args, recorder, what);
   }
   return 0;
 }

@@ -14,10 +14,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <initializer_list>
 #include <iostream>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -25,7 +23,6 @@
 #include "core/planner.hpp"
 #include "core/sweep_runner.hpp"
 #include "obsv/recorder.hpp"
-#include "obsv/report.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
 
@@ -157,7 +154,7 @@ int main(int argc, char** argv) {
   // with a Recorder attached (planner phase timers + full simulation
   // trace/metrics). No-op unless one of the flags is given; in a
   // PFAR_TRACE=off build the artifacts come out empty by design.
-  if (args.has("trace") || args.has("metrics") || args.has("report")) {
+  if (bench::wants_artifacts(args)) {
     const Point& p = grid.back();
     obsv::Recorder recorder(1u << 20);
     const auto plan = core::AllreducePlanner(p.q)
@@ -167,28 +164,10 @@ int main(int argc, char** argv) {
     simnet::SimConfig config = sim_config;
     config.recorder = &recorder;
     plan.simulate(p.m, config);
-    recorder.write_files(args.get_string("trace", ""),
-                         args.get_string("metrics", ""));
-    std::fprintf(stderr, "observability: q=%d %s m=%lld -> %zu trace "
-                 "events, %zu metrics\n",
-                 p.q, core::to_string(p.solution).c_str(), p.m,
-                 recorder.trace.size(), recorder.metrics.size());
-    if (args.has("report")) {
-      std::ostringstream trace_json, metrics_jsonl;
-      recorder.trace.write_chrome_json(trace_json);
-      recorder.metrics.write_jsonl(metrics_jsonl);
-      const auto report =
-          obsv::build_report(trace_json.str(), metrics_jsonl.str());
-      const std::string report_path = args.get_string("report", "");
-      std::ofstream out(report_path);
-      if (out) {
-        obsv::render_report(report, out);
-        std::fprintf(stderr, "wrote %s\n", report_path.c_str());
-      } else {
-        std::fprintf(stderr, "warning: could not open %s for writing\n",
-                     report_path.c_str());
-      }
-    }
+    bench::write_artifacts(args, recorder,
+                           "q=" + std::to_string(p.q) + " " +
+                               core::to_string(p.solution) +
+                               " m=" + std::to_string(p.m));
   }
   return 0;
 }

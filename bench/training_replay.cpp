@@ -37,7 +37,6 @@
 #include "core/planner.hpp"
 #include "core/sweep_runner.hpp"
 #include "obsv/recorder.hpp"
-#include "obsv/report.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
 #include "workload/replay.hpp"
@@ -265,7 +264,7 @@ int main(int argc, char** argv) {
   // exercises the training-replay timeline (compute/comm spans, barrier
   // instants, workload.* counters + service lane spans). No-op unless a
   // flag is given; empty in PFAR_TRACE=off builds by design.
-  if (args.has("trace") || args.has("metrics") || args.has("report")) {
+  if (bench::wants_artifacts(args)) {
     Point p{max_q >= 11 ? 11 : 7, true, severities[2]};
     obsv::Recorder recorder(1u << 20);
     const auto plan = core::AllreducePlanner(p.q)
@@ -275,29 +274,9 @@ int main(int argc, char** argv) {
         make_config(p, trace, engine, shard_threads);
     config.sim.recorder = &recorder;
     workload::replay_training(plan, config);
-    recorder.write_files(args.get_string("trace", ""),
-                         args.get_string("metrics", ""));
-    std::fprintf(stderr,
-                 "observability: q=%d straggler=%s overlap=on -> %zu trace "
-                 "events, %zu metrics\n",
-                 p.q, p.severity.name, recorder.trace.size(),
-                 recorder.metrics.size());
-    if (args.has("report")) {
-      std::ostringstream trace_json, metrics_jsonl;
-      recorder.trace.write_chrome_json(trace_json);
-      recorder.metrics.write_jsonl(metrics_jsonl);
-      const auto report =
-          obsv::build_report(trace_json.str(), metrics_jsonl.str());
-      const std::string report_path = args.get_string("report", "");
-      std::ofstream out(report_path);
-      if (out) {
-        obsv::render_report(report, out);
-        std::fprintf(stderr, "wrote %s\n", report_path.c_str());
-      } else {
-        std::fprintf(stderr, "warning: could not open %s for writing\n",
-                     report_path.c_str());
-      }
-    }
+    bench::write_artifacts(args, recorder,
+                           "q=" + std::to_string(p.q) + " straggler=" +
+                               p.severity.name + " overlap=on");
   }
   return shape_ok ? 0 : 1;
 }

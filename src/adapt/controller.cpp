@@ -111,13 +111,8 @@ long long CongestionMap::edge_queue_hwm(int edge_id) const {
 
 AdaptedPlan adapt_plan(const graph::Graph& topology,
                        const std::vector<trees::SpanningTree>& trees,
-                       const CongestionMap& congestion,
-                       const ControllerConfig& ctrl) {
+                       const CongestionMap& congestion) {
   PFAR_REQUIRE(!trees.empty(), trees.size());
-  PFAR_REQUIRE(ctrl.hot_threshold > 0.0 && ctrl.hot_threshold < 1.0,
-               ctrl.hot_threshold);
-  PFAR_REQUIRE(ctrl.min_capacity_scale > 0.0 && ctrl.min_capacity_scale <= 1.0,
-               ctrl.min_capacity_scale);
   const int num_edges = topology.num_edges();
   PFAR_REQUIRE(congestion.dlinks.size() ==
                    static_cast<std::size_t>(2 * num_edges),
@@ -134,7 +129,7 @@ AdaptedPlan adapt_plan(const graph::Graph& topology,
     const double bg = congestion.edge_bg_busy(e);
     if (bg > 0.0) {
       plan.capacity_scale[static_cast<std::size_t>(e)] =
-          std::max(1.0 - bg, ctrl.min_capacity_scale);
+          std::max(1.0 - bg, kMinCapacityScale);
     }
   }
 
@@ -144,7 +139,7 @@ AdaptedPlan adapt_plan(const graph::Graph& topology,
   // the resilience replanner enforces for failed links.
   std::vector<int> hot_ids;
   for (int e = 0; e < num_edges; ++e) {
-    if (congestion.edge_bg_busy(e) > ctrl.hot_threshold) hot_ids.push_back(e);
+    if (congestion.edge_bg_busy(e) > kHotThreshold) hot_ids.push_back(e);
   }
   std::stable_sort(hot_ids.begin(), hot_ids.end(), [&](int a, int b) {
     const double ba = congestion.edge_bg_busy(a);
@@ -152,7 +147,7 @@ AdaptedPlan adapt_plan(const graph::Graph& topology,
     if (ba != bb) return ba > bb;
     return congestion.edge_queue_hwm(a) > congestion.edge_queue_hwm(b);
   });
-  if (!ctrl.replan || hot_ids.empty()) return finalize_plan(plan, topology, congestion);
+  if (hot_ids.empty()) return finalize_plan(plan, topology, congestion);
 
   std::size_t keep = hot_ids.size();
   while (keep > 0) {
@@ -261,32 +256,29 @@ AdaptedPlan adapt_plan(const graph::Graph& topology,
 
 ProbedPlan probe_and_adapt(const graph::Graph& topology,
                            const std::vector<trees::SpanningTree>& trees,
-                           const simnet::SimConfig& config,
-                           const ControllerConfig& ctrl) {
-  PFAR_REQUIRE(ctrl.probe_elements > 0, ctrl.probe_elements);
+                           const simnet::SimConfig& config) {
   PFAR_REQUIRE(!trees.empty(), trees.size());
   simnet::SimConfig probe_cfg = config;
   probe_cfg.shard_threads = 1;
   probe_cfg.recorder = nullptr;
   ProbedPlan out;
   out.probe = collectives::run_innetwork_allreduce(topology, trees,
-                                                   ctrl.probe_elements,
+                                                   kProbeElements,
                                                    probe_cfg)
                   .sim;
   out.congestion = CongestionMap::from_sim_result(topology, out.probe,
                                                   config.link_bandwidth);
-  out.plan = adapt_plan(topology, trees, out.congestion, ctrl);
+  out.plan = adapt_plan(topology, trees, out.congestion);
   return out;
 }
 
 AdaptiveResult run_adaptive_allreduce(
     const graph::Graph& topology,
     const std::vector<trees::SpanningTree>& trees, long long m,
-    const simnet::SimConfig& config, const ControllerConfig& ctrl,
-    bool compare_static) {
+    const simnet::SimConfig& config, bool compare_static) {
   PFAR_REQUIRE(m >= 0, m);
   AdaptiveResult out;
-  static_cast<ProbedPlan&>(out) = probe_and_adapt(topology, trees, config, ctrl);
+  static_cast<ProbedPlan&>(out) = probe_and_adapt(topology, trees, config);
 
   if constexpr (obsv::kTraceCompiled) {
     if (config.recorder != nullptr) {

@@ -56,23 +56,19 @@ struct CongestionMap {
   long long edge_queue_hwm(int edge_id) const;
 };
 
-/// Controller knobs. The defaults are what the congested-allreduce bench
-/// regresses against; see docs/congestion_adaptation.md for how each was
-/// picked.
-struct ControllerConfig {
-  /// A link whose background occupancy exceeds this fraction of capacity
-  /// is *hot*: trees are re-planned away from it when possible.
-  double hot_threshold = 0.55;
-  /// Floor of the per-edge capacity scale fed to the capacitated
-  /// Algorithm 1, so a fully saturated link still carries a sliver of
-  /// weight instead of dividing by zero.
-  double min_capacity_scale = 0.05;
-  /// Master switch for the re-planning stage; re-weighting always runs.
-  bool replan = true;
-  /// Elements of the probe collective run_adaptive_allreduce executes to
-  /// measure the network before committing the real vector.
-  long long probe_elements = 512;
-};
+/// Controller constants. The congested-allreduce bench regresses against
+/// them; see docs/congestion_adaptation.md for how each was picked.
+///
+/// A link whose background occupancy exceeds this fraction of capacity is
+/// *hot*: trees are re-planned away from it when possible.
+inline constexpr double kHotThreshold = 0.55;
+/// Floor of the per-edge capacity scale fed to the capacitated Algorithm
+/// 1, so a fully saturated link still carries a sliver of weight instead
+/// of dividing by zero.
+inline constexpr double kMinCapacityScale = 0.05;
+/// Elements of the probe collective probe_and_adapt executes to measure
+/// the network before committing the real vector.
+inline constexpr long long kProbeElements = 512;
 
 /// The controller's output: the (possibly re-planned) tree set, the
 /// congestion-aware Algorithm 1 bandwidths to split by, and what changed.
@@ -81,7 +77,7 @@ struct AdaptedPlan {
   /// Capacitated Algorithm 1 over `trees` with `capacity_scale`.
   model::TreeBandwidths bandwidths;
   /// Per undirected edge id: fraction of the link's bandwidth left for
-  /// the collective, in [min_capacity_scale, 1].
+  /// the collective, in [kMinCapacityScale, 1].
   std::vector<double> capacity_scale;
   /// The hot links the re-planner routed around (after relaxing the raw
   /// hot set until the residual topology stayed connected).
@@ -100,8 +96,7 @@ struct AdaptedPlan {
 /// compute_tree_bandwidths_reference.
 AdaptedPlan adapt_plan(const graph::Graph& topology,
                        const std::vector<trees::SpanningTree>& trees,
-                       const CongestionMap& congestion,
-                       const ControllerConfig& ctrl = {});
+                       const CongestionMap& congestion);
 
 /// The controller's measuring half: the probe window and the plan adapted
 /// to it.
@@ -112,15 +107,14 @@ struct ProbedPlan {
   AdaptedPlan plan;
 };
 
-/// Runs a short static probe collective (ctrl.probe_elements, Theorem 5.1
+/// Runs a short static probe collective (kProbeElements, Theorem 5.1
 /// split) through the live background traffic of `config` — serial and
 /// recorder-free, so it neither races the caller's shards nor perturbs the
 /// caller's artifacts — reads its CongestionMap and adapts the plan to it.
 /// Emits nothing on any recorder; callers instrument the stage themselves.
 ProbedPlan probe_and_adapt(const graph::Graph& topology,
                            const std::vector<trees::SpanningTree>& trees,
-                           const simnet::SimConfig& config,
-                           const ControllerConfig& ctrl = {});
+                           const simnet::SimConfig& config);
 
 /// End-to-end outcome of one adaptive Allreduce: the probed plan, then
 /// the runs on it.
@@ -142,7 +136,6 @@ struct AdaptiveResult : ProbedPlan {
 AdaptiveResult run_adaptive_allreduce(
     const graph::Graph& topology,
     const std::vector<trees::SpanningTree>& trees, long long m,
-    const simnet::SimConfig& config, const ControllerConfig& ctrl = {},
-    bool compare_static = false);
+    const simnet::SimConfig& config, bool compare_static = false);
 
 }  // namespace pfar::adapt

@@ -1,7 +1,6 @@
 #include "collectives/routed.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <stdexcept>
 
 #include "util/contracts.hpp"
@@ -11,27 +10,14 @@ namespace pfar::collectives {
 RoutedNetwork::RoutedNetwork(const graph::Graph& g)
     : g_(&g), n_(g.num_vertices()) {
   PFAR_REQUIRE(n_ >= 1, n_);
-  next_hop_.assign(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_), -1);
-  dist_.assign(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_), -1);
-  // BFS from each destination; neighbors are scanned in ascending id so the
-  // chosen next hop is deterministic.
+  next_hop_.reserve(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_));
+  dist_.reserve(next_hop_.capacity());
+  // One deterministic BFS tree per destination, row dst of both tables.
+  graph::BfsTree tree;
   for (int dst = 0; dst < n_; ++dst) {
-    auto* dist = &dist_[static_cast<std::size_t>(dst) * static_cast<std::size_t>(n_)];
-    auto* hop = &next_hop_[static_cast<std::size_t>(dst) * static_cast<std::size_t>(n_)];
-    std::queue<int> frontier;
-    dist[dst] = 0;
-    frontier.push(dst);
-    while (!frontier.empty()) {
-      const int u = frontier.front();
-      frontier.pop();
-      for (int w : g.neighbors(u)) {
-        if (dist[w] < 0) {
-          dist[w] = dist[u] + 1;
-          hop[w] = u;  // from w, step to u to get closer to dst
-          frontier.push(w);
-        }
-      }
-    }
+    g.bfs_tree(dst, tree);
+    next_hop_.insert(next_hop_.end(), tree.parent.begin(), tree.parent.end());
+    dist_.insert(dist_.end(), tree.dist.begin(), tree.dist.end());
   }
 }
 

@@ -203,21 +203,32 @@ int Graph::max_degree() const {
 }
 
 std::vector<int> Graph::bfs_distances(int src) const {
-  std::vector<int> dist(static_cast<std::size_t>(n_), -1);
-  std::vector<int> frontier;
-  frontier.reserve(static_cast<std::size_t>(n_));
-  dist[static_cast<std::size_t>(src)] = 0;
-  frontier.push_back(src);
-  for (std::size_t head = 0; head < frontier.size(); ++head) {
-    const int u = frontier[head];
+  BfsTree tree;
+  bfs_tree(src, tree);
+  return std::move(tree.dist);
+}
+
+void Graph::bfs_tree(int root, BfsTree& out) const {
+  PFAR_REQUIRE(root >= 0 && root < n_, root, n_);
+  const auto n = static_cast<std::size_t>(n_);
+  out.parent.assign(n, -1);
+  out.dist.assign(n, -1);
+  out.order.clear();
+  out.order.reserve(n);
+  out.dist[static_cast<std::size_t>(root)] = 0;
+  out.order.push_back(root);
+  // `order` doubles as the FIFO queue: its unread suffix is the frontier.
+  for (std::size_t head = 0; head < out.order.size(); ++head) {
+    const int u = out.order[head];
     for (int w : neighbors(u)) {
-      if (dist[static_cast<std::size_t>(w)] < 0) {
-        dist[static_cast<std::size_t>(w)] = dist[static_cast<std::size_t>(u)] + 1;
-        frontier.push_back(w);
+      if (out.dist[static_cast<std::size_t>(w)] < 0) {
+        out.dist[static_cast<std::size_t>(w)] =
+            out.dist[static_cast<std::size_t>(u)] + 1;
+        out.parent[static_cast<std::size_t>(w)] = u;
+        out.order.push_back(w);
       }
     }
   }
-  return dist;
 }
 
 bool Graph::is_connected() const {

@@ -40,6 +40,17 @@ class IntSpan {
   const int* end_ = nullptr;
 };
 
+/// A breadth-first search tree toward one root (Graph::bfs_tree).
+struct BfsTree {
+  /// parent[v]: the neighbor of v one hop closer to the root; -1 at the
+  /// root and at unreachable vertices.
+  std::vector<int> parent;
+  /// dist[v]: hops from v to the root; -1 if unreachable.
+  std::vector<int> dist;
+  /// Reached vertices in visit order (nondecreasing dist), root first.
+  std::vector<int> order;
+};
+
 /// Simple undirected graph on vertices [0, n). Self-loops are rejected
 /// (PolarFly drops quadric self-loops; callers track them separately).
 ///
@@ -99,6 +110,13 @@ class Graph {
 
   /// BFS hop distances from `src` (-1 for unreachable).
   std::vector<int> bfs_distances(int src) const;
+
+  /// Min-hop BFS from `root`: a FIFO queue scanning neighbors() in
+  /// ascending order, and each vertex's parent is the vertex that first
+  /// discovered it. Every min-hop router (collectives::RoutedNetwork,
+  /// simnet::TrafficSimulator, background_link_rates_ppm) routes on these
+  /// trees. Reuses `out`'s storage, so a loop over roots needs O(n) memory.
+  void bfs_tree(int root, BfsTree& out) const;
 
   bool is_connected() const;
 

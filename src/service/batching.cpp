@@ -29,8 +29,8 @@ std::vector<std::size_t> collect_batch(const std::vector<QueuedJob>& queue,
     if (static_cast<int>(batch.size()) >= config.batch_max_jobs) break;
     if (i == seed) continue;
     const QueuedJob& job = queue[i];
-    if (job.group != lead.group || job.op != lead.op) continue;
-    if (elements + job.elements > config.batch_max_elements) continue;
+    if (job.op != lead.op) continue;
+    if (elements + job.elements > kBatchMaxElements) continue;
     elements += job.elements;
     batch.push_back(i);
   }

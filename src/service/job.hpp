@@ -19,7 +19,7 @@ enum class SchedulerPolicy {
   /// as there are lanes (exact: lanes share no physical link).
   kPartitioned,
   /// kPartitioned plus coalescing: when a lane frees, queued jobs of the
-  /// same (group, op) fuse into one sub-vector run, paying the tree
+  /// same operator fuse into one sub-vector run, paying the tree
   /// pipeline fill once for the whole batch
   /// (collectives::run_bucketed_allreduce, BucketStrategy::kFused).
   kPartitionedBatched,
@@ -41,15 +41,13 @@ enum class ReduceOp {
   kProd,
 };
 
-/// One allreduce job submitted to the service.
+/// One allreduce job submitted to the service: an Allreduce over every
+/// node of the fabric.
 struct JobSpec {
   /// Owning tenant, the unit of fairness accounting (>= 0).
   int tenant = 0;
-  /// Reduction group the job runs over (see AllreduceService::create_group;
-  /// group 0 is the implicit all-nodes group).
-  int group = 0;
-  /// Vector elements to reduce (m). Zero-element jobs complete at
-  /// admission without touching the fabric.
+  /// Vector elements to reduce (m). A zero-element job completes at
+  /// dispatch without touching the fabric.
   long long elements = 0;
   ReduceOp op = ReduceOp::kSum;
   /// Larger = more urgent. Breaks ties within a tenant's queue only —
@@ -67,21 +65,18 @@ struct JobRecord {
   JobSpec spec;
   /// Admission control turned the job away (queue full at arrival).
   bool rejected = false;
-  /// Every element delivered (possibly across membership-replay attempts).
+  /// Every element delivered.
   bool completed = false;
   /// Cycle the job was admitted to the queue (== clamped arrival).
   long long admit_cycle = -1;
-  /// Cycle its first batch started streaming, -1 if never dispatched.
+  /// Cycle its batch was dispatched, -1 if never dispatched.
   long long start_cycle = -1;
   /// Cycle its last element was delivered everywhere, -1 if not completed.
   long long finish_cycle = -1;
-  /// Lane of the final (successful) dispatch, -1 if never dispatched.
+  /// Lane the job ran on, -1 if it never touched the fabric.
   int lane = -1;
-  /// Jobs fused into the same final run, 1 if it ran alone.
+  /// Jobs fused into the same run, 1 if it ran alone.
   int batch_jobs = 1;
-  /// Elements re-run because a membership change invalidated an in-flight
-  /// batch (the resilient-replay semantics of docs/service_layer.md).
-  long long replayed_elements = 0;
 };
 
 /// Service-wide configuration.
@@ -98,18 +93,9 @@ struct ServiceConfig {
   /// rejected (records keep the evidence; the bench plots the drop rate
   /// under overload). Dispatched batches no longer count against it.
   int max_queue_jobs = 1024;
-  /// Coalescer limits: a fused batch holds at most this many jobs /
-  /// total elements.
+  /// Coalescer limit: a fused batch holds at most this many jobs (and at
+  /// most kBatchMaxElements elements, service/batching.hpp).
   int batch_max_jobs = 16;
-  long long batch_max_elements = 1'000'000;
-  /// Cycles a group's next dispatch is charged after a membership change
-  /// (HPX-5-style add/register-leaves replan of the group's logical
-  /// schedule).
-  long long replan_cycles = 256;
-  /// Cycles charged before re-streaming the surviving remainder of a
-  /// batch that a leave() invalidated mid-flight — the backoff of the
-  /// run_resilient_allreduce replay path.
-  long long replay_backoff_cycles = 256;
 };
 
 /// Cumulative service statistics, derived from the records at call time.
@@ -122,9 +108,6 @@ struct ServiceStats {
   int batches = 0;
   /// Jobs that shared a fused run with at least one other job.
   int coalesced_jobs = 0;
-  /// Membership-change replans and the elements they forced to re-run.
-  int replans = 0;
-  long long replayed_elements = 0;
   /// Virtual cycle of the last delivery (0 when nothing completed).
   long long makespan_cycles = 0;
   /// Completed jobs per 1000 virtual cycles.

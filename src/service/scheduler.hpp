@@ -33,16 +33,13 @@ std::vector<Lane> build_lanes(const graph::Graph& topology,
 struct QueuedJob {
   int job_id = 0;  // index into the service's record table
   int tenant = 0;
-  int group = 0;
   long long elements = 0;
   ReduceOp op = ReduceOp::kSum;
   int priority = 0;
-  /// Admission (or replay-creation) cycle and a global submission ordinal;
-  /// together the deterministic tie-breaker everywhere.
+  /// Admission cycle and a global submission ordinal; together the
+  /// deterministic tie-breaker everywhere.
   long long queued_cycle = 0;
   long long seq = 0;
-  /// Re-run of the remainder a membership change invalidated mid-flight.
-  bool replay = false;
 };
 
 /// Deterministic tenant-fair pick of the next job to dispatch: the tenant

@@ -46,10 +46,6 @@ AllreduceService::AllreduceService(core::AllreducePlan plan,
     : plan_(std::move(plan)), config_(config) {
   PFAR_REQUIRE(config_.max_queue_jobs >= 1, config_.max_queue_jobs);
   PFAR_REQUIRE(config_.batch_max_jobs >= 1, config_.batch_max_jobs);
-  PFAR_REQUIRE(config_.batch_max_elements >= 1, config_.batch_max_elements);
-  PFAR_REQUIRE(config_.replan_cycles >= 0, config_.replan_cycles);
-  PFAR_REQUIRE(config_.replay_backoff_cycles >= 0,
-               config_.replay_backoff_cycles);
   // Lane runs have no recovery: a fault script would lose elements that
   // the service then reported delivered.
   PFAR_REQUIRE(config_.sim.faults.empty());
@@ -64,10 +60,6 @@ AllreduceService::AllreduceService(core::AllreducePlan plan,
                              config_.sim);
   }
   lane_state_.assign(lanes_.size(), LaneState{});
-  // Group 0: the implicit all-nodes group.
-  Group all;
-  for (int v = 0; v < plan_.num_nodes(); ++v) all.members.push_back(v);
-  groups_.emplace(0, std::move(all));
   if (obsv::Recorder* rec = recorder()) {
     for (std::size_t l = 0; l < lanes_.size(); ++l) {
       rec->trace.name_track(
@@ -77,39 +69,9 @@ AllreduceService::AllreduceService(core::AllreducePlan plan,
   }
 }
 
-int AllreduceService::create_group(const std::vector<int>& members) {
-  PFAR_REQUIRE(!members.empty());
-  Group g;
-  g.members = members;
-  std::sort(g.members.begin(), g.members.end());
-  g.members.erase(std::unique(g.members.begin(), g.members.end()),
-                  g.members.end());
-  PFAR_REQUIRE(g.members.size() == members.size(), members.size());
-  PFAR_REQUIRE(g.members.front() >= 0 && g.members.back() < plan_.num_nodes(),
-               g.members.front(), g.members.back(), plan_.num_nodes());
-  const int id = next_group_++;
-  groups_.emplace(id, std::move(g));
-  return id;
-}
-
-void AllreduceService::join(int group, int node, long long cycle) {
-  PFAR_REQUIRE(groups_.count(group) == 1, group);
-  PFAR_REQUIRE(node >= 0 && node < plan_.num_nodes(), node);
-  member_pending_.push_back(
-      MemberEvent{std::max(cycle, clock_), next_seq_++, group, node, true});
-}
-
-void AllreduceService::leave(int group, int node, long long cycle) {
-  PFAR_REQUIRE(groups_.count(group) == 1, group);
-  PFAR_REQUIRE(node >= 0 && node < plan_.num_nodes(), node);
-  member_pending_.push_back(
-      MemberEvent{std::max(cycle, clock_), next_seq_++, group, node, false});
-}
-
 int AllreduceService::submit(const JobSpec& spec) {
   PFAR_REQUIRE(spec.elements >= 0, spec.elements);
   PFAR_REQUIRE(spec.tenant >= 0, spec.tenant);
-  PFAR_REQUIRE(groups_.count(spec.group) == 1, spec.group);
   const int id = static_cast<int>(records_.size());
   JobRecord record;
   record.spec = spec;
@@ -118,7 +80,6 @@ int AllreduceService::submit(const JobSpec& spec) {
   QueuedJob qj;
   qj.job_id = id;
   qj.tenant = spec.tenant;
-  qj.group = spec.group;
   qj.elements = spec.elements;
   qj.op = spec.op;
   qj.priority = spec.priority;
@@ -130,36 +91,25 @@ int AllreduceService::submit(const JobSpec& spec) {
 
 void AllreduceService::drain() {
   std::stable_sort(pending_.begin(), pending_.end(), queued_before);
-  std::stable_sort(member_pending_.begin(), member_pending_.end(),
-                   [](const MemberEvent& a, const MemberEvent& b) {
-                     return a.cycle != b.cycle ? a.cycle < b.cycle
-                                               : a.seq < b.seq;
-                   });
   for (;;) {
     long long t = kNever;
     if (!pending_.empty()) t = std::min(t, pending_.front().queued_cycle);
-    if (!member_pending_.empty()) {
-      t = std::min(t, member_pending_.front().cycle);
-    }
     for (const LaneState& lane : lane_state_) {
-      if (lane.busy) t = std::min(t, lane.free_at);
+      if (lane.busy) t = std::min(t, lane.batch.finish);
     }
     if (t == kNever) break;
     process(t);
   }
-  PFAR_ENSURE(pending_.empty() && member_pending_.empty(), queue_.size());
+  PFAR_ENSURE(pending_.empty() && queue_.empty(), queue_.size());
 }
 
 /// Deterministic ordering at one event instant t: (1) batches finishing at
-/// or before t deliver, (2) membership events at or before t apply (a
-/// batch finishing exactly when a member leaves delivered first), (3)
-/// arrivals at or before t are admitted (a job arriving at the event sees
-/// the post-change group), (4) freed lanes dispatch.
+/// or before t deliver, (2) arrivals at or before t are admitted, (3)
+/// freed lanes dispatch.
 void AllreduceService::process(long long t) {
   PFAR_REQUIRE(t >= 0, t, clock_);
   clock_ = std::max(clock_, t);
   complete_lanes(t);
-  apply_member_events(t);
   admit_arrivals(t);
   dispatch_free_lanes();
 }
@@ -168,7 +118,7 @@ void AllreduceService::complete_lanes(long long t) {
   PFAR_REQUIRE(t <= clock_, t, clock_);
   for (std::size_t l = 0; l < lane_state_.size(); ++l) {
     LaneState& lane = lane_state_[l];
-    if (!lane.busy || lane.free_at > t) continue;
+    if (!lane.busy || lane.batch.finish > t) continue;
     const Batch& b = lane.batch;
     for (int id : b.job_ids) {
       finish_job(id, b.finish, static_cast<int>(l),
@@ -178,98 +128,12 @@ void AllreduceService::complete_lanes(long long t) {
     if (obsv::Recorder* rec = recorder()) {
       rec->trace.complete(
           b.start, b.finish - b.start,
-          rec->trace.intern("g" + std::to_string(b.group) + " x" +
-                            std::to_string(b.job_ids.size())),
+          rec->trace.intern("batch x" + std::to_string(b.job_ids.size())),
           obsv::kTrackServiceBase + static_cast<std::uint32_t>(l),
           {"jobs", static_cast<long long>(b.job_ids.size())},
           {"elements", b.total_elements});
     }
     lane.busy = false;
-  }
-}
-
-void AllreduceService::apply_member_events(long long t) {
-  std::size_t applied = 0;
-  for (const MemberEvent& ev : member_pending_) {
-    if (ev.cycle > t) break;
-    ++applied;
-    Group& g = groups_.at(ev.group);
-    const auto it =
-        std::lower_bound(g.members.begin(), g.members.end(), ev.node);
-    if (ev.is_join) {
-      PFAR_REQUIRE(it == g.members.end() || *it != ev.node, ev.group, ev.node);
-      g.members.insert(it, ev.node);
-      // A registering leaf participates from the next reduction on; work
-      // in flight predates it and stands.
-    } else {
-      PFAR_REQUIRE(it != g.members.end() && *it == ev.node, ev.group, ev.node);
-      PFAR_REQUIRE(g.members.size() > 1, ev.group);
-      g.members.erase(it);
-      // A leaving member invalidates its in-flight contributions: the
-      // delivered prefix survives, the remainder replays.
-      interrupt_group(ev.group, ev.cycle);
-    }
-    g.needs_replan = true;
-    ++replans_;
-    if (obsv::Recorder* rec = recorder()) {
-      rec->metrics.add("service.replans");
-      rec->trace.instant(ev.cycle,
-                         rec->trace.intern(ev.is_join ? "join" : "leave"),
-                         obsv::kTrackSim, {"group", ev.group},
-                         {"node", ev.node});
-    }
-  }
-  member_pending_.erase(member_pending_.begin(),
-                        member_pending_.begin() +
-                            static_cast<std::ptrdiff_t>(applied));
-}
-
-void AllreduceService::interrupt_group(int group, long long t) {
-  for (std::size_t l = 0; l < lane_state_.size(); ++l) {
-    LaneState& lane = lane_state_[l];
-    if (!lane.busy || lane.batch.group != group) continue;
-    const Batch& b = lane.batch;
-    // complete_lanes already retired anything with finish <= t, so this
-    // batch is genuinely mid-flight: 0 <= elapsed < duration.
-    const long long duration = b.finish - b.data_start;
-    const long long elapsed = std::max(0LL, t - b.data_start);
-    PFAR_REQUIRE(elapsed < duration, elapsed, duration);
-    long long delivered_total = 0;
-    for (std::size_t j = 0; j < b.job_ids.size(); ++j) {
-      const long long m = b.job_elements[j];
-      const long long delivered = m * elapsed / duration;  // floor, < m
-      const long long remainder = m - delivered;
-      delivered_total += delivered;
-      JobRecord& record = records_[static_cast<std::size_t>(b.job_ids[j])];
-      record.replayed_elements += remainder;
-      replayed_elements_ += remainder;
-      QueuedJob replay;
-      replay.job_id = b.job_ids[j];
-      replay.tenant = record.spec.tenant;
-      replay.group = group;
-      replay.elements = remainder;
-      replay.op = record.spec.op;
-      replay.priority = record.spec.priority;
-      replay.queued_cycle = t;
-      replay.seq = next_seq_++;
-      replay.replay = true;
-      queue_.push_back(replay);  // replays bypass admission control
-    }
-    // The fabric work actually spent before the cut, pro rata.
-    total_flits_ += b.total_elements == 0
-                        ? 0
-                        : b.flits * delivered_total / b.total_elements;
-    if (obsv::Recorder* rec = recorder()) {
-      rec->metrics.add("service.interrupted_batches");
-      rec->trace.complete(
-          b.start, t - b.start,
-          rec->trace.intern("g" + std::to_string(group) + " cut"),
-          obsv::kTrackServiceBase + static_cast<std::uint32_t>(l),
-          {"jobs", static_cast<long long>(b.job_ids.size())},
-          {"delivered", delivered_total});
-    }
-    lane.busy = false;
-    lane.free_at = t;
   }
 }
 
@@ -304,40 +168,25 @@ void AllreduceService::dispatch_free_lanes() {
     if (lane_state_[l].busy) continue;
     while (!queue_.empty()) {
       const std::size_t seed = pick_seed(queue_, served_elements_);
-      const QueuedJob seed_job = queue_[seed];
-      const Group& g = groups_.at(seed_job.group);
-      // Degenerate jobs need no fabric: a single-member group reduces
-      // locally, a zero-element job has nothing to move.
-      if (g.members.size() == 1 || seed_job.elements == 0) {
-        finish_job(seed_job.job_id, clock_, -1, 1);
+      // A zero-element job has nothing to move: it needs no fabric.
+      if (queue_[seed].elements == 0) {
+        finish_job(queue_[seed].job_id, clock_, -1, 1);
         queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(seed));
         continue;
       }
       const auto batch_indices = collect_batch(queue_, seed, config_);
       Batch b;
-      b.group = seed_job.group;
-      bool any_replay = false;
       for (std::size_t i : batch_indices) {
         const QueuedJob& job = queue_[i];
         b.job_ids.push_back(job.job_id);
-        b.job_elements.push_back(job.elements);
         b.total_elements += job.elements;
-        any_replay = any_replay || job.replay;
         served_elements_[job.tenant] += job.elements;
-        JobRecord& record = records_[static_cast<std::size_t>(job.job_id)];
-        if (record.start_cycle < 0) record.start_cycle = clock_;
+        records_[static_cast<std::size_t>(job.job_id)].start_cycle = clock_;
       }
       const collectives::RunCost cost = lane_costs_[l].cost(b.total_elements);
       values_correct_ = values_correct_ && cost.correct;
-      long long charges = 0;
-      if (groups_.at(b.group).needs_replan) {
-        charges += config_.replan_cycles;
-        groups_.at(b.group).needs_replan = false;
-      }
-      if (any_replay) charges += config_.replay_backoff_cycles;
       b.start = clock_;
-      b.data_start = clock_ + charges;
-      b.finish = b.data_start + cost.cycles;
+      b.finish = clock_ + cost.cycles;
       b.flits = cost.flits;
       ++batches_;
       if (batch_indices.size() > 1) {
@@ -354,7 +203,6 @@ void AllreduceService::dispatch_free_lanes() {
         queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(*it));
       }
       lane_state_[l].busy = true;
-      lane_state_[l].free_at = b.finish;
       lane_state_[l].batch = std::move(b);
       break;  // lane occupied; try the next one
     }
@@ -378,7 +226,6 @@ void AllreduceService::finish_job(int job_id, long long cycle, int lane,
   record.lane = lane;
   record.batch_jobs = batch_jobs;
   if (record.start_cycle < 0) record.start_cycle = cycle;
-  if (record.admit_cycle < 0) record.admit_cycle = record.spec.arrival_cycle;
   if (obsv::Recorder* rec = recorder()) {
     rec->metrics.add("service.jobs.completed");
     rec->metrics.observe(
@@ -392,8 +239,6 @@ ServiceStats AllreduceService::stats() const {
   s.submitted = static_cast<int>(records_.size());
   s.batches = batches_;
   s.coalesced_jobs = coalesced_jobs_;
-  s.replans = replans_;
-  s.replayed_elements = replayed_elements_;
   s.total_flits = total_flits_;
   s.values_correct = values_correct_;
   std::vector<long long> sojourns;

@@ -22,51 +22,31 @@ namespace pfar::service {
 /// timelines (exact, not approximate: lanes share no physical link, the
 /// same property that makes intra-run sharding bit-identical). A
 /// tenant-fair scheduler assigns queued jobs to freed lanes; under the
-/// batched policy, queued jobs of the same (group, op) coalesce into one
-/// fused sub-vector run. Each dispatched batch's duration and fabric work
-/// come from a cycle-accurate (or flow-tier) simulation of exactly that
-/// run on exactly that lane's trees: one collectives::TreeSetCost per
-/// lane, memoized by fused size. Lane runs have no recovery, so the
-/// constructor rejects a non-empty fault script.
-///
-/// Reduction groups have dynamic membership in the HPX-5 allreduce_tree
-/// style: join() registers a leaf for future reductions; leave()
-/// invalidates in-flight contributions, so a batch of that group running
-/// at the event cycle is interrupted — its delivered prefix survives and
-/// the remainder re-enqueues as a replay (charged replay_backoff_cycles),
-/// mirroring run_resilient_allreduce's replay-exactly-the-lost-chunks
-/// path. Either event marks the group for an incremental replan charge
-/// (replan_cycles) on its next dispatch.
+/// batched policy, queued jobs of the same operator coalesce into one
+/// fused sub-vector run. Every job is an Allreduce over every node. Each
+/// dispatched batch's duration and fabric work are exactly a
+/// cycle-accurate (or flow-tier) simulation of that run on that lane's
+/// trees: one collectives::TreeSetCost per lane, memoized by fused size;
+/// nothing else is charged. Lane runs have no recovery, so the constructor
+/// rejects a non-empty fault script.
 ///
 /// The loop is resumable: drain() runs until idle, after which more jobs
-/// and membership events may be submitted and drained again; the clock and
-/// statistics persist. Everything is integer virtual-cycle arithmetic over
-/// deterministic simulator results, so a given submission history yields
-/// bit-identical records for every SimConfig::shard_threads value and
-/// every wall-clock interleaving.
+/// may be submitted and drained again; the clock and statistics persist.
+/// Everything is integer virtual-cycle arithmetic over deterministic
+/// simulator results, so a given submission history yields bit-identical
+/// records for every SimConfig::shard_threads value and every wall-clock
+/// interleaving.
 class AllreduceService {
  public:
   AllreduceService(core::AllreducePlan plan, ServiceConfig config);
-
-  /// Registers a reduction group over `members` (sorted-unique node ids in
-  /// the fabric) and returns its id. Group 0 always exists and holds every
-  /// node. A single-member group needs no fabric: its jobs complete at
-  /// dispatch with zero cycles.
-  int create_group(const std::vector<int>& members);
-
-  /// Membership events, effective at `cycle` (clamped to the current
-  /// clock, like submissions). join() requires the node not to be a
-  /// member yet; leave() requires it to be one and to not empty the group.
-  void join(int group, int node, long long cycle);
-  void leave(int group, int node, long long cycle);
 
   /// Submits a job and returns its id (index into records()). Jobs dated
   /// in the past are admitted at the current clock. Admission control
   /// applies at the job's arrival instant, not at submit() time.
   int submit(const JobSpec& spec);
 
-  /// Runs the event loop until no arrivals, membership events, queued
-  /// jobs or in-flight batches remain.
+  /// Runs the event loop until no arrivals, queued jobs or in-flight
+  /// batches remain.
   void drain();
 
   /// Current virtual cycle (the last processed event).
@@ -84,39 +64,22 @@ class AllreduceService {
   const core::AllreducePlan& plan() const { return plan_; }
 
  private:
-  struct Group {
-    std::vector<int> members;  // sorted unique
-    bool needs_replan = false;
-  };
-  struct MemberEvent {
-    long long cycle = 0;
-    long long seq = 0;
-    int group = 0;
-    int node = 0;
-    bool is_join = true;
-  };
   struct Batch {
     std::vector<int> job_ids;
-    std::vector<long long> job_elements;
-    int group = 0;
     long long total_elements = 0;
-    long long start = 0;       // dispatch cycle (charges begin)
-    long long data_start = 0;  // streaming begins (after charges)
+    long long start = 0;
     long long finish = 0;
     long long flits = 0;
   };
   struct LaneState {
-    long long free_at = 0;
     bool busy = false;
     Batch batch;
   };
 
   void process(long long t);
   void complete_lanes(long long t);
-  void apply_member_events(long long t);
   void admit_arrivals(long long t);
   void dispatch_free_lanes();
-  void interrupt_group(int group, long long t);
   void finish_job(int job_id, long long cycle, int lane, int batch_jobs);
   /// The service-timeline recorder; null when PFAR_TRACE=off.
   obsv::Recorder* recorder() const {
@@ -128,22 +91,17 @@ class AllreduceService {
   std::vector<Lane> lanes_;
   std::vector<collectives::TreeSetCost> lane_costs_;  // one per lane
   std::vector<LaneState> lane_state_;
-  std::map<int, Group> groups_;
-  int next_group_ = 1;
 
   long long clock_ = 0;
   long long next_seq_ = 0;
   std::vector<JobRecord> records_;
-  std::vector<QueuedJob> pending_;        // submitted, arrival in the future
-  std::vector<MemberEvent> member_pending_;
-  std::vector<QueuedJob> queue_;          // admitted, awaiting dispatch
+  std::vector<QueuedJob> pending_;  // submitted, arrival in the future
+  std::vector<QueuedJob> queue_;    // admitted, awaiting dispatch
   std::map<int, long long> served_elements_;  // fairness ledger per tenant
 
   // Incrementally maintained slices of ServiceStats.
   int batches_ = 0;
   int coalesced_jobs_ = 0;
-  int replans_ = 0;
-  long long replayed_elements_ = 0;
   long long total_flits_ = 0;
   bool values_correct_ = true;
 };

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <queue>
 
+#include "simnet/traffic_sim.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
@@ -17,27 +16,6 @@ constexpr long long kPpm = 1'000'000;
 std::size_t dlink(const graph::Graph& g, int u, int v) {
   const int e = g.edge_id(u, v);
   return static_cast<std::size_t>(2 * e + (u > v ? 1 : 0));
-}
-
-/// The fixed permutation of TrafficConfig/TrafficSimulator, reproduced
-/// byte-for-byte (Fisher-Yates over util::Rng, then self-targets bumped to
-/// the next node) so a BackgroundTraffic and a TrafficSimulator run with
-/// the same seed describe the same pattern.
-std::vector<int> pattern_permutation(int n, std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<int> perm(static_cast<std::size_t>(n));
-  std::iota(perm.begin(), perm.end(), 0);
-  for (int i = n - 1; i > 0; --i) {
-    std::swap(perm[static_cast<std::size_t>(i)],
-              perm[static_cast<std::size_t>(
-                  rng.next_below(static_cast<std::uint64_t>(i + 1)))]);
-  }
-  for (int i = 0; i < n; ++i) {
-    if (perm[static_cast<std::size_t>(i)] == i) {
-      perm[static_cast<std::size_t>(i)] = (i + 1) % n;
-    }
-  }
-  return perm;
 }
 
 }  // namespace
@@ -70,7 +48,8 @@ std::vector<long long> background_link_rates_ppm(const graph::Graph& topology,
 
   std::vector<int> perm;
   if (bg.pattern == TrafficPattern::kPermutation) {
-    perm = pattern_permutation(n, bg.seed);
+    util::Rng rng(bg.seed);
+    perm = pattern_permutation(n, rng);
   }
 
   // Rate src sends toward dst, in ppm-flits/cycle. Integer division of the
@@ -96,31 +75,14 @@ std::vector<long long> background_link_rates_ppm(const graph::Graph& topology,
   // each destination, accumulating whole subtrees in one pass: after the
   // BFS from dst, process vertices farthest-first and push each vertex's
   // accumulated rate one hop closer to dst.
-  std::vector<int> hop(static_cast<std::size_t>(n));
-  std::vector<int> dist(static_cast<std::size_t>(n));
-  std::vector<int> order(static_cast<std::size_t>(n));
+  graph::BfsTree tree;
   std::vector<long long> acc(static_cast<std::size_t>(n));
   for (int dst = 0; dst < n; ++dst) {
-    std::fill(dist.begin(), dist.end(), -1);
-    std::fill(hop.begin(), hop.end(), -1);
-    std::queue<int> frontier;
-    dist[static_cast<std::size_t>(dst)] = 0;
-    frontier.push(dst);
-    int visited = 0;
-    while (!frontier.empty()) {
-      const int u = frontier.front();
-      frontier.pop();
-      order[static_cast<std::size_t>(visited++)] = u;
-      for (int w : topology.neighbors(u)) {
-        if (dist[static_cast<std::size_t>(w)] < 0) {
-          dist[static_cast<std::size_t>(w)] =
-              dist[static_cast<std::size_t>(u)] + 1;
-          hop[static_cast<std::size_t>(w)] = u;
-          frontier.push(w);
-        }
-      }
-    }
-    PFAR_REQUIRE(visited == n, visited, n);  // connected fabric
+    topology.bfs_tree(dst, tree);
+    const auto& order = tree.order;
+    const auto& hop = tree.parent;
+    PFAR_REQUIRE(order.size() == static_cast<std::size_t>(n), order.size(),
+                 n);  // connected fabric
     for (int v = 0; v < n; ++v) {
       acc[static_cast<std::size_t>(v)] = v == dst ? 0 : flow_ppm(v, dst);
     }

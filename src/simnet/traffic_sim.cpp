@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <numeric>
-#include <queue>
 #include <stdexcept>
 #include <utility>
 
@@ -30,30 +29,34 @@ struct Port {
 
 }  // namespace
 
+std::vector<int> pattern_permutation(int n, util::Rng& rng) {
+  PFAR_REQUIRE(n >= 2, n);
+  std::vector<int> perm(static_cast<std::size_t>(n));
+  std::iota(perm.begin(), perm.end(), 0);
+  for (int i = n - 1; i > 0; --i) {
+    std::swap(perm[static_cast<std::size_t>(i)],
+              perm[static_cast<std::size_t>(
+                  rng.next_below(static_cast<std::uint64_t>(i + 1)))]);
+  }
+  for (int i = 0; i < n; ++i) {
+    if (perm[static_cast<std::size_t>(i)] == i) {
+      perm[static_cast<std::size_t>(i)] = (i + 1) % n;
+    }
+  }
+  return perm;
+}
+
 TrafficSimulator::TrafficSimulator(const graph::Graph& topology)
     : topology_(topology) {
   const int n = topology_.num_vertices();
   if (n < 2 || !topology_.is_connected()) {
     throw std::invalid_argument("TrafficSimulator: need a connected graph");
   }
-  next_hop_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), -1);
+  next_hop_.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
+  graph::BfsTree tree;
   for (int dst = 0; dst < n; ++dst) {
-    auto* hop = &next_hop_[static_cast<std::size_t>(dst) * static_cast<std::size_t>(n)];
-    std::queue<int> frontier;
-    std::vector<int> dist(static_cast<std::size_t>(n), -1);
-    dist[static_cast<std::size_t>(dst)] = 0;
-    frontier.push(dst);
-    while (!frontier.empty()) {
-      const int u = frontier.front();
-      frontier.pop();
-      for (int w : topology_.neighbors(u)) {
-        if (dist[static_cast<std::size_t>(w)] < 0) {
-          dist[static_cast<std::size_t>(w)] = dist[static_cast<std::size_t>(u)] + 1;
-          hop[w] = u;
-          frontier.push(w);
-        }
-      }
-    }
+    topology_.bfs_tree(dst, tree);
+    next_hop_.insert(next_hop_.end(), tree.parent.begin(), tree.parent.end());
   }
   // Connectivity (checked above) means every src != dst pair routed: the
   // only -1 entries left are the dst == src diagonal.
@@ -82,15 +85,7 @@ TrafficResult TrafficSimulator::run(const TrafficConfig& config) const {
   }
   util::Rng rng(config.seed);
 
-  // Fixed permutation targets (derangement-ish: re-draw self-targets).
-  std::vector<int> perm(static_cast<std::size_t>(n));
-  std::iota(perm.begin(), perm.end(), 0);
-  for (int i = n - 1; i > 0; --i) {
-    std::swap(perm[static_cast<std::size_t>(i)], perm[static_cast<std::size_t>(rng.next_below(static_cast<std::uint64_t>(i + 1)))]);
-  }
-  for (int i = 0; i < n; ++i) {
-    if (perm[static_cast<std::size_t>(i)] == i) perm[static_cast<std::size_t>(i)] = (i + 1) % n;
-  }
+  const std::vector<int> perm = pattern_permutation(n, rng);
 
   const auto pick_destination = [&](int src) {
     switch (config.pattern) {

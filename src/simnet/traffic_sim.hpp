@@ -64,6 +64,14 @@ struct TrafficResult {
   bool saturated = false;
 };
 
+/// The fixed destination map of TrafficPattern::kPermutation over `n`
+/// nodes: a Fisher-Yates shuffle drawing from `rng`, then every
+/// self-target bumped to the next node. TrafficSimulator::run draws it
+/// first from its run generator; background_link_rates_ppm draws it from
+/// a fresh generator seeded with BackgroundTraffic::seed, so both describe
+/// the same pattern for the same seed.
+std::vector<int> pattern_permutation(int n, util::Rng& rng);
+
 /// Cycle-level simulator of an input-queued virtual cut-through router
 /// network on an arbitrary topology: per-input-port packet FIFOs with
 /// credit flow control, round-robin output arbitration, deterministic

@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "adapt/controller.hpp"
 #include "collectives/innetwork.hpp"
 #include "obsv/recorder.hpp"
 #include "service/service.hpp"
@@ -147,7 +148,7 @@ ReplayResult replay_training(const core::AllreducePlan& plan,
   std::optional<collectives::TreeSetCost> single;
   if (config.mode == CommMode::kSingle && config.adaptive) {
     adapt::ProbedPlan adapted = adapt::probe_and_adapt(
-        topology, trees, config.sim, config.adapt_ctrl);
+        topology, trees, config.sim);
     out.probe_cycles = adapted.probe.cycles;
     out.total_flits += collectives::total_flits(adapted.probe);
     if (recorder != nullptr) {
@@ -274,7 +275,6 @@ ReplayResult replay_training(const core::AllreducePlan& plan,
   if (config.mode == CommMode::kService) {
     const service::ServiceStats stats = svc->stats();
     out.total_flits += stats.total_flits;
-    out.replayed_elements += stats.replayed_elements;
     out.values_correct = out.values_correct && stats.values_correct;
   }
   out.time_to_epoch = clock;

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "adapt/controller.hpp"
 #include "collectives/resilient.hpp"
 #include "core/planner.hpp"
 #include "service/job.hpp"
@@ -73,7 +72,6 @@ struct ReplayConfig {
   /// plan/split. The probe window is charged to the communication timeline
   /// ahead of iteration 0.
   bool adaptive = false;
-  adapt::ControllerConfig adapt_ctrl;
   /// kSingle + faults: retry/backoff knobs of the resilient driver.
   collectives::ResilienceConfig resilience;
 };

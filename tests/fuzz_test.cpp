@@ -1,13 +1,18 @@
 // Randomized cross-validation of the graph substrate against brute-force
 // reference implementations on small random graphs, plus property checks
 // on the performance model and host algorithms over randomized parameters,
-// plus seeded random fault scripts against the resilient collective driver.
+// plus seeded random fault scripts against the resilient collective driver,
+// plus seeded random job streams against the allreduce service.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "adapt/controller.hpp"
 #include "collectives/host_allreduce.hpp"
@@ -17,7 +22,10 @@
 #include "graph/graph.hpp"
 #include "graph/matching.hpp"
 #include "model/congestion_model.hpp"
+#include "obsv/metrics.hpp"
+#include "obsv/recorder.hpp"
 #include "oracle/reference_allreduce.hpp"
+#include "service/service.hpp"
 #include "simnet/allreduce_sim.hpp"
 #include "util/contracts.hpp"
 #include "util/numeric.hpp"
@@ -344,7 +352,7 @@ TEST(FuzzAdapt, ControllerPropertiesUnderRandomBackground) {
     const long long m = 4000 + static_cast<long long>(rng.next_below(8000));
 
     const auto res = adapt::run_adaptive_allreduce(
-        plan.topology(), plan.trees(), m, cfg, {}, /*compare_static=*/true);
+        plan.topology(), plan.trees(), m, cfg, /*compare_static=*/true);
 
     // Property 1: split integrity.
     EXPECT_EQ(std::accumulate(res.adaptive.split.begin(),
@@ -377,6 +385,212 @@ TEST(FuzzAdapt, ControllerPropertiesUnderRandomBackground) {
         << "iter " << iter << " pattern "
         << static_cast<int>(cfg.background.pattern) << " load "
         << cfg.background.load;
+  }
+}
+
+// --- Service streams ---------------------------------------------------------
+//
+// Seeded random job streams (several tenants, both operators, priorities,
+// zero-element jobs, same-cycle bursts, a second submit/drain round with
+// jobs dated in the past) through every scheduler policy. The service
+// charges nothing but simulation, so every batch's duration must equal
+// its lane's TreeSetCost for the batch's fused size, and every statistic
+// must follow from the records.
+
+std::vector<service::JobSpec> random_stream(util::Rng& rng, int jobs,
+                                            long long first_arrival) {
+  std::vector<service::JobSpec> out;
+  long long t = first_arrival;
+  while (static_cast<int>(out.size()) < jobs) {
+    t += static_cast<long long>(rng.next_below(300));
+    // A burst: 1-6 jobs arriving in the same cycle.
+    const int burst = 1 + static_cast<int>(rng.next_below(6));
+    for (int b = 0; b < burst && static_cast<int>(out.size()) < jobs; ++b) {
+      service::JobSpec spec;
+      spec.tenant = static_cast<int>(rng.next_below(4));
+      spec.elements = rng.next_below(8) == 0
+                          ? 0
+                          : 1 + static_cast<long long>(rng.next_below(1500));
+      spec.op = rng.next_below(2) == 0 ? service::ReduceOp::kSum
+                                       : service::ReduceOp::kMax;
+      spec.priority = static_cast<int>(rng.next_below(3));
+      spec.arrival_cycle = t;
+      out.push_back(spec);
+    }
+  }
+  return out;
+}
+
+struct ServiceRun {
+  std::vector<service::JobRecord> records;
+  service::ServiceStats stats;
+  std::vector<std::vector<int>> lane_trees;
+  long long completed_counter = 0;  // service.jobs.completed, traced builds
+};
+
+ServiceRun run_service_stream(const core::AllreducePlan& plan,
+                              const service::ServiceConfig& base,
+                              const std::vector<service::JobSpec>& first,
+                              const std::vector<service::JobSpec>& second) {
+  obsv::Recorder recorder;
+  service::ServiceConfig config = base;
+  config.sim.recorder = &recorder;
+  service::AllreduceService svc(plan, config);
+  for (const auto& spec : first) svc.submit(spec);
+  svc.drain();
+  // Second round: resumes the clock; jobs dated before it are clamped.
+  for (const auto& spec : second) svc.submit(spec);
+  svc.drain();
+  ServiceRun run;
+  run.records = svc.records();
+  run.stats = svc.stats();
+  for (int l = 0; l < svc.num_lanes(); ++l) {
+    run.lane_trees.push_back(svc.lane_trees(l));
+  }
+  run.completed_counter = recorder.metrics.counter("service.jobs.completed");
+  return run;
+}
+
+auto record_tuple(const service::JobRecord& r) {
+  return std::make_tuple(r.spec.tenant, r.spec.elements,
+                         static_cast<int>(r.spec.op), r.spec.priority,
+                         r.spec.arrival_cycle, r.rejected, r.completed,
+                         r.admit_cycle, r.start_cycle, r.finish_cycle, r.lane,
+                         r.batch_jobs);
+}
+
+TEST(FuzzService, BatchesCostExactlyTheirLaneSimulation) {
+  util::Rng rng(71);
+  const service::SchedulerPolicy policies[] = {
+      service::SchedulerPolicy::kSerial,
+      service::SchedulerPolicy::kPartitioned,
+      service::SchedulerPolicy::kPartitionedBatched};
+  const auto plan =
+      core::AllreducePlanner(5).solution(core::Solution::kEdgeDisjoint).build();
+  for (int iter = 0; iter < 4; ++iter) {
+    const auto first = random_stream(rng, 40, 0);
+    // Dated from cycle 0 again: most of it lands in the first round's past.
+    const auto second = random_stream(rng, 15, 0);
+    for (const auto policy : policies) {
+      service::ServiceConfig config;
+      config.policy = policy;
+      config.max_queue_jobs = iter % 2 == 0 ? 4 : 1024;
+      config.batch_max_jobs = 1 + static_cast<int>(rng.next_below(8));
+      const ServiceRun run = run_service_stream(plan, config, first, second);
+      const std::string where = "iter " + std::to_string(iter) + " policy " +
+                                service::to_string(policy);
+      ASSERT_EQ(run.records.size(), first.size() + second.size()) << where;
+
+      // One TreeSetCost per lane, built independently of the service.
+      std::vector<collectives::TreeSetCost> lane_costs;
+      for (const auto& ids : run.lane_trees) {
+        std::vector<trees::SpanningTree> lane_trees;
+        for (int t : ids) {
+          lane_trees.push_back(plan.trees()[static_cast<std::size_t>(t)]);
+        }
+        lane_costs.emplace_back(plan.topology(), std::move(lane_trees),
+                                config.sim);
+      }
+
+      // Per-job lifecycle, and batches keyed by (lane, start).
+      struct BatchSeen {
+        long long finish = 0;
+        long long elements = 0;
+        int jobs = 0;
+        int batch_jobs = 0;
+      };
+      std::map<std::pair<int, long long>, BatchSeen> batches;
+      int admitted = 0, rejected = 0, completed = 0;
+      long long makespan = 0;
+      std::vector<long long> sojourns;
+      for (const auto& r : run.records) {
+        if (r.rejected) {
+          ++rejected;
+          EXPECT_FALSE(r.completed) << where;
+          EXPECT_EQ(r.admit_cycle, -1) << where;
+          continue;
+        }
+        ++admitted;
+        // Every admitted job completes, admitted at its (clamped) arrival.
+        ASSERT_TRUE(r.completed) << where;
+        ++completed;
+        EXPECT_EQ(r.admit_cycle, r.spec.arrival_cycle) << where;
+        EXPECT_LE(r.admit_cycle, r.start_cycle) << where;
+        EXPECT_LE(r.start_cycle, r.finish_cycle) << where;
+        makespan = std::max(makespan, r.finish_cycle);
+        sojourns.push_back(r.finish_cycle - r.admit_cycle);
+        if (r.lane < 0) {
+          // Only a zero-element job skips the fabric: no cycles. (One may
+          // also ride a fused batch as a companion.)
+          EXPECT_EQ(r.spec.elements, 0) << where;
+          EXPECT_EQ(r.start_cycle, r.finish_cycle) << where;
+          EXPECT_EQ(r.batch_jobs, 1) << where;
+          continue;
+        }
+        ASSERT_LT(r.lane, static_cast<int>(run.lane_trees.size())) << where;
+        BatchSeen& b = batches[{r.lane, r.start_cycle}];
+        if (b.jobs > 0) {
+          EXPECT_EQ(b.finish, r.finish_cycle) << where;
+        }
+        b.finish = r.finish_cycle;
+        b.elements += r.spec.elements;
+        b.batch_jobs = r.batch_jobs;
+        ++b.jobs;
+      }
+      EXPECT_EQ(run.completed_counter,
+                obsv::kTraceCompiled ? completed : 0)
+          << where;  // each completion delivered exactly once
+
+      int coalesced = 0;
+      long long flits = 0;
+      std::map<int, long long> lane_free;  // lane -> previous batch's finish
+      for (const auto& [key, b] : batches) {
+        const auto& [lane, start] = key;
+        EXPECT_EQ(b.jobs, b.batch_jobs) << where;
+        EXPECT_LE(b.jobs, config.batch_max_jobs) << where;
+        if (policy != service::SchedulerPolicy::kPartitionedBatched) {
+          EXPECT_EQ(b.jobs, 1) << where;
+        }
+        EXPECT_GT(b.elements, 0) << where;  // a zero-element seed runs alone
+        if (b.jobs > 1) coalesced += b.jobs;
+        // The batch's duration is exactly its lane's simulation.
+        const auto cost =
+            lane_costs[static_cast<std::size_t>(lane)].cost(b.elements);
+        EXPECT_TRUE(cost.correct) << where;
+        EXPECT_EQ(b.finish - start, cost.cycles)
+            << where << " lane " << lane << " m " << b.elements;
+        flits += cost.flits;
+        // Batches on one lane never overlap ((lane, start) keys ascend).
+        const auto it = lane_free.find(lane);
+        if (it != lane_free.end()) {
+          EXPECT_LE(it->second, start) << where << " lane " << lane;
+        }
+        lane_free[lane] = b.finish;
+      }
+
+      const service::ServiceStats& s = run.stats;
+      EXPECT_EQ(s.submitted, static_cast<int>(run.records.size())) << where;
+      EXPECT_EQ(s.admitted, admitted) << where;
+      EXPECT_EQ(s.rejected, rejected) << where;
+      EXPECT_EQ(s.completed, completed) << where;
+      EXPECT_EQ(s.batches, static_cast<int>(batches.size())) << where;
+      EXPECT_EQ(s.coalesced_jobs, coalesced) << where;
+      EXPECT_EQ(s.total_flits, flits) << where;
+      EXPECT_EQ(s.makespan_cycles, makespan) << where;
+      EXPECT_TRUE(s.values_correct) << where;
+      if (!sojourns.empty()) {
+        EXPECT_EQ(s.p50_cycles, obsv::nearest_rank(sojourns, 50)) << where;
+        EXPECT_EQ(s.p99_cycles, obsv::nearest_rank(sojourns, 99)) << where;
+      }
+
+      // The same stream again gives identical records.
+      const ServiceRun again = run_service_stream(plan, config, first, second);
+      ASSERT_EQ(again.records.size(), run.records.size()) << where;
+      for (std::size_t i = 0; i < run.records.size(); ++i) {
+        EXPECT_EQ(record_tuple(again.records[i]), record_tuple(run.records[i]))
+            << where << " job " << i;
+      }
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "graph/matching.hpp"
@@ -83,6 +84,21 @@ TEST(GraphTest, BfsDistancesOnPath) {
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(dist[static_cast<std::size_t>(i)], i);
   }
+}
+
+TEST(GraphTest, BfsTreeTakesTheFirstDiscovery) {
+  // On the 6-cycle rooted at 0, vertex 3 is two hops away through both 2
+  // and 4; the FIFO queue reaches 2 (via 1) before 4 (via 5), so 2 wins.
+  const Graph g = cycle_graph(6);
+  BfsTree tree;
+  g.bfs_tree(0, tree);
+  EXPECT_EQ(tree.parent, (std::vector<int>{-1, 0, 1, 2, 5, 0}));
+  EXPECT_EQ(tree.dist, (std::vector<int>{0, 1, 2, 3, 2, 1}));
+  EXPECT_EQ(tree.order, (std::vector<int>{0, 1, 5, 2, 4, 3}));
+  // The storage is reused: a second root overwrites every entry.
+  g.bfs_tree(3, tree);
+  EXPECT_EQ(tree.parent, (std::vector<int>{1, 2, 3, -1, 3, 4}));
+  EXPECT_EQ(tree.order, (std::vector<int>{3, 2, 4, 1, 5, 0}));
 }
 
 TEST(GraphTest, DisconnectedGraph) {

@@ -1,8 +1,7 @@
 // The multi-tenant allreduce service (src/service/, docs/service_layer.md):
 // lane construction against the plan's link-disjoint tree groups, the
-// tenant-fair scheduler, small-job coalescing, admission control, dynamic
-// membership (join replan charge / leave replay), the one-shot equivalence
-// of the serial policy, the tentpole throughput claim, and the determinism
+// tenant-fair scheduler, small-job coalescing, admission control, the
+// one-shot equivalence of the serial policy, the tentpole throughput claim, and the determinism
 // guarantee across SimConfig::shard_threads.
 
 #include <gtest/gtest.h>
@@ -31,11 +30,9 @@ core::AllreducePlan make_plan(int q) {
 
 service::JobSpec job(int tenant, long long elements, long long arrival,
                      int priority = 0,
-                     service::ReduceOp op = service::ReduceOp::kSum,
-                     int group = 0) {
+                     service::ReduceOp op = service::ReduceOp::kSum) {
   service::JobSpec spec;
   spec.tenant = tenant;
-  spec.group = group;
   spec.elements = elements;
   spec.op = op;
   spec.priority = priority;
@@ -289,20 +286,6 @@ TEST(ServiceTest, AdmissionControlRejectsOverflow) {
   EXPECT_TRUE(svc.records()[static_cast<std::size_t>(wave[3])].rejected);
 }
 
-TEST(ServiceTest, SingleMemberGroupCompletesInstantly) {
-  const auto plan = make_plan(3);
-  service::ServiceConfig config;
-  service::AllreduceService svc(plan, config);
-  const int g = svc.create_group({2});
-  const int id = svc.submit(job(0, 500, 7, 0, service::ReduceOp::kSum, g));
-  svc.drain();
-  const auto& r = svc.records()[static_cast<std::size_t>(id)];
-  EXPECT_TRUE(r.completed);
-  EXPECT_EQ(r.finish_cycle, 7);  // no fabric, no cycles
-  EXPECT_EQ(r.lane, -1);
-  EXPECT_EQ(svc.stats().total_flits, 0);
-}
-
 TEST(ServiceTest, ZeroElementJobCompletesInstantly) {
   const auto plan = make_plan(3);
   service::AllreduceService svc(plan, service::ServiceConfig{});
@@ -312,61 +295,6 @@ TEST(ServiceTest, ZeroElementJobCompletesInstantly) {
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.finish_cycle, 11);
   EXPECT_EQ(svc.stats().total_flits, 0);
-}
-
-TEST(ServiceTest, JoinChargesReplanOnNextDispatch) {
-  const auto plan = make_plan(3);
-  service::ServiceConfig config;
-  config.policy = service::SchedulerPolicy::kSerial;
-
-  const auto run = [&](bool with_join) {
-    service::AllreduceService svc(plan, config);
-    const int g = svc.create_group({0, 1, 2});
-    svc.submit(job(0, 400, 0, 0, service::ReduceOp::kSum, g));
-    svc.drain();
-    if (with_join) svc.join(g, 5, svc.now());
-    const int id = svc.submit(job(0, 400, svc.now(), 0,
-                                  service::ReduceOp::kSum, g));
-    svc.drain();
-    const auto& r = svc.records()[static_cast<std::size_t>(id)];
-    return r.finish_cycle - r.start_cycle;
-  };
-  const long long plain = run(false);
-  const long long joined = run(true);
-  // A join never interrupts in-flight work (new leaves participate from
-  // the next reduction on); it only charges the replan.
-  EXPECT_EQ(joined - plain, config.replan_cycles);
-}
-
-TEST(ServiceTest, LeaveReplaysInFlightRemainder) {
-  const auto plan = make_plan(3);
-  service::ServiceConfig config;
-  config.policy = service::SchedulerPolicy::kSerial;
-  const long long cost =
-      collectives::run_bucketed_allreduce(
-          plan.topology(), plan.trees(), {2000}, config.sim,
-          collectives::BucketStrategy::kFused)
-          .total_cycles;
-
-  service::AllreduceService svc(plan, config);
-  const int g = svc.create_group({0, 1, 2, 3, 4, 5});
-  const int id = svc.submit(job(0, 2000, 0, 0, service::ReduceOp::kSum, g));
-  const long long cut = cost / 2;
-  svc.leave(g, 3, cut);
-  svc.drain();
-
-  const auto& r = svc.records()[static_cast<std::size_t>(id)];
-  const auto stats = svc.stats();
-  EXPECT_TRUE(r.completed);
-  // The delivered prefix survived; only the remainder re-ran.
-  EXPECT_GT(r.replayed_elements, 0);
-  EXPECT_LT(r.replayed_elements, 2000);
-  EXPECT_EQ(stats.replans, 1);
-  EXPECT_EQ(stats.replayed_elements, r.replayed_elements);
-  // Finish: interrupted at cut, then replan + backoff + remainder run.
-  EXPECT_GT(r.finish_cycle,
-            cut + config.replan_cycles + config.replay_backoff_cycles);
-  EXPECT_TRUE(stats.values_correct);
 }
 
 TEST(ServiceDeterminism, BitIdenticalAcrossShardThreads) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "polarfly/erq.hpp"
 #include "simnet/traffic_sim.hpp"
 #include "topo/topologies.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace pfar::simnet {
 namespace {
@@ -197,6 +200,16 @@ TEST(TrafficSimTest, HotspotNodeOutOfRangeIsRejected) {
   cfg.hotspot_node = 0;
   cfg.hotspot_fraction = 0.3;
   EXPECT_GT(sim.run(cfg).delivered, 0);
+}
+
+// The kPermutation destination map is pinned for one seed: the traffic
+// simulator and background-traffic rates both route it, and it draws from
+// the caller's generator, so the draws after it are pinned too.
+TEST(TrafficSimTest, PatternPermutationIsPinnedForOneSeed) {
+  util::Rng rng(7);
+  EXPECT_EQ(pattern_permutation(13, rng),
+            (std::vector<int>{12, 0, 11, 8, 3, 9, 7, 1, 5, 4, 11, 2, 6}));
+  EXPECT_EQ(rng.next(), 17320858093524191697ull);
 }
 
 }  // namespace
