@@ -545,6 +545,7 @@ void render_report(const RunReport& report, std::ostream& os, int top_k) {
     };
     os << "\n-- accounting --\n";
     show("sim.credit_stalls");
+    show("sim.skipped_cycles");
     show("sim.dropped_packets");
     show("sim.dropped_flits");
     show("sim.canceled_packets");

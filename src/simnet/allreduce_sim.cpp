@@ -1,6 +1,7 @@
 #include "simnet/allreduce_sim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <climits>
 #include <cstdint>
@@ -80,6 +81,7 @@ void SimObserver::finalize(long long cycles, const SimResult& result) {
   m.add("sim.total_elements", result.total_elements);
   m.hwm("sim.max_vc_occupancy", result.max_vc_occupancy);
   m.add("sim.credit_stalls", credit_stalls);
+  m.add("sim.skipped_cycles", skipped_cycles);
   m.add("sim.fault_events", fault_events);
   if (dropped_packets > 0) {
     m.add("sim.dropped_packets", dropped_packets);
@@ -319,7 +321,78 @@ Fabric build_fabric(const graph::Graph& topology,
 //    the k-fold composition of the per-cycle update), and the jump is
 //    clamped to the stall and max_cycles deadlines so even the throwing
 //    paths report the same cycle numbers as the reference loop.
+//
+// On a quiet network without flaky links, a fifth change skips the busy
+// steady state: once the pipeline waves have filled the trees, the loop's
+// control state (everything that decides what moves next, with times taken
+// relative to `now`) often repeats every P cycles while only counters and
+// packet values advance. A rolling signature of each cycle's grants
+// (PeriodFinder) proposes P; a full snapshot compared exactly P cycles
+// later confirms it, and the loop then advances k whole periods in closed
+// form: absolute times move by k * P, counters and in-flight values by k
+// times their per-period delta. Values are linear in the element index and
+// the reduction is a sum, so the translated values are exactly the ones k
+// simulated periods would produce; the jump stops at least one period
+// before any engine's injection end, the next fault event and max_cycles
+// (docs/simulation_engine.md, "Steady periods are skipped in one jump").
 // ---------------------------------------------------------------------------
+
+// Candidate steady periods from per-cycle grant signatures: the smallest
+// P <= kMaxPeriod such that each of the last 2P + kSlack cycles matches the
+// cycle P before it and the window saw a grant. A candidate is only a hint;
+// run_fast_loop confirms it on the full control state.
+class PeriodFinder {
+ public:
+  static constexpr int kMaxPeriod = 128;
+
+  void push(std::uint64_t signature) {
+    hist_[static_cast<std::size_t>(count_) & kMask] = signature;
+    ++count_;
+  }
+
+  // `cycles` grant-free cycles skipped by the idle jump.
+  void push_idle(long long cycles) {
+    if (cycles >= static_cast<long long>(kHistory)) {
+      count_ = 0;
+      return;
+    }
+    for (long long i = 0; i < cycles; ++i) push(0);
+  }
+
+  void clear() { count_ = 0; }
+
+  int candidate() const {
+    for (int p = 1; p <= kMaxPeriod && count_ >= 3LL * p + kSlack; ++p) {
+      const long long window = 2LL * p + kSlack;
+      bool granted = false;
+      long long i = 0;
+      for (; i < window && back(i) == back(i + p); ++i) {
+        granted = granted || back(i) != 0;
+      }
+      if (i == window && granted) return p;
+    }
+    return 0;
+  }
+
+ private:
+  static constexpr std::size_t kHistory = 512;  // >= 3 * kMaxPeriod + kSlack
+  static constexpr std::size_t kMask = kHistory - 1;
+  static constexpr long long kSlack = 4;
+
+  std::uint64_t back(long long i) const {
+    return hist_[static_cast<std::size_t>(count_ - 1 - i) & kMask];
+  }
+
+  std::array<std::uint64_t, kHistory> hist_{};
+  long long count_ = 0;
+};
+
+// Steady-period pacing, in cycles: how often the finder is asked for a
+// candidate, and the back-off range after a candidate fails to confirm.
+constexpr long long kSteadyProbeEvery = 8;
+constexpr long long kSteadyMinBackoff = 16;
+constexpr long long kSteadyMaxBackoff = 256;
+
 long long run_fast_loop(const Fabric& f, const SimConfig& config,
                         const std::vector<long long>& elements_per_tree,
                         SimResult& result,
@@ -721,6 +794,235 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
     progressed = true;
   };
 
+  // --- Steady-period jump (see the header comment). Only on a quiet
+  // network without flaky links: background drains and drop decisions
+  // follow absolute time and per-link packet ordinals, which the control
+  // state does not hold. The snapshot is allocated on first use and holds
+  // occupied slots only.
+  const bool steady_ok = !bg_active && !fault.flaky;
+  PeriodFinder finder;
+  std::uint64_t cycle_sig = 0;  // this cycle's grants, rolled
+  int period = 0;               // the candidate under verification
+  long long verify_at = -1;     // its confirming cycle top; -1 = none
+  long long next_try = 0;       // earliest cycle top for the next step
+  long long backoff = kSteadyMinBackoff;
+  std::vector<long long> snap_key, snap_val, delta;
+  std::vector<std::int64_t> reduce_slope;  // per state, on first snapshot
+
+  // Visits the loop state in one fixed order: `key` gets every control
+  // value, `stamp` every absolute time the control state holds relative to
+  // `now`, `count` every counter the jump translates, and `elem` every
+  // in-flight element value with its stream's value slope and the index
+  // of the count visit that measures how far the stream advanced. Counts
+  // come first: state s owns count visits 4s..4s+3 (injected, delivered,
+  // inj_next, exp_next), then tree t owns 4 * num_states + t (remaining).
+  const std::size_t ntrees = static_cast<std::size_t>(num_trees);
+  const auto walk = [&](auto&& key, auto&& stamp, auto&& count, auto&& elem) {
+    for (std::size_t s = 0; s < num_states; ++s) {
+      count(eng_injected[s]);
+      count(eng_delivered[s]);
+      count(inj_next[s]);
+      count(exp_next[s]);
+      key(eng_waiting[s]);
+    }
+    for (std::size_t t = 0; t < ntrees; ++t) {
+      const bool live = !tree_canceled[t] && tree_remaining[t] > 0;
+      count(tree_remaining[t]);
+      key(tree_canceled[t]);
+      key(live);
+      if (live) stamp(tree_progress[t]);
+    }
+    count(delivered_total);
+    stamp(last_progress);
+    key(fault.next);
+    for (const std::int32_t dl : active_dlinks) {
+      const std::size_t d = static_cast<std::size_t>(dl);
+      key(tokens[d]);
+      key(rr[d]);
+      count(result.link_flits[d]);
+    }
+    key(bcast_list.size());
+    for (const std::int32_t idx : bcast_list) key(idx);
+    for (std::uint32_t b = 0; b < wheel_size; ++b) {
+      const auto& bucket = wheel[static_cast<std::size_t>(
+          (now + static_cast<long long>(b)) & wmask)];
+      key(bucket.size());
+      for (const std::int32_t id : bucket) key(id);
+    }
+    const auto packet = [&](Ref r, std::int64_t slope, std::size_t advance) {
+      key(r.size);
+      std::int64_t* v = &arena[static_cast<std::size_t>(r.slab) *
+                               static_cast<std::size_t>(stride)];
+      for (std::int32_t e = 0; e < r.size; ++e) elem(v[e], slope, advance);
+    };
+    for (std::size_t i = 0; i < static_cast<std::size_t>(num_vcs); ++i) {
+      const std::size_t src = static_cast<std::size_t>(vc_src_state[i]);
+      const bool reduce = vc_is_reduce[i] != 0;
+      const std::int64_t slope = reduce ? reduce_slope[src] : exp_slope;
+      const std::size_t advance = 4 * src + (reduce ? 0 : 1);
+      key(credits[i]);
+      key(rtotal[i]);
+      key(rready[i]);
+      key(ccount[i]);
+      key(vc_poisoned[i]);
+      const std::size_t base = i * pcap;
+      for (std::uint32_t j = 0; j < rtotal[i]; ++j) {
+        const std::size_t at = base + ((rhead[i] + j) & pmask);
+        if (j >= rready[i]) stamp(ring_time[at]);
+        packet(ring_ref[at], slope, advance);
+      }
+      for (std::uint32_t j = 0; j < ccount[i]; ++j) {
+        stamp(credit_time[base + ((chead[i] + j) & pmask)]);
+      }
+    }
+    for (std::size_t s = 0; s < num_states; ++s) {
+      for (auto sid = static_cast<std::size_t>(child_base[s]);
+           sid < static_cast<std::size_t>(child_base[s + 1]); ++sid) {
+        key(fcount[sid]);
+        for (std::uint32_t j = 0; j < fcount[sid]; ++j) {
+          packet(fork_ring[sid * fcap + ((fhead[sid] + j) & fmask)],
+                 exp_slope, 4 * s + 1);
+        }
+      }
+    }
+    for (std::size_t t = 0; t < ntrees; ++t) {
+      key(rq_count[t]);
+      for (std::uint32_t j = 0; j < rq_count[t]; ++j) {
+        packet(root_ring[t * pcap + ((rq_head[t] + j) & pmask)], exp_slope,
+               4 * static_cast<std::size_t>(root_state[t]));
+      }
+    }
+  };
+
+  const auto snapshot = [&] {
+    if (reduce_slope.empty()) {
+      // A reduce stream carries its sender's subtree sum, whose value
+      // grows by (subtree size) * kElemStride per element.
+      reduce_slope.assign(num_states, kElemStride);
+      std::vector<std::int32_t> parent(num_states, -1);
+      for (std::size_t i = 0; i < static_cast<std::size_t>(num_vcs); ++i) {
+        if (vc_is_reduce[i]) {
+          parent[static_cast<std::size_t>(vc_src_state[i])] = vc_dst_state[i];
+        }
+      }
+      for (std::size_t s = 0; s < num_states; ++s) {
+        for (std::int32_t p = parent[s]; p >= 0;
+             p = parent[static_cast<std::size_t>(p)]) {
+          reduce_slope[static_cast<std::size_t>(p)] += kElemStride;
+        }
+      }
+    }
+    snap_key.clear();
+    snap_val.clear();
+    const auto key = [&](auto x) {
+      snap_key.push_back(static_cast<long long>(x));
+    };
+    walk(key, [&](long long& t) { key(t - now); },
+         [&](auto& x) { snap_val.push_back(static_cast<long long>(x)); },
+         [&](std::int64_t& x, std::int64_t, std::size_t) {
+           snap_val.push_back(x);
+         });
+  };
+
+  // True iff the state is the snapshot's advanced by exactly one period:
+  // the same control state, and every in-flight element moved by its
+  // stream's slope times the elements that stream advanced. Fills `delta`
+  // with every count and element's per-period change.
+  const auto verify = [&] {
+    std::size_t kp = 0;
+    std::size_t vp = 0;
+    bool same = true;
+    delta.clear();
+    const auto key = [&](auto x) {
+      same = same && kp < snap_key.size() &&
+             snap_key[kp] == static_cast<long long>(x);
+      ++kp;
+    };
+    walk(key, [&](long long& t) { key(t - now); },
+         [&](auto& x) {
+           same = same && vp < snap_val.size();
+           if (same) {
+             delta.push_back(static_cast<long long>(x) - snap_val[vp++]);
+           }
+         },
+         [&](std::int64_t& x, std::int64_t slope, std::size_t advance) {
+           same = same && vp < snap_val.size();
+           if (!same) return;
+           const long long d = x - snap_val[vp++];
+           same = d == slope * delta[advance];
+           delta.push_back(d);
+         });
+    return same && kp == snap_key.size() && vp == snap_val.size();
+  };
+
+  // Whole periods the verified one may be repeated in closed form: the
+  // jump stops at least one period before any engine's injection end, any
+  // tree's last delivery, the next fault event and the max_cycles deadline.
+  const auto periods_to_skip = [&] {
+    long long k = (config.max_cycles - now) / period - 1;
+    if (faults_active && fault.next < fault.events.size()) {
+      k = std::min(k, (fault.events[fault.next].cycle - now) / period - 1);
+    }
+    for (std::size_t s = 0; s < num_states; ++s) {
+      const long long d = delta[4 * s];
+      if (d > 0) {
+        k = std::min(k, (eng_target[s] - 1 - eng_injected[s]) / d - 1);
+      }
+    }
+    for (std::size_t t = 0; t < ntrees; ++t) {
+      const long long d = -delta[4 * num_states + t];
+      if (d > 0) k = std::min(k, (tree_remaining[t] - 1) / d - 1);
+    }
+    return k;
+  };
+
+  // Advances k periods: absolute times by k * period, counters and
+  // in-flight values by k times their per-period delta, and the wheel's
+  // buckets along with `now`. Tokens, round-robin pointers and maxima are
+  // periodic and stay as they are.
+  const auto jump = [&](long long k) {
+    const long long shift = k * period;
+    std::size_t i = 0;
+    const auto translate = [&](auto& x) { x += k * delta[i++]; };
+    walk([](auto) {}, [&](long long& t) { t += shift; }, translate,
+         [&](std::int64_t& x, std::int64_t, std::size_t) { translate(x); });
+    const std::uint32_t turn = static_cast<std::uint32_t>(shift) & wmask;
+    std::rotate(wheel.begin(),
+                wheel.begin() + ((wheel_size - turn) & wmask), wheel.end());
+    now += shift;
+  };
+
+  // One step at a cycle top: propose a candidate and snapshot it, or
+  // confirm one and jump. Returns true iff it jumped, so the caller
+  // re-runs the cycle-top checks at the new `now`. A miss backs off.
+  const auto steady_step = [&] {
+    if (verify_at < 0) {
+      period = finder.candidate();
+      if (period == 0) {
+        next_try = now + kSteadyProbeEvery;
+        return false;
+      }
+      snapshot();
+      verify_at = next_try = now + period;
+      PFAR_OBS(start_tape(now));
+      return false;
+    }
+    const bool hit = now == verify_at && result.values_correct && verify();
+    verify_at = -1;
+    const long long k = hit ? periods_to_skip() : 0;
+    if (k < 1) {
+      PFAR_OBS(stop_tape());
+      next_try = now + backoff;
+      backoff = std::min(2 * backoff, kSteadyMaxBackoff);
+      return false;
+    }
+    PFAR_OBS(skip_periods(now, period, k));
+    jump(k);
+    finder.clear();
+    backoff = kSteadyMinBackoff;
+    return true;
+  };
+
   while (delivered_total < total_target) {
     if (now > config.max_cycles) {
       throw std::runtime_error("AllreduceSimulator: cycle limit exceeded");
@@ -730,6 +1032,7 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
           "AllreduceSimulator: deadlock detected at cycle " +
           std::to_string(now));
     }
+    if (steady_ok && now >= next_try && steady_step()) continue;
 
     progressed = false;
     sched_bucket = &wheel[static_cast<std::size_t>((now + latency) & wmask)];
@@ -998,6 +1301,8 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
         const long long flits = packet.size + header;
         tokens[static_cast<std::size_t>(dl)] -= flits;
         result.link_flits[static_cast<std::size_t>(dl)] += flits;
+        cycle_sig = (cycle_sig ^ static_cast<std::uint64_t>(id + 1)) *
+                    std::uint64_t{0x100000001b3};
         PFAR_OBS(on_grant(dl, now));
         --credits[static_cast<std::size_t>(id)];
         if (faults_active && fault.drop_now(dl)) {
@@ -1023,6 +1328,10 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
       }
     }
 
+    if (steady_ok) {
+      finder.push(cycle_sig);
+      cycle_sig = 0;
+    }
     if (progressed) {
       ++now;
       continue;
@@ -1077,6 +1386,7 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
     target = std::min(target, last_progress + config.stall_limit + 1);
     target = std::min(target, config.max_cycles + 1);
     const long long skip = target - now - 1;
+    if (steady_ok) finder.push_idle(skip);
     if (skip > 0) {
       for (const std::int32_t dl : active_dlinks) {
         tokens[static_cast<std::size_t>(dl)] = std::min<long long>(tokens[static_cast<std::size_t>(dl)] + skip * bw, token_cap);

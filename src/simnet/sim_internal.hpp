@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -124,6 +125,7 @@ struct SimObserver {
   std::vector<long long> reduce_first; // first reduce packet per tree
   std::vector<long long> reduce_done;  // root consumed its last element
   long long credit_stalls = 0;
+  long long skipped_cycles = 0;  // cycles the steady-period jump skipped
   long long dropped_packets = 0;
   long long dropped_flits = 0;
   long long canceled_packets = 0;
@@ -132,6 +134,14 @@ struct SimObserver {
 
   std::uint32_t n_busy = 0, n_reduce = 0, n_bcast = 0;
   std::uint32_t n_fault_down = 0, n_fault_up = 0, n_canceled = 0;
+
+  // The steady-period tape: while the loop verifies a candidate period it
+  // records that period's grants (cycle, dlink) and stall count, and a
+  // confirmed jump replays them once per skipped period.
+  bool taping = false;
+  long long tape_start = 0;
+  long long tape_stalls = 0;
+  std::vector<std::pair<long long, int>> tape;
 
   void init(obsv::Recorder* recorder, const graph::Graph& topology,
             int trees, Collective m) {
@@ -176,9 +186,33 @@ struct SimObserver {
   void on_grant(int dlink, long long now) {
     const std::size_t d = static_cast<std::size_t>(dlink);
     if (busy_last[d] == now) return;  // several grants in one cycle
+    if (taping) tape.emplace_back(now, dlink);
     if (busy_start[d] >= 0 && now != busy_last[d] + 1) close_busy_span(dlink);
     if (busy_start[d] < 0) busy_start[d] = now;
     busy_last[d] = now;
+  }
+
+  void start_tape(long long now) {
+    taping = true;
+    tape_start = now;
+    tape_stalls = credit_stalls;
+    tape.clear();
+  }
+
+  void stop_tape() { taping = false; }
+
+  // The loop skipped k periods of `period` cycles starting at cycle `from`,
+  // each a copy of the taped one: replay its grants in order, so busy
+  // spans and their emission order are exactly the simulated ones, and
+  // add its stalls k times.
+  void skip_periods(long long from, long long period, long long k) {
+    taping = false;
+    for (long long j = 0; j < k; ++j) {
+      const long long shift = from + j * period - tape_start;
+      for (const auto& [cycle, dlink] : tape) on_grant(dlink, cycle + shift);
+    }
+    credit_stalls += k * (credit_stalls - tape_stalls);
+    skipped_cycles += k * period;
   }
 
   void on_queue_depth(int dlink, int depth) {

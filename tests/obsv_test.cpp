@@ -11,6 +11,7 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "collectives/innetwork.hpp"
@@ -299,25 +300,35 @@ TEST_F(ObsvIntegration, MetricsAgreeWithSimResultAccounting) {
 TEST_F(ObsvIntegration, EnginesAgreeOnTraceSpansAndFlitMetrics) {
   // The simulator and the reference oracle (tests/oracle) are
   // bit-identical in results; their traces must agree on everything
-  // cycle-derived (busy spans, tree spans). Credit-stall counts are
-  // loop-relative by design (docs/observability.md), so only the trace is
-  // compared.
+  // cycle-derived (busy spans, tree spans). Credit-stall and skipped-cycle
+  // counts are loop-relative by design (docs/observability.md), so only
+  // the trace is compared. The long run settles into a steady period that
+  // the simulator skips in one jump: the observer replays the skipped
+  // grants, so its busy spans still match the oracle's byte for byte.
   const auto plan = core::AllreducePlanner(5).build();
   const auto embeddings = collectives::to_embeddings(plan.trees());
-  const auto run = [&](bool use_oracle) {
+  const auto run = [&](bool use_oracle, long long m) {
     obsv::Recorder rec;
     simnet::SimConfig config;
     config.recorder = &rec;
     if (use_oracle) {
       oracle::run_reference_allreduce(plan.topology(), embeddings, config,
-                                      plan.split(256));
+                                      plan.split(m));
     } else {
       simnet::AllreduceSimulator(plan.topology(), embeddings, config)
-          .run(plan.split(256));
+          .run(plan.split(m));
     }
-    return trace_json_of(rec.trace);
+    return std::pair{trace_json_of(rec.trace),
+                     rec.metrics.counter("sim.skipped_cycles")};
   };
-  EXPECT_EQ(run(false), run(true));
+  EXPECT_EQ(run(false, 256).first, run(true, 256).first);
+  const auto product = run(false, 4000);
+  const auto reference = run(true, 4000);
+  EXPECT_EQ(product.first, reference.first);
+  EXPECT_EQ(reference.second, 0);
+  if (obsv::kTraceCompiled) {
+    EXPECT_GT(product.second, 0) << "the long run never jumped";
+  }
 }
 
 TEST_F(ObsvIntegration, PlannerObserverRecordsPhaseTimers) {
