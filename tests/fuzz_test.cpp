@@ -10,6 +10,7 @@
 #include <map>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "model/congestion_model.hpp"
 #include "obsv/metrics.hpp"
 #include "obsv/recorder.hpp"
+#include "oracle/expect_same_result.hpp"
 #include "oracle/reference_allreduce.hpp"
 #include "service/service.hpp"
 #include "simnet/allreduce_sim.hpp"
@@ -292,6 +294,80 @@ TEST(FuzzFaults, UndetectedLossDeadlocksInsteadOfHanging) {
   EXPECT_THROW(static_cast<void>(oracle::run_reference_allreduce(
                    plan.topology(), embeddings, cfg, plan.split(1000))),
                std::runtime_error);
+}
+
+TEST(FuzzSimulator, SettledRandomConfigsMatchTheOracle) {
+  // Seeded random link, buffer, packet and mode settings on runs long
+  // enough to settle, so the product usually skips steady periods in one
+  // jump while the oracle simulates every cycle: results (or the thrown
+  // message, for a short max_cycles) must agree exactly, serial and
+  // sharded. A third of the runs lose a random link mid-stream.
+  util::Rng rng(18);
+  const core::Solution solutions[] = {core::Solution::kLowDepth,
+                                      core::Solution::kEdgeDisjoint,
+                                      core::Solution::kSingleTree};
+  const simnet::Collective modes[] = {simnet::Collective::kAllreduce,
+                                      simnet::Collective::kReduce,
+                                      simnet::Collective::kBroadcast};
+  const auto pick = [&](int lo, int count) {
+    return lo + static_cast<int>(
+                    rng.next_below(static_cast<std::uint64_t>(count)));
+  };
+  for (int iter = 0; iter < 12; ++iter) {
+    const auto plan = core::AllreducePlanner(iter % 3 == 0 ? 3 : 5)
+                          .solution(solutions[pick(0, 3)])
+                          .build();
+    simnet::SimConfig cfg;
+    cfg.collective = modes[pick(0, 3)];
+    cfg.packet_payload = pick(1, 4);
+    cfg.packet_header_flits = pick(0, 3);
+    cfg.vc_credits = pick(1, 8);
+    cfg.link_latency = pick(0, 9);
+    cfg.link_bandwidth = pick(1, 3);
+    cfg.fork_buffer = pick(1, 4);
+    const long long m = pick(1000, 5000);
+    if (pick(0, 3) == 0) {
+      const auto& edges = plan.topology().edges();
+      const auto& e = edges[static_cast<std::size_t>(
+          pick(0, static_cast<int>(edges.size())))];
+      const long long at = pick(50, 3000);
+      cfg.progress_timeout = pick(200, 600);
+      cfg.faults.events.push_back(
+          {at, e.u, e.v, simnet::FaultType::kLinkDown});
+      if (pick(0, 2) == 0) {
+        cfg.faults.events.push_back(
+            {at + pick(1, 500), e.u, e.v, simnet::FaultType::kLinkUp});
+      }
+    }
+    if (pick(0, 6) == 0) cfg.max_cycles = pick(500, 3000);
+
+    const auto embeddings = collectives::to_embeddings(plan.trees());
+    const auto run = [&](bool use_oracle, int shard_threads,
+                         std::string& error) {
+      simnet::SimConfig c = cfg;
+      c.shard_threads = shard_threads;
+      try {
+        return use_oracle ? oracle::run_reference_allreduce(
+                                plan.topology(), embeddings, c, plan.split(m))
+                          : simnet::AllreduceSimulator(plan.topology(),
+                                                       embeddings, c)
+                                .run(plan.split(m));
+      } catch (const std::runtime_error& ex) {
+        error = ex.what();
+        return simnet::SimResult{};
+      }
+    };
+    const std::string where = "iter " + std::to_string(iter);
+    std::string reference_error;
+    const auto reference = run(true, 1, reference_error);
+    for (const int threads : {1, 3}) {
+      std::string error;
+      const auto result = run(false, threads, error);
+      EXPECT_EQ(error, reference_error) << where << " threads " << threads;
+      oracle::expect_same_result(result, reference,
+                                 where + " threads " + std::to_string(threads));
+    }
+  }
 }
 
 TEST(FuzzApportion, AlwaysSumsAndRespectsMonotonicity) {
