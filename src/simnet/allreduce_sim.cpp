@@ -120,6 +120,18 @@ void SimObserver::finalize(long long cycles, const SimResult& result) {
     m.add(prefix + ".completed", result.tree_completed[ti]);
     if (result.tree_failed[ti] != 0) m.add(prefix + ".failed");
   }
+  // Busy spans last, in one canonical order: a ring-buffer overflow then
+  // drops link spans before any tree span.
+  std::sort(busy_spans.begin(), busy_spans.end(),
+            [](const BusySpan& a, const BusySpan& b) {
+              return a.last != b.last ? a.last < b.last : a.dlink < b.dlink;
+            });
+  for (const BusySpan& span : busy_spans) {
+    rec->trace.complete(span.start, span.last - span.start + 1, n_busy,
+                        obsv::kTrackLinkBase +
+                            static_cast<std::uint32_t>(span.dlink));
+  }
+  busy_spans.clear();
   for (int d = 0; d < num_dlinks; ++d) {
     const std::size_t di = static_cast<std::size_t>(d);
     if (result.link_flits[di] == 0 && link_dropped[di] == 0 &&
@@ -195,6 +207,12 @@ struct Fabric {
   std::vector<std::int32_t> link_vc;
   std::vector<std::int32_t> active_dlinks;
 
+  // Inverse maps the loop uses to mark a link that may grant: per state,
+  // the link of its uplink reduce VC, and per fork stage, the link of its
+  // broadcast VC (-1 where there is none).
+  std::vector<std::int32_t> up_dlink;
+  std::vector<std::int32_t> stage_dlink;
+
   int num_vcs() const { return static_cast<int>(vc_dlink.size()); }
 };
 
@@ -230,6 +248,8 @@ Fabric build_fabric(const graph::Graph& topology,
   }
   f.child_vc.assign(static_cast<std::size_t>(f.child_base[num_states]), -1);
   f.parent_bcast_vc.assign(num_states, -1);
+  f.up_dlink.assign(num_states, -1);
+  f.stage_dlink.assign(static_cast<std::size_t>(f.child_base[num_states]), -1);
 
   const auto new_vc = [&](bool reduce, std::int32_t src_state,
                           std::int32_t dst_state, int src, int dst,
@@ -255,10 +275,12 @@ Fabric build_fabric(const graph::Graph& topology,
       if (want_reduce) {
         f.child_vc[static_cast<std::size_t>(slot)] =
             new_vc(true, s, ps, v, p, -1);
+        f.up_dlink[static_cast<std::size_t>(s)] = f.vc_dlink.back();
       }
       if (want_bcast) {
         f.parent_bcast_vc[static_cast<std::size_t>(s)] =
             new_vc(false, ps, s, p, v, slot);
+        f.stage_dlink[static_cast<std::size_t>(slot)] = f.vc_dlink.back();
       }
     }
   }
@@ -297,7 +319,7 @@ Fabric build_fabric(const graph::Graph& topology,
 // ---------------------------------------------------------------------------
 // The cycle loop (fast-forward engine). Bit-identical to the original
 // cycle-by-cycle loop — kept as the test oracle, "the reference loop"
-// below (tests/oracle/reference_allreduce.cpp) — with four structural
+// below (tests/oracle/reference_allreduce.cpp) — with five structural
 // changes:
 //
 //  * arrivals and credit returns are scheduled on a time-indexed wheel (all
@@ -314,15 +336,19 @@ Fabric build_fabric(const graph::Graph& topology,
 //    turnaround — is a fixed-capacity power-of-two ring over flat arrays.
 //    All of them are bounded by the credit/fork-buffer limits, so nothing
 //    allocates after setup;
+//  * link arbitration visits only links an event marked as possibly
+//    grantable, in the reference loop's ascending order, and each link's
+//    token bucket and background accumulator catch up lazily when it is
+//    visited (min(t + k*B, cap) is the k-fold composition of the per-cycle
+//    recharge; drains are applied one by one at their own cycles);
 //  * a cycle in which nothing moved and no event landed is provably
 //    followed by identical no-op cycles until the next in-flight landing or
-//    token-bucket recharge, so `now` jumps there in one step. Token buckets
-//    advance over the skipped range in closed form (min(t + k*B, cap) is
-//    the k-fold composition of the per-cycle update), and the jump is
-//    clamped to the stall and max_cycles deadlines so even the throwing
-//    paths report the same cycle numbers as the reference loop.
+//    the recharge of a starved link with work, so `now` jumps there in one
+//    step; the jump is clamped to the stall and max_cycles deadlines so
+//    even the throwing paths report the same cycle numbers as the
+//    reference loop.
 //
-// On a quiet network without flaky links, a fifth change skips the busy
+// On a quiet network without flaky links, a sixth change skips the busy
 // steady state: once the pipeline waves have filled the trees, the loop's
 // control state (everything that decides what moves next, with times taken
 // relative to `now`) often repeats every P cycles while only counters and
@@ -419,6 +445,8 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
   const std::span<const std::int32_t> link_base(f.link_base);
   const std::span<const std::int32_t> link_vc(f.link_vc);
   const std::span<const std::int32_t> active_dlinks(f.active_dlinks);
+  const std::span<const std::int32_t> up_dlink(f.up_dlink);
+  const std::span<const std::int32_t> stage_dlink(f.stage_dlink);
 
   long long delivered_total = 0;
   long long now = 0;
@@ -432,9 +460,7 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
   const int latency = config.link_latency;
 
   // Background traffic, identical per-cycle mechanics to the reference
-  // loop. The accumulator update is linear between drains, so the idle
-  // jump treats the next drain cycle of every live link as a wake point
-  // and replays skipped (provably drain-free) ranges in closed form.
+  // loop, applied lazily per link by sync() below.
   const bool bg_active = !bg_rates_ppm.empty();
   const long long bg_pkt_flits = config.background.packet_flits;
   const long long bg_pkt_ppm = bg_pkt_flits * 1'000'000;
@@ -488,6 +514,74 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
   std::vector<char> vc_poisoned(static_cast<std::size_t>(num_vcs), 0);
   std::vector<char> tree_canceled(static_cast<std::size_t>(num_trees), 0);
   std::vector<long long> tree_progress(static_cast<std::size_t>(num_trees), 0);
+
+  // Links that may grant: step 4 visits only the links whose bit is set.
+  // Every event that can make a VC grantable (a credit landing on an empty
+  // VC, a reduce engine's last missing input, a fork-stage push, a fault
+  // event, a steady-period jump) marks its link; a visit that finds
+  // nothing grantable with tokens in hand, or finds the link down, clears
+  // the bit. A token-starved link keeps it. Nothing on a down link can
+  // grant before its link_up event, which marks it.
+  std::vector<std::uint64_t> work(
+      (static_cast<std::size_t>(f.num_dlinks) + 63) / 64, 0);
+  const auto mark = [&](std::int32_t dl) {
+    work[static_cast<std::size_t>(dl) >> 6] |= std::uint64_t{1} << (dl & 63);
+  };
+  const auto unmark = [&](int dl) {
+    work[static_cast<std::size_t>(dl) >> 6] &= ~(std::uint64_t{1} << (dl & 63));
+  };
+  // The lowest marked link >= from, or -1.
+  const auto next_marked = [&](int from) -> int {
+    std::size_t w = static_cast<std::size_t>(from) >> 6;
+    if (w >= work.size()) return -1;
+    std::uint64_t bits = work[w] & (~std::uint64_t{0} << (from & 63));
+    while (bits == 0) {
+      if (++w == work.size()) return -1;
+      bits = work[w];
+    }
+    return static_cast<int>(w * 64) + std::countr_zero(bits);
+  };
+  for (const std::int32_t dl : active_dlinks) mark(dl);
+
+  // Per-link lazy time: link d's token bucket and background accumulator
+  // have been advanced through cycle synced[d]. sync(d, c) applies the
+  // reference loop's per-cycle update (recharge; on an up link, accumulate
+  // and drain) to cycles synced[d] + 1 .. c, composed exactly:
+  // min(t + k * bw, cap) between drains, each drain at its own cycle. A
+  // link's up/down state is constant over the range, because every fault
+  // event syncs the link before it flips it.
+  std::vector<long long> synced(static_cast<std::size_t>(f.num_dlinks), -1);
+  const auto sync = [&](std::size_t d, long long upto) {
+    long long k = upto - synced[d];
+    if (k <= 0) return;
+    long long& tok = tokens[d];
+    const long long rate = bg_active ? bg_rates_ppm[d] : 0;
+    if (rate > 0 && !(faults_active && !fault.edge_ok(static_cast<int>(d)))) {
+      long long& acc = bg_acc[d];
+      while (acc + k * rate >= bg_pkt_ppm) {
+        // The next drain: the smallest j >= 1 with acc + j * rate >=
+        // bg_pkt_ppm (acc stays below bg_pkt_ppm between drains).
+        const long long j = (bg_pkt_ppm - acc + rate - 1) / rate;
+        k -= j;
+        tok = std::min(tok + j * bw, token_cap);
+        acc += j * rate;
+        const long long pkts = acc / bg_pkt_ppm;
+        acc -= pkts * bg_pkt_ppm;
+        tok -= pkts * bg_pkt_flits;
+        result.link_bg_flits[d] += pkts * bg_pkt_flits;
+        synced[d] += j;
+        PFAR_OBS(on_grant(static_cast<int>(d), synced[d]));
+      }
+      acc += k * rate;
+    }
+    tok = std::min(tok + k * bw, token_cap);
+    synced[d] = upto;
+  };
+  const auto sync_all = [&](long long upto) {
+    for (const std::int32_t dl : active_dlinks) {
+      sync(static_cast<std::size_t>(dl), upto);
+    }
+  };
 
   // --- Per-(node, tree) engine state: elements injected and delivered
   // (the latter for a canceled tree's complete prefix), the number of
@@ -570,8 +664,17 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
     }
   };
 
-  // True whenever this cycle changed any state besides token accumulation
-  // (which the jump replays in closed form) — cleared at each cycle top.
+  // Stages a broadcast packet for one child; a stage that was empty makes
+  // its broadcast VC grantable.
+  const auto push_fork = [&](std::int32_t stage, Ref packet) {
+    const std::size_t sid = static_cast<std::size_t>(stage);
+    fork_ring[sid * fcap + ((fhead[sid] + fcount[sid]) & fmask)] = packet;
+    if (fcount[sid]++ == 0) mark(stage_dlink[sid]);
+  };
+
+  // True whenever this cycle changed any state besides token and
+  // background accumulation (which sync() replays lazily) — cleared at
+  // each cycle top.
   bool progressed = false;
 
   // Returns a consumed packet's credit to VC `id`'s sender — immediately if
@@ -895,6 +998,7 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
   };
 
   const auto snapshot = [&] {
+    sync_all(now - 1);
     if (reduce_slope.empty()) {
       // A reduce stream carries its sender's subtree sum, whose value
       // grows by (subtree size) * kElemStride per element.
@@ -929,6 +1033,7 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
   // stream's slope times the elements that stream advanced. Fills `delta`
   // with every count and element's per-period change.
   const auto verify = [&] {
+    sync_all(now - 1);
     std::size_t kp = 0;
     std::size_t vp = 0;
     bool same = true;
@@ -978,8 +1083,9 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
 
   // Advances k periods: absolute times by k * period, counters and
   // in-flight values by k times their per-period delta, and the wheel's
-  // buckets along with `now`. Tokens, round-robin pointers and maxima are
-  // periodic and stay as they are.
+  // buckets along with `now`. Tokens (synced by verify), round-robin
+  // pointers and maxima are periodic and stay as they are; every link is
+  // marked.
   const auto jump = [&](long long k) {
     const long long shift = k * period;
     std::size_t i = 0;
@@ -990,6 +1096,10 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
     std::rotate(wheel.begin(),
                 wheel.begin() + ((wheel_size - turn) & wmask), wheel.end());
     now += shift;
+    for (const std::int32_t dl : active_dlinks) {
+      synced[static_cast<std::size_t>(dl)] = now - 1;
+      mark(dl);
+    }
   };
 
   // One step at a cycle top: propose a candidate and snapshot it, or
@@ -1044,6 +1154,14 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
       while (fault.next < fault.events.size() &&
              fault.events[fault.next].cycle <= now) {
         const PreparedFault& ev = fault.events[fault.next++];
+        // Both halves reach the event's cycle in their old state.
+        for (const int dl : {2 * ev.edge, 2 * ev.edge + 1}) {
+          const std::size_t d = static_cast<std::size_t>(dl);
+          if (link_base[d + 1] > link_base[d]) {
+            sync(d, now - 1);
+            mark(dl);
+          }
+        }
         if (ev.down) {
           if (!fault.edge_down[static_cast<std::size_t>(ev.edge)]) {
             fault.edge_down[static_cast<std::size_t>(ev.edge)] = 1;
@@ -1098,20 +1216,28 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
             // A poisoned VC's landings still occupy the buffer (occupancy
             // above) but never make it ready (its consumer must not fire).
             if (vc_is_reduce[static_cast<std::size_t>(id)]) {
-              if (before == 0 && !vc_poisoned[static_cast<std::size_t>(id)]) {
-              --eng_waiting[static_cast<std::size_t>(
-                  vc_dst_state[static_cast<std::size_t>(id)])];
-            }
+              // The consumer's last missing input makes its uplink VC
+              // grantable.
+              const std::size_t ds = static_cast<std::size_t>(
+                  vc_dst_state[static_cast<std::size_t>(id)]);
+              if (before == 0 && !vc_poisoned[static_cast<std::size_t>(id)] &&
+                  --eng_waiting[ds] == 0 && up_dlink[ds] >= 0) {
+                mark(up_dlink[ds]);
+              }
             } else if (!vc_poisoned[static_cast<std::size_t>(id)]) {
               activate_bcast(vc_dst_state[static_cast<std::size_t>(id)]);
             }
           }
+          const bool dry = credits[static_cast<std::size_t>(id)] == 0;
           while (ccount[static_cast<std::size_t>(id)] > 0 &&
                  credit_time[base + (chead[static_cast<std::size_t>(id)] & pmask)] <= now) {
             chead[static_cast<std::size_t>(id)] = (chead[static_cast<std::size_t>(id)] + 1) & pmask;
             --ccount[static_cast<std::size_t>(id)];
             ++credits[static_cast<std::size_t>(id)];
             progressed = true;
+          }
+          if (dry && credits[static_cast<std::size_t>(id)] > 0) {
+            mark(vc_dlink[static_cast<std::size_t>(id)]);
           }
         }
         bucket.clear();
@@ -1214,15 +1340,9 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
                   &arena[static_cast<std::size_t>(packet.slab) * static_cast<std::size_t>(stride)],
                   packet.size,
                   &arena[static_cast<std::size_t>(slab) * static_cast<std::size_t>(stride)]);
-              const std::int32_t sid = sb + c;
-              fork_ring[static_cast<unsigned>(sid) * fcap + ((fhead[static_cast<std::size_t>(sid)] + fcount[static_cast<std::size_t>(sid)]) & fmask)] =
-                  Ref{slab, packet.size};
-              ++fcount[static_cast<std::size_t>(sid)];
+              push_fork(sb + c, Ref{slab, packet.size});
             }
-            const std::int32_t sid = sb + forks - 1;
-            fork_ring[static_cast<unsigned>(sid) * fcap + ((fhead[static_cast<std::size_t>(sid)] + fcount[static_cast<std::size_t>(sid)]) & fmask)] =
-                packet;
-            ++fcount[static_cast<std::size_t>(sid)];
+            push_fork(sb + forks - 1, packet);
           }
         }
         // Used its full per-cycle budget without blocking: it may have more
@@ -1231,42 +1351,32 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
       }
     }
 
-    // 4. Link arbitration, identical to the reference loop except that a
+    // 4. Link arbitration over the marked links, in the reference loop's
+    // ascending order; a visit first syncs the link through `now`. A down
+    // link drops its bit (its link_up event marks it again). A
     // token-starved link contributes its recharge time to the event
     // horizon instead of being probed.
     long long recharge_offset = LLONG_MAX;
-    for (const std::int32_t dl : active_dlinks) {
-      tokens[static_cast<std::size_t>(dl)] = std::min<long long>(tokens[static_cast<std::size_t>(dl)] + bw, token_cap);
-      // Down link: tokens recharge (reference loop ditto) but no grants,
-      // and it contributes nothing to the recharge horizon — resumption is
-      // driven by the link_up fault event, which is its own wake point.
-      // The background accumulator freezes too (reference loop ditto).
-      if (faults_active && !fault.edge_ok(dl)) continue;
-      if (bg_active) {
-        long long& acc = bg_acc[static_cast<std::size_t>(dl)];
-        acc += bg_rates_ppm[static_cast<std::size_t>(dl)];
-        if (acc >= bg_pkt_ppm) {
-          const long long pkts = acc / bg_pkt_ppm;
-          acc -= pkts * bg_pkt_ppm;
-          tokens[static_cast<std::size_t>(dl)] -= pkts * bg_pkt_flits;
-          result.link_bg_flits[static_cast<std::size_t>(dl)] +=
-              pkts * bg_pkt_flits;
-          PFAR_OBS(on_grant(dl, now));
-        }
+    for (int dl = next_marked(0); dl >= 0; dl = next_marked(dl + 1)) {
+      const std::size_t d = static_cast<std::size_t>(dl);
+      sync(d, now);
+      if (faults_active && !fault.edge_ok(dl)) {
+        unmark(dl);
+        continue;
       }
-      if (tokens[static_cast<std::size_t>(dl)] <= 0) {
+      if (tokens[d] <= 0) {
         // Cycles until the bucket is positive again: smallest k >= 1 with
         // tokens + k * bw >= 1.
         recharge_offset =
-            std::min(recharge_offset, (1 - tokens[static_cast<std::size_t>(dl)] + bw - 1) / bw);
+            std::min(recharge_offset, (1 - tokens[d] + bw - 1) / bw);
         continue;
       }
-      const std::int32_t lb = link_base[static_cast<std::size_t>(dl)];
-      const int count =
-          static_cast<int>(link_base[static_cast<std::size_t>(dl) + 1] - lb);
+      bool granted = false;
+      const std::int32_t lb = link_base[d];
+      const int count = static_cast<int>(link_base[d + 1] - lb);
       const int probes = count * bw;
-      int slot = rr[static_cast<std::size_t>(dl)];
-      for (int probe = 0; probe < probes && tokens[static_cast<std::size_t>(dl)] > 0;
+      int slot = rr[d];
+      for (int probe = 0; probe < probes && tokens[d] > 0;
            ++probe, slot = slot + 1 == count ? 0 : slot + 1) {
         const int id = link_vc[static_cast<std::size_t>(lb + slot)];
         if (tree_canceled[static_cast<std::size_t>(
@@ -1276,7 +1386,7 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
         if (credits[static_cast<std::size_t>(id)] <= 0) {
           // Credit stall, counted at the same probe point as the reference
           // loop. Stall totals are engine-relative: this engine never
-          // probes the cycles it fast-forwards over.
+          // probes the cycles it fast-forwards over or unmarked links.
           PFAR_OBS(on_credit_stall_if(vc_ready(id)));
           continue;
         }
@@ -1287,20 +1397,20 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
               eng_waiting[static_cast<std::size_t>(si)] != 0) {
             continue;
           }
-          rr[static_cast<std::size_t>(dl)] = slot + 1 == count ? 0 : slot + 1;
+          rr[d] = slot + 1 == count ? 0 : slot + 1;
           packet = make_reduce_packet(si);
         } else {
           const std::int32_t sid = vc_stage[static_cast<std::size_t>(id)];
           if (fcount[static_cast<std::size_t>(sid)] == 0) continue;
-          rr[static_cast<std::size_t>(dl)] = slot + 1 == count ? 0 : slot + 1;
+          rr[d] = slot + 1 == count ? 0 : slot + 1;
           packet = fork_ring[static_cast<unsigned>(sid) * fcap + (fhead[static_cast<std::size_t>(sid)] & fmask)];
           fhead[static_cast<std::size_t>(sid)] = (fhead[static_cast<std::size_t>(sid)] + 1) & fmask;
           --fcount[static_cast<std::size_t>(sid)];
           activate_bcast(vc_src_state[static_cast<std::size_t>(id)]);  // fork slot drained
         }
         const long long flits = packet.size + header;
-        tokens[static_cast<std::size_t>(dl)] -= flits;
-        result.link_flits[static_cast<std::size_t>(dl)] += flits;
+        tokens[d] -= flits;
+        result.link_flits[d] += flits;
         cycle_sig = (cycle_sig ^ static_cast<std::uint64_t>(id + 1)) *
                     std::uint64_t{0x100000001b3};
         PFAR_OBS(on_grant(dl, now));
@@ -1325,7 +1435,9 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
         }
         last_progress = now;
         progressed = true;
+        granted = true;
       }
+      if (!granted) unmark(dl);
     }
 
     if (steady_ok) {
@@ -1366,40 +1478,14 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
         }
       }
     }
-    // Background drains mutate token buckets, so the next drain cycle of
-    // every live (up, loaded) link is a wake point: the jump may only
-    // skip cycles in which no link drains, which keeps the closed-form
-    // token advance below exact. Down links freeze and resume via their
-    // link_up fault event, itself a wake point.
-    if (bg_active) {
-      for (const std::int32_t dl : active_dlinks) {
-        const long long rate = bg_rates_ppm[static_cast<std::size_t>(dl)];
-        if (rate <= 0) continue;
-        if (faults_active && !fault.edge_ok(dl)) continue;
-        // Smallest k >= 1 with acc + k * rate >= bg_pkt_ppm (acc stays
-        // below bg_pkt_ppm between drains, so need >= 1).
-        const long long need =
-            bg_pkt_ppm - bg_acc[static_cast<std::size_t>(dl)];
-        target = std::min(target, now + (need + rate - 1) / rate);
-      }
-    }
     target = std::min(target, last_progress + config.stall_limit + 1);
     target = std::min(target, config.max_cycles + 1);
-    const long long skip = target - now - 1;
-    if (steady_ok) finder.push_idle(skip);
-    if (skip > 0) {
-      for (const std::int32_t dl : active_dlinks) {
-        tokens[static_cast<std::size_t>(dl)] = std::min<long long>(tokens[static_cast<std::size_t>(dl)] + skip * bw, token_cap);
-        if (bg_active && !(faults_active && !fault.edge_ok(dl))) {
-          // Drain-free range (see the wake point above): the accumulator
-          // advances linearly, exactly as skip per-cycle updates would.
-          bg_acc[static_cast<std::size_t>(dl)] +=
-              skip * bg_rates_ppm[static_cast<std::size_t>(dl)];
-        }
-      }
-    }
+    if (steady_ok) finder.push_idle(target - now - 1);
     now = target;
   }
+  // Every link through the last simulated cycle: runs with down events
+  // keep these per-up-cycle background counts.
+  sync_all(now - 1);
 
   // Quiesce, mirrored from the reference loop onto the flat rings: empty
   // receive/in-flight rings, drained fork stages and root queues, and
@@ -1433,9 +1519,9 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
 // per-link counters add over disjoint supports, maxima/sums combine, and
 // the run's exit cycle is the max of the group exit cycles (each engine
 // exits at its last delivery cycle + 1). Bit-identity across every thread
-// count is pinned by tests/sharded_determinism_test.cpp. The one documented
-// divergence: a deadlock/cycle-limit *exception* reports the failing
-// group's own clock, which may differ from the serial cycle number.
+// count is pinned by tests/sharded_determinism_test.cpp. A run whose
+// groups fail (deadlock or cycle limit) runs serially instead, so it
+// throws exactly what the serial run throws, or succeeds like it.
 //
 // Public (docs/service_layer.md): the same partition is the allocation
 // unit of the multi-tenant service scheduler — two jobs on different
@@ -1777,10 +1863,20 @@ SimResult AllreduceSimulator::run(
   if (config_.shard_threads != 1 && num_trees > 1 && run.obs == nullptr &&
       (run.bg_rates.empty() || config_.faults.empty())) {
     const auto groups = link_disjoint_tree_groups(topology_, trees_);
-    if (groups.size() > 1) {
-      const long long cycles =
-          run_sharded(topology_, trees_, config_, elements_per_tree, groups,
-                      run.result);
+    long long cycles = -1;
+    try {
+      if (groups.size() > 1) {
+        cycles = run_sharded(topology_, trees_, config_, elements_per_tree,
+                             groups, run.result);
+      }
+    } catch (const std::runtime_error&) {
+      // A failing group stops at its own clock, and the serial run need
+      // not fail with it: while other trees keep that run alive, a later
+      // link-up can revive the stalled group. Only the serial loop knows
+      // what the whole run throws, so a failed sharded run runs serially
+      // (the merge below never ran, so `run` is still fresh).
+    }
+    if (cycles >= 0) {
       // Each group consumed its own FaultState copy up to its own exit
       // cycle. The serial loop applies every scripted event with
       // cycle <= exit - 1 (event cycles are wake points the idle jump

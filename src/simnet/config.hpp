@@ -27,9 +27,11 @@ enum class Collective {
 /// two-orders-of-magnitude scale.
 enum class SimEngine {
   /// Event-horizon engine: arrivals/credits land via a time-indexed wheel,
-  /// broadcast engines run off active lists, hot state lives in flat
-  /// structure-of-arrays form, and provably idle cycle ranges are skipped
-  /// in one jump (token buckets are advanced in closed form). On a quiet
+  /// broadcast engines run off active lists, link arbitration visits only
+  /// links an event marked as possibly grantable (token buckets and
+  /// background drains catch up lazily per link, in closed form), hot
+  /// state lives in flat structure-of-arrays form, and provably idle cycle
+  /// ranges are skipped in one jump. On a quiet
   /// network without flaky links, a control state that repeats every P
   /// cycles is also skipped: whole periods advance in closed form. With
   /// SimConfig::shard_threads != 1 a single run additionally shards

@@ -104,7 +104,9 @@ FaultState prepare_faults(const graph::Graph& topology,
 // compiled out (obs is a constant nullptr).
 //
 // Trace vocabulary: per-directed-link "busy" complete-events (maximal runs
-// of consecutive cycles with at least one grant), per-tree "reduce" /
+// of consecutive cycles with at least one grant, emitted at finalize in
+// (last cycle, dlink) order, so the trace does not depend on when a loop
+// reports a link's background drains), per-tree "reduce" /
 // "broadcast" phase spans, and instant events on the sim track for fault
 // down/up and tree cancellation. Metrics vocabulary: see the catalog in
 // docs/observability.md; drop/cancel accounting is accumulated at the hook
@@ -120,6 +122,12 @@ struct SimObserver {
   std::vector<long long> busy_start;   // open busy span start, -1 if none
   std::vector<long long> busy_last;    // last cycle with a grant, -1 if none
   std::vector<long long> busy_total;   // accumulated busy cycles per dlink
+  struct BusySpan {
+    long long last;
+    int dlink;
+    long long start;
+  };
+  std::vector<BusySpan> busy_spans;    // closed, emitted by finalize
   std::vector<long long> queue_hwm;    // receiver-buffer high water per dlink
   std::vector<long long> link_dropped; // dropped flits per dlink
   std::vector<long long> reduce_first; // first reduce packet per tree
@@ -177,9 +185,7 @@ struct SimObserver {
     const std::size_t d = static_cast<std::size_t>(dlink);
     if (busy_start[d] < 0) return;
     busy_total[d] += busy_last[d] - busy_start[d] + 1;
-    rec->trace.complete(busy_start[d], busy_last[d] - busy_start[d] + 1,
-                        n_busy,
-                        obsv::kTrackLinkBase + static_cast<std::uint32_t>(dlink));
+    busy_spans.push_back({busy_last[d], dlink, busy_start[d]});
     busy_start[d] = -1;
   }
 

@@ -301,17 +301,27 @@ TEST(FuzzSimulator, SettledRandomConfigsMatchTheOracle) {
   // enough to settle, so the product usually skips steady periods in one
   // jump while the oracle simulates every cycle: results (or the thrown
   // message, for a short max_cycles) must agree exactly, serial and
-  // sharded. A third of the runs lose a random link mid-stream.
+  // sharded. A third of the runs lose a random link mid-stream. Each
+  // config then runs again under drawn background traffic (pattern, load,
+  // packet length, link bandwidth), a third of those with a flaky link,
+  // from a second stream so the quiet draws stay as they were.
   util::Rng rng(18);
+  util::Rng bg_rng(19);
   const core::Solution solutions[] = {core::Solution::kLowDepth,
                                       core::Solution::kEdgeDisjoint,
                                       core::Solution::kSingleTree};
   const simnet::Collective modes[] = {simnet::Collective::kAllreduce,
                                       simnet::Collective::kReduce,
                                       simnet::Collective::kBroadcast};
-  const auto pick = [&](int lo, int count) {
+  const simnet::TrafficPattern patterns[] = {
+      simnet::TrafficPattern::kUniform, simnet::TrafficPattern::kPermutation,
+      simnet::TrafficPattern::kHotspot};
+  const auto pick_from = [](util::Rng& r, int lo, int count) {
     return lo + static_cast<int>(
-                    rng.next_below(static_cast<std::uint64_t>(count)));
+                    r.next_below(static_cast<std::uint64_t>(count)));
+  };
+  const auto pick = [&](int lo, int count) {
+    return pick_from(rng, lo, count);
   };
   for (int iter = 0; iter < 12; ++iter) {
     const auto plan = core::AllreducePlanner(iter % 3 == 0 ? 3 : 5)
@@ -326,8 +336,8 @@ TEST(FuzzSimulator, SettledRandomConfigsMatchTheOracle) {
     cfg.link_bandwidth = pick(1, 3);
     cfg.fork_buffer = pick(1, 4);
     const long long m = pick(1000, 5000);
+    const auto& edges = plan.topology().edges();
     if (pick(0, 3) == 0) {
-      const auto& edges = plan.topology().edges();
       const auto& e = edges[static_cast<std::size_t>(
           pick(0, static_cast<int>(edges.size())))];
       const long long at = pick(50, 3000);
@@ -341,10 +351,27 @@ TEST(FuzzSimulator, SettledRandomConfigsMatchTheOracle) {
     }
     if (pick(0, 6) == 0) cfg.max_cycles = pick(500, 3000);
 
+    simnet::SimConfig loaded = cfg;
+    loaded.background.pattern = patterns[pick_from(bg_rng, 0, 3)];
+    loaded.background.load = 0.1 + 0.5 * bg_rng.next_double();
+    loaded.background.packet_flits = pick_from(bg_rng, 1, 4);
+    loaded.background.seed = bg_rng.next();
+    loaded.link_bandwidth = pick_from(bg_rng, 1, 2);
+    if (pick_from(bg_rng, 0, 3) == 0) {
+      const auto& e = edges[static_cast<std::size_t>(
+          pick_from(bg_rng, 0, static_cast<int>(edges.size())))];
+      loaded.faults.flaky_links.push_back({e.u, e.v});
+      loaded.faults.flaky_seed = bg_rng.next();
+      loaded.faults.flaky_drop_permille = pick_from(bg_rng, 20, 80);
+      if (loaded.progress_timeout == 0) {
+        loaded.progress_timeout = pick_from(bg_rng, 200, 400);
+      }
+    }
+
     const auto embeddings = collectives::to_embeddings(plan.trees());
-    const auto run = [&](bool use_oracle, int shard_threads,
-                         std::string& error) {
-      simnet::SimConfig c = cfg;
+    const auto run = [&](const simnet::SimConfig& base, bool use_oracle,
+                         int shard_threads, std::string& error) {
+      simnet::SimConfig c = base;
       c.shard_threads = shard_threads;
       try {
         return use_oracle ? oracle::run_reference_allreduce(
@@ -357,15 +384,19 @@ TEST(FuzzSimulator, SettledRandomConfigsMatchTheOracle) {
         return simnet::SimResult{};
       }
     };
-    const std::string where = "iter " + std::to_string(iter);
-    std::string reference_error;
-    const auto reference = run(true, 1, reference_error);
-    for (const int threads : {1, 3}) {
-      std::string error;
-      const auto result = run(false, threads, error);
-      EXPECT_EQ(error, reference_error) << where << " threads " << threads;
-      oracle::expect_same_result(result, reference,
-                                 where + " threads " + std::to_string(threads));
+    for (const auto& [config, label] :
+         {std::pair{cfg, "quiet"}, std::pair{loaded, "background"}}) {
+      const std::string where =
+          "iter " + std::to_string(iter) + " " + label;
+      std::string reference_error;
+      const auto reference = run(config, true, 1, reference_error);
+      for (const int threads : {1, 3}) {
+        std::string error;
+        const auto result = run(config, false, threads, error);
+        EXPECT_EQ(error, reference_error) << where << " threads " << threads;
+        oracle::expect_same_result(
+            result, reference, where + " threads " + std::to_string(threads));
+      }
     }
   }
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <numeric>
@@ -31,6 +32,21 @@ std::string trace_json_of(const obsv::Tracer& tracer) {
   std::ostringstream os;
   tracer.write_chrome_json(os);
   return os.str();
+}
+
+// Byte equality of two traces. A mismatch reports the first differing
+// offset with some context: gtest's own string diff grows quadratically
+// with the trace length.
+void expect_same_trace(const std::string& product, const std::string& oracle,
+                       const std::string& where) {
+  const auto [p, o] = std::mismatch(product.begin(), product.end(),
+                                    oracle.begin(), oracle.end());
+  if (p == product.end() && o == oracle.end()) return;
+  const auto at = static_cast<std::size_t>(p - product.begin());
+  const std::size_t from = at < 100 ? 0 : at - 100;
+  ADD_FAILURE() << where << ": traces differ at byte " << at
+                << "\n  product: " << product.substr(from, 200)
+                << "\n  oracle:  " << oracle.substr(from, 200);
 }
 
 std::string metrics_jsonl_of(const obsv::Metrics& metrics) {
@@ -307,9 +323,9 @@ TEST_F(ObsvIntegration, EnginesAgreeOnTraceSpansAndFlitMetrics) {
   // grants, so its busy spans still match the oracle's byte for byte.
   const auto plan = core::AllreducePlanner(5).build();
   const auto embeddings = collectives::to_embeddings(plan.trees());
-  const auto run = [&](bool use_oracle, long long m) {
+  const auto run = [&](bool use_oracle, long long m,
+                       simnet::SimConfig config) {
     obsv::Recorder rec;
-    simnet::SimConfig config;
     config.recorder = &rec;
     if (use_oracle) {
       oracle::run_reference_allreduce(plan.topology(), embeddings, config,
@@ -321,14 +337,38 @@ TEST_F(ObsvIntegration, EnginesAgreeOnTraceSpansAndFlitMetrics) {
     return std::pair{trace_json_of(rec.trace),
                      rec.metrics.counter("sim.skipped_cycles")};
   };
-  EXPECT_EQ(run(false, 256).first, run(true, 256).first);
-  const auto product = run(false, 4000);
-  const auto reference = run(true, 4000);
-  EXPECT_EQ(product.first, reference.first);
+  const simnet::SimConfig quiet;
+  expect_same_trace(run(false, 256, quiet).first, run(true, 256, quiet).first,
+                    "short quiet run");
+  const auto product = run(false, 4000, quiet);
+  const auto reference = run(true, 4000, quiet);
+  expect_same_trace(product.first, reference.first, "long quiet run");
   EXPECT_EQ(reference.second, 0);
   if (obsv::kTraceCompiled) {
     EXPECT_GT(product.second, 0) << "the long run never jumped";
   }
+
+  // Background drains are busy cycles too. The simulator applies them per
+  // link when it next visits the link, the oracle every cycle; the trace
+  // must not tell the two apart, with or without a link down/up pair.
+  simnet::SimConfig uniform;
+  uniform.background.load = 0.3;
+  expect_same_trace(run(false, 1500, uniform).first,
+                    run(true, 1500, uniform).first, "uniform background");
+  simnet::SimConfig permutation = uniform;
+  permutation.background.pattern = simnet::TrafficPattern::kPermutation;
+  permutation.progress_timeout = 400;
+  const auto& t0 = plan.trees()[0].parents();
+  for (int v = 0; v < static_cast<int>(t0.size()); ++v) {
+    const int p = t0[static_cast<std::size_t>(v)];
+    if (p < 0) continue;
+    permutation.faults.events = {{150, v, p, simnet::FaultType::kLinkDown},
+                                 {450, v, p, simnet::FaultType::kLinkUp}};
+    break;
+  }
+  expect_same_trace(run(false, 1500, permutation).first,
+                    run(true, 1500, permutation).first,
+                    "permutation background with a link down/up");
 }
 
 TEST_F(ObsvIntegration, PlannerObserverRecordsPhaseTimers) {

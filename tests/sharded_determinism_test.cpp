@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -131,6 +132,62 @@ TEST(ShardedDeterminism, FlakyLinksBitIdentical) {
   cfg.faults.flaky_seed = 99;
   cfg.faults.flaky_drop_permille = 40;
   expect_thread_invariant(5, core::Solution::kEdgeDisjoint, cfg, 1000);
+}
+
+// A sharded run that fails throws exactly what the serial run throws:
+// the serial cycle, not the failing group's own clock.
+TEST(ShardedDeterminism, DeadlockReportsTheSerialCycle) {
+  const auto plan =
+      core::AllreducePlanner(7).solution(core::Solution::kEdgeDisjoint).build();
+  simnet::SimConfig cfg;
+  cfg.stall_limit = 300;
+  const auto& t0 = plan.trees()[0].parents();
+  for (int v = 0; v < static_cast<int>(t0.size()); ++v) {
+    if (t0[static_cast<std::size_t>(v)] >= 0) {
+      cfg.faults.events.push_back({100, v, t0[static_cast<std::size_t>(v)],
+                                   simnet::FaultType::kLinkDown});
+      break;
+    }
+  }
+  const auto message = [&](const simnet::SimConfig& c, int threads) {
+    try {
+      run_sharded(7, core::Solution::kEdgeDisjoint, c, 20000, threads);
+    } catch (const std::runtime_error& ex) {
+      return std::string(ex.what());
+    }
+    return std::string("no exception");
+  };
+  for (int threads : {1, 2, 4}) {
+    EXPECT_EQ(message(cfg, threads),
+              "AllreduceSimulator: deadlock detected at cycle 5524")
+        << "threads=" << threads;
+  }
+  // The same run under a cycle limit that falls before the deadlock.
+  cfg.max_cycles = 5000;
+  for (int threads : {1, 2, 4}) {
+    EXPECT_EQ(message(cfg, threads), "AllreduceSimulator: cycle limit exceeded")
+        << "threads=" << threads;
+  }
+}
+
+// A group that stalls past stall_limit on its own clock need not fail the
+// serial run: other trees keep the run alive until a link-up revives it.
+// The sharded run must then return the serial result, not throw.
+TEST(ShardedDeterminism, StalledGroupRevivedByLinkUpMatchesSerial) {
+  const auto plan =
+      core::AllreducePlanner(7).solution(core::Solution::kEdgeDisjoint).build();
+  simnet::SimConfig cfg;
+  cfg.stall_limit = 300;
+  const auto& t0 = plan.trees()[0].parents();
+  for (int v = 0; v < static_cast<int>(t0.size()); ++v) {
+    const int p = t0[static_cast<std::size_t>(v)];
+    if (p < 0) continue;
+    // Down before anything is in flight, so the stall is loss-free.
+    cfg.faults.events = {{0, v, p, simnet::FaultType::kLinkDown},
+                         {1000, v, p, simnet::FaultType::kLinkUp}};
+    break;
+  }
+  expect_thread_invariant(7, core::Solution::kEdgeDisjoint, cfg, 20000);
 }
 
 // shard_threads = 0 means "use the pool's default width"; it must take the
