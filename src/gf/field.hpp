@@ -45,8 +45,9 @@ class Field {
   Elem div(Elem x, Elem y) const { return mul(x, inv(y)); }
   Elem pow(Elem x, long long e) const;
 
-  /// A fixed generator g of the multiplicative group F_q^*.
-  Elem generator() const { return exp_[1]; }
+  /// A fixed generator g of the multiplicative group F_q^* (g^1; for q = 2
+  /// the group is {1} and exp_ holds the single entry g^0 = 1).
+  Elem generator() const { return exp_[q_ > 2 ? 1 : 0]; }
   /// Discrete log base generator(): exp(log(x)) == x for x != 0.
   int log(Elem x) const;
   /// g^e for any integer e (reduced mod q-1).

@@ -161,6 +161,43 @@ class Graph {
   std::size_t words_per_row_ = 0;
 };
 
+/// Neighbor -> slot map of one finalized CSR row at a time, for
+/// vertex-major passes that resolve the parent of v in many trees while
+/// v's row is hot: load(v) indexes v's row in O(degree), then slot(p) is
+/// p's index in it (aligned with neighbor_edge_ids(v)) in O(1). Entries
+/// left over from earlier rows are harmless: a slot counts only when the
+/// loaded row holds p there.
+class RowSlots {
+ public:
+  explicit RowSlots(const Graph& g)
+      : g_(&g), slot_of_(static_cast<std::size_t>(g.num_vertices()), 0) {}
+
+  /// Indexes v's neighbor row and returns it.
+  IntSpan load(int v) {
+    row_ = g_->neighbors(v);
+    for (std::size_t i = 0; i < row_.size(); ++i) {
+      slot_of_[static_cast<std::size_t>(row_[i])] = static_cast<int>(i);
+    }
+    return row_;
+  }
+
+  /// Index of p in the loaded row; -1 when p is not a neighbor of the
+  /// loaded vertex (any p, out-of-range ones included).
+  int slot(int p) const {
+    if (p < 0 || p >= g_->num_vertices()) return -1;
+    const int s = slot_of_[static_cast<std::size_t>(p)];
+    return static_cast<std::size_t>(s) < row_.size() &&
+                   row_[static_cast<std::size_t>(s)] == p
+               ? s
+               : -1;
+  }
+
+ private:
+  const Graph* g_;
+  IntSpan row_;
+  std::vector<int> slot_of_;
+};
+
 /// Disjoint-set union with path halving; used for spanning-tree validation.
 class UnionFind {
  public:

@@ -32,34 +32,33 @@ TreeBandwidths compute_tree_bandwidths(
     // Tree vertices outside the graph: let the reference path report it.
     return compute_tree_bandwidths_reference(g, trees, link_bandwidth);
   }
-  // Per-tree edge ids, resolved without per-edge binary searches: each
-  // parent's children list (sorted ascending, SpanningTree CSR) merges
-  // against its sorted CSR neighbor row, whose aligned edge-id row then
-  // yields the id — O(children + degree) per parent. Row order differs
-  // from the reference's per-vertex order, but every edge is touched at
-  // most once per tree with the same share, so the float results are
-  // unchanged.
+  // Per-tree edge ids, resolved without per-edge binary searches and
+  // vertex-major: the parent of v in every tree is looked up in v's CSR
+  // row while the row is hot (graph::RowSlots), whose aligned edge-id row
+  // then yields the id — O(degree + trees) per
+  // vertex, whatever the trees' shapes (a per-parent merge costs a whole
+  // row per internal vertex, which a Hamiltonian path has n - 1 of). Each
+  // tree's row lists its edges by child vertex, the reference's order.
   std::vector<int> tree_edges(static_cast<std::size_t>(num_trees) *
                               static_cast<std::size_t>((n > 0 ? n - 1 : 0)));
   std::vector<int> congestion(static_cast<std::size_t>(num_edges), 0);
-  for (int t = 0; t < num_trees; ++t) {
-    const auto& tree = trees[static_cast<std::size_t>(t)];
-    int* row = tree_edges.data() + static_cast<std::size_t>(t) * static_cast<std::size_t>((n - 1));
-    int slot = 0;
-    for (int u = 0; u < n; ++u) {
-      const auto kids = tree.children(u);
-      if (kids.empty()) continue;
-      const auto nbrs = g.neighbors(u);
-      const auto eids = g.neighbor_edge_ids(u);
-      std::size_t j = 0;
-      for (int c : kids) {
-        while (j < nbrs.size() && nbrs[j] < c) ++j;
-        if (j == nbrs.size() || nbrs[j] != c) {
+  {
+    std::vector<int> filled(static_cast<std::size_t>(num_trees), 0);
+    graph::RowSlots row_slots(g);
+    for (int v = 0; v < n; ++v) {
+      row_slots.load(v);
+      const auto eids = g.neighbor_edge_ids(v);
+      for (int t = 0; t < num_trees; ++t) {
+        const int p = trees[static_cast<std::size_t>(t)].parent(v);
+        if (p < 0) continue;
+        const int slot = row_slots.slot(p);
+        if (slot < 0) {
           throw std::invalid_argument(
               "compute_tree_bandwidths: tree edge not in graph");
         }
-        const int id = eids[j];
-        row[slot++] = id;
+        const int id = eids[static_cast<std::size_t>(slot)];
+        tree_edges[static_cast<std::size_t>(t) * static_cast<std::size_t>(n - 1) +
+                   static_cast<std::size_t>(filled[static_cast<std::size_t>(t)]++)] = id;
         ++congestion[static_cast<std::size_t>(id)];
       }
     }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -34,10 +35,38 @@ namespace pfar::simnet {
 ///
 /// This tier never builds the per-VC fabric, so its memory footprint is
 /// O(E + trees * N) and it reaches q >= 243 (N ~ 59k routers) where the
-/// cycle engines are out of budget.
+/// cycle engines are out of budget. Its structural pass and max-min fill
+/// run in row-local passes whose SimResult is bit-identical to the tier as
+/// first written, the test oracle oracle::run_reference_flow
+/// (tests/flow_oracle_test.cpp). Expects trees validated as
+/// AllreduceSimulator's constructor does; throws std::invalid_argument on
+/// a parent chain that never reaches the root.
 SimResult run_flow_allreduce(const graph::Graph& topology,
                              const std::vector<TreeEmbedding>& trees,
                              const SimConfig& config,
                              const std::vector<long long>& elements_per_tree);
+
+namespace detail {
+
+/// The progressive fill's saturation predicate for one directed link:
+/// capacity `cap`, `fixed` load of frozen trees, `users` unfrozen users,
+/// all rising at `level`. The one expression every round evaluates.
+inline bool flow_link_saturated(double cap, double fixed, double level,
+                                std::int32_t users, double eps) {
+  const double u = static_cast<double>(users);
+  return cap - fixed - level * u <= eps * u;
+}
+
+/// Whether a fill round may defer the fix-ups of its frozen trees on the
+/// links of one class — capacity `cap`, no fixed load and `users` users at
+/// the round's start — without changing a single saturation test. A frozen
+/// tree's fix-up on a link takes one user away and adds `level` to its
+/// fixed load; a tree still being tested on the link sees at most
+/// users - 1 of them. Replays those prefixes in order and answers true iff
+/// flow_link_saturated gives the start-of-round answer after each one.
+bool flow_fixups_are_deferrable(double cap, double level, std::int32_t users,
+                                double eps);
+
+}  // namespace detail
 
 }  // namespace pfar::simnet

@@ -214,6 +214,30 @@ TEST(FlowEngine, RejectionNamesOffendingFaultFields) {
       << both_msg;
 }
 
+// A parent array can pass validation (every parent edge is physical) and
+// still hold a cycle off the root; the tier must reject it rather than
+// walk the cycle forever.
+TEST(FlowEngine, RejectsParentCycles) {
+  graph::Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(2, 3);
+  g.finalize();
+  simnet::SimConfig cfg;
+  cfg.engine = simnet::SimEngine::kFlow;
+  // Root 0; vertices 2 and 3 point at each other.
+  simnet::AllreduceSimulator sim(g, {simnet::TreeEmbedding{0, {-1, 0, 3, 2}}},
+                                 cfg);
+  try {
+    sim.run({10});
+    ADD_FAILURE() << "cyclic parent chain accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("no path to root"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // Engine names round-trip through the CLI parser; every other name,
 // "reference" and "fastforward" included, fails loud.
 TEST(FlowEngine, EngineNameParsing) {

@@ -118,6 +118,15 @@ TEST(FieldTest, PrimeFieldIsModularArithmetic) {
   }
 }
 
+TEST(FieldTest, GeneratorOfF2IsOne) {
+  // F_2^* = {1}: its exponent table has one entry, and the generator must
+  // come from it rather than from past its end.
+  const Field f(2);
+  EXPECT_EQ(f.generator(), 1);
+  EXPECT_EQ(f.exp(1), 1);
+  EXPECT_EQ(f.log(1), 0);
+}
+
 TEST(FieldTest, GF4Structure) {
   // F_4 = F_2[x]/(x^2+x+1): elements {0, 1, x, x+1} = {0, 1, 2, 3}.
   const Field f(4);

@@ -217,5 +217,31 @@ TEST(GraphCsrTest, ReserveIsObservablyInert) {
   expect_identical(g, ref);
 }
 
+// RowSlots answers has_edge(v, p) with the slot edge_id's row search would
+// find, for every loaded row and every p, out-of-range ones included, even
+// though entries from earlier rows stay behind in its map.
+TEST(GraphCsrTest, RowSlotsMatchEdgeLookups) {
+  const auto ref = random_reference(30, 0.25, 11ull);
+  Graph g(ref.n);
+  for (const auto& [u, v] : ref.edges) g.add_edge(u, v);
+  g.finalize();
+  RowSlots slots(g);
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    const IntSpan row = slots.load(v);
+    ASSERT_EQ(row.size(), g.neighbors(v).size());
+    for (int p = -2; p < g.num_vertices() + 2; ++p) {
+      const int s = slots.slot(p);
+      if (p < 0 || p >= g.num_vertices() || !g.has_edge(v, p)) {
+        EXPECT_EQ(s, -1) << v << " " << p;
+        continue;
+      }
+      ASSERT_GE(s, 0) << v << " " << p;
+      EXPECT_EQ(row[static_cast<std::size_t>(s)], p);
+      EXPECT_EQ(g.neighbor_edge_ids(v)[static_cast<std::size_t>(s)],
+                g.edge_id(v, p));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pfar::graph

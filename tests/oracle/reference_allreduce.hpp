@@ -1,4 +1,4 @@
-// Test-only oracle for the cycle-accurate simulator (library pfar_oracle).
+// Test-only oracles for the simulator engines (library pfar_oracle).
 //
 // run_reference_allreduce is the original cycle-by-cycle loop on its own
 // deque-based VC fabric: every VC is scanned for arrivals, every (node,
@@ -24,6 +24,16 @@ namespace pfar::oracle {
 /// same validation, same exceptions, same SimResult. config.engine and
 /// config.shard_threads are ignored (the oracle is one serial loop).
 simnet::SimResult run_reference_allreduce(
+    const graph::Graph& topology,
+    const std::vector<simnet::TreeEmbedding>& trees,
+    const simnet::SimConfig& config,
+    const std::vector<long long>& elements_per_tree);
+
+/// The flow tier (SimEngine::kFlow) as first written, with the contract of
+/// simnet::run_flow_allreduce: same exceptions, and a SimResult the product
+/// tier must reproduce bit for bit (reference_flow.cpp). The caller
+/// validates the inputs first, as AllreduceSimulator's constructor does.
+simnet::SimResult run_reference_flow(
     const graph::Graph& topology,
     const std::vector<simnet::TreeEmbedding>& trees,
     const simnet::SimConfig& config,
