@@ -36,8 +36,10 @@ struct BucketScheduleResult {
 
 /// Executes a sequence of gradient-bucket Allreduces over one tree set and
 /// reports the end-to-end cycle count under the chosen strategy. Costs come
-/// from one TreeSetCost, so equal bucket sizes simulate once and the runs
-/// are uninstrumented (config.recorder is ignored).
+/// from one TreeSetCost, so equal bucket sizes simulate once, a size whose
+/// split is whole steady periods away from an already simulated one is
+/// shifted from it without simulating, and the runs are uninstrumented
+/// (config.recorder is ignored).
 ///
 /// Zero-length buckets are legal and free: they consume no fabric time or
 /// flits (their finish cycle is wherever the schedule already stands), and

@@ -66,7 +66,7 @@ InNetworkResult run_planned_allreduce(
   out.predicted = std::move(predicted);
   simnet::AllreduceSimulator sim(topology, to_embeddings(spanning_trees),
                                  config);
-  out.sim = sim.run(out.split);
+  out.sim = sim.run(out.split, &out.period);
   out.efficiency_vs_model =
       out.sim.aggregate_bandwidth / out.predicted.aggregate;
   return out;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "model/congestion_model.hpp"
@@ -27,6 +28,10 @@ struct InNetworkResult {
   /// Simulated aggregate bandwidth / Algorithm 1 aggregate — approaches
   /// 1.0 as m grows (pipeline fill/drain amortizes away).
   double efficiency_vs_model = 0.0;
+  /// The steady period the cycle engine verified, if it certified one
+  /// (quiet, fault-free runs long enough to settle): TreeSetCost answers
+  /// other vector sizes from it.
+  std::optional<simnet::PeriodCertificate> period;
 };
 
 /// The one run core every in-network collective goes through: simulates

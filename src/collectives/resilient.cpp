@@ -277,34 +277,74 @@ TreeSetCost::TreeSetCost(const graph::Graph& topology,
 
 RunCost TreeSetCost::cost(long long m) {
   PFAR_REQUIRE(m >= 0, m);
+  if (m == 0) return {};
   const auto hit = memo_.find(m);
-  if (hit != memo_.end()) return hit->second;
+  if (hit != memo_.end()) {
+    ++answers_.memo;
+    return hit->second;
+  }
+  if (!bandwidths_) {
+    bandwidths_ = model::compute_tree_bandwidths(
+        *topology_, trees_, static_cast<double>(config_.link_bandwidth));
+  }
   RunCost cost;
-  if (m > 0) {
-    if (!bandwidths_) {
-      bandwidths_ = model::compute_tree_bandwidths(
-          *topology_, trees_, static_cast<double>(config_.link_bandwidth));
-    }
-    if (resilience_ && !config_.faults.empty()) {
-      const RecoveryStats recovery = recover(*topology_, trees_, *bandwidths_,
-                                             m, config_, *resilience_);
-      cost.cycles = recovery.total_cycles;
-      cost.flits = total_flits(recovery.final_sim);
-      cost.replayed = recovery.chunks_replayed;
-      cost.correct = recovery.recovered && recovery.values_correct;
+  if (resilience_ && !config_.faults.empty()) {
+    const RecoveryStats recovery =
+        recover(*topology_, trees_, *bandwidths_, m, config_, *resilience_);
+    cost.cycles = recovery.total_cycles;
+    cost.flits = total_flits(recovery.final_sim);
+    cost.replayed = recovery.chunks_replayed;
+    cost.correct = recovery.recovered && recovery.values_correct;
+    ++answers_.simulated;
+  } else {
+    std::vector<long long> split = model::optimal_split(m, *bandwidths_);
+    if (const std::optional<RunCost> answer = shifted(split)) {
+      cost = *answer;
+      ++answers_.shifted;
     } else {
-      const InNetworkResult run = run_planned_allreduce(
-          *topology_, trees_, model::optimal_split(m, *bandwidths_),
-          *bandwidths_, config_);
+      const InNetworkResult run =
+          run_planned_allreduce(*topology_, trees_, split, *bandwidths_,
+                                config_);
       cost.cycles = run.sim.cycles;
       cost.flits = total_flits(run.sim);
       cost.correct = run.sim.values_correct && undelivered_elements(run) == 0;
+      ++answers_.simulated;
+      if (run.period) anchors_.push_back({std::move(split), cost, *run.period});
     }
-    PFAR_ENSURE(cost.cycles > 0 && cost.flits >= 0, m, cost.cycles,
-                cost.flits);
   }
+  PFAR_ENSURE(cost.cycles > 0 && cost.flits >= 0, m, cost.cycles, cost.flits);
   memo_.emplace(m, cost);
   return cost;
+}
+
+std::optional<RunCost> TreeSetCost::shifted(
+    const std::vector<long long>& split) const {
+  PFAR_REQUIRE(split.size() == trees_.size(), split.size(), trees_.size());
+  for (const Anchor& anchor : anchors_) {
+    const simnet::PeriodCertificate& p = anchor.period;
+    // k: the whole periods every tree's share moved by; a tree that did
+    // not move in the period keeps its share.
+    std::optional<long long> k;
+    bool whole = true;
+    for (std::size_t t = 0; whole && t < split.size(); ++t) {
+      const long long diff = split[t] - anchor.split[t];
+      const long long e = p.elements_per_period[t];
+      if (e == 0 || diff % e != 0) {
+        whole = diff == 0 && e == 0;
+      } else {
+        whole = !k || *k == diff / e;
+        k = diff / e;
+      }
+    }
+    if (!whole || !k || p.periods_left + *k < 1) continue;
+    RunCost cost = anchor.cost;
+    cost.cycles += *k * p.period;
+    cost.flits += *k * p.flits_per_period;
+    // A run past the deadline is simulated, so it throws as it always has.
+    if (cost.cycles > config_.max_cycles) continue;
+    return cost;
+  }
+  return std::nullopt;
 }
 
 }  // namespace pfar::collectives

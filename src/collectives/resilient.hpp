@@ -100,8 +100,15 @@ struct RunCost {
 /// config), so cost(m) runs once per distinct m: through the resilient
 /// attempt loop when `resilience` is given and the config carries a
 /// fault script, otherwise as one run of the core (run_planned_allreduce).
-/// Memoized runs are uninstrumented (config.recorder is dropped): a memo
-/// hit could not replay their events. `topology` must outlive the object.
+/// A run of the core that certified a steady period
+/// (simnet::PeriodCertificate) becomes an anchor: a later m whose split
+/// differs from an anchor's by k whole periods in every tree, and still
+/// injects for a period after the anchor's verify cycle, is answered
+/// exactly as the anchor's cycles + k * period and flits + k * flits per
+/// period, without simulating. Only quiet, fault-free runs certify, so
+/// nothing else is shifted. Memoized runs are uninstrumented
+/// (config.recorder is dropped): a memo hit could not replay their events.
+/// `topology` must outlive the object.
 class TreeSetCost {
  public:
   /// `bandwidths` are the split weights (Theorem 5.1 over them); when
@@ -115,13 +122,32 @@ class TreeSetCost {
   /// Cost of an m-element Allreduce; m = 0 is free and runs nothing.
   RunCost cost(long long m);
 
+  /// How cost() answered so far (m = 0 aside): by simulating, from the
+  /// memo of earlier answers, or shifted from an anchor's period.
+  struct Answers {
+    long long simulated = 0;
+    long long memo = 0;
+    long long shifted = 0;
+  };
+  const Answers& answers() const { return answers_; }
+
  private:
+  struct Anchor {
+    std::vector<long long> split;
+    RunCost cost;
+    simnet::PeriodCertificate period;
+  };
+  /// The cost of `split` shifted from the first anchor that answers it.
+  std::optional<RunCost> shifted(const std::vector<long long>& split) const;
+
   const graph::Graph* topology_;
   std::vector<trees::SpanningTree> trees_;
   simnet::SimConfig config_;
   std::optional<ResilienceConfig> resilience_;
   std::optional<model::TreeBandwidths> bandwidths_;
   std::map<long long, RunCost> memo_;
+  std::vector<Anchor> anchors_;
+  Answers answers_;
 };
 
 }  // namespace pfar::collectives

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -50,14 +51,26 @@ AllreduceService::AllreduceService(core::AllreducePlan plan,
   // the service then reported delivered.
   PFAR_REQUIRE(config_.sim.faults.empty());
   lanes_ = build_lanes(plan_.topology(), plan_.trees(), config_.policy);
-  lane_costs_.reserve(lanes_.size());
+  // One-tree lanes of one rooted shape share a cost on a quiet network.
+  const bool share = !config_.sim.background.active();
+  trees::RootedShapes shapes;
+  std::map<int, std::size_t> cost_of_shape;
+  costs_.reserve(lanes_.size());
   for (const Lane& lane : lanes_) {
+    if (share && lane.tree_ids.size() == 1) {
+      const int shape = shapes.name(
+          plan_.trees()[static_cast<std::size_t>(lane.tree_ids[0])]);
+      const auto [it, fresh] = cost_of_shape.emplace(shape, costs_.size());
+      lane_cost_.push_back(it->second);
+      if (!fresh) continue;
+    } else {
+      lane_cost_.push_back(costs_.size());
+    }
     std::vector<trees::SpanningTree> lane_trees;
     for (int t : lane.tree_ids) {
       lane_trees.push_back(plan_.trees()[static_cast<std::size_t>(t)]);
     }
-    lane_costs_.emplace_back(plan_.topology(), std::move(lane_trees),
-                             config_.sim);
+    costs_.emplace_back(plan_.topology(), std::move(lane_trees), config_.sim);
   }
   lane_state_.assign(lanes_.size(), LaneState{});
   if (obsv::Recorder* rec = recorder()) {
@@ -183,7 +196,9 @@ void AllreduceService::dispatch_free_lanes() {
         served_elements_[job.tenant] += job.elements;
         records_[static_cast<std::size_t>(job.job_id)].start_cycle = clock_;
       }
-      const collectives::RunCost cost = lane_costs_[l].cost(b.total_elements);
+      collectives::TreeSetCost& lane_cost = costs_[lane_cost_[l]];
+      const collectives::TreeSetCost::Answers before = lane_cost.answers();
+      const collectives::RunCost cost = lane_cost.cost(b.total_elements);
       values_correct_ = values_correct_ && cost.correct;
       b.start = clock_;
       b.finish = clock_ + cost.cycles;
@@ -195,6 +210,12 @@ void AllreduceService::dispatch_free_lanes() {
       if (obsv::Recorder* rec = recorder()) {
         rec->metrics.add("service.batches");
         rec->metrics.add("service.batched_elements", b.total_elements);
+        const collectives::TreeSetCost::Answers& after = lane_cost.answers();
+        rec->metrics.add("service.lane_runs.simulated",
+                         after.simulated - before.simulated);
+        rec->metrics.add("service.lane_runs.memo", after.memo - before.memo);
+        rec->metrics.add("service.lane_runs.shifted",
+                         after.shifted - before.shifted);
       }
       // Remove the batch from the queue, highest index first.
       std::vector<std::size_t> doomed = batch_indices;

@@ -26,9 +26,17 @@ namespace pfar::service {
 /// fused sub-vector run. Every job is an Allreduce over every node. Each
 /// dispatched batch's duration and fabric work are exactly a
 /// cycle-accurate (or flow-tier) simulation of that run on that lane's
-/// trees: one collectives::TreeSetCost per lane, memoized by fused size;
-/// nothing else is charged. Lane runs have no recovery, so the constructor
-/// rejects a non-empty fault script.
+/// trees, through a collectives::TreeSetCost memoized by fused size;
+/// nothing else is charged. One-tree lanes of the same rooted shape share
+/// one TreeSetCost on a quiet network: with one VC per directed link and
+/// nothing else on the wire, such a run depends on nothing but the shape
+/// (docs/simulation_engine.md, "A one-tree run depends only on its rooted
+/// shape"). Multi-tree lanes, and every lane under background traffic,
+/// keep their own. A TreeSetCost also answers large fused sizes from a
+/// verified steady period without simulating; the recorder counts how
+/// each batch was costed (service.lane_runs.{simulated,memo,shifted}).
+/// Lane runs have no recovery, so the constructor rejects a non-empty
+/// fault script.
 ///
 /// The loop is resumable: drain() runs until idle, after which more jobs
 /// may be submitted and drained again; the clock and statistics persist.
@@ -89,7 +97,8 @@ class AllreduceService {
   core::AllreducePlan plan_;
   ServiceConfig config_;
   std::vector<Lane> lanes_;
-  std::vector<collectives::TreeSetCost> lane_costs_;  // one per lane
+  std::vector<collectives::TreeSetCost> costs_;  // shared by equal lanes
+  std::vector<std::size_t> lane_cost_;           // per lane, into costs_
   std::vector<LaneState> lane_state_;
 
   long long clock_ = 0;

@@ -5,6 +5,8 @@
 #include <bit>
 #include <climits>
 #include <cstdint>
+#include <numeric>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -361,6 +363,8 @@ Fabric build_fabric(const graph::Graph& topology,
 // simulated periods would produce; the jump stops at least one period
 // before any engine's injection end, the next fault event and max_cycles
 // (docs/simulation_engine.md, "Steady periods are skipped in one jump").
+// On a fault-free run, the first verified period that qualifies is also
+// exported as a PeriodCertificate (certify_period below).
 // ---------------------------------------------------------------------------
 
 // Candidate steady periods from per-cycle grant signatures: the smallest
@@ -413,6 +417,51 @@ class PeriodFinder {
   long long count_ = 0;
 };
 
+// The certificate of the period verified at cycle `now`, read from the
+// per-period `delta` of run_fast_loop's count visits (state s owns 4s..4s+3,
+// tree t owns 4 * num_states + t, then delivered_total, then one link_flits
+// count per active link). Empty unless no tree was canceled, every engine
+// of a tree advanced by the same element count e_t, the tree's owed
+// deliveries fell by e_t per receiver, some tree moved, and the period can
+// repeat at least once more (docs/simulation_engine.md, "A verified period
+// answers other vector sizes").
+std::optional<PeriodCertificate> certify_period(
+    long long period, long long now, const std::vector<long long>& delta,
+    int n, long long receivers, std::size_t active_links,
+    const std::vector<long long>& eng_target,
+    const std::vector<long long>& eng_injected,
+    const std::vector<long long>& tree_remaining,
+    const std::vector<char>& tree_canceled) {
+  const std::size_t nn = static_cast<std::size_t>(n);
+  const std::size_t ntrees = tree_remaining.size();
+  const std::size_t num_states = nn * ntrees;
+  PeriodCertificate cert;
+  cert.period = period;
+  cert.verify_cycle = now;
+  cert.elements_per_period.assign(ntrees, 0);
+  long long left = LLONG_MAX;
+  for (std::size_t t = 0; t < ntrees; ++t) {
+    if (tree_canceled[t]) return std::nullopt;
+    const long long e = delta[4 * t * nn];
+    for (std::size_t s = t * nn; s < (t + 1) * nn; ++s) {
+      if (delta[4 * s] != e) return std::nullopt;
+      if (e > 0) left = std::min(left, (eng_target[s] - 1 - eng_injected[s]) / e);
+    }
+    if (delta[4 * num_states + t] != -e * receivers) return std::nullopt;
+    if (e > 0) {
+      left = std::min(left, (tree_remaining[t] - 1) / (e * receivers));
+    }
+    cert.elements_per_period[t] = e;
+  }
+  if (left == LLONG_MAX || left < 1) return std::nullopt;
+  cert.periods_left = left;
+  const std::size_t links = 4 * num_states + ntrees + 1;
+  for (std::size_t j = 0; j < active_links; ++j) {
+    cert.flits_per_period += delta[links + j];
+  }
+  return cert;
+}
+
 // Steady-period pacing, in cycles: how often the finder is asked for a
 // candidate, and the back-off range after a candidate fails to confirm.
 constexpr long long kSteadyProbeEvery = 8;
@@ -425,7 +474,8 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
                         std::vector<long long>& tree_remaining,
                         long long total_target, FaultState& fault,
                         const std::vector<long long>& bg_rates_ppm,
-                        SimObserver* obs) {
+                        SimObserver* obs,
+                        std::optional<PeriodCertificate>* cert) {
   const int n = f.n;
   const int num_trees = f.num_trees;
   const int num_vcs = f.num_vcs();
@@ -1119,6 +1169,13 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
     }
     const bool hit = now == verify_at && result.values_correct && verify();
     verify_at = -1;
+    if (hit && cert != nullptr && !cert->has_value()) {
+      *cert = certify_period(
+          period, now, delta, n,
+          mode == Collective::kReduce ? 1 : static_cast<long long>(n),
+          active_dlinks.size(), eng_target, eng_injected, tree_remaining,
+          tree_canceled);
+    }
     const long long k = hit ? periods_to_skip() : 0;
     if (k < 1) {
       PFAR_OBS(stop_tape());
@@ -1580,15 +1637,60 @@ std::vector<std::vector<int>> link_disjoint_tree_groups(
 
 namespace {
 
+// One certificate for a sharded run from its groups' own: every group
+// that ran must have one. Group g's period P_g repeats P / P_g times in
+// the combined period P = lcm(P_g), so its trees' elements and its flits
+// per period scale by that factor, and a shift of k combined periods is
+// k * P / P_g of g's: periods_left is the largest that keeps every group's
+// periods_left + k * P / P_g >= 1. Every group's exit moves by k * P, and
+// so does the run's (their maximum). Groups with nothing to simulate exit
+// at 0 and stay there.
+std::optional<PeriodCertificate> merge_certificates(
+    const std::vector<std::vector<int>>& groups,
+    const std::vector<long long>& sub_cycles,
+    const std::vector<std::optional<PeriodCertificate>>& sub_cert) {
+  constexpr long long kMaxPeriod = 1LL << 20;
+  long long period = 1;
+  std::size_t num_trees = 0;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    num_trees += groups[g].size();
+    if (sub_cycles[g] == 0) continue;
+    if (!sub_cert[g]) return std::nullopt;
+    period = std::lcm(period, sub_cert[g]->period);
+    if (period > kMaxPeriod) return std::nullopt;
+  }
+  PeriodCertificate cert;
+  cert.period = period;
+  cert.elements_per_period.assign(num_trees, 0);
+  cert.periods_left = LLONG_MAX;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (sub_cycles[g] == 0) continue;
+    const PeriodCertificate& c = *sub_cert[g];
+    const long long scale = period / c.period;
+    cert.verify_cycle = std::max(cert.verify_cycle, c.verify_cycle);
+    cert.flits_per_period += scale * c.flits_per_period;
+    cert.periods_left =
+        std::min(cert.periods_left, 1 + (c.periods_left - 1) / scale);
+    for (std::size_t i = 0; i < groups[g].size(); ++i) {
+      cert.elements_per_period[static_cast<std::size_t>(groups[g][i])] =
+          scale * c.elements_per_period[i];
+    }
+  }
+  return cert;
+}
+
 long long run_sharded(const graph::Graph& topology,
                       const std::vector<TreeEmbedding>& trees,
                       const SimConfig& config,
                       const std::vector<long long>& elements_per_tree,
                       const std::vector<std::vector<int>>& groups,
-                      SimResult& result) {
+                      SimResult& result,
+                      std::optional<PeriodCertificate>* cert) {
   const int num_groups = static_cast<int>(groups.size());
   std::vector<SimResult> sub(static_cast<std::size_t>(num_groups));
   std::vector<long long> sub_cycles(static_cast<std::size_t>(num_groups), 0);
+  std::vector<std::optional<PeriodCertificate>> sub_cert(
+      static_cast<std::size_t>(num_groups));
   // Every group receives the FULL fault script: an event on another
   // group's edge flips a link no local VC crosses, which is a no-op (the
   // serial run behaves identically for that group's trees), and flaky-drop
@@ -1615,7 +1717,9 @@ long long run_sharded(const graph::Graph& topology,
         if (run.total_target > 0) {
           sub_cycles[static_cast<std::size_t>(g)] = run_fast_loop(
               fabric, config, sub_elements, run.result, run.tree_remaining,
-              run.total_target, run.fault, run.bg_rates, nullptr);
+              run.total_target, run.fault, run.bg_rates, nullptr,
+              cert != nullptr ? &sub_cert[static_cast<std::size_t>(g)]
+                              : nullptr);
         }
         sub[static_cast<std::size_t>(g)] = std::move(run.result);
       });
@@ -1655,6 +1759,7 @@ long long run_sharded(const graph::Graph& topology,
       result.link_bg_flits[d] += r.link_bg_flits[d];
     }
   }
+  if (cert != nullptr) *cert = merge_certificates(groups, sub_cycles, sub_cert);
   return cycles;
 }
 
@@ -1735,9 +1840,6 @@ void reset_result(SimResult& result, int num_trees, int num_dlinks) {
   result.tree_fail_cycle.assign(trees, -1);
   result.tree_completed.assign(trees, 0);
   result.link_flits.assign(dlinks, 0);
-  result.link_queue_hwm.assign(dlinks, 0);
-  result.link_bg_flits.assign(dlinks, 0);
-  result.link_dropped_flits.assign(dlinks, 0);
 }
 
 void settle_background(SimResult& result,
@@ -1764,7 +1866,11 @@ RunContext::RunContext(const graph::Graph& topology_in,
                        const std::vector<long long>& elements)
     : topology(topology_in), config(config_in), elements_per_tree(elements) {
   const int num_trees = static_cast<int>(elements.size());
-  reset_result(result, num_trees, 2 * topology.num_edges());
+  const int num_dlinks = 2 * topology.num_edges();
+  reset_result(result, num_trees, num_dlinks);
+  result.link_queue_hwm.assign(static_cast<std::size_t>(num_dlinks), 0);
+  result.link_bg_flits.assign(static_cast<std::size_t>(num_dlinks), 0);
+  result.link_dropped_flits.assign(static_cast<std::size_t>(num_dlinks), 0);
   // Deliveries owed per tree: at every node for Allreduce/Broadcast, at
   // the root only for Reduce.
   const long long receivers =
@@ -1841,11 +1947,16 @@ AllreduceSimulator::AllreduceSimulator(const graph::Graph& topology,
 
 // pfar-lint: allow(contract-coverage) the split vector is validated via std::invalid_argument throws (size here, sign in detail::RunContext), matching the constructor
 SimResult AllreduceSimulator::run(
-    const std::vector<long long>& elements_per_tree) {
+    const std::vector<long long>& elements_per_tree,
+    std::optional<PeriodCertificate>* period) {
   const int num_trees = static_cast<int>(trees_.size());
   if (static_cast<int>(elements_per_tree.size()) != num_trees) {
     throw std::invalid_argument("run: elements_per_tree size mismatch");
   }
+  if (period != nullptr) period->reset();
+  // Only quiet, fault-free runs certify a period: background drains and
+  // fault events follow absolute time, which a shifted run does not share.
+  if (!config_.faults.empty() || config_.background.active()) period = nullptr;
 
   // The flow tier never builds the per-VC fabric — that is the point: its
   // footprint is O(E + trees * N), which is what lets it reach q >= 243.
@@ -1871,7 +1982,7 @@ SimResult AllreduceSimulator::run(
     try {
       if (groups.size() > 1) {
         cycles = run_sharded(topology_, trees_, config_, elements_per_tree,
-                             groups, run.result);
+                             groups, run.result, period);
       }
     } catch (const std::runtime_error&) {
       // A failing group stops at its own clock, and the serial run need
@@ -1898,7 +2009,7 @@ SimResult AllreduceSimulator::run(
   return run.finish(run_fast_loop(fabric, config_, elements_per_tree,
                                   run.result, run.tree_remaining,
                                   run.total_target, run.fault, run.bg_rates,
-                                  run.obs));
+                                  run.obs, period));
 }
 
 }  // namespace pfar::simnet

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -53,8 +54,9 @@ struct SimResult {
   std::vector<long long> link_flits;
   /// Peak receiver-buffer occupancy (packets) per directed link — the max
   /// over the link's VCs of their buffer high-water marks. Maintained by
-  /// the cycle engine unconditionally (zero on the flow tier), so the
-  /// congestion controller can read queue pressure without tracing.
+  /// the cycle engine unconditionally (empty on the flow tier, which has
+  /// no buffers), so the congestion controller can read queue pressure
+  /// without tracing.
   std::vector<long long> link_queue_hwm;
 
   // --- Background traffic accounting (all zero on a quiet network) --------
@@ -62,7 +64,7 @@ struct SimResult {
   /// Background flits drained per directed link while the collective ran
   /// (SimConfig::background). For fault-free runs this is the closed-form
   /// steady-state count over [0, cycles); with faults it counts only the
-  /// cycles each link was up.
+  /// cycles each link was up. Empty on a quiet flow-tier run.
   std::vector<long long> link_bg_flits;
   /// Totals of the above.
   long long background_packets = 0;
@@ -83,7 +85,8 @@ struct SimResult {
   /// Packets lost on the wire (in flight at a link_down, or eaten by a
   /// flaky link) and their flits (payload + header), total and per
   /// directed link. These flits appear in link_flits (they did cross the
-  /// link) but were never delivered.
+  /// link) but were never delivered. link_dropped_flits is empty on the
+  /// flow tier, which rejects fault scripts.
   long long dropped_packets = 0;
   long long dropped_flits = 0;
   std::vector<long long> link_dropped_flits;
@@ -96,6 +99,25 @@ struct SimResult {
   /// Links still down when the run ended (the set recovery must replan
   /// around), as topology edges.
   std::vector<graph::Edge> links_down;
+};
+
+/// A steady period the cycle engine verified on a quiet, fault-free run,
+/// exported beside its SimResult: from cycle `verify_cycle` on, the run's
+/// control state repeats every `period` cycles while tree t takes in
+/// `elements_per_period[t]` elements and the links carry
+/// `flits_per_period` flits. Every engine of a tree advanced by the same
+/// count and could still repeat the period `periods_left` more times
+/// before any injection end or last delivery. A run whose split differs
+/// from this one's by k whole periods in every tree, with periods_left +
+/// k >= 1, takes exactly k * period more cycles and k * flits_per_period
+/// more flits (docs/simulation_engine.md, "A verified period answers other
+/// vector sizes").
+struct PeriodCertificate {
+  long long period = 0;
+  long long verify_cycle = 0;
+  std::vector<long long> elements_per_period;  // per tree
+  long long flits_per_period = 0;
+  long long periods_left = 0;
 };
 
 /// Partition of `trees` into link-disjoint groups: trees sharing any
@@ -137,8 +159,12 @@ class AllreduceSimulator {
 
   /// Runs one Allreduce with `elements_per_tree[t]` vector elements
   /// assigned to tree t (the m_i of Theorem 5.1). Throws on deadlock or
-  /// cycle-limit overrun.
-  SimResult run(const std::vector<long long>& elements_per_tree);
+  /// cycle-limit overrun. When `period` is given, it receives the run's
+  /// first certified steady period, or stays empty: always on the flow
+  /// tier, under background traffic or a fault script, and on runs too
+  /// short to settle.
+  SimResult run(const std::vector<long long>& elements_per_tree,
+                std::optional<PeriodCertificate>* period = nullptr);
 
  private:
   const graph::Graph& topology_;

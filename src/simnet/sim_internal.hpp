@@ -285,8 +285,10 @@ void validate_simulation(const graph::Graph& topology,
                          const SimConfig& config);
 
 /// A fresh result for `num_trees` trees on `num_dlinks` directed links:
-/// every per-tree and per-link vector sized and zeroed (first-delivery and
-/// fail cycles -1), values_correct true until a delivery disproves it.
+/// every per-tree vector and link_flits sized and zeroed (first-delivery
+/// and fail cycles -1), values_correct true until a delivery disproves it.
+/// The other per-link vectors stay empty: the cycle tier (RunContext)
+/// sizes all three, the flow tier only link_bg_flits under background.
 void reset_result(SimResult& result, int num_trees, int num_dlinks);
 
 /// Totals a run's background accounting: background_flits/_packets from

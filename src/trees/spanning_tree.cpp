@@ -1,5 +1,7 @@
 #include "trees/spanning_tree.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 namespace pfar::trees {
@@ -63,6 +65,47 @@ bool SpanningTree::is_spanning_tree_of(const graph::Graph& g) const {
   }
   // Connectivity/acyclicity already guaranteed by the constructor.
   return true;
+}
+
+int RootedShapes::name(const SpanningTree& tree) {
+  // Vertices deepest level first (a counting sort), so every child is
+  // named before its parent.
+  const int n = tree.num_vertices();
+  const int depth = tree.depth();
+  std::vector<int> start(static_cast<std::size_t>(depth) + 2, 0);
+  for (int v = 0; v < n; ++v) {
+    ++start[static_cast<std::size_t>(depth - tree.level(v) + 1)];
+  }
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<int> order(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    order[static_cast<std::size_t>(
+        start[static_cast<std::size_t>(depth - tree.level(v))]++)] = v;
+  }
+  std::vector<int> names(static_cast<std::size_t>(n));
+  std::vector<int> key;
+  for (const int v : order) {
+    const graph::IntSpan kids = tree.children(v);
+    int& name = names[static_cast<std::size_t>(v)];
+    if (kids.empty()) {
+      name = 0;
+    } else if (kids.size() == 1) {
+      // Path-like trees are mostly one-child vertices: a flat table.
+      const std::size_t c =
+          static_cast<std::size_t>(names[static_cast<std::size_t>(kids[0])]);
+      if (c >= one_child_.size()) one_child_.resize(c + 1, -1);
+      if (one_child_[c] < 0) one_child_[c] = next_++;
+      name = one_child_[c];
+    } else {
+      key.clear();
+      for (const int c : kids) key.push_back(names[static_cast<std::size_t>(c)]);
+      std::sort(key.begin(), key.end());
+      auto it = children_.find(key);
+      if (it == children_.end()) it = children_.emplace(key, next_++).first;
+      name = it->second;
+    }
+  }
+  return names[static_cast<std::size_t>(tree.root())];
 }
 
 std::vector<int> edge_congestion(const graph::Graph& g,

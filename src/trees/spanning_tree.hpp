@@ -1,5 +1,6 @@
 #pragma once
 
+#include <map>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -47,6 +48,20 @@ class SpanningTree {
   std::vector<int> child_offsets_;  // n+1 row offsets into children_
   std::vector<int> children_;       // n-1 entries, grouped by parent
   std::vector<int> level_;
+};
+
+/// Canonical names of rooted tree shapes (AHU): a vertex is named by the
+/// sorted names of its children, so two trees get the same root name iff
+/// they are isomorphic as rooted trees, whatever their vertex labels.
+/// Names are shared by every tree one RootedShapes names.
+class RootedShapes {
+ public:
+  int name(const SpanningTree& tree);
+
+ private:
+  int next_ = 1;                              // 0 names a leaf
+  std::vector<int> one_child_;                // by the child's name; -1 new
+  std::map<std::vector<int>, int> children_;  // two or more, sorted
 };
 
 /// Congestion per graph edge id: the number of trees containing that edge

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <numeric>
 #include <stdexcept>
@@ -500,12 +501,14 @@ TEST(FuzzAdapt, ControllerPropertiesUnderRandomBackground) {
 // Seeded random job streams (several tenants, both operators, priorities,
 // zero-element jobs, same-cycle bursts, a second submit/drain round with
 // jobs dated in the past) through every scheduler policy. The service
-// charges nothing but simulation, so every batch's duration must equal
-// its lane's TreeSetCost for the batch's fused size, and every statistic
-// must follow from the records.
+// charges nothing but simulation, so every batch's duration must equal a
+// direct simulation of its lane's run at the batch's fused size (not a
+// TreeSetCost, whose memo, lane sharing and period shifts are what is
+// under test), and every statistic must follow from the records.
 
 std::vector<service::JobSpec> random_stream(util::Rng& rng, int jobs,
-                                            long long first_arrival) {
+                                            long long first_arrival,
+                                            long long max_elements = 1500) {
   std::vector<service::JobSpec> out;
   long long t = first_arrival;
   while (static_cast<int>(out.size()) < jobs) {
@@ -517,7 +520,8 @@ std::vector<service::JobSpec> random_stream(util::Rng& rng, int jobs,
       spec.tenant = static_cast<int>(rng.next_below(4));
       spec.elements = rng.next_below(8) == 0
                           ? 0
-                          : 1 + static_cast<long long>(rng.next_below(1500));
+                          : 1 + static_cast<long long>(rng.next_below(
+                                    static_cast<std::uint64_t>(max_elements)));
       spec.op = rng.next_below(2) == 0 ? service::ReduceOp::kSum
                                        : service::ReduceOp::kMax;
       spec.priority = static_cast<int>(rng.next_below(3));
@@ -533,6 +537,7 @@ struct ServiceRun {
   service::ServiceStats stats;
   std::vector<std::vector<int>> lane_trees;
   long long completed_counter = 0;  // service.jobs.completed, traced builds
+  long long shifted_counter = 0;    // service.lane_runs.shifted, likewise
 };
 
 ServiceRun run_service_stream(const core::AllreducePlan& plan,
@@ -555,6 +560,7 @@ ServiceRun run_service_stream(const core::AllreducePlan& plan,
     run.lane_trees.push_back(svc.lane_trees(l));
   }
   run.completed_counter = recorder.metrics.counter("service.jobs.completed");
+  run.shifted_counter = recorder.metrics.counter("service.lane_runs.shifted");
   return run;
 }
 
@@ -574,10 +580,27 @@ TEST(FuzzService, BatchesCostExactlyTheirLaneSimulation) {
       service::SchedulerPolicy::kPartitionedBatched};
   const auto plan =
       core::AllreducePlanner(5).solution(core::Solution::kEdgeDisjoint).build();
-  for (int iter = 0; iter < 4; ++iter) {
-    const auto first = random_stream(rng, 40, 0);
+  // The smallest fused size a one-tree lane's period answers from a large
+  // anchor: iterations 4 and 5 draw jobs around it, so fused sizes fall on
+  // both sides.
+  const std::vector<trees::SpanningTree> one_lane{plan.trees()[0]};
+  const auto run_lane = [&](const std::vector<trees::SpanningTree>& trees,
+                            long long m, const simnet::SimConfig& cfg) {
+    const auto bw = model::compute_tree_bandwidths(
+        plan.topology(), trees, static_cast<double>(cfg.link_bandwidth));
+    return collectives::run_planned_allreduce(
+        plan.topology(), trees, model::optimal_split(m, bw), bw, cfg);
+  };
+  const auto anchor = run_lane(one_lane, 4000, simnet::SimConfig{});
+  ASSERT_TRUE(anchor.period);
+  const long long threshold =
+      4000 - (anchor.period->periods_left - 1) *
+                 anchor.period->elements_per_period[0];
+  for (int iter = 0; iter < 6; ++iter) {
+    const long long max_elements = iter < 4 ? 1500 : 2 * threshold;
+    const auto first = random_stream(rng, 40, 0, max_elements);
     // Dated from cycle 0 again: most of it lands in the first round's past.
-    const auto second = random_stream(rng, 15, 0);
+    const auto second = random_stream(rng, 15, 0, max_elements);
     for (const auto policy : policies) {
       service::ServiceConfig config;
       config.policy = policy;
@@ -588,16 +611,27 @@ TEST(FuzzService, BatchesCostExactlyTheirLaneSimulation) {
                                 service::to_string(policy);
       ASSERT_EQ(run.records.size(), first.size() + second.size()) << where;
 
-      // One TreeSetCost per lane, built independently of the service.
-      std::vector<collectives::TreeSetCost> lane_costs;
+      // Each lane's trees, and its direct runs, once per fused size.
+      std::vector<std::vector<trees::SpanningTree>> lane_trees;
       for (const auto& ids : run.lane_trees) {
-        std::vector<trees::SpanningTree> lane_trees;
+        lane_trees.emplace_back();
         for (int t : ids) {
-          lane_trees.push_back(plan.trees()[static_cast<std::size_t>(t)]);
+          lane_trees.back().push_back(
+              plan.trees()[static_cast<std::size_t>(t)]);
         }
-        lane_costs.emplace_back(plan.topology(), std::move(lane_trees),
-                                config.sim);
       }
+      std::map<std::pair<int, long long>, collectives::InNetworkResult> runs;
+      const auto lane_run = [&](int lane, long long m)
+          -> const collectives::InNetworkResult& {
+        auto it = runs.find({lane, m});
+        if (it == runs.end()) {
+          it = runs.emplace(std::pair{lane, m},
+                            run_lane(lane_trees[static_cast<std::size_t>(lane)],
+                                     m, config.sim))
+                   .first;
+        }
+        return it->second;
+      };
 
       // Per-job lifecycle, and batches keyed by (lane, start).
       struct BatchSeen {
@@ -647,6 +681,11 @@ TEST(FuzzService, BatchesCostExactlyTheirLaneSimulation) {
       EXPECT_EQ(run.completed_counter,
                 obsv::kTraceCompiled ? completed : 0)
           << where;  // each completion delivered exactly once
+      if (obsv::kTraceCompiled && iter >= 4 &&
+          policy != service::SchedulerPolicy::kSerial) {
+        // One-tree lanes: fused sizes past the threshold were shifted.
+        EXPECT_GT(run.shifted_counter, 0) << where;
+      }
 
       int coalesced = 0;
       long long flits = 0;
@@ -661,12 +700,13 @@ TEST(FuzzService, BatchesCostExactlyTheirLaneSimulation) {
         EXPECT_GT(b.elements, 0) << where;  // a zero-element seed runs alone
         if (b.jobs > 1) coalesced += b.jobs;
         // The batch's duration is exactly its lane's simulation.
-        const auto cost =
-            lane_costs[static_cast<std::size_t>(lane)].cost(b.elements);
-        EXPECT_TRUE(cost.correct) << where;
-        EXPECT_EQ(b.finish - start, cost.cycles)
+        const collectives::InNetworkResult& direct = lane_run(lane, b.elements);
+        EXPECT_TRUE(direct.sim.values_correct &&
+                    collectives::undelivered_elements(direct) == 0)
+            << where;
+        EXPECT_EQ(b.finish - start, direct.sim.cycles)
             << where << " lane " << lane << " m " << b.elements;
-        flits += cost.flits;
+        flits += collectives::total_flits(direct.sim);
         // Batches on one lane never overlap ((lane, start) keys ascend).
         const auto it = lane_free.find(lane);
         if (it != lane_free.end()) {

@@ -188,6 +188,7 @@ SimResult run_reference_flow(const graph::Graph& topology,
   // the pre-background flow tier.
   std::vector<long long> bg_rates_ppm;
   if (config.background.active()) {
+    result.link_bg_flits.assign(static_cast<std::size_t>(num_dlinks), 0);
     bg_rates_ppm = background_link_rates_ppm(topology, config.background,
                                              config.link_bandwidth);
   }

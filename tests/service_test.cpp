@@ -13,6 +13,7 @@
 
 #include "collectives/bucket_schedule.hpp"
 #include "collectives/innetwork.hpp"
+#include "model/congestion_model.hpp"
 #include "obsv/recorder.hpp"
 #include "service/service.hpp"
 #include "util/contracts.hpp"
@@ -361,6 +362,68 @@ TEST(ServiceTest, RecorderCapturesServiceTelemetry) {
             stats.admitted);
   EXPECT_EQ(recorder.metrics.counter("service.batches"), stats.batches);
   EXPECT_GT(recorder.trace.size(), 0u);  // per-lane batch spans
+  // Every batch was costed one way: simulated, a memo hit or shifted.
+  EXPECT_EQ(recorder.metrics.counter("service.lane_runs.simulated") +
+                recorder.metrics.counter("service.lane_runs.memo") +
+                recorder.metrics.counter("service.lane_runs.shifted"),
+            stats.batches);
+
+  // The q=3 edge-disjoint lanes are one rooted shape and share a memo: the
+  // second 200-element job hits the first one's run from the other lane.
+  // That run settled into a verified period, so 300 and 301 elements are
+  // shifted from it.
+  obsv::Recorder lanes_recorder(1u << 16);
+  service::ServiceConfig partitioned;
+  partitioned.policy = service::SchedulerPolicy::kPartitioned;
+  partitioned.sim.recorder = &lanes_recorder;
+  service::AllreduceService lanes(plan, partitioned);
+  ASSERT_EQ(lanes.num_lanes(), 2);
+  lanes.submit(job(0, 200, 0));
+  lanes.submit(job(1, 200, 0));
+  lanes.submit(job(0, 300, 100'000));
+  lanes.submit(job(1, 301, 100'000));
+  lanes.drain();
+  EXPECT_EQ(lanes_recorder.metrics.counter("service.lane_runs.simulated"), 1);
+  EXPECT_EQ(lanes_recorder.metrics.counter("service.lane_runs.memo"), 1);
+  EXPECT_EQ(lanes_recorder.metrics.counter("service.lane_runs.shifted"), 2);
+  const auto& r = lanes.records();
+  EXPECT_NE(r[0].lane, r[1].lane);
+  EXPECT_EQ(r[0].finish_cycle, r[1].finish_cycle);
+  EXPECT_EQ(r[3].finish_cycle - r[3].start_cycle,
+            r[2].finish_cycle - r[2].start_cycle + 1);
+}
+
+// Under background traffic each link drains at its own rate, so lanes of
+// one shape no longer run alike: every lane simulates its own runs, and
+// each batch still costs exactly its own lane's run.
+TEST(ServiceTest, LanesUnderBackgroundKeepTheirOwnCost) {
+  if (!obsv::kTraceCompiled) {
+    GTEST_SKIP() << "tracing compiled out (PFAR_TRACE=off)";
+  }
+  const auto plan = make_plan(5);
+  obsv::Recorder recorder(1u << 16);
+  service::ServiceConfig config;
+  config.policy = service::SchedulerPolicy::kPartitioned;
+  config.sim.background.pattern = simnet::TrafficPattern::kPermutation;
+  config.sim.background.load = 0.3;
+  config.sim.recorder = &recorder;
+  service::AllreduceService svc(plan, config);
+  for (int l = 0; l < svc.num_lanes(); ++l) svc.submit(job(l, 700, 0));
+  svc.drain();
+  EXPECT_EQ(recorder.metrics.counter("service.lane_runs.simulated"),
+            svc.num_lanes());
+  simnet::SimConfig sim = config.sim;
+  sim.recorder = nullptr;
+  for (const auto& r : svc.records()) {
+    const auto& ids = svc.lane_trees(r.lane);
+    std::vector<trees::SpanningTree> trees;
+    for (int t : ids) trees.push_back(plan.trees()[static_cast<std::size_t>(t)]);
+    const auto bw = model::compute_tree_bandwidths(plan.topology(), trees, 1.0);
+    const auto run = collectives::run_planned_allreduce(
+        plan.topology(), trees, model::optimal_split(700, bw), bw, sim);
+    EXPECT_EQ(r.finish_cycle - r.start_cycle, run.sim.cycles)
+        << "lane " << r.lane;
+  }
 }
 
 TEST(ServiceTest, PolicyNamesRoundTrip) {
