@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <queue>
 #include <stdexcept>
 #include <utility>
 
@@ -22,25 +21,11 @@ std::vector<simnet::TreeEmbedding> to_embeddings(
   return out;
 }
 
+// pfar-lint: allow(contract-coverage) thin delegation; graph::Graph::bfs_tree requires the root in range
 trees::SpanningTree bfs_tree(const graph::Graph& g, int root) {
-  PFAR_REQUIRE(root >= 0 && root < g.num_vertices(), root, g.num_vertices());
-  std::vector<int> parent(static_cast<std::size_t>(g.num_vertices()), -1);
-  std::vector<char> seen(static_cast<std::size_t>(g.num_vertices()), 0);
-  std::queue<int> frontier;
-  seen[static_cast<std::size_t>(root)] = 1;
-  frontier.push(root);
-  while (!frontier.empty()) {
-    const int u = frontier.front();
-    frontier.pop();
-    for (int w : g.neighbors(u)) {
-      if (!seen[static_cast<std::size_t>(w)]) {
-        seen[static_cast<std::size_t>(w)] = 1;
-        parent[static_cast<std::size_t>(w)] = u;
-        frontier.push(w);
-      }
-    }
-  }
-  return trees::SpanningTree(root, std::move(parent));
+  graph::BfsTree tree;
+  g.bfs_tree(root, tree);
+  return trees::SpanningTree(root, std::move(tree.parent));
 }
 
 InNetworkResult run_planned_allreduce(

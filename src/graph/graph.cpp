@@ -1,26 +1,12 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
-#include <queue>
 #include <stdexcept>
+#include <string>
 
 #include "util/contracts.hpp"
 
 namespace pfar::graph {
-namespace {
-
-// Default 64 MiB: enough for the packed rows of every PolarFly radix the
-// benches sweep (q = 128 -> n = 16513 -> ~34 MiB) without surprising
-// callers that build many graphs at once.
-std::atomic<std::size_t> g_max_bitset_bytes{64u << 20};
-
-}  // namespace
-
-std::size_t Graph::set_max_bitset_bytes(std::size_t bytes) {
-  return g_max_bitset_bytes.exchange(bytes);
-}
 
 Graph::Graph(int n) : n_(n), build_adj_(static_cast<std::size_t>(n)) {
   if (n < 0) throw std::invalid_argument("Graph: negative vertex count");
@@ -94,19 +80,6 @@ void Graph::finalize() {
     csr_eid_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(e.v)]++)] = id;
   }
 
-  // Packed adjacency matrix, budget permitting.
-  words_per_row_ = static_cast<std::size_t>((n_ + 63) / 64);
-  const std::size_t words = words_per_row_ * static_cast<std::size_t>(n_);
-  if (n_ > 0 && words * sizeof(std::uint64_t) <= g_max_bitset_bytes.load()) {
-    bits_.assign(words, 0);
-    for (const Edge& e : edges_) {
-      bits_[static_cast<std::size_t>(e.u) * words_per_row_ + static_cast<std::size_t>((e.v >> 6))] |=
-          1ull << (e.v & 63);
-      bits_[static_cast<std::size_t>(e.v) * words_per_row_ + static_cast<std::size_t>((e.u >> 6))] |=
-          1ull << (e.u & 63);
-    }
-  }
-
   build_adj_.clear();
   build_adj_.shrink_to_fit();
   finalized_ = true;
@@ -143,8 +116,6 @@ void Graph::finalize() {
       const Edge& e = edges_[static_cast<std::size_t>(eid)];
       PFAR_INVARIANT(e.u == std::min(v, w) && e.v == std::max(v, w), v, w,
                      eid, e.u, e.v);
-      // Bitset fast path must agree with the sorted-row fallback.
-      if (!bits_.empty()) PFAR_INVARIANT(bit(v, w), v, w);
     }
   }
 #endif
@@ -168,17 +139,6 @@ IntSpan Graph::neighbor_edge_ids(int v) const {
 int Graph::degree(int v) const {
   if (!finalized_) return static_cast<int>(build_adj_[static_cast<std::size_t>(v)].size());
   return offsets_[static_cast<std::size_t>(v + 1)] - offsets_[static_cast<std::size_t>(v)];
-}
-
-bool Graph::has_edge(int u, int v) const {
-  if (u == v) return false;
-  if (!finalized_) {
-    const auto& list = build_adj_[static_cast<std::size_t>(u)];
-    return std::find(list.begin(), list.end(), v) != list.end();
-  }
-  if (!bits_.empty()) return bit(u, v);
-  const auto row = neighbors(u);
-  return std::binary_search(row.begin(), row.end(), v);
 }
 
 int Graph::edge_id(int u, int v) const {
@@ -250,15 +210,6 @@ int Graph::diameter() const {
 }
 
 int Graph::common_neighbor_count(int u, int v) const {
-  if (finalized_ && !bits_.empty()) {
-    const std::uint64_t* a = bits_.data() + static_cast<std::size_t>(u) * words_per_row_;
-    const std::uint64_t* b = bits_.data() + static_cast<std::size_t>(v) * words_per_row_;
-    int count = 0;
-    for (std::size_t w = 0; w < words_per_row_; ++w) {
-      count += std::popcount(a[w] & b[w]);
-    }
-    return count;
-  }
   const auto a = neighbors(u);
   const auto b = neighbors(v);
   int count = 0;
@@ -275,6 +226,49 @@ int Graph::common_neighbor_count(int u, int v) const {
     }
   }
   return count;
+}
+
+std::vector<int> parent_links(const Graph& g,
+                              std::span<const IntSpan> parents) {
+  const int n = g.num_vertices();
+  const std::size_t un = static_cast<std::size_t>(n);
+  for (const IntSpan& tree : parents) {
+    if (tree.size() != un) {
+      throw std::invalid_argument(
+          "parent_links: parent array length " + std::to_string(tree.size()) +
+          " != vertex count " + std::to_string(n));
+    }
+  }
+  std::vector<int> links(parents.size() * un);
+  // slot_of[w]: w's index in the row being resolved. Entries left over
+  // from earlier rows are harmless: a slot counts only when the current
+  // row holds w there.
+  std::vector<std::size_t> slot_of(un, 0);
+  for (int v = 0; v < n; ++v) {
+    const IntSpan row = g.neighbors(v);
+    const IntSpan ids = g.neighbor_edge_ids(v);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      slot_of[static_cast<std::size_t>(row[i])] = i;
+    }
+    for (std::size_t t = 0; t < parents.size(); ++t) {
+      const int p = parents[t][static_cast<std::size_t>(v)];
+      int id = -1;
+      if (p != -1) {
+        const std::size_t s = p >= 0 && p < n
+                                  ? slot_of[static_cast<std::size_t>(p)]
+                                  : row.size();
+        if (s >= row.size() || row[s] != p) {
+          throw std::invalid_argument(
+              "parent_links: parent " + std::to_string(p) + " of vertex " +
+              std::to_string(v) + " in tree " + std::to_string(t) +
+              " is not a neighbor");
+        }
+        id = ids[s];
+      }
+      links[t * un + static_cast<std::size_t>(v)] = id;
+    }
+  }
+  return links;
 }
 
 UnionFind::UnionFind(int n) : parent_(static_cast<std::size_t>(n)), rank_(static_cast<std::size_t>(n), 0), components_(n) {

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -26,6 +26,8 @@ class IntSpan {
  public:
   IntSpan() = default;
   IntSpan(const int* begin, const int* end) : begin_(begin), end_(end) {}
+  explicit IntSpan(const std::vector<int>& v)
+      : IntSpan(v.data(), v.data() + v.size()) {}
 
   const int* begin() const { return begin_; }
   const int* end() const { return end_; }
@@ -57,12 +59,12 @@ struct BfsTree {
 /// Storage is two-stage. Before `finalize()` the graph is a mutable edge
 /// list plus per-vertex builder adjacency. `finalize()` compacts it into a
 /// flat CSR layout — row offsets, a sorted neighbor array, and an aligned
-/// per-neighbor edge-id array — plus, when the memory budget allows, a
-/// packed bitset adjacency matrix (one cache-friendly row of n bits per
-/// vertex). Queries then cost: O(1) `has_edge`, O(log d) `edge_id`,
-/// O(n/64) word-parallel `common_neighbor_count`, and stable edge ids
-/// (lexicographic rank of the normalized edge) usable as array indices by
-/// the congestion model and the simulator.
+/// per-neighbor edge-id array — whose size is O(n + E). Queries then cost
+/// O(log d) for `edge_id` and `has_edge` (one sorted-row search), O(d) for
+/// `common_neighbor_count`, and edge ids are stable (the lexicographic
+/// rank of the normalized edge) and index the congestion model's and the
+/// simulator's per-link arrays. Tree edges map to ids in bulk through
+/// parent_links.
 class Graph {
  public:
   explicit Graph(int n);
@@ -79,16 +81,18 @@ class Graph {
   /// only if the caller avoided them — adding the same edge twice throws.
   void add_edge(int u, int v);
 
-  /// Builds the CSR layout, the edge-id index and the bitset adjacency.
-  /// Must be called after the last add_edge and before queries that need
-  /// edge ids. Throws std::logic_error on duplicate edges.
+  /// Builds the CSR layout and the edge-id index. Must be called after the
+  /// last add_edge and before queries that need edge ids. Throws
+  /// std::logic_error on duplicate edges.
   void finalize();
 
-  bool has_edge(int u, int v) const;
+  /// True iff {u, v} is an edge: edge_id(u, v) >= 0, so any vertex out of
+  /// range is simply absent. Finalized graphs only.
+  bool has_edge(int u, int v) const { return edge_id(u, v) >= 0; }
 
-  /// Dense id of edge {u, v} in [0, num_edges()); -1 if absent. Ids are
-  /// the lexicographic rank of the normalized edge, as in the seed
-  /// implementation (pinned by tests).
+  /// Dense id of edge {u, v} in [0, num_edges()); -1 if absent, including
+  /// when u or v is out of range. Ids are the lexicographic rank of the
+  /// normalized edge, as in the seed implementation (pinned by tests).
   int edge_id(int u, int v) const;
 
   const Edge& edge(int id) const { return edges_[static_cast<std::size_t>(id)]; }
@@ -124,27 +128,11 @@ class Graph {
   int diameter() const;
 
   /// Number of common neighbors of distinct u, v (the number of 2-paths
-  /// between them). ER_q must have at most one (Theorem 6.1). Word-parallel
-  /// (AND + popcount over packed rows) when the bitset is resident.
+  /// between them). ER_q must have at most one (Theorem 6.1). A merge scan
+  /// of the two sorted rows.
   int common_neighbor_count(int u, int v) const;
 
-  /// True once finalize() materialized the packed adjacency matrix.
-  bool has_adjacency_bitset() const { return !bits_.empty(); }
-
-  /// Memory budget for the packed adjacency matrix (process-wide). Graphs
-  /// whose n*n bit matrix would exceed the budget skip it and fall back to
-  /// binary-search `has_edge` / merge-scan `common_neighbor_count`.
-  /// Affects graphs finalized after the call. Returns the previous budget.
-  static std::size_t set_max_bitset_bytes(std::size_t bytes);
-
  private:
-  bool bit(int u, int v) const {
-    return (bits_[static_cast<std::size_t>(u) * words_per_row_ +
-                  static_cast<std::size_t>(v >> 6)] >>
-            (v & 63)) &
-           1u;
-  }
-
   int n_;
   bool finalized_ = false;
   std::vector<Edge> edges_;
@@ -155,48 +143,18 @@ class Graph {
   std::vector<int> offsets_;
   std::vector<int> csr_adj_;
   std::vector<int> csr_eid_;
-  // Packed adjacency rows (n rows of words_per_row_ 64-bit words); empty
-  // when over budget.
-  std::vector<std::uint64_t> bits_;
-  std::size_t words_per_row_ = 0;
 };
 
-/// Neighbor -> slot map of one finalized CSR row at a time, for
-/// vertex-major passes that resolve the parent of v in many trees while
-/// v's row is hot: load(v) indexes v's row in O(degree), then slot(p) is
-/// p's index in it (aligned with neighbor_edge_ids(v)) in O(1). Entries
-/// left over from earlier rows are harmless: a slot counts only when the
-/// loaded row holds p there.
-class RowSlots {
- public:
-  explicit RowSlots(const Graph& g)
-      : g_(&g), slot_of_(static_cast<std::size_t>(g.num_vertices()), 0) {}
-
-  /// Indexes v's neighbor row and returns it.
-  IntSpan load(int v) {
-    row_ = g_->neighbors(v);
-    for (std::size_t i = 0; i < row_.size(); ++i) {
-      slot_of_[static_cast<std::size_t>(row_[i])] = static_cast<int>(i);
-    }
-    return row_;
-  }
-
-  /// Index of p in the loaded row; -1 when p is not a neighbor of the
-  /// loaded vertex (any p, out-of-range ones included).
-  int slot(int p) const {
-    if (p < 0 || p >= g_->num_vertices()) return -1;
-    const int s = slot_of_[static_cast<std::size_t>(p)];
-    return static_cast<std::size_t>(s) < row_.size() &&
-                   row_[static_cast<std::size_t>(s)] == p
-               ? s
-               : -1;
-  }
-
- private:
-  const Graph* g_;
-  IntSpan row_;
-  std::vector<int> slot_of_;
-};
+/// Link ids of a tree set's parent edges, resolved in one vertex-major
+/// pass: v's CSR row is indexed while it is hot, then the parent of v in
+/// every tree is looked up in it, so the pass costs O(E + trees * n)
+/// whatever the trees' shapes. `parents[t]` is tree t's parent array,
+/// one entry per vertex and -1 at the root. Returns the flat table whose
+/// entry t * n + v is the edge id of {v, parents[t][v]}, or -1 where that
+/// parent is -1. Throws std::invalid_argument when a parent array's
+/// length is not n or a parent is out of range or not a neighbor of its
+/// vertex. Finalized graphs only.
+std::vector<int> parent_links(const Graph& g, std::span<const IntSpan> parents);
 
 /// Disjoint-set union with path halving; used for spanning-tree validation.
 class UnionFind {

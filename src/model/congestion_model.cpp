@@ -19,50 +19,15 @@ TreeBandwidths compute_tree_bandwidths(
   const int num_edges = g.num_edges();
   const int num_trees = static_cast<int>(trees.size());
 
-  // Per-tree edge-id lists (flat: num_trees rows of n-1 ids) and per-edge
-  // congestion C(e).
-  const int n = num_trees > 0 ? trees[0].num_vertices() : 0;
-  for (const auto& tree : trees) {
-    if (tree.num_vertices() != n) {
-      // Heterogeneous tree sizes: the flat layout does not apply.
-      return compute_tree_bandwidths_reference(g, trees, link_bandwidth);
-    }
-  }
-  if (n > g.num_vertices()) {
-    // Tree vertices outside the graph: let the reference path report it.
-    return compute_tree_bandwidths_reference(g, trees, link_bandwidth);
-  }
-  // Per-tree edge ids, resolved without per-edge binary searches and
-  // vertex-major: the parent of v in every tree is looked up in v's CSR
-  // row while the row is hot (graph::RowSlots), whose aligned edge-id row
-  // then yields the id — O(degree + trees) per
-  // vertex, whatever the trees' shapes (a per-parent merge costs a whole
-  // row per internal vertex, which a Hamiltonian path has n - 1 of). Each
-  // tree's row lists its edges by child vertex, the reference's order.
-  std::vector<int> tree_edges(static_cast<std::size_t>(num_trees) *
-                              static_cast<std::size_t>((n > 0 ? n - 1 : 0)));
+  // Per-tree edge-id lists (flat: num_trees rows of n-1 ids, each listing
+  // its tree's edges by child vertex, the reference's order) and per-edge
+  // congestion C(e). A validated tree has exactly one parentless vertex,
+  // so dropping the roots' -1 entries leaves exactly those rows.
+  const int n = g.num_vertices();
+  std::vector<int> tree_edges = trees::tree_links(g, trees);
+  std::erase(tree_edges, -1);
   std::vector<int> congestion(static_cast<std::size_t>(num_edges), 0);
-  {
-    std::vector<int> filled(static_cast<std::size_t>(num_trees), 0);
-    graph::RowSlots row_slots(g);
-    for (int v = 0; v < n; ++v) {
-      row_slots.load(v);
-      const auto eids = g.neighbor_edge_ids(v);
-      for (int t = 0; t < num_trees; ++t) {
-        const int p = trees[static_cast<std::size_t>(t)].parent(v);
-        if (p < 0) continue;
-        const int slot = row_slots.slot(p);
-        if (slot < 0) {
-          throw std::invalid_argument(
-              "compute_tree_bandwidths: tree edge not in graph");
-        }
-        const int id = eids[static_cast<std::size_t>(slot)];
-        tree_edges[static_cast<std::size_t>(t) * static_cast<std::size_t>(n - 1) +
-                   static_cast<std::size_t>(filled[static_cast<std::size_t>(t)]++)] = id;
-        ++congestion[static_cast<std::size_t>(id)];
-      }
-    }
-  }
+  for (const int id : tree_edges) ++congestion[static_cast<std::size_t>(id)];
 
   // Edge -> tree incidence in CSR form (rows ascending in tree id), so a
   // bottleneck edge reaches exactly the trees through it.

@@ -27,7 +27,9 @@ struct TreeBandwidths {
 /// bottleneck scan walks only still-congested edges, so each round costs
 /// O(live edges) instead of O(edges + trees * n). Bit-identical to
 /// compute_tree_bandwidths_reference (same float-op order and bottleneck
-/// tie-breaking), pinned by tests.
+/// tie-breaking), pinned by tests. Throws std::invalid_argument unless
+/// every tree spans exactly g's vertices over links of g
+/// (trees::tree_links).
 TreeBandwidths compute_tree_bandwidths(const graph::Graph& g,
                                        const std::vector<trees::SpanningTree>& trees,
                                        double link_bandwidth);

@@ -25,14 +25,14 @@ namespace detail {
 // pfar-lint: allow(contract-coverage) the script is validated via std::invalid_argument throws below
 FaultState prepare_faults(const graph::Graph& topology,
                           const FaultScript& script) {
-  const int n = topology.num_vertices();
   const auto resolve = [&](int u, int v) {
-    if (u < 0 || u >= n || v < 0 || v >= n || !topology.has_edge(u, v)) {
+    const int id = topology.edge_id(u, v);
+    if (id < 0) {
       throw std::invalid_argument(
           "FaultScript: (" + std::to_string(u) + "," + std::to_string(v) +
           ") is not a link of the topology");
     }
-    return topology.edge_id(u, v);
+    return id;
   };
   FaultState fs;
   fs.edge_down.assign(static_cast<std::size_t>(topology.num_edges()), 0);
@@ -179,7 +179,8 @@ using detail::sum_over_nodes;
 // ascending, then nodes ascending, each non-root node adding its reduce VC
 // (node -> parent) before its broadcast VC (parent -> node); a node's
 // child slots follow child id order and each link lists its VCs by id.
-// Nothing here changes during a run.
+// Every VC's directed link comes from the simulator's resolved tree links
+// (graph::parent_links). Nothing here changes during a run.
 struct Fabric {
   int n = 0;
   int num_trees = 0;
@@ -218,9 +219,12 @@ struct Fabric {
   int num_vcs() const { return static_cast<int>(vc_dlink.size()); }
 };
 
+// `links` is the whole run's parent-link table (entry gid * n + v), which a
+// sharded sub-run indexes through its global tree ids.
 Fabric build_fabric(const graph::Graph& topology,
                     const std::vector<TreeEmbedding>& trees,
-                    const SimConfig& config, SimResult& result,
+                    const std::vector<int>& links, const SimConfig& config,
+                    SimResult& result,
                     const std::vector<int>* tree_gids = nullptr) {
   Fabric f;
   f.n = topology.num_vertices();
@@ -254,12 +258,12 @@ Fabric build_fabric(const graph::Graph& topology,
   f.stage_dlink.assign(static_cast<std::size_t>(f.child_base[num_states]), -1);
 
   const auto new_vc = [&](bool reduce, std::int32_t src_state,
-                          std::int32_t dst_state, int src, int dst,
+                          std::int32_t dst_state, std::int32_t dlink,
                           std::int32_t stage) {
     f.vc_is_reduce.push_back(reduce ? 1 : 0);
     f.vc_src_state.push_back(src_state);
     f.vc_dst_state.push_back(dst_state);
-    f.vc_dlink.push_back(2 * topology.edge_id(src, dst) + (src > dst ? 1 : 0));
+    f.vc_dlink.push_back(dlink);
     f.vc_stage.push_back(stage);
     return static_cast<std::int32_t>(f.vc_dlink.size()) - 1;
   };
@@ -268,21 +272,27 @@ Fabric build_fabric(const graph::Graph& topology,
                                       f.child_base.end() - 1);
   for (int t = 0; t < f.num_trees; ++t) {
     const auto& parent = trees[static_cast<std::size_t>(t)].parent;
+    const std::size_t base =
+        static_cast<std::size_t>(f.tree_gid[static_cast<std::size_t>(t)]) *
+        static_cast<std::size_t>(n);
     for (int v = 0; v < n; ++v) {
       const int p = parent[static_cast<std::size_t>(v)];
       if (p < 0) continue;
       const std::int32_t s = t * n + v;
       const std::int32_t ps = t * n + p;
       const std::int32_t slot = next_slot[static_cast<std::size_t>(ps)]++;
+      // The reduce VC runs v -> p, the broadcast VC p -> v.
+      const std::int32_t up =
+          2 * links[base + static_cast<std::size_t>(v)] + (v > p ? 1 : 0);
       if (want_reduce) {
         f.child_vc[static_cast<std::size_t>(slot)] =
-            new_vc(true, s, ps, v, p, -1);
-        f.up_dlink[static_cast<std::size_t>(s)] = f.vc_dlink.back();
+            new_vc(true, s, ps, up, -1);
+        f.up_dlink[static_cast<std::size_t>(s)] = up;
       }
       if (want_bcast) {
         f.parent_bcast_vc[static_cast<std::size_t>(s)] =
-            new_vc(false, ps, s, p, v, slot);
-        f.stage_dlink[static_cast<std::size_t>(slot)] = f.vc_dlink.back();
+            new_vc(false, ps, s, up ^ 1, slot);
+        f.stage_dlink[static_cast<std::size_t>(slot)] = up ^ 1;
       }
     }
   }
@@ -1562,7 +1572,14 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
   return now;
 }
 
-}  // namespace
+// The trees' parent links (graph::parent_links over the embeddings).
+std::vector<int> embedding_links(const graph::Graph& topology,
+                                 const std::vector<TreeEmbedding>& trees) {
+  std::vector<graph::IntSpan> parents;
+  parents.reserve(trees.size());
+  for (const auto& tree : trees) parents.emplace_back(tree.parent);
+  return graph::parent_links(topology, parents);
+}
 
 // ---------------------------------------------------------------------------
 // Intra-run sharding (SimConfig::shard_threads, fast-forward engine only).
@@ -1585,9 +1602,11 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
 // groups time nothing of each other, so the service may run them on
 // independent virtual timelines exactly.
 // ---------------------------------------------------------------------------
-std::vector<std::vector<int>> link_disjoint_tree_groups(
-    const graph::Graph& topology, const std::vector<TreeEmbedding>& trees) {
-  const int num_trees = static_cast<int>(trees.size());
+
+// link_disjoint_tree_groups over a resolved parent-link table.
+std::vector<std::vector<int>> tree_groups(const graph::Graph& topology,
+                                          int num_trees,
+                                          const std::vector<int>& links) {
   const int n = topology.num_vertices();
   std::vector<int> uf(static_cast<std::size_t>(num_trees));
   for (int t = 0; t < num_trees; ++t) uf[static_cast<std::size_t>(t)] = t;
@@ -1602,12 +1621,12 @@ std::vector<std::vector<int>> link_disjoint_tree_groups(
   std::vector<int> edge_owner(static_cast<std::size_t>(topology.num_edges()),
                               -1);
   for (int t = 0; t < num_trees; ++t) {
-    const auto& parent = trees[static_cast<std::size_t>(t)].parent;
     for (int v = 0; v < n; ++v) {
-      const int p = parent[static_cast<std::size_t>(v)];
-      if (p < 0) continue;
-      const std::size_t e =
-          static_cast<std::size_t>(topology.edge_id(v, p));
+      const int id = links[static_cast<std::size_t>(t) *
+                               static_cast<std::size_t>(n) +
+                           static_cast<std::size_t>(v)];
+      if (id < 0) continue;  // the root
+      const std::size_t e = static_cast<std::size_t>(id);
       if (edge_owner[e] < 0) {
         edge_owner[e] = t;
       } else {
@@ -1633,6 +1652,15 @@ std::vector<std::vector<int>> link_disjoint_tree_groups(
   PFAR_ENSURE(grouped == static_cast<std::size_t>(num_trees), grouped,
               num_trees);
   return groups;
+}
+
+}  // namespace
+
+// pfar-lint: allow(contract-coverage) thin delegation; graph::parent_links validates every tree edge via std::invalid_argument throws
+std::vector<std::vector<int>> link_disjoint_tree_groups(
+    const graph::Graph& topology, const std::vector<TreeEmbedding>& trees) {
+  return tree_groups(topology, static_cast<int>(trees.size()),
+                     embedding_links(topology, trees));
 }
 
 namespace {
@@ -1681,7 +1709,7 @@ std::optional<PeriodCertificate> merge_certificates(
 
 long long run_sharded(const graph::Graph& topology,
                       const std::vector<TreeEmbedding>& trees,
-                      const SimConfig& config,
+                      const std::vector<int>& links, const SimConfig& config,
                       const std::vector<long long>& elements_per_tree,
                       const std::vector<std::vector<int>>& groups,
                       SimResult& result,
@@ -1713,7 +1741,7 @@ long long run_sharded(const graph::Graph& topology,
         // implies no Recorder) and the merge below is its epilogue.
         detail::RunContext run(topology, config, sub_elements);
         const Fabric fabric =
-            build_fabric(topology, sub_trees, config, run.result, &gids);
+            build_fabric(topology, sub_trees, links, config, run.result, &gids);
         if (run.total_target > 0) {
           sub_cycles[static_cast<std::size_t>(g)] = run_fast_loop(
               fabric, config, sub_elements, run.result, run.tree_remaining,
@@ -1768,9 +1796,9 @@ long long run_sharded(const graph::Graph& topology,
 namespace detail {
 
 // pfar-lint: allow(contract-coverage) this is the contract: every violation throws std::invalid_argument
-void validate_simulation(const graph::Graph& topology,
-                         const std::vector<TreeEmbedding>& trees,
-                         const SimConfig& config) {
+std::vector<int> validate_simulation(const graph::Graph& topology,
+                                     const std::vector<TreeEmbedding>& trees,
+                                     const SimConfig& config) {
   if (config.link_bandwidth < 1 || config.link_latency < 0 ||
       config.vc_credits < 1 || config.fork_buffer < 1 ||
       config.packet_payload < 1 || config.packet_header_flits < 0) {
@@ -1806,6 +1834,8 @@ void validate_simulation(const graph::Graph& topology,
   // ranges) so a bad script fails at construction, not mid-run.
   static_cast<void>(prepare_faults(topology, config.faults));
   const int n = topology.num_vertices();
+  const char* const not_a_link =
+      "AllreduceSimulator: tree edge not a physical link";
   for (const auto& tree : trees) {
     if (static_cast<int>(tree.parent.size()) != n) {
       throw std::invalid_argument("AllreduceSimulator: tree size mismatch");
@@ -1813,19 +1843,20 @@ void validate_simulation(const graph::Graph& topology,
     if (tree.root < 0 || tree.root >= n) {
       throw std::invalid_argument("AllreduceSimulator: root out of range");
     }
-    for (int v = 0; v < n; ++v) {
-      const int p = tree.parent[static_cast<std::size_t>(v)];
-      if (v == tree.root) {
-        if (p != -1) {
-          throw std::invalid_argument("AllreduceSimulator: root has parent");
-        }
-        continue;
-      }
-      if (p < 0 || p >= n || !topology.has_edge(v, p)) {
-        throw std::invalid_argument(
-            "AllreduceSimulator: tree edge not a physical link");
-      }
+    if (tree.parent[static_cast<std::size_t>(tree.root)] != -1) {
+      throw std::invalid_argument("AllreduceSimulator: root has parent");
     }
+    // Below the root, every vertex needs a parent.
+    if (std::count(tree.parent.begin(), tree.parent.end(), -1) != 1) {
+      throw std::invalid_argument(not_a_link);
+    }
+  }
+  // The resolve is the edge check: it throws on a parent that is out of
+  // range or not a neighbor.
+  try {
+    return embedding_links(topology, trees);
+  } catch (const std::invalid_argument&) {
+    throw std::invalid_argument(not_a_link);
   }
 }
 
@@ -1941,9 +1972,10 @@ SimResult RunContext::finish(long long cycles) {
 AllreduceSimulator::AllreduceSimulator(const graph::Graph& topology,
                                        std::vector<TreeEmbedding> trees,
                                        SimConfig config)
-    : topology_(topology), trees_(std::move(trees)), config_(config) {
-  detail::validate_simulation(topology_, trees_, config_);
-}
+    : topology_(topology),
+      trees_(std::move(trees)),
+      config_(config),
+      links_(detail::validate_simulation(topology_, trees_, config_)) {}
 
 // pfar-lint: allow(contract-coverage) the split vector is validated via std::invalid_argument throws (size here, sign in detail::RunContext), matching the constructor
 SimResult AllreduceSimulator::run(
@@ -1961,11 +1993,13 @@ SimResult AllreduceSimulator::run(
   // The flow tier never builds the per-VC fabric — that is the point: its
   // footprint is O(E + trees * N), which is what lets it reach q >= 243.
   if (config_.engine == SimEngine::kFlow) {
-    return run_flow_allreduce(topology_, trees_, config_, elements_per_tree);
+    return run_flow_allreduce(topology_, trees_, links_, config_,
+                              elements_per_tree);
   }
 
   detail::RunContext run(topology_, config_, elements_per_tree);
-  const Fabric fabric = build_fabric(topology_, trees_, config_, run.result);
+  const Fabric fabric =
+      build_fabric(topology_, trees_, links_, config_, run.result);
   if (run.total_target == 0) return std::move(run.result);
 
   // Intra-run sharding: more than one link-disjoint tree group and no
@@ -1977,12 +2011,12 @@ SimResult AllreduceSimulator::run(
   // by finish(), so they shard freely).
   if (config_.shard_threads != 1 && num_trees > 1 && run.obs == nullptr &&
       (run.bg_rates.empty() || config_.faults.empty())) {
-    const auto groups = link_disjoint_tree_groups(topology_, trees_);
+    const auto groups = tree_groups(topology_, num_trees, links_);
     long long cycles = -1;
     try {
       if (groups.size() > 1) {
-        cycles = run_sharded(topology_, trees_, config_, elements_per_tree,
-                             groups, run.result, period);
+        cycles = run_sharded(topology_, trees_, links_, config_,
+                             elements_per_tree, groups, run.result, period);
       }
     } catch (const std::runtime_error&) {
       // A failing group stops at its own clock, and the serial run need

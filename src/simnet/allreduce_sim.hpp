@@ -128,7 +128,9 @@ struct PeriodCertificate {
 /// This is both the intra-run sharding unit (SimConfig::shard_threads) and
 /// the allocation unit of the multi-tenant service scheduler
 /// (service::AllreduceService): runs on different groups are independent,
-/// so their virtual timelines compose exactly.
+/// so their virtual timelines compose exactly. Throws
+/// std::invalid_argument when a tree edge is not a link of `topology`
+/// (graph::parent_links).
 std::vector<std::vector<int>> link_disjoint_tree_groups(
     const graph::Graph& topology, const std::vector<TreeEmbedding>& trees);
 
@@ -170,6 +172,9 @@ class AllreduceSimulator {
   const graph::Graph& topology_;
   std::vector<TreeEmbedding> trees_;
   SimConfig config_;
+  // Tree t's parent-edge link ids (graph::parent_links), resolved once by
+  // the constructor's validation: entry t * n + v, -1 at the root.
+  std::vector<int> links_;
 };
 
 }  // namespace pfar::simnet

@@ -71,6 +71,7 @@ bool flow_fixups_are_deferrable(double cap, double level, std::int32_t users,
 // pfar-lint: allow(contract-coverage) fault-script and tree validation happens via the std::invalid_argument throws below (tests/flow_engine_test.cpp pins the messages)
 SimResult run_flow_allreduce(const graph::Graph& topology,
                              const std::vector<TreeEmbedding>& trees,
+                             const std::vector<int>& links,
                              const SimConfig& config,
                              const std::vector<long long>& elements_per_tree) {
   if (!config.faults.empty()) {
@@ -130,12 +131,9 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
   // of the fabric — num_vcs and the per-link / per-port maxima come out
   // identical to the cycle engines (pinned by tests/flow_engine_test.cpp).
   //
-  // The pass is vertex-major: the parent of v in every tree is looked up
-  // in v's CSR row while the row is hot (graph::RowSlots), and the edge id
-  // names both directed links as
-  // 2e + (src > dst). A validated tree has exactly one parentless vertex,
-  // its root, so the VCs of v in tree t sit at slot v (v - 1 past the
-  // root) of that tree's range — the tree-major order of build_fabric.
+  // The edge id e of v's parent edge in tree t is links[t * n + v] (-1 at
+  // the root), and it names both directed links as 2e + (src > dst).
+  // Walking the table in order visits VCs in build_fabric's order.
   // Only the child-to-parent direction is counted here (VCs in
   // vcs_on_dlink, flits in link_flits); both directions of an edge are
   // derived from it below, on one cache line.
@@ -159,29 +157,25 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
         tree_depth(tree.parent, tree.root, n, depth_scratch);
   }
   {
-    graph::RowSlots row_slots(topology);
-    for (int v = 0; v < n; ++v) {
-      row_slots.load(v);
-      const graph::IntSpan row_edges = topology.neighbor_edge_ids(v);
-      for (int t = 0; t < num_trees; ++t) {
-        const auto& tree = trees[static_cast<std::size_t>(t)];
-        const int p = tree.parent[static_cast<std::size_t>(v)];
-        if (p < 0) continue;
-        const int slot = row_slots.slot(p);
-        PFAR_REQUIRE(slot >= 0, v, p, t);
+    std::size_t out = 0;
+    for (int t = 0; t < num_trees; ++t) {
+      const auto& parent = trees[static_cast<std::size_t>(t)].parent;
+      const std::size_t base =
+          static_cast<std::size_t>(t) * static_cast<std::size_t>(n);
+      for (int v = 0; v < n; ++v) {
+        const int id = links[base + static_cast<std::size_t>(v)];
+        if (id < 0) continue;  // the root
         const auto up = static_cast<std::int32_t>(
-            2 * row_edges[static_cast<std::size_t>(slot)] + (v > p ? 1 : 0));
-        std::size_t out = static_cast<std::size_t>(
-            tree_dlink_base[static_cast<std::size_t>(t)] +
-            static_cast<std::int64_t>(vcs_per_vertex) *
-                (v - (v > tree.root ? 1 : 0)));
+            2 * id + (v > parent[static_cast<std::size_t>(v)] ? 1 : 0));
         if (want_reduce) tree_dlinks[out++] = up;
-        if (want_bcast) tree_dlinks[out] = up ^ 1;
+        if (want_bcast) tree_dlinks[out++] = up ^ 1;
         ++vcs_on_dlink[static_cast<std::size_t>(up)];
         result.link_flits[static_cast<std::size_t>(up)] +=
             tree_flits[static_cast<std::size_t>(t)];
       }
     }
+    // One root per validated tree: every VC slot was filled exactly once.
+    PFAR_ENSURE(out == tree_dlinks.size(), out, tree_dlinks.size());
   }
   result.num_vcs = static_cast<int>(
       static_cast<long long>(vcs_per_tree) * num_trees);

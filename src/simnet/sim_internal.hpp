@@ -280,9 +280,11 @@ struct SimObserver {
 
 /// AllreduceSimulator's constructor-time contract: config ranges, the
 /// fault script and the tree embeddings. Throws std::invalid_argument.
-void validate_simulation(const graph::Graph& topology,
-                         const std::vector<TreeEmbedding>& trees,
-                         const SimConfig& config);
+/// Returns the trees' parent links (graph::parent_links), the resolve
+/// that checks every tree edge is a physical link.
+std::vector<int> validate_simulation(const graph::Graph& topology,
+                                     const std::vector<TreeEmbedding>& trees,
+                                     const SimConfig& config);
 
 /// A fresh result for `num_trees` trees on `num_dlinks` directed links:
 /// every per-tree vector and link_flits sized and zeroed (first-delivery

@@ -27,13 +27,19 @@ std::vector<SpanningTree> greedy_tree_packing(const graph::Graph& g,
     int covered = 1;
     while (!stack.empty()) {
       const int u = stack.back();
-      const auto& nbrs = g.neighbors(u);
+      const auto nbrs = g.neighbors(u);
+      const auto ids = g.neighbor_edge_ids(u);
       const int deg = static_cast<int>(nbrs.size());
       int next = -1;
       for (int i = 0; i < deg; ++i) {
-        const int w = nbrs[static_cast<std::size_t>((i + round + u) % deg)];
-        if (!seen[static_cast<std::size_t>(w)] && !used[static_cast<std::size_t>(g.edge_id(u, w))]) {
+        const auto k = static_cast<std::size_t>((i + round + u) % deg);
+        const int w = nbrs[k];
+        if (!seen[static_cast<std::size_t>(w)] && !used[static_cast<std::size_t>(ids[k])]) {
           next = w;
+          // Claimed now: both endpoints are seen from here on, so no later
+          // test of this walk reads the mark, and a walk that fails to
+          // span ends the packing.
+          used[static_cast<std::size_t>(ids[k])] = 1;
           break;
         }
       }
@@ -47,9 +53,6 @@ std::vector<SpanningTree> greedy_tree_packing(const graph::Graph& g,
       stack.push_back(next);
     }
     if (covered < n) break;  // residual graph no longer spans
-    for (int v = 0; v < n; ++v) {
-      if (v != root) used[static_cast<std::size_t>(g.edge_id(v, parent[static_cast<std::size_t>(v)]))] = 1;
-    }
     out.emplace_back(root, std::move(parent));
   }
   return out;

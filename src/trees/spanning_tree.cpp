@@ -59,9 +59,11 @@ std::vector<graph::Edge> SpanningTree::edges() const {
 
 bool SpanningTree::is_spanning_tree_of(const graph::Graph& g) const {
   if (g.num_vertices() != num_vertices()) return false;
-  for (int v = 0; v < num_vertices(); ++v) {
-    if (v == root_) continue;
-    if (!g.has_edge(v, parent_[static_cast<std::size_t>(v)])) return false;
+  const graph::IntSpan parents(parent_);
+  try {
+    static_cast<void>(graph::parent_links(g, {&parents, 1}));
+  } catch (const std::invalid_argument&) {
+    return false;
   }
   // Connectivity/acyclicity already guaranteed by the constructor.
   return true;
@@ -108,17 +110,19 @@ int RootedShapes::name(const SpanningTree& tree) {
   return names[static_cast<std::size_t>(tree.root())];
 }
 
+std::vector<int> tree_links(const graph::Graph& g,
+                            const std::vector<SpanningTree>& trees) {
+  std::vector<graph::IntSpan> parents;
+  parents.reserve(trees.size());
+  for (const auto& tree : trees) parents.emplace_back(tree.parents());
+  return graph::parent_links(g, parents);
+}
+
 std::vector<int> edge_congestion(const graph::Graph& g,
                                  const std::vector<SpanningTree>& trees) {
   std::vector<int> congestion(static_cast<std::size_t>(g.num_edges()), 0);
-  for (const auto& tree : trees) {
-    for (const auto& e : tree.edges()) {
-      const int id = g.edge_id(e.u, e.v);
-      if (id < 0) {
-        throw std::invalid_argument("edge_congestion: tree edge not in graph");
-      }
-      ++congestion[static_cast<std::size_t>(id)];
-    }
+  for (const int id : tree_links(g, trees)) {
+    if (id >= 0) ++congestion[static_cast<std::size_t>(id)];
   }
   return congestion;
 }
@@ -141,13 +145,14 @@ bool opposite_reduction_flows(const graph::Graph& g,
   // -1 if v->u, for the normalized edge {u < v}; 0 if unused so far.
   std::vector<int> orientation(static_cast<std::size_t>(g.num_edges()), 0);
   std::vector<int> uses(static_cast<std::size_t>(g.num_edges()), 0);
-  for (const auto& tree : trees) {
-    for (int x = 0; x < tree.num_vertices(); ++x) {
-      if (x == tree.root()) continue;
-      const int p = tree.parent(x);
-      const graph::Edge e(x, p);
-      const int id = g.edge_id(e.u, e.v);
-      const int dir = (p == e.v) ? +1 : -1;  // child -> parent direction
+  const std::vector<int> links = tree_links(g, trees);
+  const std::size_t n = static_cast<std::size_t>(g.num_vertices());
+  for (std::size_t t = 0; t < trees.size(); ++t) {
+    for (std::size_t x = 0; x < n; ++x) {
+      const int id = links[t * n + x];
+      if (id < 0) continue;  // the root
+      const int p = trees[t].parent(static_cast<int>(x));
+      const int dir = p > static_cast<int>(x) ? +1 : -1;  // child -> parent
       ++uses[static_cast<std::size_t>(id)];
       if (uses[static_cast<std::size_t>(id)] > 2) return false;
       if (uses[static_cast<std::size_t>(id)] == 2 && orientation[static_cast<std::size_t>(id)] == dir) return false;

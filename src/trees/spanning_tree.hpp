@@ -64,8 +64,16 @@ class RootedShapes {
   std::map<std::vector<int>, int> children_;  // two or more, sorted
 };
 
+/// graph::parent_links over the trees' parent vectors: entry t * n + v is
+/// the edge id of v's parent edge in tree t, -1 at the root. Throws
+/// std::invalid_argument unless every tree spans exactly g's vertices and
+/// every tree edge is a link of g.
+std::vector<int> tree_links(const graph::Graph& g,
+                            const std::vector<SpanningTree>& trees);
+
 /// Congestion per graph edge id: the number of trees containing that edge
-/// (Section 5.1). Edges absent from every tree get 0.
+/// (Section 5.1). Edges absent from every tree get 0. Throws
+/// std::invalid_argument as tree_links does.
 std::vector<int> edge_congestion(const graph::Graph& g,
                                  const std::vector<SpanningTree>& trees);
 
@@ -81,7 +89,7 @@ bool edge_disjoint(const graph::Graph& g,
 /// trees, the reduction traffic flows in opposite directions (the edge is
 /// oriented towards the root differently in the two trees). Returns true
 /// if the property holds for every shared link, and also requires
-/// congestion <= 2.
+/// congestion <= 2. Throws std::invalid_argument as tree_links does.
 bool opposite_reduction_flows(const graph::Graph& g,
                               const std::vector<SpanningTree>& trees);
 

@@ -49,6 +49,20 @@ TEST(GraphTest, BasicAccessors) {
   EXPECT_EQ(g.degree(3), 0);
 }
 
+// Out-of-range endpoints are simply not edges, even where a row-major
+// adjacency layout would alias them to a neighboring row's entries.
+TEST(GraphTest, HasEdgeRejectsOutOfRangeVertices) {
+  const Graph g = cycle_graph(64);
+  const int n = g.num_vertices();
+  EXPECT_TRUE(g.has_edge(0, n - 1));
+  EXPECT_FALSE(g.has_edge(0, n));
+  EXPECT_FALSE(g.has_edge(n, 0));
+  EXPECT_FALSE(g.has_edge(-1, 0));
+  EXPECT_FALSE(g.has_edge(0, -1));
+  EXPECT_EQ(g.edge_id(0, n), -1);
+  EXPECT_EQ(g.edge_id(n, 0), -1);
+}
+
 TEST(GraphTest, RejectsSelfLoopAndBadVertices) {
   Graph g(3);
   EXPECT_THROW(g.add_edge(1, 1), std::invalid_argument);

@@ -59,6 +59,23 @@ TEST(CongestionTest, CountsOverlaps) {
   EXPECT_EQ(congestion[static_cast<std::size_t>(g.edge_id(0, 2))], 0);
 }
 
+// A tree edge that is not a link is rejected, never indexed: the tree
+// below hangs vertex 2 off vertex 0 on the path 0-1-2.
+TEST(CongestionTest, RejectsTreeEdgesOutsideTheGraph) {
+  graph::Graph g(3);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.finalize();
+  const std::vector<SpanningTree> ts{SpanningTree(0, {-1, 0, 0})};
+  EXPECT_THROW(opposite_reduction_flows(g, ts), std::invalid_argument);
+  EXPECT_THROW(edge_congestion(g, ts), std::invalid_argument);
+  EXPECT_FALSE(ts[0].is_spanning_tree_of(g));
+  // A tree over a different vertex count is rejected too.
+  const std::vector<SpanningTree> small{SpanningTree(0, {-1, 0})};
+  EXPECT_THROW(edge_congestion(g, small), std::invalid_argument);
+  EXPECT_FALSE(small[0].is_spanning_tree_of(g));
+}
+
 // Theorems 7.4-7.6 and Lemma 7.8, across odd prime powers.
 class LowDepthTheorems : public ::testing::TestWithParam<int> {};
 

@@ -148,6 +148,26 @@ TEST(CongestionModelTest, RejectsForeignTreeEdges) {
   EXPECT_THROW(compute_tree_bandwidths(g, {t}, 1.0), std::invalid_argument);
 }
 
+// A tree whose vertex count is not the graph's is rejected, whether it is
+// smaller (its edges all exist in g) or larger; so is a tree set mixing
+// sizes. None falls back to the reference.
+TEST(CongestionModelTest, RejectsTreesOfAnotherVertexCount) {
+  graph::Graph g(3);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.finalize();
+  const SpanningTree fits(0, {-1, 0, 1});
+  const SpanningTree smaller(0, {-1, 0});
+  const SpanningTree larger(0, {-1, 0, 1, 2});
+  EXPECT_THROW(compute_tree_bandwidths(g, {smaller}, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(compute_tree_bandwidths(g, {larger}, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(compute_tree_bandwidths(g, {fits, smaller}, 1.0),
+               std::invalid_argument);
+  EXPECT_NO_THROW(compute_tree_bandwidths(g, {fits}, 1.0));
+}
+
 TEST(OptimalSplitTest, ProportionalAndExact) {
   TreeBandwidths bw;
   bw.per_tree = {1.0, 1.0, 2.0};

@@ -21,6 +21,18 @@ TEST(ResilienceTest, RemoveLinksBasics) {
   EXPECT_THROW(remove_links(*residual, {victim}), std::invalid_argument);
 }
 
+// A link with an endpoint past the last vertex is not a link. On 64
+// vertices, (0, 64) is where a row-major adjacency layout would read row
+// 1's first entry, which the edge (0, 1) sets.
+TEST(ResilienceTest, RemoveLinksRejectsOutOfRangeLink) {
+  const int n = 64;
+  graph::Graph g(n);
+  for (int v = 0; v < n; ++v) g.add_edge(v, (v + 1) % n);
+  g.finalize();
+  EXPECT_THROW(remove_links(g, {graph::Edge(0, n)}), std::invalid_argument);
+  EXPECT_THROW(remove_links(g, {graph::Edge(-1, 0)}), std::invalid_argument);
+}
+
 TEST(ResilienceTest, SurvivingTreesDropOnlyAffected) {
   const auto plan = AllreducePlanner(7).build();
   const graph::Graph& g = plan.topology();
