@@ -33,12 +33,11 @@
 #include "core/plan_cache.hpp"
 #include "core/planner.hpp"
 #include "gf/field.hpp"
-#include "model/congestion_model.hpp"
+#include "oracle/reference_planning.hpp"
 #include "polarfly/layout.hpp"
 #include "singer/disjoint.hpp"
 #include "singer/singer_graph.hpp"
 #include "trees/hamiltonian.hpp"
-#include "trees/low_depth.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
 
@@ -117,9 +116,9 @@ Phases run_point(int q, int threads) {
   p.layout = timed([&] { layout = polarfly::build_layout(pf); });
   std::vector<trees::SpanningTree> lowdepth;
   p.lowdepth_ref = timed(
-      [&] { lowdepth = trees::build_low_depth_trees_reference(pf, layout); });
+      [&] { lowdepth = oracle::build_low_depth_trees_reference(pf, layout); });
   p.bw_ref = timed([&] {
-    auto bw = model::compute_tree_bandwidths_reference(pf.graph(), lowdepth, 1.0);
+    auto bw = oracle::compute_tree_bandwidths_reference(pf.graph(), lowdepth, 1.0);
     volatile double sink = bw.aggregate;
     (void)sink;
   });
@@ -138,7 +137,7 @@ Phases run_point(int q, int threads) {
   });
   p.bw2_ref = timed([&] {
     auto bw =
-        model::compute_tree_bandwidths_reference(sg_ptr->graph(), hams, 1.0);
+        oracle::compute_tree_bandwidths_reference(sg_ptr->graph(), hams, 1.0);
     volatile double sink = bw.aggregate;
     (void)sink;
   });

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <stdexcept>
+#include <span>
 
 #include "core/resilience.hpp"
 #include "obsv/recorder.hpp"
@@ -20,26 +20,12 @@ double occupancy(long long flits, int bandwidth, long long cycles) {
          (static_cast<double>(bandwidth) * static_cast<double>(cycles));
 }
 
-/// Builds the graph spanned by the edges of `topology` whose id is marked
-/// available. Same vertex set, so any spanning tree of the result is a
-/// spanning tree of `topology`.
-graph::Graph subgraph(const graph::Graph& topology,
-                      const std::vector<char>& avail) {
-  graph::Graph g(topology.num_vertices());
-  const auto& edges = topology.edges();
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    if (avail[e]) g.add_edge(edges[e].u, edges[e].v);
-  }
-  g.finalize();
-  return g;
-}
-
-/// Runs the capacitated Algorithm 1 over the plan's final tree set and
-/// capacity scales — the re-weighting half of the controller, shared by
-/// every exit path of adapt_plan.
+/// Runs Algorithm 1 over the plan's final tree set on the network
+/// capacitated by its scales — the re-weighting half of the controller,
+/// shared by every exit path of adapt_plan.
 AdaptedPlan finalize_plan(AdaptedPlan plan, const graph::Graph& topology,
                           const CongestionMap& congestion) {
-  plan.bandwidths = model::compute_tree_bandwidths_capacitated(
+  plan.bandwidths = model::compute_tree_bandwidths(
       topology, plan.trees, static_cast<double>(congestion.link_bandwidth),
       plan.capacity_scale);
   return plan;
@@ -149,72 +135,60 @@ AdaptedPlan adapt_plan(const graph::Graph& topology,
   });
   if (hot_ids.empty()) return finalize_plan(plan, topology, congestion);
 
+  // taken[e]: edge e is unavailable to replacement trees — hot, or (on
+  // disjoint plans) held by a tree.
+  std::vector<char> taken(static_cast<std::size_t>(num_edges), 0);
   std::size_t keep = hot_ids.size();
-  while (keep > 0) {
-    std::vector<graph::Edge> candidate;
-    candidate.reserve(keep);
+  for (; keep > 0; --keep) {  // tolerate the least-hot link until connected
+    std::fill(taken.begin(), taken.end(), 0);
     for (std::size_t i = 0; i < keep; ++i) {
-      candidate.push_back(
-          topology.edges()[static_cast<std::size_t>(hot_ids[i])]);
+      taken[static_cast<std::size_t>(hot_ids[i])] = 1;
     }
-    try {
-      core::remove_links(topology, candidate);  // connectivity check
-      plan.hot_links = std::move(candidate);
-      break;
-    } catch (const std::runtime_error&) {
-      --keep;  // residual disconnected: tolerate the least-hot link
-    }
+    if (core::residual_graph(topology, taken).is_connected()) break;
   }
-  if (plan.hot_links.empty()) {
-    return finalize_plan(plan, topology, congestion);
+  if (keep == 0) return finalize_plan(plan, topology, congestion);
+  const std::vector<char> is_hot = taken;
+  for (std::size_t i = 0; i < keep; ++i) {
+    plan.hot_links.push_back(
+        topology.edges()[static_cast<std::size_t>(hot_ids[i])]);
   }
 
-  std::vector<char> is_hot(static_cast<std::size_t>(num_edges), 0);
-  for (std::size_t i = 0; i < keep; ++i) {
-    is_hot[static_cast<std::size_t>(hot_ids[i])] = 1;
-  }
-  const auto tree_is_hot = [&](const trees::SpanningTree& t) {
-    for (const auto& e : t.edges()) {
-      if (is_hot[static_cast<std::size_t>(topology.edge_id(e.u, e.v))]) {
-        return true;
+  // Row t of `links` holds tree t's parent-edge ids, -1 at the root.
+  const std::size_t n = static_cast<std::size_t>(topology.num_vertices());
+  const std::vector<int> links = trees::tree_links(topology, trees);
+  const auto row = [&](std::size_t t) {
+    return std::span<const int>(links).subspan(t * n, n);
+  };
+  const auto tree_is_hot = [&](std::span<const int> ids) {
+    return std::any_of(ids.begin(), ids.end(), [&](int id) {
+      return id >= 0 && is_hot[static_cast<std::size_t>(id)];
+    });
+  };
+  const auto set_taken = [&](std::span<const int> ids, char value) {
+    for (const int id : ids) {
+      if (id >= 0 && !is_hot[static_cast<std::size_t>(id)]) {
+        taken[static_cast<std::size_t>(id)] = value;
       }
     }
-    return false;
   };
-  std::vector<char> avail(is_hot.size());  // hot-free residual edges
-  for (std::size_t e = 0; e < avail.size(); ++e) avail[e] = !is_hot[e];
 
   if (trees::edge_disjoint(topology, trees)) {
     // Disjoint plans stay disjoint: replacements may only use edges no
     // current tree occupies. Each hot tree first releases its own edges
     // (its replacement may reuse the cool ones), then either a packed
     // replacement claims its edges or the original re-reserves them.
-    for (const auto& t : trees) {
-      for (const auto& e : t.edges()) {
-        avail[static_cast<std::size_t>(topology.edge_id(e.u, e.v))] = 0;
-      }
-    }
-    for (std::size_t t = 0; t < plan.trees.size(); ++t) {
-      if (!tree_is_hot(plan.trees[t])) continue;
-      const auto old_edges = plan.trees[t].edges();
-      for (const auto& e : old_edges) {
-        const int id = topology.edge_id(e.u, e.v);
-        if (!is_hot[static_cast<std::size_t>(id)]) {
-          avail[static_cast<std::size_t>(id)] = 1;
-        }
-      }
-      auto packed = trees::greedy_tree_packing(subgraph(topology, avail),
-                                               /*max_trees=*/1);
+    for (std::size_t t = 0; t < trees.size(); ++t) set_taken(row(t), 1);
+    for (std::size_t t = 0; t < trees.size(); ++t) {
+      if (!tree_is_hot(row(t))) continue;
+      set_taken(row(t), 0);
+      auto packed = trees::greedy_tree_packing(
+          core::residual_graph(topology, taken), /*max_trees=*/1);
       if (!packed.empty()) {
+        set_taken(trees::tree_links(topology, packed), 1);
         plan.trees[t] = std::move(packed.front());
         plan.replanned.push_back(static_cast<int>(t));
-        for (const auto& e : plan.trees[t].edges()) {
-          avail[static_cast<std::size_t>(topology.edge_id(e.u, e.v))] = 0;
-        }
       } else {
-        for (const auto& e : old_edges) {  // keep: re-reserve its edges
-          avail[static_cast<std::size_t>(topology.edge_id(e.u, e.v))] = 0;
-        }
+        set_taken(row(t), 1);  // keep: re-reserve its edges
       }
     }
   } else {
@@ -222,11 +196,10 @@ AdaptedPlan adapt_plan(const graph::Graph& topology,
     // rebuild each hot tree as a BFS tree of the hot-free residual at its
     // original root. The relaxation above guarantees the residual is
     // connected, so every rebuild succeeds.
-    const graph::Graph residual = subgraph(topology, avail);
-    for (std::size_t t = 0; t < plan.trees.size(); ++t) {
-      if (!tree_is_hot(plan.trees[t])) continue;
-      plan.trees[t] =
-          collectives::bfs_tree(residual, plan.trees[t].root());
+    const graph::Graph residual = core::residual_graph(topology, taken);
+    for (std::size_t t = 0; t < trees.size(); ++t) {
+      if (!tree_is_hot(row(t))) continue;
+      plan.trees[t] = collectives::bfs_tree(residual, trees[t].root());
       plan.replanned.push_back(static_cast<int>(t));
     }
   }
@@ -240,7 +213,7 @@ AdaptedPlan adapt_plan(const graph::Graph& topology,
   plan = finalize_plan(std::move(plan), topology, congestion);
   if (!plan.replanned.empty()) {
     const model::TreeBandwidths original_bw =
-        model::compute_tree_bandwidths_capacitated(
+        model::compute_tree_bandwidths(
             topology, trees, static_cast<double>(congestion.link_bandwidth),
             plan.capacity_scale);
     if (plan.bandwidths.aggregate <= original_bw.aggregate) {

@@ -62,8 +62,7 @@ struct CongestionMap {
 /// A link whose background occupancy exceeds this fraction of capacity is
 /// *hot*: trees are re-planned away from it when possible.
 inline constexpr double kHotThreshold = 0.55;
-/// Floor of the per-edge capacity scale fed to the capacitated Algorithm
-/// 1, so a fully saturated link still carries a sliver of weight instead
+/// Floor of the per-edge capacity scale fed to Algorithm 1, so a fully saturated link still carries a sliver of weight instead
 /// of dividing by zero.
 inline constexpr double kMinCapacityScale = 0.05;
 /// Elements of the probe collective probe_and_adapt executes to measure
@@ -89,11 +88,11 @@ struct AdaptedPlan {
 
 /// Closes the control loop's planning half: derives per-edge capacity
 /// scales from the congestion map, re-plans trees off hot links (reusing
-/// the resilience machinery: core::remove_links connectivity checks,
+/// the resilience machinery: core::residual_graph connectivity checks,
 /// greedy re-packing on the residual), and re-runs Algorithm 1 on the
-/// capacitated network. With a quiet-network map this is the identity:
-/// same trees, scales all 1.0, bandwidths bit-identical to
-/// compute_tree_bandwidths_reference.
+/// capacitated network (model::compute_tree_bandwidths with the scales).
+/// With a quiet-network map this is the identity: same trees, scales all
+/// 1.0, bandwidths bit-identical to the uniform Algorithm 1.
 AdaptedPlan adapt_plan(const graph::Graph& topology,
                        const std::vector<trees::SpanningTree>& trees,
                        const CongestionMap& congestion);

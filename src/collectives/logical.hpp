@@ -18,7 +18,7 @@ struct LogicalTree {
 };
 
 /// Per-tree bandwidth of concurrently active logical trees, by Algorithm 1
-/// style waterfilling over *directed physical links*. Each logical edge of
+/// style water-filling over *directed physical links*. Each logical edge of
 /// tree t contributes one reduction flow (child -> parent path) and one
 /// broadcast flow (parent -> child path) at the tree's stream rate; a
 /// link's congestion is the total flow multiplicity crossing it. With

@@ -1,6 +1,7 @@
 #include "core/resilience.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "trees/packing.hpp"
@@ -8,20 +9,31 @@
 
 namespace pfar::core {
 
+graph::Graph residual_graph(const graph::Graph& original,
+                            const std::vector<char>& removed) {
+  PFAR_REQUIRE(removed.size() == static_cast<std::size_t>(original.num_edges()),
+               removed.size(), original.num_edges());
+  graph::Graph residual(original.num_vertices());
+  const auto& edges = original.edges();
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    if (!removed[e]) residual.add_edge(edges[e].u, edges[e].v);
+  }
+  residual.finalize();
+  return residual;
+}
+
 std::shared_ptr<graph::Graph> remove_links(
     const graph::Graph& original, const std::vector<graph::Edge>& failed) {
+  std::vector<char> removed(static_cast<std::size_t>(original.num_edges()), 0);
   for (const auto& e : failed) {
-    if (!original.has_edge(e.u, e.v)) {
+    const int id = original.edge_id(e.u, e.v);
+    if (id < 0) {
       throw std::invalid_argument("remove_links: link not in topology");
     }
+    removed[static_cast<std::size_t>(id)] = 1;
   }
-  auto residual = std::make_shared<graph::Graph>(original.num_vertices());
-  for (const auto& e : original.edges()) {
-    const bool is_failed =
-        std::find(failed.begin(), failed.end(), e) != failed.end();
-    if (!is_failed) residual->add_edge(e.u, e.v);
-  }
-  residual->finalize();
+  auto residual =
+      std::make_shared<graph::Graph>(residual_graph(original, removed));
   if (!residual->is_connected()) {
     throw std::runtime_error("remove_links: residual topology disconnected");
   }
@@ -34,17 +46,20 @@ std::vector<trees::SpanningTree> surviving_trees(
     const graph::Graph& original,
     const std::vector<trees::SpanningTree>& original_trees,
     const std::vector<graph::Edge>& failed) {
-  (void)original;
+  std::vector<char> is_failed(static_cast<std::size_t>(original.num_edges()), 0);
+  for (const auto& e : failed) {
+    const int id = original.edge_id(e.u, e.v);
+    if (id >= 0) is_failed[static_cast<std::size_t>(id)] = 1;
+  }
+  const std::vector<int> links = trees::tree_links(original, original_trees);
+  const std::size_t n = static_cast<std::size_t>(original.num_vertices());
   std::vector<trees::SpanningTree> out;
-  for (const auto& tree : original_trees) {
-    const auto edges = tree.edges();
-    const bool hit = std::any_of(failed.begin(), failed.end(),
-                                 [&](const graph::Edge& f) {
-                                   return std::find(edges.begin(),
-                                                    edges.end(),
-                                                    f) != edges.end();
-                                 });
-    if (!hit) out.push_back(tree);
+  for (std::size_t t = 0; t < original_trees.size(); ++t) {
+    const std::span<const int> row(links.data() + t * n, n);
+    const bool hit = std::any_of(row.begin(), row.end(), [&](int id) {
+      return id >= 0 && is_failed[static_cast<std::size_t>(id)];
+    });
+    if (!hit) out.push_back(original_trees[t]);
   }
   PFAR_ENSURE(out.size() <= original_trees.size(), out.size(),
               original_trees.size());

@@ -23,13 +23,22 @@ struct DegradedPlan {
   model::TreeBandwidths bandwidths;
 };
 
+/// The graph on `original`'s vertices over the links whose edge id is not
+/// marked in `removed` (one entry per edge id of `original`), added in
+/// edge-id order. Any spanning tree of the result is one of `original`.
+/// Unlike remove_links it accepts a disconnected result.
+graph::Graph residual_graph(const graph::Graph& original,
+                            const std::vector<char>& removed);
+
 /// Copy of `original` without the `failed` links. Throws if a failed link
 /// does not exist or the residual graph is disconnected (an ER_q survives
 /// far more failures than tree counts ever need — diameter-2, min degree q).
 std::shared_ptr<graph::Graph> remove_links(const graph::Graph& original,
                                            const std::vector<graph::Edge>& failed);
 
-/// The subset of `original_trees` untouched by the failures.
+/// The subset of `original_trees` untouched by the failures, in their
+/// order. Throws std::invalid_argument unless every tree is a spanning
+/// tree of `original` (trees::tree_links).
 std::vector<trees::SpanningTree> surviving_trees(
     const graph::Graph& original,
     const std::vector<trees::SpanningTree>& original_trees,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "util/numeric.hpp"
@@ -12,25 +11,36 @@ namespace pfar::model {
 
 TreeBandwidths compute_tree_bandwidths(
     const graph::Graph& g, const std::vector<trees::SpanningTree>& trees,
-    double link_bandwidth) {
+    double link_bandwidth, const std::vector<double>& capacity_scale) {
   if (link_bandwidth <= 0.0) {
     throw std::invalid_argument("compute_tree_bandwidths: bandwidth <= 0");
   }
   const int num_edges = g.num_edges();
   const int num_trees = static_cast<int>(trees.size());
+  if (!capacity_scale.empty()) {
+    if (capacity_scale.size() != static_cast<std::size_t>(num_edges)) {
+      throw std::invalid_argument(
+          "compute_tree_bandwidths: capacity_scale size != edges");
+    }
+    for (double s : capacity_scale) {
+      if (!(s > 0.0) || s > 1.0) {
+        throw std::invalid_argument(
+            "compute_tree_bandwidths: scale outside (0, 1]");
+      }
+    }
+  }
 
   // Per-tree edge-id lists (flat: num_trees rows of n-1 ids, each listing
-  // its tree's edges by child vertex, the reference's order) and per-edge
-  // congestion C(e). A validated tree has exactly one parentless vertex,
-  // so dropping the roots' -1 entries leaves exactly those rows.
+  // its tree's edges by child vertex, the reference's order). A validated
+  // tree has exactly one parentless vertex, so dropping the roots' -1
+  // entries leaves exactly those rows.
   const int n = g.num_vertices();
   std::vector<int> tree_edges = trees::tree_links(g, trees);
   std::erase(tree_edges, -1);
-  std::vector<int> congestion(static_cast<std::size_t>(num_edges), 0);
-  for (const int id : tree_edges) ++congestion[static_cast<std::size_t>(id)];
 
   // Edge -> tree incidence in CSR form (rows ascending in tree id), so a
-  // bottleneck edge reaches exactly the trees through it.
+  // bottleneck edge reaches exactly the trees through it; row e's length
+  // is the congestion C(e).
   std::vector<int> inc_offsets(static_cast<std::size_t>(num_edges + 1), 0);
   for (int id : tree_edges) ++inc_offsets[static_cast<std::size_t>(id + 1)];
   for (int e = 0; e < num_edges; ++e) inc_offsets[static_cast<std::size_t>(e + 1)] += inc_offsets[static_cast<std::size_t>(e)];
@@ -62,11 +72,13 @@ TreeBandwidths compute_tree_bandwidths(
     int congestion;
   };
   std::vector<EdgeState> state(static_cast<std::size_t>(num_edges));
-  for (int e = 0; e < num_edges; ++e) {
-    state[static_cast<std::size_t>(e)].remaining = link_bandwidth;
-    state[static_cast<std::size_t>(e)].congestion = congestion[static_cast<std::size_t>(e)];
-    state[static_cast<std::size_t>(e)].ratio =
-        congestion[static_cast<std::size_t>(e)] > 0 ? link_bandwidth / congestion[static_cast<std::size_t>(e)] : kInf;
+  for (std::size_t e = 0; e < state.size(); ++e) {
+    // L(e) = B * scale[e]; a scale of exactly 1.0 leaves B unchanged.
+    const double budget = capacity_scale.empty()
+                              ? link_bandwidth
+                              : link_bandwidth * capacity_scale[e];
+    const int c = inc_offsets[e + 1] - inc_offsets[e];
+    state[e] = {budget, c > 0 ? budget / c : kInf, c};
   }
   int leaves = 1;
   while (leaves < num_edges) leaves <<= 1;
@@ -129,115 +141,6 @@ TreeBandwidths compute_tree_bandwidths(
 
   for (double b : out.per_tree) out.aggregate += b;
   return out;
-}
-
-namespace {
-
-// Algorithm 1's waterfill over the initial per-edge budget L(e) (one
-// entry per edge id): repeatedly take the bottleneck edge argmin
-// L(e)/C(e), give every tree through it that share, and charge the share
-// to all of those trees' edges.
-TreeBandwidths waterfill(const graph::Graph& g,
-                         const std::vector<trees::SpanningTree>& trees,
-                         std::vector<double> remaining) {
-  const int num_edges = g.num_edges();
-  const int num_trees = static_cast<int>(trees.size());
-
-  // Per-tree edge-id lists and per-edge congestion C(e).
-  std::vector<std::vector<int>> tree_edges(static_cast<std::size_t>(num_trees));
-  std::vector<int> congestion(static_cast<std::size_t>(num_edges), 0);
-  for (int t = 0; t < num_trees; ++t) {
-    for (const auto& e : trees[static_cast<std::size_t>(t)].edges()) {
-      const int id = g.edge_id(e.u, e.v);
-      if (id < 0) {
-        throw std::invalid_argument(
-            "compute_tree_bandwidths: tree edge not in graph");
-      }
-      tree_edges[static_cast<std::size_t>(t)].push_back(id);
-      ++congestion[static_cast<std::size_t>(id)];
-    }
-  }
-
-  std::vector<char> edge_removed(static_cast<std::size_t>(num_edges), 0);
-  std::vector<char> tree_done(static_cast<std::size_t>(num_trees), 0);
-
-  TreeBandwidths out;
-  out.per_tree.assign(static_cast<std::size_t>(num_trees), 0.0);
-
-  int active = num_trees;
-  while (active > 0) {
-    // Bottleneck edge: argmin L(e)/C(e) among edges still carrying trees.
-    int e_min = -1;
-    double best = std::numeric_limits<double>::infinity();
-    for (int e = 0; e < num_edges; ++e) {
-      if (edge_removed[static_cast<std::size_t>(e)] || congestion[static_cast<std::size_t>(e)] == 0) continue;
-      const double ratio = remaining[static_cast<std::size_t>(e)] / congestion[static_cast<std::size_t>(e)];
-      if (ratio < best) {
-        best = ratio;
-        e_min = e;
-      }
-    }
-    if (e_min < 0) {
-      throw std::logic_error(
-          "compute_tree_bandwidths: active trees but no congested edge");
-    }
-    const double share = remaining[static_cast<std::size_t>(e_min)] / congestion[static_cast<std::size_t>(e_min)];
-    for (int t = 0; t < num_trees; ++t) {
-      if (tree_done[static_cast<std::size_t>(t)]) continue;
-      const bool contains =
-          std::find(tree_edges[static_cast<std::size_t>(t)].begin(), tree_edges[static_cast<std::size_t>(t)].end(), e_min) !=
-          tree_edges[static_cast<std::size_t>(t)].end();
-      if (!contains) continue;
-      out.per_tree[static_cast<std::size_t>(t)] = share;
-      for (int e : tree_edges[static_cast<std::size_t>(t)]) {
-        remaining[static_cast<std::size_t>(e)] = std::max(0.0, remaining[static_cast<std::size_t>(e)] - share);
-        --congestion[static_cast<std::size_t>(e)];
-      }
-      tree_done[static_cast<std::size_t>(t)] = 1;
-      --active;
-    }
-    edge_removed[static_cast<std::size_t>(e_min)] = 1;
-  }
-
-  for (double b : out.per_tree) out.aggregate += b;
-  return out;
-}
-
-}  // namespace
-
-TreeBandwidths compute_tree_bandwidths_reference(
-    const graph::Graph& g, const std::vector<trees::SpanningTree>& trees,
-    double link_bandwidth) {
-  if (link_bandwidth <= 0.0) {
-    throw std::invalid_argument("compute_tree_bandwidths: bandwidth <= 0");
-  }
-  return waterfill(g, trees,
-                   std::vector<double>(static_cast<std::size_t>(g.num_edges()),
-                                       link_bandwidth));
-}
-
-TreeBandwidths compute_tree_bandwidths_capacitated(
-    const graph::Graph& g, const std::vector<trees::SpanningTree>& trees,
-    double link_bandwidth, const std::vector<double>& capacity_scale) {
-  if (link_bandwidth <= 0.0) {
-    throw std::invalid_argument("compute_tree_bandwidths: bandwidth <= 0");
-  }
-  if (capacity_scale.size() != static_cast<std::size_t>(g.num_edges())) {
-    throw std::invalid_argument(
-        "compute_tree_bandwidths_capacitated: capacity_scale size != edges");
-  }
-  for (double s : capacity_scale) {
-    if (!(s > 0.0) || s > 1.0) {
-      throw std::invalid_argument(
-          "compute_tree_bandwidths_capacitated: scale outside (0, 1]");
-    }
-  }
-  // L(e) = link_bandwidth * scale[e]. With all scales 1.0 the
-  // multiplication is exact and the result is bit-identical to
-  // compute_tree_bandwidths_reference (pinned by tests/adapt_test.cpp).
-  std::vector<double> budget = capacity_scale;
-  for (double& b : budget) b *= link_bandwidth;
-  return waterfill(g, trees, std::move(budget));
 }
 
 std::vector<long long> optimal_split(long long m, const TreeBandwidths& bw) {

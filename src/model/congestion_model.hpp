@@ -23,35 +23,20 @@ struct TreeBandwidths {
 /// result is independent of tie-breaking among bottleneck edges (asserted
 /// by tests).
 ///
-/// Fast path: edge -> tree incidence is prebuilt in CSR form and the
-/// bottleneck scan walks only still-congested edges, so each round costs
-/// O(live edges) instead of O(edges + trees * n). Bit-identical to
-/// compute_tree_bandwidths_reference (same float-op order and bottleneck
-/// tie-breaking), pinned by tests. Throws std::invalid_argument unless
+/// A non-empty `capacity_scale` (one entry per edge id, each in (0, 1])
+/// makes the network capacitated: edge e starts from B * scale[e]. The
+/// adaptive controller passes the share of each link background traffic
+/// leaves free; all scales 1.0 give the uniform result bit for bit.
+///
+/// Edge -> tree incidence is prebuilt in CSR form and the bottleneck is
+/// kept in an argmin segment tree. Bit-identical to the seed per-edge scan
+/// in tests/oracle/reference_planning.hpp, pinned by tests. Throws
+/// std::invalid_argument on B <= 0, on a malformed scale, and unless
 /// every tree spans exactly g's vertices over links of g
 /// (trees::tree_links).
-TreeBandwidths compute_tree_bandwidths(const graph::Graph& g,
-                                       const std::vector<trees::SpanningTree>& trees,
-                                       double link_bandwidth);
-
-/// The seed implementation of Algorithm 1, kept verbatim as the reference
-/// the fast path is verified against (per-edge linear scans, per-tree
-/// membership via std::find).
-TreeBandwidths compute_tree_bandwidths_reference(
+TreeBandwidths compute_tree_bandwidths(
     const graph::Graph& g, const std::vector<trees::SpanningTree>& trees,
-    double link_bandwidth);
-
-/// Algorithm 1 over a *capacitated* network: edge e starts from
-/// `link_bandwidth * capacity_scale[e]` (indexed by graph edge id, every
-/// entry in (0, 1]) instead of the uniform link_bandwidth. This is the
-/// congestion-aware generalization the adaptive controller runs — the
-/// scale vector encodes how much of each link background traffic has
-/// already claimed (src/adapt/controller.hpp) — and it degenerates to
-/// compute_tree_bandwidths_reference bit-for-bit when every scale is 1.0
-/// (same bottleneck tie-breaking, same float-op order).
-TreeBandwidths compute_tree_bandwidths_capacitated(
-    const graph::Graph& g, const std::vector<trees::SpanningTree>& trees,
-    double link_bandwidth, const std::vector<double>& capacity_scale);
+    double link_bandwidth, const std::vector<double>& capacity_scale = {});
 
 /// Theorem 5.1 optimal sub-vector distribution: m_i = m * B_i / sum(B),
 /// rounded to integers summing to m by largest remainder.

@@ -119,73 +119,6 @@ std::vector<SpanningTree> build_low_depth_trees(
   return out;
 }
 
-std::vector<SpanningTree> build_low_depth_trees_reference(
-    const polarfly::PolarFly& pf, const polarfly::Layout& layout) {
-  const graph::Graph& g = pf.graph();
-  const int n = g.num_vertices();
-  const int q = pf.q();
-  const int w = layout.starter_quadric;
-
-  // E_a: availability of each edge for the level-3 center attachments
-  // (line 1 of Algorithm 3). Shared across all trees.
-  std::vector<char> available(static_cast<std::size_t>(g.num_edges()), 1);
-
-  std::vector<SpanningTree> out;
-  out.reserve(static_cast<std::size_t>(q));
-  for (int i = 0; i < q; ++i) {
-    const int root = layout.centers[static_cast<std::size_t>(i)];
-    std::vector<int> parent(static_cast<std::size_t>(n), -1);
-    std::vector<char> in_tree(static_cast<std::size_t>(n), 0);
-    in_tree[static_cast<std::size_t>(root)] = 1;
-
-    // Level 1: every neighbor of the root (lines 4-5).
-    for (int u : g.neighbors(root)) {
-      parent[static_cast<std::size_t>(u)] = root;
-      in_tree[static_cast<std::size_t>(u)] = 1;
-    }
-    // Level 2: expand level-1 vertices except the starter quadric
-    // (lines 6-8).
-    for (int u : g.neighbors(root)) {
-      if (u == w) continue;
-      for (int z : g.neighbors(u)) {
-        if (!in_tree[static_cast<std::size_t>(z)]) {
-          parent[static_cast<std::size_t>(z)] = u;
-          in_tree[static_cast<std::size_t>(z)] = 1;
-        }
-      }
-    }
-    // Level 3: attach every other cluster center via an edge still in E_a
-    // (lines 9-12).
-    for (int j = 0; j < q; ++j) {
-      if (j == i) continue;
-      const int center = layout.centers[static_cast<std::size_t>(j)];
-      if (in_tree[static_cast<std::size_t>(center)]) {
-        throw std::logic_error(
-            "build_low_depth_trees: center covered early (layout broken)");
-      }
-      int chosen = -1;
-      for (int u : g.neighbors(center)) {
-        const int id = g.edge_id(u, center);
-        if (available[static_cast<std::size_t>(id)] && in_tree[static_cast<std::size_t>(u)]) {
-          chosen = u;
-          break;
-        }
-      }
-      if (chosen < 0) {
-        throw std::logic_error(
-            "build_low_depth_trees: no available edge for a center "
-            "(contradicts Theorem 7.4)");
-      }
-      parent[static_cast<std::size_t>(center)] = chosen;
-      in_tree[static_cast<std::size_t>(center)] = 1;
-      available[static_cast<std::size_t>(g.edge_id(chosen, center))] = 0;
-    }
-
-    out.emplace_back(root, std::move(parent));
-  }
-  return out;
-}
-
 std::vector<SpanningTree> build_low_depth_trees_even(
     const polarfly::PolarFly& pf, int starter_index, int threads) {
   if (pf.q() % 2 != 0) {
@@ -291,85 +224,6 @@ std::vector<SpanningTree> build_low_depth_trees_even(
     PFAR_INVARIANT(tree.is_spanning_tree_of(g), tree.root());
   }
 #endif
-  return out;
-}
-
-std::vector<SpanningTree> build_low_depth_trees_even_reference(
-    const polarfly::PolarFly& pf, int starter_index) {
-  if (pf.q() % 2 != 0) {
-    throw std::invalid_argument(
-        "build_low_depth_trees_even: even prime power q required");
-  }
-  const graph::Graph& g = pf.graph();
-  const int n = g.num_vertices();
-  const auto& quadrics = pf.quadrics();
-  if (starter_index < 0 ||
-      starter_index >= static_cast<int>(quadrics.size())) {
-    throw std::out_of_range("build_low_depth_trees_even: starter_index");
-  }
-  const int w = quadrics[static_cast<std::size_t>(starter_index)];
-  // The nucleus is the unique vertex adjacent to every quadric; in the
-  // canonical coordinates it is [1,1,1] (characteristic 2).
-  const int nucleus = pf.vertex_of(polarfly::Point{1, 1, 1});
-
-  std::vector<int> centers;
-  for (int u : g.neighbors(w)) {
-    if (u != nucleus) centers.push_back(u);
-  }
-
-  std::vector<char> available(static_cast<std::size_t>(g.num_edges()), 1);
-  std::vector<SpanningTree> out;
-  out.reserve(centers.size());
-  for (int root : centers) {
-    std::vector<int> parent(static_cast<std::size_t>(n), -1);
-    std::vector<int> level(static_cast<std::size_t>(n), -1);
-    level[static_cast<std::size_t>(root)] = 0;
-    // Level 1: the whole cluster of `root` plus the starter quadric.
-    for (int u : g.neighbors(root)) {
-      parent[static_cast<std::size_t>(u)] = root;
-      level[static_cast<std::size_t>(u)] = 1;
-    }
-    // Level 2: expand the non-quadric level-1 vertices (expanding w would
-    // concentrate all trees' traffic on w's q links, as in Algorithm 3).
-    for (int u : g.neighbors(root)) {
-      if (pf.is_quadric(u)) continue;
-      for (int z : g.neighbors(u)) {
-        if (level[static_cast<std::size_t>(z)] < 0) {
-          parent[static_cast<std::size_t>(z)] = u;
-          level[static_cast<std::size_t>(z)] = 2;
-        }
-      }
-    }
-    // Attach the leftovers (other centers, the nucleus, remaining
-    // quadrics) through the shared edge pool, each under its shallowest
-    // covered neighbor; repeat while progress is made so chains like
-    // quadric -> nucleus resolve.
-    int covered = 0;
-    for (int v = 0; v < n; ++v) covered += level[static_cast<std::size_t>(v)] >= 0;
-    bool progress = true;
-    while (covered < n && progress) {
-      progress = false;
-      for (int v = 0; v < n; ++v) {
-        if (level[static_cast<std::size_t>(v)] >= 0) continue;
-        int best = -1;
-        for (int u : g.neighbors(v)) {
-          if (level[static_cast<std::size_t>(u)] < 0 || !available[static_cast<std::size_t>(g.edge_id(u, v))]) continue;
-          if (best < 0 || level[static_cast<std::size_t>(u)] < level[static_cast<std::size_t>(best)]) best = u;
-        }
-        if (best < 0) continue;
-        parent[static_cast<std::size_t>(v)] = best;
-        level[static_cast<std::size_t>(v)] = level[static_cast<std::size_t>(best)] + 1;
-        available[static_cast<std::size_t>(g.edge_id(best, v))] = 0;
-        ++covered;
-        progress = true;
-      }
-    }
-    if (covered < n) {
-      throw std::logic_error(
-          "build_low_depth_trees_even: attachment pool exhausted");
-    }
-    out.emplace_back(root, std::move(parent));
-  }
   return out;
 }
 

@@ -30,16 +30,11 @@ namespace pfar::trees {
 /// util::ThreadPool (`threads` <= 0 means util::default_threads()); only
 /// the cheap level-3 attachments, which consume the shared pool E_a, run
 /// sequentially in tree order. Deterministic: the result is bit-identical
-/// to build_low_depth_trees_reference for every thread count (pinned by
-/// tests).
+/// to the seed single-threaded builder for every thread count (pinned by
+/// tests against the copy kept in tests/oracle/reference_planning.hpp).
 std::vector<SpanningTree> build_low_depth_trees(const polarfly::PolarFly& pf,
                                                 const polarfly::Layout& layout,
                                                 int threads = 0);
-
-/// The seed single-threaded implementation of Algorithm 3, kept verbatim
-/// as the reference the fast path is verified against.
-std::vector<SpanningTree> build_low_depth_trees_reference(
-    const polarfly::PolarFly& pf, const polarfly::Layout& layout);
 
 /// Even-q analogue of Algorithm 3 (the paper states a "conceptually
 /// similar layout and Allreduce solution for even q" exists but does not
@@ -65,10 +60,5 @@ std::vector<SpanningTree> build_low_depth_trees_reference(
 /// build_low_depth_trees.
 std::vector<SpanningTree> build_low_depth_trees_even(
     const polarfly::PolarFly& pf, int starter_index = 0, int threads = 0);
-
-/// The seed single-threaded even-q builder, kept verbatim as the
-/// reference the fast path is verified against.
-std::vector<SpanningTree> build_low_depth_trees_even_reference(
-    const polarfly::PolarFly& pf, int starter_index = 0);
 
 }  // namespace pfar::trees

@@ -1,9 +1,8 @@
 // Tests for the congestion-adaptation layer (src/adapt) and the obsv
 // probe-window plumbing it reads (docs/congestion_adaptation.md):
 //
-//  * capacitated Algorithm 1 degenerates bit-identically to the reference
-//    implementation when every capacity scale is 1.0, and validates its
-//    inputs;
+//  * Algorithm 1 on a capacitated network is bit-identical to the seed
+//    scan in tests/oracle for every kind of scale, and validates them;
 //  * CongestionMap agrees whether built from a SimResult or from a
 //    Recorder's metrics registry for the same run;
 //  * obsv::extract_link_windows reproduces hand-computed busy%/queue-HWM
@@ -19,6 +18,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adapt/controller.hpp"
@@ -28,8 +28,10 @@
 #include "model/congestion_model.hpp"
 #include "obsv/recorder.hpp"
 #include "obsv/report.hpp"
+#include "oracle/reference_planning.hpp"
 #include "simnet/allreduce_sim.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -37,22 +39,98 @@ using namespace pfar;
 
 // --- Capacitated Algorithm 1 ----------------------------------------------
 
-TEST(CapacitatedAlg1, UnitScalesAreBitIdenticalToReference) {
-  for (int q : {3, 5, 7}) {
+// A random spanning tree of connected g: grown from a random root by
+// attaching the far end of a uniformly drawn frontier edge.
+trees::SpanningTree random_spanning_tree(const graph::Graph& g,
+                                         util::Rng& rng) {
+  const int n = g.num_vertices();
+  const int root = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
+  std::vector<int> parent(static_cast<std::size_t>(n), -1);
+  std::vector<char> in_tree(static_cast<std::size_t>(n), 0);
+  std::vector<std::pair<int, int>> frontier;  // (parent, child)
+  const auto add = [&](int v) {
+    in_tree[static_cast<std::size_t>(v)] = 1;
+    for (const int w : g.neighbors(v)) {
+      if (!in_tree[static_cast<std::size_t>(w)]) frontier.emplace_back(v, w);
+    }
+  };
+  add(root);
+  while (!frontier.empty()) {
+    const std::size_t i = rng.next_below(frontier.size());
+    const auto [p, v] = frontier[i];
+    frontier[i] = frontier.back();
+    frontier.pop_back();
+    if (in_tree[static_cast<std::size_t>(v)]) continue;
+    parent[static_cast<std::size_t>(v)] = p;
+    add(v);
+  }
+  return trees::SpanningTree(root, std::move(parent));
+}
+
+// A connected random graph (a Hamiltonian path plus each other pair with
+// probability p) carrying 1 to 8 random spanning trees.
+struct TreeSet {
+  graph::Graph g;
+  std::vector<trees::SpanningTree> trees;
+};
+
+TreeSet random_tree_set(util::Rng& rng) {
+  const int n = 2 + static_cast<int>(rng.next_below(30));
+  const double p = 0.1 + 0.5 * rng.next_double();
+  TreeSet set{graph::Graph(n), {}};
+  for (int v = 0; v + 1 < n; ++v) set.g.add_edge(v, v + 1);
+  for (int u = 0; u < n; ++u) {
+    for (int v = u + 2; v < n; ++v) {
+      if (rng.next_double() < p) set.g.add_edge(u, v);
+    }
+  }
+  set.g.finalize();
+  const int k = 1 + static_cast<int>(rng.next_below(8));
+  for (int t = 0; t < k; ++t) {
+    set.trees.push_back(random_spanning_tree(set.g, rng));
+  }
+  return set;
+}
+
+// The fast path with per-edge budgets against the seed scan
+// (tests/oracle): planner sets and random graphs, scales that are all 1.0,
+// uniform random, tie-heavy (a few repeated values, so bottleneck ties
+// are common) and mostly 1.0, and three link bandwidths. EXPECT_EQ on
+// doubles on purpose: the contract is bit-identity.
+TEST(CapacitatedAlg1, ScaledFastPathIsBitIdenticalToOracle) {
+  std::vector<TreeSet> sets;
+  for (int q : {3, 4, 5, 7, 8, 11, 13}) {
     for (const auto sol :
          {core::Solution::kLowDepth, core::Solution::kEdgeDisjoint}) {
       const auto plan = core::AllreducePlanner(q).solution(sol).build();
-      const std::vector<double> unit(
-          static_cast<std::size_t>(plan.topology().num_edges()), 1.0);
-      const auto ref = model::compute_tree_bandwidths_reference(
-          plan.topology(), plan.trees(), 1.0);
-      const auto cap = model::compute_tree_bandwidths_capacitated(
-          plan.topology(), plan.trees(), 1.0, unit);
-      ASSERT_EQ(cap.per_tree.size(), ref.per_tree.size());
-      for (std::size_t i = 0; i < ref.per_tree.size(); ++i) {
-        EXPECT_EQ(cap.per_tree[i], ref.per_tree[i]) << "q=" << q;  // exact
+      sets.push_back({plan.topology(), plan.trees()});
+    }
+  }
+  util::Rng rng(23);
+  for (int i = 0; i < 40; ++i) sets.push_back(random_tree_set(rng));
+
+  const auto open_unit = [&] { return 1.0 - rng.next_double(); };  // (0, 1]
+  const double few[] = {adapt::kMinCapacityScale, 0.25, 0.5, 1.0};
+  for (std::size_t s = 0; s < sets.size(); ++s) {
+    const graph::Graph& g = sets[s].g;
+    const std::size_t edges = static_cast<std::size_t>(g.num_edges());
+    for (int kind = 0; kind < 4; ++kind) {
+      std::vector<double> scale(edges, 1.0);
+      for (double& x : scale) {
+        if (kind == 1) x = open_unit();
+        if (kind == 2) x = few[rng.next_below(4)];
+        if (kind == 3 && rng.next_below(10) == 0) x = open_unit();
       }
-      EXPECT_EQ(cap.aggregate, ref.aggregate) << "q=" << q;
+      for (double b : {1.0, 2.5, 3.0}) {
+        const auto fast =
+            model::compute_tree_bandwidths(g, sets[s].trees, b, scale);
+        const auto ref = oracle::compute_tree_bandwidths_reference(
+            g, sets[s].trees, b, scale);
+        EXPECT_EQ(fast.per_tree, ref.per_tree)
+            << "set " << s << " kind " << kind << " B=" << b;
+        EXPECT_EQ(fast.aggregate, ref.aggregate)
+            << "set " << s << " kind " << kind << " B=" << b;
+      }
     }
   }
 }
@@ -61,12 +139,12 @@ TEST(CapacitatedAlg1, ScalingDownAnEdgeNeverRaisesAggregate) {
   const auto plan = core::AllreducePlanner(7).build();
   const std::vector<double> unit(
       static_cast<std::size_t>(plan.topology().num_edges()), 1.0);
-  const auto base = model::compute_tree_bandwidths_capacitated(
-      plan.topology(), plan.trees(), 1.0, unit);
+  const auto base = model::compute_tree_bandwidths(plan.topology(),
+                                                   plan.trees(), 1.0, unit);
   for (int e = 0; e < plan.topology().num_edges(); e += 7) {
     auto scale = unit;
     scale[static_cast<std::size_t>(e)] = 0.25;
-    const auto scaled = model::compute_tree_bandwidths_capacitated(
+    const auto scaled = model::compute_tree_bandwidths(
         plan.topology(), plan.trees(), 1.0, scale);
     EXPECT_LE(scaled.aggregate, base.aggregate) << "edge " << e;
   }
@@ -76,19 +154,19 @@ TEST(CapacitatedAlg1, RejectsMalformedScales) {
   const auto plan = core::AllreducePlanner(3).build();
   const std::size_t edges =
       static_cast<std::size_t>(plan.topology().num_edges());
-  EXPECT_THROW(model::compute_tree_bandwidths_capacitated(
+  EXPECT_THROW(model::compute_tree_bandwidths(
                    plan.topology(), plan.trees(), 1.0,
                    std::vector<double>(edges - 1, 1.0)),
                std::invalid_argument);
   std::vector<double> zero(edges, 1.0);
   zero[0] = 0.0;  // open interval: a dead link is min_capacity_scale's job
-  EXPECT_THROW(model::compute_tree_bandwidths_capacitated(
-                   plan.topology(), plan.trees(), 1.0, zero),
+  EXPECT_THROW(model::compute_tree_bandwidths(plan.topology(), plan.trees(),
+                                              1.0, zero),
                std::invalid_argument);
   std::vector<double> over(edges, 1.0);
   over[0] = 1.5;
-  EXPECT_THROW(model::compute_tree_bandwidths_capacitated(
-                   plan.topology(), plan.trees(), 1.0, over),
+  EXPECT_THROW(model::compute_tree_bandwidths(plan.topology(), plan.trees(),
+                                              1.0, over),
                std::invalid_argument);
 }
 
@@ -268,7 +346,7 @@ TEST(AdaptPlan, QuietNetworkIsTheIdentity) {
   for (double s : adapted.capacity_scale) EXPECT_EQ(s, 1.0);
   // Bit-identical to the reference Algorithm 1: the whole adaptation layer
   // vanishes when the network is quiet.
-  const auto ref = model::compute_tree_bandwidths_reference(
+  const auto ref = oracle::compute_tree_bandwidths_reference(
       plan.topology(), plan.trees(), 1.0);
   ASSERT_EQ(adapted.bandwidths.per_tree.size(), ref.per_tree.size());
   for (std::size_t i = 0; i < ref.per_tree.size(); ++i) {
@@ -301,7 +379,7 @@ TEST(AdaptPlan, CongestedNetworkProducesValidNeverWorsePlan) {
   }
   // The committed plan's capacitated bandwidth is never below the
   // re-weighted original's (the accept/reject gate).
-  const auto reweighted = model::compute_tree_bandwidths_capacitated(
+  const auto reweighted = model::compute_tree_bandwidths(
       plan.topology(), plan.trees(), 1.0, adapted.capacity_scale);
   EXPECT_GE(adapted.bandwidths.aggregate, reweighted.aggregate);
 }

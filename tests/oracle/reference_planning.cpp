@@ -1,0 +1,237 @@
+#include "oracle/reference_planning.hpp"
+
+#include <algorithm>
+#include <limits>
+#include <stdexcept>
+#include <utility>
+
+namespace pfar::oracle {
+
+model::TreeBandwidths compute_tree_bandwidths_reference(
+    const graph::Graph& g, const std::vector<trees::SpanningTree>& trees,
+    double link_bandwidth, const std::vector<double>& capacity_scale) {
+  if (link_bandwidth <= 0.0) {
+    throw std::invalid_argument("compute_tree_bandwidths: bandwidth <= 0");
+  }
+  const int num_edges = g.num_edges();
+  const int num_trees = static_cast<int>(trees.size());
+  if (!capacity_scale.empty() &&
+      capacity_scale.size() != static_cast<std::size_t>(num_edges)) {
+    throw std::invalid_argument(
+        "compute_tree_bandwidths: capacity_scale size != edges");
+  }
+
+  // L(e) = B * scale[e], with B * 1.0 exactly B on the uniform network.
+  std::vector<double> remaining =
+      capacity_scale.empty()
+          ? std::vector<double>(static_cast<std::size_t>(num_edges), 1.0)
+          : capacity_scale;
+  for (double& b : remaining) b *= link_bandwidth;
+
+  // Per-tree edge-id lists and per-edge congestion C(e).
+  std::vector<std::vector<int>> tree_edges(static_cast<std::size_t>(num_trees));
+  std::vector<int> congestion(static_cast<std::size_t>(num_edges), 0);
+  for (int t = 0; t < num_trees; ++t) {
+    for (const auto& e : trees[static_cast<std::size_t>(t)].edges()) {
+      const int id = g.edge_id(e.u, e.v);
+      if (id < 0) {
+        throw std::invalid_argument(
+            "compute_tree_bandwidths: tree edge not in graph");
+      }
+      tree_edges[static_cast<std::size_t>(t)].push_back(id);
+      ++congestion[static_cast<std::size_t>(id)];
+    }
+  }
+
+  std::vector<char> edge_removed(static_cast<std::size_t>(num_edges), 0);
+  std::vector<char> tree_done(static_cast<std::size_t>(num_trees), 0);
+
+  model::TreeBandwidths out;
+  out.per_tree.assign(static_cast<std::size_t>(num_trees), 0.0);
+
+  int active = num_trees;
+  while (active > 0) {
+    // Bottleneck edge: argmin L(e)/C(e) among edges still carrying trees.
+    int e_min = -1;
+    double best = std::numeric_limits<double>::infinity();
+    for (int e = 0; e < num_edges; ++e) {
+      if (edge_removed[static_cast<std::size_t>(e)] || congestion[static_cast<std::size_t>(e)] == 0) continue;
+      const double ratio = remaining[static_cast<std::size_t>(e)] / congestion[static_cast<std::size_t>(e)];
+      if (ratio < best) {
+        best = ratio;
+        e_min = e;
+      }
+    }
+    if (e_min < 0) {
+      throw std::logic_error(
+          "compute_tree_bandwidths: active trees but no congested edge");
+    }
+    const double share = remaining[static_cast<std::size_t>(e_min)] / congestion[static_cast<std::size_t>(e_min)];
+    for (int t = 0; t < num_trees; ++t) {
+      if (tree_done[static_cast<std::size_t>(t)]) continue;
+      const bool contains =
+          std::find(tree_edges[static_cast<std::size_t>(t)].begin(), tree_edges[static_cast<std::size_t>(t)].end(), e_min) !=
+          tree_edges[static_cast<std::size_t>(t)].end();
+      if (!contains) continue;
+      out.per_tree[static_cast<std::size_t>(t)] = share;
+      for (int e : tree_edges[static_cast<std::size_t>(t)]) {
+        remaining[static_cast<std::size_t>(e)] = std::max(0.0, remaining[static_cast<std::size_t>(e)] - share);
+        --congestion[static_cast<std::size_t>(e)];
+      }
+      tree_done[static_cast<std::size_t>(t)] = 1;
+      --active;
+    }
+    edge_removed[static_cast<std::size_t>(e_min)] = 1;
+  }
+
+  for (double b : out.per_tree) out.aggregate += b;
+  return out;
+}
+
+std::vector<trees::SpanningTree> build_low_depth_trees_reference(
+    const polarfly::PolarFly& pf, const polarfly::Layout& layout) {
+  const graph::Graph& g = pf.graph();
+  const int n = g.num_vertices();
+  const int q = pf.q();
+  const int w = layout.starter_quadric;
+
+  // E_a: availability of each edge for the level-3 center attachments
+  // (line 1 of Algorithm 3). Shared across all trees.
+  std::vector<char> available(static_cast<std::size_t>(g.num_edges()), 1);
+
+  std::vector<trees::SpanningTree> out;
+  out.reserve(static_cast<std::size_t>(q));
+  for (int i = 0; i < q; ++i) {
+    const int root = layout.centers[static_cast<std::size_t>(i)];
+    std::vector<int> parent(static_cast<std::size_t>(n), -1);
+    std::vector<char> in_tree(static_cast<std::size_t>(n), 0);
+    in_tree[static_cast<std::size_t>(root)] = 1;
+
+    // Level 1: every neighbor of the root (lines 4-5).
+    for (int u : g.neighbors(root)) {
+      parent[static_cast<std::size_t>(u)] = root;
+      in_tree[static_cast<std::size_t>(u)] = 1;
+    }
+    // Level 2: expand level-1 vertices except the starter quadric
+    // (lines 6-8).
+    for (int u : g.neighbors(root)) {
+      if (u == w) continue;
+      for (int z : g.neighbors(u)) {
+        if (!in_tree[static_cast<std::size_t>(z)]) {
+          parent[static_cast<std::size_t>(z)] = u;
+          in_tree[static_cast<std::size_t>(z)] = 1;
+        }
+      }
+    }
+    // Level 3: attach every other cluster center via an edge still in E_a
+    // (lines 9-12).
+    for (int j = 0; j < q; ++j) {
+      if (j == i) continue;
+      const int center = layout.centers[static_cast<std::size_t>(j)];
+      if (in_tree[static_cast<std::size_t>(center)]) {
+        throw std::logic_error(
+            "build_low_depth_trees: center covered early (layout broken)");
+      }
+      int chosen = -1;
+      for (int u : g.neighbors(center)) {
+        const int id = g.edge_id(u, center);
+        if (available[static_cast<std::size_t>(id)] && in_tree[static_cast<std::size_t>(u)]) {
+          chosen = u;
+          break;
+        }
+      }
+      if (chosen < 0) {
+        throw std::logic_error(
+            "build_low_depth_trees: no available edge for a center "
+            "(contradicts Theorem 7.4)");
+      }
+      parent[static_cast<std::size_t>(center)] = chosen;
+      in_tree[static_cast<std::size_t>(center)] = 1;
+      available[static_cast<std::size_t>(g.edge_id(chosen, center))] = 0;
+    }
+
+    out.emplace_back(root, std::move(parent));
+  }
+  return out;
+}
+
+std::vector<trees::SpanningTree> build_low_depth_trees_even_reference(
+    const polarfly::PolarFly& pf, int starter_index) {
+  if (pf.q() % 2 != 0) {
+    throw std::invalid_argument(
+        "build_low_depth_trees_even: even prime power q required");
+  }
+  const graph::Graph& g = pf.graph();
+  const int n = g.num_vertices();
+  const auto& quadrics = pf.quadrics();
+  if (starter_index < 0 ||
+      starter_index >= static_cast<int>(quadrics.size())) {
+    throw std::out_of_range("build_low_depth_trees_even: starter_index");
+  }
+  const int w = quadrics[static_cast<std::size_t>(starter_index)];
+  // The nucleus is the unique vertex adjacent to every quadric; in the
+  // canonical coordinates it is [1,1,1] (characteristic 2).
+  const int nucleus = pf.vertex_of(polarfly::Point{1, 1, 1});
+
+  std::vector<int> centers;
+  for (int u : g.neighbors(w)) {
+    if (u != nucleus) centers.push_back(u);
+  }
+
+  std::vector<char> available(static_cast<std::size_t>(g.num_edges()), 1);
+  std::vector<trees::SpanningTree> out;
+  out.reserve(centers.size());
+  for (int root : centers) {
+    std::vector<int> parent(static_cast<std::size_t>(n), -1);
+    std::vector<int> level(static_cast<std::size_t>(n), -1);
+    level[static_cast<std::size_t>(root)] = 0;
+    // Level 1: the whole cluster of `root` plus the starter quadric.
+    for (int u : g.neighbors(root)) {
+      parent[static_cast<std::size_t>(u)] = root;
+      level[static_cast<std::size_t>(u)] = 1;
+    }
+    // Level 2: expand the non-quadric level-1 vertices (expanding w would
+    // concentrate all trees' traffic on w's q links, as in Algorithm 3).
+    for (int u : g.neighbors(root)) {
+      if (pf.is_quadric(u)) continue;
+      for (int z : g.neighbors(u)) {
+        if (level[static_cast<std::size_t>(z)] < 0) {
+          parent[static_cast<std::size_t>(z)] = u;
+          level[static_cast<std::size_t>(z)] = 2;
+        }
+      }
+    }
+    // Attach the leftovers (other centers, the nucleus, remaining
+    // quadrics) through the shared edge pool, each under its shallowest
+    // covered neighbor; repeat while progress is made so chains like
+    // quadric -> nucleus resolve.
+    int covered = 0;
+    for (int v = 0; v < n; ++v) covered += level[static_cast<std::size_t>(v)] >= 0;
+    bool progress = true;
+    while (covered < n && progress) {
+      progress = false;
+      for (int v = 0; v < n; ++v) {
+        if (level[static_cast<std::size_t>(v)] >= 0) continue;
+        int best = -1;
+        for (int u : g.neighbors(v)) {
+          if (level[static_cast<std::size_t>(u)] < 0 || !available[static_cast<std::size_t>(g.edge_id(u, v))]) continue;
+          if (best < 0 || level[static_cast<std::size_t>(u)] < level[static_cast<std::size_t>(best)]) best = u;
+        }
+        if (best < 0) continue;
+        parent[static_cast<std::size_t>(v)] = best;
+        level[static_cast<std::size_t>(v)] = level[static_cast<std::size_t>(best)] + 1;
+        available[static_cast<std::size_t>(g.edge_id(best, v))] = 0;
+        ++covered;
+        progress = true;
+      }
+    }
+    if (covered < n) {
+      throw std::logic_error(
+          "build_low_depth_trees_even: attachment pool exhausted");
+    }
+    out.emplace_back(root, std::move(parent));
+  }
+  return out;
+}
+
+}  // namespace pfar::oracle

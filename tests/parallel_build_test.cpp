@@ -10,6 +10,7 @@
 
 #include "core/planner.hpp"
 #include "model/congestion_model.hpp"
+#include "oracle/reference_planning.hpp"
 #include "polarfly/erq.hpp"
 #include "polarfly/layout.hpp"
 #include "singer/difference_set.hpp"
@@ -38,7 +39,7 @@ class OddQParallelBuild : public ::testing::TestWithParam<int> {};
 TEST_P(OddQParallelBuild, LowDepthMatchesReferenceForEveryThreadCount) {
   const polarfly::PolarFly pf(GetParam());
   const polarfly::Layout layout = polarfly::build_layout(pf);
-  const auto reference = trees::build_low_depth_trees_reference(pf, layout);
+  const auto reference = oracle::build_low_depth_trees_reference(pf, layout);
   for (int threads : kThreadCounts) {
     expect_same_trees(reference,
                       trees::build_low_depth_trees(pf, layout, threads));
@@ -69,7 +70,7 @@ TEST_P(EvenQParallelBuild, EvenLowDepthMatchesReferenceForEveryThreadCount) {
   const polarfly::PolarFly pf(GetParam());
   for (int starter : {0, 1}) {
     const auto reference =
-        trees::build_low_depth_trees_even_reference(pf, starter);
+        oracle::build_low_depth_trees_even_reference(pf, starter);
     for (int threads : kThreadCounts) {
       expect_same_trees(
           reference, trees::build_low_depth_trees_even(pf, starter, threads));
@@ -87,10 +88,10 @@ TEST(CongestionFastPath, BitIdenticalToReferenceOnLowDepthTrees) {
   for (int q : {5, 7, 9, 11, 13}) {
     const polarfly::PolarFly pf(q);
     const auto layout = polarfly::build_layout(pf);
-    const auto ts = trees::build_low_depth_trees_reference(pf, layout);
+    const auto ts = oracle::build_low_depth_trees_reference(pf, layout);
     const auto fast = model::compute_tree_bandwidths(pf.graph(), ts, 1.0);
     const auto ref =
-        model::compute_tree_bandwidths_reference(pf.graph(), ts, 1.0);
+        oracle::compute_tree_bandwidths_reference(pf.graph(), ts, 1.0);
     EXPECT_EQ(fast.aggregate, ref.aggregate) << "q=" << q;
     EXPECT_EQ(fast.per_tree, ref.per_tree) << "q=" << q;
   }
@@ -103,7 +104,7 @@ TEST(CongestionFastPath, BitIdenticalToReferenceOnHamiltonianTrees) {
     const auto ts = trees::hamiltonian_trees(set);
     const auto fast = model::compute_tree_bandwidths(sg.graph(), ts, 1.0);
     const auto ref =
-        model::compute_tree_bandwidths_reference(sg.graph(), ts, 1.0);
+        oracle::compute_tree_bandwidths_reference(sg.graph(), ts, 1.0);
     EXPECT_EQ(fast.aggregate, ref.aggregate) << "q=" << q;
     EXPECT_EQ(fast.per_tree, ref.per_tree) << "q=" << q;
   }
@@ -112,11 +113,11 @@ TEST(CongestionFastPath, BitIdenticalToReferenceOnHamiltonianTrees) {
 TEST(CongestionFastPath, NonUniformLinkBandwidth) {
   const polarfly::PolarFly pf(7);
   const auto layout = polarfly::build_layout(pf);
-  const auto ts = trees::build_low_depth_trees_reference(pf, layout);
+  const auto ts = oracle::build_low_depth_trees_reference(pf, layout);
   for (double b : {0.5, 2.0, 12.5}) {
     const auto fast = model::compute_tree_bandwidths(pf.graph(), ts, b);
     const auto ref =
-        model::compute_tree_bandwidths_reference(pf.graph(), ts, b);
+        oracle::compute_tree_bandwidths_reference(pf.graph(), ts, b);
     EXPECT_EQ(fast.aggregate, ref.aggregate) << "B=" << b;
     EXPECT_EQ(fast.per_tree, ref.per_tree) << "B=" << b;
   }

@@ -33,6 +33,7 @@
 #include "core/serialize.hpp"
 #include "model/congestion_model.hpp"
 #include "oracle/reference_allreduce.hpp"
+#include "oracle/reference_planning.hpp"
 #include "simnet/allreduce_sim.hpp"
 #include "simnet/config.hpp"
 #include "polarfly/erq.hpp"
@@ -316,7 +317,7 @@ void check_plan(std::vector<Check>& out, const AllreducePlan& plan,
 
   run_check(out, "bandwidth.claim", [&] {
     const auto ref =
-        pfar::model::compute_tree_bandwidths_reference(g, trees, 1.0);
+        pfar::oracle::compute_tree_bandwidths_reference(g, trees, 1.0);
     const auto& claimed = plan.bandwidths();
     require(claimed.per_tree.size() == ref.per_tree.size(),
             "per-tree bandwidth count mismatch");
