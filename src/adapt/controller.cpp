@@ -1,12 +1,10 @@
 #include "adapt/controller.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <span>
 
 #include "core/resilience.hpp"
 #include "obsv/recorder.hpp"
-#include "obsv/report.hpp"
 #include "trees/packing.hpp"
 #include "util/contracts.hpp"
 
@@ -52,31 +50,6 @@ CongestionMap CongestionMap::from_sim_result(const graph::Graph& topology,
     if (d < result.link_queue_hwm.size()) {
       lc.queue_hwm = result.link_queue_hwm[d];
     }
-    lc.busy = occupancy(lc.flits + lc.bg_flits, link_bandwidth, map.cycles);
-    lc.bg_busy = occupancy(lc.bg_flits, link_bandwidth, map.cycles);
-  }
-  return map;
-}
-
-CongestionMap CongestionMap::from_metrics(const graph::Graph& topology,
-                                          const obsv::Metrics& metrics,
-                                          int link_bandwidth) {
-  PFAR_REQUIRE(link_bandwidth >= 1, link_bandwidth);
-  CongestionMap map;
-  map.link_bandwidth = link_bandwidth;
-  map.dlinks.assign(static_cast<std::size_t>(2 * topology.num_edges()), {});
-  const obsv::LinkWindow window = obsv::extract_link_windows(metrics);
-  map.cycles = window.cycles;
-  for (const obsv::LinkWindowStats& s : window.links) {
-    int u = -1, v = -1;
-    if (std::sscanf(s.name.c_str(), "%d->%d", &u, &v) != 2) continue;
-    const int e = topology.edge_id(u, v);
-    PFAR_REQUIRE(e >= 0, u, v);  // probe window must match the topology
-    const std::size_t d = static_cast<std::size_t>(2 * e + (u > v ? 1 : 0));
-    LinkCongestion& lc = map.dlinks[d];
-    lc.flits = s.flits;
-    lc.bg_flits = s.bg_flits;
-    lc.queue_hwm = s.queue_hwm;
     lc.busy = occupancy(lc.flits + lc.bg_flits, link_bandwidth, map.cycles);
     lc.bg_busy = occupancy(lc.bg_flits, link_bandwidth, map.cycles);
   }

@@ -9,10 +9,6 @@
 #include "simnet/config.hpp"
 #include "trees/spanning_tree.hpp"
 
-namespace pfar::obsv {
-class Metrics;
-}
-
 namespace pfar::adapt {
 
 /// One directed link's congestion measurement over a probe window.
@@ -33,10 +29,9 @@ struct LinkCongestion {
 };
 
 /// Per-directed-link congestion over one probe window, indexed by the
-/// engines' directed-link id `2 * edge_id + (src > dst)`. Build it from a
-/// SimResult (works in PFAR_TRACE=off builds — the fields are maintained
-/// unconditionally) or from a Recorder's metrics registry via the obsv
-/// probe-window counters (docs/congestion_adaptation.md).
+/// engines' directed-link id `2 * edge_id + (src > dst)`. Built from a
+/// SimResult, whose fields the engines maintain unconditionally, so it
+/// works in PFAR_TRACE=off builds too (docs/congestion_adaptation.md).
 struct CongestionMap {
   long long cycles = 0;
   int link_bandwidth = 1;
@@ -45,9 +40,6 @@ struct CongestionMap {
   static CongestionMap from_sim_result(const graph::Graph& topology,
                                        const simnet::SimResult& result,
                                        int link_bandwidth);
-  static CongestionMap from_metrics(const graph::Graph& topology,
-                                    const obsv::Metrics& metrics,
-                                    int link_bandwidth);
 
   /// Background occupancy of undirected edge e: the max over its two
   /// directions (the collective needs both — reduce up, broadcast down).

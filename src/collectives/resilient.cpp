@@ -12,6 +12,7 @@
 #include "model/congestion_model.hpp"
 #include "obsv/recorder.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace pfar::collectives {
 namespace {
@@ -24,11 +25,22 @@ namespace {
                            why);
 }
 
-std::uint64_t remix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+/// The per-tree progress timeout of an attempt on `trees`: the configured
+/// one, raised to the plan's pipeline fill — 2 × (deepest tree + 1) hops of
+/// link latency plus one packet's flits, up to the root and back down —
+/// and clamped below stall_limit. Below the fill a healthy deep tree (a
+/// repack on a residual topology can run hundreds of hops deep) is
+/// canceled before its first delivery, and every retry loses the same
+/// elements (docs/resilience.md).
+long long attempt_timeout(const simnet::SimConfig& config,
+                          const std::vector<trees::SpanningTree>& trees) {
+  int deepest = 0;
+  for (const auto& tree : trees) deepest = std::max(deepest, tree.depth());
+  const long long fill =
+      2LL * (deepest + 1) *
+      (config.link_latency + config.packet_payload + config.packet_header_flits);
+  return std::max(config.progress_timeout,
+                  std::min(fill, config.stall_limit - 1));
 }
 
 /// The fault script an attempt that starts `elapsed` global cycles into the
@@ -57,8 +69,8 @@ simnet::FaultScript shift_script(const simnet::FaultScript& script,
   out.flaky_drop_permille = script.flaky_drop_permille;
   out.flaky_seed =
       attempt == 0 ? script.flaky_seed
-                   : remix(script.flaky_seed +
-                           static_cast<std::uint64_t>(attempt));
+                   : util::splitmix64(script.flaky_seed +
+                                      static_cast<std::uint64_t>(attempt));
   return out;
 }
 
@@ -121,6 +133,7 @@ RecoveryStats recover(
     std::vector<long long> split = model::optimal_split(remaining, bw);
 
     simnet::SimConfig attempt_config = config;
+    attempt_config.progress_timeout = attempt_timeout(config, cur_trees);
     attempt_config.faults = shift_script(config.faults, stats.total_cycles,
                                          *cur_topology, attempt);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pfar::core {
@@ -14,11 +15,8 @@ SweepRunner::SweepRunner(int threads, std::uint64_t base_seed)
 // pfar-lint: allow(contract-coverage) splitmix64 is total; every (seed, index) pair is a valid input
 std::uint64_t SweepRunner::task_seed(std::uint64_t base_seed, int index) {
   // splitmix64 of the index'th point after the base seed.
-  std::uint64_t z =
-      base_seed + 0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(index) + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  return util::splitmix64(base_seed + std::uint64_t{0x9e3779b97f4a7c15ULL} *
+                                          static_cast<std::uint64_t>(index));
 }
 
 void SweepRunner::for_each(int count,

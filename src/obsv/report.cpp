@@ -556,34 +556,4 @@ void render_report(const RunReport& report, std::ostream& os, int top_k) {
   }
 }
 
-LinkWindow extract_link_windows(const Metrics& metrics) {
-  LinkWindow window;
-  window.cycles = metrics.gauge("sim.cycles");
-  if (metrics.contains("recovery.total_cycles")) {
-    window.cycles = metrics.counter("recovery.total_cycles");
-  }
-  std::map<std::string, LinkWindowStats> stats;
-  for (const std::string& name : metrics.names("link.")) {
-    std::string middle, field;
-    if (!split_metric(name, "link.", &middle, &field)) continue;
-    LinkWindowStats& s = stats[middle];
-    s.name = middle;
-    if (field == "flits") s.flits = metrics.counter(name);
-    else if (field == "bg_flits") s.bg_flits = metrics.counter(name);
-    else if (field == "busy_cycles") s.busy_cycles = metrics.counter(name);
-    else if (field == "queue_hwm") s.queue_hwm = metrics.gauge(name);
-    else if (field == "dropped_flits") s.dropped_flits = metrics.counter(name);
-  }
-  window.links.reserve(stats.size());
-  for (auto& [key, s] : stats) {
-    if (window.cycles > 0) {
-      s.busy_fraction = std::min(
-          1.0, static_cast<double>(s.busy_cycles) /
-                   static_cast<double>(window.cycles));
-    }
-    window.links.push_back(std::move(s));
-  }
-  return window;
-}
-
 }  // namespace pfar::obsv

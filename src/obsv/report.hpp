@@ -99,35 +99,4 @@ RunReport build_report(std::string_view trace_json,
 /// skew, recovery timeline, planner phases).
 void render_report(const RunReport& report, std::ostream& os, int top_k = 10);
 
-// --- Probe-window link statistics -----------------------------------------
-
-/// Per-directed-link congestion statistics over one probe window — the
-/// counters SimObserver::finalize emits, re-keyed by link name and joined
-/// with the window length. This is the congestion controller's sensor
-/// input when it reads a live Metrics registry instead of a SimResult
-/// (docs/congestion_adaptation.md, "Probe windows").
-struct LinkWindowStats {
-  std::string name;  // "u->v", the emitted link label
-  long long flits = 0;
-  long long bg_flits = 0;
-  long long busy_cycles = 0;
-  long long queue_hwm = 0;
-  long long dropped_flits = 0;
-  /// busy_cycles / window cycles, in [0, 1]; 0 when the window length is
-  /// unknown (no sim.cycles gauge in the registry).
-  double busy_fraction = 0.0;
-};
-
-/// The whole probe window: its length in cycles (the sim.cycles gauge; the
-/// resilient driver's recovery.total_cycles wins when present, matching
-/// build_report) and one entry per link that moved or dropped any flit,
-/// sorted by name.
-struct LinkWindow {
-  long long cycles = 0;
-  std::vector<LinkWindowStats> links;
-};
-
-/// Extracts per-link window statistics from a metrics registry.
-LinkWindow extract_link_windows(const Metrics& metrics);
-
 }  // namespace pfar::obsv

@@ -173,8 +173,10 @@ class AllreduceSimulator {
   std::vector<TreeEmbedding> trees_;
   SimConfig config_;
   // Tree t's parent-edge link ids (graph::parent_links), resolved once by
-  // the constructor's validation: entry t * n + v, -1 at the root.
+  // the constructor's validation: entry t * n + v, -1 at the root; and
+  // each tree's depth, which the same validation measures.
   std::vector<int> links_;
+  std::vector<int> depth_;
 };
 
 }  // namespace pfar::simnet

@@ -14,42 +14,6 @@
 #include "util/contracts.hpp"
 
 namespace pfar::simnet {
-namespace {
-
-// Depth (hops from the root) of every node of one tree, by memoized
-// parent-chain walking; returns the tree depth (deepest node). Throws on a
-// parent chain that ends off the root or runs in a cycle.
-int tree_depth(const std::vector<int>& parent, int root, int n,
-               std::vector<int>& depth_scratch) {
-  constexpr int kUnvisited = -1;
-  constexpr int kOnChain = -2;
-  std::vector<int>& depth = depth_scratch;
-  depth.assign(static_cast<std::size_t>(n), kUnvisited);
-  depth[static_cast<std::size_t>(root)] = 0;
-  int deepest = 0;
-  std::vector<int> chain;
-  for (int v = 0; v < n; ++v) {
-    int u = v;
-    chain.clear();
-    while (depth[static_cast<std::size_t>(u)] == kUnvisited) {
-      depth[static_cast<std::size_t>(u)] = kOnChain;
-      chain.push_back(u);
-      u = parent[static_cast<std::size_t>(u)];
-      if (u < 0 || depth[static_cast<std::size_t>(u)] == kOnChain) {
-        throw std::invalid_argument("flow tier: node with no path to root");
-      }
-    }
-    int d = depth[static_cast<std::size_t>(u)];
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      depth[static_cast<std::size_t>(*it)] = ++d;
-    }
-    deepest = std::max(deepest, d);
-  }
-  return deepest;
-}
-
-}  // namespace
-
 namespace detail {
 
 bool flow_fixups_are_deferrable(double cap, double level, std::int32_t users,
@@ -68,10 +32,11 @@ bool flow_fixups_are_deferrable(double cap, double level, std::int32_t users,
 
 }  // namespace detail
 
-// pfar-lint: allow(contract-coverage) fault-script and tree validation happens via the std::invalid_argument throws below (tests/flow_engine_test.cpp pins the messages)
+// pfar-lint: allow(contract-coverage) fault-script validation happens via the std::invalid_argument throws below (tests/flow_engine_test.cpp pins the messages); the trees arrive validated by detail::validate_simulation
 SimResult run_flow_allreduce(const graph::Graph& topology,
                              const std::vector<TreeEmbedding>& trees,
                              const std::vector<int>& links,
+                             const std::vector<int>& depth,
                              const SimConfig& config,
                              const std::vector<long long>& elements_per_tree) {
   if (!config.faults.empty()) {
@@ -149,13 +114,6 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
       static_cast<std::size_t>(tree_dlink_base[static_cast<std::size_t>(num_trees)]));
   std::vector<std::int32_t> vcs_on_dlink(static_cast<std::size_t>(num_dlinks),
                                          0);
-  std::vector<int> depth(static_cast<std::size_t>(num_trees), 0);
-  std::vector<int> depth_scratch;
-  for (int t = 0; t < num_trees; ++t) {
-    const auto& tree = trees[static_cast<std::size_t>(t)];
-    depth[static_cast<std::size_t>(t)] =
-        tree_depth(tree.parent, tree.root, n, depth_scratch);
-  }
   {
     std::size_t out = 0;
     for (int t = 0; t < num_trees; ++t) {

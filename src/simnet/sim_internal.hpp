@@ -1,12 +1,15 @@
 // Internal to simnet: the pieces of a cycle-accurate run that live outside
 // the cycle loop — operand/expected values, the fault state, the
-// observability hooks and the run prologue/epilogue. The product engine
-// (allreduce_sim.cpp) and the test-only reference oracle (tests/oracle)
-// both run on them, so the two differ only in their fabric and loop.
+// observability hooks and the run prologue/epilogue — and the declarations
+// the product engine's files share (the fabric, the loop, the shard merge;
+// docs/simulation_engine.md, "Source layout"). The product engine and the
+// test-only reference oracle (tests/oracle) both run on the former, so the
+// two differ only in their fabric and loop.
 // Not installed API: nothing outside simnet and tests/oracle includes it.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "obsv/recorder.hpp"
 #include "simnet/allreduce_sim.hpp"
 #include "simnet/config.hpp"
+#include "util/rng.hpp"
 
 namespace pfar::simnet::detail {
 
@@ -43,14 +47,6 @@ inline std::int64_t sum_over_nodes(int num_nodes, int tree, long long k) {
 // per-cycle order, so a given script is honored bit-identically (the
 // differential fault tests pin this). See docs/resilience.md for the model.
 // ---------------------------------------------------------------------------
-
-// SplitMix64 finalizer: the deterministic hash behind flaky-link drops.
-inline std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 // A FaultEvent resolved against the topology: undirected edge id + kind.
 struct PreparedFault {
@@ -82,10 +78,10 @@ struct FaultState {
     if (!flaky || !dlink_flaky[static_cast<std::size_t>(dlink)]) return false;
     const std::uint64_t ordinal = static_cast<std::uint64_t>(
         dlink_sent[static_cast<std::size_t>(dlink)]++);
-    const std::uint64_t h =
-        mix64(seed ^ mix64(static_cast<std::uint64_t>(dlink) *
-                               std::uint64_t{0x9e3779b97f4a7c15ULL} +
-                           ordinal));
+    const std::uint64_t h = util::splitmix64(
+        seed ^ util::splitmix64(static_cast<std::uint64_t>(dlink) *
+                                    std::uint64_t{0x9e3779b97f4a7c15ULL} +
+                                ordinal));
     return static_cast<int>(h % 1000) < drop_permille;
   }
 };
@@ -109,8 +105,9 @@ FaultState prepare_faults(const graph::Graph& topology,
 // reports a link's background drains), per-tree "reduce" /
 // "broadcast" phase spans, and instant events on the sim track for fault
 // down/up and tree cancellation. Metrics vocabulary: see the catalog in
-// docs/observability.md; drop/cancel accounting is accumulated at the hook
-// sites so the obsv tests can cross-check conservation against SimResult.
+// docs/observability.md; the drop/cancel counters and per-link queue high
+// waters are read from the run's SimResult at finalize, so they cannot
+// disagree with it.
 // ---------------------------------------------------------------------------
 struct SimObserver {
   obsv::Recorder* rec = nullptr;
@@ -128,16 +125,10 @@ struct SimObserver {
     long long start;
   };
   std::vector<BusySpan> busy_spans;    // closed, emitted by finalize
-  std::vector<long long> queue_hwm;    // receiver-buffer high water per dlink
-  std::vector<long long> link_dropped; // dropped flits per dlink
   std::vector<long long> reduce_first; // first reduce packet per tree
   std::vector<long long> reduce_done;  // root consumed its last element
   long long credit_stalls = 0;
   long long skipped_cycles = 0;  // cycles the steady-period jump skipped
-  long long dropped_packets = 0;
-  long long dropped_flits = 0;
-  long long canceled_packets = 0;
-  long long canceled_flits = 0;
   long long fault_events = 0;
 
   std::uint32_t n_busy = 0, n_reduce = 0, n_bcast = 0;
@@ -161,8 +152,6 @@ struct SimObserver {
     busy_start.assign(static_cast<std::size_t>(num_dlinks), -1);
     busy_last.assign(static_cast<std::size_t>(num_dlinks), -1);
     busy_total.assign(static_cast<std::size_t>(num_dlinks), 0);
-    queue_hwm.assign(static_cast<std::size_t>(num_dlinks), 0);
-    link_dropped.assign(static_cast<std::size_t>(num_dlinks), 0);
     reduce_first.assign(static_cast<std::size_t>(num_trees), -1);
     reduce_done.assign(static_cast<std::size_t>(num_trees), -1);
     n_busy = rec->trace.intern("busy");
@@ -221,11 +210,6 @@ struct SimObserver {
     skipped_cycles += k * period;
   }
 
-  void on_queue_depth(int dlink, int depth) {
-    const std::size_t d = static_cast<std::size_t>(dlink);
-    if (depth > queue_hwm[d]) queue_hwm[d] = depth;
-  }
-
   // The `ready` argument lets call sites evaluate readiness lazily inside
   // the hook expansion (only when an observer is attached).
   void on_credit_stall_if(bool ready) {
@@ -245,20 +229,9 @@ struct SimObserver {
                        obsv::kTrackSim, {"u", e.u}, {"v", e.v});
   }
 
-  void on_drop(int dlink, long long flits) {
-    ++dropped_packets;
-    dropped_flits += flits;
-    link_dropped[static_cast<std::size_t>(dlink)] += flits;
-  }
-
   void on_cancel(int tree, long long now, long long completed) {
     rec->trace.instant(now, n_canceled, obsv::kTrackSim, {"tree", tree},
                        {"completed", completed});
-  }
-
-  void on_retract(long long flits) {
-    ++canceled_packets;
-    canceled_flits += flits;
   }
 
   // Emits the deferred spans, track names and the metrics snapshot. Called
@@ -278,13 +251,26 @@ struct SimObserver {
 #define PFAR_OBS(call) static_cast<void>(obs)
 #endif
 
+/// A tree set as validation resolved it: the trees' parent links
+/// (graph::parent_links: entry t * n + v, -1 at the root) and each tree's
+/// depth, the hop count from its root to its deepest node.
+struct ResolvedTrees {
+  std::vector<int> links;
+  std::vector<int> depth;
+};
+
 /// AllreduceSimulator's constructor-time contract: config ranges, the
 /// fault script and the tree embeddings. Throws std::invalid_argument.
-/// Returns the trees' parent links (graph::parent_links), the resolve
-/// that checks every tree edge is a physical link.
-std::vector<int> validate_simulation(const graph::Graph& topology,
-                                     const std::vector<TreeEmbedding>& trees,
-                                     const SimConfig& config);
+/// The parent-link resolve checks that every tree edge is a physical link;
+/// one walk up the parent chains then checks that every node reaches its
+/// root and measures the depths.
+ResolvedTrees validate_simulation(const graph::Graph& topology,
+                                  const std::vector<TreeEmbedding>& trees,
+                                  const SimConfig& config);
+
+/// The trees' parent links (graph::parent_links over the embeddings).
+std::vector<int> embedding_links(const graph::Graph& topology,
+                                 const std::vector<TreeEmbedding>& trees);
 
 /// A fresh result for `num_trees` trees on `num_dlinks` directed links:
 /// every per-tree vector and link_flits sized and zeroed (first-delivery
@@ -330,5 +316,98 @@ struct RunContext {
   SimObserver observer;
   SimObserver* obs = nullptr;  // &observer iff a Recorder is attached
 };
+
+// ---------------------------------------------------------------------------
+// The product engine's pieces, one file each: the fabric builder
+// (fabric.cpp), the cycle loop (cycle_loop.cpp) and the shard merge
+// (shards.cpp). AllreduceSimulator (allreduce_sim.cpp) wires them up.
+// ---------------------------------------------------------------------------
+
+// The VC fabric, in the flat form the cycle loop runs on. A VC is the
+// unidirectional, per-tree, per-phase logical datapath on a physical link
+// with its own receiver buffer and credits (Section 5.1's "VCs have
+// disjoint resources"). State index s = tree * n + node names one (node,
+// tree) reduction/broadcast engine. Build order fixes every id: trees
+// ascending, then nodes ascending, each non-root node adding its reduce VC
+// (node -> parent) before its broadcast VC (parent -> node); a node's
+// child slots follow child id order and each link lists its VCs by id.
+// Every VC's directed link comes from the simulator's resolved tree links
+// (graph::parent_links). Nothing here changes during a run.
+struct Fabric {
+  int n = 0;
+  int num_trees = 0;
+  int num_dlinks = 0;
+  // Global tree index per local tree. Identity in a whole-run fabric; a
+  // sharded sub-run (see link_disjoint_tree_groups) carries the parent
+  // run's indices so operand/expected values — functions of the tree
+  // index — match the serial run bit-exactly.
+  std::vector<int> tree_gid;
+  std::vector<std::int32_t> root_state;  // per tree: the root's state
+
+  // Per VC.
+  std::vector<char> vc_is_reduce;
+  std::vector<std::int32_t> vc_src_state;  // sending engine
+  std::vector<std::int32_t> vc_dst_state;  // receiving engine
+  std::vector<std::int32_t> vc_dlink;
+  std::vector<std::int32_t> vc_stage;  // broadcast: sender's fork stage; -1
+
+  // Per state, CSR over child slots: state s owns slots
+  // [child_base[s], child_base[s + 1]), one broadcast fork stage each.
+  std::vector<std::int32_t> child_base;
+  std::vector<std::int32_t> child_vc;         // per slot: reduce VC, or -1
+  std::vector<std::int32_t> parent_bcast_vc;  // per state: inbound, or -1
+
+  // Per directed link, CSR over VC ids, plus the links carrying any VC.
+  std::vector<std::int32_t> link_base;
+  std::vector<std::int32_t> link_vc;
+  std::vector<std::int32_t> active_dlinks;
+
+  // Inverse maps the loop uses to mark a link that may grant: per state,
+  // the link of its uplink reduce VC, and per fork stage, the link of its
+  // broadcast VC (-1 where there is none).
+  std::vector<std::int32_t> up_dlink;
+  std::vector<std::int32_t> stage_dlink;
+
+  int num_vcs() const { return static_cast<int>(vc_dlink.size()); }
+};
+
+// `links` is the whole run's parent-link table (entry gid * n + v), which a
+// sharded sub-run indexes through its global tree ids.
+Fabric build_fabric(const graph::Graph& topology,
+                    const std::vector<TreeEmbedding>& trees,
+                    const std::vector<int>& links, const SimConfig& config,
+                    SimResult& result,
+                    const std::vector<int>* tree_gids = nullptr);
+
+/// Runs the fast-forward cycle loop over `f` until every tree has
+/// delivered or been canceled and returns the exit cycle; a RunContext
+/// supplies the other arguments. Throws std::runtime_error on deadlock or
+/// a max_cycles overrun. `cert`, when given, receives the first certified
+/// steady period (certify_period in cycle_loop.cpp).
+long long run_fast_loop(const Fabric& f, const SimConfig& config,
+                        const std::vector<long long>& elements_per_tree,
+                        SimResult& result,
+                        std::vector<long long>& tree_remaining,
+                        long long total_target, FaultState& fault,
+                        const std::vector<long long>& bg_rates_ppm,
+                        SimObserver* obs,
+                        std::optional<PeriodCertificate>* cert);
+
+/// link_disjoint_tree_groups over a resolved parent-link table.
+std::vector<std::vector<int>> tree_groups(const graph::Graph& topology,
+                                          int num_trees,
+                                          const std::vector<int>& links);
+
+/// Runs each link-disjoint group of `groups` on its own fabric, in
+/// parallel, and merges the groups' results into `result` exactly as the
+/// serial run would produce them; returns the run's exit cycle. Throws
+/// what a failing group's loop throws (shards.cpp).
+long long run_sharded(const graph::Graph& topology,
+                      const std::vector<TreeEmbedding>& trees,
+                      const std::vector<int>& links, const SimConfig& config,
+                      const std::vector<long long>& elements_per_tree,
+                      const std::vector<std::vector<int>>& groups,
+                      SimResult& result,
+                      std::optional<PeriodCertificate>* cert);
 
 }  // namespace pfar::simnet::detail

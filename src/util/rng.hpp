@@ -4,6 +4,17 @@
 
 namespace pfar::util {
 
+/// SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the output of the
+/// generator whose state was `x` before its step. A bijective,
+/// well-spread 64-bit hash behind Rng's seeding, SweepRunner's task
+/// seeds, the resilient driver's replay seeds and flaky-link drops.
+constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// Deterministic 64-bit PRNG (xoshiro256**). All randomized components in
 /// this library (e.g. the random maximal-independent-set selector from
 /// Section 7.3 of the paper) take an explicit Rng so experiments are
@@ -12,14 +23,10 @@ class Rng {
  public:
   /// Seeds the four-word state from a single seed via SplitMix64.
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) {
-    std::uint64_t x = seed;
+    // Four SplitMix64 steps: a well-mixed, non-zero state.
     for (auto& word : state_) {
-      // SplitMix64 step: guarantees a well-mixed, non-zero state.
-      x += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      word = z ^ (z >> 31);
+      word = splitmix64(seed);
+      seed += 0x9e3779b97f4a7c15ULL;
     }
   }
 

@@ -1,12 +1,11 @@
-// Tests for the congestion-adaptation layer (src/adapt) and the obsv
-// probe-window plumbing it reads (docs/congestion_adaptation.md):
+// Tests for the congestion-adaptation layer (src/adapt) and the per-link
+// counters it mirrors (docs/congestion_adaptation.md):
 //
 //  * Algorithm 1 on a capacitated network is bit-identical to the seed
 //    scan in tests/oracle for every kind of scale, and validates them;
-//  * CongestionMap agrees whether built from a SimResult or from a
-//    Recorder's metrics registry for the same run;
-//  * obsv::extract_link_windows reproduces hand-computed busy%/queue-HWM
-//    on a tiny scripted run, including the fault-cancel edge case;
+//  * the per-link metrics a traced run emits reproduce hand-computed
+//    flits/busy cycles on a tiny scripted run and stay consistent through
+//    the fault-cancel edge case;
 //  * adapt_plan is the identity on a quiet network and produces valid,
 //    never-predicted-worse plans on congested ones;
 //  * run_adaptive_allreduce closes the loop end to end and emits the
@@ -15,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -213,42 +213,18 @@ TEST(CongestionMap, FromSimResultComputesOccupancies) {
   }
 }
 
-#if PFAR_TRACE_LEVEL
-TEST(CongestionMap, MetricsAndSimResultBuildersAgree) {
-  const auto plan = core::AllreducePlanner(5).build();
-  simnet::SimConfig cfg;
-  cfg.background.pattern = simnet::TrafficPattern::kHotspot;
-  cfg.background.load = 0.35;
-  cfg.background.hotspot_fraction = 0.3;
-  obsv::Recorder recorder;
-  cfg.recorder = &recorder;
-  auto embeddings = collectives::to_embeddings(plan.trees());
-  simnet::AllreduceSimulator sim(plan.topology(), embeddings, cfg);
-  const auto result = sim.run(plan.split(2000));
+// --- Per-link metrics the controller's inputs mirror ---------------------
 
-  const auto from_sim =
-      adapt::CongestionMap::from_sim_result(plan.topology(), result, 1);
-  const auto from_metrics = adapt::CongestionMap::from_metrics(
-      plan.topology(), recorder.metrics, 1);
-  ASSERT_EQ(from_metrics.dlinks.size(), from_sim.dlinks.size());
-  EXPECT_EQ(from_metrics.cycles, from_sim.cycles);
-  for (std::size_t d = 0; d < from_sim.dlinks.size(); ++d) {
-    EXPECT_EQ(from_metrics.dlinks[d].flits, from_sim.dlinks[d].flits) << d;
-    EXPECT_EQ(from_metrics.dlinks[d].bg_flits, from_sim.dlinks[d].bg_flits)
-        << d;
-    EXPECT_EQ(from_metrics.dlinks[d].queue_hwm,
-              from_sim.dlinks[d].queue_hwm)
-        << d;
-    EXPECT_DOUBLE_EQ(from_metrics.dlinks[d].bg_busy,
-                     from_sim.dlinks[d].bg_busy)
-        << d;
+#if PFAR_TRACE_LEVEL
+// The "u->v" names of the links that emitted per-link metrics.
+std::set<std::string> metric_links(const obsv::Metrics& metrics) {
+  std::set<std::string> links;
+  for (const std::string& name : metrics.names("link.")) {
+    links.insert(name.substr(5, name.rfind('.') - 5));
   }
+  return links;
 }
-#endif
 
-// --- obsv probe-window extraction -----------------------------------------
-
-#if PFAR_TRACE_LEVEL
 // Hand-computable scenario: a 3-node path, one BFS tree rooted at an end.
 // Allreduce of m single-flit elements moves exactly m flits on each of the
 // four directed links (m up the reduce, m down the broadcast), so each
@@ -269,27 +245,31 @@ TEST(LinkWindows, MatchHandComputedValuesOnTinyRun) {
   const auto result = sim.run({m});
   ASSERT_TRUE(result.values_correct);
 
-  const auto window = obsv::extract_link_windows(recorder.metrics);
-  EXPECT_EQ(window.cycles, result.cycles);
-  ASSERT_EQ(window.links.size(), 4u);
-  for (const auto& link : window.links) {
-    EXPECT_EQ(link.flits, m) << link.name;
-    EXPECT_EQ(link.busy_cycles, m) << link.name;
-    EXPECT_EQ(link.bg_flits, 0) << link.name;
-    EXPECT_EQ(link.dropped_flits, 0) << link.name;
-    EXPECT_GE(link.queue_hwm, 1) << link.name;
-    EXPECT_DOUBLE_EQ(link.busy_fraction,
-                     static_cast<double>(m) /
-                         static_cast<double>(result.cycles))
-        << link.name;
+  const obsv::Metrics& metrics = recorder.metrics;
+  EXPECT_EQ(metrics.gauge("sim.cycles"), result.cycles);
+  const std::set<std::string> links = metric_links(metrics);
+  EXPECT_EQ(links, (std::set<std::string>{"0->1", "1->0", "1->2", "2->1"}));
+  for (const std::string& link : links) {
+    const std::string prefix = "link." + link;
+    EXPECT_EQ(metrics.counter(prefix + ".flits"), m) << link;
+    EXPECT_EQ(metrics.counter(prefix + ".busy_cycles"), m) << link;
+    EXPECT_FALSE(metrics.contains(prefix + ".bg_flits")) << link;
+    EXPECT_FALSE(metrics.contains(prefix + ".dropped_flits")) << link;
+    EXPECT_GE(metrics.gauge(prefix + ".queue_hwm"), 1) << link;
+    // The busy fraction a report prints: m of the run's cycles.
+    EXPECT_DOUBLE_EQ(
+        static_cast<double>(metrics.counter(prefix + ".busy_cycles")) /
+            static_cast<double>(metrics.gauge("sim.cycles")),
+        static_cast<double>(m) / static_cast<double>(result.cycles))
+        << link;
   }
 }
 
 // Fault-cancel edge case on q=5: a permanent mid-run link failure cancels
-// the affected trees. The extracted windows must stay internally
-// consistent — busy_fraction capped at 1, every per-link busy count no
-// larger than the window, and the downed link's traffic frozen at the
-// fault, not extrapolated.
+// the affected trees. The per-link metrics must stay internally
+// consistent — every per-link busy count within the run, the drops
+// recorded on the downed link's two directions only — and the canceled
+// run must still drive the controller.
 TEST(LinkWindows, FaultCancelRunStaysConsistent) {
   const auto plan = core::AllreducePlanner(5).build();
   // A link some tree actually uses, so the failure cancels work.
@@ -311,19 +291,32 @@ TEST(LinkWindows, FaultCancelRunStaysConsistent) {
   for (char failed : result.tree_failed) failures += failed != 0 ? 1 : 0;
   ASSERT_GT(failures, 0);  // the script really canceled trees
 
-  const auto window = obsv::extract_link_windows(recorder.metrics);
-  EXPECT_EQ(window.cycles, result.cycles);
-  EXPECT_FALSE(window.links.empty());
-  for (const auto& link : window.links) {
-    EXPECT_GE(link.busy_cycles, 0) << link.name;
-    EXPECT_LE(link.busy_cycles, window.cycles) << link.name;
-    EXPECT_LE(link.busy_fraction, 1.0) << link.name;
-    EXPECT_GE(link.flits, 0) << link.name;
+  const obsv::Metrics& metrics = recorder.metrics;
+  const long long cycles = metrics.gauge("sim.cycles");
+  EXPECT_EQ(cycles, result.cycles);
+  const std::set<std::string> links = metric_links(metrics);
+  EXPECT_FALSE(links.empty());
+  const std::set<std::string> victim_links = {
+      std::to_string(victim.u) + "->" + std::to_string(victim.v),
+      std::to_string(victim.v) + "->" + std::to_string(victim.u)};
+  long long dropped = 0;
+  for (const std::string& link : links) {
+    const std::string prefix = "link." + link;
+    const long long busy = metrics.counter(prefix + ".busy_cycles");
+    EXPECT_GE(busy, 0) << link;
+    EXPECT_LE(busy, cycles) << link;
+    EXPECT_GE(metrics.counter(prefix + ".flits"), 0) << link;
+    const long long link_dropped = metrics.counter(prefix + ".dropped_flits");
+    if (victim_links.count(link) == 0) {
+      EXPECT_EQ(link_dropped, 0) << link;
+    }
+    dropped += link_dropped;
   }
-  // The canceled-run window still drives the controller without tripping
-  // its contracts.
-  const auto map = adapt::CongestionMap::from_metrics(plan.topology(),
-                                                      recorder.metrics, 1);
+  EXPECT_EQ(dropped, result.dropped_flits);
+  // The canceled run still drives the controller without tripping its
+  // contracts.
+  const auto map =
+      adapt::CongestionMap::from_sim_result(plan.topology(), result, 1);
   const auto adapted = adapt::adapt_plan(plan.topology(), plan.trees(), map);
   EXPECT_EQ(adapted.trees.size(), plan.trees().size());
 }

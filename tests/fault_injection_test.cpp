@@ -247,6 +247,30 @@ TEST(ResilientAllreduce, RecoversSingleLinkFailureWithGoldenStats) {
   }
 }
 
+// The q=16 repack of a low-depth plan runs 219-259 hops deep. With the
+// configured 800-cycle timeout every repacked tree was canceled before its
+// first delivery, so every retry lost the same elements; each attempt's
+// timeout now covers its plan's pipeline fill.
+TEST(ResilientAllreduce, DeepRepackRecoversInOneReplay) {
+  const auto plan = core::AllreducePlanner(16).build();
+  const graph::Edge a = used_link(plan, 0);
+
+  simnet::SimConfig cfg;
+  cfg.progress_timeout = 800;
+  cfg.faults.events.push_back({200, a.u, a.v, simnet::FaultType::kLinkDown});
+
+  collectives::ResilienceConfig rc;
+  rc.policy = collectives::RecoveryPolicy::kRepack;
+  const auto stats = collectives::run_resilient_allreduce(
+      plan.topology(), plan.trees(), 1500, cfg, rc);
+  EXPECT_TRUE(stats.recovered);
+  EXPECT_TRUE(stats.values_correct);
+  EXPECT_EQ(stats.attempts, 2);
+  ASSERT_EQ(stats.attempt_log.size(), 2u);
+  EXPECT_GT(stats.attempt_log[0].elements_lost, 0);
+  EXPECT_EQ(stats.attempt_log[1].elements_lost, 0);
+}
+
 TEST(ResilientAllreduce, KeepSurvivingPolicyAlsoRecovers) {
   const auto plan = core::AllreducePlanner(7).build();
   const graph::Edge a = used_link(plan, 0);

@@ -214,8 +214,8 @@ TEST(FlowEngine, RejectionNamesOffendingFaultFields) {
       << both_msg;
 }
 
-// A parent array can pass validation (every parent edge is physical) and
-// still hold a cycle off the root; the tier must reject it rather than
+// A parent array can have every parent edge physical and still hold a
+// cycle off the root; construction must reject it rather than let the tier
 // walk the cycle forever.
 TEST(FlowEngine, RejectsParentCycles) {
   graph::Graph g(4);
@@ -226,10 +226,9 @@ TEST(FlowEngine, RejectsParentCycles) {
   simnet::SimConfig cfg;
   cfg.engine = simnet::SimEngine::kFlow;
   // Root 0; vertices 2 and 3 point at each other.
-  simnet::AllreduceSimulator sim(g, {simnet::TreeEmbedding{0, {-1, 0, 3, 2}}},
-                                 cfg);
   try {
-    sim.run({10});
+    simnet::AllreduceSimulator sim(
+        g, {simnet::TreeEmbedding{0, {-1, 0, 3, 2}}}, cfg);
     ADD_FAILURE() << "cyclic parent chain accepted";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("no path to root"),

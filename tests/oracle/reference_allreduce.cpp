@@ -311,7 +311,6 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
               static_cast<long long>(packet.size()) + header;
           result.dropped_flits += flits;
           result.link_dropped_flits[static_cast<std::size_t>(d)] += flits;
-          PFAR_OBS(on_drop(d, flits));
           ++vc.credits;
           vc.poisoned = true;
         }
@@ -347,7 +346,6 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
     const auto retract = [&](const Packet& p) {
       ++result.canceled_packets;
       result.canceled_flits += static_cast<long long>(p.size()) + header;
-      PFAR_OBS(on_retract(static_cast<long long>(p.size()) + header));
     };
     for (auto& vc : vcs) {
       if (vc.tree != t) continue;
@@ -429,7 +427,6 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
         result.link_queue_hwm[static_cast<std::size_t>(vc.dlink)] =
             std::max(result.link_queue_hwm[static_cast<std::size_t>(vc.dlink)],
                      static_cast<long long>(vc.recv.size()));
-        PFAR_OBS(on_queue_depth(vc.dlink, static_cast<int>(vc.recv.size())));
         last_progress = now;
       }
       while (!vc.credit_inflight.empty() &&
@@ -591,7 +588,6 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
           ++result.dropped_packets;
           result.dropped_flits += flits;
           result.link_dropped_flits[static_cast<std::size_t>(dl)] += flits;
-          PFAR_OBS(on_drop(dl, flits));
           vc.poisoned = true;
           vc.credit_inflight.push_back(now + config.link_latency);
         } else {

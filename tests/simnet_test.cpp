@@ -200,6 +200,10 @@ TEST(SimulatorTest, NamesEachTreeViolation) {
   EXPECT_EQ(message_of({1, {1, 0, 1}}), "AllreduceSimulator: root has parent");
   EXPECT_EQ(message_of({0, {-1, 0, 0}}),
             "AllreduceSimulator: tree edge not a physical link");
+  // Vertices 1 and 2 point at each other: every edge is physical, yet
+  // neither reaches the root.
+  EXPECT_EQ(message_of({0, {-1, 2, 1}}),
+            "AllreduceSimulator: node with no path to root");
   EXPECT_EQ(message_of({0, {-1, 0, 1}}), "accepted");
 }
 
