@@ -10,17 +10,6 @@
 
 namespace pfar::collectives {
 
-// pfar-lint: allow(contract-coverage) pure shape-preserving transform; SpanningTree enforces its own invariants
-std::vector<simnet::TreeEmbedding> to_embeddings(
-    const std::vector<trees::SpanningTree>& trees) {
-  std::vector<simnet::TreeEmbedding> out;
-  out.reserve(trees.size());
-  for (const auto& t : trees) {
-    out.push_back(simnet::TreeEmbedding{t.root(), t.parents()});
-  }
-  return out;
-}
-
 // pfar-lint: allow(contract-coverage) thin delegation; graph::Graph::bfs_tree requires the root in range
 trees::SpanningTree bfs_tree(const graph::Graph& g, int root) {
   graph::BfsTree tree;
@@ -49,8 +38,7 @@ InNetworkResult run_planned_allreduce(
   }
   out.split = std::move(split);
   out.predicted = std::move(predicted);
-  simnet::AllreduceSimulator sim(topology, to_embeddings(spanning_trees),
-                                 config);
+  simnet::AllreduceSimulator sim(topology, spanning_trees, config);
   out.sim = sim.run(out.split, &out.period);
   out.efficiency_vs_model =
       out.sim.aggregate_bandwidth / out.predicted.aggregate;

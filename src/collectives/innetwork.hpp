@@ -63,9 +63,14 @@ long long undelivered_elements(const InNetworkResult& run);
 /// Flits the run moved across all directed links (payload + headers).
 long long total_flits(const simnet::SimResult& sim);
 
-/// Converts library spanning trees into simulator embeddings.
-std::vector<simnet::TreeEmbedding> to_embeddings(
-    const std::vector<trees::SpanningTree>& trees);
+/// The identity: the simulator takes SpanningTrees directly. Kept only
+/// because the frozen perfbench driver (perfbench/main.cpp) still calls
+/// it; it goes with the next change to that benchmark.
+inline const std::vector<trees::SpanningTree>& to_embeddings(
+    const std::vector<trees::SpanningTree>& trees) {
+  return trees;
+}
+void to_embeddings(std::vector<trees::SpanningTree>&&) = delete;
 
 /// A single-tree in-network baseline: a BFS tree rooted at `root` (the
 /// SHARP-like topology-agnostic embedding whose Allreduce bandwidth is

@@ -37,8 +37,7 @@ collectives::InNetworkResult AllreducePlan::simulate(
 
 // pfar-lint: allow(contract-coverage) thin delegation; simnet::link_disjoint_tree_groups carries the contracts
 std::vector<std::vector<int>> AllreducePlan::link_disjoint_tree_groups() const {
-  return simnet::link_disjoint_tree_groups(*topology_,
-                                           collectives::to_embeddings(trees_));
+  return simnet::link_disjoint_tree_groups(*topology_, trees_);
 }
 
 // pfar-lint: allow(contract-coverage) q is validated via the std::invalid_argument throw, which callers rely on to probe prime powers

@@ -47,8 +47,31 @@ std::string serialize_trees(int q,
 
 namespace {
 
-[[noreturn]] void fail(const std::string& what) {
-  throw std::invalid_argument("parse_trees: " + what);
+[[noreturn]] void fail(const char* parser, const std::string& what) {
+  throw std::invalid_argument(std::string(parser) + ": " + what);
+}
+
+[[noreturn]] void fail(const std::string& what) { fail("parse_trees", what); }
+
+// Reads tree t's `tree ROOT p0 ... p(n-1)` line, the one tree format of
+// both parsers; errors name `parser`.
+trees::SpanningTree read_tree(std::istream& is, int n, std::size_t t,
+                              const char* parser) {
+  std::string token;
+  int root = 0;
+  if (!(is >> token) || token != "tree" || !(is >> root)) {
+    fail(parser, "bad tree header at tree " + std::to_string(t));
+  }
+  std::vector<int> parent(static_cast<std::size_t>(n));
+  for (int& p : parent) {
+    if (!(is >> p)) fail(parser, "short parent list");
+    if (p < -1 || p >= n) fail(parser, "parent out of range");
+  }
+  try {
+    return trees::SpanningTree(root, std::move(parent));
+  } catch (const std::exception& e) {
+    fail(parser, std::string("invalid tree: ") + e.what());
+  }
 }
 
 }  // namespace
@@ -75,20 +98,7 @@ ParsedTrees parse_trees(const std::string& text) {
     fail("bad trees line");
   }
   for (std::size_t t = 0; t < count; ++t) {
-    int root = 0;
-    if (!(is >> token) || token != "tree" || !(is >> root)) {
-      fail("bad tree header at tree " + std::to_string(t));
-    }
-    std::vector<int> parent(static_cast<std::size_t>(n));
-    for (int v = 0; v < n; ++v) {
-      if (!(is >> parent[static_cast<std::size_t>(v)])) fail("short parent list");
-      if (parent[static_cast<std::size_t>(v)] < -1 || parent[static_cast<std::size_t>(v)] >= n) fail("parent out of range");
-    }
-    try {
-      out.trees.emplace_back(root, std::move(parent));
-    } catch (const std::exception& e) {
-      fail(std::string("invalid tree: ") + e.what());
-    }
+    out.trees.push_back(read_tree(is, n, t, "parse_trees"));
   }
   if (is >> token) fail("trailing content");
   return out;
@@ -103,9 +113,7 @@ struct PlanIO {
 
 namespace {
 
-[[noreturn]] void pfail(const std::string& what) {
-  throw std::invalid_argument("parse_plan: " + what);
-}
+[[noreturn]] void pfail(const std::string& what) { fail("parse_plan", what); }
 
 // C99 hex-float formatting: exact binary round-trip, locale-independent,
 // single whitespace-free token.
@@ -259,23 +267,12 @@ ParsedPlan PlanIO::read(const std::string& text) {
     pfail("bad trees line");
   }
   for (std::size_t t = 0; t < num_trees; ++t) {
-    int root = 0;
-    if (!(is >> token) || token != "tree" || !(is >> root)) {
-      pfail("bad tree header at tree " + std::to_string(t));
-    }
-    std::vector<int> parent(static_cast<std::size_t>(n));
-    for (int v = 0; v < n; ++v) {
-      if (!(is >> parent[static_cast<std::size_t>(v)])) pfail("short parent list");
-      if (parent[static_cast<std::size_t>(v)] < -1 || parent[static_cast<std::size_t>(v)] >= n) pfail("parent out of range");
-      if (parent[static_cast<std::size_t>(v)] >= 0 && !g->has_edge(v, parent[static_cast<std::size_t>(v)])) {
-        pfail("tree edge not in topology");
-      }
-    }
-    try {
-      plan.trees_.emplace_back(root, std::move(parent));
-    } catch (const std::exception& e) {
-      pfail(std::string("invalid tree: ") + e.what());
-    }
+    plan.trees_.push_back(read_tree(is, n, t, "parse_plan"));
+  }
+  try {
+    static_cast<void>(trees::tree_links(*g, plan.trees_));
+  } catch (const std::invalid_argument&) {
+    pfail("tree edge not in topology");
   }
   if (!(is >> token) || token != "bw") pfail("bad bw line");
   plan.bandwidths_.aggregate = read_hex_double(is, "bw aggregate");

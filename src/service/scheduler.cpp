@@ -1,6 +1,5 @@
 #include "service/scheduler.hpp"
 
-#include "collectives/innetwork.hpp"
 #include "simnet/allreduce_sim.hpp"
 #include "util/contracts.hpp"
 
@@ -19,8 +18,7 @@ std::vector<Lane> build_lanes(const graph::Graph& topology,
     lanes.push_back(std::move(all));
     return lanes;
   }
-  const auto groups = simnet::link_disjoint_tree_groups(
-      topology, collectives::to_embeddings(trees));
+  const auto groups = simnet::link_disjoint_tree_groups(topology, trees);
   lanes.reserve(groups.size());
   for (const auto& group : groups) {
     lanes.push_back(Lane{group});

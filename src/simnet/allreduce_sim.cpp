@@ -155,19 +155,10 @@ void SimObserver::finalize(long long cycles, const SimResult& result) {
   }
 }
 
-// pfar-lint: allow(contract-coverage) thin delegation; graph::parent_links validates every tree edge via std::invalid_argument throws
-std::vector<int> embedding_links(const graph::Graph& topology,
-                                 const std::vector<TreeEmbedding>& trees) {
-  std::vector<graph::IntSpan> parents;
-  parents.reserve(trees.size());
-  for (const auto& tree : trees) parents.emplace_back(tree.parent);
-  return graph::parent_links(topology, parents);
-}
-
 // pfar-lint: allow(contract-coverage) this is the contract: every violation throws std::invalid_argument
-ResolvedTrees validate_simulation(const graph::Graph& topology,
-                                  const std::vector<TreeEmbedding>& trees,
-                                  const SimConfig& config) {
+std::vector<int> validate_simulation(
+    const graph::Graph& topology,
+    const std::vector<trees::SpanningTree>& trees, const SimConfig& config) {
   if (config.link_bandwidth < 1 || config.link_latency < 0 ||
       config.vc_credits < 1 || config.fork_buffer < 1 ||
       config.packet_payload < 1 || config.packet_header_flits < 0) {
@@ -202,63 +193,19 @@ ResolvedTrees validate_simulation(const graph::Graph& topology,
   // Validate the fault script eagerly (edge existence, cycle/permille
   // ranges) so a bad script fails at construction, not mid-run.
   static_cast<void>(prepare_faults(topology, config.faults));
-  const int n = topology.num_vertices();
-  const char* const not_a_link =
-      "AllreduceSimulator: tree edge not a physical link";
+  // A SpanningTree is a rooted tree by construction; what it cannot know
+  // is the topology. The resolve is the edge check.
   for (const auto& tree : trees) {
-    if (static_cast<int>(tree.parent.size()) != n) {
+    if (tree.num_vertices() != topology.num_vertices()) {
       throw std::invalid_argument("AllreduceSimulator: tree size mismatch");
     }
-    if (tree.root < 0 || tree.root >= n) {
-      throw std::invalid_argument("AllreduceSimulator: root out of range");
-    }
-    if (tree.parent[static_cast<std::size_t>(tree.root)] != -1) {
-      throw std::invalid_argument("AllreduceSimulator: root has parent");
-    }
-    // Below the root, every vertex needs a parent.
-    if (std::count(tree.parent.begin(), tree.parent.end(), -1) != 1) {
-      throw std::invalid_argument(not_a_link);
-    }
   }
-  // The resolve is the edge check: it throws on a parent that is out of
-  // range or not a neighbor.
-  ResolvedTrees resolved;
   try {
-    resolved.links = embedding_links(topology, trees);
+    return trees::tree_links(topology, trees);
   } catch (const std::invalid_argument&) {
-    throw std::invalid_argument(not_a_link);
+    throw std::invalid_argument(
+        "AllreduceSimulator: tree edge not a physical link");
   }
-  // Every parent is now a neighbor, and only the root lacks one. Each
-  // node's chain is walked up to the first node of known depth, then again
-  // to write the depths, so every node is written once. A chain longer
-  // than n hops runs in a cycle and never reaches the root.
-  std::vector<int> depth;
-  resolved.depth.reserve(trees.size());
-  for (const auto& tree : trees) {
-    const auto up = [&](int u) {
-      return tree.parent[static_cast<std::size_t>(u)];
-    };
-    depth.assign(static_cast<std::size_t>(n), -1);
-    depth[static_cast<std::size_t>(tree.root)] = 0;
-    int deepest = 0;
-    for (int v = 0; v < n; ++v) {
-      int hops = 0;
-      int u = v;
-      for (; depth[static_cast<std::size_t>(u)] < 0; u = up(u)) {
-        if (++hops > n) {
-          throw std::invalid_argument(
-              "AllreduceSimulator: node with no path to root");
-        }
-      }
-      int d = depth[static_cast<std::size_t>(u)] + hops;
-      deepest = std::max(deepest, d);
-      for (u = v; depth[static_cast<std::size_t>(u)] < 0; u = up(u)) {
-        depth[static_cast<std::size_t>(u)] = d--;
-      }
-    }
-    resolved.depth.push_back(deepest);
-  }
-  return resolved;
 }
 
 void reset_result(SimResult& result, int num_trees, int num_dlinks) {
@@ -369,16 +316,14 @@ SimResult RunContext::finish(long long cycles) {
 
 }  // namespace detail
 
-// pfar-lint: allow(contract-coverage) every config field, fault script and tree is validated via std::invalid_argument throws in detail::validate_simulation
-AllreduceSimulator::AllreduceSimulator(const graph::Graph& topology,
-                                       std::vector<TreeEmbedding> trees,
-                                       SimConfig config)
-    : topology_(topology), trees_(std::move(trees)), config_(config) {
-  detail::ResolvedTrees resolved =
-      detail::validate_simulation(topology_, trees_, config_);
-  links_ = std::move(resolved.links);
-  depth_ = std::move(resolved.depth);
-}
+// pfar-lint: allow(contract-coverage) the config, the fault script and the trees' fit to the topology are validated via std::invalid_argument throws in detail::validate_simulation; SpanningTree's constructor validated the trees themselves
+AllreduceSimulator::AllreduceSimulator(
+    const graph::Graph& topology,
+    const std::vector<trees::SpanningTree>& trees, SimConfig config)
+    : topology_(topology),
+      trees_(trees),
+      config_(config),
+      links_(detail::validate_simulation(topology_, trees_, config_)) {}
 
 // pfar-lint: allow(contract-coverage) the split vector is validated via std::invalid_argument throws (size here, sign in detail::RunContext), matching the constructor
 SimResult AllreduceSimulator::run(
@@ -396,7 +341,7 @@ SimResult AllreduceSimulator::run(
   // The flow tier never builds the per-VC fabric — that is the point: its
   // footprint is O(E + trees * N), which is what lets it reach q >= 243.
   if (config_.engine == SimEngine::kFlow) {
-    return run_flow_allreduce(topology_, trees_, links_, depth_, config_,
+    return run_flow_allreduce(topology_, trees_, links_, config_,
                               elements_per_tree);
   }
 

@@ -6,17 +6,9 @@
 
 #include "graph/graph.hpp"
 #include "simnet/config.hpp"
+#include "trees/spanning_tree.hpp"
 
 namespace pfar::simnet {
-
-/// A spanning tree embedded on the physical topology, given as a parent
-/// vector (-1 at the root). Each tree edge is a physical link; reduction
-/// traffic flows child -> parent, broadcast traffic parent -> child
-/// (Section 4.3).
-struct TreeEmbedding {
-  int root = 0;
-  std::vector<int> parent;
-};
 
 /// Outcome of one simulated multi-tree in-network Allreduce.
 struct SimResult {
@@ -130,12 +122,15 @@ struct PeriodCertificate {
 /// (service::AllreduceService): runs on different groups are independent,
 /// so their virtual timelines compose exactly. Throws
 /// std::invalid_argument when a tree edge is not a link of `topology`
-/// (graph::parent_links).
+/// (trees::tree_links).
 std::vector<std::vector<int>> link_disjoint_tree_groups(
-    const graph::Graph& topology, const std::vector<TreeEmbedding>& trees);
+    const graph::Graph& topology,
+    const std::vector<trees::SpanningTree>& trees);
 
 /// Cycle-accurate simulator of pipelined in-network Allreduce over a set
-/// of concurrently active tree embeddings sharing physical links.
+/// of concurrently active spanning trees sharing physical links. Each tree
+/// edge must be a physical link; reduction traffic flows child -> parent,
+/// broadcast traffic parent -> child (Section 4.3).
 ///
 /// Model (Sections 4.4 / 5.1):
 ///  * every node contributes one operand per element per tree and receives
@@ -154,10 +149,21 @@ std::vector<std::vector<int>> link_disjoint_tree_groups(
 ///    backpressure propagates hop-by-hop and no buffer ever overflows.
 ///
 /// Values are int64 and the expected reductions are checked exactly.
+///
+/// The simulator borrows its topology and its trees: both must outlive it.
+/// A SpanningTree is a valid rooted tree by construction, so the
+/// constructor checks only what the tree cannot know: that it spans
+/// exactly the topology's vertices and that each parent edge is a link
+/// (docs/simulation_engine.md, "Validation and the tree type").
 class AllreduceSimulator {
  public:
   AllreduceSimulator(const graph::Graph& topology,
-                     std::vector<TreeEmbedding> trees, SimConfig config);
+                     const std::vector<trees::SpanningTree>& trees,
+                     SimConfig config);
+  // A temporary tree vector would dangle.
+  AllreduceSimulator(const graph::Graph& topology,
+                     std::vector<trees::SpanningTree>&& trees,
+                     SimConfig config) = delete;
 
   /// Runs one Allreduce with `elements_per_tree[t]` vector elements
   /// assigned to tree t (the m_i of Theorem 5.1). Throws on deadlock or
@@ -170,13 +176,11 @@ class AllreduceSimulator {
 
  private:
   const graph::Graph& topology_;
-  std::vector<TreeEmbedding> trees_;
+  const std::vector<trees::SpanningTree>& trees_;
   SimConfig config_;
-  // Tree t's parent-edge link ids (graph::parent_links), resolved once by
-  // the constructor's validation: entry t * n + v, -1 at the root; and
-  // each tree's depth, which the same validation measures.
+  // Tree t's parent-edge link ids (trees::tree_links), resolved once by
+  // the constructor's validation: entry t * n + v, -1 at the root.
   std::vector<int> links_;
-  std::vector<int> depth_;
 };
 
 }  // namespace pfar::simnet

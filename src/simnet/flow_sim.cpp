@@ -32,11 +32,10 @@ bool flow_fixups_are_deferrable(double cap, double level, std::int32_t users,
 
 }  // namespace detail
 
-// pfar-lint: allow(contract-coverage) fault-script validation happens via the std::invalid_argument throws below (tests/flow_engine_test.cpp pins the messages); the trees arrive validated by detail::validate_simulation
+// pfar-lint: allow(contract-coverage) fault-script validation happens via the std::invalid_argument throws below (tests/flow_engine_test.cpp pins the messages); the trees' fit to the topology arrives validated by detail::validate_simulation, their shape by SpanningTree's constructor
 SimResult run_flow_allreduce(const graph::Graph& topology,
-                             const std::vector<TreeEmbedding>& trees,
+                             const std::vector<trees::SpanningTree>& trees,
                              const std::vector<int>& links,
-                             const std::vector<int>& depth,
                              const SimConfig& config,
                              const std::vector<long long>& elements_per_tree) {
   if (!config.faults.empty()) {
@@ -117,7 +116,7 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
   {
     std::size_t out = 0;
     for (int t = 0; t < num_trees; ++t) {
-      const auto& parent = trees[static_cast<std::size_t>(t)].parent;
+      const auto& parent = trees[static_cast<std::size_t>(t)].parents();
       const std::size_t base =
           static_cast<std::size_t>(t) * static_cast<std::size_t>(n);
       for (int v = 0; v < n; ++v) {
@@ -422,15 +421,15 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
   for (int t = 0; t < num_trees; ++t) {
     const std::size_t ti = static_cast<std::size_t>(t);
     if (elements_per_tree[ti] == 0) continue;
-    const long long fill =
-        static_cast<long long>(depth[ti]) * hop_lead * drain_phases;
+    const long long depth = trees[ti].depth();
+    const long long fill = depth * hop_lead * drain_phases;
     const long long finish =
         static_cast<long long>(std::ceil(stream_end[ti])) + fill + 1;
     result.tree_finish_cycle[ti] = finish;
     result.tree_first_delivery[ti] =
         mode == Collective::kBroadcast
             ? 0
-            : static_cast<long long>(depth[ti]) * hop_lead;
+            : depth * hop_lead;
     result.cycles = std::max(result.cycles, finish);
   }
   if (result.cycles > config.max_cycles) {

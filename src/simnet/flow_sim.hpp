@@ -39,13 +39,12 @@ namespace pfar::simnet {
 /// run in row-local passes whose SimResult is bit-identical to the tier as
 /// first written, the test oracle oracle::run_reference_flow
 /// (tests/flow_oracle_test.cpp). Expects trees validated as
-/// AllreduceSimulator's constructor does, and `links` and `depth` the
-/// parent-link table (graph::parent_links: entry t * n + v, -1 at the
-/// root) and per-tree depths that validation returns.
+/// AllreduceSimulator's constructor does, and `links` the parent-link
+/// table that validation returns (trees::tree_links: entry t * n + v, -1
+/// at the root).
 SimResult run_flow_allreduce(const graph::Graph& topology,
-                             const std::vector<TreeEmbedding>& trees,
+                             const std::vector<trees::SpanningTree>& trees,
                              const std::vector<int>& links,
-                             const std::vector<int>& depth,
                              const SimConfig& config,
                              const std::vector<long long>& elements_per_tree);
 

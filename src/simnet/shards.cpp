@@ -131,9 +131,9 @@ std::optional<PeriodCertificate> merge_certificates(
 
 }  // namespace
 
-// pfar-lint: allow(contract-coverage) internal to simnet; the trees, links and groups arrive validated by detail::validate_simulation and tree_groups
+// pfar-lint: allow(contract-coverage) internal to simnet; the links arrive validated by detail::validate_simulation and the groups by tree_groups, the trees by SpanningTree's constructor
 long long run_sharded(const graph::Graph& topology,
-                      const std::vector<TreeEmbedding>& trees,
+                      const std::vector<trees::SpanningTree>& trees,
                       const std::vector<int>& links, const SimConfig& config,
                       const std::vector<long long>& elements_per_tree,
                       const std::vector<std::vector<int>>& groups,
@@ -153,12 +153,9 @@ long long run_sharded(const graph::Graph& topology,
       config.shard_threads, num_groups, [&](int g) {
         const std::vector<int>& gids =
             groups[static_cast<std::size_t>(g)];
-        std::vector<TreeEmbedding> sub_trees;
         std::vector<long long> sub_elements;
-        sub_trees.reserve(gids.size());
         sub_elements.reserve(gids.size());
         for (int t : gids) {
-          sub_trees.push_back(trees[static_cast<std::size_t>(t)]);
           sub_elements.push_back(
               elements_per_tree[static_cast<std::size_t>(t)]);
         }
@@ -166,7 +163,7 @@ long long run_sharded(const graph::Graph& topology,
         // implies no Recorder) and the merge below is its epilogue.
         detail::RunContext run(topology, config, sub_elements);
         const Fabric fabric =
-            build_fabric(topology, sub_trees, links, config, run.result, &gids);
+            build_fabric(topology, trees, links, config, run.result, &gids);
         if (run.total_target > 0) {
           sub_cycles[static_cast<std::size_t>(g)] = run_fast_loop(
               fabric, config, sub_elements, run.result, run.tree_remaining,
@@ -218,11 +215,12 @@ long long run_sharded(const graph::Graph& topology,
 
 }  // namespace detail
 
-// pfar-lint: allow(contract-coverage) thin delegation; graph::parent_links validates every tree edge via std::invalid_argument throws
+// pfar-lint: allow(contract-coverage) thin delegation; trees::tree_links validates every tree edge via std::invalid_argument throws
 std::vector<std::vector<int>> link_disjoint_tree_groups(
-    const graph::Graph& topology, const std::vector<TreeEmbedding>& trees) {
+    const graph::Graph& topology,
+    const std::vector<trees::SpanningTree>& trees) {
   return detail::tree_groups(topology, static_cast<int>(trees.size()),
-                             detail::embedding_links(topology, trees));
+                             trees::tree_links(topology, trees));
 }
 
 }  // namespace pfar::simnet

@@ -251,26 +251,15 @@ struct SimObserver {
 #define PFAR_OBS(call) static_cast<void>(obs)
 #endif
 
-/// A tree set as validation resolved it: the trees' parent links
-/// (graph::parent_links: entry t * n + v, -1 at the root) and each tree's
-/// depth, the hop count from its root to its deepest node.
-struct ResolvedTrees {
-  std::vector<int> links;
-  std::vector<int> depth;
-};
-
 /// AllreduceSimulator's constructor-time contract: config ranges, the
-/// fault script and the tree embeddings. Throws std::invalid_argument.
-/// The parent-link resolve checks that every tree edge is a physical link;
-/// one walk up the parent chains then checks that every node reaches its
-/// root and measures the depths.
-ResolvedTrees validate_simulation(const graph::Graph& topology,
-                                  const std::vector<TreeEmbedding>& trees,
-                                  const SimConfig& config);
-
-/// The trees' parent links (graph::parent_links over the embeddings).
-std::vector<int> embedding_links(const graph::Graph& topology,
-                                 const std::vector<TreeEmbedding>& trees);
+/// fault script, and what a SpanningTree cannot know about the topology:
+/// each tree's vertex count and that each parent edge is a link. Throws
+/// std::invalid_argument. Returns the trees' parent links
+/// (trees::tree_links: entry t * n + v, -1 at the root), which the edge
+/// check resolves.
+std::vector<int> validate_simulation(
+    const graph::Graph& topology,
+    const std::vector<trees::SpanningTree>& trees, const SimConfig& config);
 
 /// A fresh result for `num_trees` trees on `num_dlinks` directed links:
 /// every per-tree vector and link_flits sized and zeroed (first-delivery
@@ -332,7 +321,7 @@ struct RunContext {
 // (node -> parent) before its broadcast VC (parent -> node); a node's
 // child slots follow child id order and each link lists its VCs by id.
 // Every VC's directed link comes from the simulator's resolved tree links
-// (graph::parent_links). Nothing here changes during a run.
+// (trees::tree_links). Nothing here changes during a run.
 struct Fabric {
   int n = 0;
   int num_trees = 0;
@@ -371,10 +360,11 @@ struct Fabric {
   int num_vcs() const { return static_cast<int>(vc_dlink.size()); }
 };
 
-// `links` is the whole run's parent-link table (entry gid * n + v), which a
-// sharded sub-run indexes through its global tree ids.
+// `trees` and `links` are the whole run's trees and parent-link table
+// (entry gid * n + v). A sharded sub-run builds only the trees it names
+// by global id in `tree_gids`; nullptr builds them all.
 Fabric build_fabric(const graph::Graph& topology,
-                    const std::vector<TreeEmbedding>& trees,
+                    const std::vector<trees::SpanningTree>& trees,
                     const std::vector<int>& links, const SimConfig& config,
                     SimResult& result,
                     const std::vector<int>* tree_gids = nullptr);
@@ -403,7 +393,7 @@ std::vector<std::vector<int>> tree_groups(const graph::Graph& topology,
 /// serial run would produce them; returns the run's exit cycle. Throws
 /// what a failing group's loop throws (shards.cpp).
 long long run_sharded(const graph::Graph& topology,
-                      const std::vector<TreeEmbedding>& trees,
+                      const std::vector<trees::SpanningTree>& trees,
                       const std::vector<int>& links, const SimConfig& config,
                       const std::vector<long long>& elements_per_tree,
                       const std::vector<std::vector<int>>& groups,

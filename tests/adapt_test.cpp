@@ -178,8 +178,7 @@ TEST(CongestionMap, FromSimResultComputesOccupancies) {
   cfg.background.pattern = simnet::TrafficPattern::kPermutation;
   cfg.background.load = 0.3;
   cfg.background.seed = 7;
-  auto embeddings = collectives::to_embeddings(plan.trees());
-  simnet::AllreduceSimulator sim(plan.topology(), embeddings, cfg);
+  simnet::AllreduceSimulator sim(plan.topology(), plan.trees(), cfg);
   const auto result = sim.run(plan.split(2000));
 
   const auto map =
@@ -240,8 +239,8 @@ TEST(LinkWindows, MatchHandComputedValuesOnTinyRun) {
   simnet::SimConfig cfg;
   obsv::Recorder recorder;
   cfg.recorder = &recorder;
-  auto embeddings = collectives::to_embeddings({tree});
-  simnet::AllreduceSimulator sim(path, embeddings, cfg);
+  const std::vector<trees::SpanningTree> trees{tree};
+  simnet::AllreduceSimulator sim(path, trees, cfg);
   const auto result = sim.run({m});
   ASSERT_TRUE(result.values_correct);
 
@@ -283,8 +282,7 @@ TEST(LinkWindows, FaultCancelRunStaysConsistent) {
       {200, victim.u, victim.v, simnet::FaultType::kLinkDown});
   obsv::Recorder recorder;
   cfg.recorder = &recorder;
-  auto embeddings = collectives::to_embeddings(plan.trees());
-  simnet::AllreduceSimulator sim(plan.topology(), embeddings, cfg);
+  simnet::AllreduceSimulator sim(plan.topology(), plan.trees(), cfg);
   const auto result = sim.run(plan.split(2000));
 
   long long failures = 0;
@@ -327,8 +325,7 @@ TEST(LinkWindows, FaultCancelRunStaysConsistent) {
 TEST(AdaptPlan, QuietNetworkIsTheIdentity) {
   const auto plan = core::AllreducePlanner(7).build();
   simnet::SimConfig cfg;  // no background traffic
-  auto embeddings = collectives::to_embeddings(plan.trees());
-  simnet::AllreduceSimulator sim(plan.topology(), embeddings, cfg);
+  simnet::AllreduceSimulator sim(plan.topology(), plan.trees(), cfg);
   const auto result = sim.run(plan.split(2000));
   const auto map =
       adapt::CongestionMap::from_sim_result(plan.topology(), result, 1);
@@ -354,8 +351,7 @@ TEST(AdaptPlan, CongestedNetworkProducesValidNeverWorsePlan) {
   cfg.background.pattern = simnet::TrafficPattern::kPermutation;
   cfg.background.load = 0.5;
   cfg.background.seed = 7;
-  auto embeddings = collectives::to_embeddings(plan.trees());
-  simnet::AllreduceSimulator sim(plan.topology(), embeddings, cfg);
+  simnet::AllreduceSimulator sim(plan.topology(), plan.trees(), cfg);
   const auto result = sim.run(plan.split(2000));
   const auto map =
       adapt::CongestionMap::from_sim_result(plan.topology(), result, 1);

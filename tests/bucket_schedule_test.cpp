@@ -221,11 +221,7 @@ TEST(MultiJobTest, PartitionedTreesServeTwoJobsConcurrently) {
   // run concurrently on disjoint tree subsets of the same fabric, and
   // every element of both jobs reduces exactly.
   const auto plan = core::AllreducePlanner(7).build();
-  std::vector<simnet::TreeEmbedding> embeddings;
-  for (const auto& t : plan.trees()) {
-    embeddings.push_back(simnet::TreeEmbedding{t.root(), t.parents()});
-  }
-  simnet::AllreduceSimulator sim(plan.topology(), embeddings,
+  simnet::AllreduceSimulator sim(plan.topology(), plan.trees(),
                                  simnet::SimConfig{});
   // Job A on trees 0..3, job B on trees 4..6 (element counts differ).
   std::vector<long long> elements(static_cast<std::size_t>(plan.num_trees()), 0);

@@ -198,15 +198,14 @@ TEST(Contracts, LinkDeathPreservesCreditConservation) {
   cfg.faults.flaky_seed = 99;
   cfg.faults.flaky_drop_permille = 25;
 
-  const auto embeddings = pfar::collectives::to_embeddings(plan.trees());
   for (const bool use_oracle : {true, false}) {
     pfar::simnet::SimResult res;
     EXPECT_NO_THROW(
         res = use_oracle
                   ? pfar::oracle::run_reference_allreduce(
-                        plan.topology(), embeddings, cfg, plan.split(2000))
+                        plan.topology(), plan.trees(), cfg, plan.split(2000))
                   : pfar::simnet::AllreduceSimulator(plan.topology(),
-                                                     embeddings, cfg)
+                                                     plan.trees(), cfg)
                         .run(plan.split(2000)))
         << (use_oracle ? "oracle" : "simulator");
 

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "collectives/innetwork.hpp"
 #include "core/planner.hpp"
 #include "core/sweep_runner.hpp"
 #include "oracle/expect_same_result.hpp"
@@ -83,12 +82,11 @@ simnet::SimResult run_loop(int q, core::Solution sol,
                            const simnet::SimConfig& cfg, long long m,
                            Loop loop = Loop::kProduct) {
   const auto plan = core::AllreducePlanner(q).solution(sol).build();
-  auto embeddings = collectives::to_embeddings(plan.trees());
   if (loop == Loop::kOracle) {
-    return oracle::run_reference_allreduce(plan.topology(), embeddings, cfg,
+    return oracle::run_reference_allreduce(plan.topology(), plan.trees(), cfg,
                                            plan.split(m));
   }
-  simnet::AllreduceSimulator sim(plan.topology(), embeddings, cfg);
+  simnet::AllreduceSimulator sim(plan.topology(), plan.trees(), cfg);
   return sim.run(plan.split(m));
 }
 

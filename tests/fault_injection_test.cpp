@@ -45,8 +45,7 @@ graph::Edge used_link(const core::AllreducePlan& plan, int tree_index = 0) {
 
 simnet::SimResult run_sim(const core::AllreducePlan& plan,
                           const simnet::SimConfig& cfg, long long m) {
-  simnet::AllreduceSimulator sim(
-      plan.topology(), collectives::to_embeddings(plan.trees()), cfg);
+  simnet::AllreduceSimulator sim(plan.topology(), plan.trees(), cfg);
   return sim.run(plan.split(m));
 }
 
@@ -57,9 +56,8 @@ void expect_identical(const core::AllreducePlan& plan,
                       const char* label) {
   oracle::expect_same_result(
       run_sim(plan, cfg, m),
-      oracle::run_reference_allreduce(plan.topology(),
-                                      collectives::to_embeddings(plan.trees()),
-                                      cfg, plan.split(m)),
+      oracle::run_reference_allreduce(plan.topology(), plan.trees(), cfg,
+                                      plan.split(m)),
       label);
 }
 
@@ -313,13 +311,12 @@ TEST(ResilientAllreduce, HealthyRunIsZeroOverhead) {
 
 TEST(FaultScriptValidation, RejectsBadScripts) {
   const auto plan = core::AllreducePlanner(5).build();
-  const auto embeddings = collectives::to_embeddings(plan.trees());
 
   {
     simnet::SimConfig cfg;  // non-link event
     cfg.faults.events.push_back({10, 0, 0, simnet::FaultType::kLinkDown});
     EXPECT_THROW(
-        simnet::AllreduceSimulator(plan.topology(), embeddings, cfg),
+        simnet::AllreduceSimulator(plan.topology(), plan.trees(), cfg),
         std::invalid_argument);
   }
   {
@@ -327,7 +324,7 @@ TEST(FaultScriptValidation, RejectsBadScripts) {
     const graph::Edge a = used_link(plan);
     cfg.faults.events.push_back({-1, a.u, a.v, simnet::FaultType::kLinkDown});
     EXPECT_THROW(
-        simnet::AllreduceSimulator(plan.topology(), embeddings, cfg),
+        simnet::AllreduceSimulator(plan.topology(), plan.trees(), cfg),
         std::invalid_argument);
   }
   {
@@ -336,14 +333,14 @@ TEST(FaultScriptValidation, RejectsBadScripts) {
     cfg.faults.flaky_links.emplace_back(a.u, a.v);
     cfg.faults.flaky_drop_permille = 1001;
     EXPECT_THROW(
-        simnet::AllreduceSimulator(plan.topology(), embeddings, cfg),
+        simnet::AllreduceSimulator(plan.topology(), plan.trees(), cfg),
         std::invalid_argument);
   }
   {
     simnet::SimConfig cfg;  // timeout must stay below the stall limit
     cfg.progress_timeout = cfg.stall_limit;
     EXPECT_THROW(
-        simnet::AllreduceSimulator(plan.topology(), embeddings, cfg),
+        simnet::AllreduceSimulator(plan.topology(), plan.trees(), cfg),
         std::invalid_argument);
   }
   {

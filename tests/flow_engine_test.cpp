@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "collectives/innetwork.hpp"
 #include "core/planner.hpp"
 #include "simnet/allreduce_sim.hpp"
 #include "simnet/config.hpp"
@@ -30,8 +29,7 @@ simnet::SimResult run_engine(int q, core::Solution sol, simnet::SimConfig cfg,
                              long long m, simnet::SimEngine engine) {
   cfg.engine = engine;
   const auto plan = core::AllreducePlanner(q).solution(sol).build();
-  auto embeddings = collectives::to_embeddings(plan.trees());
-  simnet::AllreduceSimulator sim(plan.topology(), embeddings, cfg);
+  simnet::AllreduceSimulator sim(plan.topology(), plan.trees(), cfg);
   return sim.run(plan.split(m));
 }
 
@@ -128,8 +126,7 @@ TEST(FlowEngine, LargeRadixApproachesAlgorithmOne) {
   const auto plan = core::AllreducePlanner(13)
                         .solution(core::Solution::kEdgeDisjoint)
                         .build();
-  auto embeddings = collectives::to_embeddings(plan.trees());
-  simnet::AllreduceSimulator sim(plan.topology(), embeddings,
+  simnet::AllreduceSimulator sim(plan.topology(), plan.trees(),
                                  [] {
                                    simnet::SimConfig c;
                                    c.engine = simnet::SimEngine::kFlow;
@@ -146,20 +143,19 @@ TEST(FlowEngine, LargeRadixApproachesAlgorithmOne) {
 TEST(FlowEngine, RejectsFaultScripts) {
   const auto plan = core::AllreducePlanner(3).build();
   const auto link = plan.topology().edge(0);
-  auto embeddings = collectives::to_embeddings(plan.trees());
 
   simnet::SimConfig cfg;
   cfg.engine = simnet::SimEngine::kFlow;
   cfg.faults.events.push_back(
       {100, link.u, link.v, simnet::FaultType::kLinkDown});
-  simnet::AllreduceSimulator sim(plan.topology(), embeddings, cfg);
+  simnet::AllreduceSimulator sim(plan.topology(), plan.trees(), cfg);
   EXPECT_THROW(sim.run(plan.split(600)), std::invalid_argument);
 
   simnet::SimConfig flaky;
   flaky.engine = simnet::SimEngine::kFlow;
   flaky.faults.flaky_links.push_back({link.u, link.v});
   flaky.faults.flaky_drop_permille = 10;
-  simnet::AllreduceSimulator flaky_sim(plan.topology(), embeddings, flaky);
+  simnet::AllreduceSimulator flaky_sim(plan.topology(), plan.trees(), flaky);
   EXPECT_THROW(flaky_sim.run(plan.split(600)), std::invalid_argument);
 }
 
@@ -169,9 +165,8 @@ TEST(FlowEngine, RejectsFaultScripts) {
 TEST(FlowEngine, RejectionNamesOffendingFaultFields) {
   const auto plan = core::AllreducePlanner(3).build();
   const auto link = plan.topology().edge(0);
-  auto embeddings = collectives::to_embeddings(plan.trees());
   const auto message_of = [&](const simnet::SimConfig& cfg) {
-    simnet::AllreduceSimulator sim(plan.topology(), embeddings, cfg);
+    simnet::AllreduceSimulator sim(plan.topology(), plan.trees(), cfg);
     try {
       sim.run(plan.split(600));
     } catch (const std::invalid_argument& e) {
@@ -215,25 +210,15 @@ TEST(FlowEngine, RejectionNamesOffendingFaultFields) {
 }
 
 // A parent array can have every parent edge physical and still hold a
-// cycle off the root; construction must reject it rather than let the tier
-// walk the cycle forever.
+// cycle off the root. It is no SpanningTree, so it never reaches the tier,
+// which would walk the cycle forever.
 TEST(FlowEngine, RejectsParentCycles) {
-  graph::Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  g.finalize();
-  simnet::SimConfig cfg;
-  cfg.engine = simnet::SimEngine::kFlow;
-  // Root 0; vertices 2 and 3 point at each other.
+  // Root 0 on the path 0-1-2-3; vertices 2 and 3 point at each other.
   try {
-    simnet::AllreduceSimulator sim(
-        g, {simnet::TreeEmbedding{0, {-1, 0, 3, 2}}}, cfg);
+    static_cast<void>(trees::SpanningTree(0, {-1, 0, 3, 2}));
     ADD_FAILURE() << "cyclic parent chain accepted";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("no path to root"),
-              std::string::npos)
-        << e.what();
+    EXPECT_STREQ(e.what(), "SpanningTree: parent vector has a cycle");
   }
 }
 

@@ -43,7 +43,7 @@ std::string collective_name(simnet::Collective c) {
 }
 
 void expect_flow_matches_oracle(const graph::Graph& topology,
-                                const std::vector<simnet::TreeEmbedding>& trees,
+                                const std::vector<trees::SpanningTree>& trees,
                                 simnet::SimConfig config,
                                 const std::vector<long long>& split,
                                 const std::string& label) {
@@ -98,7 +98,7 @@ TEST(FlowOracle, MatchesAcrossRadixTreeSetsSplitsAndCollectives) {
                            core::Solution::kEdgeDisjoint,
                            core::Solution::kSingleTree}) {
       const auto plan = build_plan(q, sol);
-      const auto trees = collectives::to_embeddings(plan.trees());
+      const auto& trees = plan.trees();
       for (const long long m : {1LL, 997LL, 20000LL}) {
         std::vector<std::vector<long long>> splits{plan.split(m)};
         for (int k = 0; k < 2; ++k) {
@@ -129,11 +129,9 @@ TEST(FlowOracle, MatchesOnMixedTreeSetsWithMultiRoundFills) {
   std::uint64_t seed = 100;
   for (int q : {4, 7, 9, 13}) {
     const auto plan = build_plan(q, core::Solution::kLowDepth);
-    auto trees = collectives::to_embeddings(plan.trees());
+    auto trees = plan.trees();
     for (int root : {0, 3, q}) {
-      const auto bfs = collectives::to_embeddings(
-          {collectives::bfs_tree(plan.topology(), root)});
-      trees.push_back(bfs.front());
+      trees.push_back(collectives::bfs_tree(plan.topology(), root));
     }
     for (const long long m : {500LL, 30011LL}) {
       const std::vector<long long> even(trees.size(), m);
@@ -155,7 +153,7 @@ TEST(FlowOracle, MatchesUnderPacketFramingBandwidthAndLatency) {
     for (const auto sol :
          {core::Solution::kLowDepth, core::Solution::kEdgeDisjoint}) {
       const auto plan = build_plan(q, sol);
-      const auto trees = collectives::to_embeddings(plan.trees());
+      const auto& trees = plan.trees();
       for (const int latency : {0, 1, 5}) {
         for (const int bandwidth : {1, 3}) {
           simnet::SimConfig config;
@@ -185,7 +183,7 @@ TEST(FlowOracle, MatchesUnderBackgroundTraffic) {
     for (const auto sol :
          {core::Solution::kLowDepth, core::Solution::kEdgeDisjoint}) {
       const auto plan = build_plan(q, sol);
-      const auto trees = collectives::to_embeddings(plan.trees());
+      const auto& trees = plan.trees();
       for (const auto pattern : {simnet::TrafficPattern::kUniform,
                                  simnet::TrafficPattern::kPermutation,
                                  simnet::TrafficPattern::kHotspot}) {
@@ -216,7 +214,7 @@ TEST(FlowOracle, MatchesUnderBackgroundTraffic) {
 // the first max-min call freezes in its first round.
 TEST(FlowOracle, MatchesAtLargeRadix) {
   const auto plan = build_plan(81, core::Solution::kLowDepth);
-  const auto trees = collectives::to_embeddings(plan.trees());
+  const auto& trees = plan.trees();
   expect_flow_matches_oracle(plan.topology(), trees, simnet::SimConfig{},
                              plan.split(20'000'300), "q=81 optimal");
   expect_flow_matches_oracle(plan.topology(), trees, simnet::SimConfig{},

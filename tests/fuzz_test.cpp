@@ -288,12 +288,11 @@ TEST(FuzzFaults, UndetectedLossDeadlocksInsteadOfHanging) {
   cfg.faults.events.push_back(
       {200, v, tree0.parents()[static_cast<std::size_t>(v)],
        simnet::FaultType::kLinkDown});
-  const auto embeddings = collectives::to_embeddings(plan.trees());
-  simnet::AllreduceSimulator sim(plan.topology(), embeddings, cfg);
+  simnet::AllreduceSimulator sim(plan.topology(), plan.trees(), cfg);
   EXPECT_THROW(static_cast<void>(sim.run(plan.split(1000))),
                std::runtime_error);
   EXPECT_THROW(static_cast<void>(oracle::run_reference_allreduce(
-                   plan.topology(), embeddings, cfg, plan.split(1000))),
+                   plan.topology(), plan.trees(), cfg, plan.split(1000))),
                std::runtime_error);
 }
 
@@ -369,16 +368,15 @@ TEST(FuzzSimulator, SettledRandomConfigsMatchTheOracle) {
       }
     }
 
-    const auto embeddings = collectives::to_embeddings(plan.trees());
     const auto run = [&](const simnet::SimConfig& base, bool use_oracle,
                          int shard_threads, std::string& error) {
       simnet::SimConfig c = base;
       c.shard_threads = shard_threads;
       try {
         return use_oracle ? oracle::run_reference_allreduce(
-                                plan.topology(), embeddings, c, plan.split(m))
+                                plan.topology(), plan.trees(), c, plan.split(m))
                           : simnet::AllreduceSimulator(plan.topology(),
-                                                       embeddings, c)
+                                                       plan.trees(), c)
                                 .run(plan.split(m));
       } catch (const std::runtime_error& ex) {
         error = ex.what();

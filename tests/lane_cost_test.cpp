@@ -1,7 +1,7 @@
 // TreeSetCost's two exact shortcuts (docs/simulation_engine.md, "A verified
 // period answers other vector sizes" and "A one-tree run depends only on
 // its rooted shape"), held to direct runs. Every answer — simulated, a memo
-// hit, shared between embeddings of one rooted shape, or shifted by k whole
+// hit, shared between trees of one rooted shape, or shifted by k whole
 // periods from an anchor with k of either sign — must equal a direct
 // run_planned_allreduce of the same size. Sizes are asked in ascending and
 // in descending order, below, at and above the smallest size an anchor can
@@ -219,8 +219,8 @@ TEST(LaneCost, ConfigMatrixOnOneTreeAndMultiTreeSets) {
 TEST(LaneCost, CertificateHoldsDownToItsBoundaryOnSkewedSplits) {
   const auto plan = make_plan(5, core::Solution::kEdgeDisjoint);
   const graph::Graph& g = plan.topology();
-  const std::vector<simnet::TreeEmbedding> trees = collectives::to_embeddings(
-      {plan.trees()[0], plan.trees()[1], plan.trees()[1]});
+  const std::vector<trees::SpanningTree> trees{
+      plan.trees()[0], plan.trees()[1], plan.trees()[1]};
   for (const int shards : {1, 2}) {
     simnet::SimConfig cfg;
     cfg.packet_payload = 3;

@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "collectives/innetwork.hpp"
 #include "core/planner.hpp"
 #include "obsv/metrics.hpp"
 #include "obsv/recorder.hpp"
@@ -322,16 +321,15 @@ TEST_F(ObsvIntegration, EnginesAgreeOnTraceSpansAndFlitMetrics) {
   // the simulator skips in one jump: the observer replays the skipped
   // grants, so its busy spans still match the oracle's byte for byte.
   const auto plan = core::AllreducePlanner(5).build();
-  const auto embeddings = collectives::to_embeddings(plan.trees());
   const auto run = [&](bool use_oracle, long long m,
                        simnet::SimConfig config) {
     obsv::Recorder rec;
     config.recorder = &rec;
     if (use_oracle) {
-      oracle::run_reference_allreduce(plan.topology(), embeddings, config,
+      oracle::run_reference_allreduce(plan.topology(), plan.trees(), config,
                                       plan.split(m));
     } else {
-      simnet::AllreduceSimulator(plan.topology(), embeddings, config)
+      simnet::AllreduceSimulator(plan.topology(), plan.trees(), config)
           .run(plan.split(m));
     }
     return std::pair{trace_json_of(rec.trace),

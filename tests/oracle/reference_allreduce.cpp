@@ -77,7 +77,7 @@ struct Fabric {
 };
 
 Fabric build_fabric(const graph::Graph& topology,
-                    const std::vector<TreeEmbedding>& trees,
+                    const std::vector<trees::SpanningTree>& trees,
                     const SimConfig& config, SimResult& result) {
   Fabric f;
   f.n = topology.num_vertices();
@@ -111,10 +111,10 @@ Fabric build_fabric(const graph::Graph& topology,
 
   for (int t = 0; t < f.num_trees; ++t) {
     const auto& tree = trees[static_cast<std::size_t>(t)];
-    f.roots[static_cast<std::size_t>(t)] = tree.root;
+    f.roots[static_cast<std::size_t>(t)] = tree.root();
     for (int v = 0; v < f.n; ++v) {
-      f.st(v, t).parent = tree.parent[static_cast<std::size_t>(v)];
-      if (tree.parent[static_cast<std::size_t>(v)] >= 0) f.st(tree.parent[static_cast<std::size_t>(v)], t).children.push_back(v);
+      f.st(v, t).parent = tree.parent(v);
+      if (tree.parent(v) >= 0) f.st(tree.parent(v), t).children.push_back(v);
     }
     for (int v = 0; v < f.n; ++v) {
       NodeTreeState& s = f.st(v, t);
@@ -661,7 +661,7 @@ void diff_field(std::vector<std::string>& out, const char* name,
 }  // namespace
 
 SimResult run_reference_allreduce(
-    const graph::Graph& topology, const std::vector<TreeEmbedding>& trees,
+    const graph::Graph& topology, const std::vector<trees::SpanningTree>& trees,
     const SimConfig& config, const std::vector<long long>& elements_per_tree) {
   simnet::detail::validate_simulation(topology, trees, config);
   if (elements_per_tree.size() != trees.size()) {

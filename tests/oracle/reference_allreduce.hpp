@@ -16,6 +16,7 @@
 #include "graph/graph.hpp"
 #include "simnet/allreduce_sim.hpp"
 #include "simnet/config.hpp"
+#include "trees/spanning_tree.hpp"
 
 namespace pfar::oracle {
 
@@ -25,7 +26,7 @@ namespace pfar::oracle {
 /// config.shard_threads are ignored (the oracle is one serial loop).
 simnet::SimResult run_reference_allreduce(
     const graph::Graph& topology,
-    const std::vector<simnet::TreeEmbedding>& trees,
+    const std::vector<trees::SpanningTree>& trees,
     const simnet::SimConfig& config,
     const std::vector<long long>& elements_per_tree);
 
@@ -35,7 +36,7 @@ simnet::SimResult run_reference_allreduce(
 /// validates the inputs first, as AllreduceSimulator's constructor does.
 simnet::SimResult run_reference_flow(
     const graph::Graph& topology,
-    const std::vector<simnet::TreeEmbedding>& trees,
+    const std::vector<trees::SpanningTree>& trees,
     const simnet::SimConfig& config,
     const std::vector<long long>& elements_per_tree);
 

@@ -54,7 +54,7 @@ int tree_depth(const std::vector<int>& parent, int root, int n,
 }  // namespace
 
 SimResult run_reference_flow(const graph::Graph& topology,
-                             const std::vector<TreeEmbedding>& trees,
+                             const std::vector<trees::SpanningTree>& trees,
                              const SimConfig& config,
                              const std::vector<long long>& elements_per_tree) {
   if (!config.faults.empty()) {
@@ -118,10 +118,10 @@ SimResult run_reference_flow(const graph::Graph& topology,
   for (int t = 0; t < num_trees; ++t) {
     const auto& tree = trees[static_cast<std::size_t>(t)];
     depth[static_cast<std::size_t>(t)] =
-        tree_depth(tree.parent, tree.root, n, depth_scratch);
+        tree_depth(tree.parents(), tree.root(), n, depth_scratch);
     std::int64_t out = tree_dlink_base[static_cast<std::size_t>(t)];
     for (int v = 0; v < n; ++v) {
-      const int p = tree.parent[static_cast<std::size_t>(v)];
+      const int p = tree.parent(v);
       if (p < 0) continue;
       if (want_reduce) {
         const int d = dlink_of(v, p);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "core/planner.hpp"
 #include "core/serialize.hpp"
 
@@ -88,6 +91,37 @@ TEST(SerializeTest, PlanRejectsContentAfterChecksum) {
   // Missing the final newline is also a framing violation.
   EXPECT_THROW(parse_plan(good.substr(0, good.size() - 1)),
                std::invalid_argument);
+}
+
+// A checksummed one-tree plan on the path 0-1-...-(n-1) whose tree line
+// is `tree`, and the message parse_plan throws on it ("accepted" if none).
+std::string parse_path_plan(int n, const std::string& tree) {
+  std::ostringstream body;
+  body << "pfar-plan 1\nbuilder " << kBuilderVersion
+       << "\nq 2\nsolution 0\nstarter 0\nn " << n << "\nedges " << n - 1
+       << "\n";
+  for (int v = 0; v + 1 < n; ++v) body << "e " << v << ' ' << v + 1 << "\n";
+  body << "trees 1\n" << tree << "\nbw 0x1p+0 0x1p+0\n";
+  std::ostringstream text;
+  text << body.str() << "checksum " << std::hex << fnv1a64(body.str()) << "\n";
+  try {
+    static_cast<void>(parse_plan(text.str()));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(SerializeTest, PlanRejectsTreeEdgeOutsideTopology) {
+  EXPECT_EQ(parse_path_plan(3, "tree 0 -1 0 1"), "accepted");
+  // Tree 1 -> 2 -> 0 is a rooted tree, but {0, 2} is no link of the path.
+  EXPECT_EQ(parse_path_plan(3, "tree 0 -1 2 0"),
+            "parse_plan: tree edge not in topology");
+  // A parent vector that is no tree is named as such first, even when it
+  // also uses a non-link ({1, 3}).
+  EXPECT_EQ(parse_path_plan(4, "tree 0 -1 3 3 1"),
+            "parse_plan: invalid tree: SpanningTree: parent vector has a "
+            "cycle");
 }
 
 }  // namespace

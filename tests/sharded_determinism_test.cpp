@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "collectives/innetwork.hpp"
 #include "core/planner.hpp"
 #include "oracle/expect_same_result.hpp"
 #include "oracle/reference_allreduce.hpp"
@@ -27,8 +26,7 @@ simnet::SimResult run_sharded(int q, core::Solution sol, simnet::SimConfig cfg,
                               long long m, int shard_threads) {
   cfg.shard_threads = shard_threads;
   const auto plan = core::AllreducePlanner(q).solution(sol).build();
-  auto embeddings = collectives::to_embeddings(plan.trees());
-  simnet::AllreduceSimulator sim(plan.topology(), embeddings, cfg);
+  simnet::AllreduceSimulator sim(plan.topology(), plan.trees(), cfg);
   return sim.run(plan.split(m));
 }
 
@@ -76,9 +74,8 @@ TEST(ShardedDeterminism, MatchesUnshardedAndReference) {
                         .build();
   oracle::expect_same_result(
       sharded,
-      oracle::run_reference_allreduce(plan.topology(),
-                                      collectives::to_embeddings(plan.trees()),
-                                      cfg, plan.split(2000)),
+      oracle::run_reference_allreduce(plan.topology(), plan.trees(), cfg,
+                                      plan.split(2000)),
       "threads=4 vs oracle");
 }
 

@@ -27,11 +27,7 @@ TEST_P(SimSweep, CorrectSafeAndWithinEnvelope) {
   cfg.packet_header_flits = payload > 1 ? 1 : 0;
   cfg.collective = mode;
 
-  std::vector<simnet::TreeEmbedding> embeddings;
-  for (const auto& t : plan.trees()) {
-    embeddings.push_back(simnet::TreeEmbedding{t.root(), t.parents()});
-  }
-  simnet::AllreduceSimulator sim(plan.topology(), embeddings, cfg);
+  simnet::AllreduceSimulator sim(plan.topology(), plan.trees(), cfg);
   const auto split = plan.split(3000);
   const auto r = sim.run(split);
 

@@ -6,6 +6,8 @@
 namespace pfar::simnet {
 namespace {
 
+using Trees = std::vector<trees::SpanningTree>;
+
 graph::Graph line_graph(int n) {
   graph::Graph g(n);
   for (int i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
@@ -17,7 +19,8 @@ TEST(CollectiveModeTest, ReduceOnlyDeliversAtRoot) {
   graph::Graph g = line_graph(4);
   SimConfig cfg;
   cfg.collective = Collective::kReduce;
-  AllreduceSimulator sim(g, {TreeEmbedding{0, {-1, 0, 1, 2}}}, cfg);
+  const Trees trees{{0, {-1, 0, 1, 2}}};
+  AllreduceSimulator sim(g, trees, cfg);
   const auto r = sim.run({500});
   EXPECT_TRUE(r.values_correct);
   EXPECT_EQ(r.total_elements, 500);
@@ -30,7 +33,8 @@ TEST(CollectiveModeTest, BroadcastOnlyStreamsFromRoot) {
   graph::Graph g = line_graph(4);
   SimConfig cfg;
   cfg.collective = Collective::kBroadcast;
-  AllreduceSimulator sim(g, {TreeEmbedding{0, {-1, 0, 1, 2}}}, cfg);
+  const Trees trees{{0, {-1, 0, 1, 2}}};
+  AllreduceSimulator sim(g, trees, cfg);
   const auto r = sim.run({500});
   EXPECT_TRUE(r.values_correct);
   EXPECT_EQ(r.num_vcs, 3);  // one bcast VC per tree edge
@@ -41,10 +45,9 @@ TEST(CollectiveModeTest, ReduceIsFasterThanAllreduce) {
   graph::Graph g = line_graph(5);
   SimConfig reduce_cfg;
   reduce_cfg.collective = Collective::kReduce;
-  AllreduceSimulator reduce_sim(g, {TreeEmbedding{0, {-1, 0, 1, 2, 3}}},
-                                reduce_cfg);
-  AllreduceSimulator ar_sim(g, {TreeEmbedding{0, {-1, 0, 1, 2, 3}}},
-                            SimConfig{});
+  const Trees trees{{0, {-1, 0, 1, 2, 3}}};
+  AllreduceSimulator reduce_sim(g, trees, reduce_cfg);
+  AllreduceSimulator ar_sim(g, trees, SimConfig{});
   const auto red = reduce_sim.run({2000});
   const auto ar = ar_sim.run({2000});
   EXPECT_TRUE(red.values_correct);
@@ -55,15 +58,11 @@ TEST(CollectiveModeTest, ReduceIsFasterThanAllreduce) {
 
 TEST(CollectiveModeTest, AllModesOnPolarFlyPlans) {
   const auto plan = core::AllreducePlanner(5).build();
-  std::vector<simnet::TreeEmbedding> embeddings;
-  for (const auto& t : plan.trees()) {
-    embeddings.push_back(simnet::TreeEmbedding{t.root(), t.parents()});
-  }
   for (Collective mode : {Collective::kAllreduce, Collective::kReduce,
                           Collective::kBroadcast}) {
     SimConfig cfg;
     cfg.collective = mode;
-    AllreduceSimulator sim(plan.topology(), embeddings, cfg);
+    AllreduceSimulator sim(plan.topology(), plan.trees(), cfg);
     const auto r = sim.run(std::vector<long long>(static_cast<std::size_t>(plan.num_trees()), 500));
     EXPECT_TRUE(r.values_correct) << static_cast<int>(mode);
   }
@@ -71,13 +70,13 @@ TEST(CollectiveModeTest, AllModesOnPolarFlyPlans) {
 
 TEST(PacketizationTest, HeaderOverheadReducesBandwidth) {
   graph::Graph g = line_graph(3);
-  const TreeEmbedding chain{0, {-1, 0, 1}};
+  const Trees chain{{0, {-1, 0, 1}}};
   SimConfig raw;  // payload 1, no header
   SimConfig framed;
   framed.packet_payload = 4;
   framed.packet_header_flits = 1;  // 80% efficiency
-  AllreduceSimulator raw_sim(g, {chain}, raw);
-  AllreduceSimulator framed_sim(g, {chain}, framed);
+  AllreduceSimulator raw_sim(g, chain, raw);
+  AllreduceSimulator framed_sim(g, chain, framed);
   const auto a = raw_sim.run({8000});
   const auto b = framed_sim.run({8000});
   EXPECT_TRUE(a.values_correct);
@@ -88,7 +87,7 @@ TEST(PacketizationTest, HeaderOverheadReducesBandwidth) {
 
 TEST(PacketizationTest, LargePacketsAmortizeHeaders) {
   graph::Graph g = line_graph(3);
-  const TreeEmbedding chain{0, {-1, 0, 1}};
+  const Trees chain{{0, {-1, 0, 1}}};
   SimConfig small;
   small.packet_payload = 2;
   small.packet_header_flits = 2;  // 50%
@@ -96,8 +95,8 @@ TEST(PacketizationTest, LargePacketsAmortizeHeaders) {
   big.packet_payload = 32;
   big.packet_header_flits = 2;  // ~94%
   big.vc_credits = 16;
-  AllreduceSimulator small_sim(g, {chain}, small);
-  AllreduceSimulator big_sim(g, {chain}, big);
+  AllreduceSimulator small_sim(g, chain, small);
+  AllreduceSimulator big_sim(g, chain, big);
   const auto a = small_sim.run({16000});
   const auto b = big_sim.run({16000});
   EXPECT_TRUE(a.values_correct);
@@ -115,7 +114,8 @@ TEST(PacketizationTest, PartialTailPacketHandled) {
   g.finalize();
   SimConfig cfg;
   cfg.packet_payload = 7;
-  AllreduceSimulator sim(g, {TreeEmbedding{0, {-1, 0, 0, 0}}}, cfg);
+  const Trees trees{{0, {-1, 0, 0, 0}}};
+  AllreduceSimulator sim(g, trees, cfg);
   const auto r = sim.run({995});  // 995 = 142*7 + 1
   EXPECT_TRUE(r.values_correct);
   EXPECT_EQ(r.total_elements, 995);
@@ -142,14 +142,10 @@ TEST(CollectiveModeTest, ReduceOnlyDoublesLowDepthBandwidth) {
   // broadcast phase each tree streams at full link rate — reduce-only
   // aggregate approaches q*B, twice the Allreduce q*B/2.
   const auto plan = core::AllreducePlanner(5).build();
-  std::vector<TreeEmbedding> embeddings;
-  for (const auto& t : plan.trees()) {
-    embeddings.push_back(TreeEmbedding{t.root(), t.parents()});
-  }
   SimConfig reduce_cfg;
   reduce_cfg.collective = Collective::kReduce;
-  AllreduceSimulator reduce_sim(plan.topology(), embeddings, reduce_cfg);
-  AllreduceSimulator ar_sim(plan.topology(), embeddings, SimConfig{});
+  AllreduceSimulator reduce_sim(plan.topology(), plan.trees(), reduce_cfg);
+  AllreduceSimulator ar_sim(plan.topology(), plan.trees(), SimConfig{});
   const std::vector<long long> split(static_cast<std::size_t>(plan.num_trees()), 4000);
   const auto red = reduce_sim.run(split);
   const auto ar = ar_sim.run(split);
@@ -182,9 +178,8 @@ TEST(EngineStatsTest, OverlappingReductionDirectionsAreCounted) {
   // Two chains reduced in the SAME direction over the same links: both
   // reductions consume the same input ports.
   graph::Graph g = line_graph(3);
-  const TreeEmbedding a{2, {1, 2, -1}};
-  const TreeEmbedding b{2, {1, 2, -1}};
-  AllreduceSimulator sim(g, {a, b}, SimConfig{});
+  const Trees trees{{2, {1, 2, -1}}, {2, {1, 2, -1}}};
+  AllreduceSimulator sim(g, trees, SimConfig{});
   const auto r = sim.run({50, 50});
   EXPECT_TRUE(r.values_correct);
   EXPECT_EQ(r.max_reductions_per_input_port, 2);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "simnet/allreduce_sim.hpp"
@@ -8,6 +9,13 @@
 
 namespace pfar::simnet {
 namespace {
+
+using Trees = std::vector<trees::SpanningTree>;
+
+// The simulator borrows its trees: a temporary tree vector does not compile.
+static_assert(!std::is_constructible_v<AllreduceSimulator, const graph::Graph&,
+                                       std::vector<trees::SpanningTree>&&,
+                                       SimConfig>);
 
 graph::Graph line_graph(int n) {
   graph::Graph g(n);
@@ -27,7 +35,8 @@ graph::Graph triangle() {
 
 TEST(SimulatorTest, SingleTreeTwoNodesCorrectness) {
   graph::Graph g = line_graph(2);
-  AllreduceSimulator sim(g, {TreeEmbedding{0, {-1, 0}}}, SimConfig{});
+  const Trees trees{{0, {-1, 0}}};
+  AllreduceSimulator sim(g, trees, SimConfig{});
   const auto r = sim.run({10});
   EXPECT_TRUE(r.values_correct);
   EXPECT_EQ(r.total_elements, 10);
@@ -38,8 +47,8 @@ TEST(SimulatorTest, ChainPipelineReachesLinkRate) {
   // Deep chain: throughput must still approach 1 element/cycle for large m
   // thanks to pipelining (the paper's in-network streaming argument).
   graph::Graph g = line_graph(6);
-  AllreduceSimulator sim(g, {TreeEmbedding{0, {-1, 0, 1, 2, 3, 4}}},
-                         SimConfig{});
+  const Trees trees{{0, {-1, 0, 1, 2, 3, 4}}};
+  AllreduceSimulator sim(g, trees, SimConfig{});
   const long long m = 5000;
   const auto r = sim.run({m});
   EXPECT_TRUE(r.values_correct);
@@ -52,8 +61,8 @@ TEST(SimulatorTest, StarTreeCorrectness) {
   graph::Graph g(5);
   for (int i = 1; i < 5; ++i) g.add_edge(0, i);
   g.finalize();
-  AllreduceSimulator sim(g, {TreeEmbedding{0, {-1, 0, 0, 0, 0}}},
-                         SimConfig{});
+  const Trees trees{{0, {-1, 0, 0, 0, 0}}};
+  AllreduceSimulator sim(g, trees, SimConfig{});
   const auto r = sim.run({100});
   EXPECT_TRUE(r.values_correct);
   EXPECT_GT(r.aggregate_bandwidth, 0.8);
@@ -69,9 +78,10 @@ TEST(SimulatorTest, TwoDisjointTreesDoubleBandwidth) {
   }
   g.finalize();
   // Disjoint: A = {01, 12, 23}, B = {02, 03, 13}.
-  const TreeEmbedding a{0, {-1, 0, 1, 2}};
-  const TreeEmbedding b{0, {-1, 3, 0, 0}};
-  AllreduceSimulator sim(g, {a, b}, SimConfig{});
+  const trees::SpanningTree a{0, {-1, 0, 1, 2}};
+  const trees::SpanningTree b{0, {-1, 3, 0, 0}};
+  const Trees trees{a, b};
+  AllreduceSimulator sim(g, trees, SimConfig{});
   const long long m = 4000;
   const auto r = sim.run({m / 2, m / 2});
   EXPECT_TRUE(r.values_correct);
@@ -87,9 +97,10 @@ TEST(SimulatorTest, TwoDisjointTreesDoubleBandwidth) {
 TEST(SimulatorTest, CongestedTreesShareLinkBandwidth) {
   // Two trees over the same two edges of a line: each gets half rate.
   graph::Graph g = line_graph(3);
-  const TreeEmbedding a{0, {-1, 0, 1}};
-  const TreeEmbedding b{2, {1, 2, -1}};
-  AllreduceSimulator sim(g, {a, b}, SimConfig{});
+  const trees::SpanningTree a{0, {-1, 0, 1}};
+  const trees::SpanningTree b{2, {1, 2, -1}};
+  const Trees trees{a, b};
+  AllreduceSimulator sim(g, trees, SimConfig{});
   const long long m = 4000;
   const auto r = sim.run({m / 2, m / 2});
   EXPECT_TRUE(r.values_correct);
@@ -102,7 +113,8 @@ TEST(SimulatorTest, HigherLinkBandwidthScales) {
   SimConfig cfg;
   cfg.link_bandwidth = 2;
   cfg.vc_credits = 32;
-  AllreduceSimulator sim(g, {TreeEmbedding{0, {-1, 0, 1}}}, cfg);
+  const Trees trees{{0, {-1, 0, 1}}};
+  AllreduceSimulator sim(g, trees, cfg);
   const auto r = sim.run({6000});
   EXPECT_TRUE(r.values_correct);
   EXPECT_GT(r.aggregate_bandwidth, 1.8);
@@ -113,7 +125,8 @@ TEST(SimulatorTest, FlowControlNeverOverflowsBuffers) {
   SimConfig cfg;
   cfg.vc_credits = 3;  // tight buffers
   cfg.link_latency = 1;
-  AllreduceSimulator sim(g, {TreeEmbedding{2, {1, 2, -1, 2, 3}}}, cfg);
+  const Trees trees{{2, {1, 2, -1, 2, 3}}};
+  AllreduceSimulator sim(g, trees, cfg);
   const auto r = sim.run({500});
   EXPECT_TRUE(r.values_correct);
   EXPECT_LE(r.max_vc_occupancy, cfg.vc_credits);
@@ -125,7 +138,8 @@ TEST(SimulatorTest, TightBuffersThrottleButComplete) {
   SimConfig cfg;
   cfg.vc_credits = 2;
   cfg.link_latency = 8;
-  AllreduceSimulator sim(g, {TreeEmbedding{0, {-1, 0, 1, 2}}}, cfg);
+  const Trees trees{{0, {-1, 0, 1, 2}}};
+  AllreduceSimulator sim(g, trees, cfg);
   const auto r = sim.run({300});
   EXPECT_TRUE(r.values_correct);
   EXPECT_LT(r.aggregate_bandwidth, 0.5);  // 2 credits / 16-cycle round trip
@@ -133,7 +147,8 @@ TEST(SimulatorTest, TightBuffersThrottleButComplete) {
 
 TEST(SimulatorTest, ZeroElementsCompletesInstantly) {
   graph::Graph g = line_graph(2);
-  AllreduceSimulator sim(g, {TreeEmbedding{0, {-1, 0}}}, SimConfig{});
+  const Trees trees{{0, {-1, 0}}};
+  AllreduceSimulator sim(g, trees, SimConfig{});
   const auto r = sim.run({0});
   EXPECT_EQ(r.cycles, 0);
   EXPECT_EQ(r.total_elements, 0);
@@ -141,9 +156,10 @@ TEST(SimulatorTest, ZeroElementsCompletesInstantly) {
 
 TEST(SimulatorTest, UnevenSplitAcrossTrees) {
   graph::Graph g = triangle();
-  const TreeEmbedding a{0, {-1, 0, 0}};
-  const TreeEmbedding b{1, {1, -1, 1}};
-  AllreduceSimulator sim(g, {a, b}, SimConfig{});
+  const trees::SpanningTree a{0, {-1, 0, 0}};
+  const trees::SpanningTree b{1, {1, -1, 1}};
+  const Trees trees{a, b};
+  AllreduceSimulator sim(g, trees, SimConfig{});
   const auto r = sim.run({100, 900});
   EXPECT_TRUE(r.values_correct);
   EXPECT_EQ(r.total_elements, 1000);
@@ -154,63 +170,56 @@ TEST(SimulatorTest, UnevenSplitAcrossTrees) {
 TEST(SimulatorTest, RejectsBadInputs) {
   graph::Graph g = line_graph(3);
   // Tree edge (0,2) is not a physical link.
-  EXPECT_THROW(AllreduceSimulator(g, {TreeEmbedding{0, {-1, 0, 0}}},
-                                  SimConfig{}),
+  const Trees not_links{{0, {-1, 0, 0}}};
+  EXPECT_THROW(AllreduceSimulator(g, not_links, SimConfig{}),
                std::invalid_argument);
-  // Root with a parent.
-  EXPECT_THROW(AllreduceSimulator(g, {TreeEmbedding{0, {1, 0, 1}}},
-                                  SimConfig{}),
+  // A root with a parent, a root outside the vertex range and parents
+  // outside it are not trees at all: SpanningTree rejects them.
+  EXPECT_THROW(trees::SpanningTree(0, {1, 0, 1}), std::invalid_argument);
+  EXPECT_THROW(trees::SpanningTree(3, {0, 0, 1}), std::invalid_argument);
+  EXPECT_THROW(trees::SpanningTree(0, {-1, 0, 3}), std::invalid_argument);
+  EXPECT_THROW(trees::SpanningTree(0, {-1, -1, 1}), std::invalid_argument);
+  EXPECT_THROW(trees::SpanningTree(0, {-1, 1 << 20, 1}),
                std::invalid_argument);
-  // Root outside the topology, and parents outside it.
-  EXPECT_THROW(AllreduceSimulator(g, {TreeEmbedding{3, {0, 0, 1}}},
-                                  SimConfig{}),
-               std::invalid_argument);
-  EXPECT_THROW(AllreduceSimulator(g, {TreeEmbedding{0, {-1, 0, 3}}},
-                                  SimConfig{}),
-               std::invalid_argument);
-  EXPECT_THROW(AllreduceSimulator(g, {TreeEmbedding{0, {-1, -1, 1}}},
-                                  SimConfig{}),
-               std::invalid_argument);
-  EXPECT_THROW(AllreduceSimulator(g, {TreeEmbedding{0, {-1, 1 << 20, 1}}},
-                                  SimConfig{}),
-               std::invalid_argument);
+  const Trees trees{{0, {-1, 0, 1}}};
   SimConfig bad;
   bad.vc_credits = 0;
-  EXPECT_THROW(AllreduceSimulator(g, {TreeEmbedding{0, {-1, 0, 1}}}, bad),
-               std::invalid_argument);
-  AllreduceSimulator ok(g, {TreeEmbedding{0, {-1, 0, 1}}}, SimConfig{});
+  EXPECT_THROW(AllreduceSimulator(g, trees, bad), std::invalid_argument);
+  AllreduceSimulator ok(g, trees, SimConfig{});
   EXPECT_THROW(ok.run({1, 2}), std::invalid_argument);  // size mismatch
   EXPECT_THROW(ok.run({-5}), std::invalid_argument);
 }
 
-// Each kind of bad tree is named in the error.
+// Each kind of bad tree is named in the error: by the simulator where the
+// tree does not fit the topology, by SpanningTree where it is no tree.
 TEST(SimulatorTest, NamesEachTreeViolation) {
   graph::Graph g = line_graph(3);
-  const auto message_of = [&](const TreeEmbedding& tree) {
+  const auto message_of = [&](int root, std::vector<int> parent) {
     try {
-      AllreduceSimulator sim(g, {tree}, SimConfig{});
+      const Trees trees{{root, std::move(parent)}};
+      AllreduceSimulator sim(g, trees, SimConfig{});
     } catch (const std::invalid_argument& e) {
       return std::string(e.what());
     }
     return std::string("accepted");
   };
-  EXPECT_EQ(message_of({0, {-1, 0}}), "AllreduceSimulator: tree size mismatch");
-  EXPECT_EQ(message_of({3, {0, 0, 1}}),
-            "AllreduceSimulator: root out of range");
-  EXPECT_EQ(message_of({1, {1, 0, 1}}), "AllreduceSimulator: root has parent");
-  EXPECT_EQ(message_of({0, {-1, 0, 0}}),
+  EXPECT_EQ(message_of(0, {-1, 0}), "AllreduceSimulator: tree size mismatch");
+  EXPECT_EQ(message_of(3, {0, 0, 1}), "SpanningTree: bad root");
+  EXPECT_EQ(message_of(1, {1, 0, 1}), "SpanningTree: bad root");
+  EXPECT_EQ(message_of(0, {-1, 0, 0}),
             "AllreduceSimulator: tree edge not a physical link");
   // Vertices 1 and 2 point at each other: every edge is physical, yet
   // neither reaches the root.
-  EXPECT_EQ(message_of({0, {-1, 2, 1}}),
-            "AllreduceSimulator: node with no path to root");
-  EXPECT_EQ(message_of({0, {-1, 0, 1}}), "accepted");
+  EXPECT_EQ(message_of(0, {-1, 2, 1}),
+            "SpanningTree: parent vector has a cycle");
+  EXPECT_EQ(message_of(0, {-1, 0, 1}), "accepted");
 }
 
 TEST(SimulatorTest, VcCountMatchesTreeLinkUsage) {
   // Each tree edge spawns exactly two VCs (reduce + bcast directions).
   graph::Graph g = line_graph(4);
-  AllreduceSimulator sim(g, {TreeEmbedding{0, {-1, 0, 1, 2}}}, SimConfig{});
+  const Trees trees{{0, {-1, 0, 1, 2}}};
+  AllreduceSimulator sim(g, trees, SimConfig{});
   const auto r = sim.run({10});
   EXPECT_EQ(r.num_vcs, 2 * 3);
 }
@@ -222,8 +231,9 @@ TEST(SimulatorTest, LatencyAffectsSmallMessagesOnly) {
   SimConfig slow;
   slow.link_latency = 20;
   slow.vc_credits = 64;
-  AllreduceSimulator sim_fast(g, {TreeEmbedding{0, {-1, 0, 1, 2}}}, fast);
-  AllreduceSimulator sim_slow(g, {TreeEmbedding{0, {-1, 0, 1, 2}}}, slow);
+  const Trees trees{{0, {-1, 0, 1, 2}}};
+  AllreduceSimulator sim_fast(g, trees, fast);
+  AllreduceSimulator sim_slow(g, trees, slow);
   const auto small_fast = sim_fast.run({4});
   const auto small_slow = sim_slow.run({4});
   EXPECT_LT(small_fast.cycles * 3, small_slow.cycles);  // latency dominates

@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "collectives/innetwork.hpp"
 #include "core/planner.hpp"
 #include "graph/graph.hpp"
 #include "obsv/recorder.hpp"
@@ -35,8 +34,7 @@ core::AllreducePlan make_plan(int q, core::Solution sol) {
 
 simnet::SimResult run_product(const core::AllreducePlan& plan,
                               const simnet::SimConfig& cfg, long long m) {
-  simnet::AllreduceSimulator sim(
-      plan.topology(), collectives::to_embeddings(plan.trees()), cfg);
+  simnet::AllreduceSimulator sim(plan.topology(), plan.trees(), cfg);
   return sim.run(plan.split(m));
 }
 
@@ -46,8 +44,7 @@ long long expect_exact(const core::AllreducePlan& plan,
                        const simnet::SimConfig& cfg, long long m,
                        const std::string& label) {
   const simnet::SimResult reference = oracle::run_reference_allreduce(
-      plan.topology(), collectives::to_embeddings(plan.trees()), cfg,
-      plan.split(m));
+      plan.topology(), plan.trees(), cfg, plan.split(m));
   obsv::Recorder rec;
   simnet::SimConfig traced = cfg;
   traced.recorder = &rec;
@@ -211,8 +208,8 @@ TEST(SteadyPeriod, BackgroundAndFlakyRunsNeverJump) {
 // differential, and the jump must carry the round-robin pointers through.
 TEST(SteadyPeriod, ArbitrationOrderIsResultVisible) {
   const auto plan = make_plan(5, core::Solution::kLowDepth);
-  const auto tree = collectives::to_embeddings(plan.trees())[0];
-  const std::vector<simnet::TreeEmbedding> twins{tree, tree};
+  const auto& tree = plan.trees()[0];
+  const std::vector<trees::SpanningTree> twins{tree, tree};
   simnet::SimConfig cfg;
   cfg.vc_credits = 2;
   const std::vector<long long> m{3000, 3000};

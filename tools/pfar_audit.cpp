@@ -353,8 +353,7 @@ void check_plan(std::vector<Check>& out, const AllreducePlan& plan,
     const auto run_with = [&](pfar::simnet::SimEngine engine) {
       pfar::simnet::SimConfig cfg;
       cfg.engine = engine;
-      pfar::simnet::AllreduceSimulator sim(
-          g, pfar::collectives::to_embeddings(trees), cfg);
+      pfar::simnet::AllreduceSimulator sim(g, trees, cfg);
       return sim.run(plan.split(m));
     };
     const auto flow = run_with(pfar::simnet::SimEngine::kFlow);
@@ -439,9 +438,8 @@ void check_faults(std::vector<Check>& out, const AllreducePlan& plan) {
   // them.
   const double ceiling = pfar::model::allreduce_rate_upper_bound(g, 1.0);
 
-  const auto embeddings = pfar::collectives::to_embeddings(plan.trees());
   const auto run_faulted = [&] {
-    pfar::simnet::AllreduceSimulator sim(g, embeddings, faulted_config());
+    pfar::simnet::AllreduceSimulator sim(g, plan.trees(), faulted_config());
     return sim.run(plan.split(1500));
   };
 
@@ -449,7 +447,7 @@ void check_faults(std::vector<Check>& out, const AllreducePlan& plan) {
     // The simulator against the reference oracle (tests/oracle): every
     // SimResult field of the fault-injected run must agree.
     const auto ref = pfar::oracle::run_reference_allreduce(
-        g, embeddings, faulted_config(), plan.split(1500));
+        g, plan.trees(), faulted_config(), plan.split(1500));
     const auto diffs = pfar::oracle::result_differences(run_faulted(), ref);
     if (!diffs.empty()) {
       throw Violation("simulator diverges from the oracle: " + diffs.front());
