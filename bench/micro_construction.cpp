@@ -143,7 +143,7 @@ Phases run_point(int q, int threads) {
   });
 
   // --- Fast pipeline: PlanCache cold (miss) then warm (hit). ---
-  core::PlanCache cache;  // memory-only; disk behavior is covered by tests
+  core::PlanCache cache;
   const core::PlanKey low{q, core::Solution::kLowDepth, 0};
   const core::PlanKey ham{q, core::Solution::kEdgeDisjoint, 0};
   p.cold = timed([&] {
@@ -231,12 +231,9 @@ int main(int argc, char** argv) {
     std::fprintf(json, "  \"threads\": %d,\n  \"reps\": %d,\n", threads,
                  reps);
     std::fprintf(json,
-                 "  \"cache\": {\"memory_hits\": %llu, \"disk_hits\": %llu, "
-                 "\"misses\": %llu, \"stores\": %llu},\n",
+                 "  \"cache\": {\"memory_hits\": %llu, \"misses\": %llu},\n",
                  static_cast<unsigned long long>(cache_stats.memory_hits),
-                 static_cast<unsigned long long>(cache_stats.disk_hits),
-                 static_cast<unsigned long long>(cache_stats.misses),
-                 static_cast<unsigned long long>(cache_stats.stores));
+                 static_cast<unsigned long long>(cache_stats.misses));
     std::fprintf(json, "  \"points\": [\n");
     for (std::size_t i = 0; i < grid.size(); ++i) {
       const Phases& p = results[i];

@@ -24,10 +24,14 @@ enum class HostAlgorithm {
 /// boundary. Ranks are logical 0..p-1.
 class Transport {
  public:
-  virtual ~Transport() = default;
   virtual void transfer(int src_rank, int dst_rank, long long lo,
                         long long hi, bool reduce) = 0;
   virtual void next_round() = 0;
+
+ protected:
+  // Transports are passed by reference and never deleted through a
+  // Transport pointer.
+  ~Transport() = default;
 };
 
 /// Runs the chosen algorithm's communication pattern for p ranks and an

@@ -1,159 +1,10 @@
 #include "core/plan_cache.hpp"
 
-#include <algorithm>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
-#include "core/serialize.hpp"
 #include "util/contracts.hpp"
 
 namespace pfar::core {
-
-namespace fs = std::filesystem;
-
-PlanCache::PlanCache(std::string disk_dir) : disk_dir_(std::move(disk_dir)) {}
-
-std::string PlanCache::file_name(const PlanKey& key) {
-  PFAR_REQUIRE(key.q >= 2, key.q);
-  std::ostringstream os;
-  os << "plan_q" << key.q << "_s" << static_cast<int>(key.solution) << "_st"
-     << key.starter << "_" << kBuilderVersion << ".pfar";
-  return os.str();
-}
-
-std::vector<PlanCache::DiskEntry> PlanCache::scan_disk() const {
-  std::vector<DiskEntry> entries;
-  if (disk_dir_.empty()) return entries;
-  std::error_code ec;
-  fs::directory_iterator it(disk_dir_, ec);
-  if (ec) return entries;
-  for (const auto& de : it) {
-    if (!de.is_regular_file(ec) || ec) continue;
-    entries.push_back(DiskEntry{de.path().filename().string(),
-                                DiskEntry::State::kForeign});
-  }
-  // Filesystem order is arbitrary (and differs across machines); sort
-  // before classifying so every consumer sees one canonical order.
-  std::sort(entries.begin(), entries.end(),
-            [](const DiskEntry& a, const DiskEntry& b) {
-              return a.file < b.file;
-            });
-  const std::string current_suffix =
-      std::string("_") + kBuilderVersion + ".pfar";
-  for (DiskEntry& e : entries) {
-    const bool cache_name =
-        e.file.rfind("plan_q", 0) == 0 &&
-        (e.file.size() >= 5 &&
-         e.file.compare(e.file.size() - 5, 5, ".pfar") == 0);
-    const bool tmp_name =
-        e.file.rfind("plan_q", 0) == 0 &&
-        (e.file.size() >= 4 &&
-         e.file.compare(e.file.size() - 4, 4, ".tmp") == 0);
-    if (tmp_name) {
-      e.state = DiskEntry::State::kStale;  // orphaned write-then-rename
-    } else if (cache_name) {
-      e.state = e.file.size() >= current_suffix.size() &&
-                        e.file.compare(e.file.size() - current_suffix.size(),
-                                       current_suffix.size(),
-                                       current_suffix) == 0
-                    ? DiskEntry::State::kCurrent
-                    : DiskEntry::State::kStale;
-    }
-  }
-  PFAR_ENSURE(std::is_sorted(entries.begin(), entries.end(),
-                             [](const DiskEntry& a, const DiskEntry& b) {
-                               return a.file < b.file;
-                             }),
-              entries.size());
-  return entries;
-}
-
-// pfar-lint: allow(contract-coverage) best-effort janitor: a missing dir or an unlink race is a legitimate zero, not a violation
-int PlanCache::purge_stale() {
-  int removed = 0;
-  for (const DiskEntry& e : scan_disk()) {
-    if (e.state != DiskEntry::State::kStale) continue;
-    std::error_code ec;
-    if (fs::remove(fs::path(disk_dir_) / e.file, ec) && !ec) ++removed;
-  }
-  return removed;
-}
-
-std::shared_ptr<const AllreducePlan> PlanCache::load_from_disk(
-    const PlanKey& key) {
-  if (disk_dir_.empty()) return nullptr;
-  const fs::path path = fs::path(disk_dir_) / file_name(key);
-  std::error_code ec;
-  if (!fs::exists(path, ec) || ec) return nullptr;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return nullptr;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  try {
-    ParsedPlan parsed = parse_plan(buf.str());
-    // The filename encodes the key, but never trust it: a renamed or
-    // hand-edited file must not alias a different design point.
-    if (parsed.plan.q() != key.q || parsed.plan.solution() != key.solution ||
-        parsed.starter != key.starter) {
-      return nullptr;
-    }
-    // Staleness contract: a disk hit that reaches this point must describe
-    // exactly the requested design point (the guard above) and carry a
-    // non-empty tree set -- parse_plan rejects empty plans, so a violation
-    // here means the parser and cache disagree about the format.
-    PFAR_ENSURE(parsed.plan.num_trees() > 0, key.q,
-                static_cast<int>(key.solution), key.starter);
-    return std::make_shared<const AllreducePlan>(std::move(parsed.plan));
-  } catch (const std::invalid_argument&) {
-    return nullptr;  // corrupted or stale: rebuild instead
-  }
-}
-
-void PlanCache::store_to_disk(const PlanKey& key, const AllreducePlan& plan) {
-  // Only non-empty plans round-trip: parse_plan rejects empty tree sets, so
-  // writing one would plant a permanently-unreadable cache entry.
-  PFAR_REQUIRE(plan.num_trees() > 0, key.q, static_cast<int>(key.solution));
-  if (disk_dir_.empty()) return;
-  std::error_code ec;
-  fs::create_directories(disk_dir_, ec);
-  if (ec) return;
-  const fs::path path = fs::path(disk_dir_) / file_name(key);
-  // Write-then-rename so a crashed writer never leaves a torn file under
-  // the final name (readers would reject it via checksum anyway).
-  const fs::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return;
-    out << serialize_plan(plan, key.starter);
-    if (!out) return;
-  }
-  fs::rename(tmp, path, ec);
-  if (!ec) {
-    util::MutexLock lock(mu_);
-    ++stats_.stores;
-  }
-}
-
-std::shared_ptr<const AllreducePlan> PlanCache::lookup(const PlanKey& key) {
-  PFAR_REQUIRE(key.q >= 2, key.q);
-  {
-    util::MutexLock lock(mu_);
-    auto it = memory_.find(key);
-    if (it != memory_.end()) {
-      ++stats_.memory_hits;
-      return it->second;
-    }
-  }
-  auto plan = load_from_disk(key);
-  if (!plan) return nullptr;
-  util::MutexLock lock(mu_);
-  ++stats_.disk_hits;
-  auto [it, inserted] = memory_.emplace(key, std::move(plan));
-  return it->second;
-}
 
 std::shared_ptr<const AllreducePlan> PlanCache::get_or_build(
     const PlanKey& key, int threads) {
@@ -166,13 +17,6 @@ std::shared_ptr<const AllreducePlan> PlanCache::get_or_build(
       return it->second;
     }
   }
-  if (auto plan = load_from_disk(key)) {
-    util::MutexLock lock(mu_);
-    auto [it, inserted] = memory_.emplace(key, std::move(plan));
-    if (inserted) ++stats_.disk_hits;
-    else ++stats_.memory_hits;  // lost a race to an identical entry
-    return it->second;
-  }
 
   // Build outside the lock: construction is deterministic, so a racing
   // duplicate build yields an identical plan and the first insert wins.
@@ -182,41 +26,17 @@ std::shared_ptr<const AllreducePlan> PlanCache::get_or_build(
           .starter_quadric(key.starter)
           .threads(threads)
           .build());
-  bool fresh = false;
-  std::shared_ptr<const AllreducePlan> result;
-  {
-    util::MutexLock lock(mu_);
-    auto [it, inserted] = memory_.emplace(key, std::move(built));
-    fresh = inserted;
-    if (inserted) ++stats_.misses;
-    else ++stats_.memory_hits;
-    result = it->second;
-  }
-  if (fresh) store_to_disk(key, *result);
-  return result;
-}
-
-void PlanCache::clear() {
   util::MutexLock lock(mu_);
-  memory_.clear();
-  PFAR_ENSURE(memory_.empty());
+  auto [it, inserted] = memory_.emplace(key, std::move(built));
+  if (inserted) ++stats_.misses;
+  else ++stats_.memory_hits;
+  return it->second;
 }
 
 // pfar-lint: allow(contract-coverage) lock-protected copy-out accessor; takes no inputs
 PlanCache::Stats PlanCache::stats() const {
   util::MutexLock lock(mu_);
   return stats_;
-}
-
-// pfar-lint: allow(contract-coverage) process-wide singleton accessor; its only input is the PFAR_PLAN_CACHE environment variable
-PlanCache& PlanCache::process_cache() {
-  static PlanCache cache = [] {
-    // Read once, before any worker thread can exist (static init of the
-    // process-wide cache).
-    const char* dir = std::getenv("PFAR_PLAN_CACHE");  // NOLINT(concurrency-mt-unsafe)
-    return PlanCache(dir ? dir : "");
-  }();
-  return cache;
 }
 
 }  // namespace pfar::core

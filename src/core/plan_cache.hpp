@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "core/planner.hpp"
 #include "util/thread_annotations.hpp"
@@ -12,9 +10,6 @@
 namespace pfar::core {
 
 /// Identity of a fully built plan: everything AllreducePlanner consumes.
-/// Together with serialize.hpp's kBuilderVersion (baked into every
-/// serialized payload and into the on-disk filename) this is the full
-/// cache key — a builder-version bump invalidates old entries.
 struct PlanKey {
   int q = 0;
   Solution solution = Solution::kLowDepth;
@@ -25,10 +20,8 @@ struct PlanKey {
 };
 
 /// Memoizes fully built AllreducePlans (topology + trees + Algorithm 1
-/// bandwidths) in memory and, optionally, on disk via the checksummed
-/// serialize_plan format. Design sweeps construct each (q, solution,
-/// starter) point exactly once per process — and, with a disk directory,
-/// once per machine until the builder version is bumped.
+/// bandwidths) in memory. Design sweeps construct each (q, solution,
+/// starter) point exactly once per cache.
 ///
 /// Thread-safe: concurrent get_or_build calls for the same key build at
 /// most once each (first insert wins; construction is deterministic, so a
@@ -37,75 +30,21 @@ class PlanCache {
  public:
   struct Stats {
     std::uint64_t memory_hits = 0;
-    std::uint64_t disk_hits = 0;
-    std::uint64_t misses = 0;   // full builds
-    std::uint64_t stores = 0;   // files written to disk
+    std::uint64_t misses = 0;  // full builds
   };
 
-  /// Memory-only cache.
-  PlanCache() = default;
-  /// Cache backed by `disk_dir` (created on first store). Empty string
-  /// means memory-only.
-  explicit PlanCache(std::string disk_dir);
-
-  /// Returns the cached plan for `key`, loading it from disk or building
-  /// it (with `threads` construction workers) on a miss. Never returns
-  /// null. Corrupted, truncated, or stale (wrong builder version) disk
-  /// entries are ignored and rebuilt, never trusted.
+  /// Returns the cached plan for `key`, building it (with `threads`
+  /// construction workers) on a miss. Never returns null.
   std::shared_ptr<const AllreducePlan> get_or_build(const PlanKey& key,
                                                     int threads = 0);
 
-  /// Memory/disk lookup without building; nullptr on miss.
-  std::shared_ptr<const AllreducePlan> lookup(const PlanKey& key);
-
-  /// Drops every in-memory entry (disk files are kept).
-  void clear();
-
   Stats stats() const;
-  const std::string& disk_dir() const { return disk_dir_; }
-
-  /// On-disk filename for a key (relative to disk_dir); embeds the
-  /// builder version so stale entries are never even opened.
-  static std::string file_name(const PlanKey& key);
-
-  /// One on-disk entry as classified by scan_disk().
-  struct DiskEntry {
-    enum class State {
-      kCurrent,  // a plan file named with this binary's builder version
-      kStale,    // older builder version, or an orphaned .tmp writer file
-      kForeign,  // not a cache file at all; never touched by the cache
-    };
-    std::string file;  // filename within disk_dir (no directory part)
-    State state = State::kForeign;
-  };
-
-  /// Classifies every entry of disk_dir, sorted by filename — directory
-  /// iteration order is filesystem-dependent, so the scan sorts before
-  /// classifying to keep eviction/rebuild logs and purge order
-  /// deterministic across machines and runs. Empty when memory-only or
-  /// the directory does not exist.
-  std::vector<DiskEntry> scan_disk() const;
-
-  /// Deletes every kStale entry (in scan_disk order) and returns how many
-  /// files were removed. kForeign files are never deleted.
-  int purge_stale();
-
-  /// Process-wide cache. Honors the PFAR_PLAN_CACHE environment variable
-  /// (read once, at first use) as its disk directory.
-  static PlanCache& process_cache();
 
  private:
-  // Disk I/O happens outside mu_ (a slow filesystem must not serialize
-  // memory hits); only the stats_ update inside store_to_disk takes it.
-  std::shared_ptr<const AllreducePlan> load_from_disk(const PlanKey& key);
-  void store_to_disk(const PlanKey& key, const AllreducePlan& plan)
-      PFAR_EXCLUDES(mu_);
-
   mutable util::Mutex mu_;
   std::map<PlanKey, std::shared_ptr<const AllreducePlan>> memory_
       PFAR_GUARDED_BY(mu_);
   Stats stats_ PFAR_GUARDED_BY(mu_);
-  std::string disk_dir_;  // immutable after construction
 };
 
 }  // namespace pfar::core

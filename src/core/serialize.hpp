@@ -33,11 +33,10 @@ struct ParsedTrees {
 ParsedTrees parse_trees(const std::string& text);
 
 /// Version tag of the plan-construction pipeline. Baked into every
-/// serialized plan and into core::PlanCache keys: bump it whenever a
-/// change makes previously built plans stale (tree construction order,
-/// edge-id assignment, bandwidth solver semantics, ...). Old cache
-/// entries are then rejected at parse time instead of being silently
-/// reused.
+/// serialized plan: bump it whenever a change makes previously built
+/// plans stale (tree construction order, edge-id assignment, bandwidth
+/// solver semantics, ...). Old plan files are then rejected at parse time
+/// instead of being silently reused.
 extern const char kBuilderVersion[];
 
 /// FNV-1a 64-bit hash, the checksum used by the plan format.

@@ -86,7 +86,8 @@ Field::Field(int q) {
   add_.resize(static_cast<std::size_t>(q_) * static_cast<std::size_t>(q_));
   mul_.resize(static_cast<std::size_t>(q_) * static_cast<std::size_t>(q_));
   exp_.resize(static_cast<std::size_t>(q_ - 1));
-  log_.assign(static_cast<std::size_t>(q_), -1);
+  // Discrete logs base the generator; needed only to build the tables.
+  std::vector<int> log_of(static_cast<std::size_t>(q_), -1);
 
   // Addition is digit-wise mod p regardless of the modulus polynomial.
   for (Elem x = 0; x < q_; ++x) {
@@ -131,7 +132,7 @@ Field::Field(int q) {
     long long cur = 1;
     for (int i = 0; i < q_ - 1; ++i) {
       exp_[static_cast<std::size_t>(i)] = static_cast<Elem>(cur);
-      log_[static_cast<std::size_t>(cur)] = i;
+      log_of[static_cast<std::size_t>(cur)] = i;
       cur = (cur * g) % p_;
     }
     for (Elem x = 0; x < q_; ++x) {
@@ -163,7 +164,7 @@ Field::Field(int q) {
     for (int i = 0; i < q_ - 1; ++i) {
       const Elem e = static_cast<Elem>(from_digits(cur, p_));
       exp_[static_cast<std::size_t>(i)] = e;
-      log_[static_cast<std::size_t>(e)] = i;
+      log_of[static_cast<std::size_t>(e)] = i;
       cur = mul_by_x_mod(cur, mod, p_);
     }
     // Multiplication via logs.
@@ -173,8 +174,8 @@ Field::Field(int q) {
           mul_[static_cast<std::size_t>(idx(x, y))] = 0;
         } else {
           mul_[static_cast<std::size_t>(idx(x, y))] = exp_[static_cast<std::size_t>(
-              (log_[static_cast<std::size_t>(x)] +
-               log_[static_cast<std::size_t>(y)]) %
+              (log_of[static_cast<std::size_t>(x)] +
+               log_of[static_cast<std::size_t>(y)]) %
               (q_ - 1))];
         }
       }
@@ -183,14 +184,14 @@ Field::Field(int q) {
 
   for (Elem x = 1; x < q_; ++x) {
     inv_[static_cast<std::size_t>(x)] = exp_[static_cast<std::size_t>(
-        (q_ - 1 - log_[static_cast<std::size_t>(x)]) % (q_ - 1))];
+        (q_ - 1 - log_of[static_cast<std::size_t>(x)]) % (q_ - 1))];
   }
 
   // Every non-zero element must have landed in the exp/log bijection, and 1
   // must be the multiplicative identity we claim it is.
-  PFAR_ENSURE(log_[1] == 0, q_, p_, a_);
+  PFAR_ENSURE(log_of[1] == 0, q_, p_, a_);
   for (Elem x = 1; x < q_; ++x) {
-    PFAR_ENSURE(log_[static_cast<std::size_t>(x)] >= 0, x, q_);
+    PFAR_ENSURE(log_of[static_cast<std::size_t>(x)] >= 0, x, q_);
   }
 
 #if PFAR_AUDIT_ENABLED
@@ -216,35 +217,6 @@ Field::Field(int q) {
 Elem Field::inv(Elem x) const {
   if (x == 0) throw std::domain_error("Field::inv: zero has no inverse");
   return inv_[static_cast<std::size_t>(x)];
-}
-
-Elem Field::pow(Elem x, long long e) const {
-  if (x == 0) {
-    if (e == 0) return 1;
-    if (e < 0) throw std::domain_error("Field::pow: zero to negative power");
-    return 0;
-  }
-  const long long m = q_ - 1;
-  long long r = (static_cast<long long>(log_[static_cast<std::size_t>(x)]) * (e % m)) % m;
-  if (r < 0) r += m;
-  return exp_[static_cast<std::size_t>(r)];
-}
-
-int Field::log(Elem x) const {
-  if (x == 0) throw std::domain_error("Field::log: log of zero");
-  return log_[static_cast<std::size_t>(x)];
-}
-
-Elem Field::exp(long long e) const {
-  const long long m = q_ - 1;
-  long long r = e % m;
-  if (r < 0) r += m;
-  return exp_[static_cast<std::size_t>(r)];
-}
-
-int Field::digit(Elem x, int i) const {
-  for (int k = 0; k < i; ++k) x /= p_;
-  return x % p_;
 }
 
 namespace {

@@ -18,7 +18,7 @@ using Elem = int;
 /// lexicographically smallest monic degree-a polynomial over F_p whose root
 /// x is a *primitive* element (generator of F_q^*); such f is automatically
 /// irreducible. Arithmetic is table-based (q x q add/mul tables plus
-/// exp/log tables), so every operation is O(1).
+/// negation and inverse tables), so every operation is O(1).
 ///
 /// This is the substrate for both ER_q constructions in the paper (Section
 /// 6): the projective-geometry construction works directly over F_q, and
@@ -43,22 +43,14 @@ class Field {
   /// Multiplicative inverse; x must be non-zero.
   Elem inv(Elem x) const;
   Elem div(Elem x, Elem y) const { return mul(x, inv(y)); }
-  Elem pow(Elem x, long long e) const;
 
   /// A fixed generator g of the multiplicative group F_q^* (g^1; for q = 2
   /// the group is {1} and exp_ holds the single entry g^0 = 1).
   Elem generator() const { return exp_[q_ > 2 ? 1 : 0]; }
-  /// Discrete log base generator(): exp(log(x)) == x for x != 0.
-  int log(Elem x) const;
-  /// g^e for any integer e (reduced mod q-1).
-  Elem exp(long long e) const;
 
   /// Monic modulus polynomial f used for the extension, as coefficient list
   /// c_0..c_a (c_a == 1). Empty when q is prime (a == 1).
   const std::vector<int>& modulus() const { return modulus_; }
-
-  /// Digit i (coefficient of x^i over F_p) of element x.
-  int digit(Elem x, int i) const;
 
   bool is_valid(Elem x) const { return x >= 0 && x < q_; }
 
@@ -71,7 +63,6 @@ class Field {
   std::vector<Elem> neg_;   // q
   std::vector<Elem> inv_;   // q (inv_[0] unused)
   std::vector<Elem> exp_;   // q-1 entries: exp_[i] = g^i
-  std::vector<int> log_;    // q entries: log_[0] unused
   std::vector<int> modulus_;
 };
 

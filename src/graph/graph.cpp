@@ -209,25 +209,6 @@ int Graph::diameter() const {
   return best;
 }
 
-int Graph::common_neighbor_count(int u, int v) const {
-  const auto a = neighbors(u);
-  const auto b = neighbors(v);
-  int count = 0;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) {
-      ++count;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return count;
-}
-
 std::vector<int> parent_links(const Graph& g,
                               std::span<const IntSpan> parents) {
   const int n = g.num_vertices();
@@ -269,28 +250,6 @@ std::vector<int> parent_links(const Graph& g,
     }
   }
   return links;
-}
-
-UnionFind::UnionFind(int n) : parent_(static_cast<std::size_t>(n)), rank_(static_cast<std::size_t>(n), 0), components_(n) {
-  for (int i = 0; i < n; ++i) parent_[static_cast<std::size_t>(i)] = i;
-}
-
-int UnionFind::find(int x) {
-  while (parent_[static_cast<std::size_t>(x)] != x) {
-    parent_[static_cast<std::size_t>(x)] = parent_[static_cast<std::size_t>(parent_[static_cast<std::size_t>(x)])];
-    x = parent_[static_cast<std::size_t>(x)];
-  }
-  return x;
-}
-
-bool UnionFind::unite(int x, int y) {
-  int rx = find(x), ry = find(y);
-  if (rx == ry) return false;
-  if (rank_[static_cast<std::size_t>(rx)] < rank_[static_cast<std::size_t>(ry)]) std::swap(rx, ry);
-  parent_[static_cast<std::size_t>(ry)] = rx;
-  if (rank_[static_cast<std::size_t>(rx)] == rank_[static_cast<std::size_t>(ry)]) ++rank_[static_cast<std::size_t>(rx)];
-  --components_;
-  return true;
 }
 
 }  // namespace pfar::graph

@@ -60,10 +60,9 @@ struct BfsTree {
 /// list plus per-vertex builder adjacency. `finalize()` compacts it into a
 /// flat CSR layout — row offsets, a sorted neighbor array, and an aligned
 /// per-neighbor edge-id array — whose size is O(n + E). Queries then cost
-/// O(log d) for `edge_id` and `has_edge` (one sorted-row search), O(d) for
-/// `common_neighbor_count`, and edge ids are stable (the lexicographic
-/// rank of the normalized edge) and index the congestion model's and the
-/// simulator's per-link arrays. Tree edges map to ids in bulk through
+/// O(log d) for `edge_id` and `has_edge` (one sorted-row search), and
+/// edge ids are stable (the lexicographic rank of the normalized edge) and
+/// index the congestion model's and the simulator's per-link arrays. Tree edges map to ids in bulk through
 /// parent_links.
 class Graph {
  public:
@@ -127,11 +126,6 @@ class Graph {
   /// Exact diameter via all-sources BFS; -1 if disconnected. O(V*E).
   int diameter() const;
 
-  /// Number of common neighbors of distinct u, v (the number of 2-paths
-  /// between them). ER_q must have at most one (Theorem 6.1). A merge scan
-  /// of the two sorted rows.
-  int common_neighbor_count(int u, int v) const;
-
  private:
   int n_;
   bool finalized_ = false;
@@ -155,20 +149,5 @@ class Graph {
 /// length is not n or a parent is out of range or not a neighbor of its
 /// vertex. Finalized graphs only.
 std::vector<int> parent_links(const Graph& g, std::span<const IntSpan> parents);
-
-/// Disjoint-set union with path halving; used for spanning-tree validation.
-class UnionFind {
- public:
-  explicit UnionFind(int n);
-  int find(int x);
-  /// Returns false if x and y were already in the same set.
-  bool unite(int x, int y);
-  int num_components() const { return components_; }
-
- private:
-  std::vector<int> parent_;
-  std::vector<int> rank_;
-  int components_;
-};
 
 }  // namespace pfar::graph

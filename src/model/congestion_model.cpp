@@ -162,10 +162,7 @@ double allreduce_rate_upper_bound(const graph::Graph& g,
     throw std::invalid_argument(
         "allreduce_rate_upper_bound: non-positive bandwidth");
   }
-  int deg_min = std::numeric_limits<int>::max();
-  for (int v = 0; v < n; ++v) {
-    deg_min = std::min(deg_min, g.degree(v));
-  }
+  const int deg_min = g.min_degree();
   if (deg_min <= 0) {
     throw std::invalid_argument(
         "allreduce_rate_upper_bound: graph has an isolated vertex");
@@ -173,14 +170,6 @@ double allreduce_rate_upper_bound(const graph::Graph& g,
   const double spanning =
       static_cast<double>(g.num_edges()) / static_cast<double>(n - 1);
   return link_bandwidth * std::min(static_cast<double>(deg_min), spanning);
-}
-
-double predicted_allreduce_time(long long m, double latency,
-                                const TreeBandwidths& bw) {
-  if (bw.aggregate <= 0.0) {
-    throw std::invalid_argument("predicted_allreduce_time: zero bandwidth");
-  }
-  return latency + static_cast<double>(m) / bw.aggregate;
 }
 
 }  // namespace pfar::model

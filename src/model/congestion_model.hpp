@@ -64,9 +64,4 @@ double optimal_polarfly_bandwidth(int q, double link_bandwidth);
 double allreduce_rate_upper_bound(const graph::Graph& g,
                                   double link_bandwidth);
 
-/// Theorem 5.1 execution-time model: t = L + m / sum(B_i), with per-tree
-/// latency L (a function of tree depth handled by the caller).
-double predicted_allreduce_time(long long m, double latency,
-                                const TreeBandwidths& bw);
-
 }  // namespace pfar::model

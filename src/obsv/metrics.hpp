@@ -45,8 +45,6 @@ class Metrics {
   /// line, sorted by name.
   void write_jsonl(std::ostream& os) const;
 
-  void clear() { entries_.clear(); }
-
  private:
   enum class Kind { kCounter, kGauge, kHistogram };
   struct Entry {

@@ -28,11 +28,6 @@ struct Recorder {
   /// a path cannot be opened.
   void write_files(const std::string& trace_path,
                    const std::string& metrics_path) const;
-
-  void clear() {
-    trace.clear();
-    metrics.clear();
-  }
 };
 
 }  // namespace pfar::obsv

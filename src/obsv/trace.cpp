@@ -137,14 +137,4 @@ void Tracer::write_chrome_json(std::ostream& os) const {
   os << "\n]}\n";
 }
 
-void Tracer::clear() {
-  events_.clear();
-  track_names_.clear();
-  strings_.clear();
-  strings_.emplace_back();
-  ids_.clear();
-  dropped_ = 0;
-  time_offset_ = 0;
-}
-
 }  // namespace pfar::obsv

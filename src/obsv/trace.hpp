@@ -97,9 +97,6 @@ class Tracer {
   /// sorted by track id, events in insertion order, integers only.
   void write_chrome_json(std::ostream& os) const;
 
-  /// Drops every event, track name and interned string (ids invalidate).
-  void clear();
-
  private:
   struct Event {
     long long ts = 0;

@@ -105,20 +105,6 @@ int PolarFly::vertex_of(const Point& pt) const {
   throw std::invalid_argument("PolarFly::vertex_of: point not normalized");
 }
 
-Point PolarFly::normalize(gf::Elem x, gf::Elem y, gf::Elem z) const {
-  const gf::Field& f = *field_;
-  if (x != 0) {
-    const gf::Elem ix = f.inv(x);
-    return Point{1, f.mul(y, ix), f.mul(z, ix)};
-  }
-  if (y != 0) {
-    const gf::Elem iy = f.inv(y);
-    return Point{0, 1, f.mul(z, iy)};
-  }
-  if (z != 0) return Point{0, 0, 1};
-  throw std::invalid_argument("PolarFly::normalize: zero vector");
-}
-
 gf::Elem PolarFly::dot(const Point& a, const Point& b) const {
   const gf::Field& f = *field_;
   gf::Elem s = f.mul(a.x, b.x);

@@ -52,8 +52,6 @@ class PolarFly {
   const Point& point(int v) const { return points_[static_cast<std::size_t>(v)]; }
   /// Vertex id of a left-normalized point.
   int vertex_of(const Point& pt) const;
-  /// Left-normalizes an arbitrary non-zero vector.
-  Point normalize(gf::Elem x, gf::Elem y, gf::Elem z) const;
   /// Dot product of two points over F_q.
   gf::Elem dot(const Point& a, const Point& b) const;
 

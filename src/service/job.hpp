@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "simnet/config.hpp"
@@ -25,10 +24,8 @@ enum class SchedulerPolicy {
   kPartitionedBatched,
 };
 
-/// Canonical CLI/JSON names: "serial", "partitioned", "batched".
+/// Canonical JSON names: "serial", "partitioned", "batched".
 const char* to_string(SchedulerPolicy policy);
-/// Parses to_string names; throws std::invalid_argument on anything else.
-SchedulerPolicy policy_from_string(const std::string& name);
 
 /// Reduction operator tag. The cycle simulator checks integer sums
 /// exactly; the other operators time identically (one streaming ALU op per

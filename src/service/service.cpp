@@ -33,15 +33,6 @@ const char* to_string(SchedulerPolicy policy) {
   return "?";
 }
 
-// pfar-lint: allow(contract-coverage) parser: rejecting an unknown name via std::invalid_argument IS the contract (CLI flags arrive here raw)
-SchedulerPolicy policy_from_string(const std::string& name) {
-  if (name == "serial") return SchedulerPolicy::kSerial;
-  if (name == "partitioned") return SchedulerPolicy::kPartitioned;
-  if (name == "batched") return SchedulerPolicy::kPartitionedBatched;
-  throw std::invalid_argument("unknown scheduler policy '" + name +
-                              "' (expected serial|partitioned|batched)");
-}
-
 AllreduceService::AllreduceService(core::AllreducePlan plan,
                                    ServiceConfig config)
     : plan_(std::move(plan)), config_(config) {

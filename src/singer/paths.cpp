@@ -6,16 +6,11 @@
 
 namespace pfar::singer {
 
-long long alternating_path_vertex_count(const DifferenceSet& d, long long d0,
-                                        long long d1) {
-  if (d0 == d1) throw std::invalid_argument("alternating path: d0 == d1");
-  return d.n / util::gcd_ll(d0 - d1, d.n);
-}
-
 AlternatingPath build_alternating_path(const DifferenceSet& d, long long d0,
                                        long long d1) {
+  if (d0 == d1) throw std::invalid_argument("alternating path: d0 == d1");
   const long long n = d.n;
-  const long long k = alternating_path_vertex_count(d, d0, d1);
+  const long long k = n / util::gcd_ll(d0 - d1, n);  // Theorem 7.13
   const long long half = util::mod_inverse(2, n);
 
   AlternatingPath path;
@@ -31,24 +26,6 @@ AlternatingPath build_alternating_path(const DifferenceSet& d, long long d0,
   }
   path.hamiltonian = (k == n);
   return path;
-}
-
-long long alternating_path_element(const DifferenceSet& d, long long d0,
-                                   long long d1, long long i) {
-  const long long n = d.n;
-  const long long half = util::mod_inverse(2, n);
-  const long long b1 = util::mod_mul(half, d1, n);
-  // Closed form derived from the recurrence of Corollary 7.15 (the paper's
-  // Corollary 7.16 prints the even/odd cases swapped; this version is
-  // verified against the iterative construction by the test suite):
-  //   b_i = (i/2)(d0 - d1) + b_1        for even i,
-  //   b_i = ((i-1)/2)(d1 - d0) + b_1    for odd i.
-  if (i % 2 == 0) {
-    const long long t = ((d0 - d1) % n + n) % n;
-    return (util::mod_mul(i / 2, t, n) + b1) % n;
-  }
-  const long long t = ((d1 - d0) % n + n) % n;
-  return (util::mod_mul((i - 1) / 2, t, n) + b1) % n;
 }
 
 std::vector<std::pair<long long, long long>> hamiltonian_pairs(

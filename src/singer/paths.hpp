@@ -21,21 +21,13 @@ struct AlternatingPath {
   }
 };
 
-/// Predicted vertex count of the maximal (d0, d1) path:
-/// k = N / gcd(d0 - d1, N) (Theorem 7.13).
-long long alternating_path_vertex_count(const DifferenceSet& d, long long d0,
-                                        long long d1);
-
 /// Constructs the unique maximal alternating-sum non-repeating path for the
 /// ordered pair (d0, d1) per Corollary 7.15: b_1 = 2^{-1} d1, then
-/// b_i = d0 - b_{i-1} (i even) / d1 - b_{i-1} (i odd).
+/// b_i = d0 - b_{i-1} (i even) / d1 - b_{i-1} (i odd), for the
+/// k = N / gcd(d0 - d1, N) vertices of Theorem 7.13. Throws
+/// std::invalid_argument when d0 == d1.
 AlternatingPath build_alternating_path(const DifferenceSet& d, long long d0,
                                        long long d1);
-
-/// Closed-form b_i from Corollary 7.16 (1-indexed); used to cross-check the
-/// iterative construction.
-long long alternating_path_element(const DifferenceSet& d, long long d0,
-                                   long long d1, long long i);
 
 /// All unordered pairs {d0, d1} from D whose maximal path is Hamiltonian,
 /// i.e. gcd(d0 - d1, N) == 1 (Corollary 7.15(5)). Pairs are (smaller,

@@ -35,7 +35,9 @@ int id_of(const std::vector<int>& c, const std::vector<int>& dims) {
   return id;
 }
 
-graph::Graph grid(const std::vector<int>& dims, bool wrap) {
+}  // namespace
+
+graph::Graph torus(const std::vector<int>& dims) {
   const int n = product(dims);
   graph::Graph g(n);
   for (int v = 0; v < n; ++v) {
@@ -46,7 +48,7 @@ graph::Graph grid(const std::vector<int>& dims, bool wrap) {
         auto u = c;
         ++u[axis];
         g.add_edge(v, id_of(u, dims));
-      } else if (wrap && dims[axis] >= 3) {
+      } else if (dims[axis] >= 3) {
         auto u = c;
         u[axis] = 0;
         g.add_edge(v, id_of(u, dims));
@@ -56,12 +58,6 @@ graph::Graph grid(const std::vector<int>& dims, bool wrap) {
   g.finalize();
   return g;
 }
-
-}  // namespace
-
-graph::Graph torus(const std::vector<int>& dims) { return grid(dims, true); }
-
-graph::Graph mesh(const std::vector<int>& dims) { return grid(dims, false); }
 
 graph::Graph hypercube(int d) {
   if (d < 1 || d > 20) throw std::invalid_argument("hypercube: bad d");
@@ -90,15 +86,6 @@ graph::Graph hyperx(const std::vector<int>& dims) {
         g.add_edge(v, id_of(u, dims));
       }
     }
-  }
-  g.finalize();
-  return g;
-}
-
-graph::Graph complete(int n) {
-  graph::Graph g(n);
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) g.add_edge(i, j);
   }
   g.finalize();
   return g;

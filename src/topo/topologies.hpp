@@ -8,16 +8,13 @@
 namespace pfar::topo {
 
 /// Generators for the direct topologies the paper positions PolarFly
-/// against (Sections 1.2-1.3): tori/meshes, hypercubes, HyperX and
-/// fully-connected graphs. Used by the comparison benches to contrast
+/// against (Sections 1.2-1.3): tori, hypercubes and HyperX (a
+/// one-dimensional HyperX is the fully-connected graph). Used by the comparison benches to contrast
 /// multi-tree Allreduce potential (spanning-tree packing) across networks.
 
 /// k-ary n-dimensional torus: dims[i] >= 2; wrap links are added only when
-/// dims[i] >= 3 (for dims[i] == 2 the wrap would duplicate the mesh link).
+/// dims[i] >= 3 (for dims[i] == 2 the wrap would duplicate the other link).
 graph::Graph torus(const std::vector<int>& dims);
-
-/// Mesh (torus without wraparound).
-graph::Graph mesh(const std::vector<int>& dims);
 
 /// d-dimensional hypercube: 2^d vertices, neighbors differ in one bit.
 graph::Graph hypercube(int d);
@@ -25,9 +22,6 @@ graph::Graph hypercube(int d);
 /// HyperX: vertices are coordinate tuples; each dimension is fully
 /// connected (all-to-all among vertices differing only in that axis).
 graph::Graph hyperx(const std::vector<int>& dims);
-
-/// Complete graph K_n.
-graph::Graph complete(int n);
 
 /// Slim Fly (MMS graph) for a prime power q with q ≡ 1 (mod 4): the other
 /// mathematically designed diameter-2 topology the paper cites (Section

@@ -138,15 +138,6 @@ class ForestPacker {
 
 }  // namespace
 
-bool has_k_disjoint_spanning_trees(const graph::Graph& g, int k) {
-  if (k <= 0) return true;
-  const long long need =
-      static_cast<long long>(k) * (g.num_vertices() - 1);
-  if (need > g.num_edges()) return false;
-  ForestPacker packer(g, k);
-  return packer.pack() >= need;
-}
-
 std::vector<SpanningTree> exact_tree_packing(const graph::Graph& g) {
   const int n = g.num_vertices();
   std::vector<SpanningTree> out;

@@ -22,7 +22,4 @@ namespace pfar::trees {
 /// worst case; intended for graphs up to a few thousand edges.
 std::vector<SpanningTree> exact_tree_packing(const graph::Graph& g);
 
-/// True iff g contains k edge-disjoint spanning trees.
-bool has_k_disjoint_spanning_trees(const graph::Graph& g, int k);
-
 }  // namespace pfar::trees

@@ -1,6 +1,7 @@
 #include "util/args.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <stdexcept>
 
 #include "util/thread_pool.hpp"
 
@@ -24,12 +25,16 @@ Args::Args(int argc, char** argv) {
 
 long long Args::get_int(const std::string& key, long long fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::atoll(it->second.c_str());
-}
-
-double Args::get_double(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::atof(it->second.c_str());
+  if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
+  const char* const end = text.data() + text.size();
+  long long value = 0;
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end) {
+    throw std::invalid_argument("--" + key + ": expected an integer, got '" +
+                                text + "'");
+  }
+  return value;
 }
 
 std::string Args::get_string(const std::string& key,

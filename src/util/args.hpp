@@ -11,9 +11,11 @@ class Args {
  public:
   Args(int argc, char** argv);
 
-  /// Value of --key, or `fallback` if absent.
+  /// Value of --key, or `fallback` if absent. Throws
+  /// std::invalid_argument naming the flag unless the whole value is a
+  /// decimal integer in range (so `--max-q=abc` or `--seed 12x` fail
+  /// instead of reading as 0 or 12).
   long long get_int(const std::string& key, long long fallback) const;
-  double get_double(const std::string& key, double fallback) const;
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;
   bool has(const std::string& key) const;

@@ -7,15 +7,6 @@
 
 namespace pfar::util {
 
-bool is_prime(long long n) {
-  if (n < 2) return false;
-  if (n % 2 == 0) return n == 2;
-  for (long long d = 3; d * d <= n; d += 2) {
-    if (n % d == 0) return false;
-  }
-  return true;
-}
-
 bool is_prime_power(int q, int* p_out, int* a_out) {
   if (q < 2) return false;
   int p = 0;
@@ -55,20 +46,6 @@ long long gcd_ll(long long a, long long b) {
     b = t;
   }
   return a;
-}
-
-long long totient(long long n) {
-  if (n < 1) throw std::invalid_argument("totient: n must be >= 1");
-  long long result = n;
-  long long m = n;
-  for (long long d = 2; d * d <= m; ++d) {
-    if (m % d == 0) {
-      result -= result / d;
-      while (m % d == 0) m /= d;
-    }
-  }
-  if (m > 1) result -= result / m;
-  return result;
 }
 
 long long mod_inverse(long long a, long long n) {

@@ -5,9 +5,6 @@
 
 namespace pfar::util {
 
-/// True iff n is prime (trial division; intended for n <= ~10^9).
-bool is_prime(long long n);
-
 /// If q = p^a for prime p and a >= 1, returns true and fills p and a.
 bool is_prime_power(int q, int* p_out = nullptr, int* a_out = nullptr);
 
@@ -16,9 +13,6 @@ std::vector<int> prime_powers_in(int lo, int hi);
 
 /// Greatest common divisor of |a| and |b|.
 long long gcd_ll(long long a, long long b);
-
-/// Euler's totient function phi(n), n >= 1.
-long long totient(long long n);
 
 /// Modular inverse of a mod n (gcd(a, n) must be 1), result in [0, n).
 long long mod_inverse(long long a, long long n);

@@ -1,6 +1,5 @@
 #include "workload/trace.hpp"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "obsv/report.hpp"
@@ -114,22 +113,6 @@ TrainingTrace parse_trace_json(std::string_view text) {
   PFAR_ENSURE(!trace.layers.empty() && trace.iterations >= 1,
               trace.layers.size(), trace.iterations);
   return trace;
-}
-
-std::string trace_to_json(const TrainingTrace& trace) {
-  PFAR_REQUIRE(!trace.layers.empty() && trace.iterations >= 1,
-               trace.layers.size(), trace.iterations);
-  std::ostringstream os;
-  os << "{\n  \"iterations\": " << trace.iterations << ",\n  \"layers\": [\n";
-  for (std::size_t i = 0; i < trace.layers.size(); ++i) {
-    const LayerSpec& layer = trace.layers[i];
-    os << "    {\"forward_cycles\": " << layer.forward_cycles
-       << ", \"backward_cycles\": " << layer.backward_cycles
-       << ", \"gradient_elements\": " << layer.gradient_elements << "}"
-       << (i + 1 < trace.layers.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-  return os.str();
 }
 
 std::vector<Bucket> bucketize(const TrainingTrace& trace,

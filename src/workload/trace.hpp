@@ -58,10 +58,6 @@ TrainingTrace synthesize_trace(const ModelParams& params);
 /// negative quantities, empty layer list, non-positive iterations).
 TrainingTrace parse_trace_json(std::string_view text);
 
-/// Serializes a trace back into the schema parse_trace_json accepts
-/// (byte-deterministic; round-trips exactly — integers only).
-std::string trace_to_json(const TrainingTrace& trace);
-
 /// One gradient bucket: a contiguous back-to-front run of layers whose
 /// gradients are fused into a single allreduce, DDP-style.
 struct Bucket {

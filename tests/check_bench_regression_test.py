@@ -10,6 +10,8 @@ the gate green:
   * missing point        -> exit 1 (a shrunken grid is a regression)
   * schema drift         -> exit 1 (a dropped deterministic field fails,
                             an added field is ignored -- forward compatible)
+  * wall medians         -> only points at or above the checker's floor
+                            count; a runaway there fails
   * malformed input      -> exit 2 (usage error, distinct from regression)
   * identical runs       -> exit 0
 
@@ -164,6 +166,26 @@ class CheckBenchRegressionTest(unittest.TestCase):
                               extra_args=("--wall-tolerance", "3.0"))
         self.assertEqual(rc, 1, out)
         self.assertIn("total_wall_ms", out)
+
+    def test_wall_median_skips_points_below_the_floor(self):
+        base = baseline_doc()
+        for p in base["points"]:
+            p["wall_ms"] = 0.1
+        cur = copy.deepcopy(base)
+        for p in cur["points"]:
+            p["wall_ms"] = 1.4
+        rc, out = run_checker(base, cur,
+                              extra_args=("--wall-tolerance", "3.0"))
+        self.assertEqual(rc, 0, out)
+
+    def test_wall_median_runaway_above_the_floor_fails(self):
+        cur = baseline_doc()
+        for p in cur["points"]:
+            p["wall_ms"] *= 4
+        rc, out = run_checker(baseline_doc(), cur,
+                              extra_args=("--wall-tolerance", "3.0"))
+        self.assertEqual(rc, 1, out)
+        self.assertIn("median wall_ms", out)
 
     def test_malformed_current_is_a_usage_error(self):
         rc, out = run_checker(baseline_doc(), "{not json")

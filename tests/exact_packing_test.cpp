@@ -20,7 +20,7 @@ TEST(ExactPackingTest, CompleteGraphs) {
   // K_{2k} packs exactly k spanning trees; K_{2k+1} packs k as well
   // (floor(E/(N-1)) = floor((2k+1)/2) = k, attained).
   for (int n : {4, 5, 6, 7, 8}) {
-    const auto g = topo::complete(n);
+    const auto g = topo::hyperx({n});
     const auto trees = exact_tree_packing(g);
     EXPECT_EQ(static_cast<int>(trees.size()), n / 2) << "K_" << n;
     expect_valid_packing(g, trees);
@@ -70,7 +70,7 @@ TEST(ExactPackingTest, PolarFlyMatchesSectionSevenThree) {
 }
 
 TEST(ExactPackingTest, GreedyNeverBeatsExact) {
-  for (const auto& g : {topo::complete(7), topo::torus({4, 4}),
+  for (const auto& g : {topo::hyperx({7}), topo::torus({4, 4}),
                         topo::hyperx({3, 4}), topo::hypercube(4)}) {
     const auto greedy = greedy_tree_packing(g);
     const auto exact = exact_tree_packing(g);
@@ -79,13 +79,10 @@ TEST(ExactPackingTest, GreedyNeverBeatsExact) {
 }
 
 TEST(ExactPackingTest, HasKDisjointPredicate) {
-  const auto g = topo::complete(6);
-  EXPECT_TRUE(has_k_disjoint_spanning_trees(g, 0));
-  EXPECT_TRUE(has_k_disjoint_spanning_trees(g, 3));
-  EXPECT_FALSE(has_k_disjoint_spanning_trees(g, 4));
-  const auto sparse = topo::mesh({3, 3});
-  EXPECT_TRUE(has_k_disjoint_spanning_trees(sparse, 1));
-  EXPECT_FALSE(has_k_disjoint_spanning_trees(sparse, 2));
+  // K_6 holds 3 edge-disjoint spanning trees and not 4; the 3-cube (12
+  // edges, 7 per tree) holds 1 and not 2.
+  EXPECT_EQ(exact_tree_packing(topo::hyperx({6})).size(), 3u);
+  EXPECT_EQ(exact_tree_packing(topo::hypercube(3)).size(), 1u);
 }
 
 }  // namespace

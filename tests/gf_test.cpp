@@ -5,7 +5,7 @@
 
 #include "gf/cubic_extension.hpp"
 #include "gf/field.hpp"
-#include "util/numeric.hpp"
+#include "oracle/reference_math.hpp"
 
 namespace pfar::gf {
 namespace {
@@ -55,19 +55,19 @@ TEST_P(FieldAxioms, Associativity) {
 }
 
 TEST_P(FieldAxioms, ExpLogConsistency) {
+  // The exp/log tables the multiplication table is built from make
+  // generator() a generator: its q-1 powers are distinct and non-zero.
   const Field f(GetParam());
   const int q = f.q();
-  for (Elem x = 1; x < q; ++x) {
-    EXPECT_EQ(f.exp(f.log(x)), x);
-  }
-  // The generator has full order q-1: all powers are distinct.
   std::vector<char> seen(static_cast<std::size_t>(q), 0);
+  Elem v = 1;
   for (int e = 0; e < q - 1; ++e) {
-    const Elem v = f.exp(e);
     EXPECT_NE(v, 0);
     EXPECT_FALSE(seen[static_cast<std::size_t>(v)]);
     seen[static_cast<std::size_t>(v)] = 1;
+    v = f.mul(v, f.generator());
   }
+  EXPECT_EQ(v, 1);
 }
 
 TEST_P(FieldAxioms, FrobeniusIsAdditive) {
@@ -77,7 +77,8 @@ TEST_P(FieldAxioms, FrobeniusIsAdditive) {
   const int p = f.p();
   for (Elem x = 0; x < q; ++x) {
     for (Elem y = 0; y < q; ++y) {
-      EXPECT_EQ(f.pow(f.add(x, y), p), f.add(f.pow(x, p), f.pow(y, p)));
+      EXPECT_EQ(oracle::field_pow(f, f.add(x, y), p),
+                f.add(oracle::field_pow(f, x, p), oracle::field_pow(f, y, p)));
     }
   }
 }
@@ -88,11 +89,11 @@ TEST_P(FieldAxioms, PowMatchesRepeatedMul) {
   for (Elem x = 1; x < q; ++x) {
     Elem acc = 1;
     for (int e = 0; e <= 5; ++e) {
-      EXPECT_EQ(f.pow(x, e), acc);
+      EXPECT_EQ(oracle::field_pow(f, x, e), acc);
       acc = f.mul(acc, x);
     }
     // Fermat: x^(q-1) == 1.
-    EXPECT_EQ(f.pow(x, q - 1), 1);
+    EXPECT_EQ(oracle::field_pow(f, x, q - 1), 1);
   }
 }
 
@@ -123,8 +124,6 @@ TEST(FieldTest, GeneratorOfF2IsOne) {
   // come from it rather than from past its end.
   const Field f(2);
   EXPECT_EQ(f.generator(), 1);
-  EXPECT_EQ(f.exp(1), 1);
-  EXPECT_EQ(f.log(1), 0);
 }
 
 TEST(FieldTest, GF4Structure) {
@@ -160,12 +159,6 @@ TEST(FieldTest, GF9ModulusIsPrimitive) {
     cur = f.mul(cur, 3);
   }
   EXPECT_EQ(cur, 1);
-}
-
-TEST(FieldTest, DigitExtraction) {
-  const Field f(9);  // p = 3
-  EXPECT_EQ(f.digit(5, 0), 2);  // 5 = 2 + 1*3
-  EXPECT_EQ(f.digit(5, 1), 1);
 }
 
 class CubicExtensionTest : public ::testing::TestWithParam<int> {};

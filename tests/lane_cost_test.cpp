@@ -322,7 +322,7 @@ TEST(LaneCost, RootedShapeNamesMatchAhuStrings) {
 TEST(LaneCost, RandomRootedTreesShareAcrossRelabelings) {
   util::Rng rng(2103);
   for (const int n : {9, 16, 25}) {
-    const graph::Graph g = topo::complete(n);
+    const graph::Graph g = topo::hyperx({n});
     for (int trial = 0; trial < 3; ++trial) {
       const trees::SpanningTree tree = random_tree(n, rng);
       const trees::SpanningTree twin = relabeled(tree, rng);

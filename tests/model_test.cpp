@@ -2,7 +2,6 @@
 
 #include <numeric>
 
-#include "model/alpha_beta.hpp"
 #include "model/congestion_model.hpp"
 #include "polarfly/layout.hpp"
 #include "singer/singer_graph.hpp"
@@ -192,39 +191,6 @@ TEST(OptimalSplitTest, EqualizesTreeTimes) {
     const double ti = static_cast<double>(split[i]) / bw.per_tree[i];
     EXPECT_NEAR(ti, t0, 2.0 / bw.per_tree[i] + 2.0 / bw.per_tree[0]);
   }
-  EXPECT_NEAR(predicted_allreduce_time(m, 0.0, bw), m / 3.0, 1.0);
-}
-
-TEST(AlphaBetaTest, RingModel) {
-  const AlphaBeta c{2.0, 0.5};
-  EXPECT_DOUBLE_EQ(ring_allreduce_time(1, 100, c), 0.0);
-  // 2(p-1) alpha + 2 m (p-1)/p beta for p=4, m=100:
-  EXPECT_DOUBLE_EQ(ring_allreduce_time(4, 100, c),
-                   2 * 3 * 2.0 + 2 * 100 * 0.75 * 0.5);
-}
-
-TEST(AlphaBetaTest, RecursiveDoublingPowersOfTwo) {
-  const AlphaBeta c{1.0, 1.0};
-  EXPECT_DOUBLE_EQ(recursive_doubling_time(8, 10, c), 3 * (1.0 + 10.0));
-  // Non-power-of-two adds a full extra exchange.
-  EXPECT_DOUBLE_EQ(recursive_doubling_time(9, 10, c),
-                   3 * (1.0 + 10.0) + 2 * (1.0 + 10.0));
-}
-
-TEST(AlphaBetaTest, BandwidthOptimalBeatsLatencyOptimalForLargeM) {
-  const AlphaBeta c{10.0, 0.01};
-  const int p = 16;
-  EXPECT_LT(ring_allreduce_time(p, 1 << 20, c),
-            recursive_doubling_time(p, 1 << 20, c));
-  EXPECT_LT(recursive_doubling_time(p, 8, c), ring_allreduce_time(p, 8, c));
-}
-
-TEST(AlphaBetaTest, MultiTreeBeatsSingleTreeByAggregateFactor) {
-  const AlphaBeta c{1.0, 1.0};
-  const long long m = 1 << 20;
-  const double single = single_tree_innetwork_time(2, m, c);
-  const double multi = multi_tree_innetwork_time(3, m, 1.0, 6.0);
-  EXPECT_NEAR(single / multi, 6.0, 0.01);
 }
 
 TEST(RateUpperBoundTest, PathAndCliqueAndPolarFly) {
@@ -269,17 +235,6 @@ TEST(RateUpperBoundTest, InputValidation) {
   ok.add_edge(0, 1);
   ok.finalize();
   EXPECT_THROW(allreduce_rate_upper_bound(ok, 0.0), std::invalid_argument);
-}
-
-TEST(AlphaBetaTest, InputValidation) {
-  const AlphaBeta c{1.0, 1.0};
-  EXPECT_THROW(ring_allreduce_time(0, 1, c), std::invalid_argument);
-  EXPECT_THROW(single_tree_innetwork_time(-1, 1, c), std::invalid_argument);
-  EXPECT_THROW(multi_tree_innetwork_time(1, 1, 1.0, 0.0),
-               std::invalid_argument);
-  TreeBandwidths empty;
-  EXPECT_THROW(predicted_allreduce_time(10, 0.0, empty),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "oracle/reference_math.hpp"
 #include "singer/paths.hpp"
 #include "singer/singer_graph.hpp"
 #include "util/numeric.hpp"
@@ -11,6 +12,19 @@ namespace pfar::singer {
 namespace {
 
 class PathTheorems : public ::testing::TestWithParam<int> {};
+
+// Closed-form b_i (1-indexed) derived from the recurrence of Corollary
+// 7.15 (the paper's Corollary 7.16 prints the even/odd cases swapped):
+//   b_i = (i/2)(d0 - d1) + b_1        for even i,
+//   b_i = ((i-1)/2)(d1 - d0) + b_1    for odd i.
+long long alternating_path_element(const DifferenceSet& d, long long d0,
+                                   long long d1, long long i) {
+  const long long n = d.n;
+  const long long b1 = util::mod_mul(util::mod_inverse(2, n), d1, n);
+  const long long step = i % 2 == 0 ? d0 - d1 : d1 - d0;
+  const long long t = (step % n + n) % n;
+  return (util::mod_mul(i / 2, t, n) + b1) % n;
+}
 
 TEST_P(PathTheorems, VertexCountFormula) {
   // Theorem 7.13: k = N / gcd(d0 - d1, N), verified constructively.
@@ -114,7 +128,7 @@ TEST_P(PathTheorems, HamiltonianIffCoprime) {
 TEST_P(PathTheorems, HamiltonianCountIsTotient) {
   // Corollary 7.20.
   const DifferenceSet d = build_difference_set(GetParam());
-  EXPECT_EQ(count_hamiltonian_paths(d), util::totient(d.n));
+  EXPECT_EQ(count_hamiltonian_paths(d), oracle::totient(d.n));
 }
 
 INSTANTIATE_TEST_SUITE_P(PrimePowers, PathTheorems,

@@ -1,13 +1,11 @@
-// Round-trip, rejection and memoization tests for the plan serializer
-// (core/serialize) and core::PlanCache: a reloaded plan must be exactly
-// the plan that was stored (hex-float doubles round-trip bit-for-bit),
-// and every corrupted, truncated, stale-version or misnamed payload must
-// be rejected and rebuilt rather than trusted.
+// Round-trip and rejection tests for the plan serializer (core/serialize)
+// and memoization tests for core::PlanCache: a reloaded plan must be
+// exactly the plan that was stored (hex-float doubles round-trip
+// bit-for-bit), every corrupted, truncated or stale-version payload must
+// be rejected, and a cached plan must equal a direct build.
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -19,8 +17,6 @@
 
 namespace pfar::core {
 namespace {
-
-namespace fs = std::filesystem;
 
 // Every observable of a plan, compared exactly — including doubles, which
 // the %a hex-float encoding must round-trip bit-for-bit.
@@ -59,21 +55,6 @@ std::string with_line_replaced(const std::string& text,
   cs << "checksum " << std::hex << fnv1a64(body) << "\n";
   return body + cs.str();
 }
-
-class PlanCacheTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    // One directory per test: ctest runs the tests of this fixture as
-    // concurrent processes, which must not share (and wipe) one cache.
-    dir_ = fs::path(::testing::TempDir()) /
-           (std::string("pfar_plan_cache_test_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::remove_all(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  fs::path dir_;
-};
 
 TEST(PlanSerializeTest, RoundTripIsExact) {
   for (const Solution s : {Solution::kLowDepth, Solution::kEdgeDisjoint,
@@ -158,7 +139,7 @@ TEST(PlanSerializeTest, RejectsTreeEdgeNotInTopology) {
   EXPECT_THROW(parse_plan(bad), std::invalid_argument);
 }
 
-TEST_F(PlanCacheTest, MemoryHitReturnsSameInstance) {
+TEST(PlanCacheTest, MemoryHitReturnsSameInstance) {
   PlanCache cache;
   const PlanKey key{7, Solution::kLowDepth, 0};
   const auto first = cache.get_or_build(key);
@@ -167,11 +148,9 @@ TEST_F(PlanCacheTest, MemoryHitReturnsSameInstance) {
   const auto stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.memory_hits, 1u);
-  EXPECT_EQ(stats.disk_hits, 0u);
-  EXPECT_EQ(stats.stores, 0u);  // memory-only: nothing written
 }
 
-TEST_F(PlanCacheTest, CachedPlanMatchesDirectBuild) {
+TEST(PlanCacheTest, CachedPlanMatchesDirectBuild) {
   PlanCache cache;
   for (const Solution s : {Solution::kLowDepth, Solution::kEdgeDisjoint}) {
     const auto cached = cache.get_or_build({7, s, 0});
@@ -180,7 +159,7 @@ TEST_F(PlanCacheTest, CachedPlanMatchesDirectBuild) {
   }
 }
 
-TEST_F(PlanCacheTest, DistinctKeysDistinctPlans) {
+TEST(PlanCacheTest, DistinctKeysDistinctPlans) {
   PlanCache cache;
   const auto low = cache.get_or_build({5, Solution::kLowDepth, 0});
   const auto ham = cache.get_or_build({5, Solution::kEdgeDisjoint, 0});
@@ -190,159 +169,12 @@ TEST_F(PlanCacheTest, DistinctKeysDistinctPlans) {
   EXPECT_NE(low.get(), st1.get());
 }
 
-TEST_F(PlanCacheTest, LookupDoesNotBuild) {
-  PlanCache cache;
-  EXPECT_EQ(cache.lookup({5, Solution::kLowDepth, 0}), nullptr);
-  cache.get_or_build({5, Solution::kLowDepth, 0});
-  EXPECT_NE(cache.lookup({5, Solution::kLowDepth, 0}), nullptr);
-}
-
-TEST_F(PlanCacheTest, DiskRoundTripAcrossInstances) {
-  const PlanKey key{7, Solution::kEdgeDisjoint, 0};
-  {
-    PlanCache cache(dir_.string());
-    cache.get_or_build(key);
-    const auto stats = cache.stats();
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.stores, 1u);
-    EXPECT_TRUE(fs::exists(dir_ / PlanCache::file_name(key)));
-  }
-  // A fresh cache (new process, conceptually) must load from disk without
-  // rebuilding — and the loaded plan matches a direct build exactly.
-  PlanCache cache(dir_.string());
-  const auto loaded = cache.get_or_build(key);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.disk_hits, 1u);
-  EXPECT_EQ(stats.misses, 0u);
-  expect_same_plan(
-      AllreducePlanner(7).solution(Solution::kEdgeDisjoint).build(), *loaded);
-  // clear() drops memory but keeps the disk entry.
-  cache.clear();
-  EXPECT_NE(cache.get_or_build(key), nullptr);
-  EXPECT_EQ(cache.stats().disk_hits, 2u);
-}
-
-TEST_F(PlanCacheTest, CorruptedDiskEntryIsRebuilt) {
-  const PlanKey key{5, Solution::kLowDepth, 0};
-  {
-    PlanCache cache(dir_.string());
-    cache.get_or_build(key);
-  }
-  const fs::path file = dir_ / PlanCache::file_name(key);
-  ASSERT_TRUE(fs::exists(file));
-  {
-    std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(30);
-    f.put('#');  // corrupt one body byte -> checksum mismatch
-  }
-  PlanCache cache(dir_.string());
-  const auto plan = cache.get_or_build(key);
-  ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(cache.stats().disk_hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 1u);  // silently rebuilt
-  expect_same_plan(AllreducePlanner(5).build(), *plan);
-}
-
-TEST_F(PlanCacheTest, MisnamedDiskEntryIsNotTrusted) {
-  // A valid payload under the wrong key's filename (q=5 plan renamed to
-  // the q=7 slot) must be rejected by the key re-validation and rebuilt.
-  const PlanKey small{5, Solution::kLowDepth, 0};
-  const PlanKey big{7, Solution::kLowDepth, 0};
-  {
-    PlanCache cache(dir_.string());
-    cache.get_or_build(small);
-  }
-  fs::rename(dir_ / PlanCache::file_name(small),
-             dir_ / PlanCache::file_name(big));
-  PlanCache cache(dir_.string());
-  const auto plan = cache.get_or_build(big);
-  EXPECT_EQ(plan->q(), 7);
-  EXPECT_EQ(cache.stats().disk_hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-}
-
-TEST_F(PlanCacheTest, FileNameEmbedsKeyAndBuilderVersion) {
-  const std::string name =
-      PlanCache::file_name({49, Solution::kEdgeDisjoint, 3});
-  EXPECT_NE(name.find("49"), std::string::npos);
-  EXPECT_NE(name.find(kBuilderVersion), std::string::npos);
-  EXPECT_NE(name, PlanCache::file_name({49, Solution::kEdgeDisjoint, 4}));
-  EXPECT_NE(name, PlanCache::file_name({49, Solution::kLowDepth, 3}));
-}
-
-TEST_F(PlanCacheTest, ThreadsParameterDoesNotChangeResult) {
+TEST(PlanCacheTest, ThreadsParameterDoesNotChangeResult) {
   PlanCache a, b;
   for (const Solution s : {Solution::kLowDepth, Solution::kEdgeDisjoint}) {
     expect_same_plan(*a.get_or_build({9, s, 0}, 1),
                      *b.get_or_build({9, s, 0}, 3));
   }
-}
-
-// Drops an arbitrary file into the cache directory.
-void plant_file(const fs::path& dir, const std::string& name,
-                const std::string& contents = "x") {
-  fs::create_directories(dir);
-  std::ofstream(dir / name, std::ios::binary) << contents;
-}
-
-TEST_F(PlanCacheTest, ScanDiskSortsAndClassifies) {
-  PlanCache cache(dir_.string());
-  cache.get_or_build({5, Solution::kLowDepth, 0});  // one kCurrent entry
-  const std::string current = PlanCache::file_name({5, Solution::kLowDepth, 0});
-  // An entry written by an older builder (version suffix differs), an
-  // orphaned write-then-rename temp file, and a file that is not ours.
-  plant_file(dir_, "plan_q5_s0_st1_pfar-builder-0.pfar");
-  plant_file(dir_, current + ".tmp");
-  plant_file(dir_, "notes.txt");
-
-  const auto entries = cache.scan_disk();
-  ASSERT_EQ(entries.size(), 4u);
-  // Sorted by filename regardless of creation/directory order.
-  for (std::size_t i = 1; i < entries.size(); ++i) {
-    EXPECT_LT(entries[i - 1].file, entries[i].file);
-  }
-  for (const auto& e : entries) {
-    if (e.file == current) {
-      EXPECT_EQ(e.state, PlanCache::DiskEntry::State::kCurrent);
-    } else if (e.file == "notes.txt") {
-      EXPECT_EQ(e.state, PlanCache::DiskEntry::State::kForeign);
-    } else {
-      EXPECT_EQ(e.state, PlanCache::DiskEntry::State::kStale) << e.file;
-    }
-  }
-}
-
-TEST_F(PlanCacheTest, ScanDiskEmptyWhenMemoryOnlyOrDirMissing) {
-  PlanCache memory_only;
-  EXPECT_TRUE(memory_only.scan_disk().empty());
-  PlanCache missing((dir_ / "never_created").string());
-  EXPECT_TRUE(missing.scan_disk().empty());
-}
-
-TEST_F(PlanCacheTest, PurgeStaleRemovesOnlyStaleEntries) {
-  const PlanKey key{5, Solution::kEdgeDisjoint, 0};
-  PlanCache cache(dir_.string());
-  cache.get_or_build(key);
-  const std::string current = PlanCache::file_name(key);
-  plant_file(dir_, "plan_q5_s1_st0_pfar-builder-0.pfar");  // old version
-  plant_file(dir_, current + ".tmp");                      // orphaned temp
-  plant_file(dir_, "notes.txt");                           // foreign
-
-  EXPECT_EQ(cache.purge_stale(), 2);
-  EXPECT_TRUE(fs::exists(dir_ / current));     // current survives
-  EXPECT_TRUE(fs::exists(dir_ / "notes.txt"));  // foreign never touched
-  EXPECT_FALSE(fs::exists(dir_ / "plan_q5_s1_st0_pfar-builder-0.pfar"));
-  EXPECT_FALSE(fs::exists(dir_ / (current + ".tmp")));
-  EXPECT_EQ(cache.purge_stale(), 0);  // idempotent once clean
-  // The surviving current entry still loads.
-  PlanCache fresh(dir_.string());
-  EXPECT_NE(fresh.lookup(key), nullptr);
-  EXPECT_EQ(fresh.stats().disk_hits, 1u);
-}
-
-TEST_F(PlanCacheTest, PurgeStaleOnMemoryOnlyCacheIsANoOp) {
-  PlanCache cache;
-  EXPECT_EQ(cache.purge_stale(), 0);
 }
 
 }  // namespace

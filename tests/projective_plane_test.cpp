@@ -2,10 +2,13 @@
 
 #include <set>
 
-#include "polarfly/projective_plane.hpp"
+#include "oracle/projective_plane.hpp"
 
-namespace pfar::polarfly {
+namespace pfar::oracle {
 namespace {
+
+using polarfly::PolarFly;
+using polarfly::Point;
 
 class PlaneAxioms : public ::testing::TestWithParam<int> {};
 
@@ -89,4 +92,4 @@ TEST(PlaneTest, DualityErrorsOnDegenerateArgs) {
 }
 
 }  // namespace
-}  // namespace pfar::polarfly
+}  // namespace pfar::oracle

