@@ -11,37 +11,32 @@
 namespace pfar::adapt {
 namespace {
 
-/// Occupancy of `flits` on a directed link of `bandwidth` over `cycles`.
-double occupancy(long long flits, int bandwidth, long long cycles) {
+/// Occupancy of `flits` on a directed link (one flit per cycle) over
+/// `cycles`.
+double occupancy(long long flits, long long cycles) {
   if (cycles <= 0) return 0.0;
-  return static_cast<double>(flits) /
-         (static_cast<double>(bandwidth) * static_cast<double>(cycles));
+  return static_cast<double>(flits) / static_cast<double>(cycles);
 }
 
 /// Runs Algorithm 1 over the plan's final tree set on the network
 /// capacitated by its scales — the re-weighting half of the controller,
 /// shared by every exit path of adapt_plan.
-AdaptedPlan finalize_plan(AdaptedPlan plan, const graph::Graph& topology,
-                          const CongestionMap& congestion) {
-  plan.bandwidths = model::compute_tree_bandwidths(
-      topology, plan.trees, static_cast<double>(congestion.link_bandwidth),
-      plan.capacity_scale);
+AdaptedPlan finalize_plan(AdaptedPlan plan, const graph::Graph& topology) {
+  plan.bandwidths = model::compute_tree_bandwidths(topology, plan.trees, 1.0,
+                                                   plan.capacity_scale);
   return plan;
 }
 
 }  // namespace
 
 CongestionMap CongestionMap::from_sim_result(const graph::Graph& topology,
-                                             const simnet::SimResult& result,
-                                             int link_bandwidth) {
-  PFAR_REQUIRE(link_bandwidth >= 1, link_bandwidth);
+                                             const simnet::SimResult& result) {
   const std::size_t num_dlinks =
       static_cast<std::size_t>(2 * topology.num_edges());
   PFAR_REQUIRE(result.link_flits.size() == num_dlinks,
                result.link_flits.size(), num_dlinks);
   CongestionMap map;
   map.cycles = result.cycles;
-  map.link_bandwidth = link_bandwidth;
   map.dlinks.assign(num_dlinks, {});
   for (std::size_t d = 0; d < num_dlinks; ++d) {
     LinkCongestion& lc = map.dlinks[d];
@@ -50,8 +45,8 @@ CongestionMap CongestionMap::from_sim_result(const graph::Graph& topology,
     if (d < result.link_queue_hwm.size()) {
       lc.queue_hwm = result.link_queue_hwm[d];
     }
-    lc.busy = occupancy(lc.flits + lc.bg_flits, link_bandwidth, map.cycles);
-    lc.bg_busy = occupancy(lc.bg_flits, link_bandwidth, map.cycles);
+    lc.busy = occupancy(lc.flits + lc.bg_flits, map.cycles);
+    lc.bg_busy = occupancy(lc.bg_flits, map.cycles);
   }
   return map;
 }
@@ -106,7 +101,7 @@ AdaptedPlan adapt_plan(const graph::Graph& topology,
     if (ba != bb) return ba > bb;
     return congestion.edge_queue_hwm(a) > congestion.edge_queue_hwm(b);
   });
-  if (hot_ids.empty()) return finalize_plan(plan, topology, congestion);
+  if (hot_ids.empty()) return finalize_plan(plan, topology);
 
   // taken[e]: edge e is unavailable to replacement trees — hot, or (on
   // disjoint plans) held by a tree.
@@ -119,7 +114,7 @@ AdaptedPlan adapt_plan(const graph::Graph& topology,
     }
     if (core::residual_graph(topology, taken).is_connected()) break;
   }
-  if (keep == 0) return finalize_plan(plan, topology, congestion);
+  if (keep == 0) return finalize_plan(plan, topology);
   const std::vector<char> is_hot = taken;
   for (std::size_t i = 0; i < keep; ++i) {
     plan.hot_links.push_back(
@@ -183,12 +178,11 @@ AdaptedPlan adapt_plan(const graph::Graph& topology,
   // through its one tolerated cool link, trading q moderately-slow trees
   // for q trees serialized behind a single link — and the controller must
   // never adapt into a predictably worse plan.
-  plan = finalize_plan(std::move(plan), topology, congestion);
+  plan = finalize_plan(std::move(plan), topology);
   if (!plan.replanned.empty()) {
     const model::TreeBandwidths original_bw =
-        model::compute_tree_bandwidths(
-            topology, trees, static_cast<double>(congestion.link_bandwidth),
-            plan.capacity_scale);
+        model::compute_tree_bandwidths(topology, trees, 1.0,
+                                       plan.capacity_scale);
     if (plan.bandwidths.aggregate <= original_bw.aggregate) {
       plan.trees = trees;
       plan.replanned.clear();
@@ -212,8 +206,7 @@ ProbedPlan probe_and_adapt(const graph::Graph& topology,
                                                    kProbeElements,
                                                    probe_cfg)
                   .sim;
-  out.congestion = CongestionMap::from_sim_result(topology, out.probe,
-                                                  config.link_bandwidth);
+  out.congestion = CongestionMap::from_sim_result(topology, out.probe);
   out.plan = adapt_plan(topology, trees, out.congestion);
   return out;
 }
@@ -251,10 +244,7 @@ AdaptiveResult run_adaptive_allreduce(
   // static model.
   out.adaptive = collectives::run_planned_allreduce(
       topology, out.plan.trees, model::optimal_split(m, out.plan.bandwidths),
-      model::compute_tree_bandwidths(
-          topology, out.plan.trees,
-          static_cast<double>(config.link_bandwidth)),
-      config);
+      model::compute_tree_bandwidths(topology, out.plan.trees, 1.0), config);
 
   if (compare_static) {
     simnet::SimConfig static_cfg = config;

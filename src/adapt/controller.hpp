@@ -19,10 +19,10 @@ struct LinkCongestion {
   long long bg_flits = 0;
   /// Peak receiver-buffer occupancy (packets) on the link.
   long long queue_hwm = 0;
-  /// (flits + bg_flits) / (link_bandwidth * window cycles): total
-  /// occupancy of the link's capacity, in [0, ~1].
+  /// (flits + bg_flits) / window cycles: total occupancy of the link's
+  /// one flit per cycle, in [0, ~1].
   double busy = 0.0;
-  /// bg_flits / (link_bandwidth * window cycles): the share of capacity
+  /// bg_flits / window cycles: the share of capacity
   /// background traffic claims — the part the collective cannot use, and
   /// the controller's primary congestion signal.
   double bg_busy = 0.0;
@@ -34,12 +34,10 @@ struct LinkCongestion {
 /// works in PFAR_TRACE=off builds too (docs/congestion_adaptation.md).
 struct CongestionMap {
   long long cycles = 0;
-  int link_bandwidth = 1;
   std::vector<LinkCongestion> dlinks;  // 2 * num_edges entries
 
   static CongestionMap from_sim_result(const graph::Graph& topology,
-                                       const simnet::SimResult& result,
-                                       int link_bandwidth);
+                                       const simnet::SimResult& result);
 
   /// Background occupancy of undirected edge e: the max over its two
   /// directions (the collective needs both — reduce up, broadcast down).

@@ -53,8 +53,8 @@ InNetworkResult run_innetwork_allreduce(
     throw std::invalid_argument("run_innetwork_allreduce: no trees");
   }
   PFAR_REQUIRE(m >= 0, m);
-  model::TreeBandwidths predicted = model::compute_tree_bandwidths(
-      topology, spanning_trees, static_cast<double>(config.link_bandwidth));
+  model::TreeBandwidths predicted =
+      model::compute_tree_bandwidths(topology, spanning_trees, 1.0);
   std::vector<long long> split =
       policy == SplitPolicy::kOptimal
           ? model::optimal_split(m, predicted)

@@ -12,7 +12,6 @@
 #include "model/congestion_model.hpp"
 #include "obsv/recorder.hpp"
 #include "util/contracts.hpp"
-#include "util/rng.hpp"
 
 namespace pfar::collectives {
 namespace {
@@ -20,9 +19,6 @@ namespace {
 [[noreturn]] void fail_unrecoverable(const std::string& why) {
   PFAR_REQUIRE(false && "run_resilient_allreduce: unrecoverable failure",
                why);
-  // Contracts compiled out (PFAR_CHECKS=off): still fail loudly.
-  throw std::runtime_error("run_resilient_allreduce: unrecoverable failure: " +
-                           why);
 }
 
 /// The per-tree progress timeout of an attempt on `trees`: the configured
@@ -46,31 +42,21 @@ long long attempt_timeout(const simnet::SimConfig& config,
 /// The fault script an attempt that starts `elapsed` global cycles into the
 /// original script sees: pending events shifted into the attempt's local
 /// clock (clamped at 0), restricted to links the residual topology still
-/// has. Flaky links that survive stay flaky, with the attempt index mixed
-/// into the seed so a replay does not replicate the old drop pattern
-/// packet-for-packet.
+/// has.
 simnet::FaultScript shift_script(const simnet::FaultScript& script,
                                  long long elapsed,
-                                 const graph::Graph& residual, int attempt) {
+                                 const graph::Graph& residual) {
   simnet::FaultScript out;
   const int n = residual.num_vertices();
-  const auto still_a_link = [&](int u, int v) {
-    return u >= 0 && u < n && v >= 0 && v < n && residual.has_edge(u, v);
-  };
   for (const auto& ev : script.events) {
-    if (!still_a_link(ev.u, ev.v)) continue;
+    if (ev.u < 0 || ev.u >= n || ev.v < 0 || ev.v >= n ||
+        !residual.has_edge(ev.u, ev.v)) {
+      continue;
+    }
     simnet::FaultEvent shifted = ev;
     shifted.cycle = std::max<long long>(0, ev.cycle - elapsed);
     out.events.push_back(shifted);
   }
-  for (const auto& [u, v] : script.flaky_links) {
-    if (still_a_link(u, v)) out.flaky_links.emplace_back(u, v);
-  }
-  out.flaky_drop_permille = script.flaky_drop_permille;
-  out.flaky_seed =
-      attempt == 0 ? script.flaky_seed
-                   : util::splitmix64(script.flaky_seed +
-                                      static_cast<std::uint64_t>(attempt));
   return out;
 }
 
@@ -127,15 +113,14 @@ RecoveryStats recover(
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     model::TreeBandwidths bw =
         attempt == 0 ? bandwidths
-                     : model::compute_tree_bandwidths(
-                           *cur_topology, cur_trees,
-                           static_cast<double>(config.link_bandwidth));
+                     : model::compute_tree_bandwidths(*cur_topology,
+                                                      cur_trees, 1.0);
     std::vector<long long> split = model::optimal_split(remaining, bw);
 
     simnet::SimConfig attempt_config = config;
     attempt_config.progress_timeout = attempt_timeout(config, cur_trees);
-    attempt_config.faults = shift_script(config.faults, stats.total_cycles,
-                                         *cur_topology, attempt);
+    attempt_config.faults =
+        shift_script(config.faults, stats.total_cycles, *cur_topology);
 
     // Place this attempt's simulation events on the global recovery
     // timeline (cycle 0 of the attempt = total_cycles so far).
@@ -202,7 +187,8 @@ RecoveryStats recover(
     }
 
     // Exclude every link implicated in this attempt: scripted downs still
-    // in effect plus links whose flaky mode actually ate packets.
+    // in effect plus every link that lost packets in flight, even one that
+    // came back up before the attempt ended.
     for (const auto& e : res.links_down) accumulated_failed.push_back(e);
     for (std::size_t d = 0; d < res.link_dropped_flits.size(); ++d) {
       if (res.link_dropped_flits[d] > 0) {
@@ -266,9 +252,7 @@ RecoveryStats run_resilient_allreduce(
     const std::vector<trees::SpanningTree>& spanning_trees, long long m,
     const simnet::SimConfig& config, const ResilienceConfig& resilience) {
   return recover(topology, spanning_trees,
-                 model::compute_tree_bandwidths(
-                     topology, spanning_trees,
-                     static_cast<double>(config.link_bandwidth)),
+                 model::compute_tree_bandwidths(topology, spanning_trees, 1.0),
                  m, config, resilience);
 }
 
@@ -297,8 +281,7 @@ RunCost TreeSetCost::cost(long long m) {
     return hit->second;
   }
   if (!bandwidths_) {
-    bandwidths_ = model::compute_tree_bandwidths(
-        *topology_, trees_, static_cast<double>(config_.link_bandwidth));
+    bandwidths_ = model::compute_tree_bandwidths(*topology_, trees_, 1.0);
   }
   RunCost cost;
   if (resilience_ && !config_.faults.empty()) {

@@ -57,7 +57,8 @@ struct RecoveryStats {
   /// Algorithm 1 aggregate bandwidth of the final (successful) plan — the
   /// degradation benches plot this against the number of failed links.
   double degraded_aggregate_bandwidth = 0.0;
-  /// Every link excluded by recovery (scripted downs and flaky droppers).
+  /// Every link excluded by recovery: links down at an attempt's end and
+  /// links that lost packets in flight.
   std::vector<graph::Edge> failed_links;
   std::vector<AttemptStats> attempt_log;
   /// Simulator result of the final attempt.
@@ -73,8 +74,7 @@ struct RecoveryStats {
 /// Requires `config.progress_timeout > 0` (detection) and non-empty trees.
 /// Unrecoverable situations — residual topology disconnected, no surviving
 /// trees, retries exhausted — fail loudly through a PFAR_REQUIRE contract
-/// violation (std::runtime_error when contracts are compiled out); the
-/// driver never hangs past the simulator's max_cycles.
+/// violation; the driver never hangs past the simulator's max_cycles.
 RecoveryStats run_resilient_allreduce(
     const graph::Graph& topology,
     const std::vector<trees::SpanningTree>& trees, long long m,

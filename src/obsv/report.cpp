@@ -172,8 +172,8 @@ struct Parser {
     }
     if (pos == start) fail("unexpected character");
     v.type = JsonValue::Type::kNumber;
-    v.number = std::strtod(std::string(text.substr(start, pos - start)).c_str(),
-                           nullptr);
+    v.string = text.substr(start, pos - start);
+    v.number = std::strtod(v.string.c_str(), nullptr);
     return v;
   }
 };

@@ -20,6 +20,8 @@ struct JsonValue {
   Type type = Type::kNull;
   bool boolean = false;
   double number = 0.0;
+  /// A string's value, or a number's source text (so a reader can take an
+  /// integer exactly rather than through `number`).
   std::string string;
   std::vector<JsonValue> array;
   std::map<std::string, JsonValue> object;

@@ -272,9 +272,9 @@ ServiceStats AllreduceService::stats() const {
   if (s.makespan_cycles > 0) {
     s.jobs_per_kcycle = 1000.0 * static_cast<double>(s.completed) /
                         static_cast<double>(s.makespan_cycles);
+    // Every directed link moves one flit per cycle.
     const double capacity =
         static_cast<double>(2 * plan_.topology().num_edges()) *
-        static_cast<double>(config_.sim.link_bandwidth) *
         static_cast<double>(s.makespan_cycles);
     s.utilization = static_cast<double>(s.total_flits) / capacity;
   }

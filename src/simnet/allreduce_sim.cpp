@@ -31,12 +31,6 @@ FaultState prepare_faults(const graph::Graph& topology,
   };
   FaultState fs;
   fs.edge_down.assign(static_cast<std::size_t>(topology.num_edges()), 0);
-  fs.seed = script.flaky_seed;
-  fs.drop_permille = script.flaky_drop_permille;
-  if (script.flaky_drop_permille < 0 || script.flaky_drop_permille > 1000) {
-    throw std::invalid_argument(
-        "FaultScript: flaky_drop_permille outside [0, 1000]");
-  }
   fs.events.reserve(script.events.size());
   for (const auto& ev : script.events) {
     if (ev.cycle < 0) {
@@ -49,23 +43,7 @@ FaultState prepare_faults(const graph::Graph& topology,
                    [](const PreparedFault& a, const PreparedFault& b) {
                      return a.cycle < b.cycle;
                    });
-  if (!script.flaky_links.empty() && script.flaky_drop_permille > 0) {
-    fs.dlink_flaky.assign(static_cast<std::size_t>(2 * topology.num_edges()),
-                          0);
-    fs.dlink_sent.assign(static_cast<std::size_t>(2 * topology.num_edges()),
-                         0);
-    for (const auto& [u, v] : script.flaky_links) {
-      const int eid = resolve(u, v);
-      fs.dlink_flaky[static_cast<std::size_t>(2 * eid)] = 1;
-      fs.dlink_flaky[static_cast<std::size_t>(2 * eid + 1)] = 1;
-    }
-    fs.flaky = true;
-  } else {
-    for (const auto& [u, v] : script.flaky_links) {
-      static_cast<void>(resolve(u, v));  // validate even when permille == 0
-    }
-  }
-  fs.active = !fs.events.empty() || fs.flaky;
+  fs.active = !fs.events.empty();
   return fs;
 }
 
@@ -106,7 +84,7 @@ void SimObserver::finalize(long long cycles, const SimResult& result) {
     const long long last = result.tree_failed[ti] != 0
                                ? result.tree_fail_cycle[ti]
                                : result.tree_finish_cycle[ti];
-    if (mode != Collective::kReduce && first >= 0 && last >= first) {
+    if (first >= 0 && last >= first) {
       rec->trace.complete(first, last - first + 1, n_bcast, track);
     }
     const std::string prefix = "tree." + std::to_string(t);
@@ -159,7 +137,7 @@ void SimObserver::finalize(long long cycles, const SimResult& result) {
 std::vector<int> validate_simulation(
     const graph::Graph& topology,
     const std::vector<trees::SpanningTree>& trees, const SimConfig& config) {
-  if (config.link_bandwidth < 1 || config.link_latency < 0 ||
+  if (config.link_latency < 0 ||
       config.vc_credits < 1 || config.fork_buffer < 1 ||
       config.packet_payload < 1 || config.packet_header_flits < 0) {
     throw std::invalid_argument("AllreduceSimulator: bad config");
@@ -190,8 +168,8 @@ std::vector<int> validate_simulation(
         "AllreduceSimulator: hotspot_node must name a vertex and "
         "hotspot_fraction lie in [0, 1]");
   }
-  // Validate the fault script eagerly (edge existence, cycle/permille
-  // ranges) so a bad script fails at construction, not mid-run.
+  // Validate the fault script eagerly (edge existence, event cycles) so a
+  // bad script fails at construction, not mid-run.
   static_cast<void>(prepare_faults(topology, config.faults));
   // A SpanningTree is a rooted tree by construction; what it cannot know
   // is the topology. The resolve is the edge check.
@@ -250,10 +228,8 @@ RunContext::RunContext(const graph::Graph& topology_in,
   result.link_queue_hwm.assign(static_cast<std::size_t>(num_dlinks), 0);
   result.link_bg_flits.assign(static_cast<std::size_t>(num_dlinks), 0);
   result.link_dropped_flits.assign(static_cast<std::size_t>(num_dlinks), 0);
-  // Deliveries owed per tree: at every node for Allreduce/Broadcast, at
-  // the root only for Reduce.
-  const long long receivers =
-      config.collective == Collective::kReduce ? 1 : topology.num_vertices();
+  // Deliveries owed per tree: every element at every node.
+  const long long receivers = topology.num_vertices();
   tree_remaining.resize(elements.size());
   for (std::size_t t = 0; t < elements.size(); ++t) {
     if (elements[t] < 0) {
@@ -268,13 +244,12 @@ RunContext::RunContext(const graph::Graph& topology_in,
   // Background traffic: steady-state per-directed-link drain rates
   // (empty = quiet network, and none of the loop's background code runs).
   if (config.background.active()) {
-    bg_rates = background_link_rates_ppm(topology, config.background,
-                                         config.link_bandwidth);
+    bg_rates = background_link_rates_ppm(topology, config.background);
   }
   // Observability: attach only when compiled in and a Recorder is given.
   if constexpr (obsv::kTraceCompiled) {
     if (config.recorder != nullptr) {
-      observer.init(config.recorder, topology, num_trees, config.collective);
+      observer.init(config.recorder, topology, num_trees);
       obs = &observer;
     }
   }
@@ -298,15 +273,15 @@ SimResult RunContext::finish(long long cycles) {
     if (fault.edge_down[e]) result.links_down.push_back(edges[e]);
   }
   if (!bg_rates.empty()) {
-    // Every link was up for the whole run when no down/up events exist
-    // (flaky links drop packets but keep serving), so each link's drain
-    // count telescopes to the closed form over [0, cycles). Writing it
-    // here (a) extends the accounting to links the loop never touches
-    // (no VCs — the loop skips them, yet their background load is real
-    // and the congestion controller wants it) and (b) normalizes sharded
-    // runs, whose groups stop counting at their own exit cycles. With
-    // down events the loop-maintained per-up-cycle counts stand, and
-    // only VC-carrying links are accounted (the run was serial).
+    // Every link was up for the whole run when no down/up events exist,
+    // so each link's drain count telescopes to the closed form over
+    // [0, cycles). Writing it here (a) extends the accounting to links the
+    // loop never touches (no VCs — the loop skips them, yet their
+    // background load is real and the congestion controller wants it) and
+    // (b) normalizes sharded runs, whose groups stop counting at their own
+    // exit cycles. With down events the loop-maintained per-up-cycle
+    // counts stand, and only VC-carrying links are accounted (the run was
+    // serial).
     settle_background(result, bg_rates, config.background.packet_flits,
                       config.faults.events.empty() ? cycles : -1);
   }
@@ -347,7 +322,7 @@ SimResult AllreduceSimulator::run(
 
   detail::RunContext run(topology_, config_, elements_per_tree);
   const detail::Fabric fabric =
-      detail::build_fabric(topology_, trees_, links_, config_, run.result);
+      detail::build_fabric(topology_, trees_, links_, run.result);
   if (run.total_target == 0) return std::move(run.result);
 
   // Intra-run sharding: more than one link-disjoint tree group and no

@@ -22,7 +22,8 @@ struct SimResult {
   /// Total elements reduced across all trees (sum of the per-tree counts).
   long long total_elements = 0;
   /// total_elements / cycles, in elements per cycle — directly comparable
-  /// with Algorithm 1's aggregate bandwidth when link_bandwidth = 1.
+  /// with Algorithm 1's aggregate bandwidth in units of one link's flit per
+  /// cycle.
   double aggregate_bandwidth = 0.0;
   /// True iff every delivered element matched the exact expected
   /// reduction value at every node (integer arithmetic, no tolerance).
@@ -70,15 +71,14 @@ struct SimResult {
   /// Per tree: cycle at which the failure was detected, -1 if healthy.
   std::vector<long long> tree_fail_cycle;
   /// Per tree: the complete element prefix — elements delivered at every
-  /// receiver (at the root for Collective::kReduce). For healthy trees
-  /// this equals the tree's element count; for failed trees it is the
-  /// high-water mark recovery must replay beyond.
+  /// node. For healthy trees this equals the tree's element count; for
+  /// failed trees it is the high-water mark recovery must replay beyond.
   std::vector<long long> tree_completed;
-  /// Packets lost on the wire (in flight at a link_down, or eaten by a
-  /// flaky link) and their flits (payload + header), total and per
-  /// directed link. These flits appear in link_flits (they did cross the
-  /// link) but were never delivered. link_dropped_flits is empty on the
-  /// flow tier, which rejects fault scripts.
+  /// Packets lost on the wire (in flight at a link_down) and their flits
+  /// (payload + header), total and per directed link. These flits appear
+  /// in link_flits (they did cross the link) but were never delivered.
+  /// link_dropped_flits is empty on the flow tier, which rejects fault
+  /// scripts.
   long long dropped_packets = 0;
   long long dropped_flits = 0;
   std::vector<long long> link_dropped_flits;
@@ -141,7 +141,7 @@ std::vector<std::vector<int>> link_disjoint_tree_groups(
 ///    toward the parent (streaming aggregation at link rate);
 ///  * the root turns the final sums around into a broadcast that forks to
 ///    all children and is delivered locally at every hop;
-///  * each directed physical link has `link_bandwidth` flits/cycle shared
+///  * each directed physical link moves one flit per cycle, shared
 ///    round-robin between the VCs of all trees crossing it — congested
 ///    links divide bandwidth exactly as the paper's congestion model
 ///    assumes;

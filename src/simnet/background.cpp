@@ -21,13 +21,11 @@ std::size_t dlink(const graph::Graph& g, int u, int v) {
 }  // namespace
 
 std::vector<long long> background_link_rates_ppm(const graph::Graph& topology,
-                                                 const BackgroundTraffic& bg,
-                                                 int link_bandwidth) {
+                                                 const BackgroundTraffic& bg) {
   const int n = topology.num_vertices();
   PFAR_REQUIRE(n >= 2, n);
   PFAR_REQUIRE(bg.load >= 0.0 && bg.load < 1.0, bg.load);
   PFAR_REQUIRE(bg.packet_flits >= 1, bg.packet_flits);
-  PFAR_REQUIRE(link_bandwidth >= 1, link_bandwidth);
   if (bg.pattern == TrafficPattern::kHotspot) {
     PFAR_REQUIRE(bg.hotspot_node >= 0 && bg.hotspot_node < n, bg.hotspot_node,
                  n);
@@ -39,10 +37,9 @@ std::vector<long long> background_link_rates_ppm(const graph::Graph& topology,
       static_cast<std::size_t>(2 * topology.num_edges()), 0);
   if (!bg.active()) return rates;
 
-  // Offered load per source in ppm-flits/cycle, scaled by link bandwidth
-  // so load = 0.5 always means "half of one link's capacity".
-  const long long load_ppm =
-      std::llround(bg.load * static_cast<double>(kPpm)) * link_bandwidth;
+  // Offered load per source in ppm-flits/cycle: load = 0.5 means half of
+  // one link's capacity.
+  const long long load_ppm = std::llround(bg.load * static_cast<double>(kPpm));
   const long long hf_ppm =
       std::llround(bg.hotspot_fraction * static_cast<double>(kPpm));
 
@@ -100,7 +97,7 @@ std::vector<long long> background_link_rates_ppm(const graph::Graph& topology,
   }
 
   // Leave headroom for the collective on every link.
-  const long long cap = 900'000LL * link_bandwidth;
+  const long long cap = 900'000;
   for (auto& r : rates) r = std::min(r, cap);
   return rates;
 }

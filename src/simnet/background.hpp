@@ -20,12 +20,11 @@ namespace pfar::simnet {
 /// machine-independent; the engines replay it as a deterministic drain
 /// sequence (docs/congestion_adaptation.md, "Determinism").
 ///
-/// Per-link rates are clamped to 90% of the directed link's capacity
-/// (`900'000 * link_bandwidth` ppm) so an oversubscribed pattern degrades
-/// the collective instead of starving it outright.
+/// Per-link rates are clamped to 90% of the directed link's one flit per
+/// cycle (900'000 ppm) so an oversubscribed pattern degrades the collective
+/// instead of starving it outright.
 std::vector<long long> background_link_rates_ppm(const graph::Graph& topology,
-                                                 const BackgroundTraffic& bg,
-                                                 int link_bandwidth);
+                                                 const BackgroundTraffic& bg);
 
 /// Whole background packets drained by a link of rate `rate_ppm` over its
 /// first `cycles` serviced cycles: floor(cycles * rate_ppm / (packet_flits

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace pfar::obsv {
@@ -10,15 +9,6 @@ struct Recorder;
 }
 
 namespace pfar::simnet {
-
-/// Which collective dataflow the embedded trees execute (Section 4.3:
-/// Allreduce = reduction up the tree followed by a broadcast down it; the
-/// two halves are also useful on their own).
-enum class Collective {
-  kAllreduce,  // reduce to the root, then broadcast the result
-  kReduce,     // reduce to the root only (result lands at the root)
-  kBroadcast,  // root streams its vector down the tree (no reduction)
-};
 
 /// Which execution engine drives the simulation (docs/simulation_engine.md,
 /// "The engine tiers"). The fast-forward engine is the cycle-accurate
@@ -32,8 +22,7 @@ enum class SimEngine {
   /// background drains catch up lazily per link, in closed form), hot
   /// state lives in flat structure-of-arrays form, and provably idle cycle
   /// ranges are skipped in one jump. On a quiet
-  /// network without flaky links, a control state that repeats every P
-  /// cycles is also skipped: whole periods advance in closed form. With
+  /// network, a control state that repeats every P cycles is also skipped: whole periods advance in closed form. With
   /// SimConfig::shard_threads != 1 a single run additionally shards
   /// link-disjoint tree groups across a thread pool, bit-identically.
   kFastForward,
@@ -132,30 +121,21 @@ struct FaultEvent {
 ///    recovery. A down link moves no flits until a matching `kLinkUp`.
 ///  * `kLinkUp` restores the link. Traffic that merely stalled (nothing
 ///    was in flight at the down instant) resumes loss-free.
-///  * Flaky mode: every packet crossing a link in `flaky_links` is
-///    dropped iff a hash of (flaky_seed, directed link, per-link packet
-///    ordinal) lands below `flaky_drop_permille` — a deterministic subset
-///    independent of engine choice.
 struct FaultScript {
   std::vector<FaultEvent> events;
-  /// Links (by endpoints) whose packets are dropped pseudo-randomly.
-  std::vector<std::pair<int, int>> flaky_links;
-  /// Seed of the deterministic drop decision.
-  std::uint64_t flaky_seed = 0;
-  /// Drop probability in 1/1000 units, in [0, 1000].
-  int flaky_drop_permille = 0;
 
-  bool empty() const { return events.empty() && flaky_links.empty(); }
+  bool empty() const { return events.empty(); }
 };
 
-/// Parameters of the cycle-level router/link model (Section 4.4). The
-/// defaults model a PIUMA/SHARP-like device: pipelined reduction engines
-/// able to sustain link rate, credit-based flow control, and one virtual
-/// channel per (tree, direction) crossing a link — the per-tree state the
-/// paper's Section 5.1 discusses.
+/// Parameters of the cycle-level router/link model (Section 4.4) for one
+/// Allreduce: a reduction up every tree pipelined into a broadcast down it
+/// (Section 4.3). The defaults model a PIUMA/SHARP-like device: pipelined
+/// reduction engines able to sustain link rate, credit-based flow control,
+/// and one virtual channel per (tree, direction) crossing a link — the
+/// per-tree state the paper's Section 5.1 discusses. Every directed link
+/// moves one flit (one element) per cycle: the uniform bandwidth B that
+/// Algorithm 1 takes as its unit.
 struct SimConfig {
-  /// Flits a directed link can move per cycle (one element per flit).
-  int link_bandwidth = 1;
   /// Wire/pipeline latency of a link in cycles.
   int link_latency = 4;
   /// Receiver buffer slots (packets) per virtual channel. Must cover the
@@ -171,8 +151,6 @@ struct SimConfig {
   /// Header/control flits prepended to each packet; models protocol
   /// overhead: link efficiency = payload / (payload + header).
   int packet_header_flits = 0;
-  /// Which collective to execute.
-  Collective collective = Collective::kAllreduce;
   /// Which engine to use: the cycle-accurate fast-forward engine or the
   /// approximate flow tier (see SimEngine).
   SimEngine engine = SimEngine::kFastForward;

@@ -41,7 +41,7 @@ namespace pfar::simnet::detail {
 //  * link arbitration visits only links an event marked as possibly
 //    grantable, in the reference loop's ascending order, and each link's
 //    token bucket and background accumulator catch up lazily when it is
-//    visited (min(t + k*B, cap) is the k-fold composition of the per-cycle
+//    visited (min(t + k, cap) is the k-fold composition of the per-cycle
 //    recharge; drains are applied one by one at their own cycles);
 //  * a cycle in which nothing moved and no event landed is provably
 //    followed by identical no-op cycles until the next in-flight landing or
@@ -50,11 +50,11 @@ namespace pfar::simnet::detail {
 //    even the throwing paths report the same cycle numbers as the
 //    reference loop.
 //
-// On a quiet network without flaky links, a sixth change skips the busy
-// steady state: once the pipeline waves have filled the trees, the loop's
-// control state (everything that decides what moves next, with times taken
-// relative to `now`) often repeats every P cycles while only counters and
-// packet values advance. A rolling signature of each cycle's grants
+// On a quiet network, a sixth change skips the busy steady state: once the
+// pipeline waves have filled the trees, the loop's control state
+// (everything that decides what moves next, with times taken relative to
+// `now`) often repeats every P cycles while only counters and packet
+// values advance. A rolling signature of each cycle's grants
 // (PeriodFinder) proposes P; a full snapshot compared exactly P cycles
 // later confirms it, and the loop then advances k whole periods in closed
 // form: absolute times move by k * P, counters and in-flight values by k
@@ -124,12 +124,12 @@ class PeriodFinder {
 // tree t owns 4 * num_states + t, then delivered_total, then one link_flits
 // count per active link). Empty unless no tree was canceled, every engine
 // of a tree advanced by the same element count e_t, the tree's owed
-// deliveries fell by e_t per receiver, some tree moved, and the period can
-// repeat at least once more (docs/simulation_engine.md, "A verified period
-// answers other vector sizes").
+// deliveries fell by e_t at each of the n nodes, some tree moved, and the
+// period can repeat at least once more (docs/simulation_engine.md, "A
+// verified period answers other vector sizes").
 std::optional<PeriodCertificate> certify_period(
     long long period, long long now, const std::vector<long long>& delta,
-    int n, long long receivers, std::size_t active_links,
+    int n, std::size_t active_links,
     const std::vector<long long>& eng_target,
     const std::vector<long long>& eng_injected,
     const std::vector<long long>& tree_remaining,
@@ -149,10 +149,8 @@ std::optional<PeriodCertificate> certify_period(
       if (delta[4 * s] != e) return std::nullopt;
       if (e > 0) left = std::min(left, (eng_target[s] - 1 - eng_injected[s]) / e);
     }
-    if (delta[4 * num_states + t] != -e * receivers) return std::nullopt;
-    if (e > 0) {
-      left = std::min(left, (tree_remaining[t] - 1) / (e * receivers));
-    }
+    if (delta[4 * num_states + t] != -e * n) return std::nullopt;
+    if (e > 0) left = std::min(left, (tree_remaining[t] - 1) / (e * n));
     cert.elements_per_period[t] = e;
   }
   if (left == LLONG_MAX || left < 1) return std::nullopt;
@@ -183,8 +181,6 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
   const int n = f.n;
   const int num_trees = f.num_trees;
   const int num_vcs = f.num_vcs();
-  const Collective mode = config.collective;
-  const bool want_bcast = mode != Collective::kReduce;
 
   // The fabric, read-only for the whole run.
   const std::span<const std::int32_t> root_state(f.root_state);
@@ -208,9 +204,7 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
   std::vector<int> rr(static_cast<std::size_t>(f.num_dlinks), 0);
   std::vector<long long> tokens(static_cast<std::size_t>(f.num_dlinks), 0);
   const int header = config.packet_header_flits;
-  const int bw = config.link_bandwidth;
-  const long long token_cap =
-      static_cast<long long>(bw) * (config.packet_payload + header);
+  const long long token_cap = config.packet_payload + header;
   const int latency = config.link_latency;
 
   // Background traffic, identical per-cycle mechanics to the reference
@@ -301,7 +295,7 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
   // have been advanced through cycle synced[d]. sync(d, c) applies the
   // reference loop's per-cycle update (recharge; on an up link, accumulate
   // and drain) to cycles synced[d] + 1 .. c, composed exactly:
-  // min(t + k * bw, cap) between drains, each drain at its own cycle. A
+  // min(t + k, cap) between drains, each drain at its own cycle. A
   // link's up/down state is constant over the range, because every fault
   // event syncs the link before it flips it.
   std::vector<long long> synced(static_cast<std::size_t>(f.num_dlinks), -1);
@@ -317,7 +311,7 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
         // bg_pkt_ppm (acc stays below bg_pkt_ppm between drains).
         const long long j = (bg_pkt_ppm - acc + rate - 1) / rate;
         k -= j;
-        tok = std::min(tok + j * bw, token_cap);
+        tok = std::min(tok + j, token_cap);
         acc += j * rate;
         const long long pkts = acc / bg_pkt_ppm;
         acc -= pkts * bg_pkt_ppm;
@@ -328,7 +322,7 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
       }
       acc += k * rate;
     }
-    tok = std::min(tok + k * bw, token_cap);
+    tok = std::min(tok + k, token_cap);
     synced[d] = upto;
   };
   const auto sync_all = [&](long long upto) {
@@ -386,25 +380,17 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
   };
 
   // Incremental operand/expected-value generators: operands and expected
-  // results (the root's operand for Broadcast, the sum over all nodes
-  // otherwise) are linear in the element index, so each engine keeps the
-  // next value and bumps it by the constant stride per element — exactly
-  // the same integers as recomputing from scratch. Values are functions of
-  // the GLOBAL tree index, so a sharded sub-run (tree_gid != identity)
-  // moves the very same integers as the serial run.
-  const std::int64_t exp_slope =
-      mode == Collective::kBroadcast
-          ? kElemStride
-          : static_cast<std::int64_t>(n) * kElemStride;
+  // results (the sum over all nodes) are linear in the element index, so
+  // each engine keeps the next value and bumps it by the constant stride
+  // per element — exactly the same integers as recomputing from scratch.
+  // Values are functions of the GLOBAL tree index, so a sharded sub-run
+  // (tree_gid != identity) moves the very same integers as the serial run.
+  const std::int64_t exp_slope = static_cast<std::int64_t>(n) * kElemStride;
   std::vector<std::int64_t> inj_next(num_states), exp_next(num_states);
   for (std::size_t i = 0; i < num_states; ++i) {
-    const std::size_t t = i / static_cast<std::size_t>(n);
-    const int gid = f.tree_gid[t];
+    const int gid = f.tree_gid[i / static_cast<std::size_t>(n)];
     inj_next[i] = local_value(static_cast<int>(i) % n, gid, 0);
-    exp_next[i] = mode == Collective::kBroadcast
-                      ? local_value(root_state[t] - static_cast<int>(t) * n,
-                                    gid, 0)
-                      : sum_over_nodes(n, gid, 0);
+    exp_next[i] = sum_over_nodes(n, gid, 0);
   }
 
   // Active broadcast engines: (node, tree) pairs that an event may have
@@ -483,29 +469,23 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
     return head;
   };
 
-  // The engine's next chunk of local operands, as a fresh packet.
-  const auto make_local_packet = [&](std::size_t si) -> Ref {
+  // The engine's next chunk of local operands combined with one packet
+  // from each child, as a fresh packet. Chunk sizes are aligned across
+  // children because every stream chunks the same way.
+  const auto make_reduce_packet = [&](std::int32_t state_idx) -> Ref {
+    const std::size_t si = static_cast<std::size_t>(state_idx);
     const long long remaining = eng_target[si] - eng_injected[si];
-    const long long size =
-        std::min<long long>(config.packet_payload, remaining);
-    const std::int32_t slab = alloc_slab();
-    std::int64_t* out = &arena[static_cast<std::size_t>(slab) * static_cast<std::size_t>(stride)];
+    const Ref packet{alloc_slab(),
+                     static_cast<std::int32_t>(std::min<long long>(
+                         config.packet_payload, remaining))};
+    std::int64_t* out = &arena[static_cast<std::size_t>(packet.slab) * static_cast<std::size_t>(stride)];
     std::int64_t value = inj_next[si];
-    for (long long i = 0; i < size; ++i) {
+    for (std::int32_t i = 0; i < packet.size; ++i) {
       out[i] = value;
       value += kElemStride;
     }
     inj_next[si] = value;
-    eng_injected[si] += size;
-    return Ref{slab, static_cast<std::int32_t>(size)};
-  };
-
-  // The local chunk combined with one packet from each child. Chunk sizes
-  // are aligned across children because every stream chunks the same way.
-  const auto make_reduce_packet = [&](std::int32_t state_idx) -> Ref {
-    const std::size_t si = static_cast<std::size_t>(state_idx);
-    const Ref packet = make_local_packet(si);
-    std::int64_t* out = &arena[static_cast<std::size_t>(packet.slab) * static_cast<std::size_t>(stride)];
+    eng_injected[si] += packet.size;
     const std::int32_t cb = child_base[si];
     for (std::int32_t c = 0; c < nchild(si); ++c) {
       const int cvc = child_vc[static_cast<std::size_t>(cb + c)];
@@ -594,14 +574,9 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
     result.tree_fail_cycle[static_cast<std::size_t>(t)] = now;
     result.tree_finish_cycle[static_cast<std::size_t>(t)] = -1;
     long long prefix = LLONG_MAX;
-    if (mode == Collective::kReduce) {
-      prefix = eng_delivered[static_cast<std::size_t>(
-          root_state[static_cast<std::size_t>(t)])];
-    } else {
-      for (int v = 0; v < n; ++v) {
-        prefix =
-            std::min(prefix, eng_delivered[static_cast<std::size_t>(t * n + v)]);
-      }
+    for (int v = 0; v < n; ++v) {
+      prefix =
+          std::min(prefix, eng_delivered[static_cast<std::size_t>(t * n + v)]);
     }
     result.tree_completed[static_cast<std::size_t>(t)] = prefix;
     PFAR_OBS(on_cancel(t, now, prefix));
@@ -650,11 +625,10 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
   };
 
   // --- Steady-period jump (see the header comment). Only on a quiet
-  // network without flaky links: background drains and drop decisions
-  // follow absolute time and per-link packet ordinals, which the control
+  // network: background drains follow absolute time, which the control
   // state does not hold. The snapshot is allocated on first use and holds
   // occupied slots only.
-  const bool steady_ok = !bg_active && !fault.flaky;
+  const bool steady_ok = !bg_active;
   PeriodFinder finder;
   std::uint64_t cycle_sig = 0;  // this cycle's grants, rolled
   int period = 0;               // the candidate under verification
@@ -872,11 +846,9 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
     const bool hit = now == verify_at && result.values_correct && verify();
     verify_at = -1;
     if (hit && cert != nullptr && !cert->has_value()) {
-      *cert = certify_period(
-          period, now, delta, n,
-          mode == Collective::kReduce ? 1 : static_cast<long long>(n),
-          active_dlinks.size(), eng_target, eng_injected, tree_remaining,
-          tree_canceled);
+      *cert = certify_period(period, now, delta, n, active_dlinks.size(),
+                             eng_target, eng_injected, tree_remaining,
+                             tree_canceled);
     }
     const long long k = hit ? periods_to_skip() : 0;
     if (k < 1) {
@@ -1000,44 +972,28 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
       }
     }
 
-    // 2. Root engines (O(num_trees), cheap enough to visit every cycle).
+    // 2. Root engines (O(num_trees), cheap enough to visit every cycle):
+    // a root whose inputs are ready turns one final sum around per cycle.
     for (int t = 0; t < num_trees; ++t) {
-      if (tree_canceled[static_cast<std::size_t>(t)]) continue;
-      const std::int32_t si = root_state[static_cast<std::size_t>(t)];
-      for (int fire = 0; fire < bw; ++fire) {
-        if (eng_injected[static_cast<std::size_t>(si)] >=
-            eng_target[static_cast<std::size_t>(si)]) {
-          break;
-        }
-        if (mode != Collective::kReduce &&
-            static_cast<int>(rq_count[static_cast<std::size_t>(t)]) >= config.vc_credits) {
-          break;
-        }
-        Ref packet;
-        if (mode == Collective::kBroadcast) {
-          packet = make_local_packet(static_cast<std::size_t>(si));
-        } else {
-          if (eng_waiting[static_cast<std::size_t>(si)] != 0) break;
-          packet = make_reduce_packet(si);
-        }
-        if (mode == Collective::kReduce) {
-          deliver(t, si, packet);
-          free_slabs.push_back(packet.slab);
-        } else {
-          root_ring[static_cast<unsigned>(t) * pcap + ((rq_head[static_cast<std::size_t>(t)] + rq_count[static_cast<std::size_t>(t)]) & pmask)] =
-              packet;
-          ++rq_count[static_cast<std::size_t>(t)];
-          activate_bcast(si);
-        }
-        last_progress = now;
-        progressed = true;
+      const std::size_t ti = static_cast<std::size_t>(t);
+      const std::size_t si = static_cast<std::size_t>(root_state[ti]);
+      if (tree_canceled[ti] || eng_injected[si] >= eng_target[si] ||
+          static_cast<int>(rq_count[ti]) >= config.vc_credits ||
+          eng_waiting[si] != 0) {
+        continue;
       }
+      root_ring[ti * pcap + ((rq_head[ti] + rq_count[ti]) & pmask)] =
+          make_reduce_packet(root_state[ti]);
+      ++rq_count[ti];
+      activate_bcast(root_state[ti]);
+      last_progress = now;
+      progressed = true;
     }
 
     // 3. Broadcast replication, active engines only. Processing order
     // within a cycle does not affect any state the engines share, so the
     // activation order is as good as the reference loop's (t, v) order.
-    if (want_bcast && !bcast_list.empty()) {
+    if (!bcast_list.empty()) {
       bcast_current.clear();
       bcast_current.swap(bcast_list);
       for (std::int32_t idx : bcast_current) bcast_active[static_cast<std::size_t>(idx)] = 0;
@@ -1045,65 +1001,53 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
         const int t = idx / n;
         if (tree_canceled[static_cast<std::size_t>(t)]) continue;
         const bool is_root = (idx == root_state[static_cast<std::size_t>(t)]);
-        if (!is_root && parent_bcast_vc[static_cast<std::size_t>(idx)] < 0) {
-          continue;
-        }
         const std::int32_t sb = child_base[static_cast<std::size_t>(idx)];
         const std::int32_t forks = nchild(static_cast<std::size_t>(idx));
-        bool blocked = false;
-        int moves = 0;
-        for (; moves < bw; ++moves) {
-          bool room = true;
-          for (std::int32_t c = 0; c < forks; ++c) {
-            if (static_cast<int>(fcount[static_cast<std::size_t>(sb + c)]) >= config.fork_buffer) {
-              room = false;
-              break;
-            }
-          }
-          if (!room) {
-            blocked = true;  // re-armed by a fork-slot drain in step 4
+        bool room = true;
+        for (std::int32_t c = 0; c < forks; ++c) {
+          if (static_cast<int>(fcount[static_cast<std::size_t>(sb + c)]) >= config.fork_buffer) {
+            room = false;
             break;
           }
-          Ref packet;
-          if (is_root) {
-            if (rq_count[static_cast<std::size_t>(t)] == 0) {
-              blocked = true;  // re-armed by the next root-queue push
-              break;
-            }
-            packet = root_ring[static_cast<unsigned>(t) * pcap + (rq_head[static_cast<std::size_t>(t)] & pmask)];
-            rq_head[static_cast<std::size_t>(t)] = (rq_head[static_cast<std::size_t>(t)] + 1) & pmask;
-            --rq_count[static_cast<std::size_t>(t)];
-          } else {
-            const int pvc = parent_bcast_vc[static_cast<std::size_t>(idx)];
-            if (vc_poisoned[static_cast<std::size_t>(pvc)] ||
-                rready[static_cast<std::size_t>(pvc)] == 0) {
-              blocked = true;  // re-armed by the next arrival
-              break;
-            }
-            packet = ring_ref[static_cast<unsigned>(pvc) * pcap + (rhead[static_cast<std::size_t>(pvc)] & pmask)];
-            rhead[static_cast<std::size_t>(pvc)] = (rhead[static_cast<std::size_t>(pvc)] + 1) & pmask;
-            --rtotal[static_cast<std::size_t>(pvc)];
-            --rready[static_cast<std::size_t>(pvc)];
-            return_credit(pvc);
-          }
-          deliver(t, idx, packet);
-          if (forks == 0) {
-            free_slabs.push_back(packet.slab);
-          } else {
-            for (std::int32_t c = 0; c + 1 < forks; ++c) {
-              const std::int32_t slab = alloc_slab();
-              std::copy_n(
-                  &arena[static_cast<std::size_t>(packet.slab) * static_cast<std::size_t>(stride)],
-                  packet.size,
-                  &arena[static_cast<std::size_t>(slab) * static_cast<std::size_t>(stride)]);
-              push_fork(sb + c, Ref{slab, packet.size});
-            }
-            push_fork(sb + forks - 1, packet);
-          }
         }
-        // Used its full per-cycle budget without blocking: it may have more
-        // work next cycle with no new event to re-arm it, so stay active.
-        if (!blocked && moves == bw) activate_bcast(idx);
+        if (!room) continue;  // re-armed by a fork-slot drain in step 4
+        Ref packet;
+        if (is_root) {
+          if (rq_count[static_cast<std::size_t>(t)] == 0) {
+            continue;  // re-armed by the next root-queue push
+          }
+          packet = root_ring[static_cast<unsigned>(t) * pcap + (rq_head[static_cast<std::size_t>(t)] & pmask)];
+          rq_head[static_cast<std::size_t>(t)] = (rq_head[static_cast<std::size_t>(t)] + 1) & pmask;
+          --rq_count[static_cast<std::size_t>(t)];
+        } else {
+          const int pvc = parent_bcast_vc[static_cast<std::size_t>(idx)];
+          if (vc_poisoned[static_cast<std::size_t>(pvc)] ||
+              rready[static_cast<std::size_t>(pvc)] == 0) {
+            continue;  // re-armed by the next arrival
+          }
+          packet = ring_ref[static_cast<unsigned>(pvc) * pcap + (rhead[static_cast<std::size_t>(pvc)] & pmask)];
+          rhead[static_cast<std::size_t>(pvc)] = (rhead[static_cast<std::size_t>(pvc)] + 1) & pmask;
+          --rtotal[static_cast<std::size_t>(pvc)];
+          --rready[static_cast<std::size_t>(pvc)];
+          return_credit(pvc);
+        }
+        deliver(t, idx, packet);
+        if (forks == 0) {
+          free_slabs.push_back(packet.slab);
+        } else {
+          for (std::int32_t c = 0; c + 1 < forks; ++c) {
+            const std::int32_t slab = alloc_slab();
+            std::copy_n(
+                &arena[static_cast<std::size_t>(packet.slab) * static_cast<std::size_t>(stride)],
+                packet.size,
+                &arena[static_cast<std::size_t>(slab) * static_cast<std::size_t>(stride)]);
+            push_fork(sb + c, Ref{slab, packet.size});
+          }
+          push_fork(sb + forks - 1, packet);
+        }
+        // Moved its one packet this cycle: it may have more next cycle with
+        // no new event to re-arm it, so stay active.
+        activate_bcast(idx);
       }
     }
 
@@ -1122,17 +1066,15 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
       }
       if (tokens[d] <= 0) {
         // Cycles until the bucket is positive again: smallest k >= 1 with
-        // tokens + k * bw >= 1.
-        recharge_offset =
-            std::min(recharge_offset, (1 - tokens[d] + bw - 1) / bw);
+        // tokens + k >= 1.
+        recharge_offset = std::min(recharge_offset, 1 - tokens[d]);
         continue;
       }
       bool granted = false;
       const std::int32_t lb = link_base[d];
       const int count = static_cast<int>(link_base[d + 1] - lb);
-      const int probes = count * bw;
       int slot = rr[d];
-      for (int probe = 0; probe < probes && tokens[d] > 0;
+      for (int probe = 0; probe < count && tokens[d] > 0;
            ++probe, slot = slot + 1 == count ? 0 : slot + 1) {
         const int id = link_vc[static_cast<std::size_t>(lb + slot)];
         if (tree_canceled[static_cast<std::size_t>(
@@ -1171,24 +1113,11 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
                     std::uint64_t{0x100000001b3};
         PFAR_OBS(on_grant(dl, now));
         --credits[static_cast<std::size_t>(id)];
-        if (faults_active && fault.drop_now(dl)) {
-          // Flaky link ate the packet (same decision sequence as the
-          // reference loop): account the loss, poison the receiver, and
-          // schedule the normal credit return.
-          drop_packet(dl, packet);
-          poison_vc(id);
-          credit_time[static_cast<unsigned>(id) * pcap +
-                      ((chead[static_cast<std::size_t>(id)] + ccount[static_cast<std::size_t>(id)]) & pmask)] =
-              now + latency;
-          ++ccount[static_cast<std::size_t>(id)];
-          schedule_wakeup(id);
-        } else {
-          ring_time[static_cast<unsigned>(id) * pcap + ((rhead[static_cast<std::size_t>(id)] + rtotal[static_cast<std::size_t>(id)]) & pmask)] =
-              now + latency;
-          ring_ref[static_cast<unsigned>(id) * pcap + ((rhead[static_cast<std::size_t>(id)] + rtotal[static_cast<std::size_t>(id)]) & pmask)] = packet;
-          ++rtotal[static_cast<std::size_t>(id)];
-          schedule_wakeup(id);
-        }
+        ring_time[static_cast<unsigned>(id) * pcap + ((rhead[static_cast<std::size_t>(id)] + rtotal[static_cast<std::size_t>(id)]) & pmask)] =
+            now + latency;
+        ring_ref[static_cast<unsigned>(id) * pcap + ((rhead[static_cast<std::size_t>(id)] + rtotal[static_cast<std::size_t>(id)]) & pmask)] = packet;
+        ++rtotal[static_cast<std::size_t>(id)];
+        schedule_wakeup(id);
         last_progress = now;
         progressed = true;
         granted = true;

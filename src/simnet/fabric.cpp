@@ -9,8 +9,8 @@ namespace pfar::simnet::detail {
 // pfar-lint: allow(contract-coverage) internal to simnet; SpanningTree guarantees each tree's shape and detail::validate_simulation its fit to the topology, which the link table resolves
 Fabric build_fabric(const graph::Graph& topology,
                     const std::vector<trees::SpanningTree>& trees,
-                    const std::vector<int>& links, const SimConfig& config,
-                    SimResult& result, const std::vector<int>* tree_gids) {
+                    const std::vector<int>& links, SimResult& result,
+                    const std::vector<int>* tree_gids) {
   Fabric f;
   f.n = topology.num_vertices();
   f.num_trees = static_cast<int>(tree_gids != nullptr ? tree_gids->size()
@@ -19,8 +19,6 @@ Fabric build_fabric(const graph::Graph& topology,
   const int n = f.n;
   const std::size_t num_states =
       static_cast<std::size_t>(n) * static_cast<std::size_t>(f.num_trees);
-  const bool want_reduce = config.collective != Collective::kBroadcast;
-  const bool want_bcast = config.collective != Collective::kReduce;
 
   f.tree_gid.resize(static_cast<std::size_t>(f.num_trees));
   f.root_state.resize(static_cast<std::size_t>(f.num_trees));
@@ -71,16 +69,11 @@ Fabric build_fabric(const graph::Graph& topology,
       // The reduce VC runs v -> p, the broadcast VC p -> v.
       const std::int32_t up =
           2 * links[base + static_cast<std::size_t>(v)] + (v > p ? 1 : 0);
-      if (want_reduce) {
-        f.child_vc[static_cast<std::size_t>(slot)] =
-            new_vc(true, s, ps, up, -1);
-        f.up_dlink[static_cast<std::size_t>(s)] = up;
-      }
-      if (want_bcast) {
-        f.parent_bcast_vc[static_cast<std::size_t>(s)] =
-            new_vc(false, ps, s, up ^ 1, slot);
-        f.stage_dlink[static_cast<std::size_t>(slot)] = up ^ 1;
-      }
+      f.child_vc[static_cast<std::size_t>(slot)] = new_vc(true, s, ps, up, -1);
+      f.up_dlink[static_cast<std::size_t>(s)] = up;
+      f.parent_bcast_vc[static_cast<std::size_t>(s)] =
+          new_vc(false, ps, s, up ^ 1, slot);
+      f.stage_dlink[static_cast<std::size_t>(slot)] = up ^ 1;
     }
   }
 

@@ -39,34 +39,18 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
                              const SimConfig& config,
                              const std::vector<long long>& elements_per_tree) {
   if (!config.faults.empty()) {
-    // Contract message names every offending SimConfig::faults field so the
-    // caller knows exactly what to clear (tests/flow_engine_test.cpp).
-    std::string offending;
-    if (!config.faults.events.empty()) {
-      offending += "faults.events (" +
-                   std::to_string(config.faults.events.size()) +
-                   " scheduled link event" +
-                   (config.faults.events.size() == 1 ? "" : "s") + ")";
-    }
-    if (!config.faults.flaky_links.empty()) {
-      if (!offending.empty()) offending += ", ";
-      offending += "faults.flaky_links (" +
-                   std::to_string(config.faults.flaky_links.size()) +
-                   " link" + (config.faults.flaky_links.size() == 1 ? "" : "s") +
-                   ", flaky_drop_permille=" +
-                   std::to_string(config.faults.flaky_drop_permille) + ")";
-    }
+    // The message names the offending SimConfig field so the caller knows
+    // exactly what to clear (tests/flow_engine_test.cpp).
+    const std::size_t events = config.faults.events.size();
     throw std::invalid_argument(
         "SimEngine::kFlow cannot honor fault scripts (faults are cycle-level "
-        "phenomena); offending SimConfig fields: " + offending +
-        "; clear them or use the horizon engine");
+        "phenomena); offending SimConfig field: faults.events (" +
+        std::to_string(events) + " scheduled link event" +
+        (events == 1 ? "" : "s") + "); clear it or use the horizon engine");
   }
   const int n = topology.num_vertices();
   const int num_trees = static_cast<int>(trees.size());
   const int num_dlinks = 2 * topology.num_edges();
-  const Collective mode = config.collective;
-  const bool want_reduce = mode != Collective::kBroadcast;
-  const bool want_bcast = mode != Collective::kReduce;
 
   SimResult result;
   detail::reset_result(result, num_trees, num_dlinks);
@@ -101,8 +85,7 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
   // Only the child-to-parent direction is counted here (VCs in
   // vcs_on_dlink, flits in link_flits); both directions of an edge are
   // derived from it below, on one cache line.
-  const int vcs_per_vertex = (want_reduce ? 1 : 0) + (want_bcast ? 1 : 0);
-  const int vcs_per_tree = vcs_per_vertex * (n - 1);
+  const int vcs_per_tree = 2 * (n - 1);
   std::vector<std::int64_t> tree_dlink_base(
       static_cast<std::size_t>(num_trees) + 1, 0);
   for (int t = 0; t < num_trees; ++t) {
@@ -124,8 +107,8 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
         if (id < 0) continue;  // the root
         const auto up = static_cast<std::int32_t>(
             2 * id + (v > parent[static_cast<std::size_t>(v)] ? 1 : 0));
-        if (want_reduce) tree_dlinks[out++] = up;
-        if (want_bcast) tree_dlinks[out++] = up ^ 1;
+        tree_dlinks[out++] = up;
+        tree_dlinks[out++] = up ^ 1;
         ++vcs_on_dlink[static_cast<std::size_t>(up)];
         result.link_flits[static_cast<std::size_t>(up)] +=
             tree_flits[static_cast<std::size_t>(t)];
@@ -137,9 +120,10 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
   result.num_vcs = static_cast<int>(
       static_cast<long long>(vcs_per_tree) * num_trees);
   // Per edge: a reduce VC runs child -> parent, a broadcast VC parent ->
-  // child, so dlink d carries the reduces of its own child count and the
-  // broadcasts of its reverse's. Every link with a VC is also listed in
-  // `touched`, ascending: the first max-min call starts from these counts.
+  // child, so both directions of an edge carry the reduces of their own
+  // child count plus the broadcasts of the reverse's: the same VCs and
+  // flits. Every link with a VC is also listed in `touched`, ascending: the
+  // first max-min call starts from these counts.
   std::vector<std::int32_t> touched;
   touched.reserve(static_cast<std::size_t>(num_dlinks));
   for (int d = 0; d < num_dlinks; d += 2) {
@@ -147,21 +131,12 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
     const std::size_t hi = lo + 1;
     const std::int32_t child_lo = vcs_on_dlink[lo];
     const std::int32_t child_hi = vcs_on_dlink[hi];
-    const long long flits_lo = result.link_flits[lo];
-    const long long flits_hi = result.link_flits[hi];
-    if (want_reduce) {
-      result.max_reductions_per_input_port =
-          std::max({result.max_reductions_per_input_port,
-                    static_cast<int>(child_lo), static_cast<int>(child_hi)});
-    }
-    vcs_on_dlink[lo] =
-        (want_reduce ? child_lo : 0) + (want_bcast ? child_hi : 0);
-    vcs_on_dlink[hi] =
-        (want_reduce ? child_hi : 0) + (want_bcast ? child_lo : 0);
-    result.link_flits[lo] =
-        (want_reduce ? flits_lo : 0) + (want_bcast ? flits_hi : 0);
-    result.link_flits[hi] =
-        (want_reduce ? flits_hi : 0) + (want_bcast ? flits_lo : 0);
+    result.max_reductions_per_input_port =
+        std::max({result.max_reductions_per_input_port,
+                  static_cast<int>(child_lo), static_cast<int>(child_hi)});
+    vcs_on_dlink[lo] = vcs_on_dlink[hi] = child_lo + child_hi;
+    result.link_flits[lo] = result.link_flits[hi] =
+        result.link_flits[lo] + result.link_flits[hi];
     for (const std::size_t di : {lo, hi}) {
       result.max_vcs_per_link = std::max(
           result.max_vcs_per_link, static_cast<int>(vcs_on_dlink[di]));
@@ -177,33 +152,32 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
   // a saturated link freezes the trees crossing it, the rest continue on
   // the residual capacity — the fluid limit of the engines' round-robin
   // link arbitration). When a tree runs out of elements it retires and the
-  // survivors' rates are recomputed on the freed links.
-  const double bandwidth = static_cast<double>(config.link_bandwidth);
+  // survivors' rates are recomputed on the freed links. Rates are in flits
+  // per cycle, and a link moves one flit per cycle.
   const double efficiency =
       static_cast<double>(payload) / static_cast<double>(payload + header);
   // Background traffic (SimConfig::background) occupies part of each
   // directed link's capacity: the fluid limit of the cycle engines'
   // deterministic drain is simply a per-link capacity reduction by the
   // steady-state rate. On a quiet network `cap` stays empty and every link
-  // has capacity `bandwidth` exactly, so the floating-point trajectory
-  // below is bit-identical to the pre-background flow tier.
+  // has capacity 1 exactly, so the floating-point trajectory below is
+  // bit-identical to the pre-background flow tier.
   std::vector<long long> bg_rates_ppm;
   if (config.background.active()) {
     result.link_bg_flits.assign(static_cast<std::size_t>(num_dlinks), 0);
-    bg_rates_ppm = background_link_rates_ppm(topology, config.background,
-                                             config.link_bandwidth);
+    bg_rates_ppm = background_link_rates_ppm(topology, config.background);
   }
   std::vector<double> cap;
   if (!bg_rates_ppm.empty()) {
     cap.resize(static_cast<std::size_t>(num_dlinks));
     for (int d = 0; d < num_dlinks; ++d) {
       cap[static_cast<std::size_t>(d)] =
-          bandwidth -
+          1.0 -
           static_cast<double>(bg_rates_ppm[static_cast<std::size_t>(d)]) / 1e6;
     }
   }
   const auto cap_of = [&](std::size_t di) {
-    return cap.empty() ? bandwidth : cap[di];
+    return cap.empty() ? 1.0 : cap[di];
   };
 
   // Fill state between max-min calls. users[d] counts the VCs on d of the
@@ -258,17 +232,17 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
       const int t = act[i];
       if (tree_dlink_base[static_cast<std::size_t>(t)] ==
           tree_dlink_base[static_cast<std::size_t>(t) + 1]) {
-        rate[static_cast<std::size_t>(t)] = bandwidth;
+        rate[static_cast<std::size_t>(t)] = 1.0;
         done[i] = 1;
         --remaining;
       }
     }
     double level = 0.0;
-    const double eps = 1e-9 * bandwidth;
+    const double eps = 1e-9;
     bool fixups_applied = false;
     // The first round on a quiet network is a class round: every link
-    // starts with capacity `bandwidth` and zero fixed load, so its user
-    // count alone sets its share and its saturation.
+    // starts with capacity 1 and zero fixed load, so its user count alone
+    // sets its share and its saturation.
     bool class_round = cap.empty();
     while (remaining > 0) {
       double delta = std::numeric_limits<double>::infinity();
@@ -279,10 +253,10 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
               users[static_cast<std::size_t>(d)])] = 1;
         }
         // The per-link share (cap - fixed) / users - level, with
-        // cap = bandwidth and fixed = level = 0: equal bit for bit.
+        // cap = 1 and fixed = level = 0: equal bit for bit.
         for (std::size_t u = 1; u < num_classes; ++u) {
           if (class_present[u]) {
-            delta = std::min(delta, bandwidth / static_cast<double>(u));
+            delta = std::min(delta, 1.0 / static_cast<double>(u));
           }
         }
       } else {
@@ -306,11 +280,11 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
           if (!class_present[u]) continue;
           const auto users_u = static_cast<std::int32_t>(u);
           class_saturated[u] =
-              detail::flow_link_saturated(bandwidth, 0.0, level, users_u, eps)
+              detail::flow_link_saturated(1.0, 0.0, level, users_u, eps)
                   ? 1
                   : 0;
           deferred = deferred && detail::flow_fixups_are_deferrable(
-                                     bandwidth, level, users_u, eps);
+                                     1.0, level, users_u, eps);
         }
       }
       int fixed_this_round = 0;
@@ -413,23 +387,19 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
   // than one cycle. The stream tail therefore drains through `depth` hops
   // per phase after the last element leaves the injection frontier, plus
   // one root-turnaround cycle; the first element shows the same per-hop
-  // lead on its way to the root.
+  // lead on its way to the root. The tail drains through both phases,
+  // reduce and broadcast.
   const long long hop_lead =
       static_cast<long long>(std::max(config.link_latency, 1));
-  const int drain_phases =
-      (mode == Collective::kAllreduce) ? 2 : 1;
   for (int t = 0; t < num_trees; ++t) {
     const std::size_t ti = static_cast<std::size_t>(t);
     if (elements_per_tree[ti] == 0) continue;
     const long long depth = trees[ti].depth();
-    const long long fill = depth * hop_lead * drain_phases;
+    const long long fill = depth * hop_lead * 2;
     const long long finish =
         static_cast<long long>(std::ceil(stream_end[ti])) + fill + 1;
     result.tree_finish_cycle[ti] = finish;
-    result.tree_first_delivery[ti] =
-        mode == Collective::kBroadcast
-            ? 0
-            : depth * hop_lead;
+    result.tree_first_delivery[ti] = depth * hop_lead;
     result.cycles = std::max(result.cycles, finish);
   }
   if (result.cycles > config.max_cycles) {
@@ -454,7 +424,7 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
       m.add("sim.total_elements", result.total_elements);
       m.observe("flow.sim_bw", result.aggregate_bandwidth);
       m.observe("flow.rate_upper_bound",
-                model::allreduce_rate_upper_bound(topology, bandwidth));
+                model::allreduce_rate_upper_bound(topology, 1.0));
       rec->trace.name_track(obsv::kTrackSim, "sim");
       const std::uint32_t n_flow = rec->trace.intern("flow");
       for (int t = 0; t < num_trees; ++t) {

@@ -146,9 +146,7 @@ long long run_sharded(const graph::Graph& topology,
       static_cast<std::size_t>(num_groups));
   // Every group receives the FULL fault script: an event on another
   // group's edge flips a link no local VC crosses, which is a no-op (the
-  // serial run behaves identically for that group's trees), and flaky-drop
-  // ordinals are per directed link, whose packets all belong to the one
-  // group owning that edge — so decisions match the serial sequence.
+  // serial run behaves identically for that group's trees).
   util::parallel_for(
       config.shard_threads, num_groups, [&](int g) {
         const std::vector<int>& gids =
@@ -163,7 +161,7 @@ long long run_sharded(const graph::Graph& topology,
         // implies no Recorder) and the merge below is its epilogue.
         detail::RunContext run(topology, config, sub_elements);
         const Fabric fabric =
-            build_fabric(topology, trees, links, config, run.result, &gids);
+            build_fabric(topology, trees, links, run.result, &gids);
         if (run.total_target > 0) {
           sub_cycles[static_cast<std::size_t>(g)] = run_fast_loop(
               fabric, config, sub_elements, run.result, run.tree_remaining,

@@ -18,7 +18,6 @@
 #include "obsv/recorder.hpp"
 #include "simnet/allreduce_sim.hpp"
 #include "simnet/config.hpp"
-#include "util/rng.hpp"
 
 namespace pfar::simnet::detail {
 
@@ -59,30 +58,10 @@ struct FaultState {
   std::vector<PreparedFault> events;  // stable-sorted by cycle
   std::size_t next = 0;
   std::vector<char> edge_down;        // per undirected edge id
-  std::vector<char> dlink_flaky;      // per directed link (empty if none)
-  std::vector<long long> dlink_sent;  // flaky drop ordinal per directed link
-  std::uint64_t seed = 0;
-  int drop_permille = 0;
-  bool flaky = false;
-  bool active = false;  // any events or flaky links configured
+  bool active = false;  // any events configured
 
   bool edge_ok(int dlink) const {
     return edge_down[static_cast<std::size_t>(dlink >> 1)] == 0;
-  }
-
-  /// Deterministic drop decision for a flaky directed link. Must be called
-  /// exactly once per packet granted on the link: the per-link ordinal is
-  /// part of the hash input, so two loops that grant identical packet
-  /// sequences reach identical decisions.
-  bool drop_now(int dlink) {
-    if (!flaky || !dlink_flaky[static_cast<std::size_t>(dlink)]) return false;
-    const std::uint64_t ordinal = static_cast<std::uint64_t>(
-        dlink_sent[static_cast<std::size_t>(dlink)]++);
-    const std::uint64_t h = util::splitmix64(
-        seed ^ util::splitmix64(static_cast<std::uint64_t>(dlink) *
-                                    std::uint64_t{0x9e3779b97f4a7c15ULL} +
-                                ordinal));
-    return static_cast<int>(h % 1000) < drop_permille;
   }
 };
 
@@ -112,7 +91,6 @@ FaultState prepare_faults(const graph::Graph& topology,
 struct SimObserver {
   obsv::Recorder* rec = nullptr;
   const graph::Graph* topo = nullptr;
-  Collective mode = Collective::kAllreduce;
   int num_trees = 0;
   int num_dlinks = 0;
 
@@ -143,10 +121,9 @@ struct SimObserver {
   std::vector<std::pair<long long, int>> tape;
 
   void init(obsv::Recorder* recorder, const graph::Graph& topology,
-            int trees, Collective m) {
+            int trees) {
     rec = recorder;
     topo = &topology;
-    mode = m;
     num_trees = trees;
     num_dlinks = 2 * topology.num_edges();
     busy_start.assign(static_cast<std::size_t>(num_dlinks), -1);
@@ -343,8 +320,8 @@ struct Fabric {
   // Per state, CSR over child slots: state s owns slots
   // [child_base[s], child_base[s + 1]), one broadcast fork stage each.
   std::vector<std::int32_t> child_base;
-  std::vector<std::int32_t> child_vc;         // per slot: reduce VC, or -1
-  std::vector<std::int32_t> parent_bcast_vc;  // per state: inbound, or -1
+  std::vector<std::int32_t> child_vc;         // per slot: reduce VC
+  std::vector<std::int32_t> parent_bcast_vc;  // per state: inbound; -1 at root
 
   // Per directed link, CSR over VC ids, plus the links carrying any VC.
   std::vector<std::int32_t> link_base;
@@ -352,8 +329,8 @@ struct Fabric {
   std::vector<std::int32_t> active_dlinks;
 
   // Inverse maps the loop uses to mark a link that may grant: per state,
-  // the link of its uplink reduce VC, and per fork stage, the link of its
-  // broadcast VC (-1 where there is none).
+  // the link of its uplink reduce VC (-1 at the root), and per fork stage,
+  // the link of its broadcast VC.
   std::vector<std::int32_t> up_dlink;
   std::vector<std::int32_t> stage_dlink;
 
@@ -365,8 +342,7 @@ struct Fabric {
 // by global id in `tree_gids`; nullptr builds them all.
 Fabric build_fabric(const graph::Graph& topology,
                     const std::vector<trees::SpanningTree>& trees,
-                    const std::vector<int>& links, const SimConfig& config,
-                    SimResult& result,
+                    const std::vector<int>& links, SimResult& result,
                     const std::vector<int>* tree_gids = nullptr);
 
 /// Runs the fast-forward cycle loop over `f` until every tree has

@@ -18,7 +18,7 @@ Args::Args(int argc, char** argv) {
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       values_[arg] = argv[++i];
     } else {
-      values_[arg] = "1";  // bare flag
+      values_[arg] = std::string(1, '1');  // bare flag
     }
   }
 }

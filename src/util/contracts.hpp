@@ -8,12 +8,9 @@
 
 /// Contract layer: PFAR_REQUIRE / PFAR_ENSURE / PFAR_INVARIANT.
 ///
-/// Three compile-time levels, selected with -DPFAR_CHECKS_LEVEL=<0|1|2>
-/// (the CMake cache variable PFAR_CHECKS=off|release|audit maps onto it):
+/// Two compile-time levels, selected with -DPFAR_CHECKS_LEVEL=<1|2> (the
+/// CMake cache variable PFAR_CHECKS=release|audit maps onto it):
 ///
-///   0 (off)     - every macro compiles to a no-op; the condition and the
-///                 operand expressions are still type-checked but never
-///                 evaluated.
 ///   1 (release) - PFAR_REQUIRE (preconditions) and PFAR_ENSURE
 ///                 (postconditions) are live; PFAR_INVARIANT is compiled
 ///                 out. This is the default: cheap boundary checks stay on
@@ -39,6 +36,9 @@
 
 #ifndef PFAR_CHECKS_LEVEL
 #define PFAR_CHECKS_LEVEL 1
+#endif
+#if PFAR_CHECKS_LEVEL != 1 && PFAR_CHECKS_LEVEL != 2
+#error "PFAR_CHECKS_LEVEL must be 1 (release) or 2 (audit)"
 #endif
 
 namespace pfar::util::contracts {
@@ -116,8 +116,8 @@ struct Detail {
   }
 };
 
-/// Swallows the operand list of a compiled-out contract without evaluating
-/// anything (the call itself sits under `if (false)`).
+/// Swallows the operand list of a compiled-out PFAR_INVARIANT without
+/// evaluating anything (the call itself sits under `if (false)`).
 template <typename... Ts>
 inline void ignore(const Ts&...) {}
 
@@ -168,13 +168,8 @@ inline void ignore(const Ts&...) {}
     }                                                                     \
   } while (0)
 
-#if PFAR_CHECKS_LEVEL >= 1
 #define PFAR_REQUIRE(cond, ...) PFAR_CONTRACT_LIVE("REQUIRE", cond, __VA_ARGS__)
 #define PFAR_ENSURE(cond, ...) PFAR_CONTRACT_LIVE("ENSURE", cond, __VA_ARGS__)
-#else
-#define PFAR_REQUIRE(cond, ...) PFAR_CONTRACT_DEAD("REQUIRE", cond, __VA_ARGS__)
-#define PFAR_ENSURE(cond, ...) PFAR_CONTRACT_DEAD("ENSURE", cond, __VA_ARGS__)
-#endif
 
 #if PFAR_CHECKS_LEVEL >= 2
 #define PFAR_INVARIANT(cond, ...) \

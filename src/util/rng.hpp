@@ -6,8 +6,8 @@ namespace pfar::util {
 
 /// SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the output of the
 /// generator whose state was `x` before its step. A bijective,
-/// well-spread 64-bit hash behind Rng's seeding, SweepRunner's task
-/// seeds, the resilient driver's replay seeds and flaky-link drops.
+/// well-spread 64-bit hash behind Rng's seeding and SweepRunner's task
+/// seeds.
 constexpr std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;

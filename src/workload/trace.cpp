@@ -1,6 +1,9 @@
 #include "workload/trace.hpp"
 
+#include <charconv>
+#include <climits>
 #include <stdexcept>
+#include <string>
 
 #include "obsv/report.hpp"
 #include "util/contracts.hpp"
@@ -23,6 +26,22 @@ long long sum_layers(const std::vector<LayerSpec>& layers,
 long long jitter(long long mean, util::Rng& rng) {
   const long long permille = 500 + static_cast<long long>(rng.next_below(1001));
   return std::max(1LL, mean * permille / 1000);
+}
+
+/// Member `field` of `object` as an exact integer: a JSON number written
+/// as digits with an optional minus sign that fits a long long. A string,
+/// a bool, a fraction, an exponent or an out-of-range value throws
+/// std::invalid_argument naming the field.
+long long exact_integer(const obsv::JsonValue& object, const char* field) {
+  const obsv::JsonValue* v = object.get(field);
+  if (v != nullptr && v->type == obsv::JsonValue::Type::kNumber) {
+    const char* const end = v->string.data() + v->string.size();
+    long long value = 0;
+    const auto [stop, ec] = std::from_chars(v->string.data(), end, value);
+    if (ec == std::errc() && stop == end) return value;
+  }
+  throw std::invalid_argument(std::string("training trace: '") + field +
+                              "' must be an integer");
 }
 
 }  // namespace
@@ -77,10 +96,13 @@ TrainingTrace parse_trace_json(std::string_view text) {
     throw std::invalid_argument("training trace: top level must be an object");
   }
   TrainingTrace trace;
-  trace.iterations = static_cast<int>(doc.num("iterations", 1));
-  if (trace.iterations < 1) {
-    throw std::invalid_argument("training trace: iterations must be >= 1");
+  const long long iterations =
+      doc.get("iterations") == nullptr ? 1 : exact_integer(doc, "iterations");
+  if (iterations < 1 || iterations > INT_MAX) {
+    throw std::invalid_argument(
+        "training trace: 'iterations' must be >= 1 and fit an int");
   }
+  trace.iterations = static_cast<int>(iterations);
   const obsv::JsonValue* layers = doc.get("layers");
   if (layers == nullptr || !layers->is_array() || layers->array.empty()) {
     throw std::invalid_argument(
@@ -98,11 +120,9 @@ TrainingTrace parse_trace_json(std::string_view text) {
       }
     }
     LayerSpec layer;
-    layer.forward_cycles = static_cast<long long>(entry.num("forward_cycles"));
-    layer.backward_cycles =
-        static_cast<long long>(entry.num("backward_cycles"));
-    layer.gradient_elements =
-        static_cast<long long>(entry.num("gradient_elements"));
+    layer.forward_cycles = exact_integer(entry, "forward_cycles");
+    layer.backward_cycles = exact_integer(entry, "backward_cycles");
+    layer.gradient_elements = exact_integer(entry, "gradient_elements");
     if (layer.forward_cycles < 0 || layer.backward_cycles < 0 ||
         layer.gradient_elements < 0) {
       throw std::invalid_argument(

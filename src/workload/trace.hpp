@@ -54,8 +54,11 @@ TrainingTrace synthesize_trace(const ModelParams& params);
 /// Parses the JSON trace schema of docs/training_replay.md:
 ///   {"iterations": N, "layers": [{"forward_cycles": ..,
 ///    "backward_cycles": .., "gradient_elements": ..}, ...]}
-/// Throws std::invalid_argument on schema violations (missing members,
-/// negative quantities, empty layer list, non-positive iterations).
+/// `iterations` (default 1) and the three layer quantities must be JSON
+/// integers, read exactly. Throws std::invalid_argument on schema
+/// violations (missing members, a quantity that is not an integer or
+/// overflows a long long, negative quantities, empty layer list,
+/// non-positive iterations), naming the member.
 TrainingTrace parse_trace_json(std::string_view text);
 
 /// One gradient bucket: a contiguous back-to-front run of layers whose

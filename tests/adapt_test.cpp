@@ -182,7 +182,7 @@ TEST(CongestionMap, FromSimResultComputesOccupancies) {
   const auto result = sim.run(plan.split(2000));
 
   const auto map =
-      adapt::CongestionMap::from_sim_result(plan.topology(), result, 1);
+      adapt::CongestionMap::from_sim_result(plan.topology(), result);
   ASSERT_EQ(map.dlinks.size(),
             static_cast<std::size_t>(2 * plan.topology().num_edges()));
   EXPECT_EQ(map.cycles, result.cycles);
@@ -314,7 +314,7 @@ TEST(LinkWindows, FaultCancelRunStaysConsistent) {
   // The canceled run still drives the controller without tripping its
   // contracts.
   const auto map =
-      adapt::CongestionMap::from_sim_result(plan.topology(), result, 1);
+      adapt::CongestionMap::from_sim_result(plan.topology(), result);
   const auto adapted = adapt::adapt_plan(plan.topology(), plan.trees(), map);
   EXPECT_EQ(adapted.trees.size(), plan.trees().size());
 }
@@ -328,7 +328,7 @@ TEST(AdaptPlan, QuietNetworkIsTheIdentity) {
   simnet::AllreduceSimulator sim(plan.topology(), plan.trees(), cfg);
   const auto result = sim.run(plan.split(2000));
   const auto map =
-      adapt::CongestionMap::from_sim_result(plan.topology(), result, 1);
+      adapt::CongestionMap::from_sim_result(plan.topology(), result);
 
   const auto adapted = adapt::adapt_plan(plan.topology(), plan.trees(), map);
   EXPECT_TRUE(adapted.hot_links.empty());
@@ -354,7 +354,7 @@ TEST(AdaptPlan, CongestedNetworkProducesValidNeverWorsePlan) {
   simnet::AllreduceSimulator sim(plan.topology(), plan.trees(), cfg);
   const auto result = sim.run(plan.split(2000));
   const auto map =
-      adapt::CongestionMap::from_sim_result(plan.topology(), result, 1);
+      adapt::CongestionMap::from_sim_result(plan.topology(), result);
 
   const auto adapted = adapt::adapt_plan(plan.topology(), plan.trees(), map);
   ASSERT_EQ(adapted.capacity_scale.size(),

@@ -29,14 +29,9 @@ TEST(Contracts, PassingContractIsSilent) {
   int evaluations = 0;
   EXPECT_NO_THROW(PFAR_REQUIRE(++evaluations > 0));
   EXPECT_NO_THROW(PFAR_ENSURE(true));
-#if PFAR_CHECKS_LEVEL >= 1
   EXPECT_EQ(evaluations, 1);  // condition evaluated exactly once
-#else
-  EXPECT_EQ(evaluations, 0);  // compiled out: never evaluated
-#endif
 }
 
-#if PFAR_CHECKS_LEVEL >= 1
 TEST(Contracts, RequireThrowsWithKindAndExpression) {
   ScopedThrowHandler guard;
   try {
@@ -87,22 +82,13 @@ TEST(Contracts, UnprintableOperandsAreMarked) {
         << v.what();
   }
 }
-#endif  // PFAR_CHECKS_LEVEL >= 1
 
 TEST(Contracts, LevelSelectionMatchesBuildConfiguration) {
-#if PFAR_CHECKS_LEVEL >= 1
   {
     ScopedThrowHandler guard;
     EXPECT_THROW(PFAR_REQUIRE(false), ContractViolation);
     EXPECT_THROW(PFAR_ENSURE(false), ContractViolation);
   }
-#else
-  // Everything is compiled out: nothing throws, nothing is evaluated.
-  int evaluations = 0;
-  PFAR_REQUIRE(++evaluations > 0);
-  PFAR_ENSURE(++evaluations > 0);
-  EXPECT_EQ(evaluations, 0);
-#endif
 
 #if PFAR_AUDIT_ENABLED
   {
@@ -132,7 +118,6 @@ TEST(Contracts, HandlerRestoredAfterScopeExit) {
   EXPECT_EQ(after, before);
 }
 
-#if PFAR_CHECKS_LEVEL >= 1
 TEST(Contracts, NestedScopedHandlersUnwindInOrder) {
   ScopedThrowHandler outer;
   {
@@ -142,9 +127,7 @@ TEST(Contracts, NestedScopedHandlersUnwindInOrder) {
   // The outer handler is still in force after the inner scope ends.
   EXPECT_THROW(PFAR_REQUIRE(false), ContractViolation);
 }
-#endif  // PFAR_CHECKS_LEVEL >= 1
 
-#if PFAR_CHECKS_LEVEL >= 1
 // Real seam: serializing a default-constructed (never built) plan violates
 // PlanIO::write's preconditions and must fail as a structured contract
 // violation, not as garbage output.
@@ -160,9 +143,7 @@ TEST(Contracts, SerializeUnbuiltPlanViolatesPrecondition) {
         << v.what();
   }
 }
-#endif
 
-#if PFAR_CHECKS_LEVEL >= 1
 // Conservation at the moment a link dies: drop_edge asserts (PFAR_ENSURE)
 // that credits + in-flight credits + in-flight data + queued flits equal the
 // VC budget immediately before the drop, and that credits + queued flits
@@ -187,16 +168,15 @@ TEST(Contracts, LinkDeathPreservesCreditConservation) {
 
   pfar::simnet::SimConfig cfg;
   cfg.progress_timeout = 800;
-  // Kill a used link plus run a flaky one, mid-collective, so both the
-  // scripted-drop and the grant-time-drop paths run their conservation
-  // checks (drop_edge's pre/post PFAR_ENSUREs) with queues occupied.
+  // Kill two used links at different cycles, mid-collective, so
+  // drop_edge runs its conservation checks (the pre/post PFAR_ENSUREs)
+  // twice with queues occupied, the second time after a cancellation.
   const pfar::graph::Edge victim = uplink(0);
   cfg.faults.events.push_back(
       {200, victim.u, victim.v, pfar::simnet::FaultType::kLinkDown});
-  const pfar::graph::Edge flaky = uplink(1);
-  cfg.faults.flaky_links.push_back({flaky.u, flaky.v});
-  cfg.faults.flaky_seed = 99;
-  cfg.faults.flaky_drop_permille = 25;
+  const pfar::graph::Edge second = uplink(1);
+  cfg.faults.events.push_back(
+      {350, second.u, second.v, pfar::simnet::FaultType::kLinkDown});
 
   for (const bool use_oracle : {true, false}) {
     pfar::simnet::SimResult res;
@@ -273,7 +253,6 @@ TEST(Contracts, RecoveryStatsAccountForInFlightLosses) {
   ASSERT_EQ(stats.failed_links.size(), 1u);
   EXPECT_EQ(stats.failed_links[0], victim);
 }
-#endif  // PFAR_CHECKS_LEVEL >= 1
 
 #if PFAR_AUDIT_ENABLED
 // Audit-level sweep: building every solution for a small design point runs

@@ -1,13 +1,15 @@
 // Differential fault-injection harness (the pin for docs/resilience.md):
 //
 //  * every fault script in the matrix — permanent link down, transient
-//    down/up, seeded flaky link, double failure, each also under
-//    background traffic — must be honored bit-identically by the simulator
+//    down/up, double failure, instant blip, and outages under background
+//    traffic — must be honored bit-identically by the simulator
 //    and the test-only reference oracle (tests/oracle) across q in
 //    {5, 7, 11}: every SimResult field;
 //  * collectives::run_resilient_allreduce must recover a mid-collective
 //    single-link failure (values_correct == true end to end) and its
-//    RecoveryStats are pinned against golden values per q;
+//    RecoveryStats are pinned against golden values per q; a link that
+//    lost packets in flight is excluded even when it came back up, and a
+//    link that went down idle is not;
 //  * fault-script validation and accounting identities are exercised at
 //    the simulator boundary.
 
@@ -88,13 +90,6 @@ TEST_P(FaultDifferential, EnginesBitIdenticalAcrossScriptMatrix) {
     expect_identical(plan, cfg, m, "transient_down_up");
   }
   {
-    simnet::SimConfig cfg = base;  // seeded flaky link
-    cfg.faults.flaky_links.emplace_back(a.u, a.v);
-    cfg.faults.flaky_seed = 7;
-    cfg.faults.flaky_drop_permille = 30;
-    expect_identical(plan, cfg, m, "flaky_link");
-  }
-  {
     simnet::SimConfig cfg = base;  // staggered double failure
     cfg.faults.events.push_back(
         {100, a.u, a.v, simnet::FaultType::kLinkDown});
@@ -115,8 +110,8 @@ TEST_P(FaultDifferential, EnginesBitIdenticalAcrossScriptMatrix) {
 
 // Faults under background traffic: the loop's per-up-cycle background
 // accounting (a down link freezes its drain accumulator) and the idle
-// jump's background wake points must compose with link events and flaky
-// drops exactly as the oracle's per-cycle loop does.
+// jump's background wake points must compose with link events exactly as
+// the oracle's per-cycle loop does.
 TEST_P(FaultDifferential, EnginesBitIdenticalUnderBackgroundTraffic) {
   const int q = GetParam();
   const auto plan = core::AllreducePlanner(q).build();
@@ -136,13 +131,13 @@ TEST_P(FaultDifferential, EnginesBitIdenticalUnderBackgroundTraffic) {
     expect_identical(plan, cfg, m, "permutation_down_up");
   }
   {
-    simnet::SimConfig cfg = base;  // flaky link under uniform load
+    simnet::SimConfig cfg = base;  // short outage under uniform load
     cfg.background.pattern = simnet::TrafficPattern::kUniform;
     cfg.background.load = 0.1;
-    cfg.faults.flaky_links.emplace_back(a.u, a.v);
-    cfg.faults.flaky_seed = 11;
-    cfg.faults.flaky_drop_permille = 30;
-    expect_identical(plan, cfg, m, "uniform_flaky");
+    cfg.faults.events.push_back(
+        {300, a.u, a.v, simnet::FaultType::kLinkDown});
+    cfg.faults.events.push_back({360, a.u, a.v, simnet::FaultType::kLinkUp});
+    expect_identical(plan, cfg, m, "uniform_blip");
   }
 }
 
@@ -290,6 +285,59 @@ TEST(ResilientAllreduce, KeepSurvivingPolicyAlsoRecovers) {
             stats.attempt_log[0].model_bandwidth);
 }
 
+// Recovery excludes every link that lost packets in flight, even one that
+// is back up when the attempt ends, and no link that went down idle. Both
+// links below go down mid-stream and come back up: the tree-0 uplink while
+// it streams, so packets in flight on it are lost and its tree is
+// canceled; a link no tree uses, so nothing is lost on it.
+TEST(ResilientAllreduce, ExcludesTransientLinksThatLostPacketsOnly) {
+  const auto plan = core::AllreducePlanner(7).build();
+  const graph::Graph& g = plan.topology();
+  const graph::Edge lossy = used_link(plan, 0);
+  std::vector<char> used(static_cast<std::size_t>(g.num_edges()), 0);
+  for (const auto& tree : plan.trees()) {
+    for (const graph::Edge& e : tree.edges()) {
+      used[static_cast<std::size_t>(g.edge_id(e.u, e.v))] = 1;
+    }
+  }
+  const auto idle_id = static_cast<int>(
+      std::find(used.begin(), used.end(), 0) - used.begin());
+  ASSERT_LT(idle_id, g.num_edges()) << "every link carries a tree";
+  const graph::Edge idle = g.edge(idle_id);
+
+  simnet::SimConfig cfg;
+  cfg.progress_timeout = 800;
+  cfg.faults.events = {
+      {200, lossy.u, lossy.v, simnet::FaultType::kLinkDown},
+      {220, idle.u, idle.v, simnet::FaultType::kLinkDown},
+      {400, lossy.u, lossy.v, simnet::FaultType::kLinkUp},
+      {420, idle.u, idle.v, simnet::FaultType::kLinkUp}};
+
+  // The first attempt alone: both links are back up at its end, and only
+  // the streaming one dropped flits.
+  const auto first = run_sim(plan, cfg, 1500);
+  EXPECT_TRUE(first.links_down.empty());
+  EXPECT_GT(first.dropped_flits, 0);
+  const auto dropped_on = [&](const graph::Edge& e) {
+    const auto d = static_cast<std::size_t>(2 * g.edge_id(e.u, e.v));
+    return first.link_dropped_flits[d] + first.link_dropped_flits[d + 1];
+  };
+  EXPECT_GT(dropped_on(lossy), 0);
+  EXPECT_EQ(dropped_on(idle), 0);
+
+  const auto stats =
+      collectives::run_resilient_allreduce(g, plan.trees(), 1500, cfg);
+  EXPECT_TRUE(stats.recovered);
+  EXPECT_TRUE(stats.values_correct);
+  EXPECT_GE(stats.attempts, 2);
+  EXPECT_EQ(std::count(stats.failed_links.begin(), stats.failed_links.end(),
+                       lossy),
+            1);
+  EXPECT_EQ(std::count(stats.failed_links.begin(), stats.failed_links.end(),
+                       idle),
+            0);
+}
+
 TEST(ResilientAllreduce, HealthyRunIsZeroOverhead) {
   const auto plan = core::AllreducePlanner(5).build();
   simnet::SimConfig cfg;
@@ -323,15 +371,6 @@ TEST(FaultScriptValidation, RejectsBadScripts) {
     simnet::SimConfig cfg;  // negative cycle
     const graph::Edge a = used_link(plan);
     cfg.faults.events.push_back({-1, a.u, a.v, simnet::FaultType::kLinkDown});
-    EXPECT_THROW(
-        simnet::AllreduceSimulator(plan.topology(), plan.trees(), cfg),
-        std::invalid_argument);
-  }
-  {
-    simnet::SimConfig cfg;  // permille out of range
-    const graph::Edge a = used_link(plan);
-    cfg.faults.flaky_links.emplace_back(a.u, a.v);
-    cfg.faults.flaky_drop_permille = 1001;
     EXPECT_THROW(
         simnet::AllreduceSimulator(plan.topology(), plan.trees(), cfg),
         std::invalid_argument);

@@ -8,8 +8,8 @@
 // compares the whole result through oracle::result_differences. The
 // matrix crosses radix, tree set, split (optimal and seeded skews with
 // empty trees, which force several max-min calls and multi-round fills),
-// collective, packet framing, link latency and background traffic (whose
-// per-link capacities take the in-order fill path).
+// packet framing, link latency and background traffic (whose per-link
+// capacities take the in-order fill path).
 
 #include <gtest/gtest.h>
 
@@ -29,18 +29,6 @@
 namespace {
 
 using namespace pfar;
-
-std::string collective_name(simnet::Collective c) {
-  switch (c) {
-    case simnet::Collective::kAllreduce:
-      return "allreduce";
-    case simnet::Collective::kReduce:
-      return "reduce";
-    case simnet::Collective::kBroadcast:
-      return "broadcast";
-  }
-  return "?";
-}
 
 void expect_flow_matches_oracle(const graph::Graph& topology,
                                 const std::vector<trees::SpanningTree>& trees,
@@ -91,7 +79,7 @@ core::AllreducePlan build_plan(int q, core::Solution solution) {
   return core::AllreducePlanner(q).solution(solution).threads(1).build();
 }
 
-TEST(FlowOracle, MatchesAcrossRadixTreeSetsSplitsAndCollectives) {
+TEST(FlowOracle, MatchesAcrossRadixTreeSetsAndSplits) {
   std::uint64_t seed = 1;
   for (int q : {2, 3, 4, 5, 7, 8, 9, 11, 13}) {
     for (const auto sol : {core::Solution::kLowDepth,
@@ -105,17 +93,10 @@ TEST(FlowOracle, MatchesAcrossRadixTreeSetsSplitsAndCollectives) {
           splits.push_back(skewed_split(trees.size(), m, seed++));
         }
         for (std::size_t s = 0; s < splits.size(); ++s) {
-          for (const auto c : {simnet::Collective::kAllreduce,
-                               simnet::Collective::kReduce,
-                               simnet::Collective::kBroadcast}) {
-            simnet::SimConfig config;
-            config.collective = c;
-            expect_flow_matches_oracle(
-                plan.topology(), trees, config, splits[s],
-                "q=" + std::to_string(q) + " " + core::to_string(sol) +
-                    " m=" + std::to_string(m) + " split " +
-                    std::to_string(s) + " " + collective_name(c));
-          }
+          expect_flow_matches_oracle(
+              plan.topology(), trees, simnet::SimConfig{}, splits[s],
+              "q=" + std::to_string(q) + " " + core::to_string(sol) +
+                  " m=" + std::to_string(m) + " split " + std::to_string(s));
         }
       }
     }
@@ -148,31 +129,27 @@ TEST(FlowOracle, MatchesOnMixedTreeSetsWithMultiRoundFills) {
   }
 }
 
-TEST(FlowOracle, MatchesUnderPacketFramingBandwidthAndLatency) {
+TEST(FlowOracle, MatchesUnderPacketFramingAndLatency) {
   for (int q : {3, 7, 8}) {
     for (const auto sol :
          {core::Solution::kLowDepth, core::Solution::kEdgeDisjoint}) {
       const auto plan = build_plan(q, sol);
       const auto& trees = plan.trees();
       for (const int latency : {0, 1, 5}) {
-        for (const int bandwidth : {1, 3}) {
-          simnet::SimConfig config;
-          config.packet_payload = 8;
-          config.packet_header_flits = 2;
-          config.link_latency = latency;
-          config.link_bandwidth = bandwidth;
-          const std::string label = "q=" + std::to_string(q) + " " +
-                                    core::to_string(sol) + " latency " +
-                                    std::to_string(latency) + " bandwidth " +
-                                    std::to_string(bandwidth);
-          expect_flow_matches_oracle(plan.topology(), trees, config,
-                                     plan.split(12345), label + " optimal");
-          expect_flow_matches_oracle(plan.topology(), trees, config,
-                                     skewed_split(trees.size(), 12345,
-                                                  static_cast<std::uint64_t>(
-                                                      q * 10 + latency)),
-                                     label + " skewed");
-        }
+        simnet::SimConfig config;
+        config.packet_payload = 8;
+        config.packet_header_flits = 2;
+        config.link_latency = latency;
+        const std::string label = "q=" + std::to_string(q) + " " +
+                                  core::to_string(sol) + " latency " +
+                                  std::to_string(latency);
+        expect_flow_matches_oracle(plan.topology(), trees, config,
+                                   plan.split(12345), label + " optimal");
+        expect_flow_matches_oracle(plan.topology(), trees, config,
+                                   skewed_split(trees.size(), 12345,
+                                                static_cast<std::uint64_t>(
+                                                    q * 10 + latency)),
+                                   label + " skewed");
       }
     }
   }

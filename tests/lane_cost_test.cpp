@@ -5,8 +5,8 @@
 // periods from an anchor with k of either sign — must equal a direct
 // run_planned_allreduce of the same size. Sizes are asked in ascending and
 // in descending order, below, at and above the smallest size an anchor can
-// answer. Under background traffic, a fault script or flaky links no run
-// certifies a period, so nothing is shifted.
+// answer. Under background traffic or a fault script no run certifies a
+// period, so nothing is shifted.
 //
 // The suite name is in CI's TSan filter: the shard_threads = 2 cells merge
 // the certificates of concurrently simulated tree groups.
@@ -44,8 +44,8 @@ core::AllreducePlan make_plan(int q, core::Solution sol) {
 collectives::InNetworkResult direct_run(const graph::Graph& g,
                                         const Trees& trees, long long m,
                                         const simnet::SimConfig& cfg) {
-  const model::TreeBandwidths bw = model::compute_tree_bandwidths(
-      g, trees, static_cast<double>(cfg.link_bandwidth));
+  const model::TreeBandwidths bw =
+      model::compute_tree_bandwidths(g, trees, 1.0);
   return collectives::run_planned_allreduce(
       g, trees, model::optimal_split(m, bw), bw, cfg);
 }
@@ -175,7 +175,6 @@ TEST(LaneCost, ConfigMatrixOnOneTreeAndMultiTreeSets) {
   const int payloads[] = {1, 3, 8};
   const int headers[] = {0, 2};
   const int latencies[] = {1, 4, 7};
-  const int bandwidths[] = {1, 2};
   const int credits[] = {2, 16};
   const int shards[] = {1, 2};
   long long one_tree_shifts = 0;
@@ -184,14 +183,12 @@ TEST(LaneCost, ConfigMatrixOnOneTreeAndMultiTreeSets) {
     cfg.packet_payload = payloads[i % 3];
     cfg.packet_header_flits = headers[i % 2];
     cfg.link_latency = latencies[(i / 2) % 3];
-    cfg.link_bandwidth = bandwidths[(i / 3) % 2];
     cfg.vc_credits = credits[(i / 6) % 2];
     cfg.shard_threads = shards[(i + i / 6) % 2];
     const std::string config =
         "payload=" + std::to_string(cfg.packet_payload) +
         " header=" + std::to_string(cfg.packet_header_flits) +
         " latency=" + std::to_string(cfg.link_latency) +
-        " bw=" + std::to_string(cfg.link_bandwidth) +
         " credits=" + std::to_string(cfg.vc_credits) +
         " shards=" + std::to_string(cfg.shard_threads);
     for (const Set& set : sets) {
@@ -360,10 +357,9 @@ TEST(LaneCost, RandomRootedTreesShareAcrossRelabelings) {
   }
 }
 
-// Background traffic, a fault script and flaky links all follow absolute
-// time, so no run certifies a period and every answer is simulated or
-// memoized.
-TEST(LaneCost, NoShortcutUnderBackgroundFaultsOrFlakyLinks) {
+// Background traffic and a fault script both follow absolute time, so no
+// run certifies a period and every answer is simulated or memoized.
+TEST(LaneCost, NoShortcutUnderBackgroundOrFaults) {
   util::Rng rng(2104);
   const auto plan = make_plan(5, core::Solution::kEdgeDisjoint);
   const graph::Graph& g = plan.topology();
@@ -388,12 +384,8 @@ TEST(LaneCost, NoShortcutUnderBackgroundFaultsOrFlakyLinks) {
       {300, spare.u, spare.v, simnet::FaultType::kLinkDown});
   faults.faults.events.push_back(
       {900, spare.u, spare.v, simnet::FaultType::kLinkUp});
-  simnet::SimConfig flaky;
-  flaky.faults.flaky_links.emplace_back(spare.u, spare.v);
-  flaky.faults.flaky_drop_permille = 500;
   for (const auto& [cfg, name] :
-       {std::pair{background, "background"}, std::pair{faults, "faults"},
-        std::pair{flaky, "flaky"}}) {
+       {std::pair{background, "background"}, std::pair{faults, "faults"}}) {
     EXPECT_FALSE(direct_run(g, lane, ms.front(), cfg).period) << name;
     const auto answers = expect_both_orders(g, lane, cfg, ms, name);
     EXPECT_EQ(answers.shifted, 0) << name;
@@ -405,30 +397,6 @@ TEST(LaneCost, NoShortcutUnderBackgroundFaultsOrFlakyLinks) {
                                 collectives::ResilienceConfig{});
   for (const long long m : ms) cost.cost(m);
   EXPECT_EQ(cost.answers().shifted, 0);
-}
-
-// Reduce certifies like Allreduce (every engine injects, the root alone
-// receives); a Broadcast's non-root engines never inject, so it never
-// certifies and nothing is shifted.
-TEST(LaneCost, ReduceShiftsAndBroadcastNeverCertifies) {
-  util::Rng rng(2106);
-  const auto plan = make_plan(5, core::Solution::kEdgeDisjoint);
-  const graph::Graph& g = plan.topology();
-  const Trees lane{plan.trees()[0]};
-  simnet::SimConfig reduce;
-  reduce.collective = simnet::Collective::kReduce;
-  reduce.packet_payload = 3;
-  const auto ms = sizes_around(g, lane, reduce, 2500, rng);
-  ASSERT_FALSE(ms.empty());
-  EXPECT_GT(expect_both_orders(g, lane, reduce, ms, "reduce").shifted, 0);
-  simnet::SimConfig broadcast;
-  broadcast.collective = simnet::Collective::kBroadcast;
-  // Rooted at vertex 0 too, whose engine is the first of its tree.
-  for (const Trees& trees : {lane, Trees{collectives::bfs_tree(g, 0)}}) {
-    EXPECT_FALSE(direct_run(g, trees, 2500, broadcast).period);
-    EXPECT_EQ(
-        expect_both_orders(g, trees, broadcast, ms, "broadcast").shifted, 0);
-  }
 }
 
 // A shift that would end past max_cycles is simulated instead, so it

@@ -233,10 +233,10 @@ TEST_F(ObsvIntegration, TraceIsByteIdenticalAcrossRunsAndPlannerThreads) {
     const auto plan = core::AllreducePlanner(5).threads(threads).build();
     simnet::SimConfig config;
     config.recorder = &rec;
-    const graph::Edge flaky = plan.topology().edge(0);
-    config.faults.flaky_links = {{flaky.u, flaky.v}};
-    config.faults.flaky_seed = 42;
-    config.faults.flaky_drop_permille = 200;
+    const graph::Edge link = plan.topology().edge(0);
+    config.faults.events = {
+        {150, link.u, link.v, simnet::FaultType::kLinkDown},
+        {400, link.u, link.v, simnet::FaultType::kLinkUp}};
     config.progress_timeout = 400;
     plan.simulate(512, config);
     return std::make_pair(trace_json_of(rec.trace),
@@ -257,18 +257,16 @@ TEST_F(ObsvIntegration, MetricsAgreeWithSimResultAccounting) {
   const auto plan = core::AllreducePlanner(5).build();
   simnet::SimConfig config;
   config.recorder = &rec;
-  // Drop packets on a link tree 0 actually uses so cancellation and the
-  // dropped/canceled accounting paths all fire.
+  // Take down a link tree 0 actually uses while it streams, so the
+  // dropped/canceled accounting paths and cancellation all fire.
   const auto& parents = plan.trees()[0].parents();
   for (int v = 0; v < static_cast<int>(parents.size()); ++v) {
-    if (parents[static_cast<std::size_t>(v)] >= 0) {
-      config.faults.flaky_links = {
-          {v, parents[static_cast<std::size_t>(v)]}};
+    const int p = parents[static_cast<std::size_t>(v)];
+    if (p >= 0) {
+      config.faults.events = {{200, v, p, simnet::FaultType::kLinkDown}};
       break;
     }
   }
-  config.faults.flaky_seed = 7;
-  config.faults.flaky_drop_permille = 500;
   config.progress_timeout = 300;
   const auto res = plan.simulate(1024, config);
   const simnet::SimResult& sim = res.sim;

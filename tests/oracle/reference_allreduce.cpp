@@ -87,10 +87,6 @@ Fabric build_fabric(const graph::Graph& topology,
   f.link_vcs.resize(static_cast<std::size_t>(f.num_dlinks));
   f.state.resize(static_cast<std::size_t>(f.n) * static_cast<std::size_t>(f.num_trees));
 
-  const Collective mode = config.collective;
-  const bool want_reduce = mode != Collective::kBroadcast;
-  const bool want_bcast = mode != Collective::kReduce;
-
   const auto dlink_of = [&](int src, int dst) {
     const int eid = topology.edge_id(src, dst);
     return 2 * eid + (src > dst ? 1 : 0);
@@ -119,12 +115,8 @@ Fabric build_fabric(const graph::Graph& topology,
     for (int v = 0; v < f.n; ++v) {
       NodeTreeState& s = f.st(v, t);
       if (s.parent >= 0) {
-        if (want_reduce) {
-          s.parent_reduce_vc = new_vc(t, Phase::kReduce, v, s.parent);
-        }
-        if (want_bcast) {
-          s.parent_bcast_vc = new_vc(t, Phase::kBcast, s.parent, v);
-        }
+        s.parent_reduce_vc = new_vc(t, Phase::kReduce, v, s.parent);
+        s.parent_bcast_vc = new_vc(t, Phase::kBcast, s.parent, v);
       }
       s.fork_stage.resize(s.children.size());
       s.child_bcast_vc.assign(s.children.size(), -1);
@@ -136,10 +128,8 @@ Fabric build_fabric(const graph::Graph& topology,
         const int child = s.children[c];
         s.child_reduce_vc[c] = f.st(child, t).parent_reduce_vc;
         s.child_bcast_vc[c] = f.st(child, t).parent_bcast_vc;
-        if (s.child_bcast_vc[c] >= 0) {
-          f.vcs[static_cast<std::size_t>(s.child_bcast_vc[c])].fork_index =
-              static_cast<int>(c);
-        }
+        f.vcs[static_cast<std::size_t>(s.child_bcast_vc[c])].fork_index =
+            static_cast<int>(c);
       }
     }
   }
@@ -151,15 +141,13 @@ Fabric build_fabric(const graph::Graph& topology,
   }
   // Lemma 7.8 accounting: distinct trees consuming each input port as a
   // reduction input.
-  if (want_reduce) {
-    std::vector<int> reductions_per_port(static_cast<std::size_t>(f.num_dlinks), 0);
-    for (const auto& vc : f.vcs) {
-      if (vc.phase == Phase::kReduce) ++reductions_per_port[static_cast<std::size_t>(vc.dlink)];
-    }
-    for (int c : reductions_per_port) {
-      result.max_reductions_per_input_port =
-          std::max(result.max_reductions_per_input_port, c);
-    }
+  std::vector<int> reductions_per_port(static_cast<std::size_t>(f.num_dlinks), 0);
+  for (const auto& vc : f.vcs) {
+    if (vc.phase == Phase::kReduce) ++reductions_per_port[static_cast<std::size_t>(vc.dlink)];
+  }
+  for (int c : reductions_per_port) {
+    result.max_reductions_per_input_port =
+        std::max(result.max_reductions_per_input_port, c);
   }
   return f;
 }
@@ -168,8 +156,8 @@ Fabric build_fabric(const graph::Graph& topology,
 // ---------------------------------------------------------------------------
 // The original cycle-by-cycle loop. Every VC is scanned for arrivals,
 // every (node, tree) broadcast engine is visited and every link arbitrated
-// on every cycle. Kept verbatim as the oracle the product's fast-forward
-// loop is tested against.
+// on every cycle. Kept as first written, less the settings the product
+// dropped, as the oracle the product's fast-forward loop is tested against.
 // ---------------------------------------------------------------------------
 long long run_reference_loop(Fabric& f, const SimConfig& config,
                              const std::vector<long long>& elements_per_tree,
@@ -180,27 +168,20 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
                              SimObserver* obs) {
   const int n = f.n;
   const int num_trees = f.num_trees;
-  const Collective mode = config.collective;
-  const bool want_bcast = mode != Collective::kReduce;
   auto& vcs = f.vcs;
   const bool faults_active = fault.active;
   const long long timeout = config.progress_timeout;
   std::vector<char> tree_canceled(static_cast<std::size_t>(num_trees), 0);
   std::vector<long long> tree_progress(static_cast<std::size_t>(num_trees), 0);
 
-  const auto expected_value = [&](int tree, long long k) {
-    return mode == Collective::kBroadcast
-               ? local_value(f.roots[static_cast<std::size_t>(tree)], tree, k)
-               : sum_over_nodes(n, tree, k);
-  };
 
   long long delivered_total = 0;
   long long now = 0;
   long long last_progress = 0;
   std::vector<int> rr(static_cast<std::size_t>(f.num_dlinks), 0);
-  // Token-bucket link occupancy: `tokens` flit-slots accumulate at
-  // link_bandwidth per cycle (bounded burst); a packet consumes
-  // payload + header flits and may borrow, modeling multi-cycle packets.
+  // Token-bucket link occupancy: `tokens` flit-slots accumulate at one per
+  // cycle (bounded burst); a packet consumes payload + header flits and may
+  // borrow, modeling multi-cycle packets.
   std::vector<long long> tokens(static_cast<std::size_t>(f.num_dlinks), 0);
   const int header = config.packet_header_flits;
 
@@ -279,7 +260,7 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
       result.tree_first_delivery[static_cast<std::size_t>(tree)] = now;
     }
     for (std::int64_t value : packet) {
-      if (value != expected_value(tree, s.delivered)) {
+      if (value != sum_over_nodes(n, tree, s.delivered)) {
         result.values_correct = false;
       }
       ++s.delivered;
@@ -334,13 +315,7 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
     result.tree_fail_cycle[static_cast<std::size_t>(t)] = now;
     result.tree_finish_cycle[static_cast<std::size_t>(t)] = -1;
     long long prefix = LLONG_MAX;
-    if (mode == Collective::kReduce) {
-      prefix = f.st(f.roots[static_cast<std::size_t>(t)], t).delivered;
-    } else {
-      for (int v = 0; v < n; ++v) {
-        prefix = std::min(prefix, f.st(v, t).delivered);
-      }
-    }
+    for (int v = 0; v < n; ++v) prefix = std::min(prefix, f.st(v, t).delivered);
     result.tree_completed[static_cast<std::size_t>(t)] = prefix;
     PFAR_OBS(on_cancel(t, now, prefix));
     const auto retract = [&](const Packet& p) {
@@ -436,89 +411,63 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
       }
     }
 
-    // 2. Root engines. Allreduce/Reduce: final sums materialize at the
-    // root (into the turnaround queue or straight to local delivery).
-    // Broadcast: the root sources its own stream into the queue.
+    // 2. Root engines: one final sum per cycle materializes at the root,
+    // into the turnaround queue.
     for (int t = 0; t < num_trees; ++t) {
       if (tree_canceled[static_cast<std::size_t>(t)]) continue;
       NodeTreeState& s = f.st(f.roots[static_cast<std::size_t>(t)], t);
-      for (int fire = 0; fire < config.link_bandwidth; ++fire) {
-        if (s.injected >= elements_per_tree[static_cast<std::size_t>(t)]) break;
-        if (mode != Collective::kReduce &&
-            static_cast<int>(s.root_queue.size()) >= config.vc_credits) {
+      if (s.injected >= elements_per_tree[static_cast<std::size_t>(t)]) continue;
+      if (static_cast<int>(s.root_queue.size()) >= config.vc_credits) continue;
+      bool inputs_ready = true;
+      for (int cvc : s.child_reduce_vc) {
+        const VcState& child = vcs[static_cast<std::size_t>(cvc)];
+        if (child.poisoned || child.recv.empty()) {
+          inputs_ready = false;
           break;
         }
-        Packet packet;
-        if (mode == Collective::kBroadcast) {
-          const long long remaining = elements_per_tree[static_cast<std::size_t>(t)] - s.injected;
-          const long long size =
-              std::min<long long>(config.packet_payload, remaining);
-          packet.resize(static_cast<std::size_t>(size));
-          for (long long i = 0; i < size; ++i) {
-            packet[static_cast<std::size_t>(i)] = local_value(f.roots[static_cast<std::size_t>(t)], t, s.injected + i);
-          }
-          s.injected += size;
-        } else {
-          bool inputs_ready = true;
-          for (int cvc : s.child_reduce_vc) {
-            const VcState& child = vcs[static_cast<std::size_t>(cvc)];
-            if (child.poisoned || child.recv.empty()) {
-              inputs_ready = false;
-              break;
-            }
-          }
-          if (!inputs_ready) break;
-          packet = make_reduce_packet(f.roots[static_cast<std::size_t>(t)], t);
-        }
-        if (mode == Collective::kReduce) {
-          deliver(f.roots[static_cast<std::size_t>(t)], t, packet);
-        } else {
-          s.root_queue.push_back(std::move(packet));
-        }
-        last_progress = now;
       }
+      if (!inputs_ready) continue;
+      s.root_queue.push_back(
+          make_reduce_packet(f.roots[static_cast<std::size_t>(t)], t));
+      last_progress = now;
     }
 
     // 3. Broadcast replication: parent VC (or root queue) -> all fork
-    // stages + local delivery. Fork-stage room is required for all
-    // children, which bounds buffering and stays deadlock-free.
-    if (want_bcast) {
-      for (int t = 0; t < num_trees; ++t) {
-        if (tree_canceled[static_cast<std::size_t>(t)]) continue;
-        for (int v = 0; v < n; ++v) {
-          NodeTreeState& s = f.st(v, t);
-          const bool is_root = (v == f.roots[static_cast<std::size_t>(t)]);
-          if (!is_root && s.parent_bcast_vc < 0) continue;
-          for (int moves = 0; moves < config.link_bandwidth; ++moves) {
-            bool room = true;
-            for (const auto& stage : s.fork_stage) {
-              if (static_cast<int>(stage.size()) >= config.fork_buffer) {
-                room = false;
-                break;
-              }
-            }
-            if (!room) break;
-            Packet packet;
-            if (is_root) {
-              if (s.root_queue.empty()) break;
-              packet = std::move(s.root_queue.front());
-              s.root_queue.pop_front();
-            } else {
-              VcState& pvc = vcs[static_cast<std::size_t>(s.parent_bcast_vc)];
-              if (pvc.poisoned || pvc.recv.empty()) break;
-              packet = std::move(pvc.recv.front());
-              pvc.recv.pop_front();
-              return_credit(pvc);
-            }
-            deliver(v, t, packet);
-            const std::size_t forks = s.fork_stage.size();
-            for (std::size_t c = 0; c + 1 < forks; ++c) {
-              s.fork_stage[c].push_back(packet);
-            }
-            if (forks > 0) {
-              s.fork_stage[forks - 1].push_back(std::move(packet));
-            }
+    // stages + local delivery, one packet per engine per cycle. Fork-stage
+    // room is required for all children, which bounds buffering and stays
+    // deadlock-free.
+    for (int t = 0; t < num_trees; ++t) {
+      if (tree_canceled[static_cast<std::size_t>(t)]) continue;
+      for (int v = 0; v < n; ++v) {
+        NodeTreeState& s = f.st(v, t);
+        const bool is_root = (v == f.roots[static_cast<std::size_t>(t)]);
+        bool room = true;
+        for (const auto& stage : s.fork_stage) {
+          if (static_cast<int>(stage.size()) >= config.fork_buffer) {
+            room = false;
+            break;
           }
+        }
+        if (!room) continue;
+        Packet packet;
+        if (is_root) {
+          if (s.root_queue.empty()) continue;
+          packet = std::move(s.root_queue.front());
+          s.root_queue.pop_front();
+        } else {
+          VcState& pvc = vcs[static_cast<std::size_t>(s.parent_bcast_vc)];
+          if (pvc.poisoned || pvc.recv.empty()) continue;
+          packet = std::move(pvc.recv.front());
+          pvc.recv.pop_front();
+          return_credit(pvc);
+        }
+        deliver(v, t, packet);
+        const std::size_t forks = s.fork_stage.size();
+        for (std::size_t c = 0; c + 1 < forks; ++c) {
+          s.fork_stage[c].push_back(packet);
+        }
+        if (forks > 0) {
+          s.fork_stage[forks - 1].push_back(std::move(packet));
         }
       }
     }
@@ -529,9 +478,8 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
       const auto& ids = f.link_vcs[static_cast<std::size_t>(dl)];
       if (ids.empty()) continue;
       tokens[static_cast<std::size_t>(dl)] = std::min<long long>(
-          tokens[static_cast<std::size_t>(dl)] + config.link_bandwidth,
-          static_cast<long long>(config.link_bandwidth) *
-              (config.packet_payload + header));
+          tokens[static_cast<std::size_t>(dl)] + 1,
+          config.packet_payload + header);
       // Tokens accumulate on a down link (the bucket models the physical
       // pipe, which recharges regardless), but nothing is granted on it.
       // The background accumulator also freezes: a down link carries no
@@ -550,9 +498,8 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
         }
       }
       const int count = static_cast<int>(ids.size());
-      const int probes = count * config.link_bandwidth;
       const int base = rr[static_cast<std::size_t>(dl)];
-      for (int probe = 0; probe < probes && tokens[static_cast<std::size_t>(dl)] > 0; ++probe) {
+      for (int probe = 0; probe < count && tokens[static_cast<std::size_t>(dl)] > 0; ++probe) {
         const int slot = (base + probe) % count;
         VcState& vc = vcs[static_cast<std::size_t>(ids[static_cast<std::size_t>(slot)])];
         if (tree_canceled[static_cast<std::size_t>(vc.tree)]) continue;
@@ -581,19 +528,8 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
         result.link_flits[static_cast<std::size_t>(dl)] += flits;
         PFAR_OBS(on_grant(dl, now));
         --vc.credits;
-        if (faults_active && fault.drop_now(dl)) {
-          // Flaky link ate the packet: flits crossed (accounted above) but
-          // nothing lands. The credit still returns normally; the gap
-          // poisons the receiver.
-          ++result.dropped_packets;
-          result.dropped_flits += flits;
-          result.link_dropped_flits[static_cast<std::size_t>(dl)] += flits;
-          vc.poisoned = true;
-          vc.credit_inflight.push_back(now + config.link_latency);
-        } else {
-          vc.data_inflight.emplace_back(now + config.link_latency,
-                                        std::move(packet));
-        }
+        vc.data_inflight.emplace_back(now + config.link_latency,
+                                      std::move(packet));
         last_progress = now;
       }
     }

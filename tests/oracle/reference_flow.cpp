@@ -1,4 +1,5 @@
-// The flow tier (SimEngine::kFlow) exactly as first written: tree-major
+// The flow tier (SimEngine::kFlow) as first written, less the settings the
+// product dropped: tree-major
 // edge resolution through Graph::edge_id, per-call user counts rebuilt
 // from the per-tree link lists, and every freeze's fix-ups applied in
 // order inside its progressive-filling round. The product tier
@@ -58,34 +59,16 @@ SimResult run_reference_flow(const graph::Graph& topology,
                              const SimConfig& config,
                              const std::vector<long long>& elements_per_tree) {
   if (!config.faults.empty()) {
-    // Contract message names every offending SimConfig::faults field so the
-    // caller knows exactly what to clear (tests/flow_engine_test.cpp).
-    std::string offending;
-    if (!config.faults.events.empty()) {
-      offending += "faults.events (" +
-                   std::to_string(config.faults.events.size()) +
-                   " scheduled link event" +
-                   (config.faults.events.size() == 1 ? "" : "s") + ")";
-    }
-    if (!config.faults.flaky_links.empty()) {
-      if (!offending.empty()) offending += ", ";
-      offending += "faults.flaky_links (" +
-                   std::to_string(config.faults.flaky_links.size()) +
-                   " link" + (config.faults.flaky_links.size() == 1 ? "" : "s") +
-                   ", flaky_drop_permille=" +
-                   std::to_string(config.faults.flaky_drop_permille) + ")";
-    }
+    const std::size_t events = config.faults.events.size();
     throw std::invalid_argument(
         "SimEngine::kFlow cannot honor fault scripts (faults are cycle-level "
-        "phenomena); offending SimConfig fields: " + offending +
-        "; clear them or use the horizon engine");
+        "phenomena); offending SimConfig field: faults.events (" +
+        std::to_string(events) + " scheduled link event" +
+        (events == 1 ? "" : "s") + "); clear it or use the horizon engine");
   }
   const int n = topology.num_vertices();
   const int num_trees = static_cast<int>(trees.size());
   const int num_dlinks = 2 * topology.num_edges();
-  const Collective mode = config.collective;
-  const bool want_reduce = mode != Collective::kBroadcast;
-  const bool want_bcast = mode != Collective::kReduce;
 
   SimResult result;
   detail::reset_result(result, num_trees, num_dlinks);
@@ -99,8 +82,7 @@ SimResult run_reference_flow(const graph::Graph& topology,
   // of the fabric —
   // num_vcs and the per-link / per-port maxima come out identical to the
   // cycle engines (pinned by tests/flow_engine_test.cpp).
-  const int vcs_per_tree =
-      ((want_reduce ? 1 : 0) + (want_bcast ? 1 : 0)) * (n - 1);
+  const int vcs_per_tree = 2 * (n - 1);
   std::vector<std::int64_t> tree_dlink_base(
       static_cast<std::size_t>(num_trees) + 1, 0);
   for (int t = 0; t < num_trees; ++t) {
@@ -123,19 +105,15 @@ SimResult run_reference_flow(const graph::Graph& topology,
     for (int v = 0; v < n; ++v) {
       const int p = tree.parent(v);
       if (p < 0) continue;
-      if (want_reduce) {
-        const int d = dlink_of(v, p);
-        tree_dlinks[static_cast<std::size_t>(out++)] =
-            static_cast<std::int32_t>(d);
-        ++vcs_on_dlink[static_cast<std::size_t>(d)];
-        ++reduces_on_dlink[static_cast<std::size_t>(d)];
-      }
-      if (want_bcast) {
-        const int d = dlink_of(p, v);
-        tree_dlinks[static_cast<std::size_t>(out++)] =
-            static_cast<std::int32_t>(d);
-        ++vcs_on_dlink[static_cast<std::size_t>(d)];
-      }
+      const int up = dlink_of(v, p);
+      tree_dlinks[static_cast<std::size_t>(out++)] =
+          static_cast<std::int32_t>(up);
+      ++vcs_on_dlink[static_cast<std::size_t>(up)];
+      ++reduces_on_dlink[static_cast<std::size_t>(up)];
+      const int down = dlink_of(p, v);
+      tree_dlinks[static_cast<std::size_t>(out++)] =
+          static_cast<std::int32_t>(down);
+      ++vcs_on_dlink[static_cast<std::size_t>(down)];
     }
   }
   result.num_vcs = static_cast<int>(
@@ -176,27 +154,26 @@ SimResult run_reference_flow(const graph::Graph& topology,
   // a saturated link freezes the trees crossing it, the rest continue on
   // the residual capacity — the fluid limit of the engines' round-robin
   // link arbitration). When a tree runs out of elements it retires and the
-  // survivors' rates are recomputed on the freed links.
-  const double bandwidth = static_cast<double>(config.link_bandwidth);
+  // survivors' rates are recomputed on the freed links. A link moves one
+  // flit per cycle.
   const double efficiency =
       static_cast<double>(payload) / static_cast<double>(payload + header);
   // Background traffic (SimConfig::background) occupies part of each
   // directed link's capacity: the fluid limit of the cycle engines'
   // deterministic drain is simply a per-link capacity reduction by the
-  // steady-state rate. On a quiet network every entry equals `bandwidth`
-  // exactly, so the floating-point trajectory below is bit-identical to
-  // the pre-background flow tier.
+  // steady-state rate. On a quiet network every entry equals 1 exactly, so
+  // the floating-point trajectory below is bit-identical to the
+  // pre-background flow tier.
   std::vector<long long> bg_rates_ppm;
   if (config.background.active()) {
     result.link_bg_flits.assign(static_cast<std::size_t>(num_dlinks), 0);
-    bg_rates_ppm = background_link_rates_ppm(topology, config.background,
-                                             config.link_bandwidth);
+    bg_rates_ppm = background_link_rates_ppm(topology, config.background);
   }
-  std::vector<double> cap(static_cast<std::size_t>(num_dlinks), bandwidth);
+  std::vector<double> cap(static_cast<std::size_t>(num_dlinks), 1.0);
   if (!bg_rates_ppm.empty()) {
     for (int d = 0; d < num_dlinks; ++d) {
       cap[static_cast<std::size_t>(d)] =
-          bandwidth -
+          1.0 -
           static_cast<double>(bg_rates_ppm[static_cast<std::size_t>(d)]) / 1e6;
     }
   }
@@ -221,13 +198,13 @@ SimResult run_reference_flow(const graph::Graph& topology,
       const int t = act[i];
       if (tree_dlink_base[static_cast<std::size_t>(t)] ==
           tree_dlink_base[static_cast<std::size_t>(t) + 1]) {
-        rate[static_cast<std::size_t>(t)] = bandwidth;
+        rate[static_cast<std::size_t>(t)] = 1.0;
         done[i] = 1;
         --remaining;
       }
     }
     double level = 0.0;
-    const double eps = 1e-9 * bandwidth;
+    const double eps = 1e-9;
     while (remaining > 0) {
       double delta = std::numeric_limits<double>::infinity();
       for (std::int32_t d : touched) {
@@ -324,20 +301,15 @@ SimResult run_reference_flow(const graph::Graph& topology,
   // lead on its way to the root.
   const long long hop_lead =
       static_cast<long long>(std::max(config.link_latency, 1));
-  const int drain_phases =
-      (mode == Collective::kAllreduce) ? 2 : 1;
   for (int t = 0; t < num_trees; ++t) {
     const std::size_t ti = static_cast<std::size_t>(t);
     if (elements_per_tree[ti] == 0) continue;
-    const long long fill =
-        static_cast<long long>(depth[ti]) * hop_lead * drain_phases;
+    const long long fill = static_cast<long long>(depth[ti]) * hop_lead * 2;
     const long long finish =
         static_cast<long long>(std::ceil(stream_end[ti])) + fill + 1;
     result.tree_finish_cycle[ti] = finish;
     result.tree_first_delivery[ti] =
-        mode == Collective::kBroadcast
-            ? 0
-            : static_cast<long long>(depth[ti]) * hop_lead;
+        static_cast<long long>(depth[ti]) * hop_lead;
     result.cycles = std::max(result.cycles, finish);
   }
   if (result.cycles > config.max_cycles) {
@@ -362,7 +334,7 @@ SimResult run_reference_flow(const graph::Graph& topology,
       m.add("sim.total_elements", result.total_elements);
       m.observe("flow.sim_bw", result.aggregate_bandwidth);
       m.observe("flow.rate_upper_bound",
-                model::allreduce_rate_upper_bound(topology, bandwidth));
+                model::allreduce_rate_upper_bound(topology, 1.0));
       rec->trace.name_track(obsv::kTrackSim, "sim");
       const std::uint32_t n_flow = rec->trace.intern("flow");
       for (int t = 0; t < num_trees; ++t) {

@@ -15,59 +15,6 @@ graph::Graph line_graph(int n) {
   return g;
 }
 
-TEST(CollectiveModeTest, ReduceOnlyDeliversAtRoot) {
-  graph::Graph g = line_graph(4);
-  SimConfig cfg;
-  cfg.collective = Collective::kReduce;
-  const Trees trees{{0, {-1, 0, 1, 2}}};
-  AllreduceSimulator sim(g, trees, cfg);
-  const auto r = sim.run({500});
-  EXPECT_TRUE(r.values_correct);
-  EXPECT_EQ(r.total_elements, 500);
-  // Reduce halves the link traffic of Allreduce: broadcast VCs are never
-  // instantiated.
-  EXPECT_EQ(r.num_vcs, 3);  // one reduce VC per tree edge
-}
-
-TEST(CollectiveModeTest, BroadcastOnlyStreamsFromRoot) {
-  graph::Graph g = line_graph(4);
-  SimConfig cfg;
-  cfg.collective = Collective::kBroadcast;
-  const Trees trees{{0, {-1, 0, 1, 2}}};
-  AllreduceSimulator sim(g, trees, cfg);
-  const auto r = sim.run({500});
-  EXPECT_TRUE(r.values_correct);
-  EXPECT_EQ(r.num_vcs, 3);  // one bcast VC per tree edge
-  EXPECT_GT(r.aggregate_bandwidth, 0.9);
-}
-
-TEST(CollectiveModeTest, ReduceIsFasterThanAllreduce) {
-  graph::Graph g = line_graph(5);
-  SimConfig reduce_cfg;
-  reduce_cfg.collective = Collective::kReduce;
-  const Trees trees{{0, {-1, 0, 1, 2, 3}}};
-  AllreduceSimulator reduce_sim(g, trees, reduce_cfg);
-  AllreduceSimulator ar_sim(g, trees, SimConfig{});
-  const auto red = reduce_sim.run({2000});
-  const auto ar = ar_sim.run({2000});
-  EXPECT_TRUE(red.values_correct);
-  EXPECT_TRUE(ar.values_correct);
-  // Same streaming rate but no broadcast turnaround/drain.
-  EXPECT_LT(red.cycles, ar.cycles);
-}
-
-TEST(CollectiveModeTest, AllModesOnPolarFlyPlans) {
-  const auto plan = core::AllreducePlanner(5).build();
-  for (Collective mode : {Collective::kAllreduce, Collective::kReduce,
-                          Collective::kBroadcast}) {
-    SimConfig cfg;
-    cfg.collective = mode;
-    AllreduceSimulator sim(plan.topology(), plan.trees(), cfg);
-    const auto r = sim.run(std::vector<long long>(static_cast<std::size_t>(plan.num_trees()), 500));
-    EXPECT_TRUE(r.values_correct) << static_cast<int>(mode);
-  }
-}
-
 TEST(PacketizationTest, HeaderOverheadReducesBandwidth) {
   graph::Graph g = line_graph(3);
   const Trees chain{{0, {-1, 0, 1}}};
@@ -134,25 +81,6 @@ TEST(EngineStatsTest, EdgeDisjointTreesNeedOneReductionPerPort) {
       core::AllreducePlanner(7).solution(core::Solution::kEdgeDisjoint).build();
   const auto res = plan.simulate(100);
   EXPECT_EQ(res.sim.max_reductions_per_input_port, 1);
-}
-
-TEST(CollectiveModeTest, ReduceOnlyDoublesLowDepthBandwidth) {
-  // A consequence of Lemma 7.8 the paper does not spell out: the two
-  // trees sharing a link reduce in OPPOSITE directions, so with no
-  // broadcast phase each tree streams at full link rate — reduce-only
-  // aggregate approaches q*B, twice the Allreduce q*B/2.
-  const auto plan = core::AllreducePlanner(5).build();
-  SimConfig reduce_cfg;
-  reduce_cfg.collective = Collective::kReduce;
-  AllreduceSimulator reduce_sim(plan.topology(), plan.trees(), reduce_cfg);
-  AllreduceSimulator ar_sim(plan.topology(), plan.trees(), SimConfig{});
-  const std::vector<long long> split(static_cast<std::size_t>(plan.num_trees()), 4000);
-  const auto red = reduce_sim.run(split);
-  const auto ar = ar_sim.run(split);
-  EXPECT_TRUE(red.values_correct);
-  EXPECT_TRUE(ar.values_correct);
-  EXPECT_GT(red.aggregate_bandwidth, 0.9 * 5.0);   // ~ q * B
-  EXPECT_LT(ar.aggregate_bandwidth, 0.55 * 5.0);   // ~ q * B / 2
 }
 
 TEST(PipelineFillTest, FirstDeliveryTracksTreeDepth) {

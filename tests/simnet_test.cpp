@@ -108,18 +108,6 @@ TEST(SimulatorTest, CongestedTreesShareLinkBandwidth) {
   EXPECT_LT(r.aggregate_bandwidth, 1.1);  // shared: aggregate caps at ~1
 }
 
-TEST(SimulatorTest, HigherLinkBandwidthScales) {
-  graph::Graph g = line_graph(3);
-  SimConfig cfg;
-  cfg.link_bandwidth = 2;
-  cfg.vc_credits = 32;
-  const Trees trees{{0, {-1, 0, 1}}};
-  AllreduceSimulator sim(g, trees, cfg);
-  const auto r = sim.run({6000});
-  EXPECT_TRUE(r.values_correct);
-  EXPECT_GT(r.aggregate_bandwidth, 1.8);
-}
-
 TEST(SimulatorTest, FlowControlNeverOverflowsBuffers) {
   graph::Graph g = line_graph(5);
   SimConfig cfg;

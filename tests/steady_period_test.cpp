@@ -5,7 +5,7 @@
 // bit-identical to the test-only reference loop (tests/oracle), which
 // never jumps. The product runs twice, with and without a Recorder, and
 // the traced run's `sim.skipped_cycles` shows whether the jump fired.
-// Runs with background traffic or flaky links must not jump at all.
+// Runs with background traffic must not jump at all.
 //
 // The suite name is in CI's TSan filter: the sharded case races jumping
 // shards against each other.
@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/planner.hpp"
@@ -93,30 +92,17 @@ TEST(SteadyPeriod, JumpsWithMultiElementPacketsAndPartialTail) {
 TEST(SteadyPeriod, JumpsWhenThePeriodSpansSeveralCycles) {
   const auto plan = make_plan(5, core::Solution::kLowDepth);
   {
-    simnet::SimConfig cfg;  // two flits per cycle, no wire delay
-    cfg.link_bandwidth = 2;
+    simnet::SimConfig cfg;  // five-flit packets, no wire delay
+    cfg.packet_payload = 3;
+    cfg.packet_header_flits = 2;
     cfg.link_latency = 0;
-    expect_jumps(plan, cfg, 8000, "bw=2 latency=0");
+    expect_jumps(plan, cfg, 8000, "payload=3 header=2 latency=0");
   }
   {
     simnet::SimConfig cfg;  // credit-starved: two packets per round trip
     cfg.vc_credits = 2;
     cfg.link_latency = 8;
     expect_jumps(plan, cfg, 4000, "credits=2 latency=8");
-  }
-}
-
-TEST(SteadyPeriod, JumpsInReduceAndBroadcastModes) {
-  for (const auto& [mode, name] :
-       {std::pair{simnet::Collective::kReduce, "reduce"},
-        std::pair{simnet::Collective::kBroadcast, "broadcast"}}) {
-    simnet::SimConfig cfg;
-    cfg.collective = mode;
-    for (const auto sol :
-         {core::Solution::kLowDepth, core::Solution::kEdgeDisjoint}) {
-      expect_jumps(make_plan(5, sol), cfg, 4000,
-                   std::string(name) + " " + core::to_string(sol));
-    }
   }
 }
 
@@ -180,24 +166,13 @@ TEST(SteadyPeriod, ShardedRunsMatchSerialAndOracle) {
   }
 }
 
-// Background drains and flaky drop decisions follow absolute time and
-// per-link packet ordinals, so those runs simulate every busy cycle.
-TEST(SteadyPeriod, BackgroundAndFlakyRunsNeverJump) {
+// Background drains follow absolute time, so those runs simulate every
+// busy cycle.
+TEST(SteadyPeriod, BackgroundRunsNeverJump) {
   const auto plan = make_plan(5, core::Solution::kLowDepth);
-  {
-    simnet::SimConfig cfg;
-    cfg.background.load = 0.2;
-    EXPECT_EQ(expect_exact(plan, cfg, 4000, "background"), 0);
-  }
-  {
-    simnet::SimConfig cfg;
-    const graph::Edge e = tree0_link(plan);
-    cfg.faults.flaky_links.emplace_back(e.u, e.v);
-    cfg.faults.flaky_seed = 3;
-    cfg.faults.flaky_drop_permille = 1;
-    cfg.progress_timeout = 300;
-    EXPECT_EQ(expect_exact(plan, cfg, 4000, "flaky"), 0);
-  }
+  simnet::SimConfig cfg;
+  cfg.background.load = 0.2;
+  EXPECT_EQ(expect_exact(plan, cfg, 4000, "background"), 0);
 }
 
 // Two copies of one tree put two VCs on every tree link. They first

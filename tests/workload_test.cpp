@@ -19,6 +19,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/planner.hpp"
@@ -119,6 +120,41 @@ TEST(WorkloadTrace, JsonRoundTripsExactly) {
   EXPECT_EQ(trace.layers[1].forward_cycles, 1);
   EXPECT_EQ(trace.layers[1].backward_cycles, 0);
   EXPECT_EQ(trace.layers[1].gradient_elements, 123456789);
+}
+
+// The schema's integers are read exactly or not at all: a value that is
+// not a JSON integer fails with the member's name instead of being
+// rounded, truncated or defaulted.
+TEST(WorkloadTrace, ParseReadsIntegersExactlyOrRejects) {
+  const auto layer_with = [](const std::string& forward) {
+    return "{\"layers\": [{\"forward_cycles\": " + forward +
+           ", \"backward_cycles\": 1, \"gradient_elements\": 1}]}";
+  };
+  // 2^53 + 1 has no double; it still comes back exactly.
+  EXPECT_EQ(workload::parse_trace_json(layer_with("9007199254740993"))
+                .layers[0]
+                .forward_cycles,
+            9007199254740993LL);
+  const std::string with_iterations =
+      "\"layers\": [{\"forward_cycles\": 1, \"backward_cycles\": 1, "
+      "\"gradient_elements\": 1}]}";
+  const std::pair<std::string, const char*> bad[] = {
+      {layer_with("\"abc\""), "forward_cycles"},
+      {layer_with("true"), "forward_cycles"},
+      {layer_with("1.5"), "forward_cycles"},
+      {layer_with("1e300"), "forward_cycles"},
+      {"{\"iterations\": \"four\", " + with_iterations, "iterations"},
+      {"{\"iterations\": 2.9, " + with_iterations, "iterations"},
+  };
+  for (const auto& [text, field] : bad) {
+    try {
+      static_cast<void>(workload::parse_trace_json(text));
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(WorkloadTrace, ParseRejectsSchemaViolations) {
