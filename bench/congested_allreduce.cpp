@@ -64,11 +64,9 @@ double ms_since(std::chrono::steady_clock::time_point start) {
 }
 
 pfar::simnet::SimConfig make_config(const Point& p,
-                                    pfar::simnet::SimEngine engine,
-                                    int shard_threads) {
+                                    pfar::simnet::SimEngine engine) {
   pfar::simnet::SimConfig cfg;
   cfg.engine = engine;
-  cfg.shard_threads = shard_threads;
   cfg.background.pattern = p.pattern.pattern;
   cfg.background.load = p.load;
   // A fixed permutation with structure (seed 7 concentrates several flows
@@ -86,7 +84,6 @@ int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const int threads = args.threads();
   const simnet::SimEngine engine = bench::engine_arg(args);
-  const int shard_threads = static_cast<int>(args.get_int("shard-threads", 1));
 
   std::printf(
       "Static vs congestion-adaptive Allreduce under background traffic\n"
@@ -120,7 +117,7 @@ int main(int argc, char** argv) {
                               .build();
         const auto res = adapt::run_adaptive_allreduce(
             plan.topology(), plan.trees(), p.m,
-            make_config(p, engine, shard_threads), /*compare_static=*/true);
+            make_config(p, engine), /*compare_static=*/true);
         PointResult out;
         out.static_bw = res.static_run.sim.aggregate_bandwidth;
         out.adaptive_bw = res.adaptive.sim.aggregate_bandwidth;
@@ -194,7 +191,7 @@ int main(int argc, char** argv) {
     const auto plan = core::AllreducePlanner(p.q)
                           .solution(core::Solution::kLowDepth)
                           .build();
-    simnet::SimConfig config = make_config(p, engine, shard_threads);
+    simnet::SimConfig config = make_config(p, engine);
     config.recorder = &recorder;
     adapt::run_adaptive_allreduce(plan.topology(), plan.trees(), p.m, config,
                                   /*compare_static=*/false);

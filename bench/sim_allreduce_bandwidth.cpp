@@ -55,10 +55,8 @@ int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const int threads = args.threads();
   const simnet::SimEngine engine = bench::engine_arg(args);
-  const int shard_threads = static_cast<int>(args.get_int("shard-threads", 1));
   simnet::SimConfig sim_config;
   sim_config.engine = engine;
-  sim_config.shard_threads = shard_threads;
 
   std::printf("Simulated vs analytic Allreduce bandwidth (elements/cycle, "
               "link B = 1, engine = %s)\n\n",

@@ -77,14 +77,12 @@ double ms_since(std::chrono::steady_clock::time_point start) {
 pfar::workload::ReplayConfig make_config(const Point& p,
                                          const pfar::workload::TrainingTrace&
                                              trace,
-                                         pfar::simnet::SimEngine engine,
-                                         int shard_threads) {
+                                         pfar::simnet::SimEngine engine) {
   pfar::workload::ReplayConfig cfg;
   cfg.trace = trace;
   cfg.overlap = p.overlap;
   cfg.mode = pfar::workload::CommMode::kService;
   cfg.sim.engine = engine;
-  cfg.sim.shard_threads = shard_threads;
   cfg.skew.skew_permille = 200;  // +/- mild seeded heterogeneity
   cfg.skew.straggler_nodes = p.severity.straggler_nodes;
   cfg.skew.straggler_permille = p.severity.straggler_permille;
@@ -98,7 +96,6 @@ int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const int threads = args.threads();
   const simnet::SimEngine engine = bench::engine_arg(args);
-  const int shard_threads = static_cast<int>(args.get_int("shard-threads", 1));
 
   // The replayed model: either the built-in parameterized one (seeded
   // layer jitter; see ModelParams) or a recorded trace file.
@@ -162,7 +159,7 @@ int main(int argc, char** argv) {
                               .solution(core::Solution::kLowDepth)
                               .build();
         const auto res = workload::replay_training(
-            plan, make_config(p, trace, engine, shard_threads));
+            plan, make_config(p, trace, engine));
         PointResult out;
         out.time_to_epoch = res.time_to_epoch;
         out.overlap_eff = res.overlap_efficiency;
@@ -271,7 +268,7 @@ int main(int argc, char** argv) {
                           .solution(core::Solution::kLowDepth)
                           .build();
     workload::ReplayConfig config =
-        make_config(p, trace, engine, shard_threads);
+        make_config(p, trace, engine);
     config.sim.recorder = &recorder;
     workload::replay_training(plan, config);
     bench::write_artifacts(args, recorder,

@@ -199,7 +199,6 @@ ProbedPlan probe_and_adapt(const graph::Graph& topology,
                            const simnet::SimConfig& config) {
   PFAR_REQUIRE(!trees.empty(), trees.size());
   simnet::SimConfig probe_cfg = config;
-  probe_cfg.shard_threads = 1;
   probe_cfg.recorder = nullptr;
   ProbedPlan out;
   out.probe = collectives::run_innetwork_allreduce(topology, trees,

@@ -97,9 +97,9 @@ struct ProbedPlan {
 };
 
 /// Runs a short static probe collective (kProbeElements, Theorem 5.1
-/// split) through the live background traffic of `config` — serial and
-/// recorder-free, so it neither races the caller's shards nor perturbs the
-/// caller's artifacts — reads its CongestionMap and adapts the plan to it.
+/// split) through the live background traffic of `config` — recorder-free,
+/// so it does not perturb the caller's artifacts — reads its CongestionMap
+/// and adapts the plan to it.
 /// Emits nothing on any recorder; callers instrument the stage themselves.
 ProbedPlan probe_and_adapt(const graph::Graph& topology,
                            const std::vector<trees::SpanningTree>& trees,

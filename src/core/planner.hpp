@@ -57,8 +57,7 @@ class AllreducePlan {
   /// simnet::link_disjoint_tree_groups). Edge-disjoint Hamiltonian plans
   /// yield one singleton group per tree; low-depth plans (congestion 2)
   /// typically collapse into fewer, larger groups. These groups are the
-  /// allocation unit of both intra-run sharding and the multi-tenant
-  /// service scheduler (docs/service_layer.md).
+  /// lanes of the multi-tenant service scheduler (docs/service_layer.md).
   std::vector<std::vector<int>> link_disjoint_tree_groups() const;
 
   /// Cycle-level simulation of an m-element Allreduce on this plan.

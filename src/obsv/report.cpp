@@ -161,16 +161,35 @@ struct Parser {
       return v;
     }
     if (consume_literal("null")) return v;
-    // Number.
+    // Number, exactly RFC 8259's grammar:
+    // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
     const std::size_t start = pos;
-    if (peek() == '-') ++pos;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) != 0 ||
-            text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
-            text[pos] == '+' || text[pos] == '-')) {
+    const auto digits = [&] {
+      const std::size_t from = pos;
+      while (pos < text.size() &&
+             std::isdigit(static_cast<unsigned char>(text[pos])) != 0) {
+        ++pos;
+      }
+      return pos > from;
+    };
+    const auto at = [&](char ch) {
+      return pos < text.size() && text[pos] == ch;
+    };
+    if (at('-')) ++pos;
+    if (at('0')) {
       ++pos;
+    } else if (!digits()) {
+      fail(pos == start ? "unexpected character" : "malformed number");
     }
-    if (pos == start) fail("unexpected character");
+    if (at('.')) {
+      ++pos;
+      if (!digits()) fail("malformed number");
+    }
+    if (at('e') || at('E')) {
+      ++pos;
+      if (at('+') || at('-')) ++pos;
+      if (!digits()) fail("malformed number");
+    }
     v.type = JsonValue::Type::kNumber;
     v.string = text.substr(start, pos - start);
     v.number = std::strtod(v.string.c_str(), nullptr);

@@ -80,7 +80,7 @@ struct JobRecord {
 struct ServiceConfig {
   SchedulerPolicy policy = SchedulerPolicy::kPartitionedBatched;
   /// Knobs of the underlying per-run simulations (engine choice, link
-  /// model, shard_threads...). SimConfig::recorder here is the SERVICE's
+  /// model, background...). SimConfig::recorder here is the SERVICE's
   /// observability sink: the service emits job/batch/queue telemetry on
   /// the service virtual timeline; inner simulator runs always execute
   /// un-instrumented (their private timelines all start at cycle 0 and

@@ -13,8 +13,7 @@ namespace pfar::service {
 /// A scheduling lane: a link-disjoint subset of the plan's trees with its
 /// own virtual timeline. Lanes share no physical link (they come from
 /// simnet::link_disjoint_tree_groups), so a run on one lane neither slows
-/// nor is slowed by runs on any other — concurrency across lanes is exact,
-/// the same argument that makes intra-run sharding bit-identical.
+/// nor is slowed by runs on any other — concurrency across lanes is exact.
 struct Lane {
   /// Indices into the plan's tree set (ascending).
   std::vector<int> tree_ids;

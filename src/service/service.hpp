@@ -19,8 +19,7 @@ namespace pfar::service {
 ///
 /// The service owns a virtual clock and an admission queue. Link-disjoint
 /// tree groups of the plan become scheduling lanes with independent
-/// timelines (exact, not approximate: lanes share no physical link, the
-/// same property that makes intra-run sharding bit-identical). A
+/// timelines (exact, not approximate: lanes share no physical link). A
 /// tenant-fair scheduler assigns queued jobs to freed lanes; under the
 /// batched policy, queued jobs of the same operator coalesce into one
 /// fused sub-vector run. Every job is an Allreduce over every node. Each
@@ -42,8 +41,7 @@ namespace pfar::service {
 /// may be submitted and drained again; the clock and statistics persist.
 /// Everything is integer virtual-cycle arithmetic over deterministic
 /// simulator results, so a given submission history yields bit-identical
-/// records for every SimConfig::shard_threads value and every wall-clock
-/// interleaving.
+/// records for every PFAR_THREADS value and every wall-clock interleaving.
 class AllreduceService {
  public:
   AllreduceService(core::AllreducePlan plan, ServiceConfig config);

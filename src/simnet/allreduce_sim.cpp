@@ -275,13 +275,11 @@ SimResult RunContext::finish(long long cycles) {
   if (!bg_rates.empty()) {
     // Every link was up for the whole run when no down/up events exist,
     // so each link's drain count telescopes to the closed form over
-    // [0, cycles). Writing it here (a) extends the accounting to links the
+    // [0, cycles). Writing it here extends the accounting to links the
     // loop never touches (no VCs — the loop skips them, yet their
-    // background load is real and the congestion controller wants it) and
-    // (b) normalizes sharded runs, whose groups stop counting at their own
-    // exit cycles. With down events the loop-maintained per-up-cycle
-    // counts stand, and only VC-carrying links are accounted (the run was
-    // serial).
+    // background load is real and the congestion controller wants it).
+    // With down events the loop-maintained per-up-cycle counts stand, and
+    // only VC-carrying links are accounted.
     settle_background(result, bg_rates, config.background.packet_flits,
                       config.faults.events.empty() ? cycles : -1);
   }
@@ -324,49 +322,64 @@ SimResult AllreduceSimulator::run(
   const detail::Fabric fabric =
       detail::build_fabric(topology_, trees_, links_, run.result);
   if (run.total_target == 0) return std::move(run.result);
-
-  // Intra-run sharding: more than one link-disjoint tree group and no
-  // observer (the trace is single-writer; a run with a Recorder attached
-  // executes serially, still bit-identically). Background + faults runs
-  // execute serially too: each shard would count background drains over
-  // its own exit window and the per-link up-time accounting could not be
-  // normalized afterwards (fault-free runs are normalized in closed form
-  // by finish(), so they shard freely).
-  if (config_.shard_threads != 1 && num_trees > 1 && run.obs == nullptr &&
-      (run.bg_rates.empty() || config_.faults.empty())) {
-    const auto groups = detail::tree_groups(topology_, num_trees, links_);
-    long long cycles = -1;
-    try {
-      if (groups.size() > 1) {
-        cycles = detail::run_sharded(topology_, trees_, links_, config_,
-                                     elements_per_tree, groups, run.result,
-                                     period);
-      }
-    } catch (const std::runtime_error&) {
-      // A failing group stops at its own clock, and the serial run need
-      // not fail with it: while other trees keep that run alive, a later
-      // link-up can revive the stalled group. Only the serial loop knows
-      // what the whole run throws, so a failed sharded run runs serially
-      // (the merge below never ran, so `run` is still fresh).
-    }
-    if (cycles >= 0) {
-      // Each group consumed its own FaultState copy up to its own exit
-      // cycle. The serial loop applies every scripted event with
-      // cycle <= exit - 1 (event cycles are wake points the idle jump
-      // never skips), so replaying those events here reproduces the
-      // serial run's final down set exactly.
-      for (const auto& ev : run.fault.events) {
-        if (ev.cycle < cycles) {
-          run.fault.edge_down[static_cast<std::size_t>(ev.edge)] =
-              ev.down ? 1 : 0;
-        }
-      }
-      return run.finish(cycles);
-    }
-  }
   return run.finish(detail::run_fast_loop(
       fabric, config_, elements_per_tree, run.result, run.tree_remaining,
       run.total_target, run.fault, run.bg_rates, run.obs, period));
+}
+
+// Union-find over edge ownership: a tree joins the group of every tree
+// that already owns one of its links.
+// pfar-lint: allow(contract-coverage) trees::tree_links validates every tree edge via std::invalid_argument throws
+std::vector<std::vector<int>> link_disjoint_tree_groups(
+    const graph::Graph& topology,
+    const std::vector<trees::SpanningTree>& trees) {
+  const std::vector<int> links = trees::tree_links(topology, trees);
+  const int n = topology.num_vertices();
+  const int num_trees = static_cast<int>(trees.size());
+  std::vector<int> uf(static_cast<std::size_t>(num_trees));
+  for (int t = 0; t < num_trees; ++t) uf[static_cast<std::size_t>(t)] = t;
+  const auto find = [&](int x) {
+    while (uf[static_cast<std::size_t>(x)] != x) {
+      uf[static_cast<std::size_t>(x)] =
+          uf[static_cast<std::size_t>(uf[static_cast<std::size_t>(x)])];
+      x = uf[static_cast<std::size_t>(x)];
+    }
+    return x;
+  };
+  std::vector<int> edge_owner(static_cast<std::size_t>(topology.num_edges()),
+                              -1);
+  for (int t = 0; t < num_trees; ++t) {
+    for (int v = 0; v < n; ++v) {
+      const int id = links[static_cast<std::size_t>(t) *
+                               static_cast<std::size_t>(n) +
+                           static_cast<std::size_t>(v)];
+      if (id < 0) continue;  // the root
+      const std::size_t e = static_cast<std::size_t>(id);
+      if (edge_owner[e] < 0) {
+        edge_owner[e] = t;
+      } else {
+        const int a = find(edge_owner[e]);
+        const int b = find(t);
+        if (a != b) uf[static_cast<std::size_t>(std::max(a, b))] = std::min(a, b);
+      }
+    }
+  }
+  std::vector<int> group_of(static_cast<std::size_t>(num_trees), -1);
+  std::vector<std::vector<int>> groups;
+  for (int t = 0; t < num_trees; ++t) {
+    const std::size_t r = static_cast<std::size_t>(find(t));
+    if (group_of[r] < 0) {
+      group_of[r] = static_cast<int>(groups.size());
+      groups.emplace_back();
+    }
+    groups[static_cast<std::size_t>(group_of[r])].push_back(t);
+  }
+  // The groups partition the tree set: every tree lands in exactly one.
+  std::size_t grouped = 0;
+  for (const auto& g : groups) grouped += g.size();
+  PFAR_ENSURE(grouped == static_cast<std::size_t>(num_trees), grouped,
+              num_trees);
+  return groups;
 }
 
 }  // namespace pfar::simnet

@@ -117,8 +117,7 @@ struct PeriodCertificate {
 /// ownership), so two groups never place a VC on the same directed link and
 /// exchange no packets, credits or arbitration grants. Groups are returned
 /// in order of their lowest tree index; every tree appears exactly once.
-/// This is both the intra-run sharding unit (SimConfig::shard_threads) and
-/// the allocation unit of the multi-tenant service scheduler
+/// This is the allocation unit of the multi-tenant service scheduler
 /// (service::AllreduceService): runs on different groups are independent,
 /// so their virtual timelines compose exactly. Throws
 /// std::invalid_argument when a tree edge is not a link of `topology`

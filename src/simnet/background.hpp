@@ -30,7 +30,7 @@ std::vector<long long> background_link_rates_ppm(const graph::Graph& topology,
 /// first `cycles` serviced cycles: floor(cycles * rate_ppm / (packet_flits
 /// * 1e6)). This closed form telescopes exactly over the engines' per-cycle
 /// accumulator (acc += rate; drain acc / pkt_ppm packets), which is what
-/// makes sharded and fast-forwarded runs agree bit-for-bit with the
+/// makes fast-forwarded runs agree bit-for-bit with the
 /// reference oracle's per-cycle loop on background accounting.
 long long background_packets_in(long long cycles, long long rate_ppm,
                                 int packet_flits);

@@ -21,10 +21,9 @@ enum class SimEngine {
   /// links an event marked as possibly grantable (token buckets and
   /// background drains catch up lazily per link, in closed form), hot
   /// state lives in flat structure-of-arrays form, and provably idle cycle
-  /// ranges are skipped in one jump. On a quiet
-  /// network, a control state that repeats every P cycles is also skipped: whole periods advance in closed form. With
-  /// SimConfig::shard_threads != 1 a single run additionally shards
-  /// link-disjoint tree groups across a thread pool, bit-identically.
+  /// ranges are skipped in one jump. On a quiet network, a control state
+  /// that repeats every P cycles is also skipped: whole periods advance in
+  /// closed form.
   kFastForward,
   /// Flow-level fluid tier: per-tree max-min fair rates over the shared
   /// directed links, integrated through warmup (pipeline fill), measure
@@ -45,12 +44,6 @@ const char* to_string(SimEngine engine);
 /// else.
 SimEngine engine_from_string(const std::string& name);
 
-/// Default for SimConfig::shard_threads: the PFAR_THREADS environment
-/// variable if set to a positive integer (the same knob the sweep benches
-/// honor for sweep parallelism, so intra-run sharding matches), else 1
-/// (serial). Read on every call so tests can toggle the environment.
-int default_shard_threads();
-
 /// Synthetic traffic patterns shared by the general-purpose router
 /// simulator (TrafficSimulator) and the allreduce engines' background
 /// traffic (BackgroundTraffic below). Lives here so SimConfig can name a
@@ -68,8 +61,8 @@ enum class TrafficPattern {
 /// drain link bandwidth at the *steady-state rate* the pattern would
 /// impose on each directed link under deterministic minimal routing (the
 /// same per-destination BFS next-hop choice TrafficSimulator uses). Rates
-/// are exact rationals in parts-per-million of a flit per cycle, so both
-/// cycle engines — and any shard count — replay bit-identical drain
+/// are exact rationals in parts-per-million of a flit per cycle, so the
+/// cycle engine and its test oracle replay bit-identical drain
 /// sequences. `load == 0` (the default) compiles down to the quiet
 /// network: no background code path executes at all, which the zero-load
 /// differential tests pin against the pre-background goldens.
@@ -154,18 +147,9 @@ struct SimConfig {
   /// Which engine to use: the cycle-accurate fast-forward engine or the
   /// approximate flow tier (see SimEngine).
   SimEngine engine = SimEngine::kFastForward;
-  /// Intra-run parallel sharding for the fast-forward engine: the run is
-  /// partitioned into link-disjoint tree groups (trees sharing any
-  /// physical edge always land in the same shard) which are simulated
-  /// concurrently on a util::ThreadPool and merged deterministically.
-  /// 1 = serial; 0 = util::default_threads(); N > 1 = at most N workers.
-  /// Defaults to default_shard_threads(): PFAR_THREADS when set, else
-  /// serial. Results are bit-identical for every value — including
-  /// the serial engine — because shards are closed under link sharing and
-  /// therefore exchange no events (docs/simulation_engine.md). Ignored by
-  /// kFlow. Runs with a Recorder attached execute serially (the trace is
-  /// single-writer), still bit-identically.
-  int shard_threads = default_shard_threads();
+  /// Ignored: every cycle-level run is one serial loop. Kept only because
+  /// the frozen benchmark driver (perfbench/main.cpp) assigns it.
+  int shard_threads = 1;
   /// Safety valve: abort if the collective has not completed by this cycle.
   long long max_cycles = 500'000'000;
   /// Cycles without any flit movement before declaring deadlock.
@@ -173,11 +157,8 @@ struct SimConfig {
   /// Scheduled faults (empty = healthy network, the default).
   FaultScript faults;
   /// Background packet traffic the collective contends with (quiet
-  /// network by default). Honored exactly by the cycle engine, sharded
-  /// or not; the flow tier approximates it by reducing per-link
-  /// capacity. When combined with a non-empty fault script the run
-  /// executes serially (background drain accounting is windowed per
-  /// shard otherwise).
+  /// network by default). Honored exactly by the cycle engine; the flow
+  /// tier approximates it by reducing per-link capacity.
   BackgroundTraffic background;
   /// Per-tree loss detection: if > 0, a tree that delivers nothing for
   /// this many cycles while work remains is declared failed and canceled —

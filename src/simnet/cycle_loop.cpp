@@ -383,14 +383,12 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
   // results (the sum over all nodes) are linear in the element index, so
   // each engine keeps the next value and bumps it by the constant stride
   // per element — exactly the same integers as recomputing from scratch.
-  // Values are functions of the GLOBAL tree index, so a sharded sub-run
-  // (tree_gid != identity) moves the very same integers as the serial run.
   const std::int64_t exp_slope = static_cast<std::int64_t>(n) * kElemStride;
   std::vector<std::int64_t> inj_next(num_states), exp_next(num_states);
   for (std::size_t i = 0; i < num_states; ++i) {
-    const int gid = f.tree_gid[i / static_cast<std::size_t>(n)];
-    inj_next[i] = local_value(static_cast<int>(i) % n, gid, 0);
-    exp_next[i] = sum_over_nodes(n, gid, 0);
+    const int t = static_cast<int>(i / static_cast<std::size_t>(n));
+    inj_next[i] = local_value(static_cast<int>(i) % n, t, 0);
+    exp_next[i] = sum_over_nodes(n, t, 0);
   }
 
   // Active broadcast engines: (node, tree) pairs that an event may have

@@ -1,19 +1,9 @@
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
 #include "simnet/config.hpp"
 
 namespace pfar::simnet {
-
-// pfar-lint: allow(contract-coverage) environment query: any value of PFAR_THREADS (or none) is legal; non-positive falls back to 1
-int default_shard_threads() {
-  if (const char* env = std::getenv("PFAR_THREADS")) {  // NOLINT(concurrency-mt-unsafe)
-    const int n = std::atoi(env);  // NOLINT(cert-err34-c)
-    if (n > 0) return n;
-  }
-  return 1;
-}
 
 // pfar-lint: allow(contract-coverage) total switch over the enum; the "?" fallthrough is the documented answer for out-of-range values
 const char* to_string(SimEngine engine) {

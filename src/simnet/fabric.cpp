@@ -9,25 +9,19 @@ namespace pfar::simnet::detail {
 // pfar-lint: allow(contract-coverage) internal to simnet; SpanningTree guarantees each tree's shape and detail::validate_simulation its fit to the topology, which the link table resolves
 Fabric build_fabric(const graph::Graph& topology,
                     const std::vector<trees::SpanningTree>& trees,
-                    const std::vector<int>& links, SimResult& result,
-                    const std::vector<int>* tree_gids) {
+                    const std::vector<int>& links, SimResult& result) {
   Fabric f;
   f.n = topology.num_vertices();
-  f.num_trees = static_cast<int>(tree_gids != nullptr ? tree_gids->size()
-                                                      : trees.size());
+  f.num_trees = static_cast<int>(trees.size());
   f.num_dlinks = 2 * topology.num_edges();
   const int n = f.n;
   const std::size_t num_states =
       static_cast<std::size_t>(n) * static_cast<std::size_t>(f.num_trees);
 
-  f.tree_gid.resize(static_cast<std::size_t>(f.num_trees));
   f.root_state.resize(static_cast<std::size_t>(f.num_trees));
   f.child_base.assign(num_states + 1, 0);
   for (int t = 0; t < f.num_trees; ++t) {
-    f.tree_gid[static_cast<std::size_t>(t)] =
-        tree_gids != nullptr ? (*tree_gids)[static_cast<std::size_t>(t)] : t;
-    const auto& tree = trees[static_cast<std::size_t>(
-        f.tree_gid[static_cast<std::size_t>(t)])];
+    const auto& tree = trees[static_cast<std::size_t>(t)];
     f.root_state[static_cast<std::size_t>(t)] = t * n + tree.root();
     for (int v = 0; v < n; ++v) {
       const int p = tree.parent(v);
@@ -56,10 +50,9 @@ Fabric build_fabric(const graph::Graph& topology,
   std::vector<std::int32_t> next_slot(f.child_base.begin(),
                                       f.child_base.end() - 1);
   for (int t = 0; t < f.num_trees; ++t) {
-    const std::size_t gid =
-        static_cast<std::size_t>(f.tree_gid[static_cast<std::size_t>(t)]);
-    const auto& parent = trees[gid].parents();
-    const std::size_t base = gid * static_cast<std::size_t>(n);
+    const auto& parent = trees[static_cast<std::size_t>(t)].parents();
+    const std::size_t base =
+        static_cast<std::size_t>(t) * static_cast<std::size_t>(n);
     for (int v = 0; v < n; ++v) {
       const int p = parent[static_cast<std::size_t>(v)];
       if (p < 0) continue;

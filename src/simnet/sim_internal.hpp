@@ -1,7 +1,7 @@
 // Internal to simnet: the pieces of a cycle-accurate run that live outside
 // the cycle loop — operand/expected values, the fault state, the
 // observability hooks and the run prologue/epilogue — and the declarations
-// the product engine's files share (the fabric, the loop, the shard merge;
+// the product engine's files share (the fabric and the loop;
 // docs/simulation_engine.md, "Source layout"). The product engine and the
 // test-only reference oracle (tests/oracle) both run on the former, so the
 // two differ only in their fabric and loop.
@@ -285,8 +285,8 @@ struct RunContext {
 
 // ---------------------------------------------------------------------------
 // The product engine's pieces, one file each: the fabric builder
-// (fabric.cpp), the cycle loop (cycle_loop.cpp) and the shard merge
-// (shards.cpp). AllreduceSimulator (allreduce_sim.cpp) wires them up.
+// (fabric.cpp) and the cycle loop (cycle_loop.cpp). AllreduceSimulator
+// (allreduce_sim.cpp) wires them up.
 // ---------------------------------------------------------------------------
 
 // The VC fabric, in the flat form the cycle loop runs on. A VC is the
@@ -303,11 +303,6 @@ struct Fabric {
   int n = 0;
   int num_trees = 0;
   int num_dlinks = 0;
-  // Global tree index per local tree. Identity in a whole-run fabric; a
-  // sharded sub-run (see link_disjoint_tree_groups) carries the parent
-  // run's indices so operand/expected values — functions of the tree
-  // index — match the serial run bit-exactly.
-  std::vector<int> tree_gid;
   std::vector<std::int32_t> root_state;  // per tree: the root's state
 
   // Per VC.
@@ -337,13 +332,11 @@ struct Fabric {
   int num_vcs() const { return static_cast<int>(vc_dlink.size()); }
 };
 
-// `trees` and `links` are the whole run's trees and parent-link table
-// (entry gid * n + v). A sharded sub-run builds only the trees it names
-// by global id in `tree_gids`; nullptr builds them all.
+// `trees` and `links` are the run's trees and parent-link table (entry
+// t * n + v).
 Fabric build_fabric(const graph::Graph& topology,
                     const std::vector<trees::SpanningTree>& trees,
-                    const std::vector<int>& links, SimResult& result,
-                    const std::vector<int>* tree_gids = nullptr);
+                    const std::vector<int>& links, SimResult& result);
 
 /// Runs the fast-forward cycle loop over `f` until every tree has
 /// delivered or been canceled and returns the exit cycle; a RunContext
@@ -358,22 +351,5 @@ long long run_fast_loop(const Fabric& f, const SimConfig& config,
                         const std::vector<long long>& bg_rates_ppm,
                         SimObserver* obs,
                         std::optional<PeriodCertificate>* cert);
-
-/// link_disjoint_tree_groups over a resolved parent-link table.
-std::vector<std::vector<int>> tree_groups(const graph::Graph& topology,
-                                          int num_trees,
-                                          const std::vector<int>& links);
-
-/// Runs each link-disjoint group of `groups` on its own fabric, in
-/// parallel, and merges the groups' results into `result` exactly as the
-/// serial run would produce them; returns the run's exit cycle. Throws
-/// what a failing group's loop throws (shards.cpp).
-long long run_sharded(const graph::Graph& topology,
-                      const std::vector<trees::SpanningTree>& trees,
-                      const std::vector<int>& links, const SimConfig& config,
-                      const std::vector<long long>& elements_per_tree,
-                      const std::vector<std::vector<int>>& groups,
-                      SimResult& result,
-                      std::optional<PeriodCertificate>* cert);
 
 }  // namespace pfar::simnet::detail

@@ -19,11 +19,12 @@
 // relies on.
 //
 // Subsystems that are single-writer BY DESIGN (obsv Tracer/Metrics/
-// Recorder, service::AllreduceService's virtual-clock loop, each shard's
-// Fabric in simnet's run_sharded) carry no locks on purpose: their
-// no-concurrent-access discipline is enforced structurally (sharding
-// refuses to split a run that has an observer attached) and checked
-// dynamically by the TSan CI job, while tools/pfar_lint's mutex-naming
+// Recorder, service::AllreduceService's virtual-clock loop, simnet's cycle
+// loop) carry no locks on purpose: their no-concurrent-access discipline
+// is enforced structurally (a run and its recorder belong to the one
+// thread that calls it; CI fails if a simnet source includes
+// util/thread_pool.hpp) and checked dynamically by the TSan CI job, while
+// tools/pfar_lint's mutex-naming
 // rule guarantees any future lock added to them lands on these annotated
 // primitives rather than on a bare std::mutex the analysis cannot see.
 

@@ -1,7 +1,11 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
+#include <system_error>
 #include <utility>
 
 #include "util/contracts.hpp"
@@ -9,11 +13,18 @@
 namespace pfar::util {
 
 int default_threads() {
-  // getenv/atoi are not reentrant-safe in general, but this runs before
-  // any pool exists and nothing in the tree ever calls setenv.
+  // getenv is not reentrant-safe in general, but this runs before any
+  // pool exists and no product code calls setenv.
   if (const char* env = std::getenv("PFAR_THREADS")) {  // NOLINT(concurrency-mt-unsafe)
-    const int parsed = std::atoi(env);  // NOLINT(cert-err34-c): 0/garbage falls through to hw default
-    if (parsed > 0) return parsed;
+    const std::string text(env);
+    const char* const end = text.data() + text.size();
+    int parsed = 0;
+    const auto [stop, ec] = std::from_chars(text.data(), end, parsed);
+    if (ec != std::errc() || stop != end || parsed < 1) {
+      throw std::invalid_argument(
+          "PFAR_THREADS: expected a whole number >= 1, got '" + text + "'");
+    }
+    return parsed;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

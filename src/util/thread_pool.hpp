@@ -13,8 +13,10 @@
 namespace pfar::util {
 
 /// Number of worker threads to use by default: the PFAR_THREADS environment
-/// variable if set to a positive integer, otherwise the hardware
-/// concurrency (at least 1).
+/// variable if set, otherwise the hardware concurrency (at least 1). A set
+/// PFAR_THREADS must be a whole decimal integer >= 1 (as Args::get_int
+/// reads flags); anything else (`4x`, `abc`, `0`, `-2`, empty) throws
+/// std::invalid_argument naming the variable.
 int default_threads();
 
 /// Runs fn(i) for every i in [0, count) across up to `threads` workers

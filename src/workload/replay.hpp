@@ -100,7 +100,7 @@ struct IterationRecord {
 
 /// Everything one replay measures. All fields except nothing are integer
 /// virtual-cycle arithmetic over deterministic simulator results —
-/// bit-identical across runs, engines' shard counts and PFAR_THREADS.
+/// bit-identical across runs and PFAR_THREADS values.
 struct ReplayResult {
   std::vector<IterationRecord> iterations;
   /// The bucketization applied to every iteration.

@@ -10,6 +10,8 @@
 //    RecoveryStats are pinned against golden values per q; a link that
 //    lost packets in flight is excluded even when it came back up, and a
 //    link that went down idle is not;
+//  * a run that stalls ends with the oracle's exception at the oracle's
+//    cycle, or is revived by a later link-up exactly like the oracle;
 //  * fault-script validation and accounting identities are exercised at
 //    the simulator boundary.
 
@@ -17,6 +19,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "collectives/innetwork.hpp"
@@ -353,6 +356,62 @@ TEST(ResilientAllreduce, HealthyRunIsZeroOverhead) {
   // Identical to the plain simulation: the fault layer is inert.
   const auto res = run_sim(plan, cfg, 1000);
   EXPECT_EQ(stats.total_cycles, res.cycles);
+}
+
+// --- Runs that stall --------------------------------------------------------
+
+// A link down for good with no loss detection: the other trees finish, the
+// severed one stalls, and the run ends in the deadlock exception at the
+// same cycle as the oracle's — or in the cycle-limit exception when that
+// limit falls first.
+TEST(FaultStall, DeadlockReportsItsCycleLikeTheOracle) {
+  const auto plan =
+      core::AllreducePlanner(7).solution(core::Solution::kEdgeDisjoint).build();
+  simnet::SimConfig cfg;
+  cfg.stall_limit = 300;
+  const graph::Edge a = used_link(plan);
+  cfg.faults.events.push_back({100, a.u, a.v, simnet::FaultType::kLinkDown});
+  const auto message = [&](const simnet::SimConfig& c, bool reference) {
+    try {
+      if (reference) {
+        static_cast<void>(oracle::run_reference_allreduce(
+            plan.topology(), plan.trees(), c, plan.split(20000)));
+      } else {
+        static_cast<void>(run_sim(plan, c, 20000));
+      }
+    } catch (const std::runtime_error& ex) {
+      return std::string(ex.what());
+    }
+    return std::string("no exception");
+  };
+  for (const bool reference : {false, true}) {
+    EXPECT_EQ(message(cfg, reference),
+              "AllreduceSimulator: deadlock detected at cycle 5524")
+        << "reference=" << reference;
+  }
+  cfg.max_cycles = 5000;
+  for (const bool reference : {false, true}) {
+    EXPECT_EQ(message(cfg, reference),
+              "AllreduceSimulator: cycle limit exceeded")
+        << "reference=" << reference;
+  }
+}
+
+// A tree that stalls longer than stall_limit does not fail the run while
+// other trees still move flits: a later link-up revives it, loss-free
+// (the link went down before anything was in flight).
+TEST(FaultStall, StalledTreeRevivedByLinkUpMatchesOracle) {
+  const auto plan =
+      core::AllreducePlanner(7).solution(core::Solution::kEdgeDisjoint).build();
+  simnet::SimConfig cfg;
+  cfg.stall_limit = 300;
+  const graph::Edge a = used_link(plan);
+  cfg.faults.events = {{0, a.u, a.v, simnet::FaultType::kLinkDown},
+                       {1000, a.u, a.v, simnet::FaultType::kLinkUp}};
+  const auto res = run_sim(plan, cfg, 20000);
+  EXPECT_TRUE(res.values_correct);
+  EXPECT_EQ(res.dropped_packets, 0);
+  expect_identical(plan, cfg, 20000, "stall revived by link-up");
 }
 
 // --- Script validation at the simulator boundary --------------------------

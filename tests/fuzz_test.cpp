@@ -288,10 +288,10 @@ TEST(FuzzSimulator, SettledRandomConfigsMatchTheOracle) {
   // Seeded random link, buffer and packet settings on runs long enough to
   // settle, so the product usually skips steady periods in one jump while
   // the oracle simulates every cycle: results (or the thrown message, for
-  // a short max_cycles) must agree exactly, serial and sharded. A third of
-  // the runs lose a random link mid-stream. Each config then runs again
-  // under drawn background traffic (pattern, load, packet length), from a
-  // second stream so the quiet draws stay as they were.
+  // a short max_cycles) must agree exactly. A third of the runs lose a
+  // random link mid-stream. Each config then runs again under drawn
+  // background traffic (pattern, load, packet length), from a second
+  // stream so the quiet draws stay as they were.
   util::Rng rng(18);
   util::Rng bg_rng(19);
   const core::Solution solutions[] = {core::Solution::kLowDepth,
@@ -339,10 +339,8 @@ TEST(FuzzSimulator, SettledRandomConfigsMatchTheOracle) {
     loaded.background.packet_flits = pick_from(bg_rng, 1, 4);
     loaded.background.seed = bg_rng.next();
 
-    const auto run = [&](const simnet::SimConfig& base, bool use_oracle,
-                         int shard_threads, std::string& error) {
-      simnet::SimConfig c = base;
-      c.shard_threads = shard_threads;
+    const auto run = [&](const simnet::SimConfig& c, bool use_oracle,
+                         std::string& error) {
       try {
         return use_oracle ? oracle::run_reference_allreduce(
                                 plan.topology(), plan.trees(), c, plan.split(m))
@@ -359,14 +357,11 @@ TEST(FuzzSimulator, SettledRandomConfigsMatchTheOracle) {
       const std::string where =
           "iter " + std::to_string(iter) + " " + label;
       std::string reference_error;
-      const auto reference = run(config, true, 1, reference_error);
-      for (const int threads : {1, 3}) {
-        std::string error;
-        const auto result = run(config, false, threads, error);
-        EXPECT_EQ(error, reference_error) << where << " threads " << threads;
-        oracle::expect_same_result(
-            result, reference, where + " threads " + std::to_string(threads));
-      }
+      const auto reference = run(config, true, reference_error);
+      std::string error;
+      const auto result = run(config, false, error);
+      EXPECT_EQ(error, reference_error) << where;
+      oracle::expect_same_result(result, reference, where);
     }
   }
 }

@@ -7,9 +7,6 @@
 // in descending order, below, at and above the smallest size an anchor can
 // answer. Under background traffic or a fault script no run certifies a
 // period, so nothing is shifted.
-//
-// The suite name is in CI's TSan filter: the shard_threads = 2 cells merge
-// the certificates of concurrently simulated tree groups.
 
 #include <gtest/gtest.h>
 
@@ -149,10 +146,10 @@ TEST(LaneCost, OneTreeLanesAcrossRadices) {
   }
 }
 
-// Packet framing, link timing, credits and shard counts, on one-tree lanes
-// and on multi-tree sets (low-depth trees share links; edge-disjoint sets
-// shard into one group per tree when shard_threads = 2, and a tree beside
-// twin trees shards into groups of different periods).
+// Packet framing, link timing and credits, on one-tree lanes and on
+// multi-tree sets (low-depth trees share links; edge-disjoint trees share
+// none, and a tree beside twin trees forms link-disjoint groups of
+// different periods).
 TEST(LaneCost, ConfigMatrixOnOneTreeAndMultiTreeSets) {
   util::Rng rng(2102);
   const auto low = make_plan(5, core::Solution::kLowDepth);
@@ -176,7 +173,6 @@ TEST(LaneCost, ConfigMatrixOnOneTreeAndMultiTreeSets) {
   const int headers[] = {0, 2};
   const int latencies[] = {1, 4, 7};
   const int credits[] = {2, 16};
-  const int shards[] = {1, 2};
   long long one_tree_shifts = 0;
   for (int i = 0; i < 12; ++i) {
     simnet::SimConfig cfg;
@@ -184,13 +180,11 @@ TEST(LaneCost, ConfigMatrixOnOneTreeAndMultiTreeSets) {
     cfg.packet_header_flits = headers[i % 2];
     cfg.link_latency = latencies[(i / 2) % 3];
     cfg.vc_credits = credits[(i / 6) % 2];
-    cfg.shard_threads = shards[(i + i / 6) % 2];
     const std::string config =
         "payload=" + std::to_string(cfg.packet_payload) +
         " header=" + std::to_string(cfg.packet_header_flits) +
         " latency=" + std::to_string(cfg.link_latency) +
-        " credits=" + std::to_string(cfg.vc_credits) +
-        " shards=" + std::to_string(cfg.shard_threads);
+        " credits=" + std::to_string(cfg.vc_credits);
     for (const Set& set : sets) {
       const graph::Graph& g = set.plan->topology();
       const long long anchor_m =
@@ -210,39 +204,33 @@ TEST(LaneCost, ConfigMatrixOnOneTreeAndMultiTreeSets) {
 
 // The certificate's own claim, on splits TreeSetCost never makes: from a
 // skewed anchor split s, every split s + k * e with periods_left + k >= 1
-// takes exactly k periods' cycles and flits more. With the lone tree
-// starved, its group (the shorter period) bounds periods_left when the
-// run shards.
+// takes exactly k periods' cycles and flits more. The lone tree is
+// starved beside twin trees that share every link.
 TEST(LaneCost, CertificateHoldsDownToItsBoundaryOnSkewedSplits) {
   const auto plan = make_plan(5, core::Solution::kEdgeDisjoint);
   const graph::Graph& g = plan.topology();
   const std::vector<trees::SpanningTree> trees{
       plan.trees()[0], plan.trees()[1], plan.trees()[1]};
-  for (const int shards : {1, 2}) {
-    simnet::SimConfig cfg;
-    cfg.packet_payload = 3;
-    cfg.packet_header_flits = 2;
-    cfg.shard_threads = shards;
-    const std::vector<long long> split{300, 2000, 2000};
-    simnet::AllreduceSimulator sim(g, trees, cfg);
-    std::optional<simnet::PeriodCertificate> period;
-    const simnet::SimResult anchor = sim.run(split, &period);
-    ASSERT_TRUE(period) << "shards=" << shards;
-    const long long left = period->periods_left;
-    for (const long long k : {1 - left, 2 - left, -1LL, 1LL, 4LL}) {
-      std::vector<long long> shifted = split;
-      for (std::size_t t = 0; t < split.size(); ++t) {
-        shifted[t] += k * period->elements_per_period[t];
-      }
-      const simnet::SimResult run = sim.run(shifted);
-      const std::string label =
-          "shards=" + std::to_string(shards) + " k=" + std::to_string(k);
-      EXPECT_EQ(run.cycles, anchor.cycles + k * period->period) << label;
-      EXPECT_EQ(collectives::total_flits(run),
-                collectives::total_flits(anchor) +
-                    k * period->flits_per_period)
-          << label;
+  simnet::SimConfig cfg;
+  cfg.packet_payload = 3;
+  cfg.packet_header_flits = 2;
+  const std::vector<long long> split{300, 2000, 2000};
+  simnet::AllreduceSimulator sim(g, trees, cfg);
+  std::optional<simnet::PeriodCertificate> period;
+  const simnet::SimResult anchor = sim.run(split, &period);
+  ASSERT_TRUE(period);
+  const long long left = period->periods_left;
+  for (const long long k : {1 - left, 2 - left, -1LL, 1LL, 4LL}) {
+    std::vector<long long> shifted = split;
+    for (std::size_t t = 0; t < split.size(); ++t) {
+      shifted[t] += k * period->elements_per_period[t];
     }
+    const simnet::SimResult run = sim.run(shifted);
+    const std::string label = "k=" + std::to_string(k);
+    EXPECT_EQ(run.cycles, anchor.cycles + k * period->period) << label;
+    EXPECT_EQ(collectives::total_flits(run),
+              collectives::total_flits(anchor) + k * period->flits_per_period)
+        << label;
   }
 }
 

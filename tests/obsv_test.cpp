@@ -190,6 +190,29 @@ TEST(Metrics, JsonlExportIsSortedValidAndTyped) {
 
 // --- Run reports ----------------------------------------------------------
 
+// The reader takes exactly RFC 8259 numbers: a malformed one is a parse
+// error, never a prefix read as a value.
+TEST(Report, JsonNumbersFollowRfc8259) {
+  const std::pair<const char*, double> good[] = {
+      {"0", 0.0},     {"-0", 0.0},     {"12", 12.0},  {"-3.25", -3.25},
+      {"1e3", 1e3},   {"2E-2", 2e-2},  {"0.5e+1", 5.0}};
+  for (const auto& [text, value] : good) {
+    const obsv::JsonValue doc =
+        obsv::parse_json(std::string("{\"a\": ") + text + "}");
+    EXPECT_DOUBLE_EQ(doc.num("a", -1.0), value) << text;
+  }
+  for (const char* text :
+       {"1-2", "3e", "--5", "-", "1.2.3", "+1", ".5", "01", "1."}) {
+    EXPECT_THROW(obsv::parse_json(std::string("{\"a\": ") + text + "}"),
+                 std::runtime_error)
+        << text;
+    EXPECT_THROW(obsv::parse_json(std::string("[") + text + "]"),
+                 std::runtime_error)
+        << text;
+    EXPECT_THROW(obsv::parse_json(text), std::runtime_error) << text;
+  }
+}
+
 TEST(Report, JoinsBusySpansToLinksViaTrackNames) {
   obsv::Recorder rec;
   rec.trace.name_track(obsv::kTrackLinkBase + 0, "link 0->1");

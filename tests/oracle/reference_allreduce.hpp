@@ -22,8 +22,8 @@ namespace pfar::oracle {
 
 /// Runs one collective through the reference loop with the same contract
 /// as AllreduceSimulator(topology, trees, config).run(elements_per_tree):
-/// same validation, same exceptions, same SimResult. config.engine and
-/// config.shard_threads are ignored (the oracle is one serial loop).
+/// same validation, same exceptions, same SimResult. config.engine is
+/// ignored (the oracle is one cycle loop).
 simnet::SimResult run_reference_allreduce(
     const graph::Graph& topology,
     const std::vector<trees::SpanningTree>& trees,

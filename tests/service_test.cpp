@@ -1,13 +1,12 @@
 // The multi-tenant allreduce service (src/service/, docs/service_layer.md):
 // lane construction against the plan's link-disjoint tree groups, the
 // tenant-fair scheduler, small-job coalescing, admission control, the
-// one-shot equivalence of the serial policy, the tentpole throughput claim, and the determinism
-// guarantee across SimConfig::shard_threads.
+// one-shot equivalence of the serial policy, the tentpole throughput claim,
+// and the determinism of a submission history's timeline.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -298,16 +297,13 @@ TEST(ServiceTest, ZeroElementJobCompletesInstantly) {
   EXPECT_EQ(svc.stats().total_flits, 0);
 }
 
-TEST(ServiceDeterminism, BitIdenticalAcrossShardThreads) {
+TEST(ServiceDeterminism, BitIdenticalAcrossRuns) {
   // The service schedule is integer arithmetic over deterministic sim
-  // results, and the lane theory makes intra-run sharding exact — so the
-  // whole multi-tenant timeline must be bit-identical for every
-  // shard_threads value.
+  // results, so one submission history yields one multi-tenant timeline.
   const auto plan = make_plan(5);
-  const auto run = [&](int shard_threads) {
+  const auto run = [&] {
     service::ServiceConfig config;
     config.policy = service::SchedulerPolicy::kPartitionedBatched;
-    config.sim.shard_threads = shard_threads;
     service::AllreduceService svc(plan, config);
     util::Rng rng(11);
     for (int i = 0; i < 12; ++i) {
@@ -325,7 +321,9 @@ TEST(ServiceDeterminism, BitIdenticalAcrossShardThreads) {
     }
     return timeline;
   };
-  EXPECT_EQ(run(1), run(3));
+  const auto first = run();
+  EXPECT_EQ(first.size(), 48u);
+  EXPECT_EQ(first, run());
 }
 
 TEST(ServiceTest, ResumableAcrossDrains) {
@@ -424,22 +422,6 @@ TEST(ServiceTest, LanesUnderBackgroundKeepTheirOwnCost) {
     EXPECT_EQ(r.finish_cycle - r.start_cycle, run.sim.cycles)
         << "lane " << r.lane;
   }
-}
-
-TEST(ServiceTest, ShardThreadsEnvDefault) {
-  // PFAR_THREADS is the ambient parallelism knob everywhere else (sweep
-  // runners, planner builds); SimConfig::shard_threads defaults from it
-  // too, read at construction so tests can toggle the environment.
-  ::setenv("PFAR_THREADS", "5", 1);
-  EXPECT_EQ(simnet::default_shard_threads(), 5);
-  EXPECT_EQ(simnet::SimConfig{}.shard_threads, 5);
-  ::setenv("PFAR_THREADS", "0", 1);
-  EXPECT_EQ(simnet::default_shard_threads(), 1);
-  ::setenv("PFAR_THREADS", "not-a-number", 1);
-  EXPECT_EQ(simnet::default_shard_threads(), 1);
-  ::unsetenv("PFAR_THREADS");
-  EXPECT_EQ(simnet::default_shard_threads(), 1);
-  EXPECT_EQ(simnet::SimConfig{}.shard_threads, 1);
 }
 
 }  // namespace

@@ -6,9 +6,6 @@
 // never jumps. The product runs twice, with and without a Recorder, and
 // the traced run's `sim.skipped_cycles` shows whether the jump fired.
 // Runs with background traffic must not jump at all.
-//
-// The suite name is in CI's TSan filter: the sharded case races jumping
-// shards against each other.
 
 #include <gtest/gtest.h>
 
@@ -147,22 +144,6 @@ TEST(SteadyPeriod, KeepsJumpingAroundLinkFaults) {
     if (obsv::kTraceCompiled) {
       EXPECT_GT(skipped, fault_cycle);
     }
-  }
-}
-
-TEST(SteadyPeriod, ShardedRunsMatchSerialAndOracle) {
-  for (const auto sol :
-       {core::Solution::kEdgeDisjoint, core::Solution::kLowDepth}) {
-    const auto plan = make_plan(7, sol);
-    simnet::SimConfig cfg;
-    cfg.shard_threads = 1;
-    expect_jumps(plan, cfg, 6000,
-                 std::string("serial ") + core::to_string(sol));
-    simnet::SimConfig sharded = cfg;
-    sharded.shard_threads = 4;
-    oracle::expect_same_result(
-        run_product(plan, sharded, 6000), run_product(plan, cfg, 6000),
-        std::string("threads=4 ") + core::to_string(sol));
   }
 }
 

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "oracle/reference_math.hpp"
@@ -11,6 +14,7 @@
 #include "util/numeric.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pfar::util {
 namespace {
@@ -190,6 +194,37 @@ TEST(ArgsTest, GetIntRejectsMalformedValuesNamingTheFlag) {
                 std::string::npos)
           << e.what();
     }
+  }
+}
+
+// PFAR_THREADS is read as strictly as an integer flag: unset means the
+// hardware width; a set value must be a whole decimal integer >= 1.
+TEST(ThreadsTest, DefaultThreadsParsesPfarThreadsStrictly) {
+  const char* saved = std::getenv("PFAR_THREADS");
+  const bool was_set = saved != nullptr;
+  const std::string restore = was_set ? saved : "";
+
+  ::unsetenv("PFAR_THREADS");
+  EXPECT_EQ(default_threads(),
+            std::max(1, static_cast<int>(std::thread::hardware_concurrency())));
+  ::setenv("PFAR_THREADS", "5", 1);
+  EXPECT_EQ(default_threads(), 5);
+  for (const char* bad :
+       {"4x", "abc", "0", "-2", "", " 3", "+3", "99999999999"}) {
+    ::setenv("PFAR_THREADS", bad, 1);
+    try {
+      default_threads();
+      ADD_FAILURE() << "PFAR_THREADS='" << bad << "' parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("PFAR_THREADS"), std::string::npos)
+          << e.what();
+    }
+  }
+
+  if (was_set) {
+    ::setenv("PFAR_THREADS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("PFAR_THREADS");
   }
 }
 

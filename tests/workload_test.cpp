@@ -3,7 +3,7 @@
 //  * the trace model: seeded synthesis is deterministic, JSON round-trips
 //    exactly, schema violations are rejected, and bucketization partitions
 //    the gradients back-to-front with monotone release offsets;
-//  * the replay engine: bit-identical across runs and shard counts,
+//  * the replay engine: bit-identical across runs,
 //    overlap strictly beats the serialized baseline, stragglers stretch
 //    the epoch without touching the fabric-side fields;
 //  * composition: fault scripts ride the resilient driver (kSingle),
@@ -238,7 +238,7 @@ TEST(WorkloadSkew, MultipliersAreSeededBoundedAndStragglerAware) {
 
 // --- Replay engine ----------------------------------------------------------
 
-TEST(WorkloadDeterminism, ReplayBitIdenticalAcrossRunsAndShards) {
+TEST(WorkloadDeterminism, ReplayBitIdenticalAcrossRuns) {
   const auto plan = core::AllreducePlanner(7).build();
   for (const workload::CommMode mode :
        {workload::CommMode::kService, workload::CommMode::kSingle}) {
@@ -248,10 +248,6 @@ TEST(WorkloadDeterminism, ReplayBitIdenticalAcrossRunsAndShards) {
     const auto a = workload::replay_training(plan, cfg);
     const auto b = workload::replay_training(plan, cfg);
     expect_identical(a, b, "same config, second run");
-    workload::ReplayConfig sharded = cfg;
-    sharded.sim.shard_threads = 4;
-    const auto c = workload::replay_training(plan, sharded);
-    expect_identical(a, c, "shard_threads = 4");
   }
 }
 
