@@ -23,7 +23,7 @@
 
 int main(int argc, char** argv) {
   using namespace pfar;
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"engine"});
   simnet::SimConfig sim_config;
   sim_config.engine = bench::engine_arg(args);
 

@@ -18,7 +18,7 @@
 
 int main(int argc, char** argv) {
   using namespace pfar;
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"engine", "threads"});
   const simnet::SimEngine engine = bench::engine_arg(args);
   const auto plan = core::AllreducePlanner(7).build();
   const long long m = 20000;

@@ -11,10 +11,13 @@
 
 #include "collectives/logical.hpp"
 #include "core/planner.hpp"
+#include "util/args.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  // Reads no flags: any argument, --help included, fails here.
+  const pfar::util::Args args(argc, argv, {});
   using namespace pfar;
   std::printf("Logical (runtime-routed) vs physical (embedded) Allreduce "
               "trees on PolarFly\n\n");

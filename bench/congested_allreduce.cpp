@@ -69,11 +69,10 @@ pfar::simnet::SimConfig make_config(const Point& p,
   cfg.engine = engine;
   cfg.background.pattern = p.pattern.pattern;
   cfg.background.load = p.load;
-  // A fixed permutation with structure (seed 7 concentrates several flows
-  // through shared links on both benched radices) and a mild hotspot; the
-  // defaults would also work but these keep the headline rows interesting.
+  // A fixed permutation with structure: seed 7 concentrates several flows
+  // through shared links on both benched radices, which keeps the headline
+  // rows interesting.
   cfg.background.seed = 7;
-  cfg.background.hotspot_fraction = 0.2;
   return cfg;
 }
 
@@ -81,7 +80,8 @@ pfar::simnet::SimConfig make_config(const Point& p,
 
 int main(int argc, char** argv) {
   using namespace pfar;
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv,
+      {"max-q", "json", "threads", "engine", "trace", "metrics", "report"});
   const int threads = args.threads();
   const simnet::SimEngine engine = bench::engine_arg(args);
 

@@ -73,7 +73,7 @@ std::vector<pfar::graph::Edge> failure_set(const pfar::graph::Graph& g,
 
 int main(int argc, char** argv) {
   using namespace pfar;
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"m", "json", "threads", "engine"});
   const int threads = args.threads();
   const long long m = args.get_int("m", 1500);
   // Engine for the cycle-level runs. The flow tier rejects fault scripts,

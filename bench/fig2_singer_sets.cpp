@@ -7,6 +7,7 @@
 
 #include "singer/difference_set.hpp"
 #include "singer/singer_graph.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -56,7 +57,9 @@ void report(int q) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // Reads no flags: any argument, --help included, fails here.
+  const pfar::util::Args args(argc, argv, {});
   std::printf("Figure 2: Singer difference sets and graphs\n\n");
   report(3);  // paper: D = {0,1,3,9}, reflection {0,7,8,11}
   report(4);  // paper: D = {0,1,4,14,16}, reflection {0,2,7,8,11}

@@ -8,9 +8,12 @@
 
 #include "polarfly/layout.hpp"
 #include "trees/low_depth.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  // Reads no flags: any argument, --help included, fails here.
+  const pfar::util::Args args(argc, argv, {});
   using namespace pfar;
   const int q = 11;
   const polarfly::PolarFly pf(q);

@@ -7,6 +7,7 @@
 
 #include "singer/disjoint.hpp"
 #include "singer/singer_graph.hpp"
+#include "util/args.hpp"
 
 namespace {
 
@@ -37,7 +38,9 @@ void report(int q) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // Reads no flags: any argument, --help included, fails here.
+  const pfar::util::Args args(argc, argv, {});
   std::printf("Figure 4: maximal sets of edge-disjoint Hamiltonian paths\n\n");
   report(3);
   report(4);

@@ -19,7 +19,7 @@
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
-  const pfar::util::Args args(argc, argv);
+  const pfar::util::Args args(argc, argv, {"csv"});
   using namespace pfar;
   std::printf("Figure 5a: Allreduce bandwidth normalized to optimal "
               "(q+1)B/2\n\n");

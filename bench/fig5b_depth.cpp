@@ -15,7 +15,7 @@
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
-  const pfar::util::Args args(argc, argv);
+  const pfar::util::Args args(argc, argv, {"csv"});
   using namespace pfar;
   std::printf("Figure 5b: tree depth comparison (latency is proportional "
               "to depth)\n\n");

@@ -160,7 +160,7 @@ Phases run_point(int q, int threads) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"max-q", "reps", "json", "threads"});
   const int reps = static_cast<int>(args.get_int("reps", 3));
   const int max_q = static_cast<int>(args.get_int("max-q", 101));
   const int threads = args.threads();

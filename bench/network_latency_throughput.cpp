@@ -35,7 +35,7 @@ constexpr double kRates[] = {0.02, 0.05, 0.10, 0.20, 0.30, 0.45};
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"threads"});
   std::printf("Uniform-traffic latency/throughput, virtual cut-through "
               "routers (4-flit packets)\n\n");
 

@@ -33,7 +33,7 @@ struct PointResult {
 
 int main(int argc, char** argv) {
   using namespace pfar;
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"engine", "threads"});
   simnet::SimConfig sim_config;
   sim_config.engine = bench::engine_arg(args);
   std::printf("Radix scaling of simulated Allreduce bandwidth "

@@ -109,7 +109,9 @@ service::ServiceStats run_point(const core::AllreducePlan& plan,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv,
+      {"q", "jobs", "tenants", "seed", "batch-max-jobs", "max-queue", "json",
+       "threads", "engine", "trace", "metrics", "report"});
   const int threads = args.threads();
   const int q = static_cast<int>(args.get_int("q", 11));
   const int jobs = static_cast<int>(args.get_int("jobs", 400));

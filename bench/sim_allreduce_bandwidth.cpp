@@ -52,7 +52,8 @@ double ms_since(std::chrono::steady_clock::time_point start) {
 
 int main(int argc, char** argv) {
   using namespace pfar;
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv,
+      {"max-q", "json", "threads", "engine", "trace", "metrics", "report"});
   const int threads = args.threads();
   const simnet::SimEngine engine = bench::engine_arg(args);
   simnet::SimConfig sim_config;

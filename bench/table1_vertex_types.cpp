@@ -6,10 +6,13 @@
 #include <iostream>
 
 #include "polarfly/erq.hpp"
+#include "util/args.hpp"
 #include "util/numeric.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  // Reads no flags: any argument, --help included, fails here.
+  const pfar::util::Args args(argc, argv, {});
   using namespace pfar;
   std::printf("Table 1: vertex-type counts in ER_q (constructed vs formula)\n\n");
 

@@ -6,10 +6,13 @@
 #include <iostream>
 
 #include "singer/paths.hpp"
+#include "util/args.hpp"
 #include "util/numeric.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  // Reads no flags: any argument, --help included, fails here.
+  const pfar::util::Args args(argc, argv, {});
   using namespace pfar;
   const auto d = singer::build_difference_set(4);
   std::printf("Table 2: non-Hamiltonian maximal alternating-sum paths in "

@@ -42,7 +42,7 @@ void add_generic(util::Table& table, const std::string& name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"engine"});
   simnet::SimConfig sim_config;
   sim_config.engine = bench::engine_arg(args);
   std::printf("Multi-tree Allreduce potential across direct topologies\n"

@@ -93,7 +93,10 @@ pfar::workload::ReplayConfig make_config(const Point& p,
 
 int main(int argc, char** argv) {
   using namespace pfar;
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv,
+      {"max-q", "layers", "layer-elements", "forward-cycles", "iterations",
+       "trace-file", "json", "threads", "engine", "trace", "metrics",
+       "report"});
   const int threads = args.threads();
   const simnet::SimEngine engine = bench::engine_arg(args);
 

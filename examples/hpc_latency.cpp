@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace pfar;
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"q"});
   const int q = static_cast<int>(args.get_int("q", 7));
   if (q % 2 == 0) {
     std::fprintf(stderr, "hpc_latency: odd prime power q required\n");

@@ -5,7 +5,7 @@
 // single-tree in-network offload and host-based ring / recursive-doubling
 // baselines.
 //
-//   ./ml_training --q 7 --steps 3
+//   ./ml_training --q 7 --dim 48 --layers 6
 
 #include <cstdio>
 #include <iostream>
@@ -19,7 +19,7 @@
 
 int main(int argc, char** argv) {
   using namespace pfar;
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"q", "dim", "layers"});
   const int q = static_cast<int>(args.get_int("q", 7));
   if (q % 2 == 0) {
     std::fprintf(stderr, "ml_training: odd prime power q required\n");

@@ -143,12 +143,22 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string cmd = argv[1];
-  const util::Args args(argc - 1, argv + 1);
   try {
-    if (cmd == "plan") return cmd_plan(args);
-    if (cmd == "simulate") return cmd_simulate(args);
-    if (cmd == "verify") return cmd_verify(args);
-    if (cmd == "degrade") return cmd_degrade(args);
+    // Each command reads its own flags; argv[1] plays argv[0].
+    if (cmd == "plan") {
+      return cmd_plan(util::Args(argc - 1, argv + 1, {"q", "solution", "out"}));
+    }
+    if (cmd == "simulate") {
+      return cmd_simulate(util::Args(
+          argc - 1, argv + 1,
+          {"q", "m", "solution", "latency", "payload", "header"}));
+    }
+    if (cmd == "verify") {
+      return cmd_verify(util::Args(argc - 1, argv + 1, {"in"}));
+    }
+    if (cmd == "degrade") {
+      return cmd_degrade(util::Args(argc - 1, argv + 1, {"q", "fail"}));
+    }
     std::fprintf(stderr, "unknown command: %s\n", cmd.c_str());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

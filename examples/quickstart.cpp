@@ -12,7 +12,7 @@
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
-  const pfar::util::Args args(argc, argv);
+  const pfar::util::Args args(argc, argv, {"q", "m"});
   const int q = static_cast<int>(args.get_int("q", 7));
   const long long m = args.get_int("m", 20000);
 

@@ -18,7 +18,7 @@
 
 int main(int argc, char** argv) {
   using namespace pfar;
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"q"});
   const int q = static_cast<int>(args.get_int("q", 11));
   if (!util::is_prime_power(q)) {
     std::fprintf(stderr, "topology_report: q must be a prime power\n");

@@ -43,7 +43,6 @@ FaultState prepare_faults(const graph::Graph& topology,
                    [](const PreparedFault& a, const PreparedFault& b) {
                      return a.cycle < b.cycle;
                    });
-  fs.active = !fs.events.empty();
   return fs;
 }
 
@@ -152,21 +151,9 @@ std::vector<int> validate_simulation(
         "AllreduceSimulator: progress_timeout must be below stall_limit so "
         "per-tree detection fires before the global deadlock check");
   }
-  if (config.background.load < 0.0 || config.background.load >= 1.0 ||
-      config.background.packet_flits < 1) {
+  if (config.background.load < 0.0 || config.background.load >= 1.0) {
     throw std::invalid_argument(
-        "AllreduceSimulator: background load must be in [0, 1) and "
-        "packet_flits >= 1");
-  }
-  if (config.background.active() &&
-      config.background.pattern == TrafficPattern::kHotspot &&
-      (config.background.hotspot_node < 0 ||
-       config.background.hotspot_node >= topology.num_vertices() ||
-       config.background.hotspot_fraction < 0.0 ||
-       config.background.hotspot_fraction > 1.0)) {
-    throw std::invalid_argument(
-        "AllreduceSimulator: hotspot_node must name a vertex and "
-        "hotspot_fraction lie in [0, 1]");
+        "AllreduceSimulator: background load must be in [0, 1)");
   }
   // Validate the fault script eagerly (edge existence, event cycles) so a
   // bad script fails at construction, not mid-run.
@@ -201,14 +188,13 @@ void reset_result(SimResult& result, int num_trees, int num_dlinks) {
 
 void settle_background(SimResult& result,
                        const std::vector<long long>& rates_ppm,
-                       int packet_flits, long long closed_form_cycles) {
-  PFAR_REQUIRE(packet_flits >= 1, packet_flits);
+                       long long closed_form_cycles) {
+  PFAR_REQUIRE(closed_form_cycles >= -1, closed_form_cycles);
+  constexpr long long packet_flits = BackgroundTraffic::packet_flits;
   if (closed_form_cycles >= 0) {
     for (std::size_t d = 0; d < result.link_bg_flits.size(); ++d) {
-      result.link_bg_flits[d] =
-          background_packets_in(closed_form_cycles, rates_ppm[d],
-                                packet_flits) *
-          packet_flits;
+      result.link_bg_flits[d] = closed_form_cycles * rates_ppm[d] /
+                                (packet_flits * 1'000'000) * packet_flits;
     }
   }
   for (const long long flits : result.link_bg_flits) {
@@ -280,7 +266,7 @@ SimResult RunContext::finish(long long cycles) {
     // background load is real and the congestion controller wants it).
     // With down events the loop-maintained per-up-cycle counts stand, and
     // only VC-carrying links are accounted.
-    settle_background(result, bg_rates, config.background.packet_flits,
+    settle_background(result, bg_rates,
                       config.faults.events.empty() ? cycles : -1);
   }
   if (obs != nullptr) obs->finalize(cycles, result);
@@ -322,9 +308,7 @@ SimResult AllreduceSimulator::run(
   const detail::Fabric fabric =
       detail::build_fabric(topology_, trees_, links_, run.result);
   if (run.total_target == 0) return std::move(run.result);
-  return run.finish(detail::run_fast_loop(
-      fabric, config_, elements_per_tree, run.result, run.tree_remaining,
-      run.total_target, run.fault, run.bg_rates, run.obs, period));
+  return run.finish(detail::run_fast_loop(fabric, run, period));
 }
 
 // Union-find over edge ownership: a tree joins the group of every tree

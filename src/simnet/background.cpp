@@ -25,13 +25,6 @@ std::vector<long long> background_link_rates_ppm(const graph::Graph& topology,
   const int n = topology.num_vertices();
   PFAR_REQUIRE(n >= 2, n);
   PFAR_REQUIRE(bg.load >= 0.0 && bg.load < 1.0, bg.load);
-  PFAR_REQUIRE(bg.packet_flits >= 1, bg.packet_flits);
-  if (bg.pattern == TrafficPattern::kHotspot) {
-    PFAR_REQUIRE(bg.hotspot_node >= 0 && bg.hotspot_node < n, bg.hotspot_node,
-                 n);
-    PFAR_REQUIRE(bg.hotspot_fraction >= 0.0 && bg.hotspot_fraction <= 1.0,
-                 bg.hotspot_fraction);
-  }
 
   std::vector<long long> rates(
       static_cast<std::size_t>(2 * topology.num_edges()), 0);
@@ -100,13 +93,6 @@ std::vector<long long> background_link_rates_ppm(const graph::Graph& topology,
   const long long cap = 900'000;
   for (auto& r : rates) r = std::min(r, cap);
   return rates;
-}
-
-long long background_packets_in(long long cycles, long long rate_ppm,
-                                int packet_flits) {
-  PFAR_REQUIRE(cycles >= 0 && rate_ppm >= 0 && packet_flits >= 1, cycles,
-               rate_ppm, packet_flits);
-  return cycles * rate_ppm / (static_cast<long long>(packet_flits) * kPpm);
 }
 
 }  // namespace pfar::simnet

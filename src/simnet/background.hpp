@@ -26,13 +26,4 @@ namespace pfar::simnet {
 std::vector<long long> background_link_rates_ppm(const graph::Graph& topology,
                                                  const BackgroundTraffic& bg);
 
-/// Whole background packets drained by a link of rate `rate_ppm` over its
-/// first `cycles` serviced cycles: floor(cycles * rate_ppm / (packet_flits
-/// * 1e6)). This closed form telescopes exactly over the engines' per-cycle
-/// accumulator (acc += rate; drain acc / pkt_ppm packets), which is what
-/// makes fast-forwarded runs agree bit-for-bit with the
-/// reference oracle's per-cycle loop on background accounting.
-long long background_packets_in(long long cycles, long long rate_ppm,
-                                int packet_flits);
-
 }  // namespace pfar::simnet

@@ -72,12 +72,12 @@ struct BackgroundTraffic {
   /// bandwidth, in [0, 1). 0 disables background traffic entirely.
   double load = 0.0;
   /// Background packet length in flits (drains are packet-granular).
-  int packet_flits = 4;
-  /// Target of the concentrated fraction under kHotspot. Must name a
-  /// vertex of the simulated topology — validated, never wrapped.
-  int hotspot_node = 0;
+  /// Constant, like the hotspot target below: no program varies them.
+  static constexpr int packet_flits = 4;
+  /// Target of the concentrated fraction under kHotspot.
+  static constexpr int hotspot_node = 0;
   /// Fraction of traffic aimed at hotspot_node under kHotspot.
-  double hotspot_fraction = 0.2;
+  static constexpr double hotspot_fraction = 0.2;
   /// Seed of the permutation pattern (same construction as
   /// TrafficConfig::seed).
   std::uint64_t seed = 1;

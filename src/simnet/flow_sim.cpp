@@ -408,9 +408,8 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
   result.aggregate_bandwidth = static_cast<double>(result.total_elements) /
                                static_cast<double>(result.cycles);
   if (!bg_rates_ppm.empty()) {
-    // Same closed form the cycle engine telescopes to (background.hpp).
-    detail::settle_background(result, bg_rates_ppm,
-                              config.background.packet_flits, result.cycles);
+    // Same closed form the cycle engine telescopes to (settle_background).
+    detail::settle_background(result, bg_rates_ppm, result.cycles);
   }
 
 

@@ -58,7 +58,6 @@ struct FaultState {
   std::vector<PreparedFault> events;  // stable-sorted by cycle
   std::size_t next = 0;
   std::vector<char> edge_down;        // per undirected edge id
-  bool active = false;  // any events configured
 
   bool edge_ok(int dlink) const {
     return edge_down[static_cast<std::size_t>(dlink >> 1)] == 0;
@@ -247,12 +246,14 @@ void reset_result(SimResult& result, int num_trees, int num_dlinks);
 
 /// Totals a run's background accounting: background_flits/_packets from
 /// link_bg_flits. With closed_form_cycles >= 0 every link's count is first
-/// overwritten by the closed form over [0, closed_form_cycles), exact when
-/// every link served the whole run (background.hpp); -1 keeps the counts
-/// the loop kept per up-cycle.
+/// overwritten by the closed form over [0, closed_form_cycles): a link of
+/// rate r drains floor(c * r / (packet_flits * 1e6)) whole packets in c
+/// cycles, which telescopes exactly over the loops' per-cycle accumulator
+/// (acc += r; drain acc / pkt_ppm packets), so it is exact when every link
+/// served the whole run. -1 keeps the counts the loop kept per up-cycle.
 void settle_background(SimResult& result,
                        const std::vector<long long>& rates_ppm,
-                       int packet_flits, long long closed_form_cycles);
+                       long long closed_form_cycles);
 
 /// One cycle-accurate run's bookkeeping outside the loop. The constructor
 /// is the prologue: it checks the split, sizes the result and counts the
@@ -338,18 +339,12 @@ Fabric build_fabric(const graph::Graph& topology,
                     const std::vector<trees::SpanningTree>& trees,
                     const std::vector<int>& links, SimResult& result);
 
-/// Runs the fast-forward cycle loop over `f` until every tree has
-/// delivered or been canceled and returns the exit cycle; a RunContext
-/// supplies the other arguments. Throws std::runtime_error on deadlock or
-/// a max_cycles overrun. `cert`, when given, receives the first certified
-/// steady period (certify_period in cycle_loop.cpp).
-long long run_fast_loop(const Fabric& f, const SimConfig& config,
-                        const std::vector<long long>& elements_per_tree,
-                        SimResult& result,
-                        std::vector<long long>& tree_remaining,
-                        long long total_target, FaultState& fault,
-                        const std::vector<long long>& bg_rates_ppm,
-                        SimObserver* obs,
+/// Runs the fast-forward cycle loop of `run` over `f` until every tree has
+/// delivered or been canceled and returns the exit cycle. Throws
+/// std::runtime_error on deadlock or a max_cycles overrun. `cert`, when
+/// given, receives the first certified steady period
+/// (CycleLoop::certify_period in cycle_loop.cpp).
+long long run_fast_loop(const Fabric& f, RunContext& run,
                         std::optional<PeriodCertificate>* cert);
 
 }  // namespace pfar::simnet::detail

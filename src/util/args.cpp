@@ -1,6 +1,9 @@
 #include "util/args.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "util/thread_pool.hpp"
@@ -10,7 +13,10 @@ namespace pfar::util {
 Args::Args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
+    if (arg.rfind("--", 0) != 0) {
+      if (stray_.empty()) stray_ = arg;
+      continue;
+    }
     arg = arg.substr(2);
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
@@ -23,8 +29,37 @@ Args::Args(int argc, char** argv) {
   }
 }
 
+Args::Args(int argc, char** argv, std::initializer_list<const char*> known)
+    : Args(argc, argv) {
+  known_.assign(known.begin(), known.end());
+  strict_ = true;
+  std::string error =
+      stray_.empty() ? "" : "unexpected argument '" + stray_ + "'";
+  for (const auto& [key, value] : values_) {
+    if (std::count(known_.begin(), known_.end(), key) == 0) {
+      error = "unknown flag --" + key;
+    }
+  }
+  if (error.empty()) return;
+  std::string listing;
+  for (const std::string& flag : known_) {
+    listing += (listing.empty() ? "--" : ", --") + flag;
+  }
+  std::fprintf(stderr, "%s: %s; this program reads %s\n", argv[0],
+               error.c_str(), listing.empty() ? "no flags" : listing.c_str());
+  std::exit(2);
+}
+
+Args::Values::const_iterator Args::lookup(const std::string& key) const {
+  if (strict_ && std::count(known_.begin(), known_.end(), key) == 0) {
+    throw std::logic_error("flag --" + key +
+                           " is read but missing from the program's list");
+  }
+  return values_.find(key);
+}
+
 long long Args::get_int(const std::string& key, long long fallback) const {
-  const auto it = values_.find(key);
+  const auto it = lookup(key);
   if (it == values_.end()) return fallback;
   const std::string& text = it->second;
   const char* const end = text.data() + text.size();
@@ -39,11 +74,13 @@ long long Args::get_int(const std::string& key, long long fallback) const {
 
 std::string Args::get_string(const std::string& key,
                              const std::string& fallback) const {
-  const auto it = values_.find(key);
+  const auto it = lookup(key);
   return it == values_.end() ? fallback : it->second;
 }
 
-bool Args::has(const std::string& key) const { return values_.count(key) > 0; }
+bool Args::has(const std::string& key) const {
+  return lookup(key) != values_.end();
+}
 
 int Args::threads() const {
   const long long requested = get_int("threads", 0);

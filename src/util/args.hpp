@@ -1,14 +1,25 @@
 #pragma once
 
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace pfar::util {
 
-/// Tiny command-line flag parser for the examples and bench binaries.
-/// Accepts `--key=value` and `--key value`; anything else is ignored.
+/// Tiny command-line flag parser for the examples, tools and bench
+/// binaries: `--key=value`, `--key value`, or a bare `--key` (reads "1").
 class Args {
  public:
+  /// Parses argv against `known`, the flags (without "--") the program
+  /// reads. Any other flag (`--help` too, unless listed) or a positional
+  /// word throws std::invalid_argument naming the known flags, so a
+  /// misspelt flag fails before the program does any work. The getters
+  /// throw std::logic_error for a key outside `known`.
+  Args(int argc, char** argv, std::initializer_list<const char*> known);
+
+  /// Accepts any flag and ignores positional words: only for the frozen
+  /// perfbench/main.cpp, as every other program lists its flags.
   Args(int argc, char** argv);
 
   /// Value of --key, or `fallback` if absent. Throws
@@ -25,7 +36,14 @@ class Args {
   int threads() const;
 
  private:
-  std::map<std::string, std::string> values_;
+  using Values = std::map<std::string, std::string>;
+  // values_.find(key); in strict mode, std::logic_error for an unlisted key.
+  Values::const_iterator lookup(const std::string& key) const;
+
+  Values values_;
+  std::string stray_;  // the first positional word, if any
+  std::vector<std::string> known_;
+  bool strict_ = false;
 };
 
 }  // namespace pfar::util

@@ -164,7 +164,6 @@ TEST(BackgroundTraffic, FastMatchesReferenceAcrossPatternsAndLoads) {
       cfg.background.pattern = pattern;
       cfg.background.load = load;
       cfg.background.seed = 7;
-      cfg.background.hotspot_fraction = 0.25;
       expect_identical(5, core::Solution::kLowDepth, cfg, 600);
       expect_identical(5, core::Solution::kEdgeDisjoint, cfg, 600);
     }

@@ -4,7 +4,9 @@
 //    down/up, double failure, instant blip, and outages under background
 //    traffic — must be honored bit-identically by the simulator
 //    and the test-only reference oracle (tests/oracle) across q in
-//    {5, 7, 11}: every SimResult field;
+//    {5, 7, 11}: every SimResult field, with and without a Recorder
+//    attached, so every cell of {no faults, faults} x {quiet,
+//    background} x {recorder off, on} is covered;
 //  * collectives::run_resilient_allreduce must recover a mid-collective
 //    single-link failure (values_correct == true end to end) and its
 //    RecoveryStats are pinned against golden values per q; a link that
@@ -26,6 +28,7 @@
 #include "collectives/resilient.hpp"
 #include "core/planner.hpp"
 #include "graph/graph.hpp"
+#include "obsv/recorder.hpp"
 #include "oracle/expect_same_result.hpp"
 #include "oracle/reference_allreduce.hpp"
 #include "simnet/allreduce_sim.hpp"
@@ -55,15 +58,23 @@ simnet::SimResult run_sim(const core::AllreducePlan& plan,
 }
 
 // Every SimResult field, including the fault-observability ones, must be
-// bit-identical between the simulator and the oracle.
+// bit-identical between the simulator and the oracle, and attaching a
+// Recorder to the simulator must not change any of them (the recorder
+// on/off axis of the composition matrix).
 void expect_identical(const core::AllreducePlan& plan,
                       const simnet::SimConfig& cfg, long long m,
-                      const char* label) {
+                      const std::string& label) {
+  const simnet::SimResult unobserved = run_sim(plan, cfg, m);
   oracle::expect_same_result(
-      run_sim(plan, cfg, m),
+      unobserved,
       oracle::run_reference_allreduce(plan.topology(), plan.trees(), cfg,
                                       plan.split(m)),
       label);
+  obsv::Recorder recorder;
+  simnet::SimConfig observed = cfg;
+  observed.recorder = &recorder;
+  oracle::expect_same_result(run_sim(plan, observed, m), unobserved,
+                             label + "/recorder");
 }
 
 class FaultDifferential : public ::testing::TestWithParam<int> {};
@@ -79,6 +90,7 @@ TEST_P(FaultDifferential, EnginesBitIdenticalAcrossScriptMatrix) {
   simnet::SimConfig base;
   base.progress_timeout = 1500;
 
+  expect_identical(plan, base, m, "no_faults");
   {
     simnet::SimConfig cfg = base;  // permanent single-link failure
     cfg.faults.events.push_back(
@@ -124,6 +136,12 @@ TEST_P(FaultDifferential, EnginesBitIdenticalUnderBackgroundTraffic) {
   simnet::SimConfig base;
   base.progress_timeout = 400;  // outlives the outage below
   base.background.seed = 5;
+  {
+    simnet::SimConfig cfg = base;  // no faults, uniform load
+    cfg.background.pattern = simnet::TrafficPattern::kUniform;
+    cfg.background.load = 0.2;
+    expect_identical(plan, cfg, m, "no_faults_uniform");
+  }
   {
     simnet::SimConfig cfg = base;  // outage under permutation load
     cfg.background.pattern = simnet::TrafficPattern::kPermutation;

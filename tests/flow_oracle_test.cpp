@@ -168,7 +168,6 @@ TEST(FlowOracle, MatchesUnderBackgroundTraffic) {
           simnet::SimConfig config;
           config.background.pattern = pattern;
           config.background.load = load;
-          config.background.hotspot_node = q;
           config.background.seed = 7;
           const std::string label =
               "q=" + std::to_string(q) + " " + core::to_string(sol) +

@@ -169,7 +169,7 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
   const int n = f.n;
   const int num_trees = f.num_trees;
   auto& vcs = f.vcs;
-  const bool faults_active = fault.active;
+  const bool faults_active = !fault.events.empty();
   const long long timeout = config.progress_timeout;
   std::vector<char> tree_canceled(static_cast<std::size_t>(num_trees), 0);
   std::vector<long long> tree_progress(static_cast<std::size_t>(num_trees), 0);

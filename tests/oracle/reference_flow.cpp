@@ -319,8 +319,7 @@ SimResult run_reference_flow(const graph::Graph& topology,
                                static_cast<double>(result.cycles);
   if (!bg_rates_ppm.empty()) {
     // Same closed form the cycle engine telescopes to (background.hpp).
-    detail::settle_background(result, bg_rates_ppm,
-                              config.background.packet_flits, result.cycles);
+    detail::settle_background(result, bg_rates_ppm, result.cycles);
   }
 
 

@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <initializer_list>
+#include <iterator>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "oracle/reference_math.hpp"
@@ -194,6 +202,68 @@ TEST(ArgsTest, GetIntRejectsMalformedValuesNamingTheFlag) {
                 std::string::npos)
           << e.what();
     }
+  }
+}
+
+// Parses a command line against the flags a program reads.
+Args parse_strict(std::vector<std::string> words,
+                  std::initializer_list<const char*> known) {
+  std::vector<char*> argv;
+  for (std::string& w : words) argv.push_back(w.data());
+  return Args(static_cast<int>(argv.size()), argv.data(), known);
+}
+
+TEST(ArgsTest, UnknownFlagsHelpAndStrayWordsFailNamingTheKnownFlags) {
+  const Args args = parse_strict({"prog", "--max-q", "7", "--json=x.json",
+                                  "--trace"},
+                                 {"max-q", "json", "trace"});
+  EXPECT_EQ(args.get_int("max-q", 0), 7);
+  EXPECT_EQ(args.get_string("json", ""), "x.json");
+  EXPECT_TRUE(args.has("trace"));
+  EXPECT_THROW(args.has("threads"), std::logic_error);  // read, not listed
+
+  const auto exits = [](std::vector<std::string> words,
+                         std::initializer_list<const char*> known,
+                         const char* message) {
+    EXPECT_EXIT(parse_strict(std::move(words), known),
+                ::testing::ExitedWithCode(2), message);
+  };
+  exits({"prog", "--help"}, {"max-q", "json"},
+        "unknown flag --help; this program reads --max-q, --json");
+  exits({"prog", "--max_q", "7"}, {"max-q", "json"},
+        "unknown flag --max_q; this program reads --max-q, --json");
+  exits({"prog", "--max-q", "7", "8"}, {"max-q", "json"},
+        "unexpected argument '8'; this program reads --max-q, --json");
+  exits({"prog", "--json=x.json", "extra"}, {"max-q", "json"},
+        "unexpected argument 'extra'; this program reads --max-q, --json");
+  exits({"prog", "--help"}, {}, "this program reads no flags");
+  parse_strict({"prog"}, {});  // no flags, none listed: parses
+}
+
+// End to end: a program given --help or a misspelt flag exits with status
+// 2 before printing any result, and says which flags it reads.
+TEST(ArgsTest, ProgramsRejectFlagsTheyDoNotRead) {
+  const std::string dir = ::testing::TempDir() + "args_test_" +
+                          std::to_string(::getpid());
+  for (const std::string flags : {"--help", "--qq 7"}) {
+    const std::string out = dir + ".out";
+    const std::string err = dir + ".err";
+    const std::string cmd = std::string(PFAR_QUICKSTART) + " " + flags +
+                            " >" + out + " 2>" + err;
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << flags;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << flags;
+    std::ifstream out_file(out);
+    std::ifstream err_file(err);
+    const std::string printed((std::istreambuf_iterator<char>(out_file)),
+                              std::istreambuf_iterator<char>());
+    const std::string said((std::istreambuf_iterator<char>(err_file)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(printed, "") << flags;
+    EXPECT_NE(said.find("this program reads --q, --m"), std::string::npos)
+        << flags << ": " << said;
+    std::remove(out.c_str());
+    std::remove(err.c_str());
   }
 }
 

@@ -596,7 +596,8 @@ void usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const pfar::util::Args args(argc, argv);
+  const pfar::util::Args args(argc, argv,
+      {"q", "solution", "starter", "plan", "faults", "out", "threads", "help"});
   if (args.has("help")) {
     usage();
     return 0;

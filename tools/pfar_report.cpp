@@ -30,7 +30,8 @@ std::string slurp(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const pfar::util::Args args(argc, argv);
+  const pfar::util::Args args(argc, argv,
+      {"trace", "metrics", "out", "top", "help"});
   if (args.has("help") ||
       (!args.has("trace") && !args.has("metrics"))) {
     std::cout
