@@ -1,14 +1,16 @@
 // Command-line front end for the library — the workflow a deployment
 // control plane would script:
 //
-//   ./pfar_tool plan --q 7 --solution disjoint --out trees.txt
+//   ./pfar_tool plan --q 7 --solution disjoint --out plan.pfar
 //   ./pfar_tool simulate --q 7 --solution lowdepth --m 50000
-//   ./pfar_tool verify --in trees.txt
+//   ./pfar_tool verify --in plan.pfar
 //   ./pfar_tool degrade --q 7 --fail 3
 //
-// `plan` writes the serialized tree set; `verify` re-parses it and checks
-// every tree against the regenerated topology; `degrade` fails links and
-// reports surviving vs repacked bandwidth.
+// `plan` writes the serialized plan (core::serialize_plan: edge list,
+// trees, bandwidths, checksum); `verify` re-parses it, which checks every
+// tree against the file's edge list, and checks that edge list against
+// the topology regenerated for the file's q, solution and starter;
+// `degrade` fails links and reports surviving vs repacked bandwidth.
 
 #include <cstdio>
 #include <fstream>
@@ -19,7 +21,6 @@
 #include "core/planner.hpp"
 #include "core/resilience.hpp"
 #include "core/serialize.hpp"
-#include "trees/spanning_tree.hpp"
 #include "util/args.hpp"
 
 namespace {
@@ -40,7 +41,7 @@ int cmd_plan(const util::Args& args) {
       core::AllreducePlanner(q)
           .solution(parse_solution(args.get_string("solution", "lowdepth")))
           .build();
-  const std::string text = core::serialize_trees(q, plan.trees());
+  const std::string text = core::serialize_plan(plan, 0);
   const std::string out = args.get_string("out", "");
   if (out.empty()) {
     std::cout << text;
@@ -96,20 +97,25 @@ int cmd_verify(const util::Args& args) {
   }
   std::stringstream buffer;
   buffer << file.rdbuf();
-  const auto parsed = core::parse_trees(buffer.str());
-  const polarfly::PolarFly pf(parsed.q);
-  int index = 0;
-  for (const auto& tree : parsed.trees) {
-    if (!tree.is_spanning_tree_of(pf.graph())) {
-      std::fprintf(stderr, "tree %d is not a spanning tree of ER_%d\n",
-                   index, parsed.q);
-      return 1;
-    }
-    ++index;
+  const auto parsed = core::parse_plan(buffer.str());
+  const core::AllreducePlan& plan = parsed.plan;
+  // The vertex count is checked first, so a file's q cannot make the tool
+  // build a topology larger than the file describes.
+  const long long q = plan.q();
+  if (plan.num_nodes() != q * q + q + 1 ||
+      plan.topology().edges() != core::AllreducePlanner(plan.q())
+                                     .solution(plan.solution())
+                                     .starter_quadric(parsed.starter)
+                                     .build()
+                                     .topology()
+                                     .edges()) {
+    std::fprintf(stderr, "%s: edge list is not the %s topology of ER_%d\n",
+                 in.c_str(), core::to_string(plan.solution()).c_str(),
+                 plan.q());
+    return 1;
   }
-  std::printf("%d trees verified against ER_%d (congestion %d)\n", index,
-              parsed.q,
-              trees::max_congestion(pf.graph(), parsed.trees));
+  std::printf("%d trees verified against ER_%d (congestion %d)\n",
+              plan.num_trees(), plan.q(), plan.max_congestion());
   return 0;
 }
 

@@ -205,22 +205,10 @@ RecoveryStats recover(
 
     // Replan on the original topology minus everything failed so far.
     try {
-      if (resilience.policy == RecoveryPolicy::kKeepSurviving) {
-        core::DegradedPlan plan = core::degrade_keep_surviving(
-            topology, spanning_trees, accumulated_failed);
-        if (plan.trees.empty()) {
-          fail_unrecoverable("no surviving trees after " +
-                             std::to_string(accumulated_failed.size()) +
-                             " failed links");
-        }
-        residual = plan.topology;
-        cur_trees = std::move(plan.trees);
-      } else {
-        core::DegradedPlan plan =
-            core::degrade_repack(topology, accumulated_failed);
-        residual = plan.topology;
-        cur_trees = std::move(plan.trees);
-      }
+      core::DegradedPlan plan =
+          core::degrade_repack(topology, accumulated_failed);
+      residual = plan.topology;
+      cur_trees = std::move(plan.trees);
     } catch (const std::runtime_error& e) {
       // remove_links: residual graph disconnected.
       fail_unrecoverable(e.what());

@@ -12,11 +12,13 @@
 
 namespace pfar::collectives {
 
-/// How run_resilient_allreduce replans after a detected failure (the two
-/// static degrade paths of core/resilience, see docs/resilience.md).
+/// How run_resilient_allreduce replans after a detected failure: it
+/// repacks trees greedily on the residual topology (core::degrade_repack,
+/// see docs/resilience.md). The one value selects nothing; the enum and
+/// ResilienceConfig::policy stay only because the frozen benchmark program
+/// (perfbench/main.cpp) assigns them.
 enum class RecoveryPolicy {
-  kKeepSurviving,  // drop trees touched by failed links, keep the rest
-  kRepack,         // repack trees greedily on the residual topology
+  kRepack,
 };
 
 /// Retry/backoff knobs of the resilient driver. Loss detection itself is
@@ -72,9 +74,9 @@ struct RecoveryStats {
 /// it (bounded retries with exponential backoff), and reports RecoveryStats.
 ///
 /// Requires `config.progress_timeout > 0` (detection) and non-empty trees.
-/// Unrecoverable situations — residual topology disconnected, no surviving
-/// trees, retries exhausted — fail loudly through a PFAR_REQUIRE contract
-/// violation; the driver never hangs past the simulator's max_cycles.
+/// Unrecoverable situations — residual topology disconnected, retries
+/// exhausted — fail loudly through a PFAR_REQUIRE contract violation; a
+/// run never hangs past the simulator's max_cycles.
 RecoveryStats run_resilient_allreduce(
     const graph::Graph& topology,
     const std::vector<trees::SpanningTree>& trees, long long m,

@@ -32,7 +32,9 @@ std::vector<long long> AllreducePlan::split(long long m) const {
 
 collectives::InNetworkResult AllreducePlan::simulate(
     long long m, const simnet::SimConfig& config) const {
-  return collectives::run_innetwork_allreduce(*topology_, trees_, m, config);
+  PFAR_REQUIRE(m >= 0, m);
+  return collectives::run_planned_allreduce(*topology_, trees_, split(m),
+                                           bandwidths_, config);
 }
 
 // pfar-lint: allow(contract-coverage) thin delegation; simnet::link_disjoint_tree_groups carries the contracts

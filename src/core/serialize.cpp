@@ -5,9 +5,12 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "graph/graph.hpp"
+#include "trees/spanning_tree.hpp"
 #include "util/contracts.hpp"
 
 namespace pfar::core {
@@ -24,86 +27,6 @@ std::uint64_t fnv1a64(const std::string& data) {
   return h;
 }
 
-std::string serialize_trees(int q,
-                            const std::vector<trees::SpanningTree>& ts) {
-  if (ts.empty()) throw std::invalid_argument("serialize_trees: no trees");
-  PFAR_REQUIRE(q >= 2, q);
-  const int n = ts.front().num_vertices();
-  std::ostringstream os;
-  os << "pfar-trees 1\n";
-  os << "q " << q << "\n";
-  os << "n " << n << "\n";
-  os << "trees " << ts.size() << "\n";
-  for (const auto& t : ts) {
-    if (t.num_vertices() != n) {
-      throw std::invalid_argument("serialize_trees: inconsistent sizes");
-    }
-    os << "tree " << t.root();
-    for (int v = 0; v < n; ++v) os << ' ' << t.parent(v);
-    os << "\n";
-  }
-  return os.str();
-}
-
-namespace {
-
-[[noreturn]] void fail(const char* parser, const std::string& what) {
-  throw std::invalid_argument(std::string(parser) + ": " + what);
-}
-
-[[noreturn]] void fail(const std::string& what) { fail("parse_trees", what); }
-
-// Reads tree t's `tree ROOT p0 ... p(n-1)` line, the one tree format of
-// both parsers; errors name `parser`.
-trees::SpanningTree read_tree(std::istream& is, int n, std::size_t t,
-                              const char* parser) {
-  std::string token;
-  int root = 0;
-  if (!(is >> token) || token != "tree" || !(is >> root)) {
-    fail(parser, "bad tree header at tree " + std::to_string(t));
-  }
-  std::vector<int> parent(static_cast<std::size_t>(n));
-  for (int& p : parent) {
-    if (!(is >> p)) fail(parser, "short parent list");
-    if (p < -1 || p >= n) fail(parser, "parent out of range");
-  }
-  try {
-    return trees::SpanningTree(root, std::move(parent));
-  } catch (const std::exception& e) {
-    fail(parser, std::string("invalid tree: ") + e.what());
-  }
-}
-
-}  // namespace
-
-// pfar-lint: allow(contract-coverage) parser: rejecting malformed text via std::invalid_argument IS the contract (any byte string is a legal input)
-ParsedTrees parse_trees(const std::string& text) {
-  std::istringstream is(text);
-  std::string token;
-
-  if (!(is >> token) || token != "pfar-trees") fail("missing magic");
-  int version = 0;
-  if (!(is >> version) || version != 1) fail("unsupported version");
-
-  ParsedTrees out;
-  int n = 0;
-  std::size_t count = 0;
-  if (!(is >> token) || token != "q" || !(is >> out.q) || out.q < 2) {
-    fail("bad q line");
-  }
-  if (!(is >> token) || token != "n" || !(is >> n) || n < 2) {
-    fail("bad n line");
-  }
-  if (!(is >> token) || token != "trees" || !(is >> count) || count == 0) {
-    fail("bad trees line");
-  }
-  for (std::size_t t = 0; t < count; ++t) {
-    out.trees.push_back(read_tree(is, n, t, "parse_trees"));
-  }
-  if (is >> token) fail("trailing content");
-  return out;
-}
-
 /// Private-member accessor for AllreducePlan (befriended in planner.hpp)
 /// so plans can be reconstructed without re-running any builder.
 struct PlanIO {
@@ -113,7 +36,28 @@ struct PlanIO {
 
 namespace {
 
-[[noreturn]] void pfail(const std::string& what) { fail("parse_plan", what); }
+[[noreturn]] void fail(const std::string& what) {
+  throw std::invalid_argument("parse_plan: " + what);
+}
+
+// Reads tree t's `tree ROOT p0 ... p(n-1)` line.
+trees::SpanningTree read_tree(std::istream& is, int n, std::size_t t) {
+  std::string token;
+  int root = 0;
+  if (!(is >> token) || token != "tree" || !(is >> root)) {
+    fail("bad tree header at tree " + std::to_string(t));
+  }
+  std::vector<int> parent(static_cast<std::size_t>(n));
+  for (int& p : parent) {
+    if (!(is >> p)) fail("short parent list");
+    if (p < -1 || p >= n) fail("parent out of range");
+  }
+  try {
+    return trees::SpanningTree(root, std::move(parent));
+  } catch (const std::exception& e) {
+    fail(std::string("invalid tree: ") + e.what());
+  }
+}
 
 // C99 hex-float formatting: exact binary round-trip, locale-independent,
 // single whitespace-free token.
@@ -125,11 +69,11 @@ void append_hex_double(std::ostringstream& os, double x) {
 
 double read_hex_double(std::istringstream& is, const char* what) {
   std::string token;
-  if (!(is >> token)) pfail(std::string("missing double in ") + what);
+  if (!(is >> token)) fail(std::string("missing double in ") + what);
   char* end = nullptr;
   const double x = std::strtod(token.c_str(), &end);
   if (end == token.c_str() || *end != '\0') {
-    pfail(std::string("bad double in ") + what);
+    fail(std::string("bad double in ") + what);
   }
   return x;
 }
@@ -180,45 +124,45 @@ ParsedPlan PlanIO::read(const std::string& text) {
   // of the body (including truncation) is caught before field parsing.
   const auto pos = text.rfind("checksum ");
   if (pos == std::string::npos || (pos != 0 && text[pos - 1] != '\n')) {
-    pfail("missing checksum line");
+    fail("missing checksum line");
   }
   const std::string body = text.substr(0, pos);
   {
     const std::string tail = text.substr(pos);
     std::istringstream cs(tail);
     std::string token, hex;
-    if (!(cs >> token >> hex)) pfail("bad checksum line");
+    if (!(cs >> token >> hex)) fail("bad checksum line");
     std::uint64_t stored = 0;
     try {
       std::size_t used = 0;
       stored = std::stoull(hex, &used, 16);
-      if (used != hex.size()) pfail("bad checksum value");
+      if (used != hex.size()) fail("bad checksum value");
     } catch (const std::invalid_argument&) {
-      pfail("bad checksum value");
+      fail("bad checksum value");
     } catch (const std::out_of_range&) {
-      pfail("bad checksum value");
+      fail("bad checksum value");
     }
     // Strict framing: the checksum line is the byte-exact final line of
     // the artifact. Anything after its newline -- including bytes that are
     // only whitespace -- means the file was appended to or damaged, and a
     // reader that shrugs it off would silently accept a tampered plan.
     if (tail != "checksum " + hex + "\n") {
-      pfail("trailing content after checksum");
+      fail("trailing content after checksum");
     }
-    if (stored != fnv1a64(body)) pfail("checksum mismatch");
+    if (stored != fnv1a64(body)) fail("checksum mismatch");
   }
 
   std::istringstream is(body);
   std::string token;
-  if (!(is >> token) || token != "pfar-plan") pfail("missing magic");
+  if (!(is >> token) || token != "pfar-plan") fail("missing magic");
   int version = 0;
-  if (!(is >> version) || version != 1) pfail("unsupported version");
+  if (!(is >> version) || version != 1) fail("unsupported version");
   if (!(is >> token) || token != "builder" || !(is >> token)) {
-    pfail("bad builder line");
+    fail("bad builder line");
   }
   if (token != kBuilderVersion) {
-    pfail("builder version mismatch (plan built by '" + token +
-          "', this binary is '" + kBuilderVersion + "')");
+    fail("builder version mismatch (plan built by '" + token +
+         "', this binary is '" + kBuilderVersion + "')");
   }
 
   ParsedPlan out;
@@ -228,59 +172,59 @@ ParsedPlan PlanIO::read(const std::string& text) {
   int num_edges = 0;
   std::size_t num_trees = 0;
   if (!(is >> token) || token != "q" || !(is >> plan.q_) || plan.q_ < 2) {
-    pfail("bad q line");
+    fail("bad q line");
   }
   if (!(is >> token) || token != "solution" || !(is >> solution) ||
       solution < 0 || solution > 2) {
-    pfail("bad solution line");
+    fail("bad solution line");
   }
   plan.solution_ = static_cast<Solution>(solution);
   if (!(is >> token) || token != "starter" || !(is >> out.starter) ||
       out.starter < 0) {
-    pfail("bad starter line");
+    fail("bad starter line");
   }
   if (!(is >> token) || token != "n" || !(is >> n) || n < 2) {
-    pfail("bad n line");
+    fail("bad n line");
   }
   if (!(is >> token) || token != "edges" || !(is >> num_edges) ||
       num_edges < 1) {
-    pfail("bad edges line");
+    fail("bad edges line");
   }
   auto g = std::make_shared<graph::Graph>(n);
   for (int i = 0; i < num_edges; ++i) {
     int u = 0, v = 0;
     if (!(is >> token) || token != "e" || !(is >> u >> v)) {
-      pfail("bad edge at index " + std::to_string(i));
+      fail("bad edge at index " + std::to_string(i));
     }
     if (u < 0 || u >= n || v < 0 || v >= n || u == v) {
-      pfail("edge endpoint out of range");
+      fail("edge endpoint out of range");
     }
     g->add_edge(u, v);
   }
   try {
     g->finalize();
   } catch (const std::exception& e) {
-    pfail(std::string("invalid topology: ") + e.what());
+    fail(std::string("invalid topology: ") + e.what());
   }
   if (!(is >> token) || token != "trees" || !(is >> num_trees) ||
       num_trees == 0) {
-    pfail("bad trees line");
+    fail("bad trees line");
   }
   for (std::size_t t = 0; t < num_trees; ++t) {
-    plan.trees_.push_back(read_tree(is, n, t, "parse_plan"));
+    plan.trees_.push_back(read_tree(is, n, t));
   }
   try {
     static_cast<void>(trees::tree_links(*g, plan.trees_));
   } catch (const std::invalid_argument&) {
-    pfail("tree edge not in topology");
+    fail("tree edge not in topology");
   }
-  if (!(is >> token) || token != "bw") pfail("bad bw line");
+  if (!(is >> token) || token != "bw") fail("bad bw line");
   plan.bandwidths_.aggregate = read_hex_double(is, "bw aggregate");
   plan.bandwidths_.per_tree.reserve(num_trees);
   for (std::size_t t = 0; t < num_trees; ++t) {
     plan.bandwidths_.per_tree.push_back(read_hex_double(is, "bw entry"));
   }
-  if (is >> token) pfail("trailing content");
+  if (is >> token) fail("trailing content");
 
   plan.topology_ = g;
   plan.owner_ = g;

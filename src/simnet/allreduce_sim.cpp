@@ -136,8 +136,7 @@ void SimObserver::finalize(long long cycles, const SimResult& result) {
 std::vector<int> validate_simulation(
     const graph::Graph& topology,
     const std::vector<trees::SpanningTree>& trees, const SimConfig& config) {
-  if (config.link_latency < 0 ||
-      config.vc_credits < 1 || config.fork_buffer < 1 ||
+  if (config.link_latency < 0 || config.vc_credits < 1 ||
       config.packet_payload < 1 || config.packet_header_flits < 0) {
     throw std::invalid_argument("AllreduceSimulator: bad config");
   }

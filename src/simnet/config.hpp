@@ -136,8 +136,8 @@ struct SimConfig {
   /// full rate.
   int vc_credits = 16;
   /// Per-child staging slots (packets) used when a broadcast packet forks
-  /// to several children inside a router.
-  int fork_buffer = 4;
+  /// to several children inside a router. Constant: no program varies it.
+  static constexpr int fork_buffer = 4;
   /// Vector elements carried per packet. Streams are chunked into packets
   /// of this size (plus a final partial packet).
   int packet_payload = 1;

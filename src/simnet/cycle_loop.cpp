@@ -656,7 +656,7 @@ class CycleLoop {
       bool room = true;
       for (std::int32_t c = 0; c < forks; ++c) {
         if (static_cast<int>(fcount[static_cast<std::size_t>(sb + c)]) >=
-            config.fork_buffer) {
+            SimConfig::fork_buffer) {
           room = false;
           break;
         }
@@ -1084,7 +1084,7 @@ class CycleLoop {
       std::bit_ceil(static_cast<std::uint32_t>(config.vc_credits));
   const std::uint32_t pmask = pcap - 1;
   const std::uint32_t fcap =
-      std::bit_ceil(static_cast<std::uint32_t>(config.fork_buffer));
+      std::bit_ceil(static_cast<std::uint32_t>(SimConfig::fork_buffer));
   const std::uint32_t fmask = fcap - 1;
   const std::uint32_t wheel_size =
       std::bit_ceil(static_cast<std::uint32_t>(latency) + 1u);

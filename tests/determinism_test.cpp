@@ -122,8 +122,7 @@ TEST(FastForwardEngine, MatchesReferenceInStressCorners) {
     expect_identical(5, core::Solution::kEdgeDisjoint, cfg, 400);
   }
   {
-    simnet::SimConfig cfg;  // fork-buffer pressure + framing
-    cfg.fork_buffer = 1;
+    simnet::SimConfig cfg;  // framing
     cfg.packet_payload = 8;
     cfg.packet_header_flits = 2;
     expect_identical(7, core::Solution::kLowDepth, cfg, 800);

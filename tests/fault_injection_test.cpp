@@ -237,11 +237,8 @@ TEST(ResilientAllreduce, RecoversSingleLinkFailureWithGoldenStats) {
     cfg.faults.events.push_back(
         {200, a.u, a.v, simnet::FaultType::kLinkDown});
 
-    collectives::ResilienceConfig rc;
-    rc.policy = collectives::RecoveryPolicy::kRepack;
-
     const auto stats = collectives::run_resilient_allreduce(
-        plan.topology(), plan.trees(), 1500, cfg, rc);
+        plan.topology(), plan.trees(), 1500, cfg);
 
     EXPECT_TRUE(stats.recovered) << "q=" << g.q;
     EXPECT_TRUE(stats.values_correct) << "q=" << g.q;
@@ -273,37 +270,14 @@ TEST(ResilientAllreduce, DeepRepackRecoversInOneReplay) {
   cfg.progress_timeout = 800;
   cfg.faults.events.push_back({200, a.u, a.v, simnet::FaultType::kLinkDown});
 
-  collectives::ResilienceConfig rc;
-  rc.policy = collectives::RecoveryPolicy::kRepack;
   const auto stats = collectives::run_resilient_allreduce(
-      plan.topology(), plan.trees(), 1500, cfg, rc);
+      plan.topology(), plan.trees(), 1500, cfg);
   EXPECT_TRUE(stats.recovered);
   EXPECT_TRUE(stats.values_correct);
   EXPECT_EQ(stats.attempts, 2);
   ASSERT_EQ(stats.attempt_log.size(), 2u);
   EXPECT_GT(stats.attempt_log[0].elements_lost, 0);
   EXPECT_EQ(stats.attempt_log[1].elements_lost, 0);
-}
-
-TEST(ResilientAllreduce, KeepSurvivingPolicyAlsoRecovers) {
-  const auto plan = core::AllreducePlanner(7).build();
-  const graph::Edge a = used_link(plan, 0);
-
-  simnet::SimConfig cfg;
-  cfg.progress_timeout = 800;
-  cfg.faults.events.push_back({200, a.u, a.v, simnet::FaultType::kLinkDown});
-
-  collectives::ResilienceConfig rc;
-  rc.policy = collectives::RecoveryPolicy::kKeepSurviving;
-  const auto stats = collectives::run_resilient_allreduce(
-      plan.topology(), plan.trees(), 1500, cfg, rc);
-  EXPECT_TRUE(stats.recovered);
-  EXPECT_TRUE(stats.values_correct);
-  // Keep-surviving drops whole trees: strictly fewer trees in the replay.
-  ASSERT_EQ(stats.attempt_log.size(), 2u);
-  EXPECT_LT(stats.attempt_log[1].trees, stats.attempt_log[0].trees);
-  EXPECT_LT(stats.attempt_log[1].model_bandwidth,
-            stats.attempt_log[0].model_bandwidth);
 }
 
 // Recovery excludes every link that lost packets in flight, even one that

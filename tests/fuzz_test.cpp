@@ -316,7 +316,9 @@ TEST(FuzzSimulator, SettledRandomConfigsMatchTheOracle) {
     cfg.packet_header_flits = pick(0, 3);
     cfg.vc_credits = pick(1, 8);
     cfg.link_latency = pick(0, 9);
-    cfg.fork_buffer = pick(1, 4);
+    // The fork buffer is fixed; this draw stays so every later draw of the
+    // seed, and so each config, stays where it is.
+    static_cast<void>(pick(1, 4));
     const long long m = pick(1000, 5000);
     const auto& edges = plan.topology().edges();
     if (pick(0, 3) == 0) {

@@ -443,7 +443,7 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
         const bool is_root = (v == f.roots[static_cast<std::size_t>(t)]);
         bool room = true;
         for (const auto& stage : s.fork_stage) {
-          if (static_cast<int>(stage.size()) >= config.fork_buffer) {
+          if (static_cast<int>(stage.size()) >= SimConfig::fork_buffer) {
             room = false;
             break;
           }

@@ -32,7 +32,6 @@ TEST_P(SimSweep, CorrectSafeAndWithinEnvelope) {
   cfg.packet_header_flits = payload > 1 ? 1 : 0;
   if (regime == Regime::kTightBuffers) {
     cfg.vc_credits = 2;
-    cfg.fork_buffer = 1;
   } else if (regime == Regime::kLongWires) {
     cfg.link_latency = 12;
   }

@@ -477,10 +477,8 @@ void check_faults(std::vector<Check>& out, const AllreducePlan& plan) {
   });
 
   run_check(out, "faults.recovery_single_link", [&] {
-    pfar::collectives::ResilienceConfig rc;
-    rc.policy = pfar::collectives::RecoveryPolicy::kRepack;
     const auto stats = pfar::collectives::run_resilient_allreduce(
-        g, plan.trees(), 1500, faulted_config(), rc);
+        g, plan.trees(), 1500, faulted_config());
     require(stats.recovered, "driver did not recover");
     require(stats.values_correct, "recovered values are not exact");
     require(stats.attempts >= 2, "no replay attempt was needed?");
