@@ -99,11 +99,9 @@ int cmd_verify(const util::Args& args) {
   buffer << file.rdbuf();
   const auto parsed = core::parse_plan(buffer.str());
   const core::AllreducePlan& plan = parsed.plan;
-  // The vertex count is checked first, so a file's q cannot make the tool
-  // build a topology larger than the file describes.
-  const long long q = plan.q();
-  if (plan.num_nodes() != q * q + q + 1 ||
-      plan.topology().edges() != core::AllreducePlanner(plan.q())
+  // parse_plan has checked that n and the edge count are ER_q's, so the
+  // planner below builds a topology no larger than the file describes.
+  if (plan.topology().edges() != core::AllreducePlanner(plan.q())
                                      .solution(plan.solution())
                                      .starter_quadric(parsed.starter)
                                      .build()

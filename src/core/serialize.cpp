@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -168,8 +169,8 @@ ParsedPlan PlanIO::read(const std::string& text) {
   ParsedPlan out;
   AllreducePlan& plan = out.plan;
   int solution = -1;
-  int n = 0;
-  int num_edges = 0;
+  long long n = 0;
+  long long num_edges = 0;
   std::size_t num_trees = 0;
   if (!(is >> token) || token != "q" || !(is >> plan.q_) || plan.q_ < 2) {
     fail("bad q line");
@@ -183,15 +184,22 @@ ParsedPlan PlanIO::read(const std::string& text) {
       out.starter < 0) {
     fail("bad starter line");
   }
-  if (!(is >> token) || token != "n" || !(is >> n) || n < 2) {
-    fail("bad n line");
+  // The header counts must be ER_q's, and the graph is built only after
+  // the edge lines are read into a vector that grows with the file, so no
+  // header makes the reader allocate more than the file holds. q < 2^31
+  // keeps q^2+q+1 in 64 bits; n fitting an int keeps q below 46341, so
+  // q(q+1)^2/2 fits too.
+  const long long q = plan.q_;
+  if (!(is >> token) || token != "n" || !(is >> n) || n != q * q + q + 1 ||
+      n > std::numeric_limits<int>::max()) {
+    fail("bad n line (n must be q^2+q+1)");
   }
   if (!(is >> token) || token != "edges" || !(is >> num_edges) ||
-      num_edges < 1) {
-    fail("bad edges line");
+      num_edges != q * (q + 1) * (q + 1) / 2) {
+    fail("bad edges line (edges must be q(q+1)^2/2)");
   }
-  auto g = std::make_shared<graph::Graph>(n);
-  for (int i = 0; i < num_edges; ++i) {
+  std::vector<graph::Edge> edges;
+  for (long long i = 0; i < num_edges; ++i) {
     int u = 0, v = 0;
     if (!(is >> token) || token != "e" || !(is >> u >> v)) {
       fail("bad edge at index " + std::to_string(i));
@@ -199,8 +207,10 @@ ParsedPlan PlanIO::read(const std::string& text) {
     if (u < 0 || u >= n || v < 0 || v >= n || u == v) {
       fail("edge endpoint out of range");
     }
-    g->add_edge(u, v);
+    edges.emplace_back(u, v);
   }
+  auto g = std::make_shared<graph::Graph>(static_cast<int>(n));
+  for (const auto& e : edges) g->add_edge(e.u, e.v);
   try {
     g->finalize();
   } catch (const std::exception& e) {
@@ -211,7 +221,7 @@ ParsedPlan PlanIO::read(const std::string& text) {
     fail("bad trees line");
   }
   for (std::size_t t = 0; t < num_trees; ++t) {
-    plan.trees_.push_back(read_tree(is, n, t));
+    plan.trees_.push_back(read_tree(is, static_cast<int>(n), t));
   }
   try {
     static_cast<void>(trees::tree_links(*g, plan.trees_));

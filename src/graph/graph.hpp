@@ -117,8 +117,8 @@ class Graph {
   /// Min-hop BFS from `root`: a FIFO queue scanning neighbors() in
   /// ascending order, and each vertex's parent is the vertex that first
   /// discovered it. Every min-hop router (collectives::RoutedNetwork,
-  /// simnet::TrafficSimulator, background_link_rates_ppm) routes on these
-  /// trees. Reuses `out`'s storage, so a loop over roots needs O(n) memory.
+  /// background_link_rates_ppm) routes on these trees. Reuses `out`'s
+  /// storage, so a loop over roots needs O(n) memory.
   void bfs_tree(int root, BfsTree& out) const;
 
   bool is_connected() const;

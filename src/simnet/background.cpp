@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <utility>
 
-#include "simnet/traffic_sim.hpp"
 #include "util/contracts.hpp"
-#include "util/rng.hpp"
 
 namespace pfar::simnet {
 namespace {
@@ -19,6 +19,23 @@ std::size_t dlink(const graph::Graph& g, int u, int v) {
 }
 
 }  // namespace
+
+std::vector<int> pattern_permutation(int n, util::Rng& rng) {
+  PFAR_REQUIRE(n >= 2, n);
+  std::vector<int> perm(static_cast<std::size_t>(n));
+  std::iota(perm.begin(), perm.end(), 0);
+  for (int i = n - 1; i > 0; --i) {
+    std::swap(perm[static_cast<std::size_t>(i)],
+              perm[static_cast<std::size_t>(
+                  rng.next_below(static_cast<std::uint64_t>(i + 1)))]);
+  }
+  for (int i = 0; i < n; ++i) {
+    if (perm[static_cast<std::size_t>(i)] == i) {
+      perm[static_cast<std::size_t>(i)] = (i + 1) % n;
+    }
+  }
+  return perm;
+}
 
 std::vector<long long> background_link_rates_ppm(const graph::Graph& topology,
                                                  const BackgroundTraffic& bg) {

@@ -44,10 +44,8 @@ const char* to_string(SimEngine engine);
 /// else.
 SimEngine engine_from_string(const std::string& name);
 
-/// Synthetic traffic patterns shared by the general-purpose router
-/// simulator (TrafficSimulator) and the allreduce engines' background
-/// traffic (BackgroundTraffic below). Lives here so SimConfig can name a
-/// pattern without dragging in the packet simulator.
+/// Synthetic traffic patterns of the allreduce engines' background
+/// traffic (BackgroundTraffic below).
 enum class TrafficPattern {
   kUniform,      // destination uniform over all other nodes
   kPermutation,  // fixed random permutation (seeded), each node one target
@@ -60,7 +58,7 @@ enum class TrafficPattern {
 /// Instead of co-simulating a second packet world, the allreduce engines
 /// drain link bandwidth at the *steady-state rate* the pattern would
 /// impose on each directed link under deterministic minimal routing (the
-/// same per-destination BFS next-hop choice TrafficSimulator uses). Rates
+/// per-destination BFS next-hop choice of graph::Graph::bfs_tree). Rates
 /// are exact rationals in parts-per-million of a flit per cycle, so the
 /// cycle engine and its test oracle replay bit-identical drain
 /// sequences. `load == 0` (the default) compiles down to the quiet
@@ -78,8 +76,7 @@ struct BackgroundTraffic {
   static constexpr int hotspot_node = 0;
   /// Fraction of traffic aimed at hotspot_node under kHotspot.
   static constexpr double hotspot_fraction = 0.2;
-  /// Seed of the permutation pattern (same construction as
-  /// TrafficConfig::seed).
+  /// Seed of the permutation pattern (pattern_permutation's generator).
   std::uint64_t seed = 1;
 
   bool active() const { return load > 0.0; }

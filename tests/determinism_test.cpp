@@ -22,6 +22,7 @@
 #include "oracle/expect_same_result.hpp"
 #include "oracle/reference_allreduce.hpp"
 #include "simnet/allreduce_sim.hpp"
+#include "simnet/background.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -189,6 +190,16 @@ TEST(BackgroundTraffic, FastMatchesReferenceInStressCorners) {
     cfg.background.seed = 3;
     expect_identical(7, core::Solution::kEdgeDisjoint, cfg, 800);
   }
+}
+
+// The kPermutation destination map is pinned for one seed: background
+// rates route it, and it draws from the caller's generator, so the draws
+// after it are pinned too.
+TEST(BackgroundTraffic, PatternPermutationIsPinnedForOneSeed) {
+  util::Rng rng(7);
+  EXPECT_EQ(simnet::pattern_permutation(13, rng),
+            (std::vector<int>{12, 0, 11, 8, 3, 9, 7, 1, 5, 4, 11, 2, 6}));
+  EXPECT_EQ(rng.next(), 17320858093524191697ull);
 }
 
 // --- Golden values from the original implementation -----------------------

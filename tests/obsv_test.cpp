@@ -129,8 +129,8 @@ TEST(Tracer, SerializationIsDeterministic) {
 
 // --- Metrics --------------------------------------------------------------
 
-// obsv::nearest_rank is the one quantile the service stats and the
-// traffic simulator report: the ceil(p/100 * n)-th smallest sample.
+// obsv::nearest_rank is the one quantile the service stats report: the
+// ceil(p/100 * n)-th smallest sample.
 TEST(Metrics, NearestRankPicksTheCeilRankSample) {
   for (const int pct : {0, 50, 99, 100}) {
     EXPECT_EQ(obsv::nearest_rank({42}, pct), 42) << pct;
