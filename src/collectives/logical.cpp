@@ -1,13 +1,28 @@
 #include "collectives/logical.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
+#include "trees/spanning_tree.hpp"
 #include "util/contracts.hpp"
 
 namespace pfar::collectives {
+
+namespace {
+
+// `tree` as a SpanningTree over n vertices, whose constructor rejects a
+// bad root, a second parentless vertex, a parent outside [0, n) and a
+// parent cycle (a vertex that is its own parent included).
+trees::SpanningTree checked(const LogicalTree& tree, int n, const char* who) {
+  if (static_cast<int>(tree.parent.size()) != n) {
+    throw std::invalid_argument(std::string(who) + ": tree size");
+  }
+  return trees::SpanningTree(tree.root, tree.parent);
+}
+
+}  // namespace
 
 LogicalBandwidths logical_tree_bandwidths(
     const RoutedNetwork& net, const std::vector<LogicalTree>& trees,
@@ -15,40 +30,29 @@ LogicalBandwidths logical_tree_bandwidths(
   if (link_bandwidth <= 0.0) {
     throw std::invalid_argument("logical_tree_bandwidths: bandwidth <= 0");
   }
-  const int n = net.graph().num_vertices();
-  const int num_trees = static_cast<int>(trees.size());
+  const graph::Graph& g = net.graph();
+  const int n = g.num_vertices();
+  for (const auto& tree : trees) checked(tree, n, "logical_tree_bandwidths");
 
-  // Directed link key (u -> v) => dense index, built lazily over used links.
-  std::vector<int> link_index(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), -1);
-  std::vector<double> remaining;     // L(l)
-  std::vector<double> congestion;    // C(l) = sum of flow multiplicities
-  // flows[t]: (link, multiplicity) pairs for tree t's reduction direction.
-  std::vector<std::vector<std::pair<int, double>>> flows(static_cast<std::size_t>(num_trees));
-
-  auto link_id = [&](int u, int v) {
-    const std::size_t key = static_cast<std::size_t>(u) * static_cast<std::size_t>(n) + static_cast<std::size_t>(v);
-    if (link_index[key] < 0) {
-      link_index[key] = static_cast<int>(remaining.size());
-      remaining.push_back(link_bandwidth);
-      congestion.push_back(0.0);
-    }
-    return link_index[key];
-  };
-
-  for (int t = 0; t < num_trees; ++t) {
-    const auto& tree = trees[static_cast<std::size_t>(t)];
-    if (static_cast<int>(tree.parent.size()) != n) {
-      throw std::invalid_argument("logical_tree_bandwidths: tree size");
-    }
-    std::vector<double> multiplicity;  // per dense link id, this tree
-    auto add_path = [&](int src, int dst) {
+  // Directed link u -> v is 2 * edge_id(u, v) + (u > v). Resources are the
+  // used directed links, with dense ids in first-use order.
+  std::vector<int> dense(2 * static_cast<std::size_t>(g.num_edges()), -1);
+  std::vector<int> congestion;  // per dense id: crossings by all trees
+  std::vector<int> tree_mult;   // per dense id: crossings by this tree
+  model::FlowRows rows;
+  for (const auto& tree : trees) {
+    const std::size_t first = rows.resources.size();
+    const auto add_path = [&](int src, int dst) {
       const auto path = net.path(src, dst);
       for (std::size_t i = 1; i < path.size(); ++i) {
-        const int l = link_id(path[i - 1], path[i]);
-        if (l >= static_cast<int>(multiplicity.size())) {
-          multiplicity.resize(static_cast<std::size_t>(l + 1), 0.0);
+        const int u = path[i - 1], v = path[i];
+        int& id = dense[2 * static_cast<std::size_t>(g.edge_id(u, v)) + (u > v)];
+        if (id < 0) {
+          id = static_cast<int>(congestion.size());
+          congestion.push_back(0);
+          tree_mult.push_back(0);
         }
-        multiplicity[static_cast<std::size_t>(l)] += 1.0;
+        if (tree_mult[static_cast<std::size_t>(id)]++ == 0) rows.resources.push_back(id);
       }
     };
     for (int v = 0; v < n; ++v) {
@@ -56,58 +60,19 @@ LogicalBandwidths logical_tree_bandwidths(
       add_path(v, tree.parent[static_cast<std::size_t>(v)]);  // reduction: child -> parent
       add_path(tree.parent[static_cast<std::size_t>(v)], v);  // broadcast: parent -> child
     }
-    for (int l = 0; l < static_cast<int>(multiplicity.size()); ++l) {
-      if (multiplicity[static_cast<std::size_t>(l)] > 0.0) {
-        flows[static_cast<std::size_t>(t)].emplace_back(l, multiplicity[static_cast<std::size_t>(l)]);
-        congestion[static_cast<std::size_t>(l)] += multiplicity[static_cast<std::size_t>(l)];
-      }
+    for (std::size_t k = first; k < rows.resources.size(); ++k) {
+      int& m = tree_mult[static_cast<std::size_t>(rows.resources[k])];
+      rows.multiplicity.push_back(m);
+      congestion[static_cast<std::size_t>(rows.resources[k])] += m;
+      m = 0;
     }
+    rows.offsets.push_back(static_cast<int>(rows.resources.size()));
   }
 
-  LogicalBandwidths out;
-  out.per_tree.assign(static_cast<std::size_t>(num_trees), 0.0);
-  for (double c : congestion) {
-    out.max_link_flows = std::max(out.max_link_flows,
-                                  static_cast<int>(c + 0.5));
-  }
-
-  std::vector<char> done(static_cast<std::size_t>(num_trees), 0);
-  int active = num_trees;
-  while (active > 0) {
-    int l_min = -1;
-    double best = std::numeric_limits<double>::infinity();
-    for (int l = 0; l < static_cast<int>(remaining.size()); ++l) {
-      if (congestion[static_cast<std::size_t>(l)] <= 1e-12) continue;
-      const double ratio = remaining[static_cast<std::size_t>(l)] / congestion[static_cast<std::size_t>(l)];
-      if (ratio < best) {
-        best = ratio;
-        l_min = l;
-      }
-    }
-    if (l_min < 0) {
-      throw std::logic_error("logical_tree_bandwidths: no bottleneck link");
-    }
-    const double rate = remaining[static_cast<std::size_t>(l_min)] / congestion[static_cast<std::size_t>(l_min)];
-    for (int t = 0; t < num_trees; ++t) {
-      if (done[static_cast<std::size_t>(t)]) continue;
-      const bool uses = std::any_of(
-          flows[static_cast<std::size_t>(t)].begin(), flows[static_cast<std::size_t>(t)].end(),
-          [&](const auto& f) { return f.first == l_min; });
-      if (!uses) continue;
-      out.per_tree[static_cast<std::size_t>(t)] = rate;
-      for (const auto& [l, mult] : flows[static_cast<std::size_t>(t)]) {
-        remaining[static_cast<std::size_t>(l)] = std::max(0.0, remaining[static_cast<std::size_t>(l)] - rate * mult);
-        congestion[static_cast<std::size_t>(l)] -= mult;
-      }
-      done[static_cast<std::size_t>(t)] = 1;
-      --active;
-    }
-    congestion[static_cast<std::size_t>(l_min)] = 0.0;  // remove the bottleneck link
-  }
-
-  out.aggregate = std::accumulate(out.per_tree.begin(), out.per_tree.end(),
-                                  0.0);
-  PFAR_ENSURE(static_cast<int>(out.per_tree.size()) == num_trees, num_trees);
+  LogicalBandwidths out{model::max_min_fair_shares(
+      static_cast<int>(congestion.size()), rows, link_bandwidth)};
+  for (int c : congestion) out.max_link_flows = std::max(out.max_link_flows, c);
+  PFAR_ENSURE(out.per_tree.size() == trees.size(), trees.size());
   return out;
 }
 
@@ -139,27 +104,21 @@ std::vector<LogicalTree> random_logical_trees(int num_nodes, int count,
 }
 
 int logical_depth(const RoutedNetwork& net, const LogicalTree& tree) {
-  const int n = static_cast<int>(tree.parent.size());
-  PFAR_REQUIRE(tree.root >= 0 && tree.root < n, tree.root, n);
-  std::vector<int> depth(static_cast<std::size_t>(n), -1);
-  depth[static_cast<std::size_t>(tree.root)] = 0;
+  const auto t = checked(tree, net.graph().num_vertices(), "logical_depth");
+  // Breadth-first from the root, so a parent's depth is known first.
+  std::vector<int> depth(tree.parent.size(), 0);
+  std::vector<int> frontier{t.root()};
   int best = 0;
-  // Parents always precede children in hop distance; resolve iteratively.
-  for (int pass = 0, resolved = 1; pass < n && resolved < n; ++pass) {
-    for (int v = 0; v < n; ++v) {
-      if (v == tree.root || depth[static_cast<std::size_t>(v)] >= 0 ||
-          depth[static_cast<std::size_t>(
-              tree.parent[static_cast<std::size_t>(v)])] < 0) {
-        continue;
-      }
-      depth[static_cast<std::size_t>(v)] =
-          depth[static_cast<std::size_t>(
-              tree.parent[static_cast<std::size_t>(v)])] +
-          net.hops(v, tree.parent[static_cast<std::size_t>(v)]);
-      best = std::max(best, depth[static_cast<std::size_t>(v)]);
-      ++resolved;
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const int u = frontier[head];
+    for (int c : t.children(u)) {
+      depth[static_cast<std::size_t>(c)] =
+          depth[static_cast<std::size_t>(u)] + net.hops(c, u);
+      best = std::max(best, depth[static_cast<std::size_t>(c)]);
+      frontier.push_back(c);
     }
   }
+  PFAR_ENSURE(frontier.size() == tree.parent.size(), frontier.size());
   return best;
 }
 

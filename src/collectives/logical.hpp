@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "collectives/routed.hpp"
+#include "model/congestion_model.hpp"
 #include "util/rng.hpp"
 
 namespace pfar::collectives {
@@ -18,22 +19,23 @@ struct LogicalTree {
 };
 
 /// Per-tree bandwidth of concurrently active logical trees, by Algorithm 1
-/// style water-filling over *directed physical links*. Each logical edge of
-/// tree t contributes one reduction flow (child -> parent path) and one
+/// over *directed physical links* (model::max_min_fair_shares, with the
+/// used links as resources in first-use order). Each logical edge of tree
+/// t contributes one reduction flow (child -> parent path) and one
 /// broadcast flow (parent -> child path) at the tree's stream rate; a
 /// link's congestion is the total flow multiplicity crossing it. With
-/// physically embedded trees this reproduces Algorithm 1's results
-/// exactly: e.g. a link shared by two of the paper's low-depth trees
-/// carries one tree's reduction plus the other's broadcast per direction
-/// (Lemma 7.8), giving each tree B/2.
-struct LogicalBandwidths {
-  std::vector<double> per_tree;
-  double aggregate = 0.0;
+/// physically embedded trees this is Algorithm 1's result bit for bit:
+/// e.g. a link shared by two of the paper's low-depth trees carries one
+/// tree's reduction plus the other's broadcast per direction (Lemma 7.8),
+/// giving each tree B/2.
+struct LogicalBandwidths : model::TreeBandwidths {
   /// Worst flow multiplicity on any directed link — the per-link state a
   /// SHARP-like device would need to track.
   int max_link_flows = 0;
 };
 
+/// Throws std::invalid_argument on B <= 0 and unless every tree is a
+/// trees::SpanningTree (one root, no parent cycle) over net's vertices.
 LogicalBandwidths logical_tree_bandwidths(const RoutedNetwork& net,
                                           const std::vector<LogicalTree>& trees,
                                           double link_bandwidth);
@@ -46,7 +48,7 @@ std::vector<LogicalTree> random_logical_trees(int num_nodes, int count,
                                               int arity, util::Rng& rng);
 
 /// Depth of a logical tree in *physical hops* (each logical edge costs its
-/// routed path length).
+/// routed path length). Rejects a tree as logical_tree_bandwidths does.
 int logical_depth(const RoutedNetwork& net, const LogicalTree& tree);
 
 }  // namespace pfar::collectives

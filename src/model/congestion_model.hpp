@@ -16,10 +16,31 @@ struct TreeBandwidths {
   double aggregate = 0.0;
 };
 
-/// Runs Algorithm 1 on a set of embedded Allreduce trees. `link_bandwidth`
-/// is the physical bandwidth B of every link. The bottleneck edge (lowest
-/// available-bandwidth/congestion ratio) fixes the bandwidth of every tree
-/// through it; the algorithm then iterates on the residual network. The
+/// Flow -> resource rows in CSR form: flow t crosses resources[offsets[t]
+/// .. offsets[t+1]), each at most once, carrying multiplicity[k] >= 1
+/// units of its rate on resources[k]; an empty multiplicity means all 1.
+struct FlowRows {
+  std::vector<int> offsets{0};
+  std::vector<int> resources;
+  std::vector<int> multiplicity;
+};
+
+/// The one water-filling loop of Algorithm 1 (Section 5.2): max-min fair
+/// flow rates (per_tree[t] for flow t). Resource r in [0, num_resources)
+/// starts with budget capacity * capacity_scale[r] (capacity when the
+/// scale is empty, so a uniform network stores no per-resource budget);
+/// each round the bottleneck (lowest budget / multiplicity crossing it,
+/// lowest id on ties) fixes the rate of every flow through it, and those
+/// rates are charged to every resource the flows cross. Requires
+/// well-formed rows and scale (PFAR_REQUIRE); throws std::logic_error if a
+/// flow crosses no resource.
+TreeBandwidths max_min_fair_shares(
+    int num_resources, const FlowRows& rows, double capacity,
+    const std::vector<double>& capacity_scale = {});
+
+/// Runs Algorithm 1 on a set of embedded Allreduce trees: the resources
+/// of max_min_fair_shares are g's edge ids, with capacity the link
+/// bandwidth B, and tree t's row is its n-1 edges (trees::tree_links). The
 /// result is independent of tie-breaking among bottleneck edges (asserted
 /// by tests).
 ///
@@ -28,12 +49,10 @@ struct TreeBandwidths {
 /// adaptive controller passes the share of each link background traffic
 /// leaves free; all scales 1.0 give the uniform result bit for bit.
 ///
-/// Edge -> tree incidence is prebuilt in CSR form and the bottleneck is
-/// kept in an argmin segment tree. Bit-identical to the seed per-edge scan
-/// in tests/oracle/reference_planning.hpp, pinned by tests. Throws
+/// Bit-identical to the seed per-edge scan in
+/// tests/oracle/reference_planning.hpp, pinned by tests. Throws
 /// std::invalid_argument on B <= 0, on a malformed scale, and unless
-/// every tree spans exactly g's vertices over links of g
-/// (trees::tree_links).
+/// every tree spans exactly g's vertices over links of g.
 TreeBandwidths compute_tree_bandwidths(
     const graph::Graph& g, const std::vector<trees::SpanningTree>& trees,
     double link_bandwidth, const std::vector<double>& capacity_scale = {});

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "collectives/logical.hpp"
 #include "core/planner.hpp"
+#include "model/congestion_model.hpp"
+#include "oracle/reference_planning.hpp"
 #include "polarfly/erq.hpp"
 
 namespace pfar::collectives {
@@ -52,20 +56,117 @@ TEST(LogicalBandwidthTest, TwoTreesOpposingChainsShareDirections) {
   EXPECT_EQ(bw.max_link_flows, 2);
 }
 
-TEST(LogicalBandwidthTest, PaperTreesMatchPhysicalAnalysis) {
-  // The paper's low-depth trees, analyzed as logical trees, must give
-  // exactly the Algorithm 1 reduction-direction result (q/2 aggregate),
-  // since every logical edge is a physical link.
-  const int q = 5;
-  const auto plan = core::AllreducePlanner(q).build();
-  const RoutedNetwork net(plan.topology());
+std::vector<LogicalTree> as_logical(const std::vector<trees::SpanningTree>& ts) {
   std::vector<LogicalTree> logical;
-  for (const auto& t : plan.trees()) {
-    logical.push_back(LogicalTree{t.root(), t.parents()});
+  for (const auto& t : ts) logical.push_back(LogicalTree{t.root(), t.parents()});
+  return logical;
+}
+
+constexpr core::Solution kSolutions[] = {core::Solution::kLowDepth,
+                                         core::Solution::kEdgeDisjoint,
+                                         core::Solution::kSingleTree};
+
+void expect_same(const LogicalBandwidths& got, const LogicalBandwidths& ref,
+                 const std::string& where) {
+  EXPECT_EQ(got.per_tree, ref.per_tree) << where;
+  EXPECT_EQ(got.aggregate, ref.aggregate) << where;
+  EXPECT_EQ(got.max_link_flows, ref.max_link_flows) << where;
+}
+
+TEST(LogicalBandwidthTest, PaperTreesMatchPhysicalAnalysis) {
+  // The paper's trees, analyzed as logical trees, must give exactly the
+  // Algorithm 1 result, tree by tree, since every logical edge is a
+  // physical link; and exactly the first logical solver's result.
+  for (int q : {3, 4, 5, 7, 8, 9, 11, 13}) {
+    for (const auto solution : kSolutions) {
+      const std::string where =
+          "q=" + std::to_string(q) + " solution=" + std::to_string(static_cast<int>(solution));
+      const auto plan = core::AllreducePlanner(q).solution(solution).build();
+      const RoutedNetwork net(plan.topology());
+      const auto logical = as_logical(plan.trees());
+      const auto bw = logical_tree_bandwidths(net, logical, 1.0);
+      const auto alg1 =
+          model::compute_tree_bandwidths(plan.topology(), plan.trees(), 1.0);
+      EXPECT_EQ(bw.per_tree, alg1.per_tree) << where;
+      EXPECT_EQ(bw.aggregate, alg1.aggregate) << where;
+      EXPECT_LE(bw.max_link_flows, 2);
+      expect_same(bw, oracle::logical_tree_bandwidths_reference(net, logical, 1.0), where);
+    }
   }
-  const auto bw = logical_tree_bandwidths(net, logical, 1.0);
-  EXPECT_NEAR(bw.aggregate, q / 2.0, 1e-9);
-  EXPECT_LE(bw.max_link_flows, 2);
+}
+
+TEST(LogicalOracle, RandomTreeSetsMatchReference) {
+  // 30 seeded sets per q: counts and arities drawn from 1..q+1.
+  int sets = 0;
+  for (int q : {3, 4, 5, 7, 8, 9, 11}) {
+    const polarfly::PolarFly pf(q);
+    const RoutedNetwork net(pf.graph());
+    for (int s = 0; s < 30; ++s) {
+      util::Rng rng(static_cast<std::uint64_t>(1000 * q + s));
+      const int count = 1 + static_cast<int>(rng.next_below(static_cast<std::uint64_t>(q + 1)));
+      const int arity = 1 + static_cast<int>(rng.next_below(static_cast<std::uint64_t>(q + 1)));
+      const auto logical =
+          random_logical_trees(pf.graph().num_vertices(), count, arity, rng);
+      const double b = s % 3 == 0 ? 2.5 : 1.0;
+      expect_same(logical_tree_bandwidths(net, logical, b),
+                  oracle::logical_tree_bandwidths_reference(net, logical, b),
+                  "q=" + std::to_string(q) + " set=" + std::to_string(s));
+      ++sets;
+    }
+  }
+  EXPECT_EQ(sets, 210);
+}
+
+// Both entry points reject a malformed tree on a 4-node line, naming the
+// rule it breaks.
+void expect_rejected(const LogicalTree& t, const std::string& rule) {
+  const auto g = line_graph(4);
+  const RoutedNetwork net(g);
+  const auto expect_throw = [&](const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << "accepted a tree breaking: " << rule;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(rule), std::string::npos) << e.what();
+    }
+  };
+  expect_throw([&] {
+    logical_tree_bandwidths(net, {LogicalTree{0, {-1, 0, 1, 2}}, t}, 1.0);
+  });
+  expect_throw([&] { logical_depth(net, t); });
+}
+
+TEST(LogicalTreeValidation, RejectsRootOutsideRange) {
+  expect_rejected(LogicalTree{4, {-1, 0, 1, 2}}, "bad root");
+  expect_rejected(LogicalTree{-1, {-1, 0, 1, 2}}, "bad root");
+}
+
+TEST(LogicalTreeValidation, RejectsRootWithParent) {
+  expect_rejected(LogicalTree{0, {1, -1, 1, 2}}, "bad root");
+}
+
+TEST(LogicalTreeValidation, RejectsSecondParentlessVertex) {
+  // Used to reach RoutedNetwork::path(v, -1) and abort.
+  expect_rejected(LogicalTree{0, {-1, 0, -1, 2}}, "without parent");
+}
+
+TEST(LogicalTreeValidation, RejectsParentOutsideRange) {
+  expect_rejected(LogicalTree{0, {-1, 0, 4, 2}}, "without parent");
+  expect_rejected(LogicalTree{0, {-1, 0, -2, 2}}, "without parent");
+}
+
+TEST(LogicalTreeValidation, RejectsSelfParent) {
+  expect_rejected(LogicalTree{0, {-1, 0, 2, 2}}, "cycle");
+}
+
+TEST(LogicalTreeValidation, RejectsParentCycle) {
+  // Root 0 with 1 <-> 2: used to get a bandwidth, and depth 0.
+  expect_rejected(LogicalTree{0, {-1, 2, 1, 0}}, "cycle");
+  expect_rejected(LogicalTree{0, {-1, 3, 1, 2}}, "cycle");  // 1 -> 3 -> 2 -> 1
+}
+
+TEST(LogicalTreeValidation, RejectsWrongSize) {
+  expect_rejected(LogicalTree{0, {-1, 0, 1}}, "tree size");
 }
 
 TEST(LogicalBandwidthTest, RandomLogicalTreesLoseBandwidth) {

@@ -7,6 +7,7 @@
 #include "singer/singer_graph.hpp"
 #include "trees/hamiltonian.hpp"
 #include "trees/low_depth.hpp"
+#include "util/contracts.hpp"
 
 namespace pfar::model {
 namespace {
@@ -165,6 +166,83 @@ TEST(CongestionModelTest, RejectsTreesOfAnotherVertexCount) {
   EXPECT_THROW(compute_tree_bandwidths(g, {fits, smaller}, 1.0),
                std::invalid_argument);
   EXPECT_NO_THROW(compute_tree_bandwidths(g, {fits}, 1.0));
+}
+
+// Rows in CSR form from one resource list per flow.
+FlowRows flow_rows(const std::vector<std::vector<int>>& per_flow,
+                   const std::vector<std::vector<int>>& mult = {}) {
+  FlowRows rows;
+  for (std::size_t t = 0; t < per_flow.size(); ++t) {
+    rows.resources.insert(rows.resources.end(), per_flow[t].begin(), per_flow[t].end());
+    if (!mult.empty()) {
+      rows.multiplicity.insert(rows.multiplicity.end(), mult[t].begin(), mult[t].end());
+    }
+    rows.offsets.push_back(static_cast<int>(rows.resources.size()));
+  }
+  return rows;
+}
+
+TEST(MaxMinKernel, MultiplicityThreeOnOneResourceGetsAThird) {
+  const auto bw = max_min_fair_shares(1, flow_rows({{0}}, {{3}}), 1.0);
+  EXPECT_EQ(bw.per_tree, std::vector<double>{1.0 / 3.0});
+  // The same flow crossing the resource once gets all of it.
+  EXPECT_EQ(max_min_fair_shares(1, flow_rows({{0}}), 1.0).per_tree,
+            std::vector<double>{1.0});
+}
+
+TEST(MaxMinKernel, HonoursPerResourceCapacities) {
+  // Flow 0 crosses resources 0 (budget 4 * 1) and 1 (budget 4 * 0.25);
+  // flow 1 crosses only resource 0. Resource 1 fixes flow 0 at 1; flow 1
+  // takes the 3 left on resource 0.
+  const auto bw = max_min_fair_shares(2, flow_rows({{0, 1}, {0}}), 4.0, {1.0, 0.25});
+  EXPECT_EQ(bw.per_tree, (std::vector<double>{1.0, 3.0}));
+  EXPECT_EQ(bw.aggregate, 4.0);
+}
+
+TEST(MaxMinKernel, TieGoesToLowestResourceId) {
+  // Resources a (flows A, B; budget 2/3) and b (flows B, C, D; budget 1)
+  // tie at ratio 1/3. Fixing a first leaves b the residual 1 - 1/3 for
+  // two flows, which rounds above 1/3; fixing b first gives every flow
+  // exactly 1/3. Lowest id first decides which happens.
+  const double third = 1.0 / 3.0;
+  const double residual = (1.0 - third) / 2;
+  ASSERT_NE(residual, third);
+  const auto a_first = max_min_fair_shares(
+      2, flow_rows({{0}, {0, 1}, {1}, {1}}), 1.0, {2 * third, 1.0});
+  EXPECT_EQ(a_first.per_tree,
+            (std::vector<double>{third, third, residual, residual}));
+  const auto b_first = max_min_fair_shares(
+      2, flow_rows({{1}, {1, 0}, {0}, {0}}), 1.0, {1.0, 2 * third});
+  EXPECT_EQ(b_first.per_tree, (std::vector<double>{third, third, third, third}));
+}
+
+TEST(MaxMinKernel, UnusedResourceIsIgnored) {
+  // Resource 0 carries no flow and the smallest budget.
+  const auto bw = max_min_fair_shares(2, flow_rows({{1}, {1}}), 2.0, {0.05, 1.0});
+  EXPECT_EQ(bw.per_tree, (std::vector<double>{1.0, 1.0}));
+}
+
+TEST(MaxMinKernel, ZeroFlows) {
+  const auto bw = max_min_fair_shares(2, FlowRows{}, 1.0);
+  EXPECT_TRUE(bw.per_tree.empty());
+  EXPECT_EQ(bw.aggregate, 0.0);
+  EXPECT_TRUE(max_min_fair_shares(0, FlowRows{}, 1.0).per_tree.empty());
+}
+
+TEST(MaxMinKernel, RejectsMalformedRows) {
+  util::contracts::ScopedThrowHandler guard;
+  using util::contracts::ContractViolation;
+  EXPECT_THROW(max_min_fair_shares(2, flow_rows({{2}}), 1.0), ContractViolation);
+  EXPECT_THROW(max_min_fair_shares(1, flow_rows({{0}}, {{0}}), 1.0), ContractViolation);
+  FlowRows short_mult = flow_rows({{0, 1}});
+  short_mult.multiplicity = {1};
+  EXPECT_THROW(max_min_fair_shares(2, short_mult, 1.0), ContractViolation);
+  EXPECT_THROW(max_min_fair_shares(2, flow_rows({{0}}), 1.0, {1.0}), ContractViolation);
+  FlowRows bad_offsets = flow_rows({{0}, {0}});
+  bad_offsets.offsets = {0, 2, 1};
+  EXPECT_THROW(max_min_fair_shares(1, bad_offsets, 1.0), ContractViolation);
+  // A flow that crosses no resource never meets a bottleneck.
+  EXPECT_THROW(max_min_fair_shares(1, flow_rows({{0}, {}}), 1.0), std::logic_error);
 }
 
 TEST(OptimalSplitTest, ProportionalAndExact) {

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
+
+#include "util/contracts.hpp"
 
 namespace pfar::oracle {
 
@@ -231,6 +234,109 @@ std::vector<trees::SpanningTree> build_low_depth_trees_even_reference(
     }
     out.emplace_back(root, std::move(parent));
   }
+  return out;
+}
+
+collectives::LogicalBandwidths logical_tree_bandwidths_reference(
+    const collectives::RoutedNetwork& net,
+    const std::vector<collectives::LogicalTree>& trees,
+    double link_bandwidth) {
+  if (link_bandwidth <= 0.0) {
+    throw std::invalid_argument("logical_tree_bandwidths: bandwidth <= 0");
+  }
+  const int n = net.graph().num_vertices();
+  const int num_trees = static_cast<int>(trees.size());
+
+  // Directed link key (u -> v) => dense index, built lazily over used links.
+  std::vector<int> link_index(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), -1);
+  std::vector<double> remaining;     // L(l)
+  std::vector<double> congestion;    // C(l) = sum of flow multiplicities
+  // flows[t]: (link, multiplicity) pairs for tree t's reduction direction.
+  std::vector<std::vector<std::pair<int, double>>> flows(static_cast<std::size_t>(num_trees));
+
+  auto link_id = [&](int u, int v) {
+    const std::size_t key = static_cast<std::size_t>(u) * static_cast<std::size_t>(n) + static_cast<std::size_t>(v);
+    if (link_index[key] < 0) {
+      link_index[key] = static_cast<int>(remaining.size());
+      remaining.push_back(link_bandwidth);
+      congestion.push_back(0.0);
+    }
+    return link_index[key];
+  };
+
+  for (int t = 0; t < num_trees; ++t) {
+    const auto& tree = trees[static_cast<std::size_t>(t)];
+    if (static_cast<int>(tree.parent.size()) != n) {
+      throw std::invalid_argument("logical_tree_bandwidths: tree size");
+    }
+    std::vector<double> multiplicity;  // per dense link id, this tree
+    auto add_path = [&](int src, int dst) {
+      const auto path = net.path(src, dst);
+      for (std::size_t i = 1; i < path.size(); ++i) {
+        const int l = link_id(path[i - 1], path[i]);
+        if (l >= static_cast<int>(multiplicity.size())) {
+          multiplicity.resize(static_cast<std::size_t>(l + 1), 0.0);
+        }
+        multiplicity[static_cast<std::size_t>(l)] += 1.0;
+      }
+    };
+    for (int v = 0; v < n; ++v) {
+      if (v == tree.root) continue;
+      add_path(v, tree.parent[static_cast<std::size_t>(v)]);  // reduction: child -> parent
+      add_path(tree.parent[static_cast<std::size_t>(v)], v);  // broadcast: parent -> child
+    }
+    for (int l = 0; l < static_cast<int>(multiplicity.size()); ++l) {
+      if (multiplicity[static_cast<std::size_t>(l)] > 0.0) {
+        flows[static_cast<std::size_t>(t)].emplace_back(l, multiplicity[static_cast<std::size_t>(l)]);
+        congestion[static_cast<std::size_t>(l)] += multiplicity[static_cast<std::size_t>(l)];
+      }
+    }
+  }
+
+  collectives::LogicalBandwidths out;
+  out.per_tree.assign(static_cast<std::size_t>(num_trees), 0.0);
+  for (double c : congestion) {
+    out.max_link_flows = std::max(out.max_link_flows,
+                                  static_cast<int>(c + 0.5));
+  }
+
+  std::vector<char> done(static_cast<std::size_t>(num_trees), 0);
+  int active = num_trees;
+  while (active > 0) {
+    int l_min = -1;
+    double best = std::numeric_limits<double>::infinity();
+    for (int l = 0; l < static_cast<int>(remaining.size()); ++l) {
+      if (congestion[static_cast<std::size_t>(l)] <= 1e-12) continue;
+      const double ratio = remaining[static_cast<std::size_t>(l)] / congestion[static_cast<std::size_t>(l)];
+      if (ratio < best) {
+        best = ratio;
+        l_min = l;
+      }
+    }
+    if (l_min < 0) {
+      throw std::logic_error("logical_tree_bandwidths: no bottleneck link");
+    }
+    const double rate = remaining[static_cast<std::size_t>(l_min)] / congestion[static_cast<std::size_t>(l_min)];
+    for (int t = 0; t < num_trees; ++t) {
+      if (done[static_cast<std::size_t>(t)]) continue;
+      const bool uses = std::any_of(
+          flows[static_cast<std::size_t>(t)].begin(), flows[static_cast<std::size_t>(t)].end(),
+          [&](const auto& f) { return f.first == l_min; });
+      if (!uses) continue;
+      out.per_tree[static_cast<std::size_t>(t)] = rate;
+      for (const auto& [l, mult] : flows[static_cast<std::size_t>(t)]) {
+        remaining[static_cast<std::size_t>(l)] = std::max(0.0, remaining[static_cast<std::size_t>(l)] - rate * mult);
+        congestion[static_cast<std::size_t>(l)] -= mult;
+      }
+      done[static_cast<std::size_t>(t)] = 1;
+      --active;
+    }
+    congestion[static_cast<std::size_t>(l_min)] = 0.0;  // remove the bottleneck link
+  }
+
+  out.aggregate = std::accumulate(out.per_tree.begin(), out.per_tree.end(),
+                                  0.0);
+  PFAR_ENSURE(static_cast<int>(out.per_tree.size()) == num_trees, num_trees);
   return out;
 }
 
