@@ -83,8 +83,7 @@ inline bool wants_artifacts(const util::Args& args) {
 /// JSON, the metrics JSONL, and the run report, rendered after a round
 /// trip through obsv::build_report exactly as tools/pfar_report reads the
 /// files (docs/observability.md). `what` names the recorded run in the
-/// one-line stderr summary. In a PFAR_TRACE=off build the artifacts come
-/// out empty by design.
+/// one-line stderr summary.
 inline void write_artifacts(const util::Args& args,
                             const obsv::Recorder& recorder,
                             const std::string& what) {

@@ -14,7 +14,7 @@
 // cycle engines replay background drains bit-identically — so the CI gate
 // compares them exactly against bench/baselines/.
 //
-// Observability (PFAR_TRACE=on builds): --trace/--metrics/--report PATH
+// Observability: --trace/--metrics/--report PATH
 // re-run the largest design point with a Recorder attached; the rendered
 // report includes the congestion-adaptation timeline section.
 
@@ -181,8 +181,7 @@ int main(int argc, char** argv) {
   // Observability artifacts: re-run the highest-contrast design point with
   // a Recorder attached so the rendered report exercises the congestion-
   // adaptation timeline (probe window span + replan instant + adapt.*
-  // counters). No-op unless a flag is given; empty in PFAR_TRACE=off
-  // builds by design.
+  // counters). No-op unless a flag is given.
   if (bench::wants_artifacts(args)) {
     Point p = grid.back();
     p.pattern = patterns[1];  // permutation: hot links + replans

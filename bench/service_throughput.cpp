@@ -17,7 +17,7 @@
 // load 2.0 oversubscribes the serial policy by design and the headroom the
 // lanes add shows up directly as throughput instead of queueing.
 //
-// Observability (PFAR_TRACE=on builds): --trace/--metrics/--report PATH
+// Observability: --trace/--metrics/--report PATH
 // re-run the batched policy at the highest load with a Recorder attached —
 // the trace shows per-lane batch spans on the service virtual timeline
 // (tracks 200000+), rendered by tools/pfar_report.

@@ -8,7 +8,7 @@
 // PFAR_THREADS), and per-point results land in BENCH_sim_allreduce.json so
 // the perf trajectory of the simulator is tracked release over release.
 //
-// Observability (PFAR_TRACE=on builds): --trace/--metrics/--report PATH
+// Observability: --trace/--metrics/--report PATH
 // re-run the largest design point with a Recorder attached and write the
 // trace JSON, metrics JSONL and rendered run report (docs/observability.md).
 
@@ -151,8 +151,7 @@ int main(int argc, char** argv) {
 
   // Observability artifacts: re-run the largest design point of the grid
   // with a Recorder attached (planner phase timers + full simulation
-  // trace/metrics). No-op unless one of the flags is given; in a
-  // PFAR_TRACE=off build the artifacts come out empty by design.
+  // trace/metrics). No-op unless one of the flags is given.
   if (bench::wants_artifacts(args)) {
     const Point& p = grid.back();
     obsv::Recorder recorder(1u << 20);

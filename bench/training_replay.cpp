@@ -20,7 +20,7 @@
 // human-readable table; the JSON artifact always covers the synthesized
 // grid so the baseline stays comparable.
 //
-// Observability (PFAR_TRACE=on builds): --trace/--metrics/--report PATH
+// Observability: --trace/--metrics/--report PATH
 // re-run the headline point with a Recorder attached; the rendered report
 // includes the training-replay timeline section (per-iteration compute and
 // comm spans, barrier instants, workload.* counters).
@@ -263,7 +263,7 @@ int main(int argc, char** argv) {
   // straggler, overlap on) with a Recorder attached so the rendered report
   // exercises the training-replay timeline (compute/comm spans, barrier
   // instants, workload.* counters + service lane spans). No-op unless a
-  // flag is given; empty in PFAR_TRACE=off builds by design.
+  // flag is given.
   if (bench::wants_artifacts(args)) {
     Point p{max_q >= 11 ? 11 : 7, true, severities[2]};
     obsv::Recorder recorder(1u << 20);

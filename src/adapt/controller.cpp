@@ -218,24 +218,20 @@ AdaptiveResult run_adaptive_allreduce(
   AdaptiveResult out;
   static_cast<ProbedPlan&>(out) = probe_and_adapt(topology, trees, config);
 
-  if constexpr (obsv::kTraceCompiled) {
-    if (config.recorder != nullptr) {
-      obsv::Recorder* rec = config.recorder;
-      rec->metrics.add("adapt.probe_cycles", out.probe.cycles);
-      rec->metrics.add("adapt.hot_links",
-                       static_cast<long long>(out.plan.hot_links.size()));
-      rec->metrics.add("adapt.replanned_trees",
-                       static_cast<long long>(out.plan.replanned.size()));
-      rec->trace.name_track(obsv::kTrackAdapt, "adapt");
-      rec->trace.complete(0, out.probe.cycles,
-                          rec->trace.intern("probe window"),
-                          obsv::kTrackAdapt);
-      rec->trace.instant(
-          out.probe.cycles, rec->trace.intern("replan"), obsv::kTrackAdapt,
-          {"hot_links", static_cast<long long>(out.plan.hot_links.size())},
-          {"replanned",
-           static_cast<long long>(out.plan.replanned.size())});
-    }
+  if (config.recorder != nullptr) {
+    obsv::Recorder* rec = config.recorder;
+    rec->metrics.add("adapt.probe_cycles", out.probe.cycles);
+    rec->metrics.add("adapt.hot_links",
+                     static_cast<long long>(out.plan.hot_links.size()));
+    rec->metrics.add("adapt.replanned_trees",
+                     static_cast<long long>(out.plan.replanned.size()));
+    rec->trace.name_track(obsv::kTrackAdapt, "adapt");
+    rec->trace.complete(0, out.probe.cycles, rec->trace.intern("probe window"),
+                        obsv::kTrackAdapt);
+    rec->trace.instant(
+        out.probe.cycles, rec->trace.intern("replan"), obsv::kTrackAdapt,
+        {"hot_links", static_cast<long long>(out.plan.hot_links.size())},
+        {"replanned", static_cast<long long>(out.plan.replanned.size())});
   }
 
   // The split follows the capacitated bandwidths; `predicted` stays the

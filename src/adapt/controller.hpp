@@ -31,7 +31,7 @@ struct LinkCongestion {
 /// Per-directed-link congestion over one probe window, indexed by the
 /// engines' directed-link id `2 * edge_id + (src > dst)`. Built from a
 /// SimResult, whose fields the engines maintain unconditionally, so it
-/// works in PFAR_TRACE=off builds too (docs/congestion_adaptation.md).
+/// needs no Recorder attached (docs/congestion_adaptation.md).
 struct CongestionMap {
   long long cycles = 0;
   std::vector<LinkCongestion> dlinks;  // 2 * num_edges entries

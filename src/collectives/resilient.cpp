@@ -68,7 +68,7 @@ RecoveryStats recover(
     const graph::Graph& topology,
     const std::vector<trees::SpanningTree>& spanning_trees,
     const model::TreeBandwidths& bandwidths, long long m,
-    const simnet::SimConfig& config, const ResilienceConfig& resilience) {
+    const simnet::SimConfig& config) {
   if (spanning_trees.empty()) {
     throw std::invalid_argument("run_resilient_allreduce: no trees");
   }
@@ -80,18 +80,13 @@ RecoveryStats recover(
         "run_resilient_allreduce: progress_timeout must be > 0 (loss "
         "detection is driven by the per-tree timeout)");
   }
-  if (resilience.max_retries < 0 || resilience.backoff_cycles < 0) {
-    throw std::invalid_argument("run_resilient_allreduce: bad resilience "
-                                "config");
-  }
 
   RecoveryStats stats;
   stats.values_correct = true;
 
   // Observability: the recorder travels to each attempt's simulator via the
-  // copied config; the driver adds its own global-timeline events. Folds to
-  // null when PFAR_TRACE=off.
-  obsv::Recorder* rec = obsv::kTraceCompiled ? config.recorder : nullptr;
+  // copied config; the driver adds its own global-timeline events.
+  obsv::Recorder* rec = config.recorder;
   std::uint32_t n_attempt = 0, n_replan = 0;
   if (rec != nullptr) {
     n_attempt = rec->trace.intern("attempt");
@@ -107,9 +102,9 @@ RecoveryStats recover(
 
   std::vector<graph::Edge> accumulated_failed;
   long long remaining = m;
-  long long backoff = resilience.backoff_cycles;
+  long long backoff = ResilienceConfig::backoff_cycles;
 
-  const int max_attempts = 1 + resilience.max_retries;
+  const int max_attempts = 1 + ResilienceConfig::max_retries;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     model::TreeBandwidths bw =
         attempt == 0 ? bandwidths
@@ -238,10 +233,10 @@ RecoveryStats recover(
 RecoveryStats run_resilient_allreduce(
     const graph::Graph& topology,
     const std::vector<trees::SpanningTree>& spanning_trees, long long m,
-    const simnet::SimConfig& config, const ResilienceConfig& resilience) {
+    const simnet::SimConfig& config, const ResilienceConfig& /*resilience*/) {
   return recover(topology, spanning_trees,
                  model::compute_tree_bandwidths(topology, spanning_trees, 1.0),
-                 m, config, resilience);
+                 m, config);
 }
 
 TreeSetCost::TreeSetCost(const graph::Graph& topology,
@@ -274,7 +269,7 @@ RunCost TreeSetCost::cost(long long m) {
   RunCost cost;
   if (resilience_ && !config_.faults.empty()) {
     const RecoveryStats recovery =
-        recover(*topology_, trees_, *bandwidths_, m, config_, *resilience_);
+        recover(*topology_, trees_, *bandwidths_, m, config_);
     cost.cycles = recovery.total_cycles;
     cost.flits = total_flits(recovery.final_sim);
     cost.replayed = recovery.chunks_replayed;

@@ -21,16 +21,16 @@ enum class RecoveryPolicy {
   kRepack,
 };
 
-/// Retry/backoff knobs of the resilient driver. Loss detection itself is
-/// configured on the simulator side (SimConfig::progress_timeout, which
+/// Retry/backoff constants of the resilient driver. Loss detection itself
+/// is configured on the simulator side (SimConfig::progress_timeout, which
 /// must be > 0 for the driver to work).
 struct ResilienceConfig {
   RecoveryPolicy policy = RecoveryPolicy::kRepack;
   /// Replay attempts after the initial run (attempt count <= 1 + retries).
-  int max_retries = 3;
+  static constexpr int max_retries = 3;
   /// Cycles charged between a failed attempt and its replay (re-planning /
   /// re-synchronization cost), doubled on every further retry.
-  long long backoff_cycles = 256;
+  static constexpr long long backoff_cycles = 256;
 };
 
 /// One simulated attempt (the initial run or a replay) in the recovery log.
@@ -74,6 +74,8 @@ struct RecoveryStats {
 /// it (bounded retries with exponential backoff), and reports RecoveryStats.
 ///
 /// Requires `config.progress_timeout > 0` (detection) and non-empty trees.
+/// `resilience` selects nothing: its policy has one value and its retry
+/// values are constants.
 /// Unrecoverable situations — residual topology disconnected, retries
 /// exhausted — fail loudly through a PFAR_REQUIRE contract violation; a
 /// run never hangs past the simulator's max_cycles.

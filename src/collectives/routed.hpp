@@ -15,15 +15,17 @@ class RoutedNetwork {
   explicit RoutedNetwork(const graph::Graph& g);
 
   const graph::Graph& graph() const { return *g_; }
+  /// Length of path(src, dst), walked along the next-hop table (at most
+  /// the diameter in steps).
   int hops(int src, int dst) const;
   /// Vertex sequence src..dst along the deterministic shortest path.
+  /// Both throw std::invalid_argument when dst is unreachable from src.
   std::vector<int> path(int src, int dst) const;
 
  private:
   const graph::Graph* g_;
   // next_hop_[dst * n + src]: neighbor of src on the path toward dst.
   std::vector<int> next_hop_;
-  std::vector<int> dist_;
   int n_;
 };
 

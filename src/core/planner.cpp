@@ -56,9 +56,7 @@ AllreducePlan AllreducePlanner::build() const {
 
   // Phase timers land in the recorder's metrics only (wall-clock values
   // must never enter a trace, which is pinned byte-deterministic).
-  obsv::Metrics* pm = obsv::kTraceCompiled && observer_ != nullptr
-                          ? &observer_->metrics
-                          : nullptr;
+  obsv::Metrics* pm = observer_ != nullptr ? &observer_->metrics : nullptr;
 
   switch (solution_) {
     case Solution::kLowDepth: {

@@ -102,8 +102,7 @@ class AllreducePlanner {
   }
   /// Observability sink: build() records per-phase wall-clock timers
   /// (planner.*_ms histograms) into the recorder's metrics. Null (the
-  /// default) records nothing; plans are identical either way. Ignored
-  /// entirely in a PFAR_TRACE=off build.
+  /// default) records nothing; plans are identical either way.
   AllreducePlanner& observer(obsv::Recorder* rec) {
     observer_ = rec;
     return *this;

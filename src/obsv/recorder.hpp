@@ -11,8 +11,7 @@ namespace pfar::obsv {
 /// timeline) plus a metrics registry. Attach one to a simulation via
 /// SimConfig::recorder and/or to a planner via AllreducePlanner::observer;
 /// a null recorder (the default everywhere) records nothing and costs one
-/// pointer test per hook in a PFAR_TRACE=on build, and nothing at all in a
-/// PFAR_TRACE=off build.
+/// pointer test per hook.
 ///
 /// Single-writer, like its parts: never share one Recorder between
 /// concurrently running simulations (a sweep uses one per task or none).

@@ -8,28 +8,18 @@
 #include <unordered_map>
 #include <vector>
 
-/// Observability compile-time gate, mirroring PFAR_CHECKS_LEVEL (see
-/// src/util/contracts.hpp): -DPFAR_TRACE_LEVEL=<0|1>, driven by the CMake
-/// cache variable PFAR_TRACE=off|on.
-///
-///   0 (off) - every instrumentation call site in simnet/collectives/core
-///             is compiled out; the hot paths carry no tracing code at all
-///             (the CI bench-regression gate runs against this build).
-///   1 (on)  - instrumentation is compiled in but dormant: it costs one
-///             null-pointer test per hook until a Recorder is attached to
-///             the run (SimConfig::recorder / AllreducePlanner::observer).
-///
-/// The obsv library itself (Tracer, Metrics, report machinery) always
-/// compiles at both levels; only the call sites threaded through the
-/// simulator and planner are gated.
-#ifndef PFAR_TRACE_LEVEL
-#define PFAR_TRACE_LEVEL 1
-#endif
+/// Observability is always compiled in. Each hook threaded through the
+/// simulator, the collectives, the planner, the controller, the service
+/// and the replay costs one null-pointer test until a Recorder is attached
+/// to the run (SimConfig::recorder / AllreducePlanner::observer). There is
+/// one build: traced and untraced runs execute the same compiled code.
 
 namespace pfar::obsv {
 
-/// True when instrumentation call sites are compiled in.
-inline constexpr bool kTraceCompiled = PFAR_TRACE_LEVEL >= 1;
+/// Always true. It stays only because the frozen benchmark driver
+/// (perfbench/main.cpp) prints it in its build metadata; the next change
+/// to the benchmark deletes it.
+inline constexpr bool kTraceCompiled = true;
 
 /// Track (Chrome "tid") layout of the traces this repo emits. Perfetto
 /// renders one horizontal track per tid; the constants keep the layout

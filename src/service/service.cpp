@@ -64,7 +64,7 @@ AllreduceService::AllreduceService(core::AllreducePlan plan,
     costs_.emplace_back(plan_.topology(), std::move(lane_trees), config_.sim);
   }
   lane_state_.assign(lanes_.size(), LaneState{});
-  if (obsv::Recorder* rec = recorder()) {
+  if (obsv::Recorder* rec = config_.sim.recorder) {
     for (std::size_t l = 0; l < lanes_.size(); ++l) {
       rec->trace.name_track(
           obsv::kTrackServiceBase + static_cast<std::uint32_t>(l),
@@ -129,7 +129,7 @@ void AllreduceService::complete_lanes(long long t) {
                  static_cast<int>(b.job_ids.size()));
     }
     total_flits_ += b.flits;
-    if (obsv::Recorder* rec = recorder()) {
+    if (obsv::Recorder* rec = config_.sim.recorder) {
       rec->trace.complete(
           b.start, b.finish - b.start,
           rec->trace.intern("batch x" + std::to_string(b.job_ids.size())),
@@ -150,14 +150,14 @@ void AllreduceService::admit_arrivals(long long t) {
     JobRecord& record = records_[static_cast<std::size_t>(job.job_id)];
     if (static_cast<int>(queue_.size()) >= config_.max_queue_jobs) {
       record.rejected = true;
-      if (obsv::Recorder* rec = recorder()) {
+      if (obsv::Recorder* rec = config_.sim.recorder) {
         rec->metrics.add("service.jobs.rejected");
       }
       continue;
     }
     record.admit_cycle = job.queued_cycle;
     queue_.push_back(job);
-    if (obsv::Recorder* rec = recorder()) {
+    if (obsv::Recorder* rec = config_.sim.recorder) {
       rec->metrics.add("service.jobs.admitted");
       rec->metrics.hwm("service.queue_depth",
                        static_cast<long long>(queue_.size()));
@@ -198,7 +198,7 @@ void AllreduceService::dispatch_free_lanes() {
       if (batch_indices.size() > 1) {
         coalesced_jobs_ += static_cast<int>(batch_indices.size());
       }
-      if (obsv::Recorder* rec = recorder()) {
+      if (obsv::Recorder* rec = config_.sim.recorder) {
         rec->metrics.add("service.batches");
         rec->metrics.add("service.batched_elements", b.total_elements);
         const collectives::TreeSetCost::Answers& after = lane_cost.answers();
@@ -238,7 +238,7 @@ void AllreduceService::finish_job(int job_id, long long cycle, int lane,
   record.lane = lane;
   record.batch_jobs = batch_jobs;
   if (record.start_cycle < 0) record.start_cycle = cycle;
-  if (obsv::Recorder* rec = recorder()) {
+  if (obsv::Recorder* rec = config_.sim.recorder) {
     rec->metrics.add("service.jobs.completed");
     rec->metrics.observe(
         "service.sojourn_cycles",

@@ -87,10 +87,6 @@ class AllreduceService {
   void admit_arrivals(long long t);
   void dispatch_free_lanes();
   void finish_job(int job_id, long long cycle, int lane, int batch_jobs);
-  /// The service-timeline recorder; null when PFAR_TRACE=off.
-  obsv::Recorder* recorder() const {
-    return obsv::kTraceCompiled ? config_.sim.recorder : nullptr;
-  }
 
   core::AllreducePlan plan_;
   ServiceConfig config_;

@@ -231,12 +231,10 @@ RunContext::RunContext(const graph::Graph& topology_in,
   if (config.background.active()) {
     bg_rates = background_link_rates_ppm(topology, config.background);
   }
-  // Observability: attach only when compiled in and a Recorder is given.
-  if constexpr (obsv::kTraceCompiled) {
-    if (config.recorder != nullptr) {
-      observer.init(config.recorder, topology, num_trees);
-      obs = &observer;
-    }
+  // Observability: attach only when a Recorder is given.
+  if (config.recorder != nullptr) {
+    observer.init(config.recorder, topology, num_trees);
+    obs = &observer;
   }
 }
 

@@ -167,8 +167,7 @@ struct SimConfig {
   long long progress_timeout = 0;
   /// Observability sink (see src/obsv, docs/observability.md). Null (the
   /// default) records nothing; attaching a Recorder never perturbs the
-  /// simulation — the determinism goldens pin this. In a PFAR_TRACE=off
-  /// build the field is ignored entirely.
+  /// simulation — the determinism goldens pin this.
   obsv::Recorder* recorder = nullptr;
 };
 

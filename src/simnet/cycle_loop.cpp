@@ -319,7 +319,7 @@ class CycleLoop {
         tok -= pkts * kBgPacketFlits;
         result.link_bg_flits[d] += pkts * kBgPacketFlits;
         synced[d] += j;
-        PFAR_OBS(on_grant(static_cast<int>(d), synced[d]));
+        if (obs != nullptr) obs->on_grant(static_cast<int>(d), synced[d]);
       }
       acc += k * rate;
     }
@@ -422,11 +422,11 @@ class CycleLoop {
       for (std::int32_t i = 0; i < packet.size; ++i) out[i] += in[i];
       free_slabs.push_back(head.slab);
     }
-    PFAR_OBS(on_reduce_packet(
+    if (obs != nullptr) obs->on_reduce_packet(
         state_idx / n,
         state_idx == f.root_state[static_cast<std::size_t>(state_idx / n)] &&
             eng_injected[si] >= eng_target[si],
-        now));
+        now);
     return packet;
   }
 
@@ -495,7 +495,7 @@ class CycleLoop {
     const auto first = eng_delivered.begin() + t * n;
     const long long prefix = *std::min_element(first, first + n);
     result.tree_completed[ti] = prefix;
-    PFAR_OBS(on_cancel(t, now, prefix));
+    if (obs != nullptr) obs->on_cancel(t, now, prefix);
     const auto retract = [&](Ref r) {
       ++result.canceled_packets;
       result.canceled_flits += static_cast<long long>(r.size) + header;
@@ -561,7 +561,7 @@ class CycleLoop {
         fault.edge_down[e] = 1;
         drop_edge(ev.edge);
       }
-      PFAR_OBS(on_fault(now, ev.edge, ev.down));
+      if (obs != nullptr) obs->on_fault(now, ev.edge, ev.down);
       progressed = true;
     }
     for (std::size_t t = 0; t < ntrees && timeout > 0; ++t) {
@@ -730,7 +730,7 @@ class CycleLoop {
           // Credit stall, counted at the same probe point as the reference
           // loop. Stall totals are engine-relative: this engine never
           // probes the cycles it fast-forwards over or unmarked links.
-          PFAR_OBS(on_credit_stall_if(ready()));
+          if (obs != nullptr) obs->on_credit_stall_if(ready());
           continue;
         }
         if (!ready()) continue;
@@ -750,7 +750,7 @@ class CycleLoop {
         result.link_flits[d] += flits;
         cycle_sig = (cycle_sig ^ static_cast<std::uint64_t>(id + 1)) *
                     std::uint64_t{0x100000001b3};
-        PFAR_OBS(on_grant(dl, now));
+        if (obs != nullptr) obs->on_grant(dl, now);
         --credits[i];
         const std::size_t at = i * pcap + ((rhead[i] + rtotal[i]) & pmask);
         ring_time[at] = now + latency;
@@ -1029,7 +1029,7 @@ class CycleLoop {
     }
     snapshot();
     verify_at = next_try = now + period;
-    PFAR_OBS(start_tape(now));
+    if (obs != nullptr) obs->start_tape(now);
   }
 
   // Confirms the candidate and jumps (returns true), or backs off.
@@ -1039,12 +1039,12 @@ class CycleLoop {
     if (hit && cert != nullptr && !cert->has_value()) *cert = certify_period();
     const long long k = hit ? periods_to_skip() : 0;
     if (k < 1) {
-      PFAR_OBS(stop_tape());
+      if (obs != nullptr) obs->stop_tape();
       next_try = now + backoff;
       backoff = std::min(2 * backoff, kSteadyMaxBackoff);
       return false;
     }
-    PFAR_OBS(skip_periods(now, period, k));
+    if (obs != nullptr) obs->skip_periods(now, period, k);
     jump(k);
     finder.clear();
     backoff = kSteadyMinBackoff;

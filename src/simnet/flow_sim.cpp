@@ -415,34 +415,31 @@ SimResult run_flow_allreduce(const graph::Graph& topology,
 
   // Flow-tier observability: the run-level metrics the report renders,
   // including the Zhou & Sun rate bound as the optimality yardstick.
-  if constexpr (obsv::kTraceCompiled) {
-    if (config.recorder != nullptr) {
-      obsv::Recorder* rec = config.recorder;
-      obsv::Metrics& m = rec->metrics;
-      m.hwm("sim.cycles", result.cycles);
-      m.add("sim.total_elements", result.total_elements);
-      m.observe("flow.sim_bw", result.aggregate_bandwidth);
-      m.observe("flow.rate_upper_bound",
-                model::allreduce_rate_upper_bound(topology, 1.0));
-      rec->trace.name_track(obsv::kTrackSim, "sim");
-      const std::uint32_t n_flow = rec->trace.intern("flow");
-      for (int t = 0; t < num_trees; ++t) {
-        const std::size_t ti = static_cast<std::size_t>(t);
-        const std::uint32_t track =
-            obsv::kTrackTreeBase + static_cast<std::uint32_t>(t);
-        rec->trace.name_track(track, "tree " + std::to_string(t));
-        const std::string prefix = "tree." + std::to_string(t);
-        m.hwm(prefix + ".finish_cycle", result.tree_finish_cycle[ti]);
-        if (result.tree_first_delivery[ti] >= 0) {
-          m.hwm(prefix + ".first_delivery", result.tree_first_delivery[ti]);
-          rec->trace.complete(
-              result.tree_first_delivery[ti],
-              result.tree_finish_cycle[ti] - result.tree_first_delivery[ti] +
-                  1,
-              n_flow, track);
-        }
-        m.add(prefix + ".completed", result.tree_completed[ti]);
+  if (config.recorder != nullptr) {
+    obsv::Recorder* rec = config.recorder;
+    obsv::Metrics& m = rec->metrics;
+    m.hwm("sim.cycles", result.cycles);
+    m.add("sim.total_elements", result.total_elements);
+    m.observe("flow.sim_bw", result.aggregate_bandwidth);
+    m.observe("flow.rate_upper_bound",
+              model::allreduce_rate_upper_bound(topology, 1.0));
+    rec->trace.name_track(obsv::kTrackSim, "sim");
+    const std::uint32_t n_flow = rec->trace.intern("flow");
+    for (int t = 0; t < num_trees; ++t) {
+      const std::size_t ti = static_cast<std::size_t>(t);
+      const std::uint32_t track =
+          obsv::kTrackTreeBase + static_cast<std::uint32_t>(t);
+      rec->trace.name_track(track, "tree " + std::to_string(t));
+      const std::string prefix = "tree." + std::to_string(t);
+      m.hwm(prefix + ".finish_cycle", result.tree_finish_cycle[ti]);
+      if (result.tree_first_delivery[ti] >= 0) {
+        m.hwm(prefix + ".first_delivery", result.tree_first_delivery[ti]);
+        rec->trace.complete(
+            result.tree_first_delivery[ti],
+            result.tree_finish_cycle[ti] - result.tree_first_delivery[ti] + 1,
+            n_flow, track);
       }
+      m.add(prefix + ".completed", result.tree_completed[ti]);
     }
   }
   return result;

@@ -68,14 +68,13 @@ FaultState prepare_faults(const graph::Graph& topology,
                           const FaultScript& script);
 
 // ---------------------------------------------------------------------------
-// Observability (PFAR_TRACE, see src/obsv and docs/observability.md). One
+// Observability (see src/obsv and docs/observability.md). One
 // SimObserver drives a single run when SimConfig::recorder is attached;
 // the engine and the oracle call the same hooks at the same per-cycle
 // points, so the virtual-time trace a run emits is a pure function of the
 // (deterministic) simulation. The observer only reads simulation state —
 // attaching it can never perturb results, which the determinism goldens
-// pin under PFAR_TRACE=on. With PFAR_TRACE=off every hook call site is
-// compiled out (obs is a constant nullptr).
+// pin. Each hook call site is one `if (obs != nullptr)` test.
 //
 // Trace vocabulary: per-directed-link "busy" complete-events (maximal runs
 // of consecutive cycles with at least one grant, emitted at finalize in
@@ -215,17 +214,6 @@ struct SimObserver {
   // driver's attempts), counters accumulate and gauges keep their maxima.
   void finalize(long long cycles, const SimResult& result);
 };
-
-// Hook call site: one null test when PFAR_TRACE=on, nothing at all when
-// off (the expansion still names `obs` so the parameter stays used).
-#if PFAR_TRACE_LEVEL
-#define PFAR_OBS(call)             \
-  do {                             \
-    if (obs != nullptr) obs->call; \
-  } while (0)
-#else
-#define PFAR_OBS(call) static_cast<void>(obs)
-#endif
 
 /// AllreduceSimulator's constructor-time contract: config ranges, the
 /// fault script, and what a SpanningTree cannot know about the topology:

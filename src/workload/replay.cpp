@@ -130,9 +130,7 @@ ReplayResult replay_training(const core::AllreducePlan& plan,
   };
   const long long compute_total = scale(config.trace.total_compute_cycles());
 
-  // Null when PFAR_TRACE=off, so every `recorder != nullptr` branch folds.
-  obsv::Recorder* recorder =
-      obsv::kTraceCompiled ? config.sim.recorder : nullptr;
+  obsv::Recorder* recorder = config.sim.recorder;
   if (recorder != nullptr) {
     recorder->trace.name_track(obsv::kTrackWorkload, "training replay");
     recorder->metrics.hwm("workload.buckets_per_iteration",

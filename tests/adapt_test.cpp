@@ -214,7 +214,6 @@ TEST(CongestionMap, FromSimResultComputesOccupancies) {
 
 // --- Per-link metrics the controller's inputs mirror ---------------------
 
-#if PFAR_TRACE_LEVEL
 // The "u->v" names of the links that emitted per-link metrics.
 std::set<std::string> metric_links(const obsv::Metrics& metrics) {
   std::set<std::string> links;
@@ -318,7 +317,6 @@ TEST(LinkWindows, FaultCancelRunStaysConsistent) {
   const auto adapted = adapt::adapt_plan(plan.topology(), plan.trees(), map);
   EXPECT_EQ(adapted.trees.size(), plan.trees().size());
 }
-#endif
 
 // --- adapt_plan -----------------------------------------------------------
 
@@ -420,7 +418,6 @@ TEST(AdaptiveAllreduce, ProbeStageIsTheDriversFirstHalfAndSilent) {
   }
 }
 
-#if PFAR_TRACE_LEVEL
 TEST(AdaptiveAllreduce, EmitsAdaptInstrumentation) {
   const auto plan = core::AllreducePlanner(7).build();
   simnet::SimConfig cfg;
@@ -449,6 +446,5 @@ TEST(AdaptiveAllreduce, EmitsAdaptInstrumentation) {
   EXPECT_NE(rendered.str().find("congestion adaptation timeline"),
             std::string::npos);
 }
-#endif
 
 }  // namespace

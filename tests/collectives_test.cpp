@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "collectives/host_allreduce.hpp"
 #include "collectives/innetwork.hpp"
@@ -145,6 +148,22 @@ TEST(RoutedNetworkTest, DiameterTwoPathsOnPolarFly) {
   }
 }
 
+TEST(RoutedNetworkTest, UnreachableDestinationThrows) {
+  // Two components: {0, 1} and {2, 3}.
+  graph::Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(2, 3);
+  g.finalize();
+  const RoutedNetwork net(g);
+  EXPECT_EQ(net.hops(0, 0), 0);
+  EXPECT_EQ(net.hops(3, 2), 1);
+  EXPECT_EQ(net.path(1, 0), (std::vector<int>{1, 0}));
+  for (const auto& [src, dst] : {std::pair{0, 2}, std::pair{3, 1}}) {
+    EXPECT_THROW(static_cast<void>(net.hops(src, dst)), std::invalid_argument);
+    EXPECT_THROW(static_cast<void>(net.path(src, dst)), std::invalid_argument);
+  }
+}
+
 TEST(ScheduleCostTest, SingleMessage) {
   graph::Graph g(3);
   g.add_edge(0, 1);
@@ -170,6 +189,19 @@ TEST(ScheduleCostTest, ContentionAddsUp) {
       {Message{0, 2, 10}, Message{1, 2, 20}}};
   const auto cost = schedule_cost(net, sched, 0.0, 1.0);
   EXPECT_DOUBLE_EQ(cost.total_time, 30.0);
+}
+
+TEST(ScheduleCostTest, OppositeDirectionsDoNotContend) {
+  graph::Graph g(2);
+  g.add_edge(0, 1);
+  g.finalize();
+  const RoutedNetwork net(g);
+  // 0->1 and 1->0 are two directed links; each carries its own load.
+  const std::vector<Round> sched{{Message{0, 1, 10}, Message{1, 0, 20}},
+                                 {Message{0, 1, 5}}};
+  const auto cost = schedule_cost(net, sched, 0.0, 1.0);
+  EXPECT_EQ(cost.max_link_elements, 20);
+  EXPECT_DOUBLE_EQ(cost.total_time, 25.0);
 }
 
 class HostAlgorithms

@@ -239,18 +239,9 @@ TEST(Report, JoinsBusySpansToLinksViaTrackNames) {
   EXPECT_NE(os.str().find("0->1"), std::string::npos);
 }
 
-// --- End-to-end against the simulator (PFAR_TRACE=on builds only) ---------
+// --- End-to-end against the simulator ------------------------------------
 
-class ObsvIntegration : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!obsv::kTraceCompiled) {
-      GTEST_SKIP() << "instrumentation compiled out (PFAR_TRACE=off)";
-    }
-  }
-};
-
-TEST_F(ObsvIntegration, TraceIsByteIdenticalAcrossRunsAndPlannerThreads) {
+TEST(ObsvIntegration, TraceIsByteIdenticalAcrossRunsAndPlannerThreads) {
   const auto run = [](int threads) {
     obsv::Recorder rec;
     const auto plan = core::AllreducePlanner(5).threads(threads).build();
@@ -275,7 +266,7 @@ TEST_F(ObsvIntegration, TraceIsByteIdenticalAcrossRunsAndPlannerThreads) {
   EXPECT_GT(obsv::parse_trace(a.first).size(), 0u);
 }
 
-TEST_F(ObsvIntegration, MetricsAgreeWithSimResultAccounting) {
+TEST(ObsvIntegration, MetricsAgreeWithSimResultAccounting) {
   obsv::Recorder rec;
   const auto plan = core::AllreducePlanner(5).build();
   simnet::SimConfig config;
@@ -333,7 +324,7 @@ TEST_F(ObsvIntegration, MetricsAgreeWithSimResultAccounting) {
   }
 }
 
-TEST_F(ObsvIntegration, EnginesAgreeOnTraceSpansAndFlitMetrics) {
+TEST(ObsvIntegration, EnginesAgreeOnTraceSpansAndFlitMetrics) {
   // The simulator and the reference oracle (tests/oracle) are
   // bit-identical in results; their traces must agree on everything
   // cycle-derived (busy spans, tree spans). Credit-stall and skipped-cycle
@@ -363,9 +354,7 @@ TEST_F(ObsvIntegration, EnginesAgreeOnTraceSpansAndFlitMetrics) {
   const auto reference = run(true, 4000, quiet);
   expect_same_trace(product.first, reference.first, "long quiet run");
   EXPECT_EQ(reference.second, 0);
-  if (obsv::kTraceCompiled) {
-    EXPECT_GT(product.second, 0) << "the long run never jumped";
-  }
+  EXPECT_GT(product.second, 0) << "the long run never jumped";
 
   // Background drains are busy cycles too. The simulator applies them per
   // link when it next visits the link, the oracle every cycle; the trace
@@ -390,7 +379,7 @@ TEST_F(ObsvIntegration, EnginesAgreeOnTraceSpansAndFlitMetrics) {
                     "permutation background with a link down/up");
 }
 
-TEST_F(ObsvIntegration, PlannerObserverRecordsPhaseTimers) {
+TEST(ObsvIntegration, PlannerObserverRecordsPhaseTimers) {
   obsv::Recorder rec;
   core::AllreducePlanner(7)
       .solution(core::Solution::kEdgeDisjoint)
@@ -401,7 +390,7 @@ TEST_F(ObsvIntegration, PlannerObserverRecordsPhaseTimers) {
   EXPECT_GE(rec.metrics.histogram_count("planner.bandwidths_ms"), 1);
 }
 
-TEST_F(ObsvIntegration, RecorderWritesParseableArtifactFiles) {
+TEST(ObsvIntegration, RecorderWritesParseableArtifactFiles) {
   obsv::Recorder rec;
   const auto plan = core::AllreducePlanner(3).build();
   simnet::SimConfig config;

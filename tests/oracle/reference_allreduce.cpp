@@ -246,11 +246,11 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
       vcs[static_cast<std::size_t>(cvc)].recv.pop_front();
       return_credit(vcs[static_cast<std::size_t>(cvc)]);
     }
-    PFAR_OBS(on_reduce_packet(
+    if (obs != nullptr) obs->on_reduce_packet(
         tree,
         src == f.roots[static_cast<std::size_t>(tree)] &&
             s.injected >= elements_per_tree[static_cast<std::size_t>(tree)],
-        now));
+        now);
     return packet;
   };
 
@@ -317,7 +317,7 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
     long long prefix = LLONG_MAX;
     for (int v = 0; v < n; ++v) prefix = std::min(prefix, f.st(v, t).delivered);
     result.tree_completed[static_cast<std::size_t>(t)] = prefix;
-    PFAR_OBS(on_cancel(t, now, prefix));
+    if (obs != nullptr) obs->on_cancel(t, now, prefix);
     const auto retract = [&](const Packet& p) {
       ++result.canceled_packets;
       result.canceled_flits += static_cast<long long>(p.size()) + header;
@@ -374,7 +374,7 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
         } else {
           fault.edge_down[static_cast<std::size_t>(ev.edge)] = 0;
         }
-        PFAR_OBS(on_fault(now, ev.edge, ev.down));
+        if (obs != nullptr) obs->on_fault(now, ev.edge, ev.down);
       }
     }
 
@@ -494,7 +494,7 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
           tokens[static_cast<std::size_t>(dl)] -= pkts * bg_pkt_flits;
           result.link_bg_flits[static_cast<std::size_t>(dl)] +=
               pkts * bg_pkt_flits;
-          PFAR_OBS(on_grant(dl, now));
+          if (obs != nullptr) obs->on_grant(dl, now);
         }
       }
       const int count = static_cast<int>(ids.size());
@@ -507,7 +507,7 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
           // Credit stall: data is ready but flow control blocks the grant.
           // vc_ready is side-effect-free, so probing it here cannot change
           // the simulation.
-          PFAR_OBS(on_credit_stall_if(vc_ready(vc)));
+          if (obs != nullptr) obs->on_credit_stall_if(vc_ready(vc));
           continue;
         }
         if (!vc_ready(vc)) continue;
@@ -526,7 +526,7 @@ long long run_reference_loop(Fabric& f, const SimConfig& config,
             static_cast<long long>(packet.size()) + header;
         tokens[static_cast<std::size_t>(dl)] -= flits;
         result.link_flits[static_cast<std::size_t>(dl)] += flits;
-        PFAR_OBS(on_grant(dl, now));
+        if (obs != nullptr) obs->on_grant(dl, now);
         --vc.credits;
         vc.data_inflight.emplace_back(now + config.link_latency,
                                       std::move(packet));

@@ -343,9 +343,6 @@ TEST(ServiceTest, ResumableAcrossDrains) {
 }
 
 TEST(ServiceTest, RecorderCapturesServiceTelemetry) {
-  if (!obsv::kTraceCompiled) {
-    GTEST_SKIP() << "tracing compiled out (PFAR_TRACE=off)";
-  }
   const auto plan = make_plan(3);
   obsv::Recorder recorder(1u << 16);
   service::ServiceConfig config;
@@ -395,9 +392,6 @@ TEST(ServiceTest, RecorderCapturesServiceTelemetry) {
 // one shape no longer run alike: every lane simulates its own runs, and
 // each batch still costs exactly its own lane's run.
 TEST(ServiceTest, LanesUnderBackgroundKeepTheirOwnCost) {
-  if (!obsv::kTraceCompiled) {
-    GTEST_SKIP() << "tracing compiled out (PFAR_TRACE=off)";
-  }
   const auto plan = make_plan(5);
   obsv::Recorder recorder(1u << 16);
   service::ServiceConfig config;

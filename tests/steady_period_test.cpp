@@ -52,15 +52,12 @@ long long expect_exact(const core::AllreducePlan& plan,
   return rec.metrics.counter("sim.skipped_cycles");
 }
 
-// Exact against the oracle, and the jump fired (observable only when the
-// instrumentation is compiled in).
+// Exact against the oracle, and the jump fired.
 void expect_jumps(const core::AllreducePlan& plan,
                   const simnet::SimConfig& cfg, long long m,
                   const std::string& label) {
   const long long skipped = expect_exact(plan, cfg, m, label);
-  if (obsv::kTraceCompiled) {
-    EXPECT_GT(skipped, 0) << label << ": the steady-period jump never fired";
-  }
+  EXPECT_GT(skipped, 0) << label << ": the steady-period jump never fired";
 }
 
 TEST(SteadyPeriod, JumpsOnEverySolutionAndRadix) {
@@ -129,9 +126,7 @@ TEST(SteadyPeriod, KeepsJumpingAroundLinkFaults) {
     cfg.faults.events.push_back(
         {fault_cycle, e.u, e.v, simnet::FaultType::kLinkDown});
     const long long skipped = expect_exact(plan, cfg, 12000, "link down");
-    if (obsv::kTraceCompiled) {
-      EXPECT_GT(skipped, fault_cycle);
-    }
+    EXPECT_GT(skipped, fault_cycle);
     EXPECT_EQ(run_product(plan, cfg, 12000).tree_failed[0], 1);
   }
   {
@@ -141,9 +136,7 @@ TEST(SteadyPeriod, KeepsJumpingAroundLinkFaults) {
     cfg.faults.events.push_back(
         {fault_cycle + 100, e.u, e.v, simnet::FaultType::kLinkUp});
     const long long skipped = expect_exact(plan, cfg, 12000, "down/up");
-    if (obsv::kTraceCompiled) {
-      EXPECT_GT(skipped, fault_cycle);
-    }
+    EXPECT_GT(skipped, fault_cycle);
   }
 }
 
@@ -179,9 +172,7 @@ TEST(SteadyPeriod, ArbitrationOrderIsResultVisible) {
   oracle::expect_same_result(product, reference, "twin trees");
   EXPECT_EQ(product.max_vcs_per_link, 2);
   EXPECT_NE(product.tree_finish_cycle[0], product.tree_finish_cycle[1]);
-  if (obsv::kTraceCompiled) {
-    EXPECT_GT(rec.metrics.counter("sim.skipped_cycles"), 0);
-  }
+  EXPECT_GT(rec.metrics.counter("sim.skipped_cycles"), 0);
 }
 
 }  // namespace

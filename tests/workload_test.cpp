@@ -396,9 +396,6 @@ TEST(WorkloadReplay, AdaptiveRejectsFaultScriptsByContract) {
 // --- Observability ----------------------------------------------------------
 
 TEST(WorkloadObsv, EmitsTimelineAndCountersRenderedByReport) {
-  if (!obsv::kTraceCompiled) {
-    GTEST_SKIP() << "instrumentation compiled out (PFAR_TRACE=off)";
-  }
   const auto plan = core::AllreducePlanner(7).build();
   obsv::Recorder recorder(1u << 18);
   workload::ReplayConfig cfg = base_config();
