@@ -40,10 +40,11 @@ LogicalBandwidths logical_tree_bandwidths(
   std::vector<int> congestion;  // per dense id: crossings by all trees
   std::vector<int> tree_mult;   // per dense id: crossings by this tree
   model::FlowRows rows;
+  std::vector<int> path;
   for (const auto& tree : trees) {
     const std::size_t first = rows.resources.size();
     const auto add_path = [&](int src, int dst) {
-      const auto path = net.path(src, dst);
+      net.path(src, dst, path);
       for (std::size_t i = 1; i < path.size(); ++i) {
         const int u = path[i - 1], v = path[i];
         int& id = dense[2 * static_cast<std::size_t>(g.edge_id(u, v)) + (u > v)];

@@ -242,16 +242,12 @@ RecoveryStats run_resilient_allreduce(
 TreeSetCost::TreeSetCost(const graph::Graph& topology,
                          std::vector<trees::SpanningTree> trees,
                          const simnet::SimConfig& config,
-                         std::optional<ResilienceConfig> resilience,
-                         std::optional<model::TreeBandwidths> bandwidths)
+                         std::optional<ResilienceConfig> resilience)
     : topology_(&topology),
       trees_(std::move(trees)),
       config_(config),
-      resilience_(resilience),
-      bandwidths_(std::move(bandwidths)) {
+      resilience_(resilience) {
   PFAR_REQUIRE(!trees_.empty());
-  PFAR_REQUIRE(!bandwidths_ || bandwidths_->per_tree.size() == trees_.size(),
-               trees_.size());
   config_.recorder = nullptr;
 }
 

@@ -99,11 +99,12 @@ struct RunCost {
 
 /// The memoized cost of Allreduces on one tree set — the shared answer to
 /// "what does an m-element Allreduce on these trees cost" that the
-/// bucketed schedules, the service's lanes and the training replay all
-/// ask. Simulator runs are pure functions of (topology, trees, split,
-/// config), so cost(m) runs once per distinct m: through the resilient
-/// attempt loop when `resilience` is given and the config carries a
-/// fault script, otherwise as one run of the core (run_planned_allreduce).
+/// bucketed schedules and the service's lanes (and through them the
+/// training replay) ask. Simulator runs are pure functions of (topology,
+/// trees, split, config), so cost(m) runs once per distinct m: through the
+/// resilient attempt loop when `resilience` is given and the config
+/// carries a fault script, otherwise as one run of the core
+/// (run_planned_allreduce).
 /// A run of the core that certified a steady period
 /// (simnet::PeriodCertificate) becomes an anchor: a later m whose split
 /// differs from an anchor's by k whole periods in every tree, and still
@@ -115,13 +116,12 @@ struct RunCost {
 /// `topology` must outlive the object.
 class TreeSetCost {
  public:
-  /// `bandwidths` are the split weights (Theorem 5.1 over them); when
-  /// omitted, the quiet Algorithm 1 of `trees`, computed on the first run.
+  /// The split weights are the quiet Algorithm 1 of `trees` (Theorem 5.1
+  /// over them), computed on the first run.
   TreeSetCost(const graph::Graph& topology,
               std::vector<trees::SpanningTree> trees,
               const simnet::SimConfig& config,
-              std::optional<ResilienceConfig> resilience = std::nullopt,
-              std::optional<model::TreeBandwidths> bandwidths = std::nullopt);
+              std::optional<ResilienceConfig> resilience = std::nullopt);
 
   /// Cost of an m-element Allreduce; m = 0 is free and runs nothing.
   RunCost cost(long long m);

@@ -38,11 +38,10 @@ int RoutedNetwork::hops(int src, int dst) const {
   return d;
 }
 
-std::vector<int> RoutedNetwork::path(int src, int dst) const {
+void RoutedNetwork::path(int src, int dst, std::vector<int>& out) const {
   PFAR_REQUIRE(src >= 0 && src < n_ && dst >= 0 && dst < n_, src, dst, n_);
-  std::vector<int> out{src};
+  out.assign(1, src);
   while (out.back() != dst) out.push_back(step(next_hop_, n_, out.back(), dst));
-  return out;
 }
 
 ScheduleCost schedule_cost(const RoutedNetwork& net,
@@ -54,6 +53,7 @@ ScheduleCost schedule_cost(const RoutedNetwork& net,
   // Per-round element load of directed link u -> v, keyed
   // 2 * edge_id(u, v) + (u > v).
   std::vector<long long> load(2 * static_cast<std::size_t>(g.num_edges()), 0);
+  std::vector<int> path;
   for (const auto& round : schedule) {
     if (round.empty()) continue;
     ++cost.rounds;
@@ -61,7 +61,7 @@ ScheduleCost schedule_cost(const RoutedNetwork& net,
     std::vector<std::size_t> touched;
     for (const auto& msg : round) {
       if (msg.src == msg.dst || msg.elements == 0) continue;
-      const auto path = net.path(msg.src, msg.dst);
+      net.path(msg.src, msg.dst, path);
       max_hops = std::max(max_hops, static_cast<int>(path.size()) - 1);
       cost.total_elements_moved += msg.elements;
       for (std::size_t i = 1; i < path.size(); ++i) {

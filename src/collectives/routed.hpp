@@ -18,9 +18,10 @@ class RoutedNetwork {
   /// Length of path(src, dst), walked along the next-hop table (at most
   /// the diameter in steps).
   int hops(int src, int dst) const;
-  /// Vertex sequence src..dst along the deterministic shortest path.
+  /// Writes the vertex sequence src..dst along the deterministic shortest
+  /// path into `out`, a caller-owned buffer reused across calls.
   /// Both throw std::invalid_argument when dst is unreachable from src.
-  std::vector<int> path(int src, int dst) const;
+  void path(int src, int dst, std::vector<int>& out) const;
 
  private:
   const graph::Graph* g_;

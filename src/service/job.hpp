@@ -11,7 +11,8 @@ namespace pfar::service {
 /// (docs/service_layer.md, "Scheduler policies").
 enum class SchedulerPolicy {
   /// One job at a time on the full tree set — the one-shot baseline the
-  /// throughput bench compares against.
+  /// throughput bench compares against. The one policy that accepts a
+  /// fault script: its lane recovers through the resilient driver.
   kSerial,
   /// The plan's link-disjoint tree groups become independent lanes; each
   /// admitted job runs on one lane, so as many jobs proceed concurrently
@@ -28,14 +29,12 @@ enum class SchedulerPolicy {
 const char* to_string(SchedulerPolicy policy);
 
 /// Reduction operator tag. The cycle simulator checks integer sums
-/// exactly; the other operators time identically (one streaming ALU op per
-/// element) but are tracked because only jobs with the SAME operator may
-/// coalesce into one fused run.
+/// exactly; kMax times identically (one streaming ALU op per element) but
+/// is tracked because only jobs with the SAME operator may coalesce into
+/// one fused run.
 enum class ReduceOp {
   kSum,
   kMax,
-  kMin,
-  kProd,
 };
 
 /// One allreduce job submitted to the service: an Allreduce over every
@@ -117,6 +116,9 @@ struct ServiceStats {
   /// fabric's directed-link-cycle capacity they filled up to the makespan.
   long long total_flits = 0;
   double utilization = 0.0;
+  /// Elements the resilient driver replayed on degraded plans, summed
+  /// over batches (0 without a fault script).
+  long long replayed_elements = 0;
   /// AND of values_correct over every simulated run.
   bool values_correct = true;
 };

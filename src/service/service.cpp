@@ -38,9 +38,12 @@ AllreduceService::AllreduceService(core::AllreducePlan plan,
     : plan_(std::move(plan)), config_(config) {
   PFAR_REQUIRE(config_.max_queue_jobs >= 1, config_.max_queue_jobs);
   PFAR_REQUIRE(config_.batch_max_jobs >= 1, config_.batch_max_jobs);
-  // Lane runs have no recovery: a fault script would lose elements that
-  // the service then reported delivered.
-  PFAR_REQUIRE(config_.sim.faults.empty());
+  // Lane costs recover through the resilient driver, whose repack spans
+  // the whole residual topology (core::degrade_repack). That is exact only
+  // when no other lane exists: a partitioned lane's repacked trees could
+  // take links another lane's runs use.
+  PFAR_REQUIRE(config_.sim.faults.empty() ||
+               config_.policy == SchedulerPolicy::kSerial);
   lanes_ = build_lanes(plan_.topology(), plan_.trees(), config_.policy);
   // One-tree lanes of one rooted shape share a cost on a quiet network.
   const bool share = !config_.sim.background.active();
@@ -61,7 +64,8 @@ AllreduceService::AllreduceService(core::AllreducePlan plan,
     for (int t : lane.tree_ids) {
       lane_trees.push_back(plan_.trees()[static_cast<std::size_t>(t)]);
     }
-    costs_.emplace_back(plan_.topology(), std::move(lane_trees), config_.sim);
+    costs_.emplace_back(plan_.topology(), std::move(lane_trees), config_.sim,
+                        collectives::ResilienceConfig{});
   }
   lane_state_.assign(lanes_.size(), LaneState{});
   if (obsv::Recorder* rec = config_.sim.recorder) {
@@ -191,6 +195,7 @@ void AllreduceService::dispatch_free_lanes() {
       const collectives::TreeSetCost::Answers before = lane_cost.answers();
       const collectives::RunCost cost = lane_cost.cost(b.total_elements);
       values_correct_ = values_correct_ && cost.correct;
+      replayed_elements_ += cost.replayed;
       b.start = clock_;
       b.finish = clock_ + cost.cycles;
       b.flits = cost.flits;
@@ -252,6 +257,7 @@ ServiceStats AllreduceService::stats() const {
   s.batches = batches_;
   s.coalesced_jobs = coalesced_jobs_;
   s.total_flits = total_flits_;
+  s.replayed_elements = replayed_elements_;
   s.values_correct = values_correct_;
   std::vector<long long> sojourns;
   for (const JobRecord& record : records_) {

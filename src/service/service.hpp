@@ -34,8 +34,10 @@ namespace pfar::service {
 /// keep their own. A TreeSetCost also answers large fused sizes from a
 /// verified steady period without simulating; the recorder counts how
 /// each batch was costed (service.lane_runs.{simulated,memo,shifted}).
-/// Lane runs have no recovery, so the constructor rejects a non-empty
-/// fault script.
+/// Under a fault script a batch costs exactly what run_resilient_allreduce
+/// costs on its lane: the lost part is replayed on trees repacked over the
+/// residual topology. Only the serial policy's one lane may do that, so
+/// the constructor rejects a fault script under the partitioned policies.
 ///
 /// The loop is resumable: drain() runs until idle, after which more jobs
 /// may be submitted and drained again; the clock and statistics persist.
@@ -106,6 +108,7 @@ class AllreduceService {
   int batches_ = 0;
   int coalesced_jobs_ = 0;
   long long total_flits_ = 0;
+  long long replayed_elements_ = 0;
   bool values_correct_ = true;
 };
 

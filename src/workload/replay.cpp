@@ -1,14 +1,10 @@
 #include "workload/replay.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
-#include <optional>
 #include <string>
 #include <utility>
 
-#include "adapt/controller.hpp"
-#include "collectives/innetwork.hpp"
 #include "obsv/recorder.hpp"
 #include "service/service.hpp"
 #include "util/contracts.hpp"
@@ -48,8 +44,8 @@ long long union_length(std::vector<CommInterval> intervals) {
   return total;
 }
 
-/// Shared per-iteration bookkeeping: folds one iteration's comm intervals
-/// into its IterationRecord and the epoch totals.
+/// Folds one iteration's comm intervals into its IterationRecord and the
+/// epoch totals.
 void close_iteration(IterationRecord* iter, ReplayResult* out,
                      std::vector<CommInterval> intervals) {
   PFAR_REQUIRE(iter->compute_done >= iter->start, iter->start,
@@ -106,17 +102,7 @@ ReplayResult replay_training(const core::AllreducePlan& plan,
                              const ReplayConfig& config) {
   PFAR_REQUIRE(!config.trace.layers.empty(), config.trace.layers.size());
   PFAR_REQUIRE(config.trace.iterations >= 1, config.trace.iterations);
-  // Fault scripts and the adaptive controller ride the single-job pipeline
-  // (run_resilient_allreduce / src/adapt); the service backend rejects
-  // them instead of silently mis-modeling recovery inside lane runs. The
-  // two do not compose: the probe cannot see a failure that has not
-  // happened yet, and recovery replans without the adapted plan.
-  PFAR_REQUIRE(config.mode == CommMode::kSingle || config.sim.faults.empty());
-  PFAR_REQUIRE(config.mode == CommMode::kSingle || !config.adaptive);
-  PFAR_REQUIRE(config.sim.faults.empty() || !config.adaptive);
 
-  const graph::Graph& topology = plan.topology();
-  const std::vector<trees::SpanningTree>& trees = plan.trees();
   ReplayResult out;
   out.buckets = bucketize(config.trace, config.min_bucket_elements);
 
@@ -138,107 +124,53 @@ ReplayResult replay_training(const core::AllreducePlan& plan,
     recorder->metrics.hwm("workload.slow_permille", out.slow_permille);
   }
 
-  // --- Communication backends ----------------------------------------------
+  // One persistent service whose virtual clock IS the training timeline:
+  // buckets become jobs with arrival = release cycle, and the mode picks
+  // the lanes.
+  service::ServiceConfig svc_config;
+  svc_config.policy = config.mode == CommMode::kService
+                          ? service::SchedulerPolicy::kPartitioned
+                          : service::SchedulerPolicy::kSerial;
+  svc_config.sim = config.sim;  // recorder = service lane spans
+  // Every bucket of an iteration must be admissible at once.
+  svc_config.max_queue_jobs =
+      std::max(1024, static_cast<int>(out.buckets.size()) * 2);
+  service::AllreduceService svc(plan, svc_config);
 
-  // kSingle: one memoized cost per bucket size. Under `adaptive` the plan
-  // is probed and adapted once per epoch and every bucket runs on it;
-  // under faults the resilient driver replays lost chunks.
-  std::optional<collectives::TreeSetCost> single;
-  if (config.mode == CommMode::kSingle && config.adaptive) {
-    adapt::ProbedPlan adapted = adapt::probe_and_adapt(
-        topology, trees, config.sim);
-    out.probe_cycles = adapted.probe.cycles;
-    out.total_flits += collectives::total_flits(adapted.probe);
-    if (recorder != nullptr) {
-      recorder->metrics.add("workload.probe_cycles", out.probe_cycles);
-      recorder->trace.instant(
-          0, recorder->trace.intern("workload adapt"), obsv::kTrackWorkload,
-          {"hot_links",
-           static_cast<long long>(adapted.plan.hot_links.size())},
-          {"replanned",
-           static_cast<long long>(adapted.plan.replanned.size())});
-    }
-    single.emplace(topology, std::move(adapted.plan.trees), config.sim,
-                   std::nullopt, std::move(adapted.plan.bandwidths));
-  } else if (config.mode == CommMode::kSingle) {
-    single.emplace(topology, trees, config.sim, config.resilience);
-  }
-
-  // kService: one persistent service whose virtual clock IS the training
-  // timeline; buckets become jobs with arrival = release cycle.
-  std::unique_ptr<service::AllreduceService> svc;
-  if (config.mode == CommMode::kService) {
-    service::ServiceConfig svc_config;
-    svc_config.policy = config.policy;
-    svc_config.sim = config.sim;  // recorder = service lane spans
-    // Every bucket of an iteration must be admissible at once.
-    svc_config.max_queue_jobs = std::max(
-        1024, static_cast<int>(out.buckets.size()) * 2);
-    svc = std::make_unique<service::AllreduceService>(plan, svc_config);
-  }
-
-  // --- The replay loop ------------------------------------------------------
-
-  long long clock = 0;            // global virtual time (BSP barriers)
-  long long lane_free = out.probe_cycles;  // kSingle comm pipeline
+  long long clock = 0;  // global virtual time (BSP barriers)
   for (int k = 0; k < config.trace.iterations; ++k) {
     IterationRecord iter;
     iter.start = clock;
     iter.compute_done = clock + compute_total;
-    std::vector<CommInterval> intervals;
 
-    if (config.mode == CommMode::kService) {
-      std::vector<int> job_ids;
-      job_ids.reserve(out.buckets.size());
-      for (const Bucket& bucket : out.buckets) {
-        service::JobSpec spec;
-        spec.elements = bucket.elements;
-        spec.arrival_cycle = config.overlap
-                                 ? iter.start + scale(bucket.ready_offset)
-                                 : iter.compute_done;
-        job_ids.push_back(svc->submit(spec));
-      }
-      svc->drain();
-      // One interval per distinct dispatched batch (coalesced jobs share
-      // one (lane, start, finish) triple and must not double-count).
-      std::vector<std::pair<std::pair<int, long long>, long long>> batches;
-      for (int id : job_ids) {
-        const service::JobRecord& record =
-            svc->records()[static_cast<std::size_t>(id)];
-        PFAR_ENSURE(record.completed && !record.rejected, id);
-        iter.comm_done = std::max(iter.comm_done, record.finish_cycle);
-        if (record.lane < 0) continue;  // degenerate: no fabric touched
-        batches.push_back({{record.lane, record.start_cycle},
-                           record.finish_cycle});
-      }
-      std::sort(batches.begin(), batches.end());
-      batches.erase(std::unique(batches.begin(), batches.end()),
-                    batches.end());
-      for (const auto& [lane_start, finish] : batches) {
-        intervals.push_back(CommInterval{lane_start.second, finish});
-        iter.comm_busy_cycles += finish - lane_start.second;
-      }
-    } else {
-      lane_free = std::max(lane_free, iter.start);
-      for (const Bucket& bucket : out.buckets) {
-        const long long release = config.overlap
-                                      ? iter.start + scale(bucket.ready_offset)
-                                      : iter.compute_done;
-        const collectives::RunCost cost = single->cost(bucket.elements);
-        if (cost.cycles == 0) continue;  // zero-element bucket
-        const long long start = std::max(release, lane_free);
-        lane_free = start + cost.cycles;
-        intervals.push_back(CommInterval{start, lane_free});
-        iter.comm_busy_cycles += cost.cycles;
-        iter.comm_done = std::max(iter.comm_done, lane_free);
-        out.total_flits += cost.flits;
-        out.replayed_elements += cost.replayed;
-        out.values_correct = out.values_correct && cost.correct;
-      }
+    std::vector<int> job_ids;
+    job_ids.reserve(out.buckets.size());
+    for (const Bucket& bucket : out.buckets) {
+      service::JobSpec spec;
+      spec.elements = bucket.elements;
+      spec.arrival_cycle = config.overlap
+                               ? iter.start + scale(bucket.ready_offset)
+                               : iter.compute_done;
+      job_ids.push_back(svc.submit(spec));
+    }
+    svc.drain();
+    // Neither policy coalesces, so every job that touched the fabric is
+    // its own batch: one interval each.
+    std::vector<CommInterval> intervals;
+    for (int id : job_ids) {
+      const service::JobRecord& record =
+          svc.records()[static_cast<std::size_t>(id)];
+      PFAR_ENSURE(record.completed && !record.rejected &&
+                      record.batch_jobs == 1,
+                  id, record.batch_jobs);
+      if (record.lane < 0) continue;  // degenerate: no fabric touched
+      iter.comm_done = std::max(iter.comm_done, record.finish_cycle);
+      intervals.push_back(CommInterval{record.start_cycle, record.finish_cycle});
+      iter.comm_busy_cycles += record.finish_cycle - record.start_cycle;
     }
 
     iter.comm_done = std::max(iter.comm_done, iter.start);
-    close_iteration(&iter, &out, intervals);
+    close_iteration(&iter, &out, std::move(intervals));
     clock = iter.finish;
 
     if (recorder != nullptr) {
@@ -270,11 +202,10 @@ ReplayResult replay_training(const core::AllreducePlan& plan,
     }
   }
 
-  if (config.mode == CommMode::kService) {
-    const service::ServiceStats stats = svc->stats();
-    out.total_flits += stats.total_flits;
-    out.values_correct = out.values_correct && stats.values_correct;
-  }
+  const service::ServiceStats stats = svc.stats();
+  out.total_flits = stats.total_flits;
+  out.replayed_elements = stats.replayed_elements;
+  out.values_correct = stats.values_correct;
   out.time_to_epoch = clock;
   out.overlap_efficiency =
       out.comm_wall_cycles > 0

@@ -5,26 +5,23 @@
 
 #include "collectives/resilient.hpp"
 #include "core/planner.hpp"
-#include "service/job.hpp"
 #include "simnet/config.hpp"
 #include "workload/trace.hpp"
 
 namespace pfar::workload {
 
-/// How the replayed iteration's gradient buckets reach the fabric
-/// (docs/training_replay.md, "Communication backends").
+/// Which lanes of the one service::AllreduceService the replayed
+/// iteration's gradient buckets run on (docs/training_replay.md,
+/// "Communication backends"). Either way each bucket is one job with
+/// arrival = release cycle, and its fabric time is its lane's run.
 enum class CommMode {
-  /// Buckets become jobs of a persistent service::AllreduceService: one
-  /// job per bucket, arrival = release cycle, scheduled onto the plan's
-  /// link-disjoint lanes. The multi-lane path — buckets of one iteration
-  /// reduce concurrently, and background traffic flows through every lane
-  /// run.
+  /// SchedulerPolicy::kPartitioned: the plan's link-disjoint tree groups
+  /// are lanes, so buckets of one iteration reduce concurrently.
   kService,
-  /// Buckets run back-to-back on one tree set through a single memoized
-  /// collectives::TreeSetCost — the single-job pipeline every bench before
-  /// this layer measured. The mode that composes with the fault-injection
-  /// layer (the resilient attempt loop when a FaultScript is present) or
-  /// the congestion controller (`adaptive`), one at a time.
+  /// SchedulerPolicy::kSerial: one lane holding every tree, so buckets run
+  /// back-to-back in release order — the single-job pipeline every bench
+  /// before the service measured. The mode that accepts a fault script:
+  /// its lane recovers through the resilient driver.
   kSingle,
 };
 
@@ -56,23 +53,17 @@ struct ReplayConfig {
   /// the no-overlap baseline the bench compares against.
   bool overlap = true;
   CommMode mode = CommMode::kService;
-  /// Lane policy for kService (kSerial collapses to one full-tree lane).
-  service::SchedulerPolicy policy = service::SchedulerPolicy::kPartitioned;
-  /// Engine, link model, background traffic, faults, recorder. The
-  /// recorder observes the WORKLOAD timeline (workload.* metrics, the
-  /// kTrackWorkload track, and — in kService mode — the service's lane
-  /// spans); inner simulator runs are never instrumented. Fault scripts
-  /// require kSingle mode, where each bucket runs under
-  /// run_resilient_allreduce; kService passes background traffic through
-  /// to every lane run but rejects faults.
+  /// Engine, link model, background traffic, faults, recorder, passed to
+  /// the service. The recorder observes the WORKLOAD timeline (workload.*
+  /// metrics, the kTrackWorkload track, and the service's lane spans);
+  /// inner simulator runs are never instrumented. A fault script requires
+  /// kSingle (the service rejects it on partitioned lanes); background
+  /// traffic flows through every lane run.
   simnet::SimConfig sim;
   SkewSpec skew;
-  /// kSingle only, without a fault script: probe the congested fabric once
-  /// per epoch (adapt::probe_and_adapt) and run every bucket on the adapted
-  /// plan/split. The probe window is charged to the communication timeline
-  /// ahead of iteration 0.
-  bool adaptive = false;
-  /// kSingle + faults: retry/backoff knobs of the resilient driver.
+  /// Read by nothing: recovery uses the resilient driver's constants. It
+  /// stays only because the frozen benchmark program (perfbench/main.cpp)
+  /// assigns it.
   collectives::ResilienceConfig resilience;
 };
 
@@ -120,8 +111,6 @@ struct ReplayResult {
   long long total_flits = 0;
   /// kSingle + faults: elements replayed by the resilient driver.
   long long replayed_elements = 0;
-  /// Adaptive probe window charged before iteration 0 (0 unless adaptive).
-  long long probe_cycles = 0;
   /// The iteration-gating node and its effective permille multiplier.
   int slowest_node = 0;
   int slow_permille = 1000;
@@ -137,7 +126,7 @@ std::vector<int> node_multipliers(const SkewSpec& skew, int num_nodes);
 /// the traced model over the planned fabric: per-iteration compute phases
 /// scaled by the seeded node skew, gradient buckets released back-to-front
 /// as backprop finishes them, and bucket allreduces overlapped with the
-/// remaining compute (config.overlap) through the configured backend.
+/// remaining compute (config.overlap) as jobs of one AllreduceService.
 /// Deterministic end to end; see docs/training_replay.md for the model.
 ReplayResult replay_training(const core::AllreducePlan& plan,
                              const ReplayConfig& config);

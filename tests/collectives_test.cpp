@@ -124,9 +124,10 @@ TEST(RoutedNetworkTest, PathsAreShortest) {
   const polarfly::PolarFly pf(5);
   const RoutedNetwork net(pf.graph());
   const auto dist0 = pf.graph().bfs_distances(0);
+  std::vector<int> path;
   for (int v = 0; v < pf.n(); ++v) {
     EXPECT_EQ(net.hops(0, v), dist0[static_cast<std::size_t>(v)]);
-    const auto path = net.path(0, v);
+    net.path(0, v, path);
     EXPECT_EQ(static_cast<int>(path.size()) - 1, dist0[static_cast<std::size_t>(v)]);
     EXPECT_EQ(path.front(), 0);
     EXPECT_EQ(path.back(), v);
@@ -157,10 +158,12 @@ TEST(RoutedNetworkTest, UnreachableDestinationThrows) {
   const RoutedNetwork net(g);
   EXPECT_EQ(net.hops(0, 0), 0);
   EXPECT_EQ(net.hops(3, 2), 1);
-  EXPECT_EQ(net.path(1, 0), (std::vector<int>{1, 0}));
+  std::vector<int> path{9, 9, 9};  // stale contents are replaced
+  net.path(1, 0, path);
+  EXPECT_EQ(path, (std::vector<int>{1, 0}));
   for (const auto& [src, dst] : {std::pair{0, 2}, std::pair{3, 1}}) {
     EXPECT_THROW(static_cast<void>(net.hops(src, dst)), std::invalid_argument);
-    EXPECT_THROW(static_cast<void>(net.path(src, dst)), std::invalid_argument);
+    EXPECT_THROW(net.path(src, dst, path), std::invalid_argument);
   }
 }
 

@@ -469,11 +469,13 @@ TEST(FuzzAdapt, ControllerPropertiesUnderRandomBackground) {
 //
 // Seeded random job streams (several tenants, both operators, priorities,
 // zero-element jobs, same-cycle bursts, a second submit/drain round with
-// jobs dated in the past) through every scheduler policy. The service
-// charges nothing but simulation, so every batch's duration must equal a
-// direct simulation of its lane's run at the batch's fused size (not a
-// TreeSetCost, whose memo, lane sharing and period shifts are what is
-// under test), and every statistic must follow from the records.
+// jobs dated in the past) through every scheduler policy, and through the
+// serial policy under a fault script. The service charges nothing but
+// simulation, so every batch's duration must equal a direct simulation of
+// its lane's run at the batch's fused size (the resilient driver's run
+// under the fault script; not a TreeSetCost, whose memo, lane sharing and
+// period shifts are what is under test), and every statistic must follow
+// from the records.
 
 std::vector<service::JobSpec> random_stream(util::Rng& rng, int jobs,
                                             long long first_arrival,
@@ -564,16 +566,29 @@ TEST(FuzzService, BatchesCostExactlyTheirLaneSimulation) {
   const long long threshold =
       4000 - (anchor.period->periods_left - 1) *
                  anchor.period->elements_per_period[0];
-  for (int iter = 0; iter < 6; ++iter) {
-    const long long max_elements = iter < 4 ? 1500 : 2 * threshold;
+  // Iteration 6 runs the serial lane under a fault script: a tree-0
+  // uplink down at cycle 60 of every run, which the lane recovers from.
+  const auto& parents = plan.trees()[0].parents();
+  int child = 0;
+  while (parents[static_cast<std::size_t>(child)] < 0) ++child;
+  for (int iter = 0; iter < 7; ++iter) {
+    const bool faulted = iter == 6;
+    const long long max_elements = iter < 4 || faulted ? 1500 : 2 * threshold;
     const auto first = random_stream(rng, 40, 0, max_elements);
     // Dated from cycle 0 again: most of it lands in the first round's past.
     const auto second = random_stream(rng, 15, 0, max_elements);
     for (const auto policy : policies) {
+      if (faulted && policy != service::SchedulerPolicy::kSerial) continue;
       service::ServiceConfig config;
       config.policy = policy;
       config.max_queue_jobs = iter % 2 == 0 ? 4 : 1024;
       config.batch_max_jobs = 1 + static_cast<int>(rng.next_below(8));
+      if (faulted) {
+        config.sim.progress_timeout = 800;
+        config.sim.faults.events.push_back(
+            {60, child, parents[static_cast<std::size_t>(child)],
+             simnet::FaultType::kLinkDown});
+      }
       const ServiceRun run = run_service_stream(plan, config, first, second);
       const std::string where = "iter " + std::to_string(iter) + " policy " +
                                 service::to_string(policy);
@@ -588,17 +603,29 @@ TEST(FuzzService, BatchesCostExactlyTheirLaneSimulation) {
               plan.trees()[static_cast<std::size_t>(t)]);
         }
       }
-      std::map<std::pair<int, long long>, collectives::InNetworkResult> runs;
+      // Under the fault script, the resilient driver's run.
+      std::map<std::pair<int, long long>, collectives::RunCost> runs;
       const auto lane_run = [&](int lane, long long m)
-          -> const collectives::InNetworkResult& {
+          -> const collectives::RunCost& {
         auto it = runs.find({lane, m});
-        if (it == runs.end()) {
-          it = runs.emplace(std::pair{lane, m},
-                            run_lane(lane_trees[static_cast<std::size_t>(lane)],
-                                     m, config.sim))
-                   .first;
+        if (it != runs.end()) return it->second;
+        const auto& trees = lane_trees[static_cast<std::size_t>(lane)];
+        collectives::RunCost cost;
+        if (faulted) {
+          const auto r = collectives::run_resilient_allreduce(
+              plan.topology(), trees, m, config.sim);
+          cost.cycles = r.total_cycles;
+          cost.flits = collectives::total_flits(r.final_sim);
+          cost.replayed = r.chunks_replayed;
+          cost.correct = r.recovered && r.values_correct;
+        } else {
+          const auto r = run_lane(trees, m, config.sim);
+          cost.cycles = r.sim.cycles;
+          cost.flits = collectives::total_flits(r.sim);
+          cost.correct = r.sim.values_correct &&
+                         collectives::undelivered_elements(r) == 0;
         }
-        return it->second;
+        return runs.emplace(std::pair{lane, m}, cost).first->second;
       };
 
       // Per-job lifecycle, and batches keyed by (lane, start).
@@ -654,7 +681,7 @@ TEST(FuzzService, BatchesCostExactlyTheirLaneSimulation) {
       }
 
       int coalesced = 0;
-      long long flits = 0;
+      long long flits = 0, replayed = 0;
       std::map<int, long long> lane_free;  // lane -> previous batch's finish
       for (const auto& [key, b] : batches) {
         const auto& [lane, start] = key;
@@ -666,13 +693,12 @@ TEST(FuzzService, BatchesCostExactlyTheirLaneSimulation) {
         EXPECT_GT(b.elements, 0) << where;  // a zero-element seed runs alone
         if (b.jobs > 1) coalesced += b.jobs;
         // The batch's duration is exactly its lane's simulation.
-        const collectives::InNetworkResult& direct = lane_run(lane, b.elements);
-        EXPECT_TRUE(direct.sim.values_correct &&
-                    collectives::undelivered_elements(direct) == 0)
-            << where;
-        EXPECT_EQ(b.finish - start, direct.sim.cycles)
+        const collectives::RunCost& direct = lane_run(lane, b.elements);
+        EXPECT_TRUE(direct.correct) << where;
+        EXPECT_EQ(b.finish - start, direct.cycles)
             << where << " lane " << lane << " m " << b.elements;
-        flits += collectives::total_flits(direct.sim);
+        flits += direct.flits;
+        replayed += direct.replayed;
         // Batches on one lane never overlap ((lane, start) keys ascend).
         const auto it = lane_free.find(lane);
         if (it != lane_free.end()) {
@@ -689,6 +715,8 @@ TEST(FuzzService, BatchesCostExactlyTheirLaneSimulation) {
       EXPECT_EQ(s.batches, static_cast<int>(batches.size())) << where;
       EXPECT_EQ(s.coalesced_jobs, coalesced) << where;
       EXPECT_EQ(s.total_flits, flits) << where;
+      EXPECT_EQ(s.replayed_elements, replayed) << where;
+      EXPECT_EQ(replayed > 0, faulted) << where;
       EXPECT_EQ(s.makespan_cycles, makespan) << where;
       EXPECT_TRUE(s.values_correct) << where;
       if (!sojourns.empty()) {

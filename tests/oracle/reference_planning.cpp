@@ -270,8 +270,9 @@ collectives::LogicalBandwidths logical_tree_bandwidths_reference(
       throw std::invalid_argument("logical_tree_bandwidths: tree size");
     }
     std::vector<double> multiplicity;  // per dense link id, this tree
+    std::vector<int> path;
     auto add_path = [&](int src, int dst) {
-      const auto path = net.path(src, dst);
+      net.path(src, dst, path);
       for (std::size_t i = 1; i < path.size(); ++i) {
         const int l = link_id(path[i - 1], path[i]);
         if (l >= static_cast<int>(multiplicity.size())) {

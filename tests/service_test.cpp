@@ -1,8 +1,9 @@
 // The multi-tenant allreduce service (src/service/, docs/service_layer.md):
 // lane construction against the plan's link-disjoint tree groups, the
 // tenant-fair scheduler, small-job coalescing, admission control, the
-// one-shot equivalence of the serial policy, the tentpole throughput claim,
-// and the determinism of a submission history's timeline.
+// one-shot equivalence of the serial policy, its recovery under a fault
+// script, the tentpole throughput claim, and the determinism of a
+// submission history's timeline.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 
 #include "collectives/bucket_schedule.hpp"
 #include "collectives/innetwork.hpp"
+#include "collectives/resilient.hpp"
 #include "model/congestion_model.hpp"
 #include "obsv/recorder.hpp"
 #include "service/service.hpp"
@@ -63,11 +65,10 @@ TEST(ServiceTest, SerialSingleJobMatchesOneShotCost) {
   EXPECT_TRUE(svc.stats().values_correct);
 }
 
-TEST(ServiceTest, RejectsFaultScripts) {
-  // Lane runs have no recovery. Under a link-down and a progress timeout a
-  // run cancels the trees through the link and never delivers part of the
-  // vector; a service accepting the script would mark such a job
-  // completed and correct.
+TEST(ServiceTest, SerialLaneRecoversFaultScripts) {
+  // Under a link-down and a progress timeout a plain run cancels the trees
+  // through the link and never delivers part of the vector. The serial
+  // lane recovers: each batch costs exactly the resilient driver's run.
   const auto plan = core::AllreducePlanner(7).build();
   const auto& parents = plan.trees()[0].parents();
   int child = 0;
@@ -87,9 +88,35 @@ TEST(ServiceTest, RejectsFaultScripts) {
     }
   }
   EXPECT_GT(lost, 0);
+
+  service::AllreduceService svc(plan, config);
+  const std::vector<long long> sizes{4000, 2500, 4000};
+  for (const long long m : sizes) svc.submit(job(0, m, 0));
+  svc.drain();
+  long long replayed = 0;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const auto recovery = collectives::run_resilient_allreduce(
+        plan.topology(), plan.trees(), sizes[i], config.sim);
+    EXPECT_TRUE(recovery.recovered && recovery.values_correct);
+    const auto& r = svc.records()[i];
+    ASSERT_TRUE(r.completed) << i;
+    EXPECT_EQ(r.finish_cycle - r.start_cycle, recovery.total_cycles) << i;
+    replayed += recovery.chunks_replayed;
+  }
+  const service::ServiceStats stats = svc.stats();
+  EXPECT_GT(stats.replayed_elements, 0);
+  EXPECT_EQ(stats.replayed_elements, replayed);
+  EXPECT_TRUE(stats.values_correct);
+
+  // Partitioned lanes would repack over links other lanes use.
   util::contracts::ScopedThrowHandler guard;
-  EXPECT_THROW(service::AllreduceService(plan, config),
-               util::contracts::ContractViolation);
+  for (const auto policy : {service::SchedulerPolicy::kPartitioned,
+                            service::SchedulerPolicy::kPartitionedBatched}) {
+    config.policy = policy;
+    EXPECT_THROW(service::AllreduceService(plan, config),
+                 util::contracts::ContractViolation)
+        << service::to_string(policy);
+  }
 }
 
 TEST(ServiceTest, BackgroundTrafficFlowsThroughLaneRuns) {

@@ -6,22 +6,25 @@
 //  * the replay engine: bit-identical across runs,
 //    overlap strictly beats the serialized baseline, stragglers stretch
 //    the epoch without touching the fabric-side fields;
-//  * composition: fault scripts ride the resilient driver (kSingle),
-//    background traffic flows through the service lanes, the adaptive
-//    controller charges its probe window, and the service backend (and the
-//    adaptive controller) reject fault scripts by contract;
+//  * one communication path: kSingle is the service's serial lane, equal
+//    field for field to the one-lane FIFO it replaced; fault scripts ride
+//    that lane's resilient driver, background traffic flows through every
+//    lane, and the partitioned lanes (kService) reject fault scripts by
+//    contract;
 //  * observability: the replay emits the kTrackWorkload timeline and
 //    workload.* counters, and pfar_report renders the training-replay
 //    section.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "collectives/resilient.hpp"
 #include "core/planner.hpp"
 #include "graph/graph.hpp"
 #include "obsv/recorder.hpp"
@@ -306,7 +309,7 @@ TEST(WorkloadReplay, IterationTimelineIsCoherent) {
             workload::bucketize(cfg.trace, cfg.min_bucket_elements).size());
 }
 
-// --- Composition with the fault / background / adaptive layers --------------
+// --- Composition with the fault and background layers -----------------------
 
 TEST(WorkloadReplay, FaultScriptComposesThroughResilientDriver) {
   const auto plan = core::AllreducePlanner(7).build();
@@ -339,25 +342,8 @@ TEST(WorkloadReplay, BackgroundTrafficComposesInServiceMode) {
   expect_identical(loaded, replayed, "background replay determinism");
 }
 
-TEST(WorkloadReplay, AdaptiveControllerChargesProbeWindow) {
-  const auto plan = core::AllreducePlanner(7).build();
-  workload::ReplayConfig cfg = base_config();
-  cfg.mode = workload::CommMode::kSingle;
-  cfg.sim.background.pattern = simnet::TrafficPattern::kPermutation;
-  cfg.sim.background.load = 0.5;
-  cfg.sim.background.seed = 7;
-  cfg.adaptive = true;
-  const auto res = workload::replay_training(plan, cfg);
-  EXPECT_TRUE(res.values_correct);
-  EXPECT_GT(res.probe_cycles, 0);
-  // The probe window delays the first iteration's communication but never
-  // the compute timeline.
-  EXPECT_EQ(res.iterations.front().start, 0);
-  const auto replayed = workload::replay_training(plan, cfg);
-  expect_identical(res, replayed, "adaptive replay determinism");
-}
-
 TEST(WorkloadReplay, ServiceModeRejectsFaultScriptsByContract) {
+  // Partitioned lanes cannot recover (the service rejects the script).
   const auto plan = core::AllreducePlanner(7).build();
   const graph::Edge link = used_link(plan);
   workload::ReplayConfig cfg = base_config();
@@ -367,30 +353,130 @@ TEST(WorkloadReplay, ServiceModeRejectsFaultScriptsByContract) {
   util::contracts::ScopedThrowHandler guard;
   EXPECT_THROW(workload::replay_training(plan, cfg),
                util::contracts::ContractViolation);
-  cfg.sim.faults.events.clear();
-  cfg.adaptive = true;
-  EXPECT_THROW(workload::replay_training(plan, cfg),
-               util::contracts::ContractViolation);
 }
 
-TEST(WorkloadReplay, AdaptiveRejectsFaultScriptsByContract) {
-  // The probe sees the network before the failure and recovery replans
-  // without the adapted plan, so the two would charge a probe whose plan
-  // no bucket runs on.
-  const auto plan = core::AllreducePlanner(7).build();
-  const graph::Edge link = used_link(plan);
-  workload::ReplayConfig cfg = base_config();
-  cfg.mode = workload::CommMode::kSingle;
-  cfg.sim.background.pattern = simnet::TrafficPattern::kPermutation;
-  cfg.sim.background.load = 0.5;
-  cfg.sim.background.seed = 7;
-  cfg.sim.progress_timeout = 1500;
-  cfg.sim.faults.events.push_back(
-      {200, link.u, link.v, simnet::FaultType::kLinkDown});
-  cfg.adaptive = true;
-  util::contracts::ScopedThrowHandler guard;
-  EXPECT_THROW(workload::replay_training(plan, cfg),
-               util::contracts::ContractViolation);
+// The kSingle backend as it was before it became the service's serial
+// lane: one FIFO over a resilient TreeSetCost of every tree, each bucket
+// starting at max(release, lane free).
+workload::ReplayResult fifo_lane_oracle(const core::AllreducePlan& plan,
+                                        const workload::ReplayConfig& cfg) {
+  workload::ReplayResult out;
+  out.buckets = workload::bucketize(cfg.trace, cfg.min_bucket_elements);
+  const std::vector<int> mult =
+      workload::node_multipliers(cfg.skew, plan.num_nodes());
+  const auto slow = std::max_element(mult.begin(), mult.end());
+  out.slow_permille = *slow;
+  out.slowest_node = static_cast<int>(slow - mult.begin());
+  const auto scale = [&](long long cycles) {
+    return cycles * out.slow_permille / 1000;
+  };
+  collectives::TreeSetCost lane(plan.topology(), plan.trees(), cfg.sim,
+                                collectives::ResilienceConfig{});
+  long long clock = 0, lane_free = 0;
+  for (int k = 0; k < cfg.trace.iterations; ++k) {
+    workload::IterationRecord it;
+    it.start = clock;
+    it.compute_done = clock + scale(cfg.trace.total_compute_cycles());
+    it.comm_done = it.start;
+    for (const workload::Bucket& bucket : out.buckets) {
+      const long long release = cfg.overlap
+                                    ? it.start + scale(bucket.ready_offset)
+                                    : it.compute_done;
+      const collectives::RunCost cost = lane.cost(bucket.elements);
+      if (cost.cycles == 0) continue;
+      lane_free = std::max(release, lane_free) + cost.cycles;
+      it.comm_busy_cycles += cost.cycles;
+      it.comm_done = lane_free;
+      out.total_flits += cost.flits;
+      out.replayed_elements += cost.replayed;
+      out.values_correct = out.values_correct && cost.correct;
+    }
+    // One lane: its runs never overlap, so wall time is busy time.
+    it.comm_wall_cycles = it.comm_busy_cycles;
+    it.finish = std::max(it.compute_done, it.comm_done);
+    it.exposed_comm_cycles = std::max(0LL, it.comm_done - it.compute_done);
+    out.compute_cycles += it.compute_done - it.start;
+    out.comm_wall_cycles += it.comm_wall_cycles;
+    out.comm_busy_cycles += it.comm_busy_cycles;
+    out.exposed_comm_cycles += it.exposed_comm_cycles;
+    out.iterations.push_back(it);
+    clock = it.finish;
+  }
+  out.time_to_epoch = clock;
+  out.overlap_efficiency =
+      out.comm_wall_cycles > 0
+          ? 1.0 - static_cast<double>(out.exposed_comm_cycles) /
+                      static_cast<double>(out.comm_wall_cycles)
+          : 1.0;
+  return out;
+}
+
+TEST(WorkloadReplay, SingleModeIsOneFifoLane) {
+  for (const int q : {5, 7}) {
+    const auto plan = core::AllreducePlanner(q).build();
+    const graph::Edge link = used_link(plan);
+    for (int cell = 0; cell < 16; ++cell) {
+      workload::ReplayConfig cfg = base_config();
+      cfg.mode = workload::CommMode::kSingle;
+      cfg.skew.skew_permille = 200;
+      cfg.overlap = (cell & 1) != 0;
+      if ((cell & 2) != 0) {
+        cfg.sim.background.pattern = simnet::TrafficPattern::kUniform;
+        cfg.sim.background.load = 0.25;
+        cfg.sim.background.seed = 11;
+      }
+      const bool fault = (cell & 4) != 0;
+      if (fault) {
+        cfg.sim.progress_timeout = 800;
+        cfg.sim.faults.events.push_back(
+            {60, link.u, link.v, simnet::FaultType::kLinkDown});
+      }
+      cfg.min_bucket_elements = (cell & 8) != 0 ? 2048 : 0;
+      const std::string where =
+          "q " + std::to_string(q) + " cell " + std::to_string(cell);
+
+      const workload::ReplayResult want = fifo_lane_oracle(plan, cfg);
+      const workload::ReplayResult got = workload::replay_training(plan, cfg);
+      EXPECT_EQ(got.time_to_epoch, want.time_to_epoch) << where;
+      EXPECT_EQ(got.compute_cycles, want.compute_cycles) << where;
+      EXPECT_EQ(got.comm_wall_cycles, want.comm_wall_cycles) << where;
+      EXPECT_EQ(got.comm_busy_cycles, want.comm_busy_cycles) << where;
+      EXPECT_EQ(got.exposed_comm_cycles, want.exposed_comm_cycles) << where;
+      EXPECT_EQ(got.overlap_efficiency, want.overlap_efficiency) << where;
+      EXPECT_EQ(got.total_flits, want.total_flits) << where;
+      EXPECT_EQ(got.replayed_elements, want.replayed_elements) << where;
+      EXPECT_EQ(got.slowest_node, want.slowest_node) << where;
+      EXPECT_EQ(got.slow_permille, want.slow_permille) << where;
+      EXPECT_EQ(got.values_correct, want.values_correct) << where;
+      EXPECT_TRUE(got.values_correct) << where;
+      EXPECT_EQ(got.replayed_elements > 0, fault) << where;
+      ASSERT_EQ(got.buckets.size(), want.buckets.size()) << where;
+      for (std::size_t b = 0; b < got.buckets.size(); ++b) {
+        EXPECT_EQ(got.buckets[b].first_layer, want.buckets[b].first_layer)
+            << where;
+        EXPECT_EQ(got.buckets[b].last_layer, want.buckets[b].last_layer)
+            << where;
+        EXPECT_EQ(got.buckets[b].elements, want.buckets[b].elements) << where;
+        EXPECT_EQ(got.buckets[b].ready_offset, want.buckets[b].ready_offset)
+            << where;
+      }
+      ASSERT_EQ(got.iterations.size(), want.iterations.size()) << where;
+      for (std::size_t i = 0; i < got.iterations.size(); ++i) {
+        const workload::IterationRecord& g = got.iterations[i];
+        const workload::IterationRecord& w = want.iterations[i];
+        EXPECT_EQ(g.start, w.start) << where << " iter " << i;
+        EXPECT_EQ(g.compute_done, w.compute_done) << where << " iter " << i;
+        EXPECT_EQ(g.comm_done, w.comm_done) << where << " iter " << i;
+        EXPECT_EQ(g.finish, w.finish) << where << " iter " << i;
+        EXPECT_EQ(g.comm_wall_cycles, w.comm_wall_cycles)
+            << where << " iter " << i;
+        EXPECT_EQ(g.comm_busy_cycles, w.comm_busy_cycles)
+            << where << " iter " << i;
+        EXPECT_EQ(g.exposed_comm_cycles, w.exposed_comm_cycles)
+            << where << " iter " << i;
+      }
+    }
+  }
 }
 
 // --- Observability ----------------------------------------------------------

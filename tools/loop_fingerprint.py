@@ -66,18 +66,46 @@ def section_base(funcs, binary):
 
 
 # Absolute addresses and RIP displacements move with the rest of the
-# program; the symbolic <name+offset> annotations objdump adds do not.
+# program; the symbolic <name+offset> annotations objdump adds do not,
+# except on a relocated operand: there the annotation names whatever
+# symbol precedes the unrelocated placeholder (`<.LC30+0x1f>`, an offset
+# that follows the length of the string literals, `__FILE__` among them),
+# and the relocation names the real target.
 _ADDR = re.compile(r"^\s*[0-9a-f]+:\s*")
 _TARGET = re.compile(r"\b[0-9a-f]+ (<[^>]*>)")
+_RELOC = re.compile(r"\s+[0-9a-f]+:\s+(R_\S+)\s+(\S+)$")
 _RIP = re.compile(r"-?0x[0-9a-f]+\(%rip\)")
 _COMMENT = re.compile(r"\s*#.*$")
 
 
-def normalized_disassembly(path, start, size, relocs):
+def normalize_line(line):
+    """One `objdump -d -w [-r]` instruction line, without what moves."""
+    line = _ADDR.sub("", line)
+    reloc = _RELOC.search(line)
+    if reloc:
+        line = line[:reloc.start()]
+    line = _COMMENT.sub("", line)
+    if reloc:
+        line = _TARGET.sub("", line).rstrip() + " " + " ".join(reloc.groups())
+    else:
+        line = _TARGET.sub(r"\1", line)
+    line = _RIP.sub("(%rip)", line)
+    return line.strip()
+
+
+def digest(lines):
+    """Hash of the normalized instruction lines, as the table prints it."""
+    text = "\n".join(normalize_line(line) for line in lines)
+    return hashlib.sha1(text.encode()).hexdigest()[:12]
+
+
+def instruction_lines(path, start, size, relocs):
     cmd = ["objdump", "-d", "-w", "--no-show-raw-insn",
            f"--start-address={start}", f"--stop-address={start + size}", path]
     if relocs:
-        cmd.insert(2, "-r")
+        # Every section of an object starts at 0: without -j the range
+        # would also take in the cold and COMDAT code at the same offsets.
+        cmd[2:2] = ["-r", "-j", ".text"]
     lines = []
     body = False
     for line in run(cmd).splitlines():
@@ -86,12 +114,8 @@ def normalized_disassembly(path, start, size, relocs):
             continue
         if not body or not line.strip():
             continue
-        line = _ADDR.sub("", line)
-        line = _COMMENT.sub("", line)
-        line = _TARGET.sub(r"\1", line)
-        line = _RIP.sub("(%rip)", line)
-        lines.append(line.strip())
-    return "\n".join(lines)
+        lines.append(line)
+    return lines
 
 
 def demangle(names):
@@ -118,12 +142,11 @@ def main():
     print(f"{'size':>7}  {'disasm sha1':12}  {'mod64':>5}  function")
     for (offset, size, _, _), name in zip(funcs, names):
         addr = base + offset
-        text = normalized_disassembly(where, addr, size,
-                                      relocs=args.binary is None)
-        digest = hashlib.sha1(text.encode()).hexdigest()[:12]
+        sha = digest(instruction_lines(where, addr, size,
+                                       relocs=args.binary is None))
         # Lambdas share their long enclosing signature: keep the tail.
         short = name if len(name) <= 90 else "..." + name[-87:]
-        print(f"{size:7d}  {digest}  {addr % ALIGN:5d}  {short}")
+        print(f"{size:7d}  {sha}  {addr % ALIGN:5d}  {short}")
         if addr % ALIGN:
             misaligned.append(name)
     if args.check_aligned:
