@@ -49,8 +49,10 @@ InNetworkResult run_planned_allreduce(
 
 /// Plans and simulates a multi-tree in-network Allreduce of an m-element
 /// vector over the given spanning trees (Sections 4.3, 5.2 end-to-end):
-/// computes Algorithm 1 bandwidths once, splits the vector per `policy`,
-/// and runs the core.
+/// takes the Algorithm 1 bandwidths, splits the vector per `policy`, and
+/// runs the core. A tree set the caller already solved (a plan's
+/// topology and trees, or the previous call's) costs no second solve:
+/// model::compute_tree_bandwidths answers it from its memo.
 InNetworkResult run_innetwork_allreduce(
     const graph::Graph& topology,
     const std::vector<trees::SpanningTree>& trees, long long m,

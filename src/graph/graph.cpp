@@ -83,6 +83,7 @@ void Graph::finalize() {
   build_adj_.clear();
   build_adj_.shrink_to_fit();
   finalized_ = true;
+  stamp_.renew();
 
   // CSR shape contract: offsets are monotone, cover 2|E| endpoint slots,
   // and every cursor ran exactly to the start of the next row.

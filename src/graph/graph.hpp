@@ -1,9 +1,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
+
+#include "util/content_stamp.hpp"
 
 namespace pfar::graph {
 
@@ -85,6 +88,11 @@ class Graph {
   /// std::logic_error on duplicate edges.
   void finalize();
 
+  /// Content stamp (util::ContentStamp): 0 until finalize() draws one. A
+  /// finalized graph never changes (add_edge throws), so equal nonzero
+  /// stamps mean equal graphs.
+  std::uint64_t stamp() const { return stamp_.value(); }
+
   /// True iff {u, v} is an edge: edge_id(u, v) >= 0, so any vertex out of
   /// range is simply absent. Finalized graphs only.
   bool has_edge(int u, int v) const { return edge_id(u, v) >= 0; }
@@ -137,6 +145,7 @@ class Graph {
   std::vector<int> offsets_;
   std::vector<int> csr_adj_;
   std::vector<int> csr_eid_;
+  util::ContentStamp stamp_;
 };
 
 /// Link ids of a tree set's parent edges, resolved in one vertex-major

@@ -2,13 +2,25 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "util/contracts.hpp"
 #include "util/numeric.hpp"
 
 namespace pfar::model {
+namespace {
+
+bool stamped(const graph::Graph& g,
+             const std::vector<trees::SpanningTree>& trees) {
+  return g.stamp() != 0 &&
+         std::none_of(trees.begin(), trees.end(),
+                      [](const trees::SpanningTree& t) { return t.stamp() == 0; });
+}
+
+}  // namespace
 
 TreeBandwidths max_min_fair_shares(int num_resources, const FlowRows& rows,
                                    double capacity,
@@ -151,6 +163,12 @@ TreeBandwidths compute_tree_bandwidths(
     throw std::invalid_argument("compute_tree_bandwidths: scale outside (0, 1]");
   }
 
+  static BandwidthMemo memo;
+  const bool uniform = capacity_scale.empty();
+  if (uniform) {
+    if (auto hit = memo.find(g, trees, link_bandwidth)) return *std::move(hit);
+  }
+
   // One row of n-1 edge ids per tree, listing its edges by child vertex
   // (the reference's order). A validated tree has exactly one parentless
   // vertex, so dropping the roots' -1 entries leaves exactly those rows.
@@ -159,7 +177,39 @@ TreeBandwidths compute_tree_bandwidths(
   rows.resources = trees::tree_links(g, trees);
   std::erase(rows.resources, -1);
   for (std::size_t t = 1; t <= trees.size(); ++t) rows.offsets.push_back(static_cast<int>(t) * (n - 1));
-  return max_min_fair_shares(num_edges, rows, link_bandwidth, capacity_scale);
+  auto out = max_min_fair_shares(num_edges, rows, link_bandwidth, capacity_scale);
+  if (uniform) memo.store(g, trees, link_bandwidth, out);
+  return out;
+}
+
+std::optional<TreeBandwidths> BandwidthMemo::find(
+    const graph::Graph& g, const std::vector<trees::SpanningTree>& trees,
+    double link_bandwidth) const {
+  if (!stamped(g, trees)) return std::nullopt;
+  util::MutexLock lock(mu_);
+  if (graph_ != g.stamp() || link_bandwidth_ != link_bandwidth ||
+      !std::equal(trees_.begin(), trees_.end(), trees.begin(), trees.end(),
+                  [](std::uint64_t s, const trees::SpanningTree& t) {
+                    return s == t.stamp();
+                  })) {
+    return std::nullopt;
+  }
+  return result_;
+}
+
+void BandwidthMemo::store(const graph::Graph& g,
+                          const std::vector<trees::SpanningTree>& trees,
+                          double link_bandwidth, const TreeBandwidths& result) {
+  if (!stamped(g, trees)) return;
+  std::vector<std::uint64_t> key(trees.size());
+  std::transform(trees.begin(), trees.end(), key.begin(),
+                 [](const trees::SpanningTree& t) { return t.stamp(); });
+  TreeBandwidths copy = result;
+  util::MutexLock lock(mu_);
+  graph_ = g.stamp();
+  trees_ = std::move(key);
+  link_bandwidth_ = link_bandwidth;
+  result_ = std::move(copy);
 }
 
 std::vector<long long> optimal_split(long long m, const TreeBandwidths& bw) {

@@ -1,9 +1,12 @@
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "trees/spanning_tree.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace pfar::model {
 
@@ -49,6 +52,11 @@ TreeBandwidths max_min_fair_shares(
 /// adaptive controller passes the share of each link background traffic
 /// leaves free; all scales 1.0 give the uniform result bit for bit.
 ///
+/// A uniform call (empty scale) is answered from a process-wide
+/// BandwidthMemo when it repeats the last uniform tree set solved, in
+/// O(trees) time and bit-identically, so a run over a plan's trees does
+/// not solve the planner's water-fill again.
+///
 /// Bit-identical to the seed per-edge scan in
 /// tests/oracle/reference_planning.hpp, pinned by tests. Throws
 /// std::invalid_argument on B <= 0, on a malformed scale, and unless
@@ -56,6 +64,34 @@ TreeBandwidths max_min_fair_shares(
 TreeBandwidths compute_tree_bandwidths(
     const graph::Graph& g, const std::vector<trees::SpanningTree>& trees,
     double link_bandwidth, const std::vector<double>& capacity_scale = {});
+
+/// One-entry exact memo of uniform Algorithm 1 solves, keyed by content
+/// stamps (util::ContentStamp): (g's stamp, the ordered stamps of the
+/// trees, B). Equal nonzero stamps mean equal content, so a hit is the
+/// answer a fresh solve would give; a key holding a stamp of 0 (an
+/// unfinalized graph, a moved-from tree) is never looked up nor stored.
+/// Thread-safe; the lock is held only to compare or replace the entry.
+class BandwidthMemo {
+ public:
+  /// The stored result if the entry's key is (g, trees, link_bandwidth).
+  std::optional<TreeBandwidths> find(
+      const graph::Graph& g, const std::vector<trees::SpanningTree>& trees,
+      double link_bandwidth) const PFAR_EXCLUDES(mu_);
+
+  /// Replaces the entry with `result` under the key (g, trees,
+  /// link_bandwidth), unless a stamp of it is 0.
+  void store(const graph::Graph& g,
+             const std::vector<trees::SpanningTree>& trees,
+             double link_bandwidth, const TreeBandwidths& result)
+      PFAR_EXCLUDES(mu_);
+
+ private:
+  mutable util::Mutex mu_;
+  std::uint64_t graph_ PFAR_GUARDED_BY(mu_) = 0;  // 0: no entry
+  std::vector<std::uint64_t> trees_ PFAR_GUARDED_BY(mu_);
+  double link_bandwidth_ PFAR_GUARDED_BY(mu_) = 0.0;
+  TreeBandwidths result_ PFAR_GUARDED_BY(mu_);
+};
 
 /// Theorem 5.1 optimal sub-vector distribution: m_i = m * B_i / sum(B),
 /// rounded to integers summing to m by largest remainder.

@@ -42,8 +42,8 @@ enum class ReduceOp {
 struct JobSpec {
   /// Owning tenant, the unit of fairness accounting (>= 0).
   int tenant = 0;
-  /// Vector elements to reduce (m). A zero-element job completes at
-  /// dispatch without touching the fabric.
+  /// Vector elements to reduce (m). An admitted zero-element job
+  /// completes at its arrival, without a lane or the fabric.
   long long elements = 0;
   ReduceOp op = ReduceOp::kSum;
   /// Larger = more urgent. Breaks ties within a tenant's queue only —

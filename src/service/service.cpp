@@ -160,9 +160,17 @@ void AllreduceService::admit_arrivals(long long t) {
       continue;
     }
     record.admit_cycle = job.queued_cycle;
-    queue_.push_back(job);
     if (obsv::Recorder* rec = config_.sim.recorder) {
       rec->metrics.add("service.jobs.admitted");
+    }
+    // A zero-element job has nothing to move: it needs no fabric, so it
+    // completes at its arrival instead of waiting for a lane.
+    if (job.elements == 0) {
+      finish_job(job.job_id, job.queued_cycle, -1, 1);
+      continue;
+    }
+    queue_.push_back(job);
+    if (obsv::Recorder* rec = config_.sim.recorder) {
       rec->metrics.hwm("service.queue_depth",
                        static_cast<long long>(queue_.size()));
     }
@@ -172,57 +180,48 @@ void AllreduceService::admit_arrivals(long long t) {
 }
 
 void AllreduceService::dispatch_free_lanes() {
-  for (std::size_t l = 0; l < lane_state_.size(); ++l) {
+  for (std::size_t l = 0; l < lane_state_.size() && !queue_.empty(); ++l) {
     if (lane_state_[l].busy) continue;
-    while (!queue_.empty()) {
-      const std::size_t seed = pick_seed(queue_, served_elements_);
-      // A zero-element job has nothing to move: it needs no fabric.
-      if (queue_[seed].elements == 0) {
-        finish_job(queue_[seed].job_id, clock_, -1, 1);
-        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(seed));
-        continue;
-      }
-      const auto batch_indices = collect_batch(queue_, seed, config_);
-      Batch b;
-      for (std::size_t i : batch_indices) {
-        const QueuedJob& job = queue_[i];
-        b.job_ids.push_back(job.job_id);
-        b.total_elements += job.elements;
-        served_elements_[job.tenant] += job.elements;
-        records_[static_cast<std::size_t>(job.job_id)].start_cycle = clock_;
-      }
-      collectives::TreeSetCost& lane_cost = costs_[lane_cost_[l]];
-      const collectives::TreeSetCost::Answers before = lane_cost.answers();
-      const collectives::RunCost cost = lane_cost.cost(b.total_elements);
-      values_correct_ = values_correct_ && cost.correct;
-      replayed_elements_ += cost.replayed;
-      b.start = clock_;
-      b.finish = clock_ + cost.cycles;
-      b.flits = cost.flits;
-      ++batches_;
-      if (batch_indices.size() > 1) {
-        coalesced_jobs_ += static_cast<int>(batch_indices.size());
-      }
-      if (obsv::Recorder* rec = config_.sim.recorder) {
-        rec->metrics.add("service.batches");
-        rec->metrics.add("service.batched_elements", b.total_elements);
-        const collectives::TreeSetCost::Answers& after = lane_cost.answers();
-        rec->metrics.add("service.lane_runs.simulated",
-                         after.simulated - before.simulated);
-        rec->metrics.add("service.lane_runs.memo", after.memo - before.memo);
-        rec->metrics.add("service.lane_runs.shifted",
-                         after.shifted - before.shifted);
-      }
-      // Remove the batch from the queue, highest index first.
-      std::vector<std::size_t> doomed = batch_indices;
-      std::sort(doomed.begin(), doomed.end());
-      for (auto it = doomed.rbegin(); it != doomed.rend(); ++it) {
-        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(*it));
-      }
-      lane_state_[l].busy = true;
-      lane_state_[l].batch = std::move(b);
-      break;  // lane occupied; try the next one
+    const std::size_t seed = pick_seed(queue_, served_elements_);
+    const auto batch_indices = collect_batch(queue_, seed, config_);
+    Batch b;
+    for (std::size_t i : batch_indices) {
+      const QueuedJob& job = queue_[i];
+      b.job_ids.push_back(job.job_id);
+      b.total_elements += job.elements;
+      served_elements_[job.tenant] += job.elements;
+      records_[static_cast<std::size_t>(job.job_id)].start_cycle = clock_;
     }
+    collectives::TreeSetCost& lane_cost = costs_[lane_cost_[l]];
+    const collectives::TreeSetCost::Answers before = lane_cost.answers();
+    const collectives::RunCost cost = lane_cost.cost(b.total_elements);
+    values_correct_ = values_correct_ && cost.correct;
+    replayed_elements_ += cost.replayed;
+    b.start = clock_;
+    b.finish = clock_ + cost.cycles;
+    b.flits = cost.flits;
+    ++batches_;
+    if (batch_indices.size() > 1) {
+      coalesced_jobs_ += static_cast<int>(batch_indices.size());
+    }
+    if (obsv::Recorder* rec = config_.sim.recorder) {
+      rec->metrics.add("service.batches");
+      rec->metrics.add("service.batched_elements", b.total_elements);
+      const collectives::TreeSetCost::Answers& after = lane_cost.answers();
+      rec->metrics.add("service.lane_runs.simulated",
+                       after.simulated - before.simulated);
+      rec->metrics.add("service.lane_runs.memo", after.memo - before.memo);
+      rec->metrics.add("service.lane_runs.shifted",
+                       after.shifted - before.shifted);
+    }
+    // Remove the batch from the queue, highest index first.
+    std::vector<std::size_t> doomed = batch_indices;
+    std::sort(doomed.begin(), doomed.end());
+    for (auto it = doomed.rbegin(); it != doomed.rend(); ++it) {
+      queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(*it));
+    }
+    lane_state_[l].busy = true;
+    lane_state_[l].batch = std::move(b);
   }
   // A non-empty queue may only remain because every lane is occupied.
   PFAR_ENSURE(queue_.empty() ||

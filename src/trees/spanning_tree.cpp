@@ -46,6 +46,7 @@ SpanningTree::SpanningTree(int root, std::vector<int> parent)
   if (static_cast<int>(frontier.size()) != n) {
     throw std::invalid_argument("SpanningTree: parent vector has a cycle");
   }
+  stamp_.renew();
 }
 
 std::vector<graph::Edge> SpanningTree::edges() const {

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "util/content_stamp.hpp"
 
 namespace pfar::trees {
 
@@ -15,6 +17,9 @@ namespace pfar::trees {
 /// Child lists live in one flat CSR array (offsets + children), so
 /// construction does O(1) allocations instead of one vector per vertex —
 /// plan construction builds thousands of trees for large radices.
+///
+/// Immutable once built (every accessor is const), so the constructor
+/// draws its content stamp (util::ContentStamp) once.
 class SpanningTree {
  public:
   /// parent[v] = parent vertex, -1 exactly at the root.
@@ -41,6 +46,9 @@ class SpanningTree {
   /// vertices and is connected/acyclic (Theorem 7.4-style validation).
   bool is_spanning_tree_of(const graph::Graph& g) const;
 
+  /// Content stamp: nonzero from construction, 0 once moved from.
+  std::uint64_t stamp() const { return stamp_.value(); }
+
  private:
   int root_;
   int depth_ = 0;
@@ -48,6 +56,7 @@ class SpanningTree {
   std::vector<int> child_offsets_;  // n+1 row offsets into children_
   std::vector<int> children_;       // n-1 entries, grouped by parent
   std::vector<int> level_;
+  util::ContentStamp stamp_;
 };
 
 /// Canonical names of rooted tree shapes (AHU): a vertex is named by the

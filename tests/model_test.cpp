@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <string>
+#include <thread>
+#include <utility>
 
+#include "core/planner.hpp"
 #include "model/congestion_model.hpp"
+#include "oracle/reference_planning.hpp"
 #include "polarfly/layout.hpp"
 #include "singer/singer_graph.hpp"
 #include "trees/hamiltonian.hpp"
 #include "trees/low_depth.hpp"
+#include "util/content_stamp.hpp"
 #include "util/contracts.hpp"
 
 namespace pfar::model {
@@ -313,6 +321,228 @@ TEST(RateUpperBoundTest, InputValidation) {
   ok.add_edge(0, 1);
   ok.finalize();
   EXPECT_THROW(allreduce_rate_upper_bound(ok, 0.0), std::invalid_argument);
+}
+
+TEST(ContentStamp, CopyKeepsTheValueAndMoveZeroesTheSource) {
+  util::ContentStamp a;
+  EXPECT_EQ(a.value(), 0u);
+  a.renew();
+  const std::uint64_t v = a.value();
+  EXPECT_NE(v, 0u);
+  const util::ContentStamp copy = a;
+  EXPECT_EQ(copy.value(), v);
+  util::ContentStamp moved = std::move(a);
+  EXPECT_EQ(moved.value(), v);
+  EXPECT_EQ(a.value(), 0u);  // NOLINT(bugprone-use-after-move)
+  util::ContentStamp assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.value(), v);
+  EXPECT_EQ(moved.value(), 0u);  // NOLINT(bugprone-use-after-move)
+  assigned.renew();
+  EXPECT_NE(assigned.value(), v);
+  EXPECT_NE(assigned.value(), 0u);
+}
+
+TEST(ContentStamp, GraphIsStampedAtFinalize) {
+  graph::Graph g(3);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  EXPECT_EQ(g.stamp(), 0u);
+  g.finalize();
+  EXPECT_NE(g.stamp(), 0u);
+  const graph::Graph copy = g;
+  EXPECT_EQ(copy.stamp(), g.stamp());
+  graph::Graph same_edges(3);
+  same_edges.add_edge(0, 1);
+  same_edges.add_edge(1, 2);
+  same_edges.finalize();
+  EXPECT_NE(same_edges.stamp(), g.stamp());  // rebuilt: a fresh stamp
+}
+
+TEST(ContentStamp, TreeStampsTravelWithTheirContent) {
+  SpanningTree a(0, {-1, 0, 1});
+  SpanningTree b(2, {1, 2, -1});
+  const std::uint64_t sa = a.stamp();
+  const std::uint64_t sb = b.stamp();
+  EXPECT_NE(sa, 0u);
+  EXPECT_NE(sb, 0u);
+  EXPECT_NE(sa, sb);
+  std::swap(a, b);
+  EXPECT_EQ(a.stamp(), sb);
+  EXPECT_EQ(a.root(), 2);
+  EXPECT_EQ(b.stamp(), sa);
+  EXPECT_EQ(b.root(), 0);
+  const SpanningTree copy = a;
+  EXPECT_EQ(copy.stamp(), sb);
+  const SpanningTree taken = std::move(a);
+  EXPECT_EQ(taken.stamp(), sb);
+  EXPECT_EQ(a.stamp(), 0u);  // NOLINT(bugprone-use-after-move)
+}
+
+// Algorithm 1 straight through the kernel, past every memo.
+TreeBandwidths fresh_solve(const graph::Graph& g,
+                           const std::vector<SpanningTree>& ts, double b,
+                           const std::vector<double>& scale = {}) {
+  FlowRows rows;
+  rows.resources = trees::tree_links(g, ts);
+  std::erase(rows.resources, -1);
+  for (std::size_t t = 1; t <= ts.size(); ++t) {
+    rows.offsets.push_back(static_cast<int>(t) * (g.num_vertices() - 1));
+  }
+  return max_min_fair_shares(g.num_edges(), rows, b, scale);
+}
+
+void expect_same(const TreeBandwidths& got, const TreeBandwidths& want,
+                 const std::string& where) {
+  EXPECT_EQ(got.per_tree, want.per_tree) << where;
+  EXPECT_EQ(got.aggregate, want.aggregate) << where;
+}
+
+// compute_tree_bandwidths, a fresh kernel solve and the seed scan agree
+// bit for bit on (g, ts, b, scale).
+void expect_exact(const graph::Graph& g, const std::vector<SpanningTree>& ts,
+                  double b, const std::vector<double>& scale,
+                  const std::string& where) {
+  const auto fresh = fresh_solve(g, ts, b, scale);
+  expect_same(compute_tree_bandwidths(g, ts, b, scale), fresh, where);
+  expect_same(oracle::compute_tree_bandwidths_reference(g, ts, b, scale),
+              fresh, where);
+}
+
+constexpr core::Solution kSolutions[] = {core::Solution::kLowDepth,
+                                         core::Solution::kEdgeDisjoint,
+                                         core::Solution::kSingleTree};
+
+TEST(BandwidthMemo, HitsAndMissesEqualAFreshSolve) {
+  for (int q : {7, 11, 13}) {
+    for (const auto solution : kSolutions) {
+      const std::string where = "q=" + std::to_string(q) + " " +
+                                core::to_string(solution);
+      const auto plan = core::AllreducePlanner(q).solution(solution).build();
+      const graph::Graph& g = plan.topology();
+      const std::vector<SpanningTree>& ts = plan.trees();
+      const auto fresh = fresh_solve(g, ts, 1.0);
+      // The planner's solve was the last uniform one: the run's is a hit.
+      expect_same(compute_tree_bandwidths(g, ts, 1.0), fresh, where);
+      expect_same(compute_tree_bandwidths(g, ts, 1.0), fresh, where);
+      expect_same(oracle::compute_tree_bandwidths_reference(g, ts, 1.0),
+                  fresh, where);
+
+      BandwidthMemo memo;
+      EXPECT_FALSE(memo.find(g, ts, 1.0)) << where;
+      memo.store(g, ts, 1.0, fresh);
+      const auto hit = memo.find(g, ts, 1.0);
+      ASSERT_TRUE(hit) << where;
+      expect_same(*hit, fresh, where + " hit");
+      // A copied set and a vector moved as a whole keep their stamps.
+      std::vector<SpanningTree> copied = ts;
+      ASSERT_TRUE(memo.find(g, copied, 1.0)) << where;
+      const std::vector<SpanningTree> moved_whole = std::move(copied);
+      ASSERT_TRUE(memo.find(g, moved_whole, 1.0)) << where;
+
+      // Same content rebuilt: new stamps, so a miss.
+      std::vector<SpanningTree> rebuilt;
+      for (const auto& t : ts) rebuilt.emplace_back(t.root(), t.parents());
+      EXPECT_FALSE(memo.find(g, rebuilt, 1.0)) << where;
+      expect_exact(g, rebuilt, 1.0, {}, where + " rebuilt trees");
+      graph::Graph g2(g.num_vertices());
+      for (const auto& e : g.edges()) g2.add_edge(e.u, e.v);
+      g2.finalize();
+      EXPECT_FALSE(memo.find(g2, ts, 1.0)) << where;
+      expect_exact(g2, ts, 1.0, {}, where + " rebuilt graph");
+
+      // The key is ordered: a reversed set misses and is solved in its
+      // own order.
+      const std::vector<SpanningTree> reversed(ts.rbegin(), ts.rend());
+      if (ts.size() > 1) {
+        EXPECT_FALSE(memo.find(g, reversed, 1.0)) << where;
+      }
+      expect_exact(g, reversed, 1.0, {}, where + " reversed");
+      auto back = compute_tree_bandwidths(g, reversed, 1.0).per_tree;
+      std::reverse(back.begin(), back.end());
+      for (std::size_t t = 0; t < ts.size(); ++t) {
+        EXPECT_NEAR(back[t], fresh.per_tree[t], 1e-12) << where;
+      }
+
+      // Another B misses.
+      EXPECT_FALSE(memo.find(g, ts, 2.5)) << where;
+      expect_exact(g, ts, 2.5, {}, where + " B=2.5");
+
+      // A scaled call neither reads nor writes the memo: its answer is
+      // the scaled one, and the uniform answer after it is still uniform.
+      std::vector<double> scale(static_cast<std::size_t>(g.num_edges()), 1.0);
+      for (std::size_t e = 0; e < scale.size(); e += 3) scale[e] = 0.5;
+      expect_same(compute_tree_bandwidths(g, ts, 1.0), fresh, where);
+      expect_exact(g, ts, 1.0, scale, where + " scaled");
+      expect_same(compute_tree_bandwidths(g, ts, 1.0), fresh,
+                  where + " uniform after scaled");
+
+      // A moved-from tree has stamp 0: the key is never looked up or
+      // stored, and the solve rejects the empty tree as a fresh one does.
+      // (The seed scan is not run on it: its content is gone.)
+      std::vector<SpanningTree> holey = ts;
+      SpanningTree taken = std::move(holey.front());
+      EXPECT_FALSE(memo.find(g, holey, 1.0)) << where;
+      memo.store(g, holey, 2.0, TreeBandwidths{});
+      ASSERT_TRUE(memo.find(g, ts, 1.0)) << where;  // entry kept
+      EXPECT_THROW(compute_tree_bandwidths(g, holey, 1.0),
+                   std::invalid_argument);
+      EXPECT_THROW(fresh_solve(g, holey, 1.0), std::invalid_argument);
+      // Moved back, the tree brings its stamp and content home.
+      holey.front() = std::move(taken);
+      ASSERT_TRUE(memo.find(g, holey, 1.0)) << where;
+      expect_exact(g, holey, 1.0, {}, where + " moved back");
+    }
+  }
+}
+
+TEST(BandwidthMemo, ReversedSetComesBackReversed) {
+  // On K4, two copies of chain 0-1-2-3 share every link (1/2 each) and a
+  // third tree has its own links (1), so an answer in the wrong order
+  // would show.
+  graph::Graph g(4);
+  for (int i = 0; i < 4; ++i) {
+    for (int j = i + 1; j < 4; ++j) g.add_edge(i, j);
+  }
+  g.finalize();
+  const std::vector<SpanningTree> ts{SpanningTree(0, {-1, 0, 1, 2}),
+                                     SpanningTree(0, {-1, 0, 1, 2}),
+                                     SpanningTree(0, {-1, 3, 0, 0})};
+  const auto fwd = compute_tree_bandwidths(g, ts, 1.0);
+  EXPECT_EQ(fwd.per_tree, (std::vector<double>{0.5, 0.5, 1.0}));
+  const std::vector<SpanningTree> reversed(ts.rbegin(), ts.rend());
+  expect_exact(g, reversed, 1.0, {}, "reversed");
+  EXPECT_EQ(compute_tree_bandwidths(g, reversed, 1.0).per_tree,
+            (std::vector<double>{1.0, 0.5, 0.5}));
+}
+
+TEST(BandwidthMemoThreads, AlternatingPlansMatchTheOracle) {
+  // Four threads alternate two tree sets through the process-wide memo,
+  // so hits, misses and stores race; every answer must be the oracle's.
+  const auto low = core::AllreducePlanner(7).solution(core::Solution::kLowDepth).build();
+  const auto dis = core::AllreducePlanner(7).solution(core::Solution::kEdgeDisjoint).build();
+  const auto want_low =
+      oracle::compute_tree_bandwidths_reference(low.topology(), low.trees(), 1.0);
+  const auto want_dis =
+      oracle::compute_tree_bandwidths_reference(dis.topology(), dis.trees(), 1.0);
+  std::vector<int> wrong(4, 0);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 4; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < 40; ++i) {
+        const bool first = (i + w) % 2 == 0;
+        const auto& plan = first ? low : dis;
+        const auto& want = first ? want_low : want_dis;
+        const auto got =
+            compute_tree_bandwidths(plan.topology(), plan.trees(), 1.0);
+        if (got.per_tree != want.per_tree || got.aggregate != want.aggregate) {
+          ++wrong[static_cast<std::size_t>(w)];
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(wrong, std::vector<int>(4, 0));
 }
 
 }  // namespace

@@ -324,6 +324,27 @@ TEST(ServiceTest, ZeroElementJobCompletesInstantly) {
   EXPECT_EQ(svc.stats().total_flits, 0);
 }
 
+TEST(ServiceTest, ZeroElementJobDoesNotWaitForABusyLane) {
+  // The serial lane is busy with a large job when the empty one arrives:
+  // the empty job still completes at its arrival, outside any lane.
+  const auto plan = make_plan(7);
+  service::ServiceConfig config;
+  config.policy = service::SchedulerPolicy::kSerial;
+  service::AllreduceService svc(plan, config);
+  const int big = svc.submit(job(0, 20000, 0));
+  const int empty = svc.submit(job(1, 0, 10));
+  svc.drain();
+  const auto& b = svc.records()[static_cast<std::size_t>(big)];
+  const auto& e = svc.records()[static_cast<std::size_t>(empty)];
+  ASSERT_TRUE(b.completed);
+  ASSERT_GT(b.finish_cycle, 10);
+  EXPECT_TRUE(e.completed);
+  EXPECT_EQ(e.admit_cycle, 10);
+  EXPECT_EQ(e.start_cycle, 10);
+  EXPECT_EQ(e.finish_cycle, 10);
+  EXPECT_EQ(e.lane, -1);
+}
+
 TEST(ServiceDeterminism, BitIdenticalAcrossRuns) {
   // The service schedule is integer arithmetic over deterministic sim
   // results, so one submission history yields one multi-tenant timeline.
